@@ -50,12 +50,10 @@ from .model import (
     FunctionClass,
     InvalidC,
     Plant,
-    StepGrid,
     StepSizeInterval,
     gradient_descent_plant,
     interval_asymmetric,
     interval_from_c,
-    make_grid,
 )
 from .simulator import (
     AdversarialGreedy,

@@ -1,16 +1,19 @@
-"""Rate certification: assemble the parameterized matrix inequality over a
-step-size grid, decide joint feasibility in (P, lambda), and bisect on the
-contraction rate rho.
+"""Rate certification: assemble the parameterized matrix inequality at the
+endpoints of a step-size interval, decide joint feasibility in (P, lambda),
+and bisect on the contraction rate rho.
 
-The inequality family, one block per grid point alpha,
+The inequality family, one block per interval endpoint alpha,
 
     [ A^T P A - rho^2 P   A^T P B(alpha)      ]
     [ B(alpha)^T P A      B(alpha)^T P B(alpha) ]  +  lambda * Qf  <=  0,
 
 with Qf = [C D]^T M [C D], must admit a single pair (P > 0, lambda >= 0)
-valid at every grid point.  Joint feasibility of the family at a given rho
-certifies the worst-case bound  ||xi_k|| <= sqrt(cond(P)) rho^k ||xi_0||
-over all step-size sequences drawn from the interval.
+valid at both endpoints.  The block is matrix-convex in alpha (B is affine
+in alpha, P > 0, and nothing else depends on alpha), so the endpoints cover
+the whole interval; see ``StepSizeInterval.endpoints``.  Joint feasibility
+of the family at a given rho certifies the worst-case bound
+||xi_k|| <= sqrt(cond(P)) rho^k ||xi_0||  over all step-size sequences
+drawn from the interval.
 
 The family is homogeneous in (P, lambda), so P is normalized to unit trace.
 Instances are also built in reduced units (class modulus 1, steps scaled by
@@ -21,7 +24,7 @@ needs only rho_star and cond(P), both of which are reduction-invariant for
 the plant state.  Two backends decide feasibility:
 
 * state_dim == 1 (static multiplier): P is the scalar 1, and the admissible
-  lambda set at each grid point is an interval computed in closed form from
+  lambda set at each endpoint is an interval computed in closed form from
   the 2x2 block's diagonal and determinant conditions; the family is
   feasible iff the intervals intersect.
 * state_dim >= 2: a deep-cut ellipsoid method over the decision vector
@@ -36,7 +39,7 @@ both tolerances are explicit options.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,13 +60,7 @@ from .iqc import (
     zames_falb,
 )
 from .linalg import SymMatrix, eig_sym, cond_spd, max_eigenvalue
-from .model import (
-    FunctionClass,
-    StepGrid,
-    StepSizeInterval,
-    gradient_descent_plant,
-    make_grid,
-)
+from .model import FunctionClass, StepSizeInterval, gradient_descent_plant
 
 
 class InvalidInput(ValueError):
@@ -95,7 +92,7 @@ class LmiInstance:
     """One feasibility question: the block family at a fixed candidate rho."""
 
     rho: float
-    grid: StepGrid
+    interval: StepSizeInterval
     aug: AugmentedSystem
     quad: SymMatrix
     state_dim: int
@@ -104,15 +101,13 @@ class LmiInstance:
     def __post_init__(self):
         if not self.rho > 0.0:
             raise InvalidInput(f"need rho > 0, got {self.rho}")
-        if len(self.grid) < 1:
-            raise InvalidInput("empty grid")
 
 
 @dataclass(frozen=True, eq=False)
 class Witness:
     """Feasible pair for the whole family: P (unit trace), lambda >= 0, and
-    the largest block eigenvalue ``slack`` over the grid (<= 0 when
-    feasible)."""
+    the largest block eigenvalue ``slack`` over the interval endpoints
+    (<= 0 when feasible)."""
 
     p: SymMatrix
     lam: float
@@ -131,8 +126,6 @@ class Certificate:
     cond_p: float | None
     fc: FunctionClass
     interval: StepSizeInterval
-    grid: StepGrid
-    grid_size: int
     iqc_kind: str
     zf_order: int | None
     weights: tuple[float, ...]
@@ -142,6 +135,11 @@ class Certificate:
     @property
     def feasible(self) -> bool:
         return self.rho_star is not None
+
+    @property
+    def grid(self) -> tuple[float, ...]:
+        """The step sizes the certificate was checked at."""
+        return self.interval.endpoints
 
 
 def closed_form_rate(alpha: float, fc: FunctionClass) -> float:
@@ -164,7 +162,7 @@ def assemble_lmi_block(
     p: SymMatrix,
     lam: float,
 ) -> SymMatrix:
-    """The symmetric block of the family at one grid point, for given
+    """The symmetric block of the family at one step size, for given
     (rho, P, lambda)."""
     s = aug.state_dim
     if p.order != s:
@@ -245,7 +243,7 @@ def lambda_interval_sector(
 
 def _sector_backend(inst: LmiInstance, eps: float) -> Witness | None:
     los, his = [], []
-    for alpha in inst.grid.points:
+    for alpha in inst.interval.endpoints:
         iv = lambda_interval_sector(inst.rho, alpha, inst.fc, eps)
         if iv is None:
             return None
@@ -261,9 +259,9 @@ def _sector_backend(inst: LmiInstance, eps: float) -> Witness | None:
 
 
 def _family_slack(inst: LmiInstance, p: SymMatrix, lam: float) -> float:
-    """Largest block eigenvalue over the grid, in ascending-alpha order."""
+    """Largest block eigenvalue over the interval endpoints."""
     worst = -math.inf
-    for alpha in inst.grid.points:
+    for alpha in inst.interval.endpoints:
         block = assemble_lmi_block(inst.aug, inst.quad, inst.rho, alpha, p, lam)
         worst = max(worst, max_eigenvalue(block))
     return worst
@@ -314,8 +312,8 @@ def _matrix_backend(
     constraints.append(
         MatrixConstraint(s0=-p0, coeffs=pd_coeffs, bound=-opts.delta_pd)
     )
-    # One block per grid point.
-    for alpha in inst.grid.points:
+    # One block per interval endpoint.
+    for alpha in inst.interval.endpoints:
         s0 = top_part(p0, alpha)
         coeffs = np.stack(
             [top_part(b, alpha) for b in basis] + [inst.quad.mat]
@@ -370,7 +368,7 @@ def _build_multiplier(
 
 def _instance(
     fc: FunctionClass,
-    grid: StepGrid,
+    interval: StepSizeInterval,
     kind: str,
     rho: float,
     zf_order: int,
@@ -388,15 +386,11 @@ def _instance(
     """
     m = fc.m
     fc_n = FunctionClass(1.0, fc.L / m)
-    grid_n = StepGrid(
-        points=tuple(a * m for a in grid.points),
-        source=StepSizeInterval(grid.source.lo * m, grid.source.hi * m),
-    )
     mult = _build_multiplier(fc_n, kind, rho, zf_order, weights)
     aug = augment(gradient_descent_plant(), mult)
     return LmiInstance(
         rho=rho,
-        grid=grid_n,
+        interval=StepSizeInterval(interval.lo * m, interval.hi * m),
         aug=aug,
         quad=quad_form(aug, mult),
         state_dim=aug.state_dim,
@@ -407,7 +401,6 @@ def _instance(
 def certify(
     fc: FunctionClass,
     interval: StepSizeInterval,
-    grid_size: int = 10,
     iqc_kind: str = SECTOR,
     zf_order: int = 2,
     weights: tuple[float, ...] | None = None,
@@ -425,8 +418,6 @@ def certify(
     opts = options or CertifyOptions()
     if iqc_kind not in KINDS:
         raise InvalidInput(f"unknown multiplier kind {iqc_kind!r}")
-    if grid_size < 1:
-        raise InvalidInput(f"grid_size must be >= 1, got {grid_size}")
     if zf_order < 1:
         raise InvalidInput(f"zf_order must be >= 1, got {zf_order}")
     if not (0.0 < opts.rho_lo and opts.rho_lo + opts.rho_tol <= opts.rho_hi <= 1.0):
@@ -434,14 +425,13 @@ def certify(
             f"need 0 < rho_lo <= rho_hi - rho_tol and rho_hi <= 1, "
             f"got [{opts.rho_lo}, {opts.rho_hi}], tol {opts.rho_tol}"
         )
-    grid = make_grid(interval, grid_size)
     evals = 0
 
     def probe(rho: float) -> Witness | None:
         nonlocal evals
         evals += 1
         try:
-            inst = _instance(fc, grid, iqc_kind, rho, zf_order, weights)
+            inst = _instance(fc, interval, iqc_kind, rho, zf_order, weights)
         except WeightOutOfRange:
             return None
         return feasible_at_rho(inst, opts)
@@ -457,8 +447,6 @@ def certify(
             cond_p=cond_spd(wit.p) if wit is not None else None,
             fc=fc,
             interval=interval,
-            grid=grid,
-            grid_size=grid_size,
             iqc_kind=iqc_kind,
             zf_order=zf_order if iqc_kind == ZAMES_FALB else None,
             weights=used,
@@ -485,9 +473,10 @@ def certify(
 
 
 def verify_certificate(cert: Certificate, slack_tol: float | None = None) -> bool:
-    """Replay the certificate: re-assemble every grid block at the stored
-    (rho_star, P, lambda) and check all of them against ``slack_tol``
-    (default: the same data-scaled tolerance used for feasibility)."""
+    """Replay the certificate: re-assemble the block at both endpoints of the
+    stored interval at the stored (rho_star, P, lambda) and check them
+    against ``slack_tol`` (default: the same data-scaled tolerance used for
+    feasibility)."""
     if cert.rho_star is None or cert.witness is None:
         raise InvalidInput("certificate has no witness to verify")
     wit = cert.witness
@@ -498,7 +487,7 @@ def verify_certificate(cert: Certificate, slack_tol: float | None = None) -> boo
     try:
         inst = _instance(
             cert.fc,
-            cert.grid,
+            cert.interval,
             cert.iqc_kind,
             cert.rho_star,
             cert.zf_order or 1,
@@ -507,7 +496,7 @@ def verify_certificate(cert: Certificate, slack_tol: float | None = None) -> boo
     except WeightOutOfRange:
         return False
     tol = slack_tol if slack_tol is not None else default_eps_feas(inst.quad)
-    for alpha in inst.grid.points:  # reduced-unit grid, matching the witness
+    for alpha in inst.interval.endpoints:  # reduced units, matching the witness
         block = assemble_lmi_block(
             inst.aug, inst.quad, cert.rho_star, alpha, wit.p, wit.lam
         )
@@ -515,7 +504,3 @@ def verify_certificate(cert: Certificate, slack_tol: float | None = None) -> boo
             return False
     return True
 
-
-def replace_certificate(cert: Certificate, **changes) -> Certificate:
-    """Convenience wrapper for perturbation experiments on certificates."""
-    return replace(cert, **changes)

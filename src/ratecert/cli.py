@@ -14,7 +14,6 @@ codes.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import sys
@@ -44,7 +43,6 @@ CSV_NEWLINE = "\n"
 
 # Factory defaults for every flag, keyed by flag name (no leading dashes).
 DEFAULTS: dict[str, object] = {
-    "grid": 10,
     "rho-tol": 1e-4,
     "seed": 0,
     "out": None,
@@ -67,7 +65,7 @@ DEFAULTS: dict[str, object] = {
     "trials": 100,
 }
 
-_INT_KEYS = {"grid", "seed", "zf-order", "points", "steps", "trials"}
+_INT_KEYS = {"seed", "zf-order", "points", "steps", "trials"}
 _FLOAT_KEYS = {
     "rho-tol", "m", "L", "kappa", "c", "c1", "c2",
     "kappa-min", "kappa-max", "c-min", "c-max",
@@ -93,8 +91,6 @@ class SweepRow:
     rho_star: float | None
     feasible: bool
     cond_p: float | None
-    grid_size: int | None = None
-    iqc_kind: str | None = None
 
 
 def _fmt(x: float | None) -> str:
@@ -132,7 +128,6 @@ def parse_sweep_csv(text: str) -> list[SweepRow]:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--grid", type=int, default=None, help="grid points over the interval")
     p.add_argument("--rho-tol", type=float, default=None, help="bisection tolerance on the rate")
     p.add_argument("--out", default=None, help="output path (CSV or JSON record)")
     p.add_argument("--svg", default=None, help="also write an SVG chart here")
@@ -289,7 +284,6 @@ def _certify(res: Resolved, fc: FunctionClass, interval: StepSizeInterval) -> Ce
     return certify(
         fc,
         interval,
-        grid_size=int(res["grid"]),
         iqc_kind=kind,
         zf_order=zf_order,
         options=CertifyOptions(rho_tol=float(res["rho-tol"])),
@@ -314,7 +308,6 @@ def cmd_certify(res: Resolved) -> int:
         "kappa": fc.kappa(),
         "interval_lo": interval.lo,
         "interval_hi": interval.hi,
-        "grid_size": cert.grid_size,
         "iqc": cert.iqc_kind,
         "zf_order": cert.zf_order,
         "feasible": cert.feasible,
@@ -340,34 +333,14 @@ def cmd_certify(res: Resolved) -> int:
 
 
 def _sweep_rows(params: list[tuple[float, float]], res: Resolved) -> list[SweepRow]:
-    """Certify one row per (kappa, c), in parallel, results in input order."""
-    kind, zf_order = _iqc_spec(res)
-    grid = int(res["grid"])
-    rho_tol = float(res["rho-tol"])
+    """Certify one row per (kappa, c), serially and in input order."""
 
-    def one(kc: tuple[float, float]) -> SweepRow:
-        kappa, c = kc
+    def one(kappa: float, c: float) -> SweepRow:
         fc = FunctionClass(1.0, kappa)
-        cert = certify(
-            fc,
-            interval_from_c(fc, c),
-            grid_size=grid,
-            iqc_kind=kind,
-            zf_order=zf_order,
-            options=CertifyOptions(rho_tol=rho_tol),
-        )
-        return SweepRow(
-            kappa=kappa,
-            c=c,
-            rho_star=cert.rho_star,
-            feasible=cert.feasible,
-            cond_p=cert.cond_p,
-            grid_size=grid,
-            iqc_kind=kind,
-        )
+        cert = _certify(res, fc, interval_from_c(fc, c))
+        return SweepRow(kappa, c, cert.rho_star, cert.feasible, cert.cond_p)
 
-    with concurrent.futures.ThreadPoolExecutor() as pool:
-        return list(pool.map(one, params))
+    return [one(kappa, c) for kappa, c in params]
 
 
 def cmd_sweep_kappa(res: Resolved) -> int:

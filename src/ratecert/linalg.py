@@ -8,7 +8,7 @@ convergence tolerance.
 
 A batched variant of the same Jacobi kernel is provided for callers that
 need eigenvalues of many equally-sized blocks at once (the feasibility
-solver evaluates every grid-point block per iteration).
+solver evaluates the block at every interval endpoint per iteration).
 """
 
 from __future__ import annotations

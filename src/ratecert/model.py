@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class InvalidC(ValueError):
     """Step-size interval constant produces an empty or inverted interval."""
@@ -57,6 +55,20 @@ class StepSizeInterval:
     def degenerate(self) -> bool:
         return self.lo == self.hi
 
+    @property
+    def endpoints(self) -> tuple[float, ...]:
+        """The step sizes a certificate is checked at: ``(lo, hi)``, or
+        ``(lo,)`` when the interval is degenerate.
+
+        The endpoints suffice for the whole interval.  Each block of the
+        rate inequality is ``[A B(alpha)]^T P [A B(alpha)] - diag(rho^2 P, 0)
+        + lambda*Q`` with ``A`` and ``Q`` independent of alpha, ``B(alpha)``
+        affine and ``P > 0``, so the block is matrix-convex in alpha: being
+        negative semidefinite at ``lo`` and ``hi`` implies it on all of
+        ``[lo, hi]`` (the vertex argument for parameterized LMIs).
+        """
+        return (self.lo,) if self.degenerate else (self.lo, self.hi)
+
 
 @dataclass(frozen=True)
 class Plant:
@@ -76,28 +88,6 @@ class Plant:
 
     def b(self, alpha: float) -> float:
         return self.b0 + alpha * self.b1
-
-
-@dataclass(frozen=True)
-class StepGrid:
-    """Finite, strictly ascending sample of a step-size interval, always
-    containing both endpoints when it has two or more points."""
-
-    points: tuple[float, ...]
-    source: StepSizeInterval
-
-    def __post_init__(self):
-        if len(self.points) < 1:
-            raise ValueError("grid needs at least one point")
-        for a in self.points:
-            if not (self.source.lo <= a <= self.source.hi):
-                raise ValueError(f"grid point {a} outside source interval")
-        for a, b in zip(self.points, self.points[1:]):
-            if not a < b:
-                raise ValueError("grid points must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def interval_from_c(fc: FunctionClass, c: float) -> StepSizeInterval:
@@ -120,24 +110,6 @@ def interval_asymmetric(fc: FunctionClass, c1: float, c2: float) -> StepSizeInte
     if lo > hi:
         raise InvalidC(f"empty interval: 1/(c1*L)={lo} > c2/L={hi}")
     return StepSizeInterval(lo, hi)
-
-
-def make_grid(iv: StepSizeInterval, n: int) -> StepGrid:
-    """Uniform inclusive grid with ``n`` points.
-
-    A degenerate interval collapses to a single point regardless of ``n``;
-    a request for a single point on a proper interval returns the midpoint
-    so that sweeps over ``n`` are total.
-    """
-    if n < 1:
-        raise ValueError(f"grid size must be >= 1, got {n}")
-    if iv.degenerate:
-        pts = (iv.lo,)
-    elif n == 1:
-        pts = (0.5 * (iv.lo + iv.hi),)
-    else:
-        pts = tuple(float(a) for a in np.linspace(iv.lo, iv.hi, n))
-    return StepGrid(points=pts, source=iv)
 
 
 def gradient_descent_plant() -> Plant:

@@ -34,7 +34,6 @@ from ratecert.model import (
     StepSizeInterval,
     gradient_descent_plant,
     interval_from_c,
-    make_grid,
 )
 from ratecert.simulator import (
     AdversarialGreedy,
@@ -79,7 +78,7 @@ def test_criterion_2_closed_form_oracle_equivalence():
         L = m * float(rng.uniform(1.0, 50.0))
         fc = FunctionClass(m, L)
         alpha = float(rng.uniform(0.2 / L, 1.8 / L))
-        cert = certify(fc, StepSizeInterval(alpha, alpha), grid_size=1)
+        cert = certify(fc, StepSizeInterval(alpha, alpha))
         # The bisection never reports below its bracket floor rho_lo = 1e-3.
         target = max(closed_form_rate(alpha, fc), 1e-3)
         worst = max(worst, abs(cert.rho_star - target))
@@ -239,7 +238,7 @@ def test_criterion_10_property_suites():
         alpha = float(rng.uniform(0.3 / fc.L, 1.7 / fc.L))
         base = closed_form_rate(alpha, fc)
         for rho in (min(base + 0.03, 0.9999), max(base - 0.03, 1e-3)):
-            inst = _instance(fc, make_grid(StepSizeInterval(alpha, alpha), 1),
+            inst = _instance(fc, StepSizeInterval(alpha, alpha),
                              SECTOR, rho, 1, None)
             a = feasible_at_rho(inst, opts) is not None
             b = _matrix_backend(inst, default_eps_feas(inst.quad), opts) is not None
@@ -250,13 +249,12 @@ def test_criterion_10_property_suites():
     fc = FunctionClass(1.0, 8.0)
     interval = interval_from_c(fc, 1.3)
     cert = certify(fc, interval)
-    grid = make_grid(interval, 10)
     mono = all(
-        feasible_at_rho(_instance(fc, grid, SECTOR, cert.rho_star + b, 1, None))
+        feasible_at_rho(_instance(fc, interval, SECTOR, cert.rho_star + b, 1, None))
         is not None
         for b in (1e-4, 1e-3, 1e-2, 0.05)
     ) and feasible_at_rho(
-        _instance(fc, grid, SECTOR, cert.rho_star - 2 * cert.rho_tol, 1, None)
+        _instance(fc, interval, SECTOR, cert.rho_star - 2 * cert.rho_tol, 1, None)
     ) is None
     notes.append(f"rho-monotonicity: {mono}")
 

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ratecert.certifier import (
@@ -17,7 +20,6 @@ from ratecert.certifier import (
     default_eps_feas,
     feasible_at_rho,
     lambda_interval_sector,
-    replace_certificate,
     verify_certificate,
 )
 from ratecert.ellipsoid import SolverBudgetExceeded
@@ -27,15 +29,14 @@ from ratecert.model import (
     FunctionClass,
     StepSizeInterval,
     interval_from_c,
-    make_grid,
 )
 
 FC10 = FunctionClass(1.0, 10.0)
 
 
 # ---------------------------------------------------------------------------
-# Independent oracle: scan a dense lambda grid and test every 2x2 grid block
-# with the closed-form symmetric-eigenvalue formula.
+# Independent oracle: scan a dense lambda grid and test the 2x2 block at every
+# given step size with the closed-form symmetric-eigenvalue formula.
 
 def _block_max_eig(rho, alpha, lam, m, L):
     a11 = (1.0 - rho * rho) - 2.0 * m * L * lam
@@ -68,12 +69,12 @@ def test_closed_form_rate_examples():
 # ---------------------------------------------------------------------------
 # assemble_lmi_block
 
-def _sector_instance(fc, interval, rho, grid_size=10):
-    return _instance(fc, make_grid(interval, grid_size), SECTOR, rho, 1, None)
+def _sector_instance(fc, interval, rho):
+    return _instance(fc, interval, SECTOR, rho, 1, None)
 
 
 def test_assemble_block_examples():
-    inst = _sector_instance(FC10, interval_from_c(FC10, 1.0), 0.9, 1)
+    inst = _sector_instance(FC10, interval_from_c(FC10, 1.0), 0.9)
     p1 = SymMatrix([[1.0]])
     b = assemble_lmi_block(inst.aug, inst.quad, 0.9, 0.1, p1, 0.01)
     assert_allclose(b.mat, [[-0.01, 0.01], [0.01, -0.01]], atol=1e-15)
@@ -182,9 +183,11 @@ def test_certify_no_certificate_beyond_two():
 
 
 def test_certify_varying_interval_cross_checked_by_scan_oracle():
+    # The certifier checks only the two endpoints; the oracle scans the
+    # interior too, an independent check that the endpoints suffice.
     cert = certify(FC10, interval_from_c(FC10, 1.4))
     assert cert.rho_star is not None and cert.rho_star < 1.0
-    alphas = cert.grid.points
+    alphas = np.linspace(cert.interval.lo, cert.interval.hi, 25)
     assert _scan_family_feasible(cert.rho_star + 2e-4, alphas, 1.0, 10.0)
     assert not _scan_family_feasible(cert.rho_star - 2e-4, alphas, 1.0, 10.0)
 
@@ -197,7 +200,7 @@ def test_certify_kappa_one_reports_bracket_floor():
 
 def test_certify_validation():
     with pytest.raises(InvalidInput):
-        certify(FC10, interval_from_c(FC10, 1.0), grid_size=0)
+        certify(FC10, interval_from_c(FC10, 1.0), iqc_kind=ZAMES_FALB, zf_order=0)
     with pytest.raises(InvalidInput):
         certify(FC10, interval_from_c(FC10, 1.0), iqc_kind="nope")
     with pytest.raises(InvalidInput):
@@ -218,12 +221,17 @@ def test_verify_roundtrip_and_perturbations():
     cert = certify(FC10, interval_from_c(FC10, 1.0))
     assert verify_certificate(cert)
     wit = cert.witness
-    bad_lam = replace_certificate(
+    bad_lam = dataclasses.replace(
         cert, witness=type(wit)(p=wit.p, lam=wit.lam + 1.0, slack=wit.slack)
     )
     assert not verify_certificate(bad_lam)
-    bad_rho = replace_certificate(cert, rho_star=cert.rho_star - 10.0 * cert.rho_tol)
+    bad_rho = dataclasses.replace(cert, rho_star=cert.rho_star - 10.0 * cert.rho_tol)
     assert not verify_certificate(bad_rho)
+    # The replay reads the steps to check from the interval itself, so a
+    # certificate cannot be stretched to cover steps it was never proved for.
+    wider = dataclasses.replace(cert, interval=interval_from_c(FC10, 1.4))
+    assert wider.grid == wider.interval.endpoints
+    assert not verify_certificate(wider)
 
 
 def test_verify_requires_witness():
@@ -262,7 +270,7 @@ def test_feasibility_monotone_in_rho_wob1():
     interval = interval_from_c(fc, 1.2)
     cert = certify(fc, interval, iqc_kind=WEIGHTED_OFF_BY_1)
     for bump in (1e-3, 2e-2):
-        inst = _instance(fc, cert.grid, WEIGHTED_OFF_BY_1,
+        inst = _instance(fc, cert.interval, WEIGHTED_OFF_BY_1,
                          cert.rho_star + bump, 1, None)
         assert feasible_at_rho(inst) is not None
 
@@ -313,10 +321,10 @@ def test_witness_invariants():
 
 
 def test_lmi_instance_validation():
-    grid = make_grid(interval_from_c(FC10, 1.0), 1)
-    inst = _sector_instance(FC10, interval_from_c(FC10, 1.0), 0.9, 1)
+    interval = interval_from_c(FC10, 1.0)
+    inst = _sector_instance(FC10, interval, 0.9)
     with pytest.raises(InvalidInput):
-        LmiInstance(rho=-0.1, grid=grid, aug=inst.aug, quad=inst.quad,
+        LmiInstance(rho=-0.1, interval=interval, aug=inst.aug, quad=inst.quad,
                     state_dim=1, fc=FC10)
 
 
@@ -328,7 +336,7 @@ def test_certificate_valid_in_dimension_two():
     cert = certify(FC10, interval_from_c(FC10, 1.4))
     wit = cert.witness
     eye = np.eye(2)
-    for alpha in cert.grid.points:
+    for alpha in cert.grid:
         scalar = assemble_lmi_block(
             _sector_instance(FC10, cert.interval, cert.rho_star).aug,
             _sector_instance(FC10, cert.interval, cert.rho_star).quad,
@@ -361,3 +369,22 @@ def test_dynamic_multipliers_never_significantly_worse():
         r_sector = certify(fc, interval).rho_star
         r_wob1 = certify(fc, interval, iqc_kind=WEIGHTED_OFF_BY_1).rho_star
         assert r_wob1 <= r_sector + 2e-4, (kappa, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_kappa=st.floats(0.0, 2.0),
+    c=st.floats(1.0, 2.0, exclude_max=True),
+    kind=st.just(SECTOR),
+)
+@example(log_kappa=1.0, c=1.2, kind=WEIGHTED_OFF_BY_1)
+def test_certified_rate_never_below_exact_rate(log_kappa, c, kind):
+    # The exact worst-case rate over step sequences in [lo, hi] is the larger
+    # of the two constant-step rates; no sound certificate can beat it.
+    fc = FunctionClass(1.0, 10.0 ** log_kappa)
+    interval = interval_from_c(fc, c)
+    cert = certify(fc, interval, iqc_kind=kind)
+    if cert.rho_star is None:
+        return
+    exact = max(closed_form_rate(interval.lo, fc), closed_form_rate(interval.hi, fc))
+    assert cert.rho_star >= exact - cert.rho_tol, (fc.L, c, kind)

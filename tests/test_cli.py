@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ratecert.cli import format_sweep_csv, main, parse_sweep_csv
+from ratecert.cli import Resolved, build_parser, format_sweep_csv, main, parse_sweep_csv
 
 
 def run_cli(*argv):
@@ -11,7 +11,7 @@ def run_cli(*argv):
 
 def test_certify_exit_codes(capsys, tmp_path):
     assert run_cli("certify", "--m", "1", "--L", "10", "--c", "1",
-                   "--grid", "10", "--iqc", "sector") == 0
+                   "--iqc", "sector") == 0
     out = capsys.readouterr().out
     rho = float(next(ln for ln in out.splitlines() if ln.startswith("rho_star")).split()[1])
     assert abs(rho - 0.9) <= 2e-3
@@ -34,7 +34,8 @@ def test_certify_json_record(tmp_path, capsys):
     assert record["kappa"] == 10.0
     assert 0.9 < record["rho_star"] < 1.0
     assert record["lambda"] > 0.0
-    assert record["grid_size"] == 10
+    assert record["rho_tol"] == 1e-4
+    assert "grid_size" not in record
 
 
 def test_certify_asymmetric_interval(capsys):
@@ -164,6 +165,10 @@ def test_simulate_policies(tmp_path, capsys):
         assert run_cli("simulate", "--kappa", "10", "--c", "1", "--trials", "5",
                        "--steps", "20", "--policy", pol,
                        "--out", str(tmp_path / "sim.csv")) == 0
+    # Steps drawn from the two endpoints attain the worst-case rate, so this
+    # run exposes a certificate that did not check both endpoints.
+    assert run_cli("simulate", "--kappa", "10", "--c", "1.4", "--policy", "endpoints",
+                   "--trials", "20", "--out", str(tmp_path / "sim.csv")) == 0
     capsys.readouterr()
     assert run_cli("simulate", "--kappa", "10", "--c", "1",
                    "--policy", "bogus") == 1
@@ -172,14 +177,26 @@ def test_simulate_policies(tmp_path, capsys):
 
 def test_config_file_and_override(tmp_path, capsys):
     cfg = tmp_path / "ratecert.cfg"
-    cfg.write_text("# comment\ngrid=5\nrho-tol=1e-3\n")
+    cfg.write_text("# comment\nrho-tol=1e-3\nzf-order=3\n")
     out = tmp_path / "cert.json"
     assert run_cli("certify", "--kappa", "10", "--c", "1.2",
                    "--config", str(cfg), "--out", str(out)) == 0
-    assert json.loads(out.read_text())["grid_size"] == 5
+    assert json.loads(out.read_text())["rho_tol"] == 1e-3
     assert run_cli("certify", "--kappa", "10", "--c", "1.2",
-                   "--config", str(cfg), "--grid", "7", "--out", str(out)) == 0
-    assert json.loads(out.read_text())["grid_size"] == 7
+                   "--config", str(cfg), "--rho-tol", "1e-2", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["rho_tol"] == 1e-2
+    capsys.readouterr()
+
+    def resolved(*argv):
+        return Resolved(build_parser().parse_args(["certify", "--config", str(cfg), *argv]))
+
+    assert resolved()["zf-order"] == 3
+    assert resolved("--zf-order", "4")["zf-order"] == 4
+
+    # Step sizes are not configurable: `grid` is an unknown key.
+    stale = tmp_path / "stale.cfg"
+    stale.write_text("grid=10\n")
+    assert run_cli("certify", "--kappa", "10", "--config", str(stale)) == 1
     capsys.readouterr()
 
     bad = tmp_path / "bad.cfg"
@@ -191,7 +208,8 @@ def test_config_file_and_override(tmp_path, capsys):
 def test_show_config(capsys):
     assert run_cli("--show-config") == 0
     out = capsys.readouterr().out
-    assert "grid=10" in out
+    assert not any(ln.startswith("grid=") for ln in out.splitlines())
+    assert "zf-order=2" in out
     assert "rho-tol=0.0001" in out
     assert "policy=uniform" in out
     assert "iqc=sector" in out
@@ -200,7 +218,7 @@ def test_show_config(capsys):
 def test_usage_errors(capsys, tmp_path):
     assert run_cli() == 1
     capsys.readouterr()
-    assert run_cli("certify", "--grid", "0") == 1
+    assert run_cli("certify", "--grid", "10") == 1  # unknown flag
     capsys.readouterr()
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert run_cli("sweep-kappa", "--c", "1", "--points", "2",

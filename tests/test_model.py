@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
 
 from ratecert.model import (
     FunctionClass,
     InvalidC,
-    StepGrid,
     StepSizeInterval,
     gradient_descent_plant,
     interval_asymmetric,
     interval_from_c,
-    make_grid,
 )
 
 
@@ -56,25 +53,22 @@ def test_interval_validation():
         StepSizeInterval(0.2, 0.1)
 
 
-def test_make_grid_examples():
-    iv = StepSizeInterval(0.1, 0.14)
-    assert make_grid(iv, 2).points == (0.1, 0.14)
-    assert make_grid(StepSizeInterval(0.1, 0.1), 10).points == (0.1,)
-    assert_allclose(make_grid(iv, 5).points, [0.1, 0.11, 0.12, 0.13, 0.14], rtol=1e-14)
-    # midpoint rather than an error for a single-point request
-    assert make_grid(iv, 1).points == (pytest.approx(0.12),)
-    with pytest.raises(ValueError):
-        make_grid(iv, 0)
+def test_endpoints_examples():
+    assert StepSizeInterval(0.1, 0.14).endpoints == (0.1, 0.14)
+    # A constant step is checked once, never at a midpoint.
+    assert StepSizeInterval(0.1, 0.1).endpoints == (0.1,)
+    fc = FunctionClass(1.0, 10.0)
+    assert interval_from_c(fc, 1.0).endpoints == (0.1,)
+    assert interval_asymmetric(fc, 2.0, 1.0).endpoints == (0.05, 0.1)
 
 
-def test_grid_invariants_enforced():
+def test_endpoints_read_only():
     iv = StepSizeInterval(0.1, 0.2)
-    with pytest.raises(ValueError):
-        StepGrid(points=(0.05, 0.1), source=iv)
-    with pytest.raises(ValueError):
-        StepGrid(points=(0.15, 0.15), source=iv)
-    with pytest.raises(ValueError):
-        StepGrid(points=(), source=iv)
+    with pytest.raises(AttributeError):
+        iv.endpoints = (0.05, 0.1)
+    with pytest.raises(AttributeError):
+        iv.hi = 0.3
+    assert iv.endpoints == (0.1, 0.2)
 
 
 def test_gradient_descent_plant():
@@ -90,16 +84,14 @@ def test_gradient_descent_plant():
 @given(
     lo=st.floats(1e-3, 10.0),
     width=st.floats(0.0, 5.0),
-    n=st.integers(1, 200),
 )
-def test_grid_subset_and_sorted(lo, width, n):
+def test_endpoints_subset_and_sorted(lo, width):
     iv = StepSizeInterval(lo, lo + width)
-    grid = make_grid(iv, n)
-    pts = np.asarray(grid.points)
+    pts = np.asarray(iv.endpoints)
     assert np.all(pts >= iv.lo) and np.all(pts <= iv.hi)
-    assert np.all(np.diff(pts) > 0.0) or len(pts) == 1
-    if n >= 2 and not iv.degenerate:
-        assert pts[0] == iv.lo and pts[-1] == iv.hi
+    assert np.all(np.diff(pts) > 0.0)
+    assert pts[0] == iv.lo and pts[-1] == iv.hi
+    assert len(pts) == (1 if iv.degenerate else 2)
 
 
 @settings(max_examples=50, deadline=None)
