@@ -375,9 +375,12 @@ def test_dynamic_multipliers_never_significantly_worse():
 @given(
     log_kappa=st.floats(0.0, 2.0),
     c=st.floats(1.0, 2.0, exclude_max=True),
-    kind=st.just(SECTOR),
+    kind=st.sampled_from([SECTOR, WEIGHTED_OFF_BY_1]),
 )
 @example(log_kappa=1.0, c=1.2, kind=WEIGHTED_OFF_BY_1)
+# zf at the certify default order 2: one point that certifies, one past the onset.
+@example(log_kappa=1.0, c=1.2, kind=ZAMES_FALB)
+@example(log_kappa=1.6, c=1.6, kind=ZAMES_FALB)
 def test_certified_rate_never_below_exact_rate(log_kappa, c, kind):
     # The exact worst-case rate over step sequences in [lo, hi] is the larger
     # of the two constant-step rates; no sound certificate can beat it.

@@ -1,10 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratecert.ellipsoid import (
     EllipsoidOptions,
     MatrixConstraint,
     SolverBudgetExceeded,
+    _first_violated_cut,
+    _group_runs,
     ellipsoid_feasibility,
 )
 
@@ -103,3 +109,39 @@ def test_input_validation():
             [_scalar_constraint(1.0, 0.0, 0.0, 1)], 1,
             EllipsoidOptions(radius=1e-9),  # r_min >= radius
         )
+
+
+def _lam_max(con: MatrixConstraint, v: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(con.s0 + np.tensordot(v, con.coeffs, axes=1))[-1])
+
+
+def _random_affine(rng: np.random.Generator, order: int, v_dim: int, centre, margin):
+    """Random affine family whose value at ``centre`` exceeds its bound by
+    ``margin`` (violated when positive)."""
+    mats = rng.normal(size=(v_dim + 1, order, order))
+    mats = 0.5 * (mats + mats.transpose(0, 2, 1))
+    con = MatrixConstraint(s0=mats[0], coeffs=mats[1:], bound=0.0)
+    return dataclasses.replace(con, bound=_lam_max(con, centre) - margin)
+
+
+@settings(max_examples=60, deadline=None)
+@given(v_dim=st.integers(2, 6), first_violated=st.booleans(), seed=st.integers(0, 10_000))
+def test_cut_depth_and_validity_on_random_affine_constraints(v_dim, first_violated, seed):
+    # The cut must be exact at the centre (depth = lambda_max - bound) and
+    # valid everywhere: q^T S(v) q <= lambda_max(S(v)) for the unit q it was
+    # built from, so every feasible v lies on the kept side.
+    rng = np.random.default_rng(seed)
+    centre = rng.normal(size=v_dim)
+    sign = 1.0 if first_violated else -1.0
+    cons = [
+        _random_affine(rng, 3, v_dim, centre, sign * rng.uniform(0.05, 1.0)),
+        _random_affine(rng, 4, v_dim, centre, rng.uniform(0.05, 1.0)),
+    ]
+    con = cons[0] if first_violated else cons[1]
+    cut = _first_violated_cut(_group_runs(cons), centre)
+    assert cut is not None
+    a, depth = cut
+    assert depth == pytest.approx(_lam_max(con, centre) - con.bound, rel=1e-9)
+    for _ in range(50):
+        v = centre + rng.normal(scale=3.0, size=v_dim)
+        assert a @ v - (a @ centre - depth) <= _lam_max(con, v) - con.bound + 1e-9
