@@ -59,8 +59,7 @@ from .iqc import (
     weighted_off_by_1,
     zames_falb,
 )
-# eig_sym is not called here; perfbench/tracing.py wraps certifier.eig_sym.
-from .linalg import SymMatrix, cond_spd, eig_sym, max_eigenvalue  # noqa: F401
+from .linalg import SymMatrix, eig_sym, cond_spd, max_eigenvalue
 from .model import FunctionClass, StepSizeInterval, gradient_descent_plant
 
 
@@ -483,7 +482,7 @@ def verify_certificate(cert: Certificate, slack_tol: float | None = None) -> boo
     wit = cert.witness
     if wit.lam < 0.0:
         return False
-    if np.linalg.eigvalsh(wit.p.mat)[0] <= 0.0:
+    if eig_sym(wit.p).eigenvalues[0] <= 0.0:
         return False
     try:
         inst = _instance(

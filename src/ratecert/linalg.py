@@ -83,17 +83,6 @@ class EigenResult:
     eigenvectors: np.ndarray
 
 
-def eigh_batch(
-    mats: np.ndarray, need_vectors: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigenvalues (B, n) ascending of a stack of symmetric matrices
-    (B, n, n), with eigenvectors (B, n, n) in matching columns when
-    ``need_vectors``, else None."""
-    if need_vectors:
-        return np.linalg.eigh(mats)
-    return np.linalg.eigvalsh(mats), None
-
-
 def eigvals_batch(mats: np.ndarray) -> np.ndarray:
     """Eigenvalues (ascending) of a stack of symmetric matrices (B, n, n)."""
     return np.linalg.eigvalsh(mats)

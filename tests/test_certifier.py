@@ -378,9 +378,6 @@ def test_dynamic_multipliers_never_significantly_worse():
     kind=st.sampled_from([SECTOR, WEIGHTED_OFF_BY_1]),
 )
 @example(log_kappa=1.0, c=1.2, kind=WEIGHTED_OFF_BY_1)
-# zf at the certify default order 2: one point that certifies, one past the onset.
-@example(log_kappa=1.0, c=1.2, kind=ZAMES_FALB)
-@example(log_kappa=1.6, c=1.6, kind=ZAMES_FALB)
 def test_certified_rate_never_below_exact_rate(log_kappa, c, kind):
     # The exact worst-case rate over step sequences in [lo, hi] is the larger
     # of the two constant-step rates; no sound certificate can beat it.
@@ -391,3 +388,17 @@ def test_certified_rate_never_below_exact_rate(log_kappa, c, kind):
         return
     exact = max(closed_form_rate(interval.lo, fc), closed_form_rate(interval.hi, fc))
     assert cert.rho_star >= exact - cert.rho_tol, (fc.L, c, kind)
+
+
+def test_zf2_certifies_soundly_before_onset_and_not_past_it():
+    # zf at the certify default order 2: (kappa 10, c 1.2) certifies at or
+    # above the exact rate; (kappa 10**1.6, c 1.6) is past the onset.
+    fc = FunctionClass(1.0, 10.0)
+    interval = interval_from_c(fc, 1.2)
+    cert = certify(fc, interval, iqc_kind=ZAMES_FALB, zf_order=2)
+    assert cert.rho_star is not None
+    exact = max(closed_form_rate(interval.lo, fc), closed_form_rate(interval.hi, fc))
+    assert cert.rho_star >= exact - cert.rho_tol
+    fc = FunctionClass(1.0, 10.0 ** 1.6)
+    cert = certify(fc, interval_from_c(fc, 1.6), iqc_kind=ZAMES_FALB, zf_order=2)
+    assert cert.rho_star is None
