@@ -119,7 +119,8 @@ class Witness:
 class Certificate:
     """Outcome of certification.  ``rho_star`` is None when no rate below
     one could be certified; otherwise the stored witness re-verifies at
-    ``rho_star`` by direct block re-assembly."""
+    ``rho_star`` by direct block re-assembly.  ``bisection_iters`` counts
+    the trial rates, whether the solver or the exact rate decided them."""
 
     rho_star: float | None
     witness: Witness | None
@@ -413,7 +414,10 @@ def certify(
     at which pinned weights are inadmissible count as infeasible).  The
     returned rate is the upper end of the final bracket, so it is always
     backed by a stored witness; ``rho_star`` is None when even the top of
-    the bracket is infeasible.
+    the bracket is infeasible.  Trial rates below the exact worst-case rate
+    ``max(closed_form_rate(lo), closed_form_rate(hi))`` are infeasible
+    without a solve; ``bisection_iters`` counts every trial rate, whether
+    the solver or the exact rate decided it.
     """
     opts = options or CertifyOptions()
     if iqc_kind not in KINDS:
@@ -426,10 +430,15 @@ def certify(
             f"got [{opts.rho_lo}, {opts.rho_hi}], tol {opts.rho_tol}"
         )
     evals = 0
+    # No witness exists below the exact worst-case rate: the constant step
+    # at the worse endpoint attains it on a quadratic.
+    r_exact = max(closed_form_rate(interval.lo, fc), closed_form_rate(interval.hi, fc))
 
     def probe(rho: float) -> Witness | None:
         nonlocal evals
         evals += 1
+        if rho < r_exact:
+            return None
         try:
             inst = _instance(fc, interval, iqc_kind, rho, zf_order, weights)
         except WeightOutOfRange:

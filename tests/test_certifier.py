@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from ratecert import certifier
 from ratecert.certifier import (
     Certificate,
     CertifyOptions,
@@ -23,7 +24,7 @@ from ratecert.certifier import (
     verify_certificate,
 )
 from ratecert.ellipsoid import SolverBudgetExceeded
-from ratecert.iqc import SECTOR, WEIGHTED_OFF_BY_1, ZAMES_FALB
+from ratecert.iqc import SECTOR, WEIGHTED_OFF_BY_1, ZAMES_FALB, WeightOutOfRange
 from ratecert.linalg import SymMatrix
 from ratecert.model import (
     FunctionClass,
@@ -32,6 +33,23 @@ from ratecert.model import (
 )
 
 FC10 = FunctionClass(1.0, 10.0)
+
+
+def _exact_rate(fc, interval):
+    return max(closed_form_rate(interval.lo, fc), closed_form_rate(interval.hi, fc))
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Record the rho of every instance ``certify`` hands to the solver."""
+    seen = []
+
+    def recorder(inst, opts=None):
+        seen.append(inst.rho)
+        return feasible_at_rho(inst, opts)
+
+    monkeypatch.setattr(certifier, "feasible_at_rho", recorder)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +195,14 @@ def test_certify_constant_step_recovers_gradient_rate():
     assert verify_certificate(cert)
 
 
-def test_certify_no_certificate_beyond_two():
-    cert = certify(FC10, interval_from_c(FC10, 2.1))
-    assert cert.rho_star is None and cert.witness is None and cert.cond_p is None
+def test_certify_no_certificate_beyond_two(solver_calls):
+    # From c = 2 on the exact rate is at least 1, so the top of the bracket
+    # is rejected without a solve.
+    for c in (2.0, 2.1):
+        cert = certify(FC10, interval_from_c(FC10, c))
+        assert cert.rho_star is None and cert.witness is None and cert.cond_p is None
+        assert cert.bisection_iters == 1
+    assert solver_calls == []
 
 
 def test_certify_varying_interval_cross_checked_by_scan_oracle():
@@ -192,10 +215,13 @@ def test_certify_varying_interval_cross_checked_by_scan_oracle():
     assert not _scan_family_feasible(cert.rho_star - 2e-4, alphas, 1.0, 10.0)
 
 
-def test_certify_kappa_one_reports_bracket_floor():
+def test_certify_kappa_one_reports_bracket_floor(solver_calls):
+    # The exact rate is 0 here, so both ends of the bracket go to the solver.
     fc = FunctionClass(1.0, 1.0)
     cert = certify(fc, interval_from_c(fc, 1.0))
-    assert cert.rho_star == pytest.approx(1e-3)
+    assert cert.rho_star == 1e-3
+    assert cert.bisection_iters == 2
+    assert solver_calls == [1.0 - cert.rho_tol, 1e-3]
 
 
 def test_certify_validation():
@@ -206,6 +232,21 @@ def test_certify_validation():
     with pytest.raises(InvalidInput):
         certify(FC10, interval_from_c(FC10, 1.0),
                 options=CertifyOptions(rho_lo=0.5, rho_hi=0.4))
+
+
+@pytest.mark.parametrize(
+    "kind, rho_star",
+    [(SECTOR, 0.921312225341797), (WEIGHTED_OFF_BY_1, 0.9166786560058593)],
+)
+def test_bisection_solves_only_at_or_above_exact_rate(solver_calls, kind, rho_star):
+    # Trial rates below the exact rate are decided without a solve; the
+    # bisection still takes every step it took when the solver decided them.
+    interval = interval_from_c(FC10, 1.2)
+    cert = certify(FC10, interval, iqc_kind=kind)
+    assert min(solver_calls) >= _exact_rate(FC10, interval)
+    assert cert.rho_star == rho_star
+    assert cert.bisection_iters == 16
+    assert len(solver_calls) < 16
 
 
 def test_certify_budget_error_propagates():
@@ -386,8 +427,32 @@ def test_certified_rate_never_below_exact_rate(log_kappa, c, kind):
     cert = certify(fc, interval, iqc_kind=kind)
     if cert.rho_star is None:
         return
-    exact = max(closed_form_rate(interval.lo, fc), closed_form_rate(interval.hi, fc))
-    assert cert.rho_star >= exact - cert.rho_tol, (fc.L, c, kind)
+    assert cert.rho_star >= _exact_rate(fc, interval) - cert.rho_tol, (fc.L, c, kind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_kappa=st.floats(0.0, 2.0),
+    c=st.floats(1.0, 2.0, exclude_max=True),
+    kind=st.sampled_from([SECTOR, WEIGHTED_OFF_BY_1]),
+)
+@example(log_kappa=2.0, c=1.999, kind=SECTOR)  # the upper endpoint sets the rate
+@example(log_kappa=1.0, c=1.2, kind=ZAMES_FALB)
+@example(log_kappa=0.5, c=1.5, kind=ZAMES_FALB)
+@example(log_kappa=1.6, c=1.6, kind=ZAMES_FALB)
+def test_solver_infeasible_below_exact_rate(log_kappa, c, kind):
+    # The premise that lets certify skip these rates: no witness exists
+    # below the exact worst-case rate, for either backend.
+    fc = FunctionClass(1.0, 10.0 ** log_kappa)
+    interval = interval_from_c(fc, c)
+    exact = _exact_rate(fc, interval)
+    assume(exact > 1e-6)
+    for rho in (exact - 1e-9, exact * (1.0 - 1e-4)):
+        try:
+            inst = _instance(fc, interval, kind, rho, 2, None)
+        except WeightOutOfRange:
+            continue
+        assert feasible_at_rho(inst) is None, (fc.L, c, kind, rho)
 
 
 def test_zf2_certifies_soundly_before_onset_and_not_past_it():
@@ -397,8 +462,7 @@ def test_zf2_certifies_soundly_before_onset_and_not_past_it():
     interval = interval_from_c(fc, 1.2)
     cert = certify(fc, interval, iqc_kind=ZAMES_FALB, zf_order=2)
     assert cert.rho_star is not None
-    exact = max(closed_form_rate(interval.lo, fc), closed_form_rate(interval.hi, fc))
-    assert cert.rho_star >= exact - cert.rho_tol
+    assert cert.rho_star >= _exact_rate(fc, interval) - cert.rho_tol
     fc = FunctionClass(1.0, 10.0 ** 1.6)
     cert = certify(fc, interval_from_c(fc, 1.6), iqc_kind=ZAMES_FALB, zf_order=2)
     assert cert.rho_star is None
