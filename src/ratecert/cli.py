@@ -35,6 +35,7 @@ from .simulator import (
     QuadraticProblem,
     policy_from_name,
     run,
+    sample_alpha,
     trial_seed,
 )
 from .svg import Series, line_chart
@@ -400,8 +401,9 @@ def cmd_simulate(res: Resolved) -> int:
     fc = _function_class(res)
     interval = _interval(res, fc)
     policy_name = str(res["policy"])
-    policy_from_name(policy_name, spectrum=(fc.m,))  # validate early
     steps, trials, seed = int(res["steps"]), int(res["trials"]), int(res["seed"])
+    sample_alpha(policy_from_name(policy_name, spectrum=(fc.m,)), interval, 0,
+                 np.random.default_rng(seed))  # validate early (constant in range)
     if steps < 0 or trials < 1:
         raise UsageError("need steps >= 0 and trials >= 1")
 

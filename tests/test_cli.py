@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from ratecert import cli
 from ratecert.cli import Resolved, build_parser, format_sweep_csv, main, parse_sweep_csv
 
 
@@ -173,6 +175,38 @@ def test_simulate_policies(tmp_path, capsys):
     assert run_cli("simulate", "--kappa", "10", "--c", "1",
                    "--policy", "bogus") == 1
     capsys.readouterr()
+
+
+def test_simulate_constant_outside_interval_rejected_before_certify(
+        tmp_path, capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("certify ran for an out-of-interval constant step")
+
+    monkeypatch.setattr(cli, "_certify", no_solve)
+    out = tmp_path / "sim.csv"
+    for steps in ("0", "5"):
+        assert run_cli("simulate", "--kappa", "5", "--c", "1.3", "--policy", "constant:99",
+                       "--steps", steps, "--out", str(out)) == 1
+        assert "outside" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# sha256 of the simulate CSV at kappa 10, c 1.4, seed 7, 20 trials of 50 steps.
+# The digest is the same for every policy: on a quadratic each coordinate
+# contracts by at most the exact rate <= rho_star per step, so every trial's
+# max_ratio is its k = 0 value 1/sqrt(cond_p) = 1; the rows carry the trial
+# seeds, the formatting and the verdicts.
+SIMULATE_CSV_SHA256 = "cc0cab4ba8243264200aa836d9cb6d768d5cc4275c71d828552253e31236eab7"
+
+
+@pytest.mark.parametrize("policy", ["uniform", "endpoints", "alternating", "adversarial",
+                                    "constant:0.1"])
+def test_simulate_csv_bytes_pinned(tmp_path, capsys, policy):
+    out = tmp_path / "sim.csv"
+    assert run_cli("simulate", "--kappa", "10", "--c", "1.4", "--seed", "7", "--trials", "20",
+                   "--steps", "50", "--policy", policy, "--out", str(out)) == 0
+    assert capsys.readouterr().out == "20 trial(s), rho_star 0.962221765137, violations: no\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_CSV_SHA256
 
 
 def test_config_file_and_override(tmp_path, capsys):

@@ -1,5 +1,10 @@
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ratecert.certifier import CertifyOptions, certify
@@ -13,6 +18,7 @@ from ratecert.simulator import (
     QuadraticProblem,
     Uniform,
     UnknownPolicy,
+    VIOLATION_SLACK,
     policy_from_name,
     run,
     sample_alpha,
@@ -28,13 +34,16 @@ def _cert(fc=FC10, c=1.0, **kw):
 
 
 def test_step_examples():
-    assert_allclose(step(np.array([1.0, 1.0]), 0.1, QuadraticProblem((1.0, 10.0))),
-                    [0.9, 0.0], atol=0)
+    prob = QuadraticProblem((1.0, 10.0))
+    assert_allclose(step(np.array([1.0, 1.0]), np.array([0.1]), prob),
+                    [[1.0, 1.0], [0.9, 0.0]], atol=0)
     xi = np.array([0.3, -0.7])
-    assert_allclose(step(xi, 0.0, QuadraticProblem((1.0, 10.0))), xi, atol=0)
-    assert_allclose(step(np.array([1.0]), 0.1, QuadraticProblem((10.0,))), [0.0], atol=0)
+    assert_allclose(step(xi, np.zeros(2), prob), [xi, xi, xi], atol=0)
+    assert_allclose(step(xi, np.zeros(0), prob), [xi], atol=0)
+    assert_allclose(step(np.array([1.0]), np.array([0.1]), QuadraticProblem((10.0,))),
+                    [[1.0], [0.0]], atol=0)
     with pytest.raises(ValueError):
-        step(xi, -0.1, QuadraticProblem((1.0, 10.0)))
+        step(xi, np.array([0.1, -0.1]), prob)
 
 
 def test_quadratic_problem_validation():
@@ -49,26 +58,41 @@ def test_quadratic_problem_validation():
 def test_constant_policy():
     rng = np.random.default_rng(0)
     iv = StepSizeInterval(0.05, 0.2)
-    assert sample_alpha(Constant(0.1), iv, 3, rng) == 0.1
-    with pytest.raises(ValueError):
-        sample_alpha(Constant(0.5), iv, 0, rng)
+    assert sample_alpha(Constant(0.1), iv, 3, rng).tolist() == [0.1, 0.1, 0.1]
+    for steps in (0, 3):
+        with pytest.raises(ValueError):
+            sample_alpha(Constant(0.5), iv, steps, rng)
 
 
 def test_alternating_policy():
     rng = np.random.default_rng(0)
     iv = StepSizeInterval(0.1, 0.14)
-    got = [sample_alpha(Alternating(), iv, k, rng) for k in (0, 1, 2)]
-    assert got == [0.1, 0.14, 0.1]
+    assert sample_alpha(Alternating(), iv, 3, rng).tolist() == [0.1, 0.14, 0.1]
 
 
 def test_uniform_and_endpoints_policies():
     iv = StepSizeInterval(0.1, 0.14)
-    rng = np.random.default_rng(1)
-    draws = [sample_alpha(Uniform(), iv, k, rng) for k in range(200)]
-    assert all(iv.lo <= a <= iv.hi for a in draws)
-    rng = np.random.default_rng(2)
-    ends = {sample_alpha(Endpoints(), iv, k, rng) for k in range(50)}
-    assert ends == {0.1, 0.14}
+    draws = sample_alpha(Uniform(), iv, 200, np.random.default_rng(1))
+    assert draws.shape == (200,)
+    assert np.all((iv.lo <= draws) & (draws <= iv.hi))
+    ends = sample_alpha(Endpoints(), iv, 50, np.random.default_rng(2))
+    assert set(ends.tolist()) == {0.1, 0.14}
+
+
+@pytest.mark.parametrize("policy", [Uniform(), Endpoints()], ids=["uniform", "endpoints"])
+def test_sequence_draw_consumes_stream_like_scalar_draws(policy):
+    # One whole-sequence draw must equal one scalar draw per step from an
+    # identically seeded generator, and leave the stream at the same place.
+    iv = StepSizeInterval(0.1, 0.14)
+    for n in (0, 1, 2, 7, 200):
+        fast = np.random.Generator(np.random.PCG64(n))
+        slow = np.random.Generator(np.random.PCG64(n))
+        if isinstance(policy, Uniform):
+            ref = [float(slow.uniform(iv.lo, iv.hi)) for _ in range(n)]
+        else:
+            ref = [iv.hi if slow.integers(0, 2) else iv.lo for _ in range(n)]
+        assert sample_alpha(policy, iv, n, fast).tolist() == ref
+        assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_adversarial_greedy_two_endpoint_comparison():
@@ -76,9 +100,9 @@ def test_adversarial_greedy_two_endpoint_comparison():
     iv = StepSizeInterval(1.0 / 14.0, 0.14)
     # Spectrum (1, 10): the small step leaves the slow coordinate at
     # |1 - lo*1| = 0.9286 > |1 - hi*1| = 0.86, so lo wins.
-    assert sample_alpha(AdversarialGreedy((1.0, 10.0)), iv, 0, rng) == iv.lo
+    assert sample_alpha(AdversarialGreedy((1.0, 10.0)), iv, 3, rng).tolist() == [iv.lo] * 3
     # Spectrum (10,): overshoot at the big step dominates, so hi wins.
-    assert sample_alpha(AdversarialGreedy((10.0,)), iv, 0, rng) == iv.hi
+    assert sample_alpha(AdversarialGreedy((10.0,)), iv, 3, rng).tolist() == [iv.hi] * 3
 
 
 def test_policy_from_name():
@@ -161,6 +185,73 @@ def test_soundness_small_fuzz():
             rep = run(prob, cert.interval, pol, 80, np.ones(dim), cert,
                       seed=trial_seed(7, trial))
             assert not rep.violated, (spectrum, pol)
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_cert(kappa, c):
+    fc = FunctionClass(1.0, kappa)
+    return certify(fc, interval_from_c(fc, c))
+
+
+def _reference_run(prob, interval, policy, steps, xi0, cert, seed):
+    """``run`` as a per-step loop: one scalar draw and one 1-D norm per step."""
+    lo, hi = interval.lo, interval.hi
+    q = np.asarray(prob.eigenvalues)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    xi = np.array(xi0, dtype=float)
+    norms = [np.linalg.norm(xi)]
+    for k in range(steps):
+        if isinstance(policy, Uniform):
+            alpha = float(rng.uniform(lo, hi))
+        elif isinstance(policy, Endpoints):
+            alpha = hi if rng.integers(0, 2) else lo
+        elif isinstance(policy, Alternating):
+            alpha = hi if k % 2 else lo
+        elif isinstance(policy, Constant):
+            alpha = policy.alpha
+        else:
+            worst = [np.max(np.abs(1.0 - a * np.asarray(policy.spectrum))) for a in (lo, hi)]
+            alpha = lo if worst[0] > worst[1] else hi
+        xi = (1.0 - alpha * q) * xi
+        norms.append(np.linalg.norm(xi))
+    norms = np.array(norms)
+    bound = math.sqrt(cert.cond_p) * cert.rho_star ** np.arange(steps + 1) * norms[0]
+    max_ratio = 0.0 if norms[0] == 0.0 else float(np.max(norms / bound))
+    return norms, bound, max_ratio, max_ratio > 1.0 + VIOLATION_SLACK
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    point=st.sampled_from([(2.0, 1.0), (10.0, 1.4), (10.0, 1.2), (50.0, 1.1)]),
+    policy_kind=st.sampled_from(["uniform", "endpoints", "alternating", "constant",
+                                 "adversarial"]),
+    dim=st.integers(1, 8),
+    seed=st.integers(0, 2**63 - 1),
+    frac=st.floats(0.0, 1.0),
+)
+def test_run_matches_per_step_reference_loop(point, policy_kind, dim, seed, frac):
+    # The array pass must reproduce stepping bit for bit: same draws, same
+    # iterates, same norms, hence the same bound, ratio and verdict.
+    cert = _sector_cert(*point)
+    fc, iv = cert.fc, cert.interval
+    draw = np.random.default_rng(seed)
+    spectrum = tuple(map(float, draw.uniform(fc.m, fc.L, size=dim)))
+    prob = QuadraticProblem(spectrum)
+    policy = {
+        "uniform": Uniform(),
+        "endpoints": Endpoints(),
+        "alternating": Alternating(),
+        "constant": Constant(min(iv.hi, iv.lo + frac * (iv.hi - iv.lo))),
+        "adversarial": AdversarialGreedy(spectrum),
+    }[policy_kind]
+    for xi0 in (np.ones(dim), draw.normal(size=dim), np.zeros(dim)):
+        for steps in (0, 1, 2, 200):
+            rep = run(prob, iv, policy, steps, xi0, cert, seed=seed)
+            norms, bound, max_ratio, violated = _reference_run(
+                prob, iv, policy, steps, xi0, cert, seed)
+            assert np.array_equal(rep.norms, norms), (steps, xi0)
+            assert np.array_equal(rep.bound, bound), (steps, xi0)
+            assert rep.max_ratio == max_ratio and rep.violated == violated
 
 
 def test_trial_seed_deterministic_and_spread():
