@@ -39,7 +39,7 @@ both tolerances are explicit options.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,13 +105,10 @@ class LmiInstance:
 
 @dataclass(frozen=True, eq=False)
 class Witness:
-    """Feasible pair for the whole family: P (unit trace), lambda >= 0, and
-    the largest block eigenvalue ``slack`` over the interval endpoints
-    (<= 0 when feasible)."""
+    """Feasible pair for the whole family: P (unit trace) and lambda >= 0."""
 
     p: SymMatrix
     lam: float
-    slack: float
     normalization: float = 1.0
 
 
@@ -119,12 +116,15 @@ class Witness:
 class Certificate:
     """Outcome of certification.  ``rho_star`` is None when no rate below
     one could be certified; otherwise the stored witness re-verifies at
-    ``rho_star`` by direct block re-assembly.  ``bisection_iters`` counts
-    the trial rates, whether the solver or the exact rate decided them."""
+    ``rho_star`` by direct block re-assembly, and ``slack`` is its largest
+    block eigenvalue over the interval endpoints (<= 0).  ``bisection_iters``
+    counts the trial rates, whether the solver or the exact rate decided
+    them."""
 
     rho_star: float | None
     witness: Witness | None
     cond_p: float | None
+    slack: float | None
     fc: FunctionClass
     interval: StepSizeInterval
     iqc_kind: str
@@ -242,6 +242,10 @@ def lambda_interval_sector(
     return (lo, hi)
 
 
+# P of every sector witness: immutable, so one instance serves them all.
+_P_ONE = SymMatrix([[1.0]])
+
+
 def _sector_backend(inst: LmiInstance, eps: float) -> Witness | None:
     los, his = [], []
     for alpha in inst.interval.endpoints:
@@ -254,9 +258,7 @@ def _sector_backend(inst: LmiInstance, eps: float) -> Witness | None:
     if lo > hi:
         return None
     lam = lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
-    p = SymMatrix([[1.0]])
-    slack = _family_slack(inst, p, lam)
-    return Witness(p=p, lam=lam, slack=slack, normalization=1.0)
+    return Witness(p=_P_ONE, lam=lam, normalization=1.0)
 
 
 def _family_slack(inst: LmiInstance, p: SymMatrix, lam: float) -> float:
@@ -330,9 +332,7 @@ def _matrix_backend(
         return None
     pmat = p0 + sum(v * b for v, b in zip(point[:-1], basis))
     p = SymMatrix(pmat, symmetrize=True)
-    lam = float(point[-1])
-    slack = _family_slack(inst, p, lam)
-    return Witness(p=p, lam=lam, slack=slack, normalization=float(np.trace(pmat)))
+    return Witness(p=p, lam=float(point[-1]), normalization=float(np.trace(pmat)))
 
 
 def feasible_at_rho(inst: LmiInstance, opts: CertifyOptions | None = None) -> Witness | None:
@@ -409,15 +409,18 @@ def certify(
 ) -> Certificate:
     """Bisect on rho for the smallest certifiable rate over the interval.
 
-    The multiplier is re-instantiated at every trial rho because admissible
-    weights depend on rho (pass ``weights`` to pin them instead; trial rates
-    at which pinned weights are inadmissible count as infeasible).  The
-    returned rate is the upper end of the final bracket, so it is always
-    backed by a stored witness; ``rho_star`` is None when even the top of
-    the bracket is infeasible.  Trial rates below the exact worst-case rate
+    The sector instance does not depend on rho, so it is built once per
+    call; each probe only swaps in its rho.  The dynamic multipliers are
+    re-instantiated at every trial rho because admissible weights depend on
+    rho (pass ``weights`` to pin them instead; trial rates at which pinned
+    weights are inadmissible count as infeasible).  The returned rate is
+    the upper end of the final bracket, so it is always backed by a stored
+    witness; ``rho_star`` is None when even the top of the bracket is
+    infeasible.  Trial rates below the exact worst-case rate
     ``max(closed_form_rate(lo), closed_form_rate(hi))`` are infeasible
     without a solve; ``bisection_iters`` counts every trial rate, whether
-    the solver or the exact rate decided it.
+    the solver or the exact rate decided it.  The slack is computed once,
+    for the returned witness.
     """
     opts = options or CertifyOptions()
     if iqc_kind not in KINDS:
@@ -434,26 +437,43 @@ def certify(
     # at the worse endpoint attains it on a quadratic.
     r_exact = max(closed_form_rate(interval.lo, fc), closed_form_rate(interval.hi, fc))
 
-    def probe(rho: float) -> Witness | None:
+    base, solve_opts = None, opts
+    if iqc_kind == SECTOR:
+        # Any rho > 0 builds it; probes replace it with their own.
+        base = _instance(fc, interval, SECTOR, opts.rho_hi, zf_order, weights)
+        if opts.eps_feas is None:
+            solve_opts = replace(opts, eps_feas=default_eps_feas(base.quad))
+
+    def probe(rho: float) -> tuple[LmiInstance, Witness] | None:
         nonlocal evals
         evals += 1
         if rho < r_exact:
             return None
-        try:
-            inst = _instance(fc, interval, iqc_kind, rho, zf_order, weights)
-        except WeightOutOfRange:
-            return None
-        return feasible_at_rho(inst, opts)
+        if base is not None:
+            inst = replace(base, rho=rho)
+        else:
+            try:
+                inst = _instance(fc, interval, iqc_kind, rho, zf_order, weights)
+            except WeightOutOfRange:
+                return None
+        wit = feasible_at_rho(inst, solve_opts)
+        return None if wit is None else (inst, wit)
 
-    def finish(rho_star: float | None, wit: Witness | None) -> Certificate:
+    def finish(found: tuple[LmiInstance, Witness] | None) -> Certificate:
+        rho_star = wit = cond_p = slack = None
         used: tuple[float, ...] = ()
-        if rho_star is not None and iqc_kind != SECTOR:
-            k = 1 if iqc_kind == WEIGHTED_OFF_BY_1 else zf_order
-            used = tuple(weights) if weights else default_weights(iqc_kind, rho_star, k)
+        if found is not None:
+            inst, wit = found
+            rho_star, cond_p = inst.rho, cond_spd(wit.p)
+            slack = _family_slack(inst, wit.p, wit.lam)
+            if iqc_kind != SECTOR:
+                k = 1 if iqc_kind == WEIGHTED_OFF_BY_1 else zf_order
+                used = tuple(weights) if weights else default_weights(iqc_kind, rho_star, k)
         return Certificate(
             rho_star=rho_star,
             witness=wit,
-            cond_p=cond_spd(wit.p) if wit is not None else None,
+            cond_p=cond_p,
+            slack=slack,
             fc=fc,
             interval=interval,
             iqc_kind=iqc_kind,
@@ -464,21 +484,21 @@ def certify(
         )
 
     hi = opts.rho_hi - opts.rho_tol
-    wit_hi = probe(hi)
-    if wit_hi is None:
-        return finish(None, None)
+    found_hi = probe(hi)
+    if found_hi is None:
+        return finish(None)
     lo = opts.rho_lo
-    wit_lo = probe(lo)
-    if wit_lo is not None:
-        return finish(lo, wit_lo)
+    found_lo = probe(lo)
+    if found_lo is not None:
+        return finish(found_lo)
     while hi - lo > opts.rho_tol:
         mid = 0.5 * (lo + hi)
-        wit = probe(mid)
-        if wit is not None:
-            hi, wit_hi = mid, wit
+        found = probe(mid)
+        if found is not None:
+            hi, found_hi = mid, found
         else:
             lo = mid
-    return finish(hi, wit_hi)
+    return finish(found_hi)
 
 
 def verify_certificate(cert: Certificate, slack_tol: float | None = None) -> bool:

@@ -14,13 +14,13 @@ here, so that z^T M z encodes the constraint the gradient satisfies.
 
 Because admissible weights depend on the candidate rate rho, the dynamic
 multipliers are re-instantiated per rho by the certifier; the sector
-multiplier is rho-independent and cached.
+multiplier is rho-independent and built once per certification.  Every call
+returns fresh arrays, so no caller can alter another's multiplier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -105,25 +105,20 @@ class AugmentedSystem:
         return self.b0 + alpha * self.b1
 
 
-@lru_cache(maxsize=64)
-def _sector_cached(m: float, L: float) -> IqcMultiplier:
+def sector(fc: FunctionClass) -> IqcMultiplier:
+    """Static multiplier encoding m*y <= grad(y) <= L*y in quadratic form;
+    holds pointwise at every step, hence at every discount rate."""
     return IqcMultiplier(
         psi_a=np.zeros((0, 0)),
         psi_by=np.zeros(0),
         psi_bu=np.zeros(0),
         psi_c=np.zeros((2, 0)),
-        psi_dy=np.array([L, -m]),
+        psi_dy=np.array([fc.L, -fc.m]),
         psi_du=np.array([-1.0, 1.0]),
         mid=_mid(),
         kind=SECTOR,
         params=(),
     )
-
-
-def sector(fc: FunctionClass) -> IqcMultiplier:
-    """Static multiplier encoding m*y <= grad(y) <= L*y in quadratic form;
-    holds pointwise at every step, hence at every discount rate."""
-    return _sector_cached(fc.m, fc.L)
 
 
 def weighted_off_by_1(fc: FunctionClass, rho: float, h1: float) -> IqcMultiplier:

@@ -22,9 +22,9 @@ class NotPositiveDefinite(ValueError):
 class SymMatrix:
     """Immutable real symmetric matrix.
 
-    The lower triangle is authoritative: the stored array is mirrored from
-    it at construction, so ``entry(i, j) == entry(j, i)`` holds exactly, not
-    merely up to a tolerance.  Non-finite entries are rejected.
+    Input must be exactly symmetric, or is averaged with its transpose when
+    ``symmetrize`` is set, so ``entry(i, j) == entry(j, i)`` holds exactly,
+    not merely up to a tolerance.  Non-finite entries are rejected.
     """
 
     __slots__ = ("_m",)
@@ -36,14 +36,14 @@ class SymMatrix:
         if not np.all(np.isfinite(a)):
             raise ValueError("symmetric matrix entries must be finite")
         if symmetrize:
-            a = 0.5 * (a + a.T)
+            # Halving before the sum cannot overflow, and float addition
+            # commutes, so the result is exactly symmetric.
+            a = 0.5 * a + 0.5 * a.T
         elif not np.array_equal(a, a.T):
             raise ValueError(
                 "input is not exactly symmetric; pass symmetrize=True "
                 "for matrices assembled in floating point"
             )
-        lower = np.tril(a)
-        a = lower + lower.T - np.diag(np.diag(a))
         a.setflags(write=False)
         self._m = a
 

@@ -13,6 +13,7 @@ from ratecert.certifier import (
     CertifyOptions,
     InvalidInput,
     LmiInstance,
+    _family_slack,
     _instance,
     _matrix_backend,
     assemble_lmi_block,
@@ -164,7 +165,7 @@ def test_feasible_at_boundary_with_zero_eps():
     wit = feasible_at_rho(inst, CertifyOptions(eps_feas=0.0))
     assert wit is not None
     assert wit.lam == pytest.approx(0.01, abs=1e-9)
-    assert wit.slack <= 1e-12
+    assert _family_slack(inst, wit.p, wit.lam) <= 1e-12
     assert wit.p.mat[0, 0] == 1.0
 
 
@@ -249,6 +250,37 @@ def test_bisection_solves_only_at_or_above_exact_rate(solver_calls, kind, rho_st
     assert len(solver_calls) < 16
 
 
+def _count_calls(monkeypatch, name):
+    calls = []
+    orig = getattr(certifier, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(certifier, name, counted)
+    return calls
+
+
+def test_sector_hot_path_builds_once(monkeypatch, solver_calls):
+    # The sector instance does not depend on rho: it is built once per call,
+    # every probe still goes to the solver, and only the returned witness
+    # gets its slack computed.
+    augments = _count_calls(monkeypatch, "augment")
+    slacks = _count_calls(monkeypatch, "_family_slack")
+    cert = certify(FC10, interval_from_c(FC10, 1.2))
+    assert cert.rho_star == 0.921312225341797
+    assert len(augments) == 1
+    assert len(slacks) == 1
+    assert len(solver_calls) == 10
+    assert cert.slack <= 0.0
+
+    slacks.clear()
+    cert = certify(FC10, interval_from_c(FC10, 2.1))
+    assert cert.rho_star is None and cert.slack is None
+    assert slacks == []
+
+
 def test_certify_budget_error_propagates():
     with pytest.raises(SolverBudgetExceeded):
         certify(FC10, interval_from_c(FC10, 1.0), iqc_kind=WEIGHTED_OFF_BY_1,
@@ -262,9 +294,7 @@ def test_verify_roundtrip_and_perturbations():
     cert = certify(FC10, interval_from_c(FC10, 1.0))
     assert verify_certificate(cert)
     wit = cert.witness
-    bad_lam = dataclasses.replace(
-        cert, witness=type(wit)(p=wit.p, lam=wit.lam + 1.0, slack=wit.slack)
-    )
+    bad_lam = dataclasses.replace(cert, witness=dataclasses.replace(wit, lam=wit.lam + 1.0))
     assert not verify_certificate(bad_lam)
     bad_rho = dataclasses.replace(cert, rho_star=cert.rho_star - 10.0 * cert.rho_tol)
     assert not verify_certificate(bad_rho)
@@ -355,7 +385,7 @@ def test_witness_invariants():
     cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=WEIGHTED_OFF_BY_1)
     wit = cert.witness
     assert wit.lam >= 0.0
-    assert wit.slack <= 0.0
+    assert cert.slack <= 0.0
     assert wit.normalization == pytest.approx(1.0, abs=1e-12)
     evs = np.linalg.eigvalsh(wit.p.mat)
     assert evs[0] >= 1e-8 - 1e-15

@@ -267,3 +267,35 @@ def test_certify_ellipsoid_kinds(capsys):
     capsys.readouterr()
     assert run_cli("certify", "--kappa", "4", "--iqc", "zf:x") == 1
     capsys.readouterr()
+
+
+# sha256 of the bytes each command writes with --out.  The sector rows and
+# records come from the closed-form backend; the wob1 ones also pin the
+# ellipsoid's stopping point (cond_p) under this numpy/LAPACK build.
+PINNED_OUTPUTS = {
+    "sweep-kappa-sector": (
+        ("sweep-kappa", "--c", "1.4", "--kappa-min", "1", "--kappa-max", "100",
+         "--points", "40"),
+        "e0d88df0551b349ccb1db130928e9f700157f1d36761e8ab92939f2f34e94ef0"),
+    "sweep-c-sector": (
+        ("sweep-c", "--kappa", "10", "--c-min", "1", "--c-max", "2", "--points", "101"),
+        "a46436a8f7d65620deb40fa135f3a6b25bc208b97615a288220830d9c256c3df"),
+    "sweep-c-wob1": (
+        ("sweep-c", "--kappa", "10", "--points", "12", "--iqc", "wob1"),
+        "230c213b2121bd39f41669190084e0498c1ef3798e52a48b04c711543c17209e"),
+    "certify-sector": (
+        ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "sector"),
+        "b34b4c466a34b535c69fa38759add0e11a82377814878df541fe42424e075e2f"),
+    "certify-wob1": (
+        ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "wob1"),
+        "8c1fe1b0bc0bbeca40affd9bd5fda18c32d06d8e496ae291ff535787d0a1ba69"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_OUTPUTS))
+def test_output_bytes_pinned(tmp_path, capsys, name):
+    argv, digest = PINNED_OUTPUTS[name]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

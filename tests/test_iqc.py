@@ -27,6 +27,15 @@ def test_sector_blocks():
     assert_allclose(s.mid.mat, MID, atol=0)
 
 
+def test_sector_multipliers_do_not_share_arrays():
+    first = sector(FunctionClass(1.0, 10.0))
+    first.psi_dy[0] = 99.0
+    first.psi_du[1] = 99.0
+    second = sector(FunctionClass(1.0, 10.0))
+    assert_allclose(second.psi_dy, [10.0, -1.0], atol=0)
+    assert_allclose(second.psi_du, [-1.0, 1.0], atol=0)
+
+
 def test_sector_kappa_one_collapse():
     s = sector(FunctionClass(1.0, 1.0))
     # Static map Psi = [[1, -1], [-1, 1]].

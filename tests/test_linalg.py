@@ -87,6 +87,26 @@ def test_symmatrix_structural_symmetry_and_immutability():
         s.mat[0, 0] = 5.0
 
 
+def test_symmatrix_keeps_large_finite_entries():
+    # Entries near the top of the float range must be stored as given, not
+    # overflow to inf (or inf - inf = nan) while symmetrizing.
+    assert SymMatrix([[1e308]]).mat.tolist() == [[1e308]]
+    s = SymMatrix([[1e308, 0.0], [0.0, 1.0]], symmetrize=True)
+    assert s.mat.tolist() == [[1e308, 0.0], [0.0, 1.0]]
+    big = SymMatrix([[1e308, 1.5e308], [1.7e308, -1e308]], symmetrize=True)
+    assert np.all(np.isfinite(big.mat)) and big.entry(0, 1) == big.entry(1, 0)
+
+
+def test_symmatrix_symmetrize_is_the_exact_mean():
+    # Away from overflow and the subnormal range the stored entries are the
+    # correctly rounded means, signed zeros included.
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 5):
+        a = rng.uniform(-1.0, 1.0, size=(n, n))
+        assert np.array_equal(SymMatrix(a, symmetrize=True).mat, 0.5 * (a + a.T))
+    assert np.signbit(SymMatrix([[-0.0, 0.0], [0.0, 1.0]]).mat[0, 0])
+
+
 def _random_sym(rng: np.random.Generator, n: int) -> SymMatrix:
     a = rng.uniform(-1.0, 1.0, size=(n, n))
     return SymMatrix(a, symmetrize=True)
