@@ -74,7 +74,8 @@ class CertifyOptions:
     ``eps_feas = None`` selects the data-scaled default
     1e-9 * (1 + max |Qf entries|).  ``rho_hi`` stays at 1 because discounted
     multiplier validity is only claimed below 1; infeasibility at the top of
-    the bracket means "no convergence certificate".
+    the bracket means "no convergence certificate".  Negative or non-finite
+    tolerances, or ``delta_pd = 0``, raise InvalidInput.
     """
 
     rho_lo: float = 1e-3
@@ -85,6 +86,12 @@ class CertifyOptions:
     r_min: float = 1e-7
     radius: float | None = None
     max_iters: int | None = None
+
+    def __post_init__(self):
+        if self.eps_feas is not None and not 0.0 <= self.eps_feas < math.inf:
+            raise InvalidInput(f"need eps_feas None or finite >= 0, got {self.eps_feas}")
+        if not 0.0 < self.delta_pd < math.inf:
+            raise InvalidInput(f"need finite delta_pd > 0, got {self.delta_pd}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,6 +304,8 @@ def _matrix_backend(
 ) -> Witness | None:
     s = inst.state_dim
     p0, basis = _p_basis(s)
+    # A 1x1 P is fixed by its unit trace; a zero direction keeps v_dim >= 2.
+    basis = basis or [np.zeros((1, 1))]
     v_dim = len(basis) + 1
 
     def top_part(pmat: np.ndarray, alpha: float) -> np.ndarray:

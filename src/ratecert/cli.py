@@ -14,6 +14,7 @@ codes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -185,6 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     return top
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -458,9 +465,8 @@ def _trial_spectrum(fc: FunctionClass, dim: int, seed: int, index: int) -> tuple
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if getattr(args, "show_config", False):
             for key in sorted(DEFAULTS):
                 value = DEFAULTS[key]

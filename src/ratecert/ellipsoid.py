@@ -16,6 +16,12 @@ and separates the current center from the feasible set.  Deep cuts (using
 the actual violation depth, not just the hyperplane through the center) are
 used, which both accelerates volume decrease and detects empty intersections
 outright when a cut excludes the whole ellipsoid.
+
+Order-1 constraints (scalar inequalities such as lambda >= 0) are decided
+from their affine value and cut along their coefficients, with no
+eigen-decomposition: a 1x1 block's unit eigenvector is exactly 1, so the
+cut has the same bits.  Each run of consecutive blocks of one order >= 2
+is decomposed as one batch.
 """
 
 from __future__ import annotations
@@ -61,15 +67,14 @@ class _Run:
         self.batch = len(constraints)
         self.s0 = np.stack([c.s0 for c in constraints])                  # (B, n, n)
         self.coeffs = np.stack([c.coeffs for c in constraints], axis=1)  # (d, B, n, n)
-        self.bounds = np.array([c.bound for c in constraints])
+        self.bounds = [float(c.bound) for c in constraints]
         d = self.coeffs.shape[0]
         self._s0_flat = self.s0.reshape(-1)
         self._coeffs_flat = np.ascontiguousarray(self.coeffs.reshape(d, -1))
 
     def evaluate(self, v: np.ndarray) -> np.ndarray:
-        """All blocks at decision vector v, shape (B, n, n)."""
-        flat = self._s0_flat + v @ self._coeffs_flat
-        return flat.reshape(self.batch, self.n, self.n)
+        """All blocks at decision vector v, flattened to shape (B * n * n,)."""
+        return self._s0_flat + v @ self._coeffs_flat
 
 
 def _group_runs(constraints) -> list[tuple[int, _Run]]:
@@ -99,8 +104,9 @@ def ellipsoid_feasibility(
     """
     opts = opts or EllipsoidOptions()
     d = v_dim
-    if d < 1:
-        raise ValueError("need at least one decision variable")
+    if d < 2:
+        # The deep-cut update divides by d^2 - 1.
+        raise ValueError("need at least two decision variables")
     for con in constraints:
         if con.coeffs.shape[0] != d:
             raise ValueError("constraint coefficient count != v_dim")
@@ -116,10 +122,6 @@ def ellipsoid_feasibility(
 
     runs = _group_runs(constraints)
     center = np.zeros(d)
-
-    if d == 1:
-        return _interval_search(runs, center, radius, r_min, max_iters)
-
     shape = radius * radius * np.eye(d)          # E = {x : (x-c)^T Q^-1 (x-c) <= 1}
     logdet = 2.0 * d * math.log(radius)
     logdet_floor = 2.0 * d * math.log(r_min)
@@ -144,8 +146,8 @@ def ellipsoid_feasibility(
         sigma = 2.0 * (1.0 + d * alpha) / ((d + 1.0) * (1.0 + alpha))
         delta = (d * d / (d * d - 1.0)) * (1.0 - alpha * alpha)
         center = center - tau * qa / norm
-        shape = delta * (shape - sigma * np.outer(qa, qa) / norm_sq)
-        shape = 0.5 * (shape + shape.T)
+        # Exactly symmetric whenever shape is: qa_i * qa_j == qa_j * qa_i.
+        shape = delta * (shape - sigma * (qa[:, None] * qa) / norm_sq)
         logdet += d * math.log(delta) + math.log1p(-sigma)
         if logdet < logdet_floor:
             return None
@@ -161,15 +163,22 @@ def _first_violated_cut(runs, center) -> tuple[np.ndarray, float] | None:
     The cut encodes: feasible set is contained in {v : a . v <= a . center - depth}.
     """
     for _, run in runs:
-        blocks = run.evaluate(center)
-        vals, vecs = _jacobi_batch(blocks)
-        violated = np.nonzero(vals[:, -1] > run.bounds)[0]
-        if violated.size == 0:
+        top = run.evaluate(center)
+        if run.n > 1:
+            vals, vecs = _jacobi_batch(top.reshape(run.batch, run.n, run.n))
+            top = vals[:, -1]
+        pairs = zip(top.tolist(), run.bounds)
+        i = next((k for k, (x, b) in enumerate(pairs) if x > b), None)
+        if i is None:
             continue
-        i = int(violated[0])
-        q = vecs[i, :, -1]
-        a = np.einsum("i,dij,j->d", q, run.coeffs[:, i], q)
-        g0 = float(q @ run.s0[i] @ q)
+        if run.n == 1:
+            # q = [1.0]; "+ 0.0" maps -0.0 to 0.0, as contracting with q does.
+            a = run.coeffs[:, i, 0, 0] + 0.0
+            g0 = float(run.s0[i, 0, 0])
+        else:
+            q = vecs[i, :, -1]
+            a = np.einsum("i,dij,j->d", q, run.coeffs[:, i], q)
+            g0 = float(q @ run.s0[i] @ q)
         # Affine value at the center; re-derive for consistency with the cut.
         depth = float(a @ center) + g0 - run.bounds[i]
         if depth <= 0.0:
@@ -178,28 +187,3 @@ def _first_violated_cut(runs, center) -> tuple[np.ndarray, float] | None:
             depth = 0.0
         return a, depth
     return None
-
-
-def _interval_search(runs, center, radius, r_min, max_iters):
-    """Exact 1-D specialization: the 'ellipsoid' is an interval."""
-    lo, hi = center[0] - radius, center[0] + radius
-    for _ in range(max_iters):
-        c = np.array([0.5 * (lo + hi)])
-        cut = _first_violated_cut(runs, c)
-        if cut is None:
-            return c.copy()
-        a, depth = cut
-        a0 = float(a[0])
-        if a0 == 0.0:
-            return None
-        # Feasible side: a0 * v <= a0 * c - depth.
-        edge = (a0 * c[0] - depth) / a0
-        if a0 > 0.0:
-            hi = min(hi, edge)
-        else:
-            lo = max(lo, edge)
-        if hi - lo < 2.0 * r_min:
-            return None
-    raise SolverBudgetExceeded(
-        f"no decision after {max_iters} interval iterations"
-    )

@@ -236,6 +236,28 @@ def test_certify_validation():
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [("eps_feas", -1.0), ("eps_feas", -1e-300), ("eps_feas", math.nan),
+     ("eps_feas", math.inf), ("delta_pd", 0.0), ("delta_pd", -1e-8),
+     ("delta_pd", math.nan), ("delta_pd", math.inf)],
+)
+def test_options_reject_bad_tolerances(field, value):
+    # Unchecked, eps_feas = -1 gives rho_star 0.91668 for sector and wob1
+    # at (10, 1.2), and eps_feas = nan the same for wob1: certificates that
+    # verify_certificate rejects.
+    with pytest.raises(InvalidInput, match=field):
+        CertifyOptions(**{field: value})
+
+
+def test_options_accept_zero_and_default_eps_feas():
+    assert CertifyOptions(eps_feas=0.0).eps_feas == 0.0
+    assert CertifyOptions().eps_feas is None
+    cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=WEIGHTED_OFF_BY_1,
+                   options=CertifyOptions(eps_feas=0.0, delta_pd=1e-6))
+    assert cert.feasible and verify_certificate(cert, slack_tol=0.0)
+
+
+@pytest.mark.parametrize(
     "kind, rho_star",
     [(SECTOR, 0.921312225341797), (WEIGHTED_OFF_BY_1, 0.9166786560058593)],
 )

@@ -239,6 +239,34 @@ def test_config_file_and_override(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_repeated_main_calls_match_fresh_parsers(tmp_path, capsys):
+    # main builds its parser once per process; a config file read by one
+    # call must not reach the next.  Each call's outputs are compared with
+    # the same call on a freshly built parser, and the plain certify after
+    # the config call with a plain certify made before it.
+    cfg = tmp_path / "ratecert.cfg"
+    cfg.write_text("kappa=20\nc=1.3\nrho-tol=1e-3\niqc=wob1\n")
+    commands = [
+        ["certify", "--config", str(cfg)],
+        ["certify"],
+        ["simulate", "--kappa", "5", "--c", "1.2", "--trials", "3", "--steps", "20"],
+    ]
+
+    def call(argv, rebuild):
+        if rebuild:
+            cli._parser.cache_clear()
+        return main(argv), capsys.readouterr()
+
+    plain_alone = call(["certify"], rebuild=True)
+    cli._parser.cache_clear()
+    once = [call(argv, rebuild=False) for argv in commands]
+    assert cli._parser.cache_info().misses == 1
+    assert once == [call(argv, rebuild=True) for argv in commands]
+    assert once[1] == plain_alone
+    assert [code for code, _ in once] == [0, 0, 0]
+    assert once[0][1].out != once[1][1].out
+
+
 def test_show_config(capsys):
     assert run_cli("--show-config") == 0
     out = capsys.readouterr().out
