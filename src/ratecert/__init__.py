@@ -40,18 +40,12 @@ from .linalg import (
     SymMatrix,
     cond_spd,
     eig_sym,
-    is_neg_semidef,
-    max_eigenpair,
     max_eigenvalue,
-    sym_diag,
-    sym_identity,
 )
 from .model import (
     FunctionClass,
     InvalidC,
-    Plant,
     StepSizeInterval,
-    gradient_descent_plant,
     interval_asymmetric,
     interval_from_c,
 )

@@ -23,17 +23,18 @@ input.  Stored witnesses refer to the reduced system; the rate bound itself
 needs only rho_star and cond(P), both of which are reduction-invariant for
 the plant state.  Two backends decide feasibility:
 
-* state_dim == 1 (static multiplier): P is the scalar 1, and the admissible
-  lambda set at each endpoint is an interval computed in closed form from
-  the 2x2 block's diagonal and determinant conditions; the family is
-  feasible iff the intervals intersect.
-* state_dim >= 2: a deep-cut ellipsoid method over the decision vector
-  (free entries of P, lambda) with cutting planes from the most-positive
-  eigenvector of a violated block.
+* augmented state dimension 1 (static multiplier): P is the scalar 1, and
+  the admissible lambda set at each endpoint is an interval computed in
+  closed form from the 2x2 block's diagonal and determinant conditions; the
+  family is feasible iff the intervals intersect.
+* augmented state dimension >= 2: a deep-cut ellipsoid method over the
+  decision vector (free entries of P, lambda) with cutting planes from the
+  most-positive eigenvector of a violated block.
 
 "<= 0" is implemented strictly as "<= -eps_feas * I" with a data-scaled
 default eps_feas, and P is kept away from singularity by P >= delta_pd * I;
-both tolerances are explicit options.
+both tolerances are explicit options.  The bisection runs over the fixed
+bracket [RHO_LO, RHO_HI] down to a width of ``rho_tol``.
 """
 
 from __future__ import annotations
@@ -60,7 +61,13 @@ from .iqc import (
     zames_falb,
 )
 from .linalg import SymMatrix, eig_sym, cond_spd, max_eigenvalue
-from .model import FunctionClass, StepSizeInterval, gradient_descent_plant
+from .model import FunctionClass, StepSizeInterval
+
+# The bisection bracket.  The top stays at 1 because discounted multiplier
+# validity is only claimed below 1: infeasibility there means "no
+# convergence certificate".
+RHO_LO = 1e-3
+RHO_HI = 1.0
 
 
 class InvalidInput(ValueError):
@@ -71,23 +78,24 @@ class InvalidInput(ValueError):
 class CertifyOptions:
     """Numerical knobs for feasibility tests and the rate bisection.
 
+    ``rho_tol`` is the width of the final bracket, in (0, RHO_HI - RHO_LO].
     ``eps_feas = None`` selects the data-scaled default
-    1e-9 * (1 + max |Qf entries|).  ``rho_hi`` stays at 1 because discounted
-    multiplier validity is only claimed below 1; infeasibility at the top of
-    the bracket means "no convergence certificate".  Negative or non-finite
-    tolerances, or ``delta_pd = 0``, raise InvalidInput.
+    1e-9 * (1 + max |Qf entries|).  ``max_iters`` caps the ellipsoid's
+    iterations (None: its own default).  A ``rho_tol`` outside its range
+    (NaN included), a negative or non-finite ``eps_feas``, or a
+    ``delta_pd`` that is not finite and positive raises InvalidInput.
     """
 
-    rho_lo: float = 1e-3
-    rho_hi: float = 1.0
     rho_tol: float = 1e-4
     eps_feas: float | None = None
     delta_pd: float = 1e-8
-    r_min: float = 1e-7
-    radius: float | None = None
     max_iters: int | None = None
 
     def __post_init__(self):
+        if not 0.0 < self.rho_tol <= RHO_HI - RHO_LO:
+            raise InvalidInput(
+                f"need 0 < rho_tol <= {RHO_HI - RHO_LO}, got {self.rho_tol}"
+            )
         if self.eps_feas is not None and not 0.0 <= self.eps_feas < math.inf:
             raise InvalidInput(f"need eps_feas None or finite >= 0, got {self.eps_feas}")
         if not 0.0 < self.delta_pd < math.inf:
@@ -102,7 +110,6 @@ class LmiInstance:
     interval: StepSizeInterval
     aug: AugmentedSystem
     quad: SymMatrix
-    state_dim: int
     fc: FunctionClass
 
     def __post_init__(self):
@@ -116,7 +123,6 @@ class Witness:
 
     p: SymMatrix
     lam: float
-    normalization: float = 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,7 +271,7 @@ def _sector_backend(inst: LmiInstance, eps: float) -> Witness | None:
     if lo > hi:
         return None
     lam = lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
-    return Witness(p=_P_ONE, lam=lam, normalization=1.0)
+    return Witness(p=_P_ONE, lam=lam)
 
 
 def _family_slack(inst: LmiInstance, p: SymMatrix, lam: float) -> float:
@@ -302,7 +308,7 @@ def _p_basis(s: int) -> tuple[np.ndarray, list[np.ndarray]]:
 def _matrix_backend(
     inst: LmiInstance, eps: float, opts: CertifyOptions
 ) -> Witness | None:
-    s = inst.state_dim
+    s = inst.aug.state_dim
     p0, basis = _p_basis(s)
     # A 1x1 P is fixed by its unit trace; a zero direction keeps v_dim >= 2.
     basis = basis or [np.zeros((1, 1))]
@@ -333,15 +339,13 @@ def _matrix_backend(
         constraints.append(MatrixConstraint(s0=s0, coeffs=coeffs, bound=-eps))
 
     point = ellipsoid_feasibility(
-        constraints,
-        v_dim,
-        EllipsoidOptions(radius=opts.radius, r_min=opts.r_min, max_iters=opts.max_iters),
+        constraints, v_dim, EllipsoidOptions(max_iters=opts.max_iters)
     )
     if point is None:
         return None
     pmat = p0 + sum(v * b for v, b in zip(point[:-1], basis))
     p = SymMatrix(pmat, symmetrize=True)
-    return Witness(p=p, lam=float(point[-1]), normalization=float(np.trace(pmat)))
+    return Witness(p=p, lam=float(point[-1]))
 
 
 def feasible_at_rho(inst: LmiInstance, opts: CertifyOptions | None = None) -> Witness | None:
@@ -353,7 +357,7 @@ def feasible_at_rho(inst: LmiInstance, opts: CertifyOptions | None = None) -> Wi
     """
     opts = opts or CertifyOptions()
     eps = opts.eps_feas if opts.eps_feas is not None else default_eps_feas(inst.quad)
-    if inst.state_dim == 1:
+    if inst.aug.state_dim == 1:
         return _sector_backend(inst, eps)
     return _matrix_backend(inst, eps, opts)
 
@@ -397,13 +401,12 @@ def _instance(
     m = fc.m
     fc_n = FunctionClass(1.0, fc.L / m)
     mult = _build_multiplier(fc_n, kind, rho, zf_order, weights)
-    aug = augment(gradient_descent_plant(), mult)
+    aug = augment(mult)
     return LmiInstance(
         rho=rho,
         interval=StepSizeInterval(interval.lo * m, interval.hi * m),
         aug=aug,
         quad=quad_form(aug, mult),
-        state_dim=aug.state_dim,
         fc=fc_n,
     )
 
@@ -421,8 +424,10 @@ def certify(
     The sector instance does not depend on rho, so it is built once per
     call; each probe only swaps in its rho.  The dynamic multipliers are
     re-instantiated at every trial rho because admissible weights depend on
-    rho (pass ``weights`` to pin them instead; trial rates at which pinned
-    weights are inadmissible count as infeasible).  The returned rate is
+    rho (pass ``weights``, one per filter tap, to pin them instead; trial
+    rates at which pinned weights are inadmissible count as infeasible).
+    Weights of any other length, or any for sector, raise InvalidInput.
+    The returned rate is
     the upper end of the final bracket, so it is always backed by a stored
     witness; ``rho_star`` is None when even the top of the bracket is
     infeasible.  Trial rates below the exact worst-case rate
@@ -436,11 +441,9 @@ def certify(
         raise InvalidInput(f"unknown multiplier kind {iqc_kind!r}")
     if zf_order < 1:
         raise InvalidInput(f"zf_order must be >= 1, got {zf_order}")
-    if not (0.0 < opts.rho_lo and opts.rho_lo + opts.rho_tol <= opts.rho_hi <= 1.0):
-        raise InvalidInput(
-            f"need 0 < rho_lo <= rho_hi - rho_tol and rho_hi <= 1, "
-            f"got [{opts.rho_lo}, {opts.rho_hi}], tol {opts.rho_tol}"
-        )
+    n_weights = {SECTOR: 0, WEIGHTED_OFF_BY_1: 1}.get(iqc_kind, zf_order)
+    if weights is not None and len(weights) != n_weights:
+        raise InvalidInput(f"{iqc_kind} takes {n_weights} weight(s), got {len(weights)}")
     evals = 0
     # No witness exists below the exact worst-case rate: the constant step
     # at the worse endpoint attains it on a quadratic.
@@ -449,7 +452,7 @@ def certify(
     base, solve_opts = None, opts
     if iqc_kind == SECTOR:
         # Any rho > 0 builds it; probes replace it with their own.
-        base = _instance(fc, interval, SECTOR, opts.rho_hi, zf_order, weights)
+        base = _instance(fc, interval, SECTOR, RHO_HI, zf_order, weights)
         if opts.eps_feas is None:
             solve_opts = replace(opts, eps_feas=default_eps_feas(base.quad))
 
@@ -475,9 +478,8 @@ def certify(
             inst, wit = found
             rho_star, cond_p = inst.rho, cond_spd(wit.p)
             slack = _family_slack(inst, wit.p, wit.lam)
-            if iqc_kind != SECTOR:
-                k = 1 if iqc_kind == WEIGHTED_OFF_BY_1 else zf_order
-                used = tuple(weights) if weights else default_weights(iqc_kind, rho_star, k)
+            if n_weights:
+                used = tuple(weights or default_weights(iqc_kind, rho_star, n_weights))
         return Certificate(
             rho_star=rho_star,
             witness=wit,
@@ -492,16 +494,18 @@ def certify(
             rho_tol=opts.rho_tol,
         )
 
-    hi = opts.rho_hi - opts.rho_tol
+    hi = RHO_HI - opts.rho_tol
     found_hi = probe(hi)
     if found_hi is None:
         return finish(None)
-    lo = opts.rho_lo
+    lo = RHO_LO
     found_lo = probe(lo)
     if found_lo is not None:
         return finish(found_lo)
     while hi - lo > opts.rho_tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent floats: the bracket cannot shrink further
         found = probe(mid)
         if found is not None:
             hi, found_hi = mid, found
@@ -534,11 +538,6 @@ def verify_certificate(cert: Certificate, slack_tol: float | None = None) -> boo
     except WeightOutOfRange:
         return False
     tol = slack_tol if slack_tol is not None else default_eps_feas(inst.quad)
-    for alpha in inst.interval.endpoints:  # reduced units, matching the witness
-        block = assemble_lmi_block(
-            inst.aug, inst.quad, cert.rho_star, alpha, wit.p, wit.lam
-        )
-        if max_eigenvalue(block) > tol:
-            return False
-    return True
+    # inst is in reduced units, matching the witness.
+    return _family_slack(inst, wit.p, wit.lam) <= tol
 

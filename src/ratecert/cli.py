@@ -148,6 +148,7 @@ def _add_problem(p: argparse.ArgumentParser):
     p.add_argument("--c2", type=float, default=None, help="asymmetric interval: hi = c2/L")
     p.add_argument("--iqc", default=None,
                    help="multiplier: sector | wob1 | zf:<k>")
+    p.add_argument("--zf-order", type=int, default=None, help="filter order for --iqc zf")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", parents=[], help="certify one configuration")
     _add_common(p)
     _add_problem(p)
-    p.add_argument("--zf-order", type=int, default=None, help="filter order for --iqc zf")
 
     p = sub.add_parser("sweep-kappa", help="rate vs condition number at fixed c")
     _add_common(p)
@@ -167,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa-min", type=float, default=None)
     p.add_argument("--kappa-max", type=float, default=None)
     p.add_argument("--points", type=int, default=None, help="log-spaced kappa count")
-    p.add_argument("--zf-order", type=int, default=None)
 
     p = sub.add_parser("sweep-c", help="rate vs interval constant at fixed kappa")
     _add_common(p)
@@ -175,12 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-min", type=float, default=None)
     p.add_argument("--c-max", type=float, default=None)
     p.add_argument("--points", type=int, default=None, help="linearly spaced c count")
-    p.add_argument("--zf-order", type=int, default=None)
 
     p = sub.add_parser("simulate", help="validate a certificate on sampled trajectories")
     _add_common(p)
     _add_problem(p)
-    p.add_argument("--zf-order", type=int, default=None)
     p.add_argument("--policy", default=None,
                    help="uniform | endpoints | alternating | constant:<a> | adversarial")
     p.add_argument("--steps", type=int, default=None)

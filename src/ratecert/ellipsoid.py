@@ -77,15 +77,15 @@ class _Run:
         return self._s0_flat + v @ self._coeffs_flat
 
 
-def _group_runs(constraints) -> list[tuple[int, _Run]]:
-    runs: list[tuple[int, _Run]] = []
+def _group_runs(constraints) -> list[_Run]:
+    runs: list[_Run] = []
     start = 0
     while start < len(constraints):
         end = start + 1
         n = constraints[start].s0.shape[0]
         while end < len(constraints) and constraints[end].s0.shape[0] == n:
             end += 1
-        runs.append((start, _Run(constraints[start:end])))
+        runs.append(_Run(constraints[start:end]))
         start = end
     return runs
 
@@ -162,7 +162,7 @@ def _first_violated_cut(runs, center) -> tuple[np.ndarray, float] | None:
 
     The cut encodes: feasible set is contained in {v : a . v <= a . center - depth}.
     """
-    for _, run in runs:
+    for run in runs:
         top = run.evaluate(center)
         if run.n > 1:
             vals, vecs = _jacobi_batch(top.reshape(run.batch, run.n, run.n))

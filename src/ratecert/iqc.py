@@ -1,5 +1,6 @@
 """Quadratic-constraint multipliers for the gradient nonlinearity, and the
-augmented plant+filter system whose matrix inequality certifies a rate.
+augmented system (gradient descent in series with the multiplier filter)
+whose matrix inequality certifies a rate.
 
 Three multiplier families are provided.  Each is a pair (Psi, M): a filter
 in state-space form producing an auxiliary output z from the plant output y
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SymMatrix
-from .model import FunctionClass, Plant
+from .model import FunctionClass
 
 SECTOR = "sector"
 WEIGHTED_OFF_BY_1 = "wob1"
@@ -90,7 +91,7 @@ class IqcMultiplier:
 
 @dataclass(frozen=True, eq=False)
 class AugmentedSystem:
-    """Plant + filter dynamics x_{k+1} = A x_k + B(alpha) u_k,
+    """Gradient descent + filter dynamics x_{k+1} = A x_k + B(alpha) u_k,
     z_k = C x_k + D u_k, with B(alpha) = b0 + alpha*b1 affine in the step
     size.  Only the plant-state row of b1 is nonzero."""
 
@@ -200,26 +201,26 @@ def default_weights(kind: str, rho: float, k: int) -> tuple[float, ...]:
     return tuple(rho ** (2 * j) / k for j in range(1, k + 1))
 
 
-def augment(p: Plant, iqc: IqcMultiplier) -> AugmentedSystem:
-    """Series interconnection of the plant with the multiplier filter.
+def augment(iqc: IqcMultiplier) -> AugmentedSystem:
+    """Series interconnection of gradient descent with the multiplier filter.
 
-    State x = (plant state, filter state); the step size enters only the
-    plant row of the input matrix, preserving the affine structure
-    B(alpha) = b0 + alpha*b1.
+    State x = (plant state, filter state).  The plant row is gradient
+    descent, x+ = x - alpha*u with output y = x, so the filter sees the
+    plant state unscaled; the step size enters only that row of the input
+    matrix, preserving the affine structure B(alpha) = b0 + alpha*b1.
     """
     k = iqc.filter_order
     s = 1 + k
     a = np.zeros((s, s))
-    a[0, 0] = p.a
-    a[1:, 0] = iqc.psi_by * p.c
+    a[0, 0] = 1.0
+    a[1:, 0] = iqc.psi_by
     a[1:, 1:] = iqc.psi_a
     b0 = np.zeros(s)
-    b0[0] = p.b0
     b0[1:] = iqc.psi_bu
     b1 = np.zeros(s)
-    b1[0] = p.b1
+    b1[0] = -1.0
     c = np.zeros((2, s))
-    c[:, 0] = iqc.psi_dy * p.c
+    c[:, 0] = iqc.psi_dy
     c[:, 1:] = iqc.psi_c
     d = iqc.psi_du.copy()
     return AugmentedSystem(a=a, b0=b0, b1=b1, c=c, d=d, state_dim=s)

@@ -3,9 +3,10 @@
 All matrices that appear in the rate-certification pipeline are small
 (order <= ~12), dense and symmetric.  All eigen work goes through numpy's
 LAPACK drivers: ``eigh`` when eigenvectors are needed and ``eigvalsh`` when
-only eigenvalues are.  Both accept a stack of equally-sized blocks, which the
-feasibility solver uses to decompose the block at every interval endpoint
-in one call per iteration.
+only eigenvalues are.  The helpers here serve the certifier's checks of a
+finished witness; the feasibility solver calls ``eigh`` on a stack of
+equally-sized blocks directly, to decompose the block at every interval
+endpoint in one call per iteration.
 """
 
 from __future__ import annotations
@@ -66,14 +67,6 @@ class SymMatrix:
         return f"SymMatrix({self._m.tolist()!r})"
 
 
-def sym_diag(values) -> SymMatrix:
-    return SymMatrix(np.diag(np.asarray(values, dtype=float)))
-
-
-def sym_identity(order: int) -> SymMatrix:
-    return SymMatrix(np.eye(order))
-
-
 @dataclass(frozen=True, eq=False)
 class EigenResult:
     """Eigenvalues sorted ascending; column i of ``eigenvectors`` pairs with
@@ -81,11 +74,6 @@ class EigenResult:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-def eigvals_batch(mats: np.ndarray) -> np.ndarray:
-    """Eigenvalues (ascending) of a stack of symmetric matrices (B, n, n)."""
-    return np.linalg.eigvalsh(mats)
 
 
 def eig_sym(s: SymMatrix) -> EigenResult:
@@ -99,26 +87,8 @@ def eig_sym(s: SymMatrix) -> EigenResult:
     return EigenResult(eigenvalues=vals, eigenvectors=vecs)
 
 
-def max_eigenpair(s: SymMatrix) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and an associated unit eigenvector.
-
-    The eigenvector is what cutting-plane callers need: if ``q`` is returned
-    for a violated block ``S``, then ``q^T S q`` equals the violation and is
-    affine in the decision variables of an affine matrix family.
-    """
-    res = eig_sym(s)
-    return float(res.eigenvalues[-1]), res.eigenvectors[:, -1].copy()
-
-
 def max_eigenvalue(s: SymMatrix) -> float:
     return float(np.linalg.eigvalsh(s.mat)[-1])
-
-
-def is_neg_semidef(s: SymMatrix, slack: float = 0.0) -> bool:
-    """True iff the largest eigenvalue does not exceed ``slack`` (>= 0)."""
-    if slack < 0.0:
-        raise ValueError("slack must be nonnegative")
-    return max_eigenvalue(s) <= slack
 
 
 def cond_spd(s: SymMatrix) -> float:

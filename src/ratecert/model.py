@@ -1,7 +1,9 @@
-"""Problem data: function class, gradient-descent plant, step-size intervals.
+"""Problem data: function class and step-size intervals.
 
-The plant is stored with scalar blocks (state dimension 1).  Every block of
-the gradient-descent system is a multiple of the identity, so the rate
+The system studied is gradient descent, x+ = x - alpha*u with output y = x
+and input u the gradient; ``iqc.augment`` writes its rows directly, with
+scalar blocks (state dimension 1).  Every
+block of that system is a multiple of the identity, so the rate
 certificates decouple coordinate-wise and are independent of the ambient
 dimension; the test suite cross-checks this against explicit simulations in
 higher dimension.
@@ -70,26 +72,6 @@ class StepSizeInterval:
         return (self.lo,) if self.degenerate else (self.lo, self.hi)
 
 
-@dataclass(frozen=True)
-class Plant:
-    """Scalar-block LPV form of the iteration: state matrix ``a``, affine
-    input matrix ``b(alpha) = b0 + alpha*b1``, output ``c``, feedthrough
-    ``d`` (always zero here)."""
-
-    a: float
-    b0: float
-    b1: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        if self.d != 0.0:
-            raise ValueError("plants with feedthrough are not supported")
-
-    def b(self, alpha: float) -> float:
-        return self.b0 + alpha * self.b1
-
-
 def interval_from_c(fc: FunctionClass, c: float) -> StepSizeInterval:
     """The interval [1/(c*L), c/L] around the step size 1/L; requires c >= 1.
 
@@ -111,9 +93,3 @@ def interval_asymmetric(fc: FunctionClass, c1: float, c2: float) -> StepSizeInte
         raise InvalidC(f"empty interval: 1/(c1*L)={lo} > c2/L={hi}")
     return StepSizeInterval(lo, hi)
 
-
-def gradient_descent_plant() -> Plant:
-    """Gradient descent as a parameter-varying linear system: the state is
-    the iterate, the input is the gradient, and the step size enters only
-    through the input matrix -alpha."""
-    return Plant(a=1.0, b0=0.0, b1=-1.0, c=1.0, d=0.0)

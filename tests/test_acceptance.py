@@ -32,7 +32,6 @@ from ratecert.linalg import SymMatrix, eig_sym
 from ratecert.model import (
     FunctionClass,
     StepSizeInterval,
-    gradient_descent_plant,
     interval_from_c,
 )
 from ratecert.simulator import (
@@ -267,16 +266,15 @@ def test_criterion_10_property_suites():
     notes.append(f"rho-monotonicity: {mono}")
 
     # Multiplier reduction chain, exact.
-    plant = gradient_descent_plant()
     fc = FunctionClass(1.0, 10.0)
     s = sector(fc)
-    q_s = quad_form(augment(plant, s), s).mat
+    q_s = quad_form(augment(s), s).mat
     w = weighted_off_by_1(fc, 0.8, 0.3)
-    q_w = quad_form(augment(plant, w), w).mat
+    q_w = quad_form(augment(w), w).mat
     z = zames_falb(fc, 0.8, [0.3, 0.0])
-    q_z = quad_form(augment(plant, z), z).mat
+    q_z = quad_form(augment(z), z).mat
     z0 = zames_falb(fc, 0.8, [0.0])
-    q_z0 = quad_form(augment(plant, z0), z0).mat
+    q_z0 = quad_form(augment(z0), z0).mat
     chain = (
         np.array_equal(q_z[np.ix_([0, 1, 3], [0, 1, 3])], q_w)
         and np.array_equal(q_z0[np.ix_([0, 2], [0, 2])], q_s)

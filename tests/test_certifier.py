@@ -232,19 +232,22 @@ def test_certify_validation():
         certify(FC10, interval_from_c(FC10, 1.0), iqc_kind="nope")
     with pytest.raises(InvalidInput):
         certify(FC10, interval_from_c(FC10, 1.0),
-                options=CertifyOptions(rho_lo=0.5, rho_hi=0.4))
+                options=CertifyOptions(rho_tol=1.0))
 
 
 @pytest.mark.parametrize(
     "field, value",
     [("eps_feas", -1.0), ("eps_feas", -1e-300), ("eps_feas", math.nan),
      ("eps_feas", math.inf), ("delta_pd", 0.0), ("delta_pd", -1e-8),
-     ("delta_pd", math.nan), ("delta_pd", math.inf)],
+     ("delta_pd", math.nan), ("delta_pd", math.inf), ("rho_tol", 0.0),
+     ("rho_tol", -1e-4), ("rho_tol", math.nan), ("rho_tol", math.inf),
+     ("rho_tol", 1.0)],
 )
 def test_options_reject_bad_tolerances(field, value):
     # Unchecked, eps_feas = -1 gives rho_star 0.91668 for sector and wob1
     # at (10, 1.2), and eps_feas = nan the same for wob1: certificates that
-    # verify_certificate rejects.
+    # verify_certificate rejects.  rho_tol = 0 or -1e-4 made the bisection
+    # loop forever; 1.0 leaves no bracket below rate 1.
     with pytest.raises(InvalidInput, match=field):
         CertifyOptions(**{field: value})
 
@@ -255,6 +258,26 @@ def test_options_accept_zero_and_default_eps_feas():
     cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=WEIGHTED_OFF_BY_1,
                    options=CertifyOptions(eps_feas=0.0, delta_pd=1e-6))
     assert cert.feasible and verify_certificate(cert, slack_tol=0.0)
+
+
+def test_rho_tol_below_float_spacing_terminates(monkeypatch):
+    # Once lo and hi are adjacent floats the midpoint equals one of them;
+    # the bisection must stop there rather than probe the same rate forever.
+    solve, rates = certifier.feasible_at_rho, []
+
+    def counting(inst, opts=None):
+        rates.append(inst.rho)
+        if len(rates) > 200:
+            raise AssertionError("the bisection does not terminate")
+        return solve(inst, opts)
+
+    interval = interval_from_c(FC10, 1.2)
+    coarse = certify(FC10, interval)
+    monkeypatch.setattr(certifier, "feasible_at_rho", counting)
+    cert = certify(FC10, interval, options=CertifyOptions(rho_tol=1e-300))
+    assert cert.feasible and verify_certificate(cert)
+    assert coarse.rho_star - coarse.rho_tol <= cert.rho_star <= coarse.rho_star
+    assert len(set(rates)) == len(rates)
 
 
 @pytest.mark.parametrize(
@@ -403,12 +426,27 @@ def test_pinned_weights_are_respected():
     assert verify_certificate(cert)
 
 
+@pytest.mark.parametrize(
+    "kind, zf_order, weights",
+    [(ZAMES_FALB, 2, (0.1, 0.1, 0.1)), (WEIGHTED_OFF_BY_1, 2, (0.1, 0.5)),
+     (SECTOR, 2, (0.1,))],
+    ids=["zf-three-weights-order-two", "wob1-two-weights", "sector-any-weights"],
+)
+def test_weights_must_fit_the_multiplier(kind, zf_order, weights):
+    # Unchecked, the zf call solved a 3-tap filter (P of order 4) and
+    # reported zf_order 2, wob1 recorded both weights but used only 0.1,
+    # and sector ignored its weights.
+    with pytest.raises(InvalidInput, match="weight"):
+        certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=kind,
+                zf_order=zf_order, weights=weights)
+
+
 def test_witness_invariants():
     cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=WEIGHTED_OFF_BY_1)
     wit = cert.witness
     assert wit.lam >= 0.0
     assert cert.slack <= 0.0
-    assert wit.normalization == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(wit.p.mat) == pytest.approx(1.0, abs=1e-12)
     evs = np.linalg.eigvalsh(wit.p.mat)
     assert evs[0] >= 1e-8 - 1e-15
 
@@ -418,7 +456,7 @@ def test_lmi_instance_validation():
     inst = _sector_instance(FC10, interval, 0.9)
     with pytest.raises(InvalidInput):
         LmiInstance(rho=-0.1, interval=interval, aug=inst.aug, quad=inst.quad,
-                    state_dim=1, fc=FC10)
+                    fc=FC10)
 
 
 def test_certificate_valid_in_dimension_two():

@@ -282,6 +282,9 @@ def test_usage_errors(capsys, tmp_path):
     capsys.readouterr()
     assert run_cli("certify", "--grid", "10") == 1  # unknown flag
     capsys.readouterr()
+    # A zero tolerance made the bisection loop forever.
+    assert run_cli("certify", "--kappa", "10", "--c", "1.2", "--rho-tol", "0") == 1
+    assert "rho_tol" in capsys.readouterr().err
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert run_cli("sweep-kappa", "--c", "1", "--points", "2",
                    "--out", str(missing_dir)) == 1
@@ -298,8 +301,9 @@ def test_certify_ellipsoid_kinds(capsys):
 
 
 # sha256 of the bytes each command writes with --out.  The sector rows and
-# records come from the closed-form backend; the wob1 ones also pin the
-# ellipsoid's stopping point (cond_p) under this numpy/LAPACK build.
+# records come from the closed-form backend; the wob1 and zf ones also pin
+# the ellipsoid's stopping point (cond_p) under this numpy/LAPACK build, for
+# filters of order 1, 2 and 3.
 PINNED_OUTPUTS = {
     "sweep-kappa-sector": (
         ("sweep-kappa", "--c", "1.4", "--kappa-min", "1", "--kappa-max", "100",
@@ -317,6 +321,12 @@ PINNED_OUTPUTS = {
     "certify-wob1": (
         ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "wob1"),
         "8c1fe1b0bc0bbeca40affd9bd5fda18c32d06d8e496ae291ff535787d0a1ba69"),
+    "certify-zf2": (
+        ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "zf:2"),
+        "b4e84af12df75b69196e6a6844cad740b26718fa4d47b01a03c678939d6e783d"),
+    "certify-zf3": (
+        ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "zf:3"),
+        "86c0f4aa545da523ed44dc41f8ed35bdce0cfbe9f637c3c296ed5b9fe47ec587"),
 }
 
 

@@ -147,7 +147,7 @@ def test_cut_depth_and_validity_on_random_affine_constraints(v_dim, violated, se
 def _reference_scan(runs, centre):
     """Reference scan that decomposes every block, order 1 included: one
     eigh per run, the first violated block cut along its top eigenvector."""
-    for _, run in runs:
+    for run in runs:
         blocks = run.evaluate(centre).reshape(run.batch, run.n, run.n)
         vals, vecs = np.linalg.eigh(blocks)
         violated = np.nonzero(vals[:, -1] > np.array(run.bounds))[0]

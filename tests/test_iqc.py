@@ -13,7 +13,7 @@ from ratecert.iqc import (
     weighted_off_by_1,
     zames_falb,
 )
-from ratecert.model import FunctionClass, gradient_descent_plant
+from ratecert.model import FunctionClass
 
 FC = FunctionClass(1.0, 10.0)
 MID = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -96,16 +96,19 @@ def test_default_weights():
 
 
 def test_augment_sector():
-    aug = augment(gradient_descent_plant(), sector(FC))
+    aug = augment(sector(FC))
     assert aug.state_dim == 1
+    # Gradient descent: x+ = x - alpha*u, y = x.
     assert_allclose(aug.a, [[1.0]], atol=0)
+    assert_allclose(aug.b0, [0.0], atol=0)
+    assert_allclose(aug.b1, [-1.0], atol=0)
     assert_allclose(aug.b(0.1), [-0.1], atol=0)
     assert_allclose(aug.c, [[10.0], [-1.0]], atol=0)
     assert_allclose(aug.d, [-1.0, 1.0], atol=0)
 
 
 def test_augment_weighted_off_by_1():
-    aug = augment(gradient_descent_plant(), weighted_off_by_1(FC, 0.9, 0.81))
+    aug = augment(weighted_off_by_1(FC, 0.9, 0.81))
     assert aug.state_dim == 2
     assert_allclose(aug.a, [[1.0, 0.0], [-10.0, 0.0]], atol=0)
     assert_allclose(aug.b(0.25), [-0.25, 1.0], atol=0)
@@ -116,12 +119,12 @@ def test_augment_weighted_off_by_1():
 
 
 def test_quad_form_sector():
-    aug = augment(gradient_descent_plant(), sector(FC))
+    aug = augment(sector(FC))
     q = quad_form(aug, sector(FC))
     assert_allclose(q.mat, [[-20.0, 11.0], [11.0, -2.0]], atol=0)
 
     fc1 = FunctionClass(1.0, 1.0)
-    aug1 = augment(gradient_descent_plant(), sector(fc1))
+    aug1 = augment(sector(fc1))
     assert_allclose(quad_form(aug1, sector(fc1)).mat,
                     [[-2.0, 2.0], [2.0, -2.0]], atol=0)
 
@@ -129,7 +132,7 @@ def test_quad_form_sector():
 def test_quad_form_wob1_against_dense_product():
     h1 = 0.81
     mult = weighted_off_by_1(FC, 0.9, h1)
-    aug = augment(gradient_descent_plant(), mult)
+    aug = augment(mult)
     got = quad_form(aug, mult).mat
     # Independent dense product from the lemma blocks written out by hand.
     cd = np.array([[10.0, h1, -1.0], [-1.0, 0.0, 1.0]])
@@ -142,23 +145,23 @@ def test_reduction_chain_exact():
     h1 = 0.3
     rho = 0.8
     q_w = quad_form(
-        augment(gradient_descent_plant(), weighted_off_by_1(FC, rho, h1)),
+        augment(weighted_off_by_1(FC, rho, h1)),
         weighted_off_by_1(FC, rho, h1),
     ).mat
     z = zames_falb(FC, rho, [h1, 0.0, 0.0])
-    q_z = quad_form(augment(gradient_descent_plant(), z), z).mat
+    q_z = quad_form(augment(z), z).mat
     # Coordinates: (plant, eta1, eta2, eta3, input); eta2, eta3 are inert.
     keep = [0, 1, 4]
     assert np.array_equal(q_z[np.ix_(keep, keep)], q_w)
     assert np.all(q_z[[2, 3], :] == 0.0) and np.all(q_z[:, [2, 3]] == 0.0)
 
     s = sector(FC)
-    q_s = quad_form(augment(gradient_descent_plant(), s), s).mat
+    q_s = quad_form(augment(s), s).mat
     z0 = zames_falb(FC, rho, [0.0, 0.0])
-    q_z0 = quad_form(augment(gradient_descent_plant(), z0), z0).mat
+    q_z0 = quad_form(augment(z0), z0).mat
     assert np.array_equal(q_z0[np.ix_([0, 3], [0, 3])], q_s)
     w0 = weighted_off_by_1(FC, rho, 0.0)
-    q_w0 = quad_form(augment(gradient_descent_plant(), w0), w0).mat
+    q_w0 = quad_form(augment(w0), w0).mat
     assert np.array_equal(q_w0[np.ix_([0, 2], [0, 2])], q_s)
 
 

@@ -9,17 +9,12 @@ from ratecert.linalg import (
     SymMatrix,
     cond_spd,
     eig_sym,
-    eigvals_batch,
-    is_neg_semidef,
-    max_eigenpair,
     max_eigenvalue,
-    sym_diag,
-    sym_identity,
 )
 
 
 def test_eig_diagonal():
-    res = eig_sym(sym_diag([2.0, 3.0]))
+    res = eig_sym(SymMatrix(np.diag([2.0, 3.0])))
     assert_allclose(res.eigenvalues, [2.0, 3.0], atol=0)
 
 
@@ -35,38 +30,19 @@ def test_eig_hand_computed_2x2():
 
 
 def test_max_eigenvalue_examples():
-    assert max_eigenvalue(sym_diag([-1.0, -2.0])) == pytest.approx(-1.0, abs=1e-14)
+    assert max_eigenvalue(SymMatrix(np.diag([-1.0, -2.0]))) == pytest.approx(-1.0, abs=1e-14)
     assert max_eigenvalue(SymMatrix([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(1.0)
     assert max_eigenvalue(SymMatrix([[-0.01, 0.01], [0.01, -0.01]])) == pytest.approx(
         0.0, abs=1e-14
     )
 
 
-def test_max_eigenpair_gives_usable_cutting_direction():
-    s = SymMatrix([[1.0, 2.0, 0.5], [2.0, -1.0, 0.0], [0.5, 0.0, 3.0]])
-    val, q = max_eigenpair(s)
-    assert_allclose(s.mat @ q, val * q, atol=1e-10)
-    assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-12)
-    assert q @ s.mat @ q == pytest.approx(val, abs=1e-10)
-
-
-def test_is_neg_semidef_examples():
-    assert is_neg_semidef(sym_diag([0.0, -1.0]), 0.0)
-    assert not is_neg_semidef(sym_diag([1e-3, -1.0]), 0.0)
-    assert is_neg_semidef(SymMatrix([[-0.01, 0.01], [0.01, -0.01]]), 0.0)
-
-
-def test_is_neg_semidef_rejects_negative_slack():
-    with pytest.raises(ValueError):
-        is_neg_semidef(sym_diag([0.0]), -1e-9)
-
-
 def test_cond_spd_examples():
     for n in range(1, 6):
-        assert cond_spd(sym_identity(n)) == pytest.approx(1.0, abs=1e-14)
-    assert cond_spd(sym_diag([1.0, 4.0])) == pytest.approx(4.0, abs=1e-12)
+        assert cond_spd(SymMatrix(np.eye(n))) == pytest.approx(1.0, abs=1e-14)
+    assert cond_spd(SymMatrix(np.diag([1.0, 4.0]))) == pytest.approx(4.0, abs=1e-12)
     with pytest.raises(NotPositiveDefinite):
-        cond_spd(sym_diag([0.0, 1.0]))
+        cond_spd(SymMatrix(np.diag([0.0, 1.0])))
 
 
 def test_symmatrix_rejects_bad_input():
@@ -157,7 +133,7 @@ def test_neg_semidef_agrees_with_cholesky_oracle():
         for eps in (1e-6, 1e-9):
             if abs(top) <= 10.0 * eps:
                 continue  # inside the band the two routes may disagree
-            assert chol_ok(-s.mat + eps * np.eye(n)) == is_neg_semidef(s, 0.0)
+            assert chol_ok(-s.mat + eps * np.eye(n)) == (max_eigenvalue(s) <= 0.0)
 
 
 def test_eig_deterministic():
@@ -166,11 +142,3 @@ def test_eig_deterministic():
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
     assert np.array_equal(r1.eigenvectors, r2.eigenvectors)
 
-
-def test_batch_matches_scalar():
-    rng = np.random.default_rng(11)
-    mats = np.stack([_random_sym(rng, 4).mat for _ in range(10)])
-    batched = eigvals_batch(mats)
-    for i in range(10):
-        single = eig_sym(SymMatrix(mats[i])).eigenvalues
-        assert_allclose(batched[i], single, atol=1e-12)

@@ -7,7 +7,6 @@ from ratecert.model import (
     FunctionClass,
     InvalidC,
     StepSizeInterval,
-    gradient_descent_plant,
     interval_asymmetric,
     interval_from_c,
 )
@@ -69,15 +68,6 @@ def test_endpoints_read_only():
     with pytest.raises(AttributeError):
         iv.hi = 0.3
     assert iv.endpoints == (0.1, 0.2)
-
-
-def test_gradient_descent_plant():
-    p = gradient_descent_plant()
-    assert p.a == 1.0
-    assert p.b(0.1) == pytest.approx(-0.1)
-    assert (p.b0, p.b1) == (0.0, -1.0)
-    assert p.c == 1.0
-    assert p.d == 0.0
 
 
 @settings(max_examples=100, deadline=None)
