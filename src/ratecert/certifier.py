@@ -34,7 +34,9 @@ the plant state.  Two backends decide feasibility:
 "<= 0" is implemented strictly as "<= -eps_feas * I" with a data-scaled
 default eps_feas, and P is kept away from singularity by P >= delta_pd * I;
 both tolerances are explicit options.  The bisection runs over the fixed
-bracket [RHO_LO, RHO_HI] down to a width of ``rho_tol``.
+bracket [RHO_LO, RHO_HI] down to a width of ``rho_tol``; one solve where
+it would end if all rates above the exact rate were feasible settles a
+tight certificate.
 """
 
 from __future__ import annotations
@@ -44,7 +46,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ellipsoid import EllipsoidOptions, MatrixConstraint, ellipsoid_feasibility
+from .ellipsoid import (
+    EllipsoidOptions,
+    MatrixConstraint,
+    SolverBudgetExceeded,
+    ellipsoid_feasibility,
+)
 from .iqc import (
     SECTOR,
     WEIGHTED_OFF_BY_1,
@@ -131,8 +138,8 @@ class Certificate:
     one could be certified; otherwise the stored witness re-verifies at
     ``rho_star`` by direct block re-assembly, and ``slack`` is its largest
     block eigenvalue over the interval endpoints (<= 0).  ``bisection_iters``
-    counts the trial rates, whether the solver or the exact rate decided
-    them."""
+    counts the trial rates on the bisection's path, however each was decided
+    (solver, exact rate, or a feasible solve below it)."""
 
     rho_star: float | None
     witness: Witness | None
@@ -427,14 +434,20 @@ def certify(
     rho (pass ``weights``, one per filter tap, to pin them instead; trial
     rates at which pinned weights are inadmissible count as infeasible).
     Weights of any other length, or any for sector, raise InvalidInput.
-    The returned rate is
-    the upper end of the final bracket, so it is always backed by a stored
-    witness; ``rho_star`` is None when even the top of the bracket is
-    infeasible.  Trial rates below the exact worst-case rate
-    ``max(closed_form_rate(lo), closed_form_rate(hi))`` are infeasible
-    without a solve; ``bisection_iters`` counts every trial rate, whether
-    the solver or the exact rate decided it.  The slack is computed once,
-    for the returned witness.
+    The returned rate is the upper end of the final bracket, so it is always
+    backed by a stored witness; ``rho_star`` is None when even the top of the
+    bracket is infeasible.  Trial rates below the exact worst-case rate
+    ``r_exact = max(closed_form_rate(lo), closed_form_rate(hi))`` are
+    infeasible without a solve.
+
+    After the probes at both ends, a float-only walk finds the rate g where
+    the bisection would end if every trial rate at or above r_exact were
+    feasible, and g is solved once.  Feasible: by monotonicity in rho every
+    rate on the path above g is feasible too, so the search ends at g.
+    Infeasible: rates at or below g are rejected without a solve and the
+    bisection runs as before (a budget error at g changes nothing).  Either
+    way the rate, witness and ``bisection_iters`` are the plain bisection's.
+    The slack is computed once, for the returned witness.
     """
     opts = options or CertifyOptions()
     if iqc_kind not in KINDS:
@@ -446,8 +459,10 @@ def certify(
         raise InvalidInput(f"{iqc_kind} takes {n_weights} weight(s), got {len(weights)}")
     evals = 0
     # No witness exists below the exact worst-case rate: the constant step
-    # at the worse endpoint attains it on a quadratic.
+    # at the worse endpoint attains it on a quadratic.  Trial rates below
+    # ``floor`` are rejected without a solve.
     r_exact = max(closed_form_rate(interval.lo, fc), closed_form_rate(interval.hi, fc))
+    floor = r_exact
 
     base, solve_opts = None, opts
     if iqc_kind == SECTOR:
@@ -459,8 +474,9 @@ def certify(
     def probe(rho: float) -> tuple[LmiInstance, Witness] | None:
         nonlocal evals
         evals += 1
-        if rho < r_exact:
-            return None
+        return None if rho < floor else solve(rho)
+
+    def solve(rho: float) -> tuple[LmiInstance, Witness] | None:
         if base is not None:
             inst = replace(base, rho=rho)
         else:
@@ -498,20 +514,40 @@ def certify(
     found_hi = probe(hi)
     if found_hi is None:
         return finish(None)
-    lo = RHO_LO
-    found_lo = probe(lo)
+    found_lo = probe(RHO_LO)
     if found_lo is not None:
         return finish(found_lo)
-    while hi - lo > opts.rho_tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # adjacent floats: the bracket cannot shrink further
-        found = probe(mid)
-        if found is not None:
-            hi, found_hi = mid, found
-        else:
-            lo = mid
-    return finish(found_hi)
+
+    def bisect(decide) -> tuple[float, object, int]:
+        """Shrink [RHO_LO, hi]: (final top, last truthy verdict, trial rates)."""
+        lo, top, found, n = RHO_LO, hi, None, 0
+        while top - lo > opts.rho_tol:
+            mid = 0.5 * (lo + top)
+            if not lo < mid < top:
+                break  # adjacent floats: the bracket cannot shrink further
+            n += 1
+            verdict = decide(mid)
+            if verdict:
+                top, found = mid, verdict
+            else:
+                lo = mid
+        return top, found, n
+
+    # Where the bisection ends if every rate at or above r_exact is feasible.
+    g, _, n = bisect(lambda rho: rho >= r_exact)
+    try:
+        found_g = found_hi if g == hi else solve(g)
+    except SolverBudgetExceeded:
+        found_g = False  # no verdict at g: the bisection decides every rate
+    if found_g:
+        # Feasibility is monotone in rho, so every rate on the path above g
+        # is feasible and the bisection ends at g with this witness.
+        evals += n
+        return finish(found_g)
+    if found_g is None:
+        floor = math.nextafter(g, math.inf)  # g and every rate below fail
+    _, found, _ = bisect(probe)
+    return finish(found or found_hi)
 
 
 def verify_certificate(cert: Certificate, slack_tol: float | None = None) -> bool:

@@ -137,15 +137,22 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None, help="key=value file pre-setting any flag")
 
 
-def _add_problem(p: argparse.ArgumentParser):
-    p.add_argument("--m", type=float, default=None, help="strong convexity modulus")
-    p.add_argument("--L", type=float, default=None, help="gradient Lipschitz constant")
-    p.add_argument("--kappa", type=float, default=None,
-                   help="condition number; shorthand for --m 1 --L kappa")
-    p.add_argument("--c", type=float, default=None,
-                   help="interval constant: steps in [1/(cL), c/L]")
-    p.add_argument("--c1", type=float, default=None, help="asymmetric interval: lo = 1/(c1 L)")
-    p.add_argument("--c2", type=float, default=None, help="asymmetric interval: hi = c2/L")
+def _add_problem(p: argparse.ArgumentParser, fixed_class: bool = True,
+                 fixed_c: bool = True):
+    """Problem flags; a sweep omits its swept axis and --c1/--c2 (usage errors)."""
+    if fixed_class:
+        p.add_argument("--m", type=float, default=None, help="strong convexity modulus")
+        p.add_argument("--L", type=float, default=None, help="gradient Lipschitz constant")
+        p.add_argument("--kappa", type=float, default=None,
+                       help="condition number; shorthand for --m 1 --L kappa")
+    if fixed_c:
+        p.add_argument("--c", type=float, default=None,
+                       help="interval constant: steps in [1/(cL), c/L]")
+    if fixed_class and fixed_c:
+        p.add_argument("--c1", type=float, default=None,
+                       help="asymmetric interval: lo = 1/(c1 L)")
+        p.add_argument("--c2", type=float, default=None,
+                       help="asymmetric interval: hi = c2/L")
     p.add_argument("--iqc", default=None,
                    help="multiplier: sector | wob1 | zf:<k>")
     p.add_argument("--zf-order", type=int, default=None, help="filter order for --iqc zf")
@@ -163,14 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-kappa", help="rate vs condition number at fixed c")
     _add_common(p)
-    _add_problem(p)
+    _add_problem(p, fixed_class=False)
     p.add_argument("--kappa-min", type=float, default=None)
     p.add_argument("--kappa-max", type=float, default=None)
     p.add_argument("--points", type=int, default=None, help="log-spaced kappa count")
 
     p = sub.add_parser("sweep-c", help="rate vs interval constant at fixed kappa")
     _add_common(p)
-    _add_problem(p)
+    _add_problem(p, fixed_c=False)
     p.add_argument("--c-min", type=float, default=None)
     p.add_argument("--c-max", type=float, default=None)
     p.add_argument("--points", type=int, default=None, help="linearly spaced c count")

@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
 import math
+import signal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from ratecert.certifier import (
 )
 from ratecert.ellipsoid import SolverBudgetExceeded
 from ratecert.iqc import SECTOR, WEIGHTED_OFF_BY_1, ZAMES_FALB, WeightOutOfRange
-from ratecert.linalg import SymMatrix
+from ratecert.linalg import SymMatrix, cond_spd
 from ratecert.model import (
     FunctionClass,
     StepSizeInterval,
@@ -260,9 +263,26 @@ def test_options_accept_zero_and_default_eps_feas():
     assert cert.feasible and verify_certificate(cert, slack_tol=0.0)
 
 
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail, rather than hang, when the block runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_rho_tol_below_float_spacing_terminates(monkeypatch):
     # Once lo and hi are adjacent floats the midpoint equals one of them;
-    # the bisection must stop there rather than probe the same rate forever.
+    # the bisection, and the float-only walk that picks the speculative
+    # rate, must stop there rather than probe the same rate forever.
     solve, rates = certifier.feasible_at_rho, []
 
     def counting(inst, opts=None):
@@ -272,12 +292,20 @@ def test_rho_tol_below_float_spacing_terminates(monkeypatch):
         return solve(inst, opts)
 
     interval = interval_from_c(FC10, 1.2)
-    coarse = certify(FC10, interval)
-    monkeypatch.setattr(certifier, "feasible_at_rho", counting)
-    cert = certify(FC10, interval, options=CertifyOptions(rho_tol=1e-300))
-    assert cert.feasible and verify_certificate(cert)
-    assert coarse.rho_star - coarse.rho_tol <= cert.rho_star <= coarse.rho_star
-    assert len(set(rates)) == len(rates)
+    # wob1 finds no witness within 1e-5 of rate 1 here, so a top of
+    # 1 - 1e-300 would end its search at once; start it at 0.95.
+    for kind, top in ((SECTOR, certifier.RHO_HI), (WEIGHTED_OFF_BY_1, 0.95)):
+        coarse = certify(FC10, interval, iqc_kind=kind)
+        rates.clear()
+        with monkeypatch.context() as mp, _time_limit(20.0):
+            mp.setattr(certifier, "RHO_HI", top)
+            mp.setattr(certifier, "feasible_at_rho", counting)
+            cert = certify(FC10, interval, iqc_kind=kind,
+                           options=CertifyOptions(rho_tol=1e-300))
+        assert cert.feasible and verify_certificate(cert), kind
+        assert coarse.rho_star - coarse.rho_tol <= cert.rho_star <= coarse.rho_star, kind
+        assert len(set(rates)) == len(rates), kind
+        assert cert.bisection_iters > 50, kind
 
 
 @pytest.mark.parametrize(
@@ -293,6 +321,29 @@ def test_bisection_solves_only_at_or_above_exact_rate(solver_calls, kind, rho_st
     assert cert.rho_star == rho_star
     assert cert.bisection_iters == 16
     assert len(solver_calls) < 16
+
+
+@pytest.mark.parametrize(
+    "kind, zf_order, kappa, c, solves",
+    [(WEIGHTED_OFF_BY_1, 1, 10.0, 1.2, 2), (ZAMES_FALB, 2, 10.0, 1.2, 2),
+     (SECTOR, 1, 10.0, 1.0, 2), (ZAMES_FALB, 2, 3.377, 1.8692, 14),
+     (SECTOR, 1, 5.0, 1.2, 9)],
+    ids=["wob1", "zf2", "sector-constant-step", "zf2-loose", "sector-end-fails"],
+)
+def test_solver_calls_pinned(solver_calls, kind, zf_order, kappa, c, solves):
+    # The first three are tight (the witness exists at the rate where the
+    # bisection would end if every rate at or above the exact rate were
+    # feasible): the top probe and one solve there settle them, down from
+    # 7.  zf2-loose is not: its speculative solve fails, and the bisection
+    # then makes the 13 solves it made without speculating.  At (5, 1.2)
+    # sector fails only at the speculative rate itself, which the plain
+    # bisection also reaches: it must not be solved twice (9 as before).
+    fc = FunctionClass(1.0, kappa)
+    cert = certify(fc, interval_from_c(fc, c), iqc_kind=kind, zf_order=zf_order)
+    assert cert.feasible
+    assert cert.bisection_iters == 16
+    assert len(solver_calls) == solves
+    assert len(set(solver_calls)) == solves
 
 
 def _count_calls(monkeypatch, name):
@@ -317,13 +368,36 @@ def test_sector_hot_path_builds_once(monkeypatch, solver_calls):
     assert cert.rho_star == 0.921312225341797
     assert len(augments) == 1
     assert len(slacks) == 1
-    assert len(solver_calls) == 10
+    # Ten along the bisection's path plus the speculative solve at the end
+    # the exact rate predicts, which is infeasible for sector here.
+    assert len(solver_calls) == 11
     assert cert.slack <= 0.0
 
     slacks.clear()
     cert = certify(FC10, interval_from_c(FC10, 2.1))
     assert cert.rho_star is None and cert.slack is None
     assert slacks == []
+
+
+def test_budget_error_at_speculative_rate_is_not_a_verdict(monkeypatch):
+    # At (10, 1.2) the plain bisection never solves sector at the rate the
+    # exact rate predicts (the second solve).  A budget error there must not
+    # end the search, nor count as infeasible: the result is unchanged.
+    solve, rates = certifier.feasible_at_rho, []
+
+    def out_of_budget_once(inst, opts=None):
+        rates.append(inst.rho)
+        if len(rates) == 2:
+            raise SolverBudgetExceeded("budget")
+        return solve(inst, opts)
+
+    interval = interval_from_c(FC10, 1.2)
+    expected = certify(FC10, interval)
+    monkeypatch.setattr(certifier, "feasible_at_rho", out_of_budget_once)
+    cert = certify(FC10, interval)
+    assert (cert.rho_star, cert.bisection_iters) == (expected.rho_star, 16)
+    assert cert.witness.lam == expected.witness.lam
+    assert rates[1] not in rates[2:]
 
 
 def test_certify_budget_error_propagates():
@@ -543,6 +617,76 @@ def test_solver_infeasible_below_exact_rate(log_kappa, c, kind):
         except WeightOutOfRange:
             continue
         assert feasible_at_rho(inst) is None, (fc.L, c, kind, rho)
+
+
+def _plain_bisection(fc, interval, kind, opts):
+    """The rate search as it was before it speculated where it ends: every
+    trial rate at or above the exact rate goes to the solver in bisection
+    order.  Returns ((rho, witness) or None, trial rates, solver calls)."""
+    r_exact = _exact_rate(fc, interval)
+    trials = solves = 0
+
+    def probe(rho):
+        nonlocal trials, solves
+        trials += 1
+        if rho < r_exact:
+            return None
+        try:
+            inst = _instance(fc, interval, kind, rho, 2, None)
+        except WeightOutOfRange:
+            return None
+        solves += 1
+        wit = feasible_at_rho(inst, opts)
+        return None if wit is None else (rho, wit)
+
+    hi = certifier.RHO_HI - opts.rho_tol
+    found_hi = probe(hi)
+    if found_hi is None:
+        return None, trials, solves
+    lo = certifier.RHO_LO
+    found_lo = probe(lo)
+    if found_lo is not None:
+        return found_lo, trials, solves
+    while hi - lo > opts.rho_tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        found = probe(mid)
+        if found is not None:
+            hi, found_hi = mid, found
+        else:
+            lo = mid
+    return found_hi, trials, solves
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kappa=st.floats(1.5, 60.0),
+    c=st.floats(1.0, 1.95),
+    kind=st.sampled_from([SECTOR, WEIGHTED_OFF_BY_1]),
+)
+@example(kappa=10.0, c=1.2, kind=SECTOR)  # speculative solve infeasible
+@example(kappa=10.0, c=1.2, kind=WEIGHTED_OFF_BY_1)  # tight: settled by one solve
+def test_certify_matches_plain_bisection(kappa, c, kind):
+    # Speculating where the search ends changes how many solves it makes,
+    # never what it returns: same rate, trial count and witness bits, and
+    # at most one solve more than the plain bisection.
+    fc = FunctionClass(1.0, kappa)
+    interval = interval_from_c(fc, c)
+    opts = CertifyOptions()
+    found, trials, solves = _plain_bisection(fc, interval, kind, opts)
+    with mock.patch.object(certifier, "feasible_at_rho", wraps=feasible_at_rho) as spy:
+        cert = certify(fc, interval, iqc_kind=kind, options=opts)
+    assert cert.bisection_iters == trials
+    assert spy.call_count <= solves + 1
+    if found is None:
+        assert cert.rho_star is None
+        return
+    rho, wit = found
+    assert cert.rho_star == rho
+    assert cert.witness.lam == wit.lam
+    assert cert.witness.p.mat.tobytes() == wit.p.mat.tobytes()
+    assert cert.cond_p == cond_spd(wit.p)
 
 
 def test_zf2_certifies_soundly_before_onset_and_not_past_it():

@@ -289,6 +289,16 @@ def test_usage_errors(capsys, tmp_path):
     assert run_cli("sweep-kappa", "--c", "1", "--points", "2",
                    "--out", str(missing_dir)) == 1
     capsys.readouterr()
+    # A sweep has no use for its swept axis or an asymmetric interval; these
+    # flags used to be dropped without a word (sweep-kappa --c1 1.2 --c2 3.0
+    # swept at c = 1 and exited 0).
+    for flags in (("--c1", "1.2", "--c2", "3.0"), ("--kappa", "5"), ("--m", "2"),
+                  ("--L", "20")):
+        assert run_cli("sweep-kappa", "--c", "1.2", "--points", "2", *flags) == 1, flags
+        assert "error" in capsys.readouterr().err
+    for flags in (("--c", "1.2"), ("--c1", "1.2", "--c2", "3.0")):
+        assert run_cli("sweep-c", "--kappa", "10", "--points", "2", *flags) == 1, flags
+        assert "error" in capsys.readouterr().err
 
 
 def test_certify_ellipsoid_kinds(capsys):
