@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -136,15 +137,13 @@ class Witness:
 class Certificate:
     """Outcome of certification.  ``rho_star`` is None when no rate below
     one could be certified; otherwise the stored witness re-verifies at
-    ``rho_star`` by direct block re-assembly, and ``slack`` is its largest
-    block eigenvalue over the interval endpoints (<= 0).  ``bisection_iters``
-    counts the trial rates on the bisection's path, however each was decided
+    ``rho_star`` by direct block re-assembly.  ``bisection_iters`` counts
+    the trial rates on the bisection's path, however each was decided
     (solver, exact rate, or a feasible solve below it)."""
 
     rho_star: float | None
     witness: Witness | None
     cond_p: float | None
-    slack: float | None
     fc: FunctionClass
     interval: StepSizeInterval
     iqc_kind: str
@@ -162,6 +161,14 @@ class Certificate:
         """The step sizes the certificate was checked at."""
         return self.interval.endpoints
 
+    @cached_property
+    def slack(self) -> float | None:
+        """Largest block eigenvalue of the witness over the interval
+        endpoints (<= 0), computed on first read; None without a witness."""
+        if self.witness is None:
+            return None
+        return _family_slack(_replay_instance(self), self.witness.p, self.witness.lam)
+
 
 def closed_form_rate(alpha: float, fc: FunctionClass) -> float:
     """Exact worst-case contraction factor of one constant-step iteration:
@@ -172,7 +179,7 @@ def closed_form_rate(alpha: float, fc: FunctionClass) -> float:
 
 
 def default_eps_feas(quad: SymMatrix) -> float:
-    return 1e-9 * (1.0 + float(np.max(np.abs(quad.mat))))
+    return 1e-9 * (1.0 + float(np.abs(quad.mat).max()))
 
 
 def assemble_lmi_block(
@@ -267,14 +274,12 @@ _P_ONE = SymMatrix([[1.0]])
 
 
 def _sector_backend(inst: LmiInstance, eps: float) -> Witness | None:
-    los, his = [], []
+    lo, hi = -math.inf, math.inf
     for alpha in inst.interval.endpoints:
         iv = lambda_interval_sector(inst.rho, alpha, inst.fc, eps)
         if iv is None:
             return None
-        los.append(iv[0])
-        his.append(iv[1])
-    lo, hi = max(los), min(his)
+        lo, hi = max(lo, iv[0]), min(hi, iv[1])
     if lo > hi:
         return None
     lam = lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
@@ -447,7 +452,7 @@ def certify(
     Infeasible: rates at or below g are rejected without a solve and the
     bisection runs as before (a budget error at g changes nothing).  Either
     way the rate, witness and ``bisection_iters`` are the plain bisection's.
-    The slack is computed once, for the returned witness.
+    ``Certificate.slack`` is computed on demand, on its first read.
     """
     opts = options or CertifyOptions()
     if iqc_kind not in KINDS:
@@ -466,7 +471,7 @@ def certify(
 
     base, solve_opts = None, opts
     if iqc_kind == SECTOR:
-        # Any rho > 0 builds it; probes replace it with their own.
+        # Any rho > 0 builds it; each probe swaps in its own rho.
         base = _instance(fc, interval, SECTOR, RHO_HI, zf_order, weights)
         if opts.eps_feas is None:
             solve_opts = replace(opts, eps_feas=default_eps_feas(base.quad))
@@ -478,7 +483,7 @@ def certify(
 
     def solve(rho: float) -> tuple[LmiInstance, Witness] | None:
         if base is not None:
-            inst = replace(base, rho=rho)
+            inst = LmiInstance(rho, base.interval, base.aug, base.quad, base.fc)
         else:
             try:
                 inst = _instance(fc, interval, iqc_kind, rho, zf_order, weights)
@@ -488,19 +493,17 @@ def certify(
         return None if wit is None else (inst, wit)
 
     def finish(found: tuple[LmiInstance, Witness] | None) -> Certificate:
-        rho_star = wit = cond_p = slack = None
+        rho_star = wit = cond_p = None
         used: tuple[float, ...] = ()
         if found is not None:
             inst, wit = found
             rho_star, cond_p = inst.rho, cond_spd(wit.p)
-            slack = _family_slack(inst, wit.p, wit.lam)
             if n_weights:
                 used = tuple(weights or default_weights(iqc_kind, rho_star, n_weights))
         return Certificate(
             rho_star=rho_star,
             witness=wit,
             cond_p=cond_p,
-            slack=slack,
             fc=fc,
             interval=interval,
             iqc_kind=iqc_kind,
@@ -550,11 +553,19 @@ def certify(
     return finish(found or found_hi)
 
 
+def _replay_instance(cert: Certificate) -> LmiInstance:
+    """The certificate's instance at ``rho_star``, rebuilt from its own
+    fields in reduced units (matching the witness)."""
+    return _instance(cert.fc, cert.interval, cert.iqc_kind, cert.rho_star,
+                     cert.zf_order or 1, cert.weights or None)
+
+
 def verify_certificate(cert: Certificate, slack_tol: float | None = None) -> bool:
     """Replay the certificate: re-assemble the block at both endpoints of the
     stored interval at the stored (rho_star, P, lambda) and check them
     against ``slack_tol`` (default: the same data-scaled tolerance used for
-    feasibility)."""
+    feasibility).  The slack is recomputed here, never read from
+    ``cert.slack``."""
     if cert.rho_star is None or cert.witness is None:
         raise InvalidInput("certificate has no witness to verify")
     wit = cert.witness
@@ -563,17 +574,9 @@ def verify_certificate(cert: Certificate, slack_tol: float | None = None) -> boo
     if eig_sym(wit.p).eigenvalues[0] <= 0.0:
         return False
     try:
-        inst = _instance(
-            cert.fc,
-            cert.interval,
-            cert.iqc_kind,
-            cert.rho_star,
-            cert.zf_order or 1,
-            cert.weights or None,
-        )
+        inst = _replay_instance(cert)
     except WeightOutOfRange:
         return False
     tol = slack_tol if slack_tol is not None else default_eps_feas(inst.quad)
-    # inst is in reduced units, matching the witness.
     return _family_slack(inst, wit.p, wit.lam) <= tol
 

@@ -454,17 +454,22 @@ def cmd_simulate(res: Resolved) -> int:
 def _trial_spectrum(fc: FunctionClass, dim: int, seed: int, index: int) -> tuple[float, ...]:
     """Hessian spectrum for one trial: random inside [m, L], with the class
     endpoints pinned in dimension >= 2 and pure-endpoint problems cycled in
-    dimension 1 (those attain the worst rates)."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index, 1])))
+    dimension 1 (those attain the worst rates).  The generator is built only
+    for a spectrum that draws from it."""
+
+    def draw(size=None):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index, 1])))
+        return rng.uniform(fc.m, fc.L, size=size)
+
     if dim == 1:
         pick = index % 3
         if pick == 0:
             return (fc.m,)
         if pick == 1:
             return (fc.L,)
-        return (float(rng.uniform(fc.m, fc.L)),)
-    rest = rng.uniform(fc.m, fc.L, size=dim - 2)
-    return (fc.m, fc.L, *map(float, rest))
+        return (float(draw()),)
+    rest = map(float, draw(dim - 2)) if dim > 2 else ()
+    return (fc.m, fc.L, *rest)
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,8 @@ here, so that z^T M z encodes the constraint the gradient satisfies.
 Because admissible weights depend on the candidate rate rho, the dynamic
 multipliers are re-instantiated per rho by the certifier; the sector
 multiplier is rho-independent and built once per certification.  Every call
-returns fresh arrays, so no caller can alter another's multiplier.
+returns fresh filter arrays, so no caller can alter another's multiplier; the
+middle matrix, read-only, is one shared instance.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ class DimensionMismatch(ValueError):
     """Inconsistent block dimensions when assembling systems."""
 
 
-def _mid() -> SymMatrix:
-    return SymMatrix([[0.0, 1.0], [1.0, 0.0]])
+# The middle matrix of every multiplier: immutable, so one instance serves
+# them all.
+_MID = SymMatrix([[0.0, 1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +118,7 @@ def sector(fc: FunctionClass) -> IqcMultiplier:
         psi_c=np.zeros((2, 0)),
         psi_dy=np.array([fc.L, -fc.m]),
         psi_du=np.array([-1.0, 1.0]),
-        mid=_mid(),
+        mid=_MID,
         kind=SECTOR,
         params=(),
     )
@@ -137,7 +139,7 @@ def weighted_off_by_1(fc: FunctionClass, rho: float, h1: float) -> IqcMultiplier
         psi_c=np.array([[h1], [0.0]]),
         psi_dy=np.array([L, -m]),
         psi_du=np.array([-1.0, 1.0]),
-        mid=_mid(),
+        mid=_MID,
         kind=WEIGHTED_OFF_BY_1,
         params=(float(h1),),
     )
@@ -179,7 +181,7 @@ def zames_falb(fc: FunctionClass, rho: float, h) -> IqcMultiplier:
         psi_c=c,
         psi_dy=np.array([L, -m]),
         psi_du=np.array([-1.0, 1.0]),
-        mid=_mid(),
+        mid=_MID,
         kind=ZAMES_FALB,
         params=h,
     )
@@ -230,6 +232,6 @@ def quad_form(aug: AugmentedSystem, iqc: IqcMultiplier) -> SymMatrix:
     """The symmetric matrix [C D]^T M [C D] of order state_dim + 1."""
     if aug.c.shape != (2, aug.state_dim) or aug.d.shape != (2,):
         raise DimensionMismatch("augmented output blocks have wrong shape")
-    w = np.hstack([aug.c, aug.d[:, None]])
+    w = np.concatenate((aug.c, aug.d[:, None]), axis=1)
     g = w.T @ iqc.mid.mat @ w
     return SymMatrix(g, symmetrize=True)

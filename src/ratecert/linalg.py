@@ -34,7 +34,7 @@ class SymMatrix:
         a = np.array(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("symmetric matrix entries must be finite")
         if symmetrize:
             # Halving before the sum cannot overflow, and float addition

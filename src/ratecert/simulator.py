@@ -124,10 +124,11 @@ def sample_alpha(
     policy: Policy,
     interval: StepSizeInterval,
     steps: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
 ) -> np.ndarray:
     """The policy's whole step sequence.  Random policies draw it in one call,
-    which consumes the PCG64 stream exactly as one scalar draw per step."""
+    which consumes the PCG64 stream exactly as one scalar draw per step; the
+    others never read ``rng``, which may be None for them."""
     lo, hi = interval.lo, interval.hi
     if isinstance(policy, Uniform):
         return rng.uniform(lo, hi, size=steps)
@@ -178,7 +179,8 @@ def run(
     if xi.shape != (prob.dim,):
         raise ValueError(f"xi0 must have shape ({prob.dim},), got {xi.shape}")
 
-    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = isinstance(policy, (Uniform, Endpoints))
+    rng = np.random.Generator(np.random.PCG64(seed)) if draws else None
     traj = step(xi, sample_alpha(policy, interval, steps, rng), prob)
     # Bit-identical to a 1-D np.linalg.norm per row; norm(axis=1) and einsum are not.
     norms = np.sqrt(np.matmul(traj[:, None, :], traj[:, :, None]))[:, 0, 0]

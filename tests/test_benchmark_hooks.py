@@ -1,12 +1,27 @@
-"""The benchmark's per-layer spans wrap module-level names of ratecert.  A
-wrapped name that disappears is only recorded as missing there, which blanks
-its metrics without failing the run; this test makes it fail here instead."""
+"""The benchmark reads module-level names of ratecert: its per-layer spans
+wrap some, and its loop, output checks and quality summary call or read
+others.  A wrapped name that disappears is only recorded as missing there,
+which blanks its metrics without failing the run, and any other missing name
+crashes every benchmark run; these tests make both fail here instead."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from ratecert.certifier import certify
+from ratecert.model import FunctionClass, interval_from_c
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# What perfbench/run.py's load_program imports, and what its loop and
+# oracle.py call on those modules outside the tracing hooks.
+LOADED_MODULES = ("cli", "certifier", "ellipsoid", "simulator")
+CALLED = (("cli", "main"), ("cli", "certify"),
+          ("certifier", "verify_certificate"), ("certifier", "closed_form_rate"))
+# Certificate attributes read by oracle.py's checks and run.py's quality().
+CERT_ATTRS = ("grid", "rho_star", "rho_tol", "interval", "fc", "feasible")
 
 
 def _load_tracing():
@@ -16,12 +31,33 @@ def _load_tracing():
     return module
 
 
+def _missing_callables(names):
+    return [
+        f"{mod}.{attr}"
+        for mod, attr in names
+        if not callable(getattr(importlib.import_module(f"ratecert.{mod}"), attr, None))
+    ]
+
+
 def test_every_wrapped_name_exists():
     wrapped = _load_tracing().WRAPPED
     assert wrapped
-    missing = [
-        f"{mod}.{attr}"
-        for mod, attr, _ in wrapped
-        if not callable(getattr(importlib.import_module(f"ratecert.{mod}"), attr, None))
-    ]
+    assert _missing_callables((mod, attr) for mod, attr, _ in wrapped) == []
+
+
+@pytest.mark.parametrize("mod", LOADED_MODULES)
+def test_loaded_module_imports(mod):
+    importlib.import_module(f"ratecert.{mod}")
+
+
+def test_every_called_name_exists():
+    assert _missing_callables(CALLED) == []
+
+
+@pytest.mark.parametrize("c", [1.2, 2.1], ids=["certified", "uncertified"])
+def test_certificate_attributes_read_by_the_benchmark(c):
+    fc = FunctionClass(1.0, 10.0)
+    cert = certify(fc, interval_from_c(fc, c))
+    missing = [name for name in CERT_ATTRS if not hasattr(cert, name)]
     assert missing == []
+    assert len(cert.grid) == 2

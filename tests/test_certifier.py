@@ -360,23 +360,62 @@ def _count_calls(monkeypatch, name):
 
 def test_sector_hot_path_builds_once(monkeypatch, solver_calls):
     # The sector instance does not depend on rho: it is built once per call,
-    # every probe still goes to the solver, and only the returned witness
-    # gets its slack computed.
+    # and every probe still goes to the solver.  certify computes no slack:
+    # the first read of ``cert.slack`` computes it once, later reads reuse it.
     augments = _count_calls(monkeypatch, "augment")
     slacks = _count_calls(monkeypatch, "_family_slack")
     cert = certify(FC10, interval_from_c(FC10, 1.2))
     assert cert.rho_star == 0.921312225341797
     assert len(augments) == 1
-    assert len(slacks) == 1
+    assert slacks == []
     # Ten along the bisection's path plus the speculative solve at the end
     # the exact rate predicts, which is infeasible for sector here.
     assert len(solver_calls) == 11
     assert cert.slack <= 0.0
+    assert len(slacks) == 1
+    assert cert.slack <= 0.0
+    assert len(slacks) == 1
 
     slacks.clear()
     cert = certify(FC10, interval_from_c(FC10, 2.1))
     assert cert.rho_star is None and cert.slack is None
     assert slacks == []
+
+
+@pytest.mark.parametrize(
+    "kind, zf_order", [(SECTOR, 2), (WEIGHTED_OFF_BY_1, 2), (ZAMES_FALB, 2)],
+    ids=["sector", "wob1", "zf2"],
+)
+def test_slack_is_the_rebuilt_family_slack(kind, zf_order):
+    interval = interval_from_c(FC10, 1.2)
+    cert = certify(FC10, interval, iqc_kind=kind, zf_order=zf_order)
+    inst = _instance(FC10, interval, kind, cert.rho_star, zf_order, cert.weights or None)
+    expected = _family_slack(inst, cert.witness.p, cert.witness.lam)
+    assert cert.slack == expected
+    assert cert.slack <= 0.0
+
+
+def test_slack_none_without_certificate():
+    assert certify(FC10, interval_from_c(FC10, 2.1)).slack is None
+
+
+def test_slack_cannot_be_assigned():
+    cert = certify(FC10, interval_from_c(FC10, 1.2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.slack = -1.0
+
+
+def test_verify_ignores_a_planted_slack():
+    # verify_certificate recomputes the slack: a cached value planted on a
+    # certificate whose lambda is off by far more than the tolerance must not
+    # make it pass.
+    cert = certify(FC10, interval_from_c(FC10, 1.2))
+    wit = cert.witness
+    bad = dataclasses.replace(cert, witness=dataclasses.replace(wit, lam=wit.lam + 1.0))
+    assert not verify_certificate(bad)
+    bad.__dict__["slack"] = -1.0
+    assert bad.slack == -1.0
+    assert not verify_certificate(bad)
 
 
 def test_budget_error_at_speculative_rate_is_not_a_verdict(monkeypatch):

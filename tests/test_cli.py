@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from ratecert import cli
@@ -207,6 +208,33 @@ def test_simulate_csv_bytes_pinned(tmp_path, capsys, policy):
                    "--steps", "50", "--policy", policy, "--out", str(out)) == 0
     assert capsys.readouterr().out == "20 trial(s), rho_star 0.962221765137, violations: no\n"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_CSV_SHA256
+
+
+def _spectrum_with_generator_always_built(fc, dim, seed, index):
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index, 1])))
+    if dim == 1:
+        pick = index % 3
+        if pick == 0:
+            return (fc.m,)
+        if pick == 1:
+            return (fc.L,)
+        return (float(rng.uniform(fc.m, fc.L)),)
+    rest = rng.uniform(fc.m, fc.L, size=dim - 2)
+    return (fc.m, fc.L, *map(float, rest))
+
+
+def test_trial_spectrum_builds_a_generator_only_to_draw(monkeypatch):
+    fc = cli.FunctionClass(1.0, 10.0)
+    made, pcg64 = [], np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda *a: made.append(a) or pcg64(*a))
+    for dim in range(1, 6):
+        for index in range(6):
+            made.clear()
+            expected = _spectrum_with_generator_always_built(fc, dim, 7, index)
+            made.clear()
+            assert cli._trial_spectrum(fc, dim, 7, index) == expected
+            draws = dim >= 3 or (dim == 1 and index % 3 == 2)
+            assert len(made) == (1 if draws else 0), (dim, index)
 
 
 def test_config_file_and_override(tmp_path, capsys):

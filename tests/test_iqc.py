@@ -34,6 +34,14 @@ def test_sector_multipliers_do_not_share_arrays():
     second = sector(FunctionClass(1.0, 10.0))
     assert_allclose(second.psi_dy, [10.0, -1.0], atol=0)
     assert_allclose(second.psi_du, [-1.0, 1.0], atol=0)
+    # Only the read-only middle matrix is shared; every filter array is not.
+    assert second.mid is first.mid
+    assert first.mid.mat.flags.writeable is False
+    with pytest.raises(ValueError):
+        first.mid.mat[0, 1] = 99.0
+    fields = ("psi_a", "psi_by", "psi_bu", "psi_c", "psi_dy", "psi_du")
+    for name in fields:
+        assert not np.shares_memory(getattr(first, name), getattr(second, name)), name
 
 
 def test_sector_kappa_one_collapse():

@@ -254,6 +254,19 @@ def test_run_matches_per_step_reference_loop(point, policy_kind, dim, seed, frac
             assert rep.max_ratio == max_ratio and rep.violated == violated
 
 
+def test_run_builds_a_generator_only_for_random_policies(monkeypatch):
+    cert = _cert(c=1.2)
+    prob = QuadraticProblem((1.0, 10.0))
+    made, pcg64 = [], np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda *a: made.append(a) or pcg64(*a))
+    for policy, draws in [(Uniform(), True), (Endpoints(), True), (Alternating(), False),
+                          (Constant(cert.interval.lo), False),
+                          (AdversarialGreedy(prob.eigenvalues), False)]:
+        made.clear()
+        run(prob, cert.interval, policy, 20, cert=cert, seed=5)
+        assert made == ([(5,)] if draws else []), policy.label
+
+
 def test_trial_seed_deterministic_and_spread():
     assert trial_seed(0, 0) == trial_seed(0, 0)
     seeds = {trial_seed(5, i) for i in range(100)}
