@@ -497,7 +497,9 @@ def certify(
         used: tuple[float, ...] = ()
         if found is not None:
             inst, wit = found
-            rho_star, cond_p = inst.rho, cond_spd(wit.p)
+            # A sector witness's P is always _P_ONE, of condition number 1.
+            rho_star = inst.rho
+            cond_p = 1.0 if iqc_kind == SECTOR else cond_spd(wit.p)
             if n_weights:
                 used = tuple(weights or default_weights(iqc_kind, rho_star, n_weights))
         return Certificate(

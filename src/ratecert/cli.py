@@ -4,11 +4,14 @@ number or the interval constant, and validate certificates by simulation.
 Exit codes: 0 success (certified / no violations), 1 usage or I/O error,
 2 no certificate below rate 1, 3 a simulated trajectory violated its bound.
 
-Every flag can be pre-set from a key=value config file (``--config``);
-explicit command-line flags win.  ``--show-config`` prints every default.
-CSV is the authoritative output of the sweep and simulate commands; SVG
-charts are an optional side output that never affects CSV content or exit
-codes.
+``FLAGS`` declares every flag once, with its type, default and help, and
+``COMMANDS`` names the flags each subcommand reads; a subcommand rejects
+any other flag.  Any flag can be pre-set from a key=value config file
+(``--config``), which every subcommand accepts whole and converts with the
+table's types; explicit command-line flags win.  ``--show-config`` prints
+every default.  CSV is the authoritative output of the sweep and simulate
+commands; SVG charts are an optional side output of the sweeps that never
+affects CSV content or exit codes.
 """
 
 from __future__ import annotations
@@ -43,34 +46,46 @@ from .svg import Series, line_chart
 
 CSV_NEWLINE = "\n"
 
-# Factory defaults for every flag, keyed by flag name (no leading dashes).
-DEFAULTS: dict[str, object] = {
-    "rho-tol": 1e-4,
-    "seed": 0,
-    "out": None,
-    "svg": None,
-    "m": 1.0,
-    "L": 10.0,
-    "kappa": None,
-    "c": 1.0,
-    "c1": None,
-    "c2": None,
-    "iqc": "sector",
-    "zf-order": 2,
-    "kappa-min": 1.0,
-    "kappa-max": 100.0,
-    "c-min": 1.0,
-    "c-max": 2.0,
-    "points": 25,
-    "policy": "uniform",
-    "steps": 200,
-    "trials": 100,
+# Every flag, keyed by name (no leading dashes): (type, default, help).  The
+# names are also the config-file keys, converted with the same types.
+FLAGS: dict[str, tuple[type, object, str | None]] = {
+    "rho-tol": (float, 1e-4, "bisection tolerance on the rate"),
+    "out": (str, None, "output path (CSV or JSON record)"),
+    "svg": (str, None, "also write an SVG chart here"),
+    "seed": (int, 0, "master seed for simulations"),
+    "m": (float, 1.0, "strong convexity modulus"),
+    "L": (float, 10.0, "gradient Lipschitz constant"),
+    "kappa": (float, None, "condition number; shorthand for --m 1 --L kappa"),
+    "c": (float, 1.0, "interval constant: steps in [1/(cL), c/L]"),
+    "c1": (float, None, "asymmetric interval: lo = 1/(c1 L)"),
+    "c2": (float, None, "asymmetric interval: hi = c2/L"),
+    "iqc": (str, "sector", "multiplier: sector | wob1 | zf:<k>"),
+    "kappa-min": (float, 1.0, None),
+    "kappa-max": (float, 100.0, None),
+    "c-min": (float, 1.0, None),
+    "c-max": (float, 2.0, None),
+    "points": (int, 25, "swept point count (log-spaced kappa, linear c)"),
+    "policy": (str, "uniform",
+               "uniform | endpoints | alternating | constant:<a> | adversarial"),
+    "steps": (int, 200, None),
+    "trials": (int, 100, None),
 }
 
-_INT_KEYS = {"seed", "zf-order", "points", "steps", "trials"}
-_FLOAT_KEYS = {
-    "rho-tol", "m", "L", "kappa", "c", "c1", "c2",
-    "kappa-min", "kappa-max", "c-min", "c-max",
+_CLASS = ("m", "L", "kappa")
+_INTERVAL = ("c", "c1", "c2")
+# Subcommand -> (help, the flags it reads).  A sweep omits its swept axis and
+# --c1/--c2; only the sweeps chart, and only simulate draws random numbers.
+COMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "certify": ("certify one configuration",
+                ("rho-tol", "out", *_CLASS, *_INTERVAL, "iqc")),
+    "sweep-kappa": ("rate vs condition number at fixed c",
+                    ("rho-tol", "out", "svg", "c", "iqc",
+                     "kappa-min", "kappa-max", "points")),
+    "sweep-c": ("rate vs interval constant at fixed kappa",
+                ("rho-tol", "out", "svg", *_CLASS, "iqc", "c-min", "c-max", "points")),
+    "simulate": ("validate a certificate on sampled trajectories",
+                 ("rho-tol", "out", "seed", *_CLASS, *_INTERVAL, "iqc",
+                  "policy", "steps", "trials")),
 }
 
 
@@ -129,66 +144,22 @@ def parse_sweep_csv(text: str) -> list[SweepRow]:
     return rows
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--rho-tol", type=float, default=None, help="bisection tolerance on the rate")
-    p.add_argument("--out", default=None, help="output path (CSV or JSON record)")
-    p.add_argument("--svg", default=None, help="also write an SVG chart here")
-    p.add_argument("--seed", type=int, default=None, help="master seed for simulations")
-    p.add_argument("--config", default=None, help="key=value file pre-setting any flag")
-
-
-def _add_problem(p: argparse.ArgumentParser, fixed_class: bool = True,
-                 fixed_c: bool = True):
-    """Problem flags; a sweep omits its swept axis and --c1/--c2 (usage errors)."""
-    if fixed_class:
-        p.add_argument("--m", type=float, default=None, help="strong convexity modulus")
-        p.add_argument("--L", type=float, default=None, help="gradient Lipschitz constant")
-        p.add_argument("--kappa", type=float, default=None,
-                       help="condition number; shorthand for --m 1 --L kappa")
-    if fixed_c:
-        p.add_argument("--c", type=float, default=None,
-                       help="interval constant: steps in [1/(cL), c/L]")
-    if fixed_class and fixed_c:
-        p.add_argument("--c1", type=float, default=None,
-                       help="asymmetric interval: lo = 1/(c1 L)")
-        p.add_argument("--c2", type=float, default=None,
-                       help="asymmetric interval: hi = c2/L")
-    p.add_argument("--iqc", default=None,
-                   help="multiplier: sector | wob1 | zf:<k>")
-    p.add_argument("--zf-order", type=int, default=None, help="filter order for --iqc zf")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes the ``COMMANDS`` flags, typed from ``FLAGS``.
+    No flag has an argparse default, so the parsed namespace holds exactly
+    the flags given on the command line."""
     top = _Parser(prog="ratecert", description=__doc__.split("\n\n")[0])
     top.add_argument("--show-config", action="store_true",
                      help="print every default as key=value and exit")
     sub = top.add_subparsers(dest="command")
-
-    p = sub.add_parser("certify", parents=[], help="certify one configuration")
-    _add_common(p)
-    _add_problem(p)
-
-    p = sub.add_parser("sweep-kappa", help="rate vs condition number at fixed c")
-    _add_common(p)
-    _add_problem(p, fixed_class=False)
-    p.add_argument("--kappa-min", type=float, default=None)
-    p.add_argument("--kappa-max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None, help="log-spaced kappa count")
-
-    p = sub.add_parser("sweep-c", help="rate vs interval constant at fixed kappa")
-    _add_common(p)
-    _add_problem(p, fixed_c=False)
-    p.add_argument("--c-min", type=float, default=None)
-    p.add_argument("--c-max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None, help="linearly spaced c count")
-
-    p = sub.add_parser("simulate", help="validate a certificate on sampled trajectories")
-    _add_common(p)
-    _add_problem(p)
-    p.add_argument("--policy", default=None,
-                   help="uniform | endpoints | alternating | constant:<a> | adversarial")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    for command, (help_, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        p.add_argument("--config", default=argparse.SUPPRESS,
+                       help="key=value file pre-setting any flag")
+        for flag in flags:
+            type_, _, flag_help = FLAGS[flag]
+            p.add_argument(f"--{flag}", dest=flag, type=type_,
+                           default=argparse.SUPPRESS, help=flag_help)
     return top
 
 
@@ -198,7 +169,8 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _read_config(path: str) -> dict[str, str]:
+def _read_config(path: str) -> dict[str, object]:
+    """Config values, converted with the flag types."""
     cfg = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -208,58 +180,39 @@ def _read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in DEFAULTS:
+            key, value = key.strip(), value.strip()
+            if key not in FLAGS:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            cfg[key] = value.strip()
+            if not value:
+                continue  # an empty value leaves the default
+            try:
+                cfg[key] = FLAGS[key][0](value)
+            except ValueError as exc:
+                raise UsageError(f"{path}:{lineno}: config key {key}: {exc}") from exc
     return cfg
 
 
-def _convert(key: str, value: str):
-    if value == "":
-        return None
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    return value
-
-
-class Resolved:
-    """Flag values after merging command line > config file > defaults.
+class Resolved(dict):
+    """Flag values: the ``FLAGS`` defaults, overridden by the config file,
+    overridden by the command line.
 
     ``explicit`` records which keys were given on the command line, which
     matters for mutually exclusive flags with non-None defaults (--c vs
     --c1/--c2)."""
 
     def __init__(self, args: argparse.Namespace):
-        cfg = {}
-        if getattr(args, "config", None):
-            cfg = _read_config(args.config)
-        self.explicit: set[str] = set()
-        self._values: dict[str, object] = {}
-        for key, factory in DEFAULTS.items():
-            attr = key.replace("-", "_")
-            cli_val = getattr(args, attr, None)
-            if cli_val is not None:
-                self._values[key] = cli_val
-                self.explicit.add(key)
-            elif key in cfg:
-                try:
-                    self._values[key] = _convert(key, cfg[key])
-                except ValueError as exc:
-                    raise UsageError(f"config key {key}: {exc}") from exc
-            else:
-                self._values[key] = factory
-
-    def __getitem__(self, key: str):
-        return self._values[key]
+        given = vars(args)
+        self.explicit = given.keys() & FLAGS.keys()
+        super().__init__((key, default) for key, (_, default, _) in FLAGS.items())
+        if given.get("config"):
+            self.update(_read_config(given["config"]))
+        self.update((key, given[key]) for key in self.explicit)
 
 
 def _function_class(res: Resolved) -> FunctionClass:
     if res["kappa"] is not None:
-        return FunctionClass(1.0, float(res["kappa"]))
-    return FunctionClass(float(res["m"]), float(res["L"]))
+        return FunctionClass(1.0, res["kappa"])
+    return FunctionClass(res["m"], res["L"])
 
 
 def _interval(res: Resolved, fc: FunctionClass) -> StepSizeInterval:
@@ -269,37 +222,29 @@ def _interval(res: Resolved, fc: FunctionClass) -> StepSizeInterval:
     if c1 is not None:
         if "c" in res.explicit:
             raise UsageError("--c is mutually exclusive with --c1/--c2")
-        return interval_asymmetric(fc, float(c1), float(c2))
-    return interval_from_c(fc, float(res["c"]))
+        return interval_asymmetric(fc, c1, c2)
+    return interval_from_c(fc, res["c"])
 
 
-def _iqc_spec(res: Resolved) -> tuple[str, int]:
-    name = str(res["iqc"])
-    zf_order = int(res["zf-order"])
-    if name.startswith("zf:"):
+def _iqc_spec(name: str) -> dict:
+    """certify's multiplier arguments for an --iqc value."""
+    kind, colon, order = name.partition(":")
+    if kind == ZAMES_FALB:
         try:
-            zf_order = int(name.split(":", 1)[1])
+            zf_order = int(order)
         except ValueError:
-            raise UsageError(f"bad --iqc value {name!r}") from None
-        name = ZAMES_FALB
-    if name not in KINDS:
-        raise UsageError(
-            f"unknown --iqc value {name!r}; expected sector, wob1 or zf:<k>"
-        )
-    if zf_order < 1:
-        raise UsageError(f"zf order must be >= 1, got {zf_order}")
-    return name, zf_order
+            zf_order = 0
+        if zf_order < 1:
+            raise UsageError(f"bad --iqc value {name!r}; expected zf:<k> with k >= 1")
+        return {"iqc_kind": kind, "zf_order": zf_order}
+    if colon or kind not in KINDS:
+        raise UsageError(f"unknown --iqc value {name!r}; expected sector, wob1 or zf:<k>")
+    return {"iqc_kind": kind}
 
 
 def _certify(res: Resolved, fc: FunctionClass, interval: StepSizeInterval) -> Certificate:
-    kind, zf_order = _iqc_spec(res)
-    return certify(
-        fc,
-        interval,
-        iqc_kind=kind,
-        zf_order=zf_order,
-        options=CertifyOptions(rho_tol=float(res["rho-tol"])),
-    )
+    return certify(fc, interval, **_iqc_spec(res["iqc"]),
+                   options=CertifyOptions(rho_tol=res["rho-tol"]))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -330,7 +275,7 @@ def cmd_certify(res: Resolved) -> int:
         "rho_tol": cert.rho_tol,
     }
     if res["out"] is not None:
-        _write_text(str(res["out"]), json.dumps(record, indent=2) + "\n")
+        _write_text(res["out"], json.dumps(record, indent=2) + "\n")
     if not cert.feasible:
         print("no certificate: the rate inequality family is infeasible "
               "for every rho < 1")
@@ -356,11 +301,10 @@ def _sweep_rows(params: list[tuple[float, float]], res: Resolved) -> list[SweepR
 
 
 def cmd_sweep_kappa(res: Resolved) -> int:
-    k_min, k_max = float(res["kappa-min"]), float(res["kappa-max"])
-    points = int(res["points"])
+    k_min, k_max, points = res["kappa-min"], res["kappa-max"], res["points"]
     if not (1.0 <= k_min <= k_max) or points < 1:
         raise UsageError("need 1 <= kappa-min <= kappa-max and points >= 1")
-    c = float(res["c"])
+    c = res["c"]
     if points == 1:
         kappas = [k_min]
     else:
@@ -380,13 +324,12 @@ def cmd_sweep_kappa(res: Resolved) -> int:
             y_label="rho",
             log_x=True,
         )
-        _write_text(str(res["svg"]), chart)
+        _write_text(res["svg"], chart)
     return 0
 
 
 def cmd_sweep_c(res: Resolved) -> int:
-    c_min, c_max = float(res["c-min"]), float(res["c-max"])
-    points = int(res["points"])
+    c_min, c_max, points = res["c-min"], res["c-max"], res["points"]
     if not (1.0 <= c_min <= c_max <= 2.5) or points < 1:
         raise UsageError("need 1 <= c-min <= c-max <= 2.5 and points >= 1")
     fc = _function_class(res)
@@ -404,15 +347,15 @@ def cmd_sweep_c(res: Resolved) -> int:
             x_label="c",
             y_label="rho",
         )
-        _write_text(str(res["svg"]), chart)
+        _write_text(res["svg"], chart)
     return 0
 
 
 def cmd_simulate(res: Resolved) -> int:
     fc = _function_class(res)
     interval = _interval(res, fc)
-    policy_name = str(res["policy"])
-    steps, trials, seed = int(res["steps"]), int(res["trials"]), int(res["seed"])
+    policy_name = res["policy"]
+    steps, trials, seed = res["steps"], res["trials"], res["seed"]
     sample_alpha(policy_from_name(policy_name, spectrum=(fc.m,)), interval, 0,
                  np.random.default_rng(seed))  # validate early (constant in range)
     if steps < 0 or trials < 1:
@@ -476,26 +419,20 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parser().parse_args(argv)
-        if getattr(args, "show_config", False):
-            for key in sorted(DEFAULTS):
-                value = DEFAULTS[key]
-                print(f"{key}={'' if value is None else value}")
+        if args.show_config:
+            for key, (_, default, _) in sorted(FLAGS.items()):
+                print(f"{key}={'' if default is None else default}")
             return 0
         if args.command is None:
-            raise UsageError("a subcommand is required "
-                             "(certify, sweep-kappa, sweep-c, simulate)")
-        res = Resolved(args)
+            raise UsageError(f"a subcommand is required ({', '.join(COMMANDS)})")
         handler = {
             "certify": cmd_certify,
             "sweep-kappa": cmd_sweep_kappa,
             "sweep-c": cmd_sweep_c,
             "simulate": cmd_simulate,
         }[args.command]
-        return handler(res)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, SolverBudgetExceeded) as exc:
+        return handler(Resolved(args))
+    except (UsageError, ValueError, OSError, SolverBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

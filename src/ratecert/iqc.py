@@ -108,20 +108,31 @@ class AugmentedSystem:
         return self.b0 + alpha * self.b1
 
 
-def sector(fc: FunctionClass) -> IqcMultiplier:
-    """Static multiplier encoding m*y <= grad(y) <= L*y in quadratic form;
-    holds pointwise at every step, hence at every discount rate."""
+def _shift_register(fc: FunctionClass, kind: str, h: tuple[float, ...]) -> IqcMultiplier:
+    """The k-tap filter of every kind, k = len(h): its state holds the last
+    k values of u - L*y, and the first output row weights them by h."""
+    k = len(h)
+    by, bu, c = np.zeros(k), np.zeros(k), np.zeros((2, k))
+    by[:1] = -fc.L
+    bu[:1] = 1.0
+    c[0] = h
     return IqcMultiplier(
-        psi_a=np.zeros((0, 0)),
-        psi_by=np.zeros(0),
-        psi_bu=np.zeros(0),
-        psi_c=np.zeros((2, 0)),
+        psi_a=np.eye(k, k, -1),
+        psi_by=by,
+        psi_bu=bu,
+        psi_c=c,
         psi_dy=np.array([fc.L, -fc.m]),
         psi_du=np.array([-1.0, 1.0]),
         mid=_MID,
-        kind=SECTOR,
-        params=(),
+        kind=kind,
+        params=h,
     )
+
+
+def sector(fc: FunctionClass) -> IqcMultiplier:
+    """Static multiplier encoding m*y <= grad(y) <= L*y in quadratic form;
+    holds pointwise at every step, hence at every discount rate."""
+    return _shift_register(fc, SECTOR, ())
 
 
 def weighted_off_by_1(fc: FunctionClass, rho: float, h1: float) -> IqcMultiplier:
@@ -131,18 +142,7 @@ def weighted_off_by_1(fc: FunctionClass, rho: float, h1: float) -> IqcMultiplier
     cap = rho * rho
     if not (0.0 <= h1 <= cap + _WEIGHT_TOL * max(1.0, cap)):
         raise WeightOutOfRange(f"need h1 in [0, rho^2] = [0, {cap}], got {h1}")
-    m, L = fc.m, fc.L
-    return IqcMultiplier(
-        psi_a=np.zeros((1, 1)),
-        psi_by=np.array([-L]),
-        psi_bu=np.array([1.0]),
-        psi_c=np.array([[h1], [0.0]]),
-        psi_dy=np.array([L, -m]),
-        psi_du=np.array([-1.0, 1.0]),
-        mid=_MID,
-        kind=WEIGHTED_OFF_BY_1,
-        params=(float(h1),),
-    )
+    return _shift_register(fc, WEIGHTED_OFF_BY_1, (float(h1),))
 
 
 def zames_falb(fc: FunctionClass, rho: float, h) -> IqcMultiplier:
@@ -153,8 +153,7 @@ def zames_falb(fc: FunctionClass, rho: float, h) -> IqcMultiplier:
     if not 0.0 < rho <= 1.0:
         raise WeightOutOfRange(f"need rho in (0, 1], got {rho}")
     h = tuple(float(x) for x in h)
-    k = len(h)
-    if k < 1:
+    if not h:
         raise WeightOutOfRange("need at least one weight")
     for j, hj in enumerate(h, start=1):
         if not (0.0 <= hj <= 1.0 + _WEIGHT_TOL):
@@ -164,27 +163,7 @@ def zames_falb(fc: FunctionClass, rho: float, h) -> IqcMultiplier:
         raise WeightOutOfRange(
             f"discounted weight sum {discounted} exceeds 1 at rho={rho}"
         )
-    m, L = fc.m, fc.L
-    a = np.zeros((k, k))
-    for i in range(1, k):
-        a[i, i - 1] = 1.0
-    by = np.zeros(k)
-    by[0] = -L
-    bu = np.zeros(k)
-    bu[0] = 1.0
-    c = np.zeros((2, k))
-    c[0, :] = h
-    return IqcMultiplier(
-        psi_a=a,
-        psi_by=by,
-        psi_bu=bu,
-        psi_c=c,
-        psi_dy=np.array([L, -m]),
-        psi_du=np.array([-1.0, 1.0]),
-        mid=_MID,
-        kind=ZAMES_FALB,
-        params=h,
-    )
+    return _shift_register(fc, ZAMES_FALB, h)
 
 
 def default_weights(kind: str, rho: float, k: int) -> tuple[float, ...]:

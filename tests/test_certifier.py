@@ -728,6 +728,19 @@ def test_certify_matches_plain_bisection(kappa, c, kind):
     assert cert.cond_p == cond_spd(wit.p)
 
 
+@pytest.mark.parametrize("kind, calls", [(SECTOR, 0), (WEIGHTED_OFF_BY_1, 1)])
+def test_cond_p_needs_an_eigensolve_only_off_sector(kind, calls):
+    # Every sector witness has P = [[1.0]], so its cond_p is 1.0 without an
+    # eigvalsh; a wob1 P is whatever the ellipsoid stopped at.
+    with mock.patch.object(certifier, "cond_spd", wraps=cond_spd) as spy:
+        cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=kind)
+    assert cert.feasible and spy.call_count == calls
+    if kind == SECTOR:
+        assert cert.cond_p == 1.0 and cert.witness.p.mat.tolist() == [[1.0]]
+    else:
+        assert cert.cond_p == cond_spd(cert.witness.p)
+
+
 def test_zf2_certifies_soundly_before_onset_and_not_past_it():
     # zf at the certify default order 2: (kappa 10, c 1.2) certifies at or
     # above the exact rate; (kappa 10**1.6, c 1.6) is past the onset.

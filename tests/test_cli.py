@@ -239,11 +239,13 @@ def test_trial_spectrum_builds_a_generator_only_to_draw(monkeypatch):
 
 def test_config_file_and_override(tmp_path, capsys):
     cfg = tmp_path / "ratecert.cfg"
-    cfg.write_text("# comment\nrho-tol=1e-3\nzf-order=3\n")
+    cfg.write_text("# comment\nrho-tol=1e-3\niqc=zf:3\n")
     out = tmp_path / "cert.json"
     assert run_cli("certify", "--kappa", "10", "--c", "1.2",
                    "--config", str(cfg), "--out", str(out)) == 0
-    assert json.loads(out.read_text())["rho_tol"] == 1e-3
+    record = json.loads(out.read_text())
+    assert record["rho_tol"] == 1e-3
+    assert (record["iqc"], record["zf_order"]) == ("zf", 3)
     assert run_cli("certify", "--kappa", "10", "--c", "1.2",
                    "--config", str(cfg), "--rho-tol", "1e-2", "--out", str(out)) == 0
     assert json.loads(out.read_text())["rho_tol"] == 1e-2
@@ -252,8 +254,8 @@ def test_config_file_and_override(tmp_path, capsys):
     def resolved(*argv):
         return Resolved(build_parser().parse_args(["certify", "--config", str(cfg), *argv]))
 
-    assert resolved()["zf-order"] == 3
-    assert resolved("--zf-order", "4")["zf-order"] == 4
+    assert resolved()["iqc"] == "zf:3"
+    assert resolved("--iqc", "zf:4")["iqc"] == "zf:4"
 
     # Step sizes are not configurable: `grid` is an unknown key.
     stale = tmp_path / "stale.cfg"
@@ -299,7 +301,8 @@ def test_show_config(capsys):
     assert run_cli("--show-config") == 0
     out = capsys.readouterr().out
     assert not any(ln.startswith("grid=") for ln in out.splitlines())
-    assert "zf-order=2" in out
+    assert not any(ln.startswith("zf-order=") for ln in out.splitlines())
+    assert "points=25" in out
     assert "rho-tol=0.0001" in out
     assert "policy=uniform" in out
     assert "iqc=sector" in out
@@ -327,6 +330,58 @@ def test_usage_errors(capsys, tmp_path):
     for flags in (("--c", "1.2"), ("--c1", "1.2", "--c2", "3.0")):
         assert run_cli("sweep-c", "--kappa", "10", "--points", "2", *flags) == 1, flags
         assert "error" in capsys.readouterr().err
+    # `--iqc zf:<k>` is the only way to set the filter order.
+    assert run_cli("certify", "--kappa", "4", "--zf-order", "3") == 1
+    assert "--zf-order" in capsys.readouterr().err
+    for iqc in ("zf", "zf:0"):
+        assert run_cli("certify", "--kappa", "4", "--iqc", iqc) == 1, iqc
+        err = capsys.readouterr().err
+        assert "zf:<k>" in err and "k >= 1" in err, err
+
+
+# Flags a subcommand does not read; --svg and --seed used to be accepted by
+# every subcommand and then ignored.
+@pytest.mark.parametrize("command, flag, value", [
+    ("certify", "--svg", "x.svg"),
+    ("simulate", "--svg", "x.svg"),
+    ("certify", "--seed", "3"),
+    ("sweep-kappa", "--seed", "3"),
+    ("sweep-c", "--seed", "3"),
+])
+def test_unread_flag_rejected(capsys, command, flag, value):
+    assert run_cli(command, flag, value) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["certify", "sweep-kappa", "sweep-c", "simulate"])
+def test_config_keys_shared_by_every_command(tmp_path, capsys, command):
+    # The --show-config output is a config file with every key; a later line
+    # wins.  Each command accepts it whole and uses only what it reads.
+    assert run_cli("--show-config") == 0
+    svg = tmp_path / "x.svg"
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text(capsys.readouterr().out + f"seed=3\nsvg={svg}\npoints=3\n"
+                   f"trials=3\nsteps=5\nout={tmp_path / 'out'}\n")
+    assert run_cli(command, "--config", str(cfg)) == 0
+    capsys.readouterr()
+    assert (tmp_path / "out").exists()
+    assert svg.exists() == command.startswith("sweep")
+
+
+def test_config_values_take_the_flag_types(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("points=abc\n")
+    assert run_cli("sweep-kappa", "--config", str(bad)) == 1
+    assert "config key points" in capsys.readouterr().err
+
+    cfg = tmp_path / "typed.cfg"
+    cfg.write_text("kappa=\ntrials=\nc=1.5\npoints=7\nseed=3\niqc=wob1\n")
+    res = Resolved(build_parser().parse_args(["simulate", "--config", str(cfg)]))
+    # An empty value leaves the default.
+    assert res["kappa"] is None and res["trials"] == 100
+    assert [(res[key], type(res[key])) for key in ("c", "points", "seed", "iqc")] == [
+        (1.5, float), (7, int), (3, int), ("wob1", str)]
+    assert res.explicit == set()
 
 
 def test_certify_ellipsoid_kinds(capsys):
