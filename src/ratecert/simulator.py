@@ -8,6 +8,11 @@ is compared against the certified envelope
 
     ||xi_k|| <= sqrt(cond(P)) * rho_star^k * ||xi_0||.
 
+Trials of one dimension are simulated together: one array pass per
+dimension group, chunked so that no pass holds more than ``CHUNK_FLOATS``
+floats, and bit-identical to stepping each trial alone.  Where the envelope
+underflows to 0 the comparison is made in log space.
+
 Runs are reproducible across platforms: randomness comes from numpy's PCG64
 generator seeded with the integer recorded in the report.
 """
@@ -25,6 +30,11 @@ from .model import StepSizeInterval
 # A trajectory is flagged only when it beats the bound by more than this
 # relative slack (pure float round-off allowance).
 VIOLATION_SLACK = 1e-9
+
+# Floats the arrays of one chunk of trials may hold: each trial's
+# (steps + 1, dim) trajectory plus three rows of steps + 1 for its step
+# sizes, norms and ratios.  A chunk has at least one trial.
+CHUNK_FLOATS = 1 << 20
 
 
 class UnknownPolicy(ValueError):
@@ -103,21 +113,35 @@ Policy = Uniform | Endpoints | Alternating | Constant | AdversarialGreedy
 @dataclass(frozen=True, eq=False)
 class TrajectoryReport:
     norms: np.ndarray
-    bound: np.ndarray
+    envelope: np.ndarray   # sqrt(cond_p) * rho_star^k, shared by a batch
     violated: bool
     max_ratio: float
     seed: int
     policy: str
 
+    @property
+    def bound(self) -> np.ndarray:
+        """The certified bound on each norm: the envelope scaled by the
+        starting norm."""
+        return self.envelope * self.norms[0]
 
-def step(xi: np.ndarray, alphas: np.ndarray, prob: QuadraticProblem) -> np.ndarray:
+
+def step(xi: np.ndarray, alphas: np.ndarray, prob) -> np.ndarray:
     """All gradient-descent iterates as rows: row 0 is ``xi`` and row k+1 is
-    (1 - alphas[k]*q) * row k.  ``cumprod`` is a left fold, so each row is
+    (1 - alphas[k]*q) * row k.  For a chunk of trials of one dimension
+    group, computed in one array pass, ``prob`` is their (trials, dim)
+    spectra and ``xi``, ``alphas`` and the result gain a leading trial axis.
+    ``cumprod`` is a left fold along the step axis, so each row is
     bit-identical to applying the updates one at a time."""
     if np.any(alphas < 0.0):
         raise ValueError(f"need alpha >= 0, got {alphas[alphas < 0.0][0]}")
-    q = np.asarray(prob.eigenvalues)
-    return np.cumprod(np.vstack([xi[None, :], 1.0 - alphas[:, None] * q]), axis=0)
+    q = np.asarray(prob.eigenvalues) if isinstance(prob, QuadraticProblem) else prob
+    traj = np.empty(alphas.shape[:-1] + (alphas.shape[-1] + 1, q.shape[-1]))
+    traj[..., 0, :] = xi
+    rest = traj[..., 1:, :]
+    np.multiply(alphas[..., :, None], q[..., None, :], out=rest)
+    np.subtract(1.0, rest, out=rest)
+    return np.cumprod(traj, axis=-2, out=traj)
 
 
 def sample_alpha(
@@ -135,7 +159,9 @@ def sample_alpha(
     if isinstance(policy, Endpoints):
         return np.where(rng.integers(0, 2, size=steps), hi, lo)
     if isinstance(policy, Alternating):
-        return np.where(np.arange(steps) % 2, hi, lo)
+        alphas = np.full(steps, lo)
+        alphas[1::2] = hi
+        return alphas
     if isinstance(policy, Constant):
         if not lo <= policy.alpha <= hi:
             raise ValueError(
@@ -143,60 +169,101 @@ def sample_alpha(
             )
         return np.full(steps, policy.alpha)
     if isinstance(policy, AdversarialGreedy):
-        q = np.asarray(policy.spectrum)
-        score_lo = float(np.max(np.abs(1.0 - lo * q)))
-        score_hi = float(np.max(np.abs(1.0 - hi * q)))
+        score_lo = max(abs(1.0 - lo * q) for q in policy.spectrum)
+        score_hi = max(abs(1.0 - hi * q) for q in policy.spectrum)
         return np.full(steps, lo if score_lo > score_hi else hi)
     raise UnknownPolicy(f"unknown policy {policy!r}")
 
 
 def run(
-    prob: QuadraticProblem,
+    prob,
     interval: StepSizeInterval,
-    policy: Policy,
+    policy,
     steps: int,
     xi0=None,
     cert: Certificate = None,
-    seed: int = 0,
-) -> TrajectoryReport:
+    seed=0,
+):
     """Simulate ``steps`` iterations and compare against the certificate.
 
-    ``xi0`` defaults to the all-ones vector.  The trajectory is one array
-    pass, bit-identical to stepping.  Deterministic: identical (seed, policy,
+    Given one ``QuadraticProblem`` this runs one trial and returns its
+    report; ``xi0`` defaults to the all-ones vector.  Given a sequence of
+    problems of one dimension (a dimension group), ``policy`` and ``seed``
+    are sequences with one entry per trial, ``xi0`` is None or one start per
+    trial, and the result is one report per trial, in order; a single trial
+    is the batch of one.  The group runs as one array pass per chunk of
+    trials whose arrays fit in ``CHUNK_FLOATS`` floats, bit-identical to
+    stepping each trial alone.  Deterministic: identical (seed, policy,
     inputs) produce a bit-identical report.  ``violated`` is set when any
     prefix norm exceeds its envelope by more than the round-off slack.
     """
+    if isinstance(prob, QuadraticProblem):
+        return run([prob], interval, [policy], steps,
+                   None if xi0 is None else [xi0], cert, [seed])[0]
     if cert is None or cert.rho_star is None:
         raise CertificateMissing("certificate carries no certified rate")
-    if not prob.within(cert.fc.m, cert.fc.L):
-        raise ValueError(
-            f"problem spectrum {prob.eigenvalues} outside "
-            f"[{cert.fc.m}, {cert.fc.L}]"
-        )
     if steps < 0:
         raise ValueError(f"need steps >= 0, got {steps}")
-    xi = np.ones(prob.dim) if xi0 is None else np.array(xi0, dtype=float)
-    if xi.shape != (prob.dim,):
-        raise ValueError(f"xi0 must have shape ({prob.dim},), got {xi.shape}")
+    probs, policies, seeds = list(prob), list(policy), list(seed)
+    if not probs or not len(probs) == len(policies) == len(seeds):
+        raise ValueError("need a problem, and one policy and one seed per problem")
+    if len({p.dim for p in probs}) > 1:
+        raise ValueError("a batch needs problems of one dimension")
+    q = np.array([p.eigenvalues for p in probs])
+    outside = np.any((q < cert.fc.m) | (q > cert.fc.L), axis=1)
+    if outside.any():
+        raise ValueError(
+            f"problem spectrum {probs[int(np.argmax(outside))].eigenvalues} outside "
+            f"[{cert.fc.m}, {cert.fc.L}]"
+        )
+    trials, dim = q.shape
+    xi = np.ones((trials, dim)) if xi0 is None else np.array(xi0, dtype=float)
+    if xi.shape != (trials, dim):
+        raise ValueError(f"xi0 must have shape ({dim},) per trial, got {xi.shape[1:]}")
 
-    draws = isinstance(policy, (Uniform, Endpoints))
-    rng = np.random.Generator(np.random.PCG64(seed)) if draws else None
-    traj = step(xi, sample_alpha(policy, interval, steps, rng), prob)
-    # Bit-identical to a 1-D np.linalg.norm per row; norm(axis=1) and einsum are not.
-    norms = np.sqrt(np.matmul(traj[:, None, :], traj[:, :, None]))[:, 0, 0]
+    envelope = math.sqrt(cert.cond_p) * cert.rho_star ** np.arange(steps + 1)
+    per_chunk = max(1, CHUNK_FLOATS // ((steps + 1) * (dim + 3)))
+    reports = []
+    for lo in range(0, trials, per_chunk):
+        chunk = slice(lo, lo + per_chunk)
+        reports += _run_chunk(q[chunk], interval, policies[chunk], steps,
+                              xi[chunk], cert, seeds[chunk], envelope)
+    return reports
 
-    factor = math.sqrt(cert.cond_p)
-    powers = cert.rho_star ** np.arange(steps + 1)
-    bound = factor * powers * norms[0]
-    max_ratio = float(np.max(norms / bound)) if norms[0] != 0.0 else 0.0
-    return TrajectoryReport(
-        norms=norms,
-        bound=bound,
-        violated=max_ratio > 1.0 + VIOLATION_SLACK,
-        max_ratio=max_ratio,
-        seed=seed,
-        policy=policy.label,
-    )
+
+def _run_chunk(q, interval, policies, steps, xi, cert, seeds, envelope):
+    """Reports for one chunk of a dimension group, from one array pass."""
+    alphas = np.empty((len(q), steps))
+    for row, policy, seed in zip(alphas, policies, seeds):
+        draws = isinstance(policy, (Uniform, Endpoints))
+        rng = np.random.Generator(np.random.PCG64(seed)) if draws else None
+        row[:] = sample_alpha(policy, interval, steps, rng)
+    traj = step(xi, alphas, q)
+    # Bit-identical to a 1-D np.linalg.norm per row; norm(axis=-1) and einsum are not.
+    norms = np.matmul(traj[..., None, :], traj[..., :, None])[..., 0, 0]
+    np.sqrt(norms, out=norms)
+    del traj, alphas  # free the stack before the ratio arrays are made
+
+    bound = envelope * norms[:, :1]
+    tail = bound == 0.0
+    if tail.any():
+        # The envelope underflowed to 0 (or the start is 0): compare
+        # logarithms there, where a positive norm beats the bound by a
+        # factor the envelope cannot show.
+        ratio = np.divide(norms, bound, out=np.zeros_like(bound), where=~tail)
+        t, k = np.nonzero(tail & (norms > 0.0) & (norms[:, :1] > 0.0))
+        log_bound = (math.log(math.sqrt(cert.cond_p)) + k * math.log(cert.rho_star)
+                     + np.log(norms[t, 0]))
+        with np.errstate(over="ignore"):
+            ratio[t, k] = np.exp(np.log(norms[t, k]) - log_bound)
+    else:
+        ratio = norms / bound
+    # A row with a zero start has a zero bound, hence all-zero ratios.
+    max_ratio = ratio.max(axis=1).tolist()
+    return [
+        TrajectoryReport(n, envelope, r > 1.0 + VIOLATION_SLACK, r, s, p.label)
+        for n, r, s, p in zip(norms, max_ratio, seeds, policies)
+    ]
 
 
 def policy_from_name(name: str, spectrum: tuple[float, ...] | None = None) -> Policy:

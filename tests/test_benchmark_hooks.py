@@ -61,3 +61,28 @@ def test_certificate_attributes_read_by_the_benchmark(c):
     missing = [name for name in CERT_ATTRS if not hasattr(cert, name)]
     assert missing == []
     assert len(cert.grid) == 2
+
+
+def test_simulate_reaches_every_wrapped_simulator_name(tmp_path, capsys, monkeypatch):
+    # The simulator's per-layer metrics (step_us, sample_alpha_frac,
+    # runs_per_op) read the spans of these names; a simulate that stops
+    # calling one blanks them without failing the benchmark.
+    names = [(mod, attr) for mod, attr, layer in _load_tracing().WRAPPED
+             if layer == "simulator"]
+    assert names
+    calls = dict.fromkeys(names, 0)
+    for mod, attr in names:
+        module = importlib.import_module(f"ratecert.{mod}")
+        original = getattr(module, attr)
+
+        def counting(*args, _key=(mod, attr), _original=original, **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counting)
+    cli = importlib.import_module("ratecert.cli")
+    assert cli.main(["simulate", "--kappa", "5", "--c", "1.2", "--trials", "7",
+                     "--steps", "20", "--policy", "uniform",
+                     "--out", str(tmp_path / "sim.csv")]) == 0
+    capsys.readouterr()
+    assert [name for name, count in calls.items() if count == 0] == []

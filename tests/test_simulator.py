@@ -1,5 +1,8 @@
 import functools
+import hashlib
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from ratecert import cli, simulator
 from ratecert.certifier import CertifyOptions, certify
 from ratecert.model import FunctionClass, StepSizeInterval, interval_from_c
 from ratecert.simulator import (
@@ -271,3 +275,166 @@ def test_trial_seed_deterministic_and_spread():
     assert trial_seed(0, 0) == trial_seed(0, 0)
     seeds = {trial_seed(5, i) for i in range(100)}
     assert len(seeds) == 100
+
+
+def _group_batches(cert, policy_kind, trials, seed, frac):
+    """The trials of one simulate command, as ``cmd_simulate`` groups them:
+    trial i has dimension 1 + i % 5 and its own spectrum, start and seed."""
+    fc, iv = cert.fc, cert.interval
+    draw = np.random.default_rng(seed)
+    groups = {}
+    for i in range(trials):
+        dim = 1 + i % 5
+        spectrum = tuple(map(float, draw.uniform(fc.m, fc.L, size=dim)))
+        policy = {
+            "uniform": Uniform(),
+            "endpoints": Endpoints(),
+            "alternating": Alternating(),
+            "constant": Constant(min(iv.hi, iv.lo + frac * (iv.hi - iv.lo))),
+            "adversarial": AdversarialGreedy(spectrum),
+        }[policy_kind]
+        xi0 = np.zeros(dim) if i == 3 else draw.normal(size=dim)
+        groups.setdefault(dim, []).append(
+            (QuadraticProblem(spectrum), policy, xi0, trial_seed(seed, i)))
+    return groups
+
+
+@pytest.mark.parametrize("chunk_floats", [simulator.CHUNK_FLOATS, 1, 4000],
+                         ids=["default", "one-trial-chunks", "small-chunks"])
+@settings(max_examples=25, deadline=None)
+@given(
+    point=st.sampled_from([(2.0, 1.0), (10.0, 1.4), (50.0, 1.1)]),
+    policy_kind=st.sampled_from(["uniform", "endpoints", "alternating", "constant",
+                                 "adversarial"]),
+    trials=st.integers(1, 23).filter(lambda n: n % 5 != 0),
+    steps=st.sampled_from([0, 1, 2, 200]),
+    seed=st.integers(0, 2**63 - 1),
+    frac=st.floats(0.0, 1.0),
+)
+def test_batched_run_matches_single_runs_and_reference_loop(
+        chunk_floats, point, policy_kind, trials, steps, seed, frac):
+    # One array pass per chunk of a dimension group must reproduce each
+    # trial run alone and stepped one step at a time, bit for bit, wherever
+    # the chunk boundaries fall inside the group.
+    cert = _sector_cert(*point)
+    iv = cert.interval
+    groups = _group_batches(cert, policy_kind, trials, seed, frac)
+    with mock.patch.object(simulator, "CHUNK_FLOATS", chunk_floats):
+        for dim, batch in groups.items():
+            probs, policies, xi0s, seeds = map(list, zip(*batch))
+            reports = run(probs, iv, policies, steps, xi0s, cert, seeds)
+            assert len(reports) == len(batch)
+            for rep, (prob, policy, xi0, trial) in zip(reports, batch):
+                alone = run(prob, iv, policy, steps, xi0, cert, seed=trial)
+                norms, bound, max_ratio, violated = _reference_run(
+                    prob, iv, policy, steps, xi0, cert, trial)
+                for other in (alone.norms, norms):
+                    assert np.array_equal(rep.norms, other), (dim, trial)
+                for other in (alone.bound, bound):
+                    assert np.array_equal(rep.bound, other), (dim, trial)
+                assert rep.max_ratio == alone.max_ratio == max_ratio
+                assert rep.violated == alone.violated == violated
+                assert rep.seed == trial and rep.policy == policy.label
+
+
+def test_batched_run_rejects_mixed_or_mismatched_batches():
+    cert = _cert()
+    iv = cert.interval
+    one, two = QuadraticProblem((1.0,)), QuadraticProblem((1.0, 10.0))
+    with pytest.raises(ValueError, match="one dimension"):
+        run([one, two], iv, [Uniform()] * 2, 5, None, cert, [0, 1])
+    with pytest.raises(ValueError, match="one policy and one seed"):
+        run([one, one], iv, [Uniform()], 5, None, cert, [0, 1])
+    with pytest.raises(ValueError, match="outside"):
+        run([one, QuadraticProblem((0.5,))], iv, [Uniform()] * 2, 5, None, cert, [0, 1])
+
+
+# sha256 over the norms of all 20 trials, in trial order, of
+# `simulate --kappa 10 --c 1.4 --seed 7 --trials 20 --steps 50` per policy,
+# recorded from the per-trial loop before trials were batched.  Unlike the
+# CSV pin, these see every iterate of every trajectory.
+NORMS_SHA256 = {
+    "uniform": "a72f5d6edc127235cfe28f9c767f0a70ac1cf66a67130d43ac6d29deba2bf2de",
+    "endpoints": "b5e95e6486f45bd0404a799e8f41ddf82a5538965481895a4dd41d6a6a001642",
+    "alternating": "e98afdaba68893bb17fd79aeb9b4f111c0bed3bc82e5fb54a0afcf58ba2c78a3",
+    "constant:0.1": "a47b8d8acffb0bef6de9631c658712a3000178ba94725d8b5ff30de4295a891e",
+    "adversarial": "b25ebcf986b3ab425bd20bb2e2043c811f4ef477920c512b88d8af239b7ff705",
+}
+
+
+@pytest.mark.parametrize("policy", sorted(NORMS_SHA256))
+def test_simulate_norms_pinned(tmp_path, capsys, monkeypatch, policy):
+    reports, batch_run = [], cli.run
+
+    def recording_run(*args):
+        got = batch_run(*args)
+        reports.extend(got)
+        return got
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    assert cli.main(["simulate", "--kappa", "10", "--c", "1.4", "--seed", "7",
+                     "--trials", "20", "--steps", "50", "--policy", policy,
+                     "--out", str(tmp_path / "sim.csv")]) == 0
+    capsys.readouterr()
+    index = {trial_seed(7, i): i for i in range(20)}
+    reports.sort(key=lambda rep: index[rep.seed])
+    assert len(reports) == 20
+    digest = hashlib.sha256()
+    for rep in reports:
+        digest.update(rep.norms.tobytes())
+    assert digest.hexdigest() == NORMS_SHA256[policy]
+
+
+@pytest.mark.parametrize("kappa,c,steps,policy", [
+    ("2", "1.1", "2000", "alternating"),
+    ("10", "1.4", "20000", "uniform"),
+])
+def test_simulate_ratio_finite_after_envelope_underflows(tmp_path, capsys,
+                                                        kappa, c, steps, policy):
+    # rho_star^k underflows to 0 long before the last step; the trajectory
+    # has underflowed too, so no step beats its bound.
+    out = tmp_path / "sim.csv"
+    assert cli.main(["simulate", "--kappa", kappa, "--c", c, "--steps", steps,
+                     "--trials", "3", "--policy", policy, "--out", str(out)]) == 0
+    assert "violations: no" in capsys.readouterr().out
+    for line in out.read_text().splitlines()[1:]:
+        _, _, ratio, violated = line.split(",")
+        assert math.isfinite(float(ratio)) and float(ratio) <= 1.0 + VIOLATION_SLACK
+        assert violated == "false"
+
+
+def test_violation_in_the_underflow_tail_is_flagged(monkeypatch):
+    # A trajectory that stays inside its bound until the envelope underflows
+    # and is nonzero at the last step, where the bound reads 0.
+    cert = _sector_cert(2.0, 1.1)
+    prob = QuadraticProblem((1.0, 2.0))
+    steps = 2000
+    assert math.sqrt(cert.cond_p) * cert.rho_star ** steps == 0.0
+    clean = run(prob, cert.interval, Alternating(), steps, None, cert)
+    assert not clean.violated
+
+    real_step = simulator.step
+
+    def planted(xi, alphas, q):
+        traj = real_step(xi, alphas, q)
+        traj[..., -1, :] = 1e-100
+        return traj
+
+    monkeypatch.setattr(simulator, "step", planted)
+    rep = run(prob, cert.interval, Alternating(), steps, None, cert)
+    assert rep.bound[-1] == 0.0 and rep.norms[-1] > 0.0
+    assert rep.violated and rep.max_ratio > 1.0
+
+
+def test_simulate_memory_stays_within_the_chunk_budget(tmp_path, capsys):
+    # 2000 trials of 2000 steps: one unchunked group of dimension 5 alone
+    # would be a 400 x 2001 x 5 trajectory, 32 MB.
+    tracemalloc.start()
+    try:
+        assert cli.main(["simulate", "--kappa", "10", "--c", "1.4", "--trials", "2000",
+                         "--steps", "2000", "--out", str(tmp_path / "sim.csv")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 2 * simulator.CHUNK_FLOATS * 8
