@@ -26,7 +26,10 @@ the plant state.  Two backends decide feasibility:
 * augmented state dimension 1 (static multiplier): P is the scalar 1, and
   the admissible lambda set at each endpoint is an interval computed in
   closed form from the 2x2 block's diagonal and determinant conditions; the
-  family is feasible iff the intervals intersect.
+  family is feasible iff the intervals intersect (``sector_lambda``).
+  ``certify`` decides its sector probes with that function alone, in plain
+  floats; only replay (``Certificate.slack``, ``verify_certificate``)
+  builds the numpy instance.
 * augmented state dimension >= 2: a deep-cut ellipsoid method over the
   decision vector (free entries of P, lambda) with cutting planes from the
   most-positive eigenvector of a violated block.
@@ -42,7 +45,7 @@ tight certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -182,6 +185,14 @@ def default_eps_feas(quad: SymMatrix) -> float:
     return 1e-9 * (1.0 + float(np.abs(quad.mat).max()))
 
 
+def _sector_eps_feas(kappa: float) -> float:
+    """``default_eps_feas`` of the reduced sector instance, without building
+    it: its Qf is [[-2k, k+1], [k+1, -2]] for k = L/m >= 1, so the largest
+    entry is 2k.  Past k ~ 9e307 it is inf, silently, where the numpy Qf
+    overflows."""
+    return 1e-9 * (1.0 + 2.0 * kappa)
+
+
 def assemble_lmi_block(
     aug: AugmentedSystem,
     quad: SymMatrix,
@@ -273,17 +284,21 @@ def lambda_interval_sector(
 _P_ONE = SymMatrix([[1.0]])
 
 
-def _sector_backend(inst: LmiInstance, eps: float) -> Witness | None:
+def sector_lambda(
+    rho: float, alphas: tuple[float, ...], fc: FunctionClass, eps: float
+) -> float | None:
+    """The sector family's lambda (P = 1) at ``rho`` over the step sizes
+    ``alphas``, or None when their admissible intervals do not meet: the
+    midpoint of the intersection, or one past its lower end if unbounded."""
     lo, hi = -math.inf, math.inf
-    for alpha in inst.interval.endpoints:
-        iv = lambda_interval_sector(inst.rho, alpha, inst.fc, eps)
+    for alpha in alphas:
+        iv = lambda_interval_sector(rho, alpha, fc, eps)
         if iv is None:
             return None
         lo, hi = max(lo, iv[0]), min(hi, iv[1])
     if lo > hi:
         return None
-    lam = lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
-    return Witness(p=_P_ONE, lam=lam)
+    return lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
 
 
 def _family_slack(inst: LmiInstance, p: SymMatrix, lam: float) -> float:
@@ -370,7 +385,8 @@ def feasible_at_rho(inst: LmiInstance, opts: CertifyOptions | None = None) -> Wi
     opts = opts or CertifyOptions()
     eps = opts.eps_feas if opts.eps_feas is not None else default_eps_feas(inst.quad)
     if inst.aug.state_dim == 1:
-        return _sector_backend(inst, eps)
+        lam = sector_lambda(inst.rho, inst.interval.endpoints, inst.fc, eps)
+        return None if lam is None else Witness(p=_P_ONE, lam=lam)
     return _matrix_backend(inst, eps, opts)
 
 
@@ -433,17 +449,18 @@ def certify(
 ) -> Certificate:
     """Bisect on rho for the smallest certifiable rate over the interval.
 
-    The sector instance does not depend on rho, so it is built once per
-    call; each probe only swaps in its rho.  The dynamic multipliers are
-    re-instantiated at every trial rho because admissible weights depend on
-    rho (pass ``weights``, one per filter tap, to pin them instead; trial
-    rates at which pinned weights are inadmissible count as infeasible).
-    Weights of any other length, or any for sector, raise InvalidInput.
-    The returned rate is the upper end of the final bracket, so it is always
-    backed by a stored witness; ``rho_star`` is None when even the top of the
-    bracket is infeasible.  Trial rates below the exact worst-case rate
-    ``r_exact = max(closed_form_rate(lo), closed_form_rate(hi))`` are
-    infeasible without a solve.
+    Sector probes never build the numpy instance: P is 1, the reduced class
+    and interval and the default tolerance are plain floats computed once
+    per call, and each probe is ``sector_lambda`` at its rho.  The dynamic
+    multipliers are re-instantiated at every trial rho because admissible
+    weights depend on rho (pass ``weights``, one per filter tap, to pin them
+    instead; trial rates at which pinned weights are inadmissible count as
+    infeasible).  Weights of any other length, or any for sector, raise
+    InvalidInput.  The returned rate is the upper end of the final bracket,
+    so it is always backed by a stored witness; ``rho_star`` is None when
+    even the top of the bracket is infeasible.  Trial rates below the exact
+    worst-case rate ``r_exact = max(closed_form_rate(lo),
+    closed_form_rate(hi))`` are infeasible without a solve.
 
     After the probes at both ends, a float-only walk finds the rate g where
     the bisection would end if every trial rate at or above r_exact were
@@ -469,37 +486,39 @@ def certify(
     r_exact = max(closed_form_rate(interval.lo, fc), closed_form_rate(interval.hi, fc))
     floor = r_exact
 
-    base, solve_opts = None, opts
     if iqc_kind == SECTOR:
-        # Any rho > 0 builds it; each probe swaps in its own rho.
-        base = _instance(fc, interval, SECTOR, RHO_HI, zf_order, weights)
-        if opts.eps_feas is None:
-            solve_opts = replace(opts, eps_feas=default_eps_feas(base.quad))
+        # The reduced units of _instance, in floats.
+        fc_n = FunctionClass(1.0, fc.L / fc.m)
+        alphas = StepSizeInterval(interval.lo * fc.m, interval.hi * fc.m).endpoints
+        eps = opts.eps_feas if opts.eps_feas is not None else _sector_eps_feas(fc_n.L)
 
-    def probe(rho: float) -> tuple[LmiInstance, Witness] | None:
+    # A found rate is (rho, lambda) for sector, (rho, Witness) otherwise.
+    def probe(rho: float) -> tuple[float, float | Witness] | None:
         nonlocal evals
         evals += 1
         return None if rho < floor else solve(rho)
 
-    def solve(rho: float) -> tuple[LmiInstance, Witness] | None:
-        if base is not None:
-            inst = LmiInstance(rho, base.interval, base.aug, base.quad, base.fc)
+    def solve(rho: float) -> tuple[float, float | Witness] | None:
+        if iqc_kind == SECTOR:
+            verdict = sector_lambda(rho, alphas, fc_n, eps)
         else:
             try:
                 inst = _instance(fc, interval, iqc_kind, rho, zf_order, weights)
             except WeightOutOfRange:
                 return None
-        wit = feasible_at_rho(inst, solve_opts)
-        return None if wit is None else (inst, wit)
+            verdict = feasible_at_rho(inst, opts)
+        return None if verdict is None else (rho, verdict)
 
-    def finish(found: tuple[LmiInstance, Witness] | None) -> Certificate:
+    def finish(found: tuple[float, float | Witness] | None) -> Certificate:
         rho_star = wit = cond_p = None
         used: tuple[float, ...] = ()
         if found is not None:
-            inst, wit = found
-            # A sector witness's P is always _P_ONE, of condition number 1.
-            rho_star = inst.rho
-            cond_p = 1.0 if iqc_kind == SECTOR else cond_spd(wit.p)
+            rho_star, verdict = found
+            if iqc_kind == SECTOR:
+                # P is _P_ONE, of condition number 1.
+                wit, cond_p = Witness(p=_P_ONE, lam=verdict), 1.0
+            else:
+                wit, cond_p = verdict, cond_spd(verdict.p)
             if n_weights:
                 used = tuple(weights or default_weights(iqc_kind, rho_star, n_weights))
         return Certificate(

@@ -37,6 +37,7 @@ from .model import (
 )
 from .simulator import (
     QuadraticProblem,
+    chunk_trials,
     policy_from_name,
     run,
     sample_alpha,
@@ -366,18 +367,24 @@ def cmd_simulate(res: Resolved) -> int:
         print("no certificate to validate (rate inequality family infeasible)")
         return 2
 
-    # Trial i has dimension 1 + i % 5; each dimension's trials run as one batch.
+    # Trial i has dimension 1 + i % 5.  Each dimension's trials run one
+    # array pass per chunk, one chunk per call, so only one chunk's reports
+    # (and their norms) are alive at a time, however many trials there are.
     rows = [""] * trials
     any_violated = False
     for dim in range(1, min(trials, 5) + 1):
-        indices = range(dim - 1, trials, 5)
-        probs = [QuadraticProblem(_trial_spectrum(fc, dim, seed, i)) for i in indices]
-        policies = [policy_from_name(policy_name, spectrum=p.eigenvalues) for p in probs]
-        seeds = [trial_seed(seed, i) for i in indices]
-        for i, report in zip(indices, run(probs, interval, policies, steps, None, cert, seeds)):
-            any_violated = any_violated or report.violated
-            rows[i] = (f"{i},{report.seed},{_fmt(report.max_ratio)},"
-                       f"{'true' if report.violated else 'false'}" + CSV_NEWLINE)
+        group = range(dim - 1, trials, 5)
+        per_chunk = chunk_trials(steps, dim)
+        for lo in range(0, len(group), per_chunk):
+            indices = group[lo:lo + per_chunk]
+            probs = [QuadraticProblem(_trial_spectrum(fc, dim, seed, i)) for i in indices]
+            policies = [policy_from_name(policy_name, spectrum=p.eigenvalues) for p in probs]
+            seeds = [trial_seed(seed, i) for i in indices]
+            for i, report in zip(indices, run(probs, interval, policies, steps, None,
+                                              cert, seeds)):
+                any_violated = any_violated or report.violated
+                rows[i] = (f"{i},{report.seed},{_fmt(report.max_ratio)},"
+                           f"{'true' if report.violated else 'false'}" + CSV_NEWLINE)
     out = StringIO()
     out.write("trial,seed,max_ratio,violated" + CSV_NEWLINE)
     out.writelines(rows)

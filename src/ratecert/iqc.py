@@ -15,7 +15,8 @@ here, so that z^T M z encodes the constraint the gradient satisfies.
 
 Because admissible weights depend on the candidate rate rho, the dynamic
 multipliers are re-instantiated per rho by the certifier; the sector
-multiplier is rho-independent and built once per certification.  Every call
+multiplier is rho-independent, and the certifier builds it only to replay a
+certificate (its probes are closed-form).  Every call
 returns fresh filter arrays, so no caller can alter another's multiplier; the
 middle matrix, read-only, is one shared instance.
 """

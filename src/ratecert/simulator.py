@@ -222,13 +222,19 @@ def run(
         raise ValueError(f"xi0 must have shape ({dim},) per trial, got {xi.shape[1:]}")
 
     envelope = math.sqrt(cert.cond_p) * cert.rho_star ** np.arange(steps + 1)
-    per_chunk = max(1, CHUNK_FLOATS // ((steps + 1) * (dim + 3)))
+    per_chunk = chunk_trials(steps, dim)
     reports = []
     for lo in range(0, trials, per_chunk):
         chunk = slice(lo, lo + per_chunk)
         reports += _run_chunk(q[chunk], interval, policies[chunk], steps,
                               xi[chunk], cert, seeds[chunk], envelope)
     return reports
+
+
+def chunk_trials(steps: int, dim: int) -> int:
+    """Trials of one dimension group that one array pass of ``steps`` steps
+    holds within ``CHUNK_FLOATS`` floats (at least one)."""
+    return max(1, CHUNK_FLOATS // ((steps + 1) * (dim + 3)))
 
 
 def _run_chunk(q, interval, policies, steps, xi, cert, seeds, envelope):

@@ -19,12 +19,14 @@ from ratecert.certifier import (
     _family_slack,
     _instance,
     _matrix_backend,
+    _sector_eps_feas,
     assemble_lmi_block,
     certify,
     closed_form_rate,
     default_eps_feas,
     feasible_at_rho,
     lambda_interval_sector,
+    sector_lambda,
     verify_certificate,
 )
 from ratecert.ellipsoid import SolverBudgetExceeded
@@ -32,7 +34,9 @@ from ratecert.iqc import SECTOR, WEIGHTED_OFF_BY_1, ZAMES_FALB, WeightOutOfRange
 from ratecert.linalg import SymMatrix, cond_spd
 from ratecert.model import (
     FunctionClass,
+    InvalidC,
     StepSizeInterval,
+    interval_asymmetric,
     interval_from_c,
 )
 
@@ -43,16 +47,28 @@ def _exact_rate(fc, interval):
     return max(closed_form_rate(interval.lo, fc), closed_form_rate(interval.hi, fc))
 
 
-@pytest.fixture
-def solver_calls(monkeypatch):
-    """Record the rho of every instance ``certify`` hands to the solver."""
-    seen = []
+def _spy_solvers(mp, on_call):
+    """Call ``on_call(rho)`` before every probe ``certify`` solves: a sector
+    probe is one ``sector_lambda`` call, any other one ``feasible_at_rho``
+    call.  ``on_call`` may raise in place of the solver."""
 
-    def recorder(inst, opts=None):
-        seen.append(inst.rho)
+    def sector(rho, *args):
+        on_call(rho)
+        return sector_lambda(rho, *args)
+
+    def matrix(inst, opts=None):
+        on_call(inst.rho)
         return feasible_at_rho(inst, opts)
 
-    monkeypatch.setattr(certifier, "feasible_at_rho", recorder)
+    mp.setattr(certifier, "sector_lambda", sector)
+    mp.setattr(certifier, "feasible_at_rho", matrix)
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Record the rho of every probe ``certify`` hands to a solver."""
+    seen = []
+    _spy_solvers(monkeypatch, seen.append)
     return seen
 
 
@@ -283,13 +299,12 @@ def test_rho_tol_below_float_spacing_terminates(monkeypatch):
     # Once lo and hi are adjacent floats the midpoint equals one of them;
     # the bisection, and the float-only walk that picks the speculative
     # rate, must stop there rather than probe the same rate forever.
-    solve, rates = certifier.feasible_at_rho, []
+    rates = []
 
-    def counting(inst, opts=None):
-        rates.append(inst.rho)
+    def counting(rho):
+        rates.append(rho)
         if len(rates) > 200:
             raise AssertionError("the bisection does not terminate")
-        return solve(inst, opts)
 
     interval = interval_from_c(FC10, 1.2)
     # wob1 finds no witness within 1e-5 of rate 1 here, so a top of
@@ -299,7 +314,7 @@ def test_rho_tol_below_float_spacing_terminates(monkeypatch):
         rates.clear()
         with monkeypatch.context() as mp, _time_limit(20.0):
             mp.setattr(certifier, "RHO_HI", top)
-            mp.setattr(certifier, "feasible_at_rho", counting)
+            _spy_solvers(mp, counting)
             cert = certify(FC10, interval, iqc_kind=kind,
                            options=CertifyOptions(rho_tol=1e-300))
         assert cert.feasible and verify_certificate(cert), kind
@@ -359,19 +374,20 @@ def _count_calls(monkeypatch, name):
 
 
 def test_sector_hot_path_builds_once(monkeypatch, solver_calls):
-    # The sector instance does not depend on rho: it is built once per call,
-    # and every probe still goes to the solver.  certify computes no slack:
-    # the first read of ``cert.slack`` computes it once, later reads reuse it.
+    # Sector probes are plain-float closed forms: certify builds no numpy
+    # instance and computes no slack.  The first read of ``cert.slack``
+    # rebuilds the instance once and computes the slack; later reads reuse it.
     augments = _count_calls(monkeypatch, "augment")
     slacks = _count_calls(monkeypatch, "_family_slack")
     cert = certify(FC10, interval_from_c(FC10, 1.2))
     assert cert.rho_star == 0.921312225341797
-    assert len(augments) == 1
+    assert augments == []
     assert slacks == []
     # Ten along the bisection's path plus the speculative solve at the end
     # the exact rate predicts, which is infeasible for sector here.
     assert len(solver_calls) == 11
     assert cert.slack <= 0.0
+    assert len(augments) == 1
     assert len(slacks) == 1
     assert cert.slack <= 0.0
     assert len(slacks) == 1
@@ -422,17 +438,16 @@ def test_budget_error_at_speculative_rate_is_not_a_verdict(monkeypatch):
     # At (10, 1.2) the plain bisection never solves sector at the rate the
     # exact rate predicts (the second solve).  A budget error there must not
     # end the search, nor count as infeasible: the result is unchanged.
-    solve, rates = certifier.feasible_at_rho, []
+    rates = []
 
-    def out_of_budget_once(inst, opts=None):
-        rates.append(inst.rho)
+    def out_of_budget_once(rho):
+        rates.append(rho)
         if len(rates) == 2:
             raise SolverBudgetExceeded("budget")
-        return solve(inst, opts)
 
     interval = interval_from_c(FC10, 1.2)
     expected = certify(FC10, interval)
-    monkeypatch.setattr(certifier, "feasible_at_rho", out_of_budget_once)
+    _spy_solvers(monkeypatch, out_of_budget_once)
     cert = certify(FC10, interval)
     assert (cert.rho_star, cert.bisection_iters) == (expected.rho_star, 16)
     assert cert.witness.lam == expected.witness.lam
@@ -714,10 +729,12 @@ def test_certify_matches_plain_bisection(kappa, c, kind):
     interval = interval_from_c(fc, c)
     opts = CertifyOptions()
     found, trials, solves = _plain_bisection(fc, interval, kind, opts)
-    with mock.patch.object(certifier, "feasible_at_rho", wraps=feasible_at_rho) as spy:
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        _spy_solvers(mp, calls.append)
         cert = certify(fc, interval, iqc_kind=kind, options=opts)
     assert cert.bisection_iters == trials
-    assert spy.call_count <= solves + 1
+    assert len(calls) <= solves + 1
     if found is None:
         assert cert.rho_star is None
         return
@@ -726,6 +743,56 @@ def test_certify_matches_plain_bisection(kappa, c, kind):
     assert cert.witness.lam == wit.lam
     assert cert.witness.p.mat.tobytes() == wit.p.mat.tobytes()
     assert cert.cond_p == cond_spd(wit.p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    log_m=st.floats(-3.0, 3.0),
+    log_kappa=st.floats(0.0, 6.0),
+    c=st.floats(1.0, 2.2),
+    c1=st.none() | st.floats(0.5, 3.0),
+    rho_tol=st.sampled_from([1e-3, 1e-4, 1e-6, 1e-8]),
+)
+@example(log_m=0.0, log_kappa=0.0, c=1.0, c1=None, rho_tol=1e-4)  # L == m
+@example(log_m=0.5, log_kappa=1.0, c=0.5, c1=2.0, rho_tol=1e-8)  # c1*c2 == 1
+@example(log_m=-3.0, log_kappa=6.0, c=1.5, c1=None, rho_tol=1e-6)
+def test_sector_certify_matches_the_numpy_instance_bisection(log_m, log_kappa, c, c1,
+                                                             rho_tol):
+    # Sector certify works in plain floats; the reference bisection solves
+    # every rate at or above the exact rate with feasible_at_rho on the full
+    # numpy instance and default_eps_feas.  Given c1, c is used as c2; an
+    # interval with c1 * c2 == 1 is degenerate.
+    m = 10.0 ** log_m
+    fc = FunctionClass(m, m * 10.0 ** log_kappa)
+    if c1 is None:
+        interval = interval_from_c(fc, c)
+    else:
+        try:
+            interval = interval_asymmetric(fc, c1, c)
+        except InvalidC:
+            assume(False)
+    opts = CertifyOptions(rho_tol=rho_tol)
+    found, trials, _ = _plain_bisection(fc, interval, SECTOR, opts)
+    cert = certify(fc, interval, options=opts)
+    assert cert.bisection_iters == trials
+    assert cert.feasible == (found is not None)
+    if found is None:
+        assert cert.rho_star is None and cert.witness is None and cert.cond_p is None
+        return
+    rho, wit = found
+    assert cert.rho_star == rho
+    assert cert.witness.lam == wit.lam
+    assert cert.cond_p == cond_spd(wit.p) == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_m=st.floats(-100.0, 100.0), log_kappa=st.floats(0.0, 200.0))
+@example(log_m=0.0, log_kappa=0.0)
+def test_sector_eps_feas_is_default_eps_feas_bit_for_bit(log_m, log_kappa):
+    m = 10.0 ** log_m
+    fc = FunctionClass(m, m * 10.0 ** log_kappa)
+    inst = _sector_instance(fc, interval_from_c(fc, 1.0), 0.5)
+    assert _sector_eps_feas(fc.L / fc.m) == default_eps_feas(inst.quad)
 
 
 @pytest.mark.parametrize("kind, calls", [(SECTOR, 0), (WEIGHTED_OFF_BY_1, 1)])

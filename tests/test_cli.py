@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -391,6 +392,30 @@ def test_certify_ellipsoid_kinds(capsys):
     capsys.readouterr()
     assert run_cli("certify", "--kappa", "4", "--iqc", "zf:x") == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("iqc", ["sector", "wob1", "zf:2"])
+def test_certify_at_the_largest_kappa_has_no_certificate(capsys, iqc):
+    # At kappa 1e308 the exact rate rounds to 1, so no rate is solved, for
+    # every kind.  The sector tolerance 1e-9 * (1 + 2 kappa) is inf there:
+    # it must come from floats, not from a numpy Qf, whose entries overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("certify", "--kappa", "1e308", "--c", "1.2", "--iqc", iqc) == 2
+    out, err = capsys.readouterr()
+    assert "no certificate" in out and err == ""
+
+
+def test_sweep_kappa_up_to_the_largest_kappa(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("sweep-kappa", "--kappa-max", "1e308", "--out", str(out),
+                       "--svg", str(tmp_path / "sweep.svg")) == 0
+    assert capsys.readouterr().err == ""
+    rows = parse_sweep_csv(out.read_text())
+    assert len(rows) == 25 and rows[-1].kappa == 1e308
+    assert rows[0].feasible and not rows[-1].feasible
 
 
 # sha256 of the bytes each command writes with --out.  The sector rows and

@@ -428,13 +428,15 @@ def test_violation_in_the_underflow_tail_is_flagged(monkeypatch):
 
 def test_simulate_memory_stays_within_the_chunk_budget(tmp_path, capsys):
     # 2000 trials of 2000 steps: one unchunked group of dimension 5 alone
-    # would be a 400 x 2001 x 5 trajectory, 32 MB.
-    tracemalloc.start()
-    try:
-        assert cli.main(["simulate", "--kappa", "10", "--c", "1.4", "--trials", "2000",
-                         "--steps", "2000", "--out", str(tmp_path / "sim.csv")]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    capsys.readouterr()
-    assert peak < 2 * simulator.CHUNK_FLOATS * 8
+    # would be a 400 x 2001 x 5 trajectory, 32 MB.  Twice the trials must
+    # fit the same budget: only one chunk's norms may be alive at a time.
+    for trials in ("2000", "4000"):
+        tracemalloc.start()
+        try:
+            assert cli.main(["simulate", "--kappa", "10", "--c", "1.4", "--trials", trials,
+                             "--steps", "2000", "--out", str(tmp_path / "sim.csv")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 2 * simulator.CHUNK_FLOATS * 8, trials
