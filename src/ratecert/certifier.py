@@ -90,11 +90,12 @@ class CertifyOptions:
     """Numerical knobs for feasibility tests and the rate bisection.
 
     ``rho_tol`` is the width of the final bracket, in (0, RHO_HI - RHO_LO].
-    ``eps_feas = None`` selects the data-scaled default
-    1e-9 * (1 + max |Qf entries|).  ``max_iters`` caps the ellipsoid's
-    iterations (None: its own default).  A ``rho_tol`` outside its range
-    (NaN included), a negative or non-finite ``eps_feas``, or a
-    ``delta_pd`` that is not finite and positive raises InvalidInput.
+    ``eps_feas = None`` selects the data-scaled default 1e-9 * (1 + 2L/m),
+    which is 1e-9 * (1 + max |Qf entries|) of the reduced instance.
+    ``max_iters`` caps the ellipsoid's iterations (None: its own default).
+    A ``rho_tol`` outside its range (NaN included), a negative or
+    non-finite ``eps_feas``, or a ``delta_pd`` that is not finite and
+    positive raises InvalidInput.
     """
 
     rho_tol: float = 1e-4
@@ -181,15 +182,12 @@ def closed_form_rate(alpha: float, fc: FunctionClass) -> float:
     return max(abs(1.0 - alpha * fc.m), abs(1.0 - alpha * fc.L))
 
 
-def default_eps_feas(quad: SymMatrix) -> float:
-    return 1e-9 * (1.0 + float(np.abs(quad.mat).max()))
-
-
-def _sector_eps_feas(kappa: float) -> float:
-    """``default_eps_feas`` of the reduced sector instance, without building
-    it: its Qf is [[-2k, k+1], [k+1, -2]] for k = L/m >= 1, so the largest
-    entry is 2k.  Past k ~ 9e307 it is inf, silently, where the numpy Qf
-    overflows."""
+def default_eps_feas(kappa: float) -> float:
+    """The data-scaled tolerance 1e-9 * (1 + max |Qf entries|) of every
+    instance ``_instance`` builds, without reading its Qf.  In reduced
+    units its largest entry is the 2k of entry (0, 0), for k = L/m >= 1:
+    the others are k + 1, 2 and the filter weights, each at most 1 + 1e-9.
+    Past k ~ 9e307 it is inf, silently, where the numpy Qf overflows."""
     return 1e-9 * (1.0 + 2.0 * kappa)
 
 
@@ -383,7 +381,7 @@ def feasible_at_rho(inst: LmiInstance, opts: CertifyOptions | None = None) -> Wi
     iterations before reaching a verdict.
     """
     opts = opts or CertifyOptions()
-    eps = opts.eps_feas if opts.eps_feas is not None else default_eps_feas(inst.quad)
+    eps = opts.eps_feas if opts.eps_feas is not None else default_eps_feas(inst.fc.kappa())
     if inst.aug.state_dim == 1:
         lam = sector_lambda(inst.rho, inst.interval.endpoints, inst.fc, eps)
         return None if lam is None else Witness(p=_P_ONE, lam=lam)
@@ -490,7 +488,7 @@ def certify(
         # The reduced units of _instance, in floats.
         fc_n = FunctionClass(1.0, fc.L / fc.m)
         alphas = StepSizeInterval(interval.lo * fc.m, interval.hi * fc.m).endpoints
-        eps = opts.eps_feas if opts.eps_feas is not None else _sector_eps_feas(fc_n.L)
+        eps = opts.eps_feas if opts.eps_feas is not None else default_eps_feas(fc_n.kappa())
 
     # A found rate is (rho, lambda) for sector, (rho, Witness) otherwise.
     def probe(rho: float) -> tuple[float, float | Witness] | None:
@@ -534,7 +532,8 @@ def certify(
             rho_tol=opts.rho_tol,
         )
 
-    hi = RHO_HI - opts.rho_tol
+    # Rate 1 is no certificate: below rho_tol ~1.1e-16, 1 - rho_tol rounds to 1.
+    hi = min(RHO_HI - opts.rho_tol, math.nextafter(RHO_HI, 0.0))
     found_hi = probe(hi)
     if found_hi is None:
         return finish(None)
@@ -598,6 +597,6 @@ def verify_certificate(cert: Certificate, slack_tol: float | None = None) -> boo
         inst = _replay_instance(cert)
     except WeightOutOfRange:
         return False
-    tol = slack_tol if slack_tol is not None else default_eps_feas(inst.quad)
+    tol = slack_tol if slack_tol is not None else default_eps_feas(inst.fc.kappa())
     return _family_slack(inst, wit.p, wit.lam) <= tol
 

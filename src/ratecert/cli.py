@@ -36,6 +36,7 @@ from .model import (
     interval_from_c,
 )
 from .simulator import (
+    Constant,
     QuadraticProblem,
     chunk_trials,
     policy_from_name,
@@ -355,10 +356,10 @@ def cmd_sweep_c(res: Resolved) -> int:
 def cmd_simulate(res: Resolved) -> int:
     fc = _function_class(res)
     interval = _interval(res, fc)
-    policy_name = res["policy"]
+    policy = policy_from_name(res["policy"])
     steps, trials, seed = res["steps"], res["trials"], res["seed"]
-    sample_alpha(policy_from_name(policy_name, spectrum=(fc.m,)), interval, 0,
-                 np.random.default_rng(seed))  # validate early (constant in range)
+    if isinstance(policy, Constant):  # the one policy an interval can reject
+        sample_alpha(policy, interval, 0, None)
     if steps < 0 or trials < 1:
         raise UsageError("need steps >= 0 and trials >= 1")
 
@@ -367,9 +368,10 @@ def cmd_simulate(res: Resolved) -> int:
         print("no certificate to validate (rate inequality family infeasible)")
         return 2
 
-    # Trial i has dimension 1 + i % 5.  Each dimension's trials run one
-    # array pass per chunk, one chunk per call, so only one chunk's reports
-    # (and their norms) are alive at a time, however many trials there are.
+    # Trial i has dimension 1 + i % 5.  Each dimension's trials run in
+    # chunks of chunk_trials, one run call (one array pass) per chunk, so
+    # only one chunk's arrays and reports are alive at a time, however many
+    # trials there are.
     rows = [""] * trials
     any_violated = False
     for dim in range(1, min(trials, 5) + 1):
@@ -378,9 +380,8 @@ def cmd_simulate(res: Resolved) -> int:
         for lo in range(0, len(group), per_chunk):
             indices = group[lo:lo + per_chunk]
             probs = [QuadraticProblem(_trial_spectrum(fc, dim, seed, i)) for i in indices]
-            policies = [policy_from_name(policy_name, spectrum=p.eigenvalues) for p in probs]
             seeds = [trial_seed(seed, i) for i in indices]
-            for i, report in zip(indices, run(probs, interval, policies, steps, None,
+            for i, report in zip(indices, run(probs, interval, policy, steps, None,
                                               cert, seeds)):
                 any_violated = any_violated or report.violated
                 rows[i] = (f"{i},{report.seed},{_fmt(report.max_ratio)},"

@@ -57,12 +57,6 @@ class SymMatrix:
         """Read-only dense view."""
         return self._m
 
-    def entry(self, i: int, j: int) -> float:
-        return float(self._m[i, j])
-
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self._m))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SymMatrix({self._m.tolist()!r})"
 

@@ -8,10 +8,11 @@ is compared against the certified envelope
 
     ||xi_k|| <= sqrt(cond(P)) * rho_star^k * ||xi_0||.
 
-Trials of one dimension are simulated together: one array pass per
-dimension group, chunked so that no pass holds more than ``CHUNK_FLOATS``
-floats, and bit-identical to stepping each trial alone.  Where the envelope
-underflows to 0 the comparison is made in log space.
+A batch of trials of one dimension under one policy is simulated in one
+array pass, bit-identical to stepping each trial alone; callers size their
+batches with ``chunk_trials`` so that no pass holds more than
+``CHUNK_FLOATS`` floats.  Where the envelope underflows to 0 the comparison
+is made in log space.
 
 Runs are reproducible across platforms: randomness comes from numpy's PCG64
 generator seeded with the integer recorded in the report.
@@ -31,9 +32,9 @@ from .model import StepSizeInterval
 # relative slack (pure float round-off allowance).
 VIOLATION_SLACK = 1e-9
 
-# Floats the arrays of one chunk of trials may hold: each trial's
-# (steps + 1, dim) trajectory plus three rows of steps + 1 for its step
-# sizes, norms and ratios.  A chunk has at least one trial.
+# Floats the arrays of one batch sized by ``chunk_trials`` may hold: each
+# trial's (steps + 1, dim) trajectory plus three rows of steps + 1 for its
+# step sizes, norms and ratios.  A batch has at least one trial.
 CHUNK_FLOATS = 1 << 20
 
 
@@ -63,48 +64,31 @@ class QuadraticProblem:
     def dim(self) -> int:
         return len(self.eigenvalues)
 
-    def within(self, m: float, L: float) -> bool:
-        return all(m <= q <= L for q in self.eigenvalues)
-
 
 @dataclass(frozen=True)
 class Uniform:
     """Independent uniform draw from the interval at every step."""
-
-    label = "uniform"
 
 
 @dataclass(frozen=True)
 class Endpoints:
     """Independent fair coin flip between the interval endpoints."""
 
-    label = "endpoints"
-
 
 @dataclass(frozen=True)
 class Alternating:
     """Deterministic lo, hi, lo, hi, ..."""
-
-    label = "alternating"
 
 
 @dataclass(frozen=True)
 class Constant:
     alpha: float
 
-    @property
-    def label(self) -> str:
-        return f"constant:{self.alpha:.12g}"
-
 
 @dataclass(frozen=True)
 class AdversarialGreedy:
     """Per step, the endpoint with the larger worst-coordinate contraction
-    factor max_i |1 - alpha*q_i| for the given spectrum (ties pick hi)."""
-
-    spectrum: tuple[float, ...]
-
-    label = "adversarial"
+    factor max_i |1 - alpha*q_i| for the trial's spectrum (ties pick hi)."""
 
 
 Policy = Uniform | Endpoints | Alternating | Constant | AdversarialGreedy
@@ -117,7 +101,6 @@ class TrajectoryReport:
     violated: bool
     max_ratio: float
     seed: int
-    policy: str
 
     @property
     def bound(self) -> np.ndarray:
@@ -126,16 +109,15 @@ class TrajectoryReport:
         return self.envelope * self.norms[0]
 
 
-def step(xi: np.ndarray, alphas: np.ndarray, prob) -> np.ndarray:
+def step(xi: np.ndarray, alphas: np.ndarray, q: np.ndarray) -> np.ndarray:
     """All gradient-descent iterates as rows: row 0 is ``xi`` and row k+1 is
-    (1 - alphas[k]*q) * row k.  For a chunk of trials of one dimension
-    group, computed in one array pass, ``prob`` is their (trials, dim)
-    spectra and ``xi``, ``alphas`` and the result gain a leading trial axis.
-    ``cumprod`` is a left fold along the step axis, so each row is
+    (1 - alphas[k]*q) * row k for the spectrum ``q``.  For a batch of trials
+    of one dimension, computed in one array pass, ``q`` is their (trials,
+    dim) spectra and ``xi``, ``alphas`` and the result gain a leading trial
+    axis.  ``cumprod`` is a left fold along the step axis, so each row is
     bit-identical to applying the updates one at a time."""
     if np.any(alphas < 0.0):
         raise ValueError(f"need alpha >= 0, got {alphas[alphas < 0.0][0]}")
-    q = np.asarray(prob.eigenvalues) if isinstance(prob, QuadraticProblem) else prob
     traj = np.empty(alphas.shape[:-1] + (alphas.shape[-1] + 1, q.shape[-1]))
     traj[..., 0, :] = xi
     rest = traj[..., 1:, :]
@@ -149,10 +131,13 @@ def sample_alpha(
     interval: StepSizeInterval,
     steps: int,
     rng: np.random.Generator | None,
+    spectrum: tuple[float, ...] = (),
 ) -> np.ndarray:
-    """The policy's whole step sequence.  Random policies draw it in one call,
-    which consumes the PCG64 stream exactly as one scalar draw per step; the
-    others never read ``rng``, which may be None for them."""
+    """The policy's whole step sequence for a trial of the given spectrum.
+    Random policies draw it in one call, which consumes the PCG64 stream
+    exactly as one scalar draw per step; the others never read ``rng``,
+    which may be None for them.  Only ``AdversarialGreedy`` reads
+    ``spectrum``."""
     lo, hi = interval.lo, interval.hi
     if isinstance(policy, Uniform):
         return rng.uniform(lo, hi, size=steps)
@@ -169,8 +154,8 @@ def sample_alpha(
             )
         return np.full(steps, policy.alpha)
     if isinstance(policy, AdversarialGreedy):
-        score_lo = max(abs(1.0 - lo * q) for q in policy.spectrum)
-        score_hi = max(abs(1.0 - hi * q) for q in policy.spectrum)
+        score_lo = max(abs(1.0 - lo * q) for q in spectrum)
+        score_hi = max(abs(1.0 - hi * q) for q in spectrum)
         return np.full(steps, lo if score_lo > score_hi else hi)
     raise UnknownPolicy(f"unknown policy {policy!r}")
 
@@ -178,35 +163,37 @@ def sample_alpha(
 def run(
     prob,
     interval: StepSizeInterval,
-    policy,
+    policy: Policy,
     steps: int,
     xi0=None,
     cert: Certificate = None,
     seed=0,
 ):
-    """Simulate ``steps`` iterations and compare against the certificate.
+    """Simulate ``steps`` iterations under ``policy`` and compare against the
+    certificate.
 
     Given one ``QuadraticProblem`` this runs one trial and returns its
     report; ``xi0`` defaults to the all-ones vector.  Given a sequence of
-    problems of one dimension (a dimension group), ``policy`` and ``seed``
-    are sequences with one entry per trial, ``xi0`` is None or one start per
+    problems of one dimension, every trial follows ``policy``, ``seed`` is a
+    sequence with one entry per trial, ``xi0`` is None or one start per
     trial, and the result is one report per trial, in order; a single trial
-    is the batch of one.  The group runs as one array pass per chunk of
-    trials whose arrays fit in ``CHUNK_FLOATS`` floats, bit-identical to
-    stepping each trial alone.  Deterministic: identical (seed, policy,
-    inputs) produce a bit-identical report.  ``violated`` is set when any
-    prefix norm exceeds its envelope by more than the round-off slack.
+    is the batch of one.  The batch runs as one array pass, bit-identical to
+    stepping each trial alone, and holds all its trials' arrays at once:
+    callers size batches with ``chunk_trials``.  Deterministic: identical
+    (seed, policy, inputs) produce a bit-identical report.  ``violated`` is
+    set when any prefix norm exceeds its envelope by more than the
+    round-off slack.
     """
     if isinstance(prob, QuadraticProblem):
-        return run([prob], interval, [policy], steps,
+        return run([prob], interval, policy, steps,
                    None if xi0 is None else [xi0], cert, [seed])[0]
     if cert is None or cert.rho_star is None:
         raise CertificateMissing("certificate carries no certified rate")
     if steps < 0:
         raise ValueError(f"need steps >= 0, got {steps}")
-    probs, policies, seeds = list(prob), list(policy), list(seed)
-    if not probs or not len(probs) == len(policies) == len(seeds):
-        raise ValueError("need a problem, and one policy and one seed per problem")
+    probs, seeds = list(prob), list(seed)
+    if not probs or len(probs) != len(seeds):
+        raise ValueError("need a problem, and one seed per problem")
     if len({p.dim for p in probs}) > 1:
         raise ValueError("a batch needs problems of one dimension")
     q = np.array([p.eigenvalues for p in probs])
@@ -221,35 +208,18 @@ def run(
     if xi.shape != (trials, dim):
         raise ValueError(f"xi0 must have shape ({dim},) per trial, got {xi.shape[1:]}")
 
-    envelope = math.sqrt(cert.cond_p) * cert.rho_star ** np.arange(steps + 1)
-    per_chunk = chunk_trials(steps, dim)
-    reports = []
-    for lo in range(0, trials, per_chunk):
-        chunk = slice(lo, lo + per_chunk)
-        reports += _run_chunk(q[chunk], interval, policies[chunk], steps,
-                              xi[chunk], cert, seeds[chunk], envelope)
-    return reports
-
-
-def chunk_trials(steps: int, dim: int) -> int:
-    """Trials of one dimension group that one array pass of ``steps`` steps
-    holds within ``CHUNK_FLOATS`` floats (at least one)."""
-    return max(1, CHUNK_FLOATS // ((steps + 1) * (dim + 3)))
-
-
-def _run_chunk(q, interval, policies, steps, xi, cert, seeds, envelope):
-    """Reports for one chunk of a dimension group, from one array pass."""
-    alphas = np.empty((len(q), steps))
-    for row, policy, seed in zip(alphas, policies, seeds):
-        draws = isinstance(policy, (Uniform, Endpoints))
-        rng = np.random.Generator(np.random.PCG64(seed)) if draws else None
-        row[:] = sample_alpha(policy, interval, steps, rng)
+    alphas = np.empty((trials, steps))
+    draws = isinstance(policy, (Uniform, Endpoints))
+    for row, p, s in zip(alphas, probs, seeds):
+        rng = np.random.Generator(np.random.PCG64(s)) if draws else None
+        row[:] = sample_alpha(policy, interval, steps, rng, p.eigenvalues)
     traj = step(xi, alphas, q)
     # Bit-identical to a 1-D np.linalg.norm per row; norm(axis=-1) and einsum are not.
     norms = np.matmul(traj[..., None, :], traj[..., :, None])[..., 0, 0]
     np.sqrt(norms, out=norms)
     del traj, alphas  # free the stack before the ratio arrays are made
 
+    envelope = math.sqrt(cert.cond_p) * cert.rho_star ** np.arange(steps + 1)
     bound = envelope * norms[:, :1]
     tail = bound == 0.0
     if tail.any():
@@ -267,14 +237,20 @@ def _run_chunk(q, interval, policies, steps, xi, cert, seeds, envelope):
     # A row with a zero start has a zero bound, hence all-zero ratios.
     max_ratio = ratio.max(axis=1).tolist()
     return [
-        TrajectoryReport(n, envelope, r > 1.0 + VIOLATION_SLACK, r, s, p.label)
-        for n, r, s, p in zip(norms, max_ratio, seeds, policies)
+        TrajectoryReport(n, envelope, r > 1.0 + VIOLATION_SLACK, r, s)
+        for n, r, s in zip(norms, max_ratio, seeds)
     ]
 
 
-def policy_from_name(name: str, spectrum: tuple[float, ...] | None = None) -> Policy:
+def chunk_trials(steps: int, dim: int) -> int:
+    """Trials of one dimension that one array pass of ``steps`` steps holds
+    within ``CHUNK_FLOATS`` floats (at least one)."""
+    return max(1, CHUNK_FLOATS // ((steps + 1) * (dim + 3)))
+
+
+def policy_from_name(name: str) -> Policy:
     """Parse a policy spec: uniform | endpoints | alternating |
-    constant:<alpha> | adversarial (the last needs the problem spectrum)."""
+    constant:<alpha> | adversarial."""
     if name == "uniform":
         return Uniform()
     if name == "endpoints":
@@ -287,9 +263,7 @@ def policy_from_name(name: str, spectrum: tuple[float, ...] | None = None) -> Po
         except ValueError as exc:
             raise UnknownPolicy(f"bad constant policy {name!r}") from exc
     if name == "adversarial":
-        if spectrum is None:
-            raise UnknownPolicy("adversarial policy needs a problem spectrum")
-        return AdversarialGreedy(spectrum=tuple(spectrum))
+        return AdversarialGreedy()
     raise UnknownPolicy(f"unknown policy {name!r}")
 
 

@@ -200,7 +200,7 @@ def test_criterion_8_certificate_soundness_fuzz():
                 elif name == "constant":
                     pol = Constant(float(rng.uniform(interval.lo, interval.hi)))
                 else:
-                    pol = AdversarialGreedy(spectrum)
+                    pol = AdversarialGreedy()
                 rep = run(QuadraticProblem(spectrum), interval, pol, 200,
                           np.ones(dim), cert, seed=trial_seed(trial, dim))
                 total += 1
@@ -248,7 +248,7 @@ def test_criterion_10_property_suites():
             inst = _instance(fc, StepSizeInterval(alpha, alpha),
                              SECTOR, rho, 1, None)
             a = feasible_at_rho(inst, opts) is not None
-            b = _matrix_backend(inst, default_eps_feas(inst.quad), opts) is not None
+            b = _matrix_backend(inst, default_eps_feas(inst.fc.kappa()), opts) is not None
             agree = agree and (a == b)
     notes.append(f"backend agreement: {agree}")
 
@@ -291,7 +291,7 @@ def test_criterion_10_property_suites():
         qm, wv = res.eigenvectors, res.eigenvalues
         eig_ok = eig_ok and (
             np.linalg.norm(qm @ np.diag(wv) @ qm.T - sym.mat)
-            <= 1e-10 * max(1.0, sym.frobenius())
+            <= 1e-10 * max(1.0, np.linalg.norm(sym.mat))
             and np.linalg.norm(qm.T @ qm - np.eye(n)) <= 1e-10
         )
     notes.append(f"eigensolver bounds: {eig_ok}")

@@ -19,7 +19,6 @@ from ratecert.certifier import (
     _family_slack,
     _instance,
     _matrix_backend,
-    _sector_eps_feas,
     assemble_lmi_block,
     certify,
     closed_form_rate,
@@ -533,7 +532,7 @@ def test_backend_agreement_on_sector_instances():
         for rho in (min(base + 0.02, 0.9999), max(base - 0.02, 1e-3)):
             inst = _sector_instance(fc, StepSizeInterval(alpha, alpha), rho)
             direct = feasible_at_rho(inst, opts)
-            via_ellipsoid = _matrix_backend(inst, default_eps_feas(inst.quad), opts)
+            via_ellipsoid = _matrix_backend(inst, default_eps_feas(inst.fc.kappa()), opts)
             assert (direct is None) == (via_ellipsoid is None), (m, L, alpha, rho)
 
 
@@ -785,14 +784,31 @@ def test_sector_certify_matches_the_numpy_instance_bisection(log_m, log_kappa, c
     assert cert.cond_p == cond_spd(wit.p) == 1.0
 
 
-@settings(max_examples=300, deadline=None)
-@given(log_m=st.floats(-100.0, 100.0), log_kappa=st.floats(0.0, 200.0))
-@example(log_m=0.0, log_kappa=0.0)
-def test_sector_eps_feas_is_default_eps_feas_bit_for_bit(log_m, log_kappa):
+@settings(max_examples=500, deadline=None)
+@given(
+    log_m=st.floats(-100.0, 100.0),
+    log_kappa=st.floats(0.0, 200.0),
+    kind_order=st.sampled_from([(SECTOR, 1), (WEIGHTED_OFF_BY_1, 1)]
+                               + [(ZAMES_FALB, k) for k in range(1, 5)]),
+    rho=st.floats(1e-3, 1.0),
+    fracs=st.none() | st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+)
+@example(log_m=0.0, log_kappa=0.0, kind_order=(SECTOR, 1), rho=0.5, fracs=None)
+@example(log_m=0.0, log_kappa=0.0, kind_order=(ZAMES_FALB, 1), rho=1.0, fracs=[1.0] * 4)
+@example(log_m=0.0, log_kappa=0.0, kind_order=(WEIGHTED_OFF_BY_1, 1), rho=1.0, fracs=None)
+def test_default_eps_feas_is_the_qf_max_bit_for_bit(log_m, log_kappa, kind_order, rho,
+                                                    fracs):
+    # The closed form equals 1e-9 * (1 + max |Qf entries|) of every kind's
+    # reduced instance, with default weights (fracs None) and with pinned
+    # ones, each a fraction of the largest admissible rho^(2j) / k.
+    kind, order = kind_order
     m = 10.0 ** log_m
     fc = FunctionClass(m, m * 10.0 ** log_kappa)
-    inst = _sector_instance(fc, interval_from_c(fc, 1.0), 0.5)
-    assert _sector_eps_feas(fc.L / fc.m) == default_eps_feas(inst.quad)
+    weights = None if fracs is None or kind == SECTOR else tuple(
+        u * rho ** (2 * j) / order for j, u in enumerate(fracs[:order], start=1))
+    inst = _instance(fc, interval_from_c(fc, 1.0), kind, rho, order, weights)
+    reference = 1e-9 * (1.0 + float(np.abs(inst.quad.mat).max()))
+    assert default_eps_feas(fc.L / fc.m) == default_eps_feas(inst.fc.kappa()) == reference
 
 
 @pytest.mark.parametrize("kind, calls", [(SECTOR, 0), (WEIGHTED_OFF_BY_1, 1)])

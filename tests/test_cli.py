@@ -399,11 +399,14 @@ def test_certify_at_the_largest_kappa_has_no_certificate(capsys, iqc):
     # At kappa 1e308 the exact rate rounds to 1, so no rate is solved, for
     # every kind.  The sector tolerance 1e-9 * (1 + 2 kappa) is inf there:
     # it must come from floats, not from a numpy Qf, whose entries overflow.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run_cli("certify", "--kappa", "1e308", "--c", "1.2", "--iqc", iqc) == 2
-    out, err = capsys.readouterr()
-    assert "no certificate" in out and err == ""
+    # At kappa 1e200 the exact rate also rounds to 1, and a rho_tol below
+    # ~1.1e-16 must not make the top probe 1 - rho_tol round to 1 either.
+    for argv in (("--kappa", "1e308"), ("--kappa", "1e200", "--rho-tol", "1e-17")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("certify", *argv, "--c", "1.2", "--iqc", iqc) == 2
+        out, err = capsys.readouterr()
+        assert "no certificate" in out and err == "", argv
 
 
 def test_sweep_kappa_up_to_the_largest_kappa(tmp_path, capsys):
