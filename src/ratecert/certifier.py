@@ -532,8 +532,7 @@ def certify(
             rho_tol=opts.rho_tol,
         )
 
-    # Rate 1 is no certificate: below rho_tol ~1.1e-16, 1 - rho_tol rounds to 1.
-    hi = min(RHO_HI - opts.rho_tol, math.nextafter(RHO_HI, 0.0))
+    hi = top_rate(opts.rho_tol)
     found_hi = probe(hi)
     if found_hi is None:
         return finish(None)
@@ -571,6 +570,13 @@ def certify(
         floor = math.nextafter(g, math.inf)  # g and every rate below fail
     _, found, _ = bisect(probe)
     return finish(found or found_hi)
+
+
+def top_rate(rho_tol: float) -> float:
+    """The first and highest rate ``certify`` tries: 1 - rho_tol.  Rate 1 is
+    no certificate, and below rho_tol ~1.1e-16, 1 - rho_tol rounds to 1, so
+    the rate is capped at the float below 1."""
+    return min(RHO_HI - rho_tol, math.nextafter(RHO_HI, 0.0))
 
 
 def _replay_instance(cert: Certificate) -> LmiInstance:

@@ -2,7 +2,8 @@
 number or the interval constant, and validate certificates by simulation.
 
 Exit codes: 0 success (certified / no violations), 1 usage or I/O error,
-2 no certificate below rate 1, 3 a simulated trajectory violated its bound.
+2 no certificate at the top rate tried, 3 a simulated trajectory violated
+its bound.
 
 ``FLAGS`` declares every flag once, with its type, default and help, and
 ``COMMANDS`` names the flags each subcommand reads; a subcommand rejects
@@ -26,7 +27,7 @@ from io import StringIO
 
 import numpy as np
 
-from .certifier import Certificate, CertifyOptions, certify
+from .certifier import Certificate, CertifyOptions, certify, top_rate
 from .ellipsoid import SolverBudgetExceeded
 from .iqc import KINDS, ZAMES_FALB
 from .model import (
@@ -39,10 +40,12 @@ from .simulator import (
     Constant,
     QuadraticProblem,
     chunk_trials,
+    pcg64_generator,
     policy_from_name,
     run,
     sample_alpha,
-    trial_seed,
+    seed_words,
+    trial_seeds,
 )
 from .svg import Series, line_chart
 
@@ -249,6 +252,12 @@ def _certify(res: Resolved, fc: FunctionClass, interval: StepSizeInterval) -> Ce
                    options=CertifyOptions(rho_tol=res["rho-tol"]))
 
 
+def _no_certificate(cert: Certificate) -> str:
+    """What an exit 2 has shown: the family is infeasible at the top rate
+    tried, which alone does not rule out a certificate at a lower rate."""
+    return f"no certificate at rho = {top_rate(cert.rho_tol)!r}"
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -279,8 +288,7 @@ def cmd_certify(res: Resolved) -> int:
     if res["out"] is not None:
         _write_text(res["out"], json.dumps(record, indent=2) + "\n")
     if not cert.feasible:
-        print("no certificate: the rate inequality family is infeasible "
-              "for every rho < 1")
+        print(_no_certificate(cert))
         return 2
     print(f"rho_star    {_fmt(cert.rho_star)}")
     print(f"cond_P      {_fmt(cert.cond_p)}")
@@ -363,9 +371,15 @@ def cmd_simulate(res: Resolved) -> int:
     if steps < 0 or trials < 1:
         raise UsageError("need steps >= 0 and trials >= 1")
 
+    # Each trial's seed and its spectrum's generator are numpy SeedSequence
+    # values, hashed for all trials in one array pass each; this also
+    # rejects a negative --seed before anything is certified.
+    seeds = trial_seeds(seed, range(trials))
+    spectrum_states = seed_words([seed, range(trials), 1], 4, np.uint64)
+
     cert = _certify(res, fc, interval)
     if not cert.feasible:
-        print("no certificate to validate (rate inequality family infeasible)")
+        print(f"{_no_certificate(cert)}, so none to validate")
         return 2
 
     # Trial i has dimension 1 + i % 5.  Each dimension's trials run in
@@ -379,10 +393,10 @@ def cmd_simulate(res: Resolved) -> int:
         per_chunk = chunk_trials(steps, dim)
         for lo in range(0, len(group), per_chunk):
             indices = group[lo:lo + per_chunk]
-            probs = [QuadraticProblem(_trial_spectrum(fc, dim, seed, i)) for i in indices]
-            seeds = [trial_seed(seed, i) for i in indices]
+            probs = [QuadraticProblem(spectrum) for spectrum
+                     in _trial_spectra(fc, dim, indices, spectrum_states)]
             for i, report in zip(indices, run(probs, interval, policy, steps, None,
-                                              cert, seeds)):
+                                              cert, [seeds[i] for i in indices])):
                 any_violated = any_violated or report.violated
                 rows[i] = (f"{i},{report.seed},{_fmt(report.max_ratio)},"
                            f"{'true' if report.violated else 'false'}" + CSV_NEWLINE)
@@ -396,25 +410,23 @@ def cmd_simulate(res: Resolved) -> int:
     return 3 if any_violated else 0
 
 
-def _trial_spectrum(fc: FunctionClass, dim: int, seed: int, index: int) -> tuple[float, ...]:
-    """Hessian spectrum for one trial: random inside [m, L], with the class
-    endpoints pinned in dimension >= 2 and pure-endpoint problems cycled in
-    dimension 1 (those attain the worst rates).  The generator is built only
-    for a spectrum that draws from it."""
+def _trial_spectra(fc: FunctionClass, dim: int, indices: range,
+                   states: np.ndarray) -> list[tuple[float, ...]]:
+    """Hessian spectra of the trials ``indices``, all of dimension ``dim``:
+    random inside [m, L], with the class endpoints pinned in dimension >= 2
+    and pure-endpoint problems cycled in dimension 1 (those attain the worst
+    rates).  Trial i draws from the generator of row i of ``states``, built
+    only for a spectrum that draws from it."""
 
-    def draw(size=None):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index, 1])))
-        return rng.uniform(fc.m, fc.L, size=size)
+    def draw(index, size=None):
+        return pcg64_generator(states[index]).uniform(fc.m, fc.L, size=size)
 
     if dim == 1:
-        pick = index % 3
-        if pick == 0:
-            return (fc.m,)
-        if pick == 1:
-            return (fc.L,)
-        return (float(draw()),)
-    rest = map(float, draw(dim - 2)) if dim > 2 else ()
-    return (fc.m, fc.L, *rest)
+        return [(fc.m,) if i % 3 == 0 else (fc.L,) if i % 3 == 1 else (float(draw(i)),)
+                for i in indices]
+    if dim == 2:
+        return [(fc.m, fc.L)] * len(indices)
+    return [(fc.m, fc.L, *map(float, draw(i, dim - 2))) for i in indices]
 
 
 def main(argv=None) -> int:

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from ratecert import cli
+from ratecert.certifier import _instance, feasible_at_rho
 from ratecert.cli import Resolved, build_parser, format_sweep_csv, main, parse_sweep_csv
 
 
@@ -22,7 +26,7 @@ def test_certify_exit_codes(capsys, tmp_path):
 
     assert run_cli("certify", "--m", "1", "--L", "10", "--c", "2.1",
                    "--iqc", "sector") == 2
-    assert "no certificate" in capsys.readouterr().out
+    assert capsys.readouterr().out == "no certificate at rho = 0.9999\n"
 
     assert run_cli("certify", "--m", "1", "--L", "0.5") == 1
     assert "error:" in capsys.readouterr().err
@@ -152,7 +156,44 @@ def test_simulate_clean_run(tmp_path, capsys):
 
 def test_simulate_no_certificate(capsys):
     assert run_cli("simulate", "--kappa", "10", "--c", "2.1") == 2
-    capsys.readouterr()
+    assert capsys.readouterr().out.startswith("no certificate at rho = 0.9999")
+
+
+def test_exit_2_names_only_the_rate_tested(capsys):
+    # wob1 at (50, 1.1) is infeasible at the top rate 1 - rho_tol, yet
+    # feasible at 0.99: an exit 2 shows no certificate at the rate tested,
+    # not that none exists below 1.
+    fc = cli.FunctionClass(1.0, 50.0)
+    interval = cli.interval_from_c(fc, 1.1)
+    at = {rho: feasible_at_rho(_instance(fc, interval, "wob1", rho, 1, None))
+          for rho in (0.99, 0.9999)}
+    assert at[0.99] is not None and at[0.9999] is None
+    for command in ("certify", "simulate"):
+        assert run_cli(command, "--kappa", "50", "--c", "1.1", "--iqc", "wob1") == 2
+        out = capsys.readouterr().out
+        assert out.startswith("no certificate at rho = 0.9999"), out
+        assert "every" not in out and "infeasible" not in out
+
+
+def test_commands_that_draw_nothing_leave_numpy_random_unloaded(tmp_path):
+    # numpy.random costs about 2.4 MiB and 20 ms to import: only a command
+    # that draws random numbers loads it.
+    script = ("import sys\n"
+              "from ratecert.cli import main\n"
+              "main(['certify', '--kappa', '10', '--c', '1.2', '--out', sys.argv[1]])\n"
+              "assert 'numpy.random' not in sys.modules\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", script, str(tmp_path / "cert.json")],
+                   check=True, env=env, capture_output=True)
+
+
+def test_negative_seed_rejected_before_certify(capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("certify ran for a negative seed")
+
+    monkeypatch.setattr(cli, "certify", no_solve)
+    assert run_cli("simulate", "--kappa", "10", "--c", "1.2", "--seed", "-1") == 1
+    assert capsys.readouterr().err == "error: expected non-negative integer\n"
 
 
 def test_simulate_zero_steps_ratio_one(tmp_path, capsys):
@@ -225,17 +266,19 @@ def _spectrum_with_generator_always_built(fc, dim, seed, index):
 
 
 def test_trial_spectrum_builds_a_generator_only_to_draw(monkeypatch):
+    # The batch form draws what one SeedSequence([seed, index, 1]) generator
+    # per trial drew, and builds one only for a trial that draws from it.
     fc = cli.FunctionClass(1.0, 10.0)
+    indices = range(6)
+    states = cli.seed_words([7, indices, 1], 4, np.uint64)
     made, pcg64 = [], np.random.PCG64
     monkeypatch.setattr(np.random, "PCG64", lambda *a: made.append(a) or pcg64(*a))
     for dim in range(1, 6):
-        for index in range(6):
-            made.clear()
-            expected = _spectrum_with_generator_always_built(fc, dim, 7, index)
-            made.clear()
-            assert cli._trial_spectrum(fc, dim, 7, index) == expected
-            draws = dim >= 3 or (dim == 1 and index % 3 == 2)
-            assert len(made) == (1 if draws else 0), (dim, index)
+        expected = [_spectrum_with_generator_always_built(fc, dim, 7, i) for i in indices]
+        made.clear()
+        assert cli._trial_spectra(fc, dim, indices, states) == expected
+        draws = [i for i in indices if dim >= 3 or (dim == 1 and i % 3 == 2)]
+        assert len(made) == len(draws), dim
 
 
 def test_config_file_and_override(tmp_path, capsys):

@@ -22,11 +22,14 @@ from ratecert.simulator import (
     Uniform,
     UnknownPolicy,
     VIOLATION_SLACK,
+    pcg64_generator,
     policy_from_name,
     run,
     sample_alpha,
+    seed_words,
     step,
     trial_seed,
+    trial_seeds,
 )
 
 FC10 = FunctionClass(1.0, 10.0)
@@ -262,22 +265,105 @@ def test_run_matches_per_step_reference_loop(point, policy_kind, dim, seed, frac
 
 
 def test_run_builds_a_generator_only_for_random_policies(monkeypatch):
+    # One generator per drawing trial, none for the other policies, and each
+    # draws what PCG64(seed) draws.
     cert = _cert(c=1.2)
-    prob = QuadraticProblem((1.0, 10.0))
+    probs = [QuadraticProblem((1.0, 10.0)), QuadraticProblem((2.0, 3.0))]
     made, pcg64 = [], np.random.PCG64
     monkeypatch.setattr(np.random, "PCG64", lambda *a: made.append(a) or pcg64(*a))
     for policy, draws in [(Uniform(), True), (Endpoints(), True), (Alternating(), False),
                           (Constant(cert.interval.lo), False),
                           (AdversarialGreedy(), False)]:
         made.clear()
-        run(prob, cert.interval, policy, 20, cert=cert, seed=5)
-        assert made == ([(5,)] if draws else []), policy
+        run(probs[0], cert.interval, policy, 20, cert=cert, seed=5)
+        assert len(made) == (1 if draws else 0), policy
+        if draws:
+            built = np.random.Generator(pcg64(*made[0])).random(4)
+            assert np.array_equal(built, np.random.Generator(pcg64(5)).random(4))
+        made.clear()
+        run(probs, cert.interval, policy, 20, None, cert, [5, 6])
+        assert len(made) == (2 if draws else 0), policy
 
 
 def test_trial_seed_deterministic_and_spread():
     assert trial_seed(0, 0) == trial_seed(0, 0)
     seeds = {trial_seed(5, i) for i in range(100)}
     assert len(seeds) == 100
+
+
+# Word and row boundaries of SeedSequence's integer split and of its
+# four-word pool: entropy of 1 to 7 words, one to three of them mixed in
+# after the pool is full.
+SEED_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5]
+ENTROPY_LAYOUTS = [("master",), ("index",), ("master", "index"), ("index", "master"),
+                   ("master", "index", "one")]
+
+
+def _check_seed_words(master, indices, layout, n_words, dtype):
+    columns = {"master": master, "index": indices, "one": 1}
+    got = seed_words([columns[name] for name in layout], n_words, dtype)
+    per_row = indices if "index" in layout else [None]
+    assert got.shape == (len(per_row), n_words) and got.dtype == np.dtype(dtype)
+    for row, index in zip(got, per_row):
+        entropy = [index if name == "index" else columns[name] for name in layout]
+        want = np.random.SeedSequence(entropy).generate_state(n_words, dtype)
+        assert np.array_equal(row, want), entropy
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    master=st.integers(0, 2**130 - 1) | st.sampled_from(SEED_EDGES),
+    indices=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+    layout=st.sampled_from(ENTROPY_LAYOUTS),
+    n_words=st.sampled_from([2, 8]),
+    dtype=st.sampled_from([np.uint32, np.uint64]),
+)
+def test_seed_words_is_numpys_seed_sequence(master, indices, layout, n_words, dtype):
+    _check_seed_words(master, indices, layout, n_words, dtype)
+
+
+@pytest.mark.parametrize("master", SEED_EDGES)
+def test_seed_words_at_the_word_edges(master):
+    # Rows of 1 to 6 words in one call: the shorter rows skip the mixing
+    # rounds of the longer ones.
+    indices = [0, 5, 2**32 - 1]
+    for layout in ENTROPY_LAYOUTS:
+        for n_words in (2, 8):
+            for dtype in (np.uint32, np.uint64):
+                _check_seed_words(master, indices, layout, n_words, dtype)
+    _check_seed_words(master, SEED_EDGES, ("index", "master"), 8, np.uint32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**130 - 1) | st.sampled_from(SEED_EDGES),
+                      min_size=1, max_size=4))
+def test_hashed_generator_draws_as_pcg64_of_the_seed(seeds):
+    states = seed_words([seeds], 4, np.uint64)
+    for seed, state in zip(seeds, states):
+        want = np.random.Generator(np.random.PCG64(seed))
+        got = pcg64_generator(state)
+        assert np.array_equal(got.random(5), want.random(5))
+        assert np.array_equal(got.integers(0, 2, size=9), want.integers(0, 2, size=9))
+
+
+def test_trial_seeds_are_the_seed_sequence_values():
+    indices = [0, 1, 2, 99, 2**32 - 1]
+    for master in SEED_EDGES:
+        want = [int(np.random.SeedSequence([master, i]).generate_state(1, np.uint64)[0])
+                for i in indices]
+        assert trial_seeds(master, indices) == want
+        assert [trial_seed(master, i) for i in indices] == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda: seed_words([-1], 2),
+    lambda: seed_words([3, [0, -2**70]], 2),
+    lambda: trial_seeds(-1, range(3)),
+    lambda: run(QuadraticProblem((1.0,)), _cert().interval, Uniform(), 5, cert=_cert(), seed=-1),
+])
+def test_negative_entropy_raises_like_numpy(call):
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        call()
 
 
 def _group_batches(cert, trials, seed):
