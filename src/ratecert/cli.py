@@ -13,6 +13,14 @@ table's types; explicit command-line flags win.  ``--show-config`` prints
 every default.  CSV is the authoritative output of the sweep and simulate
 commands; SVG charts are an optional side output of the sweeps that never
 affects CSV content or exit codes.
+
+Start-up loads only what a command uses.  This module imports ``model``,
+``search`` (the rate search in plain floats) and ``svg``, none of which
+imports numpy or xml, and it computes the sweep grids in plain floats, so
+sector ``certify``, ``sweep-kappa`` and ``sweep-c``, ``--show-config`` and
+usage errors run without numpy.  A dynamic multiplier (``--iqc wob1`` or
+``zf:<k>``) loads numpy with ``certifier`` at its first probe; ``simulate``
+binds the simulator's names here (and loads numpy) when it starts.
 """
 
 from __future__ import annotations
@@ -24,30 +32,49 @@ import math
 import sys
 from dataclasses import dataclass
 from io import StringIO
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .certifier import Certificate, CertifyOptions, certify, top_rate
-from .ellipsoid import SolverBudgetExceeded
-from .iqc import KINDS, ZAMES_FALB
 from .model import (
     FunctionClass,
     StepSizeInterval,
     interval_asymmetric,
     interval_from_c,
 )
-from .simulator import (
-    Constant,
-    QuadraticProblem,
-    chunk_trials,
-    pcg64_generator,
-    policy_from_name,
-    run,
-    sample_alpha,
-    seed_words,
-    trial_seeds,
+from .search import (
+    KINDS,
+    ZAMES_FALB,
+    Certificate,
+    CertifyOptions,
+    SolverBudgetExceeded,
+    certify,
+    top_rate,
 )
 from .svg import Series, line_chart
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# The simulator names cmd_simulate calls.  They are bound into this module
+# on first use (``_bind_simulator``, or reading ``cli.<name>``), so commands
+# that simulate nothing never import numpy; one already set here, say by a
+# test, is kept.
+_SIMULATOR_NAMES = ("Constant", "QuadraticProblem", "chunk_trials", "pcg64_generator",
+                    "policy_from_name", "run", "sample_alpha", "seed_words", "trial_seeds")
+
+
+def _bind_simulator() -> None:
+    from . import simulator
+
+    for name in _SIMULATOR_NAMES:
+        globals().setdefault(name, getattr(simulator, name))
+
+
+def __getattr__(name: str):
+    if name in _SIMULATOR_NAMES:
+        _bind_simulator()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 CSV_NEWLINE = "\n"
 
@@ -310,6 +337,22 @@ def _sweep_rows(params: list[tuple[float, float]], res: Resolved) -> list[SweepR
     return [one(kappa, c) for kappa, c in params]
 
 
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num)`` for num >= 1, bit for bit, in plain
+    floats: i * step + start with step = (stop - start) / (num - 1) (i / (num
+    - 1) * (stop - start) + start when that step is 0), the last point stop."""
+    div, delta = num - 1, stop - start
+    if div == 0:
+        return [0.0 * delta + start]  # numpy's sum: -0.0 comes out as 0.0
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
 def cmd_sweep_kappa(res: Resolved) -> int:
     k_min, k_max, points = res["kappa-min"], res["kappa-max"], res["points"]
     if not (1.0 <= k_min <= k_max) or points < 1:
@@ -318,7 +361,9 @@ def cmd_sweep_kappa(res: Resolved) -> int:
     if points == 1:
         kappas = [k_min]
     else:
-        kappas = [float(k) for k in np.logspace(math.log10(k_min), math.log10(k_max), points)]
+        # np.logspace's grid, but libm's 10 ** y may differ from numpy's
+        # vectorized power in the last bit.
+        kappas = [10.0 ** y for y in linspace(math.log10(k_min), math.log10(k_max), points)]
     rows = _sweep_rows([(k, c) for k in kappas], res)
     _write_text(res["out"], format_sweep_csv(rows))
     if res["svg"] is not None:
@@ -344,9 +389,7 @@ def cmd_sweep_c(res: Resolved) -> int:
         raise UsageError("need 1 <= c-min <= c-max <= 2.5 and points >= 1")
     fc = _function_class(res)
     kappa = fc.kappa()
-    cs = [c_min] if points == 1 else [
-        float(c) for c in np.linspace(c_min, c_max, points)
-    ]
+    cs = linspace(c_min, c_max, points)
     rows = _sweep_rows([(kappa, c) for c in cs], res)
     _write_text(res["out"], format_sweep_csv(rows))
     if res["svg"] is not None:
@@ -362,6 +405,9 @@ def cmd_sweep_c(res: Resolved) -> int:
 
 
 def cmd_simulate(res: Resolved) -> int:
+    import numpy as np
+
+    _bind_simulator()
     fc = _function_class(res)
     interval = _interval(res, fc)
     policy = policy_from_name(res["policy"])

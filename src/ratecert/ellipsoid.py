@@ -31,12 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Defined where the numpy-free rate search catches it.
+from .search import SolverBudgetExceeded
+
 # perfbench/tracing.py wraps this module-level name for its eigen-batch spans.
 _jacobi_batch = np.linalg.eigh
-
-
-class SolverBudgetExceeded(RuntimeError):
-    """Iteration cap reached before a feasible point or a volume certificate."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,12 +29,8 @@ import numpy as np
 
 from .linalg import SymMatrix
 from .model import FunctionClass
-
-SECTOR = "sector"
-WEIGHTED_OFF_BY_1 = "wob1"
-ZAMES_FALB = "zf"
-
-KINDS = (SECTOR, WEIGHTED_OFF_BY_1, ZAMES_FALB)
+# The kind names, defined where the numpy-free rate search reads them.
+from .search import KINDS, SECTOR, WEIGHTED_OFF_BY_1, ZAMES_FALB  # noqa: F401
 
 # Slack for validating weight bounds that are met with equality by the
 # defaults (pure float round-off allowance).

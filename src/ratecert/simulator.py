@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certifier import Certificate
+from .search import Certificate
 from .model import StepSizeInterval
 
 # A trajectory is flagged only when it beats the bound by more than this
@@ -215,12 +215,21 @@ def run(
         raise ValueError(f"xi0 must have shape ({dim},) per trial, got {xi.shape[1:]}")
 
     alphas = np.empty((trials, steps))
-    # The random policies' generators, PCG64(seed) each, from one hash.
-    states = (seed_words([seeds], 4, np.uint64) if isinstance(policy, (Uniform, Endpoints))
-              else [None] * trials)
-    for row, p, state in zip(alphas, probs, states):
-        rng = None if state is None else pcg64_generator(state)
-        row[:] = sample_alpha(policy, interval, steps, rng, p.eigenvalues)
+    if isinstance(policy, (Uniform, Endpoints)):
+        # The random policies' generators, PCG64(seed) each, from one hash.
+        for row, state in zip(alphas, seed_words([seeds], 4, np.uint64)):
+            row[:] = sample_alpha(policy, interval, steps, pcg64_generator(state))
+    else:
+        # The other rows are one row for the whole call, or for the
+        # adversarial policy one per pair of spectrum extremes: its scores
+        # max |1 - alpha*q| are convex in q, so the extremes attain them.
+        rows = {}
+        for row, p in zip(alphas, probs):
+            ends = ((min(p.eigenvalues), max(p.eigenvalues))
+                    if isinstance(policy, AdversarialGreedy) else ())
+            if ends not in rows:
+                rows[ends] = sample_alpha(policy, interval, steps, None, ends)
+            row[:] = rows[ends]
     traj = step(xi, alphas, q)
     # Bit-identical to a 1-D np.linalg.norm per row; norm(axis=-1) and einsum are not.
     norms = np.matmul(traj[..., None, :], traj[..., :, None])[..., 0, 0]

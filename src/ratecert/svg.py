@@ -3,18 +3,26 @@
 Good enough for sweep outputs: axes with ticks, one polyline per series
 (broken at missing values), an optional dashed reference curve, and a
 legend.  The CSV a sweep writes stays the authoritative record; these charts
-are a pure side output.
+are a pure side output.  This module imports neither numpy nor ``xml``: its
+three-entity ``escape`` spares a sweep that charts about 40 ms of ``xml``
+(with ``urllib``, ``http`` and ``email``) at start-up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 30, 50, 55
 N_TICKS = 5
+
+
+def escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, as ``xml.sax.saxutils.escape``
+    writes them, without importing ``xml`` (and ``urllib``, ``http`` and
+    ``email`` with it)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 @dataclass

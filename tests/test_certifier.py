@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ratecert import certifier
+from ratecert import certifier, search
 from ratecert.certifier import (
     Certificate,
     CertifyOptions,
@@ -59,7 +59,7 @@ def _spy_solvers(mp, on_call):
         on_call(inst.rho)
         return feasible_at_rho(inst, opts)
 
-    mp.setattr(certifier, "sector_lambda", sector)
+    mp.setattr(search, "sector_lambda", sector)
     mp.setattr(certifier, "feasible_at_rho", matrix)
 
 
@@ -312,7 +312,7 @@ def test_rho_tol_below_float_spacing_terminates(monkeypatch):
         coarse = certify(FC10, interval, iqc_kind=kind)
         rates.clear()
         with monkeypatch.context() as mp, _time_limit(20.0):
-            mp.setattr(certifier, "RHO_HI", top)
+            mp.setattr(search, "RHO_HI", top)
             _spy_solvers(mp, counting)
             cert = certify(FC10, interval, iqc_kind=kind,
                            options=CertifyOptions(rho_tol=1e-300))

@@ -1,5 +1,8 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ratecert import cli
 from ratecert.certifier import _instance, feasible_at_rho
@@ -103,6 +108,40 @@ def test_sweep_c_onset_for_kappa_ten(tmp_path, capsys):
     assert 1.50 <= first_bad <= 1.60
 
 
+@settings(max_examples=300, deadline=None)
+@given(start=st.floats(-1e6, 1e6), stop=st.floats(-1e6, 1e6), num=st.integers(1, 200))
+@example(start=1.0, stop=2.0, num=1)
+@example(start=-0.0, stop=0.0, num=1)
+@example(start=-0.0, stop=-0.0, num=3)
+@example(start=0.0, stop=-1.0, num=4)
+@example(start=1.0, stop=2.0, num=2)
+@example(start=1.3, stop=1.3, num=7)
+@example(start=0.0, stop=5e-324, num=3)  # a step that rounds to 0
+def test_linspace_is_numpy_linspace_bit_for_bit(start, stop, num):
+    expected = [float(x).hex() for x in np.linspace(start, stop, num)]
+    assert [x.hex() for x in cli.linspace(start, stop, num)] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(k_min=st.floats(1.0, 60.0), ratio=st.floats(1.0, 50.0),
+       points=st.integers(1, 40), c=st.floats(1.0, 1.7))
+@example(k_min=1.0, ratio=100.0, points=40, c=1.3)
+@example(k_min=7.0, ratio=1.0, points=5, c=1.2)
+def test_sweep_kappa_csv_is_that_of_numpy_logspace_kappas(k_min, ratio, points, c):
+    # The float grid's kappas may differ from np.logspace's in the last bit
+    # (libm's pow against numpy's vectorized one); the CSV may not.
+    k_max = k_min * ratio
+    argv = ["sweep-kappa", "--c", repr(c), "--kappa-min", repr(k_min),
+            "--kappa-max", repr(k_max), "--points", str(points)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    kappas = [k_min] if points == 1 else [
+        float(k) for k in np.logspace(math.log10(k_min), math.log10(k_max), points)]
+    res = Resolved(build_parser().parse_args(argv))
+    assert out.getvalue() == format_sweep_csv(cli._sweep_rows([(k, c) for k in kappas], res))
+
+
 def test_sweep_c_range_validation(capsys):
     assert run_cli("sweep-c", "--kappa", "2", "--c-min", "0.5") == 1
     capsys.readouterr()
@@ -175,16 +214,49 @@ def test_exit_2_names_only_the_rate_tested(capsys):
         assert "every" not in out and "infeasible" not in out
 
 
+# Run in a fresh process: sector commands, --show-config and a usage error
+# must leave numpy and xml unloaded; the commands and library calls that
+# need numpy must then still load it and work.
+_IMPORT_AUDIT = """
+import sys
+from ratecert.cli import main
+
+out = sys.argv[1]
+for code, argv in [
+    (0, ["certify", "--kappa", "10", "--c", "1.2", "--out", out + "/cert.json"]),
+    (0, ["sweep-kappa", "--c", "1.3", "--points", "9", "--out", out + "/k.csv",
+         "--svg", out + "/k.svg"]),
+    (0, ["sweep-c", "--kappa", "8", "--points", "9", "--out", out + "/c.csv"]),
+    (0, ["--show-config"]),
+    (1, ["certify", "--kappa", "10", "--no-such-flag"]),
+]:
+    assert main(argv) == code, argv
+loaded = sorted(m for m in ("numpy", "xml") if m in sys.modules)
+assert loaded == [], f"loaded {loaded}"
+
+assert main(["certify", "--kappa", "10", "--c", "1.2", "--iqc", "wob1"]) == 0
+assert "numpy" in sys.modules and "numpy.random" not in sys.modules
+assert main(["simulate", "--kappa", "10", "--c", "1.2", "--trials", "7",
+             "--steps", "20", "--out", out + "/sim.csv"]) == 0
+from ratecert import FunctionClass, certify, interval_from_c, verify_certificate
+
+fc = FunctionClass(1.0, 10.0)
+cert = certify(fc, interval_from_c(fc, 1.2))
+assert cert.slack <= 0.0 and verify_certificate(cert)
+print("ok")
+"""
+
+
 def test_commands_that_draw_nothing_leave_numpy_random_unloaded(tmp_path):
     # numpy.random costs about 2.4 MiB and 20 ms to import: only a command
-    # that draws random numbers loads it.
-    script = ("import sys\n"
-              "from ratecert.cli import main\n"
-              "main(['certify', '--kappa', '10', '--c', '1.2', '--out', sys.argv[1]])\n"
-              "assert 'numpy.random' not in sys.modules\n")
+    # that draws random numbers loads it.  numpy itself (about 130 ms) and
+    # xml (about 40 ms) load only for a command that uses them, so no
+    # sector command loads either.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    subprocess.run([sys.executable, "-c", script, str(tmp_path / "cert.json")],
-                   check=True, env=env, capture_output=True)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_AUDIT, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("ok\n")
 
 
 def test_negative_seed_rejected_before_certify(capsys, monkeypatch):
