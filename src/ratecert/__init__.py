@@ -17,16 +17,13 @@ _EXPORTS = {
         "lambda_interval_sector",
     ),
     "certifier": (
-        "LmiInstance", "assemble_lmi_block", "feasible_at_rho", "verify_certificate",
+        "NotPositiveDefinite", "cond_spd", "eig_sym", "feasible_at_rho", "max_eigenvalue",
+        "verify_certificate",
     ),
     "ellipsoid": ("EllipsoidOptions", "MatrixConstraint", "ellipsoid_feasibility"),
     "iqc": (
-        "AugmentedSystem", "IqcMultiplier", "WeightOutOfRange", "augment",
-        "default_weights", "quad_form", "sector", "weighted_off_by_1", "zames_falb",
-    ),
-    "linalg": (
-        "EigenResult", "NotPositiveDefinite", "SymMatrix", "cond_spd", "eig_sym",
-        "max_eigenvalue",
+        "LmiData", "WeightOutOfRange", "augment", "default_weights", "quad_form", "sector",
+        "weighted_off_by_1", "zames_falb",
     ),
     "model": (
         "FunctionClass", "InvalidC", "StepSizeInterval", "interval_asymmetric",
@@ -39,7 +36,7 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("certifier", "ellipsoid", "iqc", "linalg", "model", "simulator")
+_SUBMODULES = ("certifier", "ellipsoid", "iqc", "model", "simulator")
 
 __version__ = "0.1.0"
 

@@ -1,7 +1,7 @@
-"""Rate certification, numpy layer: assemble the parameterized matrix
-inequality at the endpoints of a step-size interval, decide joint
-feasibility in (P, lambda), and replay certificates.  The bisection on the
-contraction rate rho (``certify``) and the sector closed form live in
+"""Rate certification, numpy layer: decide joint feasibility in (P, lambda)
+of the matrix inequality at the endpoints of a step-size interval, replay
+certificates, and the symmetric eigen-solves both need.  The bisection on
+the contraction rate rho (``certify``) and the sector closed form live in
 ``search``, which imports no numpy; they are re-exported here.
 
 The inequality family, one block per interval endpoint alpha,
@@ -18,39 +18,42 @@ of the family at a given rho certifies the worst-case bound
 drawn from the interval.
 
 The family is homogeneous in (P, lambda), so P is normalized to unit trace.
-Instances are also built in reduced units (class modulus 1, steps scaled by
-m): rates are invariant under that rescaling and the block entries stay at
-unit scale, so the strictness tolerances below mean the same thing for every
-input.  Stored witnesses refer to the reduced system; the rate bound itself
-needs only rho_star and cond(P), both of which are reduction-invariant for
-the plant state.  Two backends decide feasibility:
+It is affine in (P, lambda), rho enters it only as -rho^2 P, and the
+multiplier's weights h only through Qf = Q(h).  ``iqc.augment`` builds the
+rest, each block's coefficients over the unit-trace basis of P, once per
+``certify`` (at its first dynamic probe) and once per replay; a probe at rho
+is coefficient arithmetic on that data.  Everything is in reduced units
+(``model.reduced``): rates are invariant under that rescaling and the block
+entries stay at unit scale, so the strictness tolerances below mean the same
+thing for every input.  Stored witnesses refer to the reduced system; the
+rate bound itself needs only rho_star and cond(P), both of which are
+reduction-invariant for the plant state.  Two backends decide feasibility:
 
-* augmented state dimension 1 (static multiplier): P is the scalar 1, and
-  the admissible lambda set at each endpoint is an interval computed in
-  closed form from the 2x2 block's diagonal and determinant conditions; the
+* state dimension 1 (static multiplier): P is the scalar 1, and the
+  admissible lambda set at each endpoint is an interval computed in closed
+  form from the 2x2 block's diagonal and determinant conditions; the
   family is feasible iff the intervals intersect (``sector_lambda``).
   ``certify`` decides its sector probes with that function alone, in plain
   floats, without importing this module; only replay
-  (``Certificate.slack``, ``verify_certificate``) builds the numpy
-  instance.
-* augmented state dimension >= 2: a deep-cut ellipsoid method over the
-  decision vector (free entries of P, lambda) with cutting planes from the
+  (``Certificate.slack``, ``verify_certificate``) builds the numpy data.
+* state dimension >= 2: a deep-cut ellipsoid method over the decision
+  vector (free coordinates of P, lambda) with cutting planes from the
   most-positive eigenvector of a violated block.
 
 "<= 0" is implemented strictly as "<= -eps_feas * I" with a data-scaled
 default eps_feas, and P is kept away from singularity by P >= delta_pd * I;
 both tolerances are explicit options.
 
-Importing this module loads numpy, ``linalg``, ``iqc`` and ``ellipsoid``.
-``search`` imports it the first time a certification needs it: a dynamic
-probe, a dynamic witness's ``cond_p``, ``Certificate.slack``, or the P of
-a sector witness.
+All eigen work goes through numpy's LAPACK drivers: ``eigh`` when
+eigenvectors are needed and ``eigvalsh`` when only eigenvalues are.
+
+Importing this module loads numpy, ``iqc`` and ``ellipsoid``.  ``search``
+imports it the first time a certification needs it: a dynamic probe, a
+dynamic witness's ``cond_p``, ``Certificate.slack``, or the P of a sector
+witness.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,8 +63,7 @@ from .ellipsoid import (
     ellipsoid_feasibility,
 )
 from .iqc import (
-    AugmentedSystem,
-    IqcMultiplier,
+    LmiData,
     WeightOutOfRange,
     augment,
     default_weights,
@@ -70,8 +72,7 @@ from .iqc import (
     weighted_off_by_1,
     zames_falb,
 )
-from .linalg import SymMatrix, eig_sym, cond_spd, max_eigenvalue
-from .model import FunctionClass, StepSizeInterval
+from .model import FunctionClass, reduced
 # The rate search and the certificate types, re-exported: ``search`` runs
 # the bisection and calls back into this module through its attributes.
 from .search import (  # noqa: F401
@@ -91,225 +92,164 @@ from .search import (  # noqa: F401
     default_eps_feas,
     lambda_interval_sector,
     sector_lambda,
+    taps,
     top_rate,
 )
 
 
-@dataclass(frozen=True, eq=False)
-class LmiInstance:
-    """One feasibility question: the block family at a fixed candidate rho."""
-
-    rho: float
-    interval: StepSizeInterval
-    aug: AugmentedSystem
-    quad: SymMatrix
-    fc: FunctionClass
-
-    def __post_init__(self):
-        if not self.rho > 0.0:
-            raise InvalidInput(f"need rho > 0, got {self.rho}")
+class NotPositiveDefinite(ValueError):
+    """Raised when an SPD-only operation receives a non-PD matrix."""
 
 
-def assemble_lmi_block(
-    aug: AugmentedSystem,
-    quad: SymMatrix,
-    rho: float,
-    alpha: float,
-    p: SymMatrix,
-    lam: float,
-) -> SymMatrix:
-    """The symmetric block of the family at one step size, for given
-    (rho, P, lambda)."""
-    s = aug.state_dim
-    if p.order != s:
-        raise InvalidInput(f"P has order {p.order}, expected {s}")
-    if quad.order != s + 1:
-        raise InvalidInput(f"quad has order {quad.order}, expected {s + 1}")
-    if lam < 0.0:
-        raise InvalidInput(f"need lambda >= 0, got {lam}")
-    pm = p.mat
-    a = aug.a
-    b = aug.b(alpha)
-    pa = pm @ a
-    pb = pm @ b
-    top_left = a.T @ pa - (rho * rho) * pm
-    top_right = a.T @ pb
-    bottom_right = float(b @ pb)
-    block = np.empty((s + 1, s + 1))
-    block[:s, :s] = top_left
-    block[:s, s] = top_right
-    block[s, :s] = top_right
-    block[s, s] = bottom_right
-    block += lam * quad.mat
-    return SymMatrix(block, symmetrize=True)
+def eig_sym(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full symmetric eigendecomposition (LAPACK ``syevd`` via numpy):
+    eigenvalues sorted ascending, and eigenvectors whose column i pairs with
+    eigenvalue i.
+
+    Deterministic for a given input.  Satisfies, for random test matrices,
+    ``||Q diag(w) Q^T - S||_F <= 1e-10 * max(1, ||S||_F)`` and
+    ``||Q^T Q - I||_F <= 1e-10``.
+    """
+    vals, vecs = np.linalg.eigh(s)
+    return vals, vecs
 
 
-# P of every sector witness: immutable, so one instance serves them all.
-_P_ONE = SymMatrix([[1.0]])
+def max_eigenvalue(s: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric matrix, or of a stack of them."""
+    return float(np.linalg.eigvalsh(s)[..., -1].max())
 
 
-def _family_slack(inst: LmiInstance, p: SymMatrix, lam: float) -> float:
-    """Largest block eigenvalue over the interval endpoints."""
-    worst = -math.inf
-    for alpha in inst.interval.endpoints:
-        block = assemble_lmi_block(inst.aug, inst.quad, inst.rho, alpha, p, lam)
-        worst = max(worst, max_eigenvalue(block))
-    return worst
+def cond_spd(s: np.ndarray) -> float:
+    """Condition number lambda_max / lambda_min of a positive definite matrix."""
+    vals = np.linalg.eigvalsh(s)
+    if vals[0] <= 0.0:
+        raise NotPositiveDefinite(
+            f"matrix is not positive definite (min eigenvalue {vals[0]:g})"
+        )
+    return float(vals[-1] / vals[0])
 
 
-def _p_basis(s: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Unit-trace parameterization of symmetric P: the last diagonal entry
-    absorbs the trace constraint.  Returns (P0, [basis matrices]) so that
-    P(v) = P0 + sum_i v_i * basis[i]; the lambda variable is appended by the
-    caller and has no P component."""
-    p0 = np.zeros((s, s))
-    p0[s - 1, s - 1] = 1.0
-    basis = []
-    for i in range(s - 1):
-        e = np.zeros((s, s))
-        e[i, i] = 1.0
-        e[s - 1, s - 1] = -1.0
-        basis.append(e)
-    for i in range(s):
-        for j in range(i + 1, s):
-            e = np.zeros((s, s))
-            e[i, j] = 1.0
-            e[j, i] = 1.0
-            basis.append(e)
-    return p0, basis
+# P of every sector witness: read-only, so one array serves them all.
+_P_ONE = np.ones((1, 1))
+_P_ONE.setflags(write=False)
+
+
+def _weights(kind: str, rho: float, k: int,
+             pinned: tuple[float, ...] | None) -> tuple[float, ...]:
+    """The weights h of a k-tap ``kind`` multiplier at rate ``rho``:
+    ``pinned``, or the defaults.  Raises WeightOutOfRange when they are
+    inadmissible at ``rho`` or do not fit the k taps."""
+    if pinned is not None and len(pinned) != k:
+        raise WeightOutOfRange(f"{kind} takes {k} weight(s), got {len(pinned)}")
+    if kind == SECTOR:
+        return sector()
+    h = pinned or default_weights(kind, rho, k)
+    if kind == WEIGHTED_OFF_BY_1:
+        return weighted_off_by_1(rho, h[0])
+    if kind == ZAMES_FALB:
+        return zames_falb(rho, h)
+    raise InvalidInput(f"unknown multiplier kind {kind!r}; expected one of {KINDS}")
 
 
 def _matrix_backend(
-    inst: LmiInstance, eps: float, opts: CertifyOptions
+    lmi: LmiData, rho: float, h: tuple[float, ...], eps: float, opts: CertifyOptions
 ) -> Witness | None:
-    s = inst.aug.state_dim
-    p0, basis = _p_basis(s)
-    # A 1x1 P is fixed by its unit trace; a zero direction keeps v_dim >= 2.
-    basis = basis or [np.zeros((1, 1))]
-    v_dim = len(basis) + 1
-
-    def top_part(pmat: np.ndarray, alpha: float) -> np.ndarray:
-        p_sym = SymMatrix(pmat, symmetrize=True)
-        return assemble_lmi_block(inst.aug, inst.quad, inst.rho, alpha, p_sym, 0.0).mat
-
-    constraints: list[MatrixConstraint] = []
+    d, s = lmi.p.shape[:2]
+    blocks = lmi.g.copy()
+    blocks[..., :s, :s] -= (rho * rho) * lmi.p
+    # The decision vector is (free coordinates of P, lambda).  A 1x1 P is
+    # fixed by its unit trace; a zero direction keeps v_dim >= 2.
+    v_dim = max(d, 2)
     # lambda >= 0, as a 1x1 block.
     lam_coeffs = np.zeros((v_dim, 1, 1))
     lam_coeffs[-1, 0, 0] = -1.0
-    constraints.append(
-        MatrixConstraint(s0=np.zeros((1, 1)), coeffs=lam_coeffs, bound=0.0)
-    )
     # P >= delta_pd * I  <=>  lambda_max(-P(v)) <= -delta_pd.
-    pd_coeffs = np.stack([-b for b in basis] + [np.zeros((s, s))])
-    constraints.append(
-        MatrixConstraint(s0=-p0, coeffs=pd_coeffs, bound=-opts.delta_pd)
-    )
+    pd_coeffs = np.zeros((v_dim, s, s))
+    pd_coeffs[:d - 1] = -lmi.p[1:]
+    constraints = [
+        MatrixConstraint(s0=np.zeros((1, 1)), coeffs=lam_coeffs, bound=0.0),
+        MatrixConstraint(s0=-lmi.p[0], coeffs=pd_coeffs, bound=-opts.delta_pd),
+    ]
     # One block per interval endpoint.
-    for alpha in inst.interval.endpoints:
-        s0 = top_part(p0, alpha)
-        coeffs = np.stack(
-            [top_part(b, alpha) for b in basis] + [inst.quad.mat]
-        )
-        constraints.append(MatrixConstraint(s0=s0, coeffs=coeffs, bound=-eps))
+    quad = quad_form(lmi, h)
+    for block in blocks:
+        coeffs = np.zeros((v_dim, s + 1, s + 1))
+        coeffs[:d - 1] = block[1:]
+        coeffs[-1] = quad
+        constraints.append(MatrixConstraint(s0=block[0], coeffs=coeffs, bound=-eps))
 
     point = ellipsoid_feasibility(
         constraints, v_dim, EllipsoidOptions(max_iters=opts.max_iters)
     )
     if point is None:
         return None
-    pmat = p0 + sum(v * b for v, b in zip(point[:-1], basis))
-    p = SymMatrix(pmat, symmetrize=True)
+    pmat = lmi.p[0] + sum(v * b for v, b in zip(point[:d - 1], lmi.p[1:]))
+    # Halving before the sum cannot overflow, and float addition commutes,
+    # so P is exactly symmetric.
+    p = 0.5 * pmat + 0.5 * pmat.T
+    p.setflags(write=False)
     return Witness(p=p, lam=float(point[-1]))
 
 
-def feasible_at_rho(inst: LmiInstance, opts: CertifyOptions | None = None) -> Witness | None:
-    """Decide joint feasibility of the block family at ``inst.rho``.
+def feasible_at_rho(
+    lmi: LmiData, rho: float, h: tuple[float, ...], opts: CertifyOptions | None = None
+) -> Witness | None:
+    """Decide joint feasibility of the block family at ``rho`` with the
+    multiplier weights ``h``.
 
     Returns a Witness, or None when infeasible.  Raises SolverBudgetExceeded
     (distinct from infeasibility) if the ellipsoid backend runs out of
     iterations before reaching a verdict.
     """
     opts = opts or CertifyOptions()
-    eps = opts.eps_feas if opts.eps_feas is not None else default_eps_feas(inst.fc.kappa())
-    if inst.aug.state_dim == 1:
-        lam = sector_lambda(inst.rho, inst.interval.endpoints, inst.fc, eps)
+    eps = opts.eps_feas if opts.eps_feas is not None else default_eps_feas(lmi.kappa)
+    if len(lmi.p) == 1:
+        lam = sector_lambda(rho, lmi.alphas, FunctionClass(1.0, lmi.kappa), eps)
         return None if lam is None else Witness(p=_P_ONE, lam=lam)
-    return _matrix_backend(inst, eps, opts)
+    return _matrix_backend(lmi, rho, h, eps, opts)
 
 
-def _build_multiplier(
-    fc: FunctionClass,
-    kind: str,
-    rho: float,
-    zf_order: int,
-    weights: tuple[float, ...] | None,
-) -> IqcMultiplier:
-    if kind == SECTOR:
-        return sector(fc)
-    if kind == WEIGHTED_OFF_BY_1:
-        h1 = weights[0] if weights else default_weights(kind, rho, 1)[0]
-        return weighted_off_by_1(fc, rho, h1)
-    if kind == ZAMES_FALB:
-        h = weights if weights else default_weights(kind, rho, zf_order)
-        return zames_falb(fc, rho, h)
-    raise InvalidInput(f"unknown multiplier kind {kind!r}; expected one of {KINDS}")
+def _blocks(lmi: LmiData, rho: float, h: tuple[float, ...], p: np.ndarray,
+            lam: float) -> np.ndarray:
+    """The family's blocks, one per step size, at (rho, h) and the pair
+    (P, lambda): the data evaluated at P's coordinates over its basis."""
+    s = lmi.p.shape[1]
+    if p.shape != (s, s):
+        raise InvalidInput(f"P has order {p.shape[0]}, expected {s}")
+    x = np.concatenate(([np.trace(p)], np.diag(p)[:-1], p[np.triu_indices(s, 1)]))
+    blocks = np.tensordot(x, lmi.g, axes=(0, 1))
+    blocks[..., :s, :s] -= (rho * rho) * p
+    return blocks + lam * quad_form(lmi, h)
 
 
-def _instance(
-    fc: FunctionClass,
-    interval: StepSizeInterval,
-    kind: str,
-    rho: float,
-    zf_order: int,
-    weights: tuple[float, ...] | None,
-) -> LmiInstance:
-    """Build the feasibility instance in reduced units.
-
-    The whole certification problem depends on (m, L, steps) only through
-    the condition number and the products step*m: rescaling the class to
-    modulus 1 and the steps by m leaves every contraction factor, hence the
-    certified rate, unchanged, while keeping the block entries at unit scale
-    so the strictness tolerances mean the same thing for every input.  The
-    witness therefore refers to the reduced system; for m == 1 the reduction
-    is the identity.
-    """
-    m = fc.m
-    fc_n = FunctionClass(1.0, fc.L / m)
-    mult = _build_multiplier(fc_n, kind, rho, zf_order, weights)
-    aug = augment(mult)
-    return LmiInstance(
-        rho=rho,
-        interval=StepSizeInterval(interval.lo * m, interval.hi * m),
-        aug=aug,
-        quad=quad_form(aug, mult),
-        fc=fc_n,
-    )
-
-
-def _replay_instance(cert: Certificate) -> LmiInstance:
-    """The certificate's instance at ``rho_star``, rebuilt from its own
-    fields in reduced units (matching the witness)."""
-    return _instance(cert.fc, cert.interval, cert.iqc_kind, cert.rho_star,
-                     cert.zf_order or 1, cert.weights or None)
+def _slack(cert: Certificate) -> float:
+    """Largest block eigenvalue of the certificate's witness over its step
+    sizes, on data rebuilt from the certificate's own fields in reduced
+    units (matching the witness)."""
+    fc_n, alphas = reduced(cert.fc, cert.interval)
+    k = taps(cert.iqc_kind, cert.zf_order)
+    h = _weights(cert.iqc_kind, cert.rho_star, k, cert.weights or None)
+    lmi = augment(fc_n.kappa(), alphas, k)
+    return max_eigenvalue(_blocks(lmi, cert.rho_star, h, cert.witness.p, cert.witness.lam))
 
 
 def verify_certificate(cert: Certificate, slack_tol: float | None = None) -> bool:
-    """Replay the certificate: re-assemble the block at both endpoints of the
-    stored interval at the stored (rho_star, P, lambda) and check them
-    against ``slack_tol`` (default: the same data-scaled tolerance used for
-    feasibility).  The slack is recomputed here, never read from
-    ``cert.slack``."""
+    """Replay the certificate: rebuild the inequality's data from its own
+    fields, evaluate the blocks at both endpoints of the stored interval at
+    the stored (rho_star, P, lambda) and check them against ``slack_tol``
+    (default: the same data-scaled tolerance used for feasibility).  The
+    slack is recomputed here, never read from ``cert.slack``."""
     if cert.rho_star is None or cert.witness is None:
         raise InvalidInput("certificate has no witness to verify")
     wit = cert.witness
     if wit.lam < 0.0:
         return False
-    if eig_sym(wit.p).eigenvalues[0] <= 0.0:
+    vals, _ = eig_sym(wit.p)
+    if vals[0] <= 0.0:
         return False
     try:
-        inst = _replay_instance(cert)
+        slack = _slack(cert)
     except WeightOutOfRange:
         return False
-    tol = slack_tol if slack_tol is not None else default_eps_feas(inst.fc.kappa())
-    return _family_slack(inst, wit.p, wit.lam) <= tol
-
+    tol = slack_tol if slack_tol is not None else default_eps_feas(cert.fc.kappa())
+    return slack <= tol

@@ -1,24 +1,24 @@
 """Quadratic-constraint multipliers for the gradient nonlinearity, and the
-augmented system (gradient descent in series with the multiplier filter)
-whose matrix inequality certifies a rate.
+affine data of the matrix inequality that certifies a rate with them.
 
-Three multiplier families are provided.  Each is a pair (Psi, M): a filter
-in state-space form producing an auxiliary output z from the plant output y
-and input u, and an indefinite middle matrix M, always [[0, 1], [1, 0]]
-here, so that z^T M z encodes the constraint the gradient satisfies.
+Every multiplier is a k-tap shift register (k = 0 for the static sector
+multiplier) whose state holds the last k values of u - L*y, with the
+middle matrix M = [[0, 1], [1, 0]].  Its output row 0 is L*y - u plus the
+taps weighted by h, row 1 is u - m*y, so z^T M z encodes the constraint
+the gradient satisfies:
 
-* sector           - static, no filter state; holds pointwise at every step.
-* weighted off-by-1 - one-step memory with a weight h1 in [0, rho^2]; holds
-                      in the rho-weighted (exponentially discounted) sense.
-* off-by-k         - k-step shift-register memory with weights h_1..h_k
-                      satisfying 0 <= h_j <= 1 and sum rho^(-2j) h_j <= 1.
+* sector           - no taps, no weights; holds pointwise at every step.
+* weighted off-by-1 - one tap with a weight h1 in [0, rho^2]; holds in the
+                      rho-weighted (exponentially discounted) sense.
+* off-by-k         - k taps with weights h_1..h_k satisfying 0 <= h_j <= 1
+                      and sum rho^(-2j) h_j <= 1.
 
-Because admissible weights depend on the candidate rate rho, the dynamic
-multipliers are re-instantiated per rho by the certifier; the sector
-multiplier is rho-independent, and the certifier builds it only to replay a
-certificate (its probes are closed-form).  Every call
-returns fresh filter arrays, so no caller can alter another's multiplier; the
-middle matrix, read-only, is one shared instance.
+Admissible weights depend on the candidate rate rho, so ``sector``,
+``weighted_off_by_1`` and ``zames_falb`` validate a weight tuple h at each
+rate; h enters the inequality only through the constraint's quadratic form
+``Q(h) = q0 + sum_j h_j qh[j]``, since only row 0 of the output carries h.
+Everything else (the plant and filter rows, the unit-trace basis of P) is
+free of rho and h, and ``augment`` builds it once per certification.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SymMatrix
-from .model import FunctionClass
 # The kind names, defined where the numpy-free rate search reads them.
 from .search import KINDS, SECTOR, WEIGHTED_OFF_BY_1, ZAMES_FALB  # noqa: F401
 
@@ -41,109 +39,24 @@ class WeightOutOfRange(ValueError):
     """Multiplier weights violate their admissibility conditions."""
 
 
-class DimensionMismatch(ValueError):
-    """Inconsistent block dimensions when assembling systems."""
+def sector() -> tuple[float, ...]:
+    """The static multiplier's weights: none.  It encodes m*y <= grad(y) <=
+    L*y pointwise at every step, hence at every discount rate."""
+    return ()
 
 
-# The middle matrix of every multiplier: immutable, so one instance serves
-# them all.
-_MID = SymMatrix([[0.0, 1.0], [1.0, 0.0]])
-
-
-@dataclass(frozen=True, eq=False)
-class IqcMultiplier:
-    """Filter state-space blocks (psi_*), middle matrix, and provenance.
-
-    ``psi_a`` is (k, k) for filter order k (k = 0 for the static sector
-    multiplier), ``psi_by``/``psi_bu`` are the input columns from y and u,
-    ``psi_c`` is (2, k), and ``psi_dy``/``psi_du`` are the feedthrough
-    columns.  ``params`` holds the weight vector h (empty for sector).
-    """
-
-    psi_a: np.ndarray
-    psi_by: np.ndarray
-    psi_bu: np.ndarray
-    psi_c: np.ndarray
-    psi_dy: np.ndarray
-    psi_du: np.ndarray
-    mid: SymMatrix
-    kind: str
-    params: tuple[float, ...]
-
-    @property
-    def filter_order(self) -> int:
-        return self.psi_a.shape[0]
-
-    def __post_init__(self):
-        k = self.psi_a.shape[0]
-        if self.psi_a.shape != (k, k):
-            raise DimensionMismatch("psi_a must be square")
-        if self.psi_by.shape != (k,) or self.psi_bu.shape != (k,):
-            raise DimensionMismatch("filter input columns must have length k")
-        if self.psi_c.shape != (2, k):
-            raise DimensionMismatch("psi_c must be 2 x k")
-        if self.psi_dy.shape != (2,) or self.psi_du.shape != (2,):
-            raise DimensionMismatch("feedthrough columns must have length 2")
-        if self.mid.order != 2:
-            raise DimensionMismatch("middle matrix must be 2 x 2")
-
-
-@dataclass(frozen=True, eq=False)
-class AugmentedSystem:
-    """Gradient descent + filter dynamics x_{k+1} = A x_k + B(alpha) u_k,
-    z_k = C x_k + D u_k, with B(alpha) = b0 + alpha*b1 affine in the step
-    size.  Only the plant-state row of b1 is nonzero."""
-
-    a: np.ndarray
-    b0: np.ndarray
-    b1: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    state_dim: int
-
-    def b(self, alpha: float) -> np.ndarray:
-        return self.b0 + alpha * self.b1
-
-
-def _shift_register(fc: FunctionClass, kind: str, h: tuple[float, ...]) -> IqcMultiplier:
-    """The k-tap filter of every kind, k = len(h): its state holds the last
-    k values of u - L*y, and the first output row weights them by h."""
-    k = len(h)
-    by, bu, c = np.zeros(k), np.zeros(k), np.zeros((2, k))
-    by[:1] = -fc.L
-    bu[:1] = 1.0
-    c[0] = h
-    return IqcMultiplier(
-        psi_a=np.eye(k, k, -1),
-        psi_by=by,
-        psi_bu=bu,
-        psi_c=c,
-        psi_dy=np.array([fc.L, -fc.m]),
-        psi_du=np.array([-1.0, 1.0]),
-        mid=_MID,
-        kind=kind,
-        params=h,
-    )
-
-
-def sector(fc: FunctionClass) -> IqcMultiplier:
-    """Static multiplier encoding m*y <= grad(y) <= L*y in quadratic form;
-    holds pointwise at every step, hence at every discount rate."""
-    return _shift_register(fc, SECTOR, ())
-
-
-def weighted_off_by_1(fc: FunctionClass, rho: float, h1: float) -> IqcMultiplier:
-    """One-step-memory multiplier, admissible for any h1 in [0, rho^2]."""
+def weighted_off_by_1(rho: float, h1: float) -> tuple[float]:
+    """One-step-memory weights, admissible for any h1 in [0, rho^2]."""
     if not 0.0 < rho <= 1.0:
         raise WeightOutOfRange(f"need rho in (0, 1], got {rho}")
     cap = rho * rho
     if not (0.0 <= h1 <= cap + _WEIGHT_TOL * max(1.0, cap)):
         raise WeightOutOfRange(f"need h1 in [0, rho^2] = [0, {cap}], got {h1}")
-    return _shift_register(fc, WEIGHTED_OFF_BY_1, (float(h1),))
+    return (float(h1),)
 
 
-def zames_falb(fc: FunctionClass, rho: float, h) -> IqcMultiplier:
-    """Off-by-k multiplier with shift-register filter and weights h_1..h_k.
+def zames_falb(rho: float, h) -> tuple[float, ...]:
+    """Off-by-k weights h_1..h_k.
 
     Requires 0 <= h_j <= 1 for every j and sum_j rho^(-2j) h_j <= 1.
     """
@@ -160,7 +73,7 @@ def zames_falb(fc: FunctionClass, rho: float, h) -> IqcMultiplier:
         raise WeightOutOfRange(
             f"discounted weight sum {discounted} exceeds 1 at rho={rho}"
         )
-    return _shift_register(fc, ZAMES_FALB, h)
+    return h
 
 
 def default_weights(kind: str, rho: float, k: int) -> tuple[float, ...]:
@@ -179,35 +92,83 @@ def default_weights(kind: str, rho: float, k: int) -> tuple[float, ...]:
     return tuple(rho ** (2 * j) / k for j in range(1, k + 1))
 
 
-def augment(iqc: IqcMultiplier) -> AugmentedSystem:
-    """Series interconnection of gradient descent with the multiplier filter.
+@dataclass(frozen=True, eq=False)
+class LmiData:
+    """The inequality family of a k-tap multiplier in reduced units (class
+    modulus 1, condition number ``kappa``, step sizes ``alphas``), free of
+    rho and h.  The system is x+ = a x + b[c] u at step size ``alphas[c]``,
+    with s = k + 1 states.  With P written as sum_i x_i p[i] (p[0] = P0,
+    x_0 = trace(P)), its block is
 
-    State x = (plant state, filter state).  The plant row is gradient
-    descent, x+ = x - alpha*u with output y = x, so the filter sees the
-    plant state unscaled; the step size enters only that row of the input
-    matrix, preserving the affine structure B(alpha) = b0 + alpha*b1.
+        sum_i x_i (g[c, i] - rho^2 * diag(p[i], 0)) + lambda * Q(h).
+
+    ``a`` is (s, s), ``b`` is (steps, s), ``p`` is (d, s, s) for
+    d = s(s+1)/2, ``g`` is (steps, d, s+1, s+1), ``q0`` is (s+1, s+1) and
+    ``qh`` is (k, s+1, s+1).
     """
-    k = iqc.filter_order
-    s = 1 + k
-    a = np.zeros((s, s))
+
+    kappa: float
+    alphas: tuple[float, ...]
+    a: np.ndarray
+    b: np.ndarray
+    p: np.ndarray
+    g: np.ndarray
+    q0: np.ndarray
+    qh: np.ndarray
+
+
+def _unit_trace_basis(s: int) -> np.ndarray:
+    """P0 = e_s e_s^T, then e_i e_i^T - P0 for i < s, then e_i e_j^T +
+    e_j e_i^T for i < j: P = trace(P) P0 + sum_i v_i basis[i], so a
+    unit-trace P is P0 plus free coordinates v."""
+    pairs = [(i, i) for i in range(s - 1)] + [
+        (i, j) for i in range(s) for j in range(i + 1, s)]
+    p = np.zeros((1 + len(pairs), s, s))
+    p[0, -1, -1] = 1.0
+    for n, (i, j) in enumerate(pairs, start=1):
+        p[n, i, j] = p[n, j, i] = 1.0
+        if i == j:
+            p[n, -1, -1] = -1.0
+    return p
+
+
+def augment(kappa: float, alphas: tuple[float, ...], k: int) -> LmiData:
+    """The family's data for condition number ``kappa``, the reduced step
+    sizes ``alphas`` and a k-tap multiplier.
+
+    The state is (plant, filter taps).  The plant row is gradient descent,
+    x+ = x - alpha*u with output y = x, so the filter sees the plant state
+    unscaled and the step size enters only the plant row of the input
+    column b.  The filter rows shift the taps down and feed u - kappa*y into
+    the first.  Each block's P-part [a b]^T P [a b] is formed as
+    a^T (P a), a^T (P b) and b . (P b).
+    """
+    s = k + 1
+    p = _unit_trace_basis(s)
+    a = np.eye(s, s, -1)
     a[0, 0] = 1.0
-    a[1:, 0] = iqc.psi_by
-    a[1:, 1:] = iqc.psi_a
-    b0 = np.zeros(s)
-    b0[1:] = iqc.psi_bu
-    b1 = np.zeros(s)
-    b1[0] = -1.0
-    c = np.zeros((2, s))
-    c[:, 0] = iqc.psi_dy
-    c[:, 1:] = iqc.psi_c
-    d = iqc.psi_du.copy()
-    return AugmentedSystem(a=a, b0=b0, b1=b1, c=c, d=d, state_dim=s)
+    a[1:2, 0] = -kappa
+    b = np.zeros((len(alphas), s))
+    b[:, 0] = np.negative(alphas)
+    b[:, 1:2] = 1.0
+    g = np.zeros((len(alphas), len(p), s + 1, s + 1))
+    for c, bc in enumerate(b):
+        for i, pm in enumerate(p):
+            pb = pm @ bc
+            g[c, i, :s, :s] = a.T @ (pm @ a)
+            g[c, i, :s, s] = g[c, i, s, :s] = a.T @ pb
+            g[c, i, s, s] = bc @ pb
+    # [C D]^T M [C D] with [C D] = [[kappa, h, -1], [-1, 0, 1]].
+    q0 = np.zeros((s + 1, s + 1))
+    q0[0, 0], q0[s, s] = -2.0 * kappa, -2.0
+    q0[0, s] = q0[s, 0] = 1.0 + kappa
+    qh = np.zeros((k, s + 1, s + 1))
+    for j in range(k):
+        qh[j, j + 1, 0] = qh[j, 0, j + 1] = -1.0
+        qh[j, j + 1, s] = qh[j, s, j + 1] = 1.0
+    return LmiData(kappa=kappa, alphas=alphas, a=a, b=b, p=p, g=g, q0=q0, qh=qh)
 
 
-def quad_form(aug: AugmentedSystem, iqc: IqcMultiplier) -> SymMatrix:
-    """The symmetric matrix [C D]^T M [C D] of order state_dim + 1."""
-    if aug.c.shape != (2, aug.state_dim) or aug.d.shape != (2,):
-        raise DimensionMismatch("augmented output blocks have wrong shape")
-    w = np.concatenate((aug.c, aug.d[:, None]), axis=1)
-    g = w.T @ iqc.mid.mat @ w
-    return SymMatrix(g, symmetrize=True)
+def quad_form(lmi: LmiData, h: tuple[float, ...]) -> np.ndarray:
+    """Q(h) = q0 + sum_j h_j qh[j], lambda's coefficient in every block."""
+    return lmi.q0 + np.tensordot(h, lmi.qh, axes=1)

@@ -1,8 +1,8 @@
 """Problem data: function class and step-size intervals.
 
 The system studied is gradient descent, x+ = x - alpha*u with output y = x
-and input u the gradient; ``iqc.augment`` writes its rows directly, with
-scalar blocks (state dimension 1).  Every
+and input u the gradient, with scalar blocks (state dimension 1);
+``iqc.augment`` writes its plant row into the inequality's data.  Every
 block of that system is a multiple of the identity, so the rate
 certificates decouple coordinate-wise and are independent of the ambient
 dimension; the test suite cross-checks this against explicit simulations in
@@ -93,3 +93,20 @@ def interval_asymmetric(fc: FunctionClass, c1: float, c2: float) -> StepSizeInte
         raise InvalidC(f"empty interval: 1/(c1*L)={lo} > c2/L={hi}")
     return StepSizeInterval(lo, hi)
 
+
+def reduced(
+    fc: FunctionClass, interval: StepSizeInterval
+) -> tuple[FunctionClass, tuple[float, ...]]:
+    """The class and the step sizes to check, in reduced units.
+
+    The whole certification problem depends on (m, L, steps) only through
+    the condition number and the products step*m: rescaling the class to
+    modulus 1 and the steps by m leaves every contraction factor, hence the
+    certified rate, unchanged, while keeping the block entries at unit scale
+    so the strictness tolerances mean the same thing for every input.  A
+    witness therefore refers to the reduced system; for m == 1 the reduction
+    is the identity.
+    """
+    m = fc.m
+    return (FunctionClass(1.0, fc.L / m),
+            StepSizeInterval(interval.lo * m, interval.hi * m).endpoints)

@@ -3,8 +3,8 @@ sector family's closed-form probes, and the types a certificate is made of.
 
 This module imports no numpy, so a sector ``certify`` (and with it a
 sector sweep) runs from start to end without it.  The numpy layer,
-``certifier`` (instance assembly, the ellipsoid backend, replay and
-``verify_certificate``), is imported the first time the search needs it:
+``certifier`` (the ellipsoid backend, replay and ``verify_certificate``),
+is imported the first time the search needs it:
 a probe of a dynamic multiplier (wob1, zf:k), the condition number of a
 dynamic witness, ``Certificate.slack``, or the P of a sector witness.  The
 search calls those names through the module (``certifier.feasible_at_rho``),
@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .model import FunctionClass, StepSizeInterval
+from .model import FunctionClass, StepSizeInterval, reduced
 
 if TYPE_CHECKING:
-    from .linalg import SymMatrix
+    import numpy as np
 
 # The multiplier kinds (``iqc`` builds them).
 SECTOR = "sector"
@@ -34,6 +34,13 @@ WEIGHTED_OFF_BY_1 = "wob1"
 ZAMES_FALB = "zf"
 
 KINDS = (SECTOR, WEIGHTED_OFF_BY_1, ZAMES_FALB)
+
+# The largest zf filter order ``certify`` accepts.  A k-tap probe has
+# (k+1)(k+2)/2 + 1 decision variables, so the inequality's data grows as
+# k^4 and the ellipsoid's cut budget as k^4 cuts of (k+2)-order eigen-solves:
+# zf:6 takes seconds at (10, 1.2), and zf:200 would need about 13 GB of data
+# per certification before its first cut.
+MAX_ZF_ORDER = 6
 
 # The bisection bracket.  The top stays at 1 because discounted multiplier
 # validity is only claimed below 1: infeasibility there means "no
@@ -63,7 +70,7 @@ class CertifyOptions:
 
     ``rho_tol`` is the width of the final bracket, in (0, RHO_HI - RHO_LO].
     ``eps_feas = None`` selects the data-scaled default 1e-9 * (1 + 2L/m),
-    which is 1e-9 * (1 + max |Qf entries|) of the reduced instance.
+    which is 1e-9 * (1 + max |Qf entries|) of the reduced data.
     ``max_iters`` caps the ellipsoid's iterations (None: its own default).
     A ``rho_tol`` outside its range (NaN included), a negative or
     non-finite ``eps_feas``, or a ``delta_pd`` that is not finite and
@@ -104,10 +111,11 @@ class _WitnessP:
 
 @dataclass(frozen=True, eq=False)
 class Witness:
-    """Feasible pair for the whole family: P (unit trace) and lambda >= 0.
-    ``p=None`` makes a sector witness, whose P is [[1.0]]."""
+    """Feasible pair for the whole family: P (unit trace, read-only and
+    exactly symmetric) and lambda >= 0.  ``p=None`` makes a sector witness,
+    whose P is [[1.0]]."""
 
-    p: SymMatrix = _WitnessP()
+    p: np.ndarray = _WitnessP()
     lam: float
 
 
@@ -145,9 +153,7 @@ class Certificate:
         endpoints (<= 0), computed on first read; None without a witness."""
         if self.witness is None:
             return None
-        certifier = _numpy_layer()
-        return certifier._family_slack(certifier._replay_instance(self),
-                                       self.witness.p, self.witness.lam)
+        return _numpy_layer()._slack(self)
 
 
 def closed_form_rate(alpha: float, fc: FunctionClass) -> float:
@@ -160,7 +166,7 @@ def closed_form_rate(alpha: float, fc: FunctionClass) -> float:
 
 def default_eps_feas(kappa: float) -> float:
     """The data-scaled tolerance 1e-9 * (1 + max |Qf entries|) of every
-    instance ``certifier._instance`` builds, without reading its Qf.  In
+    kind's reduced Qf = ``iqc.quad_form``, without reading it.  In
     reduced units its largest entry is the 2k of entry (0, 0), for
     k = L/m >= 1: the others are k + 1, 2 and the filter weights, each at
     most 1 + 1e-9.  Past k ~ 9e307 it is inf, silently, where the numpy Qf
@@ -248,14 +254,16 @@ def certify(
 ) -> Certificate:
     """Bisect on rho for the smallest certifiable rate over the interval.
 
-    Sector probes never build the numpy instance: P is 1, the reduced class
-    and interval and the default tolerance are plain floats computed once
-    per call, and each probe is ``sector_lambda`` at its rho.  The dynamic
-    multipliers are re-instantiated at every trial rho because admissible
-    weights depend on rho (pass ``weights``, one per filter tap, to pin them
-    instead; trial rates at which pinned weights are inadmissible count as
-    infeasible).  Weights of any other length, or any for sector, raise
-    InvalidInput.  The returned rate is the upper end of the final bracket,
+    Sector probes never build numpy data: P is 1, the reduced class and
+    interval and the default tolerance are plain floats computed once per
+    call, and each probe is ``sector_lambda`` at its rho.  A dynamic
+    multiplier's data (``certifier.augment``) is built once, at the first
+    dynamic solve; its weights are validated again at every trial rho
+    because admissible weights depend on rho (pass ``weights``, one per
+    filter tap, to pin them instead; trial rates at which pinned weights are
+    inadmissible count as infeasible).  Weights of any other length, or any
+    for sector, raise InvalidInput, as does a zf order above MAX_ZF_ORDER.
+    The returned rate is the upper end of the final bracket,
     so it is always backed by a stored witness; ``rho_star`` is None when
     even the top of the bracket is infeasible.  Trial rates below the exact
     worst-case rate ``r_exact = max(closed_form_rate(lo),
@@ -275,7 +283,9 @@ def certify(
         raise InvalidInput(f"unknown multiplier kind {iqc_kind!r}")
     if zf_order < 1:
         raise InvalidInput(f"zf_order must be >= 1, got {zf_order}")
-    n_weights = {SECTOR: 0, WEIGHTED_OFF_BY_1: 1}.get(iqc_kind, zf_order)
+    if iqc_kind == ZAMES_FALB and zf_order > MAX_ZF_ORDER:
+        raise InvalidInput(f"zf_order must be <= {MAX_ZF_ORDER}, got {zf_order}")
+    n_weights = taps(iqc_kind, zf_order)
     if weights is not None and len(weights) != n_weights:
         raise InvalidInput(f"{iqc_kind} takes {n_weights} weight(s), got {len(weights)}")
     evals = 0
@@ -285,11 +295,9 @@ def certify(
     r_exact = max(closed_form_rate(interval.lo, fc), closed_form_rate(interval.hi, fc))
     floor = r_exact
 
-    if iqc_kind == SECTOR:
-        # The reduced units of certifier._instance, in floats.
-        fc_n = FunctionClass(1.0, fc.L / fc.m)
-        alphas = StepSizeInterval(interval.lo * fc.m, interval.hi * fc.m).endpoints
-        eps = opts.eps_feas if opts.eps_feas is not None else default_eps_feas(fc_n.kappa())
+    fc_n, alphas = reduced(fc, interval)
+    eps = opts.eps_feas if opts.eps_feas is not None else default_eps_feas(fc_n.kappa())
+    lmi = None  # a dynamic multiplier's data, built by the first solve
 
     # A found rate is (rho, lambda) for sector, (rho, Witness) otherwise.
     def probe(rho: float) -> tuple[float, float | Witness] | None:
@@ -298,15 +306,18 @@ def certify(
         return None if rho < floor else solve(rho)
 
     def solve(rho: float) -> tuple[float, float | Witness] | None:
+        nonlocal lmi
         if iqc_kind == SECTOR:
             verdict = sector_lambda(rho, alphas, fc_n, eps)
         else:
             certifier = _numpy_layer()
+            if lmi is None:
+                lmi = certifier.augment(fc_n.kappa(), alphas, n_weights)
             try:
-                inst = certifier._instance(fc, interval, iqc_kind, rho, zf_order, weights)
+                h = certifier._weights(iqc_kind, rho, n_weights, weights)
             except certifier.WeightOutOfRange:
                 return None
-            verdict = certifier.feasible_at_rho(inst, opts)
+            verdict = certifier.feasible_at_rho(lmi, rho, h, opts)
         return None if verdict is None else (rho, verdict)
 
     def finish(found: tuple[float, float | Witness] | None) -> Certificate:
@@ -373,6 +384,12 @@ def certify(
         floor = math.nextafter(g, math.inf)  # g and every rate below fail
     _, found, _ = bisect(probe)
     return finish(found or found_hi)
+
+
+def taps(kind: str, zf_order: int | None) -> int:
+    """The filter taps k of a multiplier kind: 0 for sector, 1 for wob1,
+    the zf order for zf.  Each tap has one weight."""
+    return {SECTOR: 0, WEIGHTED_OFF_BY_1: 1}.get(kind, zf_order)
 
 
 def top_rate(rho_tol: float) -> float:

@@ -10,11 +10,11 @@ import numpy as np
 
 from ratecert.certifier import (
     CertifyOptions,
-    _instance,
     _matrix_backend,
     certify,
     closed_form_rate,
     default_eps_feas,
+    eig_sym,
     feasible_at_rho,
 )
 from ratecert.cli import SweepRow, format_sweep_csv, parse_sweep_csv
@@ -28,11 +28,11 @@ from ratecert.iqc import (
     weighted_off_by_1,
     zames_falb,
 )
-from ratecert.linalg import SymMatrix, eig_sym
 from ratecert.model import (
     FunctionClass,
     StepSizeInterval,
     interval_from_c,
+    reduced,
 )
 from ratecert.simulator import (
     AdversarialGreedy,
@@ -244,11 +244,11 @@ def test_criterion_10_property_suites():
         fc = FunctionClass(m, m * float(rng.uniform(2.0, 20.0)))
         alpha = float(rng.uniform(0.3 / fc.L, 1.7 / fc.L))
         base = closed_form_rate(alpha, fc)
+        fc_n, alphas = reduced(fc, StepSizeInterval(alpha, alpha))
+        lmi = augment(fc_n.kappa(), alphas, 0)  # state dimension 1
         for rho in (min(base + 0.03, 0.9999), max(base - 0.03, 1e-3)):
-            inst = _instance(fc, StepSizeInterval(alpha, alpha),
-                             SECTOR, rho, 1, None)
-            a = feasible_at_rho(inst, opts) is not None
-            b = _matrix_backend(inst, default_eps_feas(inst.fc.kappa()), opts) is not None
+            a = feasible_at_rho(lmi, rho, (), opts) is not None
+            b = _matrix_backend(lmi, rho, (), default_eps_feas(lmi.kappa), opts) is not None
             agree = agree and (a == b)
     notes.append(f"backend agreement: {agree}")
 
@@ -256,25 +256,20 @@ def test_criterion_10_property_suites():
     fc = FunctionClass(1.0, 8.0)
     interval = interval_from_c(fc, 1.3)
     cert = certify(fc, interval)
+    fc_n, alphas = reduced(fc, interval)
+    lmi = augment(fc_n.kappa(), alphas, 0)
     mono = all(
-        feasible_at_rho(_instance(fc, interval, SECTOR, cert.rho_star + b, 1, None))
-        is not None
+        feasible_at_rho(lmi, cert.rho_star + b, ()) is not None
         for b in (1e-4, 1e-3, 1e-2, 0.05)
-    ) and feasible_at_rho(
-        _instance(fc, interval, SECTOR, cert.rho_star - 2 * cert.rho_tol, 1, None)
-    ) is None
+    ) and feasible_at_rho(lmi, cert.rho_star - 2 * cert.rho_tol, ()) is None
     notes.append(f"rho-monotonicity: {mono}")
 
     # Multiplier reduction chain, exact.
-    fc = FunctionClass(1.0, 10.0)
-    s = sector(fc)
-    q_s = quad_form(augment(s), s).mat
-    w = weighted_off_by_1(fc, 0.8, 0.3)
-    q_w = quad_form(augment(w), w).mat
-    z = zames_falb(fc, 0.8, [0.3, 0.0])
-    q_z = quad_form(augment(z), z).mat
-    z0 = zames_falb(fc, 0.8, [0.0])
-    q_z0 = quad_form(augment(z0), z0).mat
+    alphas = (0.1,)
+    q_s = quad_form(augment(10.0, alphas, 0), sector())
+    q_w = quad_form(augment(10.0, alphas, 1), weighted_off_by_1(0.8, 0.3))
+    q_z = quad_form(augment(10.0, alphas, 2), zames_falb(0.8, [0.3, 0.0]))
+    q_z0 = quad_form(augment(10.0, alphas, 1), zames_falb(0.8, [0.0]))
     chain = (
         np.array_equal(q_z[np.ix_([0, 1, 3], [0, 1, 3])], q_w)
         and np.array_equal(q_z0[np.ix_([0, 2], [0, 2])], q_s)
@@ -286,12 +281,12 @@ def test_criterion_10_property_suites():
     eig_ok = True
     for _ in range(20):
         n = int(rng.integers(1, 9))
-        sym = SymMatrix(rng.uniform(-1, 1, size=(n, n)), symmetrize=True)
-        res = eig_sym(sym)
-        qm, wv = res.eigenvectors, res.eigenvalues
+        a = rng.uniform(-1, 1, size=(n, n))
+        sym = 0.5 * a + 0.5 * a.T
+        wv, qm = eig_sym(sym)
         eig_ok = eig_ok and (
-            np.linalg.norm(qm @ np.diag(wv) @ qm.T - sym.mat)
-            <= 1e-10 * max(1.0, np.linalg.norm(sym.mat))
+            np.linalg.norm(qm @ np.diag(wv) @ qm.T - sym)
+            <= 1e-10 * max(1.0, np.linalg.norm(sym))
             and np.linalg.norm(qm.T @ qm - np.eye(n)) <= 1e-10
         )
     notes.append(f"eigensolver bounds: {eig_ok}")

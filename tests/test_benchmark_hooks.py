@@ -86,3 +86,31 @@ def test_simulate_reaches_every_wrapped_simulator_name(tmp_path, capsys, monkeyp
                      "--out", str(tmp_path / "sim.csv")]) == 0
     capsys.readouterr()
     assert [name for name, count in calls.items() if count == 0] == []
+
+
+def test_certify_reaches_every_wrapped_certifier_and_ellipsoid_name(monkeypatch):
+    # The per-layer metrics of certify-dynamic read the spans of these names;
+    # a name kept only so that it exists would blank them without failing
+    # the benchmark.  Between them, a wob1 and a zf:2 certify, a replay and
+    # a sector certificate's slack must call every one.
+    names = [(mod, attr) for mod, attr, _ in _load_tracing().WRAPPED
+             if mod in ("certifier", "ellipsoid")]
+    assert names
+    calls = dict.fromkeys(names, 0)
+    for mod, attr in names:
+        module = importlib.import_module(f"ratecert.{mod}")
+        original = getattr(module, attr)
+
+        def counting(*args, _key=(mod, attr), _original=original, **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counting)
+    fc = FunctionClass(1.0, 10.0)
+    interval = interval_from_c(fc, 1.2)
+    wob1 = certify(fc, interval, iqc_kind="wob1")
+    certify(fc, interval, iqc_kind="zf", zf_order=2)
+    certifier = importlib.import_module("ratecert.certifier")
+    assert certifier.verify_certificate(wob1)
+    assert certify(fc, interval).slack <= 0.0
+    assert [name for name, count in calls.items() if count == 0] == []

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import math
 import signal
 from unittest import mock
@@ -15,28 +16,37 @@ from ratecert.certifier import (
     Certificate,
     CertifyOptions,
     InvalidInput,
-    LmiInstance,
-    _family_slack,
-    _instance,
+    _blocks,
     _matrix_backend,
-    assemble_lmi_block,
+    _weights,
     certify,
     closed_form_rate,
+    cond_spd,
     default_eps_feas,
     feasible_at_rho,
     lambda_interval_sector,
+    max_eigenvalue,
     sector_lambda,
+    taps,
     verify_certificate,
 )
 from ratecert.ellipsoid import SolverBudgetExceeded
-from ratecert.iqc import SECTOR, WEIGHTED_OFF_BY_1, ZAMES_FALB, WeightOutOfRange
-from ratecert.linalg import SymMatrix, cond_spd
+from ratecert.iqc import (
+    SECTOR,
+    WEIGHTED_OFF_BY_1,
+    ZAMES_FALB,
+    WeightOutOfRange,
+    augment,
+    default_weights,
+    quad_form,
+)
 from ratecert.model import (
     FunctionClass,
     InvalidC,
     StepSizeInterval,
     interval_asymmetric,
     interval_from_c,
+    reduced,
 )
 
 FC10 = FunctionClass(1.0, 10.0)
@@ -44,6 +54,23 @@ FC10 = FunctionClass(1.0, 10.0)
 
 def _exact_rate(fc, interval):
     return max(closed_form_rate(interval.lo, fc), closed_form_rate(interval.hi, fc))
+
+
+def _lmi(fc, interval, kind, zf_order=2):
+    """The data certify builds for ``kind`` over ``interval``."""
+    fc_n, alphas = reduced(fc, interval)
+    return augment(fc_n.kappa(), alphas, taps(kind, zf_order))
+
+
+def _probe(fc, interval, kind, rho, zf_order=2, weights=None, opts=None):
+    """One probe from scratch, as certify makes it; raises WeightOutOfRange
+    where the weights are inadmissible at ``rho``."""
+    h = _weights(kind, rho, taps(kind, zf_order), weights)
+    return feasible_at_rho(_lmi(fc, interval, kind, zf_order), rho, h, opts)
+
+
+def _slack_at(fc, interval, kind, rho, h, wit, zf_order=2):
+    return max_eigenvalue(_blocks(_lmi(fc, interval, kind, zf_order), rho, h, wit.p, wit.lam))
 
 
 def _spy_solvers(mp, on_call):
@@ -55,9 +82,9 @@ def _spy_solvers(mp, on_call):
         on_call(rho)
         return sector_lambda(rho, *args)
 
-    def matrix(inst, opts=None):
-        on_call(inst.rho)
-        return feasible_at_rho(inst, opts)
+    def matrix(lmi, rho, h, opts=None):
+        on_call(rho)
+        return feasible_at_rho(lmi, rho, h, opts)
 
     mp.setattr(search, "sector_lambda", sector)
     mp.setattr(certifier, "feasible_at_rho", matrix)
@@ -104,25 +131,45 @@ def test_closed_form_rate_examples():
 
 
 # ---------------------------------------------------------------------------
-# assemble_lmi_block
-
-def _sector_instance(fc, interval, rho):
-    return _instance(fc, interval, SECTOR, rho, 1, None)
-
+# The family's blocks, evaluated from the data
 
 def test_assemble_block_examples():
-    inst = _sector_instance(FC10, interval_from_c(FC10, 1.0), 0.9)
-    p1 = SymMatrix([[1.0]])
-    b = assemble_lmi_block(inst.aug, inst.quad, 0.9, 0.1, p1, 0.01)
-    assert_allclose(b.mat, [[-0.01, 0.01], [0.01, -0.01]], atol=1e-15)
-    b = assemble_lmi_block(inst.aug, inst.quad, 1.0, 0.0, p1, 0.0)
-    assert_allclose(b.mat, [[0.0, 0.0], [0.0, 0.0]], atol=0)
-    b = assemble_lmi_block(inst.aug, inst.quad, 0.9, 0.1, p1, 0.0)
-    assert_allclose(b.mat, [[0.19, -0.1], [-0.1, 0.01]], atol=1e-15)
+    p1 = np.ones((1, 1))
+    (b,) = _blocks(augment(10.0, (0.1,), 0), 0.9, (), p1, 0.01)
+    assert_allclose(b, [[-0.01, 0.01], [0.01, -0.01]], atol=1e-15)
+    (b,) = _blocks(augment(10.0, (0.0,), 0), 1.0, (), p1, 0.0)
+    assert_allclose(b, [[0.0, 0.0], [0.0, 0.0]], atol=0)
+    lo, hi = _blocks(augment(10.0, (0.1, 0.2), 0), 0.9, (), p1, 0.0)
+    assert_allclose(lo, [[0.19, -0.1], [-0.1, 0.01]], atol=1e-15)
+    assert_allclose(hi, [[0.19, -0.2], [-0.2, 0.04]], atol=1e-15)
     with pytest.raises(InvalidInput):
-        assemble_lmi_block(inst.aug, inst.quad, 0.9, 0.1, SymMatrix(np.eye(2)), 0.0)
-    with pytest.raises(InvalidInput):
-        assemble_lmi_block(inst.aug, inst.quad, 0.9, 0.1, p1, -1.0)
+        _blocks(augment(10.0, (0.1,), 0), 0.9, (), np.eye(2), 0.0)
+
+
+def test_blocks_are_the_direct_product_at_the_witness():
+    # The data evaluated at P's coordinates equals the block written out
+    # from A, b(alpha), P and Q(h), for every kind and both step sizes.
+    fc = FunctionClass(1.0, 7.0)
+    interval = interval_from_c(fc, 1.3)
+    for kind in (SECTOR, WEIGHTED_OFF_BY_1, ZAMES_FALB):
+        cert = certify(fc, interval, iqc_kind=kind, zf_order=3)
+        p, lam, k = cert.witness.p, cert.witness.lam, taps(kind, 3)
+        s, rho = k + 1, cert.rho_star
+        lmi = _lmi(fc, interval, kind, 3)
+        a = np.eye(s, s, -1)
+        a[0, 0] = 1.0
+        a[1:2, 0] = -7.0
+        cd = np.zeros((2, s + 1))
+        cd[:, 0], cd[:, s], cd[0, 1:s] = [7.0, -1.0], [-1.0, 1.0], cert.weights
+        quad = cd.T @ np.array([[0.0, 1.0], [1.0, 0.0]]) @ cd
+        assert np.array_equal(quad_form(lmi, cert.weights), quad)
+        for alpha, got in zip(interval.endpoints, _blocks(lmi, rho, cert.weights, p, lam)):
+            b = np.zeros(s)
+            b[0], b[1:2] = -alpha, 1.0
+            ab = np.column_stack([a, b])
+            block = ab.T @ p @ ab + lam * quad
+            block[:s, :s] -= rho * rho * p
+            assert_allclose(got, block, rtol=0, atol=1e-12 * np.abs(block).max())
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +226,17 @@ def test_lambda_interval_kappa_one_is_halfline():
 # feasible_at_rho
 
 def test_feasible_at_boundary_with_zero_eps():
-    inst = _sector_instance(FC10, interval_from_c(FC10, 1.0), 0.9)
-    wit = feasible_at_rho(inst, CertifyOptions(eps_feas=0.0))
+    interval = interval_from_c(FC10, 1.0)
+    wit = _probe(FC10, interval, SECTOR, 0.9, opts=CertifyOptions(eps_feas=0.0))
     assert wit is not None
     assert wit.lam == pytest.approx(0.01, abs=1e-9)
-    assert _family_slack(inst, wit.p, wit.lam) <= 1e-12
-    assert wit.p.mat[0, 0] == 1.0
+    assert _slack_at(FC10, interval, SECTOR, 0.9, (), wit) <= 1e-12
+    assert wit.p[0, 0] == 1.0
 
 
 def test_infeasible_below_boundary():
-    inst = _sector_instance(FC10, interval_from_c(FC10, 1.0), 0.89)
-    assert feasible_at_rho(inst, CertifyOptions(eps_feas=0.0)) is None
+    interval = interval_from_c(FC10, 1.0)
+    assert _probe(FC10, interval, SECTOR, 0.89, opts=CertifyOptions(eps_feas=0.0)) is None
 
 
 def test_feasible_just_above_closed_form_rate():
@@ -200,8 +247,7 @@ def test_feasible_just_above_closed_form_rate():
         fc = FunctionClass(m, L)
         alpha = float(rng.uniform(0.3 / L, 1.7 / L))
         rho = closed_form_rate(alpha, fc) + 1e-6
-        inst = _sector_instance(fc, StepSizeInterval(alpha, alpha), rho)
-        assert feasible_at_rho(inst) is not None
+        assert _probe(fc, StepSizeInterval(alpha, alpha), SECTOR, rho) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +420,10 @@ def _count_calls(monkeypatch, name):
 
 def test_sector_hot_path_builds_once(monkeypatch, solver_calls):
     # Sector probes are plain-float closed forms: certify builds no numpy
-    # instance and computes no slack.  The first read of ``cert.slack``
-    # rebuilds the instance once and computes the slack; later reads reuse it.
+    # data and computes no slack.  The first read of ``cert.slack`` rebuilds
+    # the data once and computes the slack; later reads reuse it.
     augments = _count_calls(monkeypatch, "augment")
-    slacks = _count_calls(monkeypatch, "_family_slack")
+    slacks = _count_calls(monkeypatch, "_slack")
     cert = certify(FC10, interval_from_c(FC10, 1.2))
     assert cert.rho_star == 0.921312225341797
     assert augments == []
@@ -404,8 +450,8 @@ def test_sector_hot_path_builds_once(monkeypatch, solver_calls):
 def test_slack_is_the_rebuilt_family_slack(kind, zf_order):
     interval = interval_from_c(FC10, 1.2)
     cert = certify(FC10, interval, iqc_kind=kind, zf_order=zf_order)
-    inst = _instance(FC10, interval, kind, cert.rho_star, zf_order, cert.weights or None)
-    expected = _family_slack(inst, cert.witness.p, cert.witness.lam)
+    expected = _slack_at(FC10, interval, kind, cert.rho_star, cert.weights, cert.witness,
+                         zf_order)
     assert cert.slack == expected
     assert cert.slack <= 0.0
 
@@ -476,6 +522,31 @@ def test_verify_roundtrip_and_perturbations():
     assert wider.grid == wider.interval.endpoints
     assert not verify_certificate(wider)
 
+    # Every kind: each mutation breaks the certificate by at least 1e-3
+    # beyond the tolerance, so no round-off can let it pass.
+    interval = interval_from_c(FC10, 1.2)
+    tol = default_eps_feas(10.0)
+    for kind in (SECTOR, WEIGHTED_OFF_BY_1, ZAMES_FALB):
+        cert = certify(FC10, interval, iqc_kind=kind)
+        wit, n = cert.witness, len(cert.weights)
+        assert verify_certificate(cert), kind
+        # Below the exact rate, with weights admissible there, so that the
+        # blocks, not the weight check, reject it.
+        below = dataclasses.replace(
+            cert, rho_star=0.5, weights=default_weights(kind, 0.5, n) if n else ())
+        wider = dataclasses.replace(cert, interval=interval_from_c(FC10, 1.99))
+        assert below.rho_star < _exact_rate(FC10, interval)
+        assert _exact_rate(FC10, wider.interval) > cert.rho_star
+        for bad in (below, wider):
+            assert bad.slack >= tol + 1e-3, kind
+            assert not verify_certificate(bad), kind
+        for bad_wit in (dataclasses.replace(wit, lam=-1e-3),
+                        dataclasses.replace(wit, p=-wit.p)):
+            assert not verify_certificate(dataclasses.replace(cert, witness=bad_wit)), kind
+        if n:
+            inadmissible = (cert.weights[0] + 1e-3, *cert.weights[1:])
+            assert not verify_certificate(dataclasses.replace(cert, weights=inadmissible))
+
 
 def test_verify_requires_witness():
     cert = certify(FC10, interval_from_c(FC10, 2.1))
@@ -501,11 +572,9 @@ def test_feasibility_monotone_in_rho_sector():
         assert cert.rho_star is not None
         for bump in (2e-4, 1e-3, 1e-2, 0.05):
             rho = min(cert.rho_star + bump, 0.99999)
-            inst = _sector_instance(fc, interval, rho)
-            assert feasible_at_rho(inst) is not None, (kappa, c, rho)
+            assert _probe(fc, interval, SECTOR, rho) is not None, (kappa, c, rho)
         below = cert.rho_star - 2.0 * cert.rho_tol
-        inst = _sector_instance(fc, interval, below)
-        assert feasible_at_rho(inst) is None
+        assert _probe(fc, interval, SECTOR, below) is None
 
 
 def test_feasibility_monotone_in_rho_wob1():
@@ -513,9 +582,7 @@ def test_feasibility_monotone_in_rho_wob1():
     interval = interval_from_c(fc, 1.2)
     cert = certify(fc, interval, iqc_kind=WEIGHTED_OFF_BY_1)
     for bump in (1e-3, 2e-2):
-        inst = _instance(fc, cert.interval, WEIGHTED_OFF_BY_1,
-                         cert.rho_star + bump, 1, None)
-        assert feasible_at_rho(inst) is not None
+        assert _probe(fc, cert.interval, WEIGHTED_OFF_BY_1, cert.rho_star + bump) is not None
 
 
 def test_backend_agreement_on_sector_instances():
@@ -530,9 +597,9 @@ def test_backend_agreement_on_sector_instances():
         alpha = float(rng.uniform(0.3 / L, 1.7 / L))
         base = closed_form_rate(alpha, fc)
         for rho in (min(base + 0.02, 0.9999), max(base - 0.02, 1e-3)):
-            inst = _sector_instance(fc, StepSizeInterval(alpha, alpha), rho)
-            direct = feasible_at_rho(inst, opts)
-            via_ellipsoid = _matrix_backend(inst, default_eps_feas(inst.fc.kappa()), opts)
+            lmi = _lmi(fc, StepSizeInterval(alpha, alpha), SECTOR)
+            direct = feasible_at_rho(lmi, rho, (), opts)
+            via_ellipsoid = _matrix_backend(lmi, rho, (), default_eps_feas(lmi.kappa), opts)
             assert (direct is None) == (via_ellipsoid is None), (m, L, alpha, rho)
 
 
@@ -573,17 +640,24 @@ def test_witness_invariants():
     wit = cert.witness
     assert wit.lam >= 0.0
     assert cert.slack <= 0.0
-    assert np.trace(wit.p.mat) == pytest.approx(1.0, abs=1e-12)
-    evs = np.linalg.eigvalsh(wit.p.mat)
+    assert np.trace(wit.p) == pytest.approx(1.0, abs=1e-12)
+    evs = np.linalg.eigvalsh(wit.p)
     assert evs[0] >= 1e-8 - 1e-15
 
 
-def test_lmi_instance_validation():
-    interval = interval_from_c(FC10, 1.0)
-    inst = _sector_instance(FC10, interval, 0.9)
-    with pytest.raises(InvalidInput):
-        LmiInstance(rho=-0.1, interval=interval, aug=inst.aug, quad=inst.quad,
-                    fc=FC10)
+@pytest.mark.parametrize("kind, zf_order", [(SECTOR, 1), (WEIGHTED_OFF_BY_1, 1),
+                                            (ZAMES_FALB, 2), (ZAMES_FALB, 3)],
+                         ids=["sector", "wob1", "zf2", "zf3"])
+def test_witness_p_is_read_only_and_exactly_symmetric(kind, zf_order):
+    fc = FunctionClass(1.0, 7.0)
+    cert = certify(fc, interval_from_c(fc, 1.3), iqc_kind=kind, zf_order=zf_order)
+    p = cert.witness.p
+    s = taps(kind, zf_order) + 1
+    assert isinstance(p, np.ndarray) and p.shape == (s, s)
+    assert p.tobytes() == np.ascontiguousarray(p.T).tobytes()
+    assert not p.flags.writeable
+    with pytest.raises(ValueError):
+        p[0, 0] = 2.0
 
 
 def test_certificate_valid_in_dimension_two():
@@ -594,12 +668,8 @@ def test_certificate_valid_in_dimension_two():
     cert = certify(FC10, interval_from_c(FC10, 1.4))
     wit = cert.witness
     eye = np.eye(2)
-    for alpha in cert.grid:
-        scalar = assemble_lmi_block(
-            _sector_instance(FC10, cert.interval, cert.rho_star).aug,
-            _sector_instance(FC10, cert.interval, cert.rho_star).quad,
-            cert.rho_star, alpha, wit.p, wit.lam,
-        ).mat
+    lmi = _lmi(FC10, cert.interval, SECTOR)
+    for scalar in _blocks(lmi, cert.rho_star, (), wit.p, wit.lam):
         lifted = np.kron(scalar, eye)
         got = np.sort(np.linalg.eigvalsh(lifted))
         expected = np.sort(np.repeat(np.linalg.eigvalsh(scalar), 2))
@@ -666,10 +736,9 @@ def test_solver_infeasible_below_exact_rate(log_kappa, c, kind):
     assume(exact > 1e-6)
     for rho in (exact - 1e-9, exact * (1.0 - 1e-4)):
         try:
-            inst = _instance(fc, interval, kind, rho, 2, None)
+            assert _probe(fc, interval, kind, rho) is None, (fc.L, c, kind, rho)
         except WeightOutOfRange:
             continue
-        assert feasible_at_rho(inst) is None, (fc.L, c, kind, rho)
 
 
 def _plain_bisection(fc, interval, kind, opts):
@@ -685,11 +754,11 @@ def _plain_bisection(fc, interval, kind, opts):
         if rho < r_exact:
             return None
         try:
-            inst = _instance(fc, interval, kind, rho, 2, None)
+            h = _weights(kind, rho, taps(kind, 2), None)
         except WeightOutOfRange:
             return None
         solves += 1
-        wit = feasible_at_rho(inst, opts)
+        wit = feasible_at_rho(_lmi(fc, interval, kind), rho, h, opts)
         return None if wit is None else (rho, wit)
 
     hi = certifier.RHO_HI - opts.rho_tol
@@ -740,7 +809,7 @@ def test_certify_matches_plain_bisection(kappa, c, kind):
     rho, wit = found
     assert cert.rho_star == rho
     assert cert.witness.lam == wit.lam
-    assert cert.witness.p.mat.tobytes() == wit.p.mat.tobytes()
+    assert cert.witness.p.tobytes() == wit.p.tobytes()
     assert cert.cond_p == cond_spd(wit.p)
 
 
@@ -758,8 +827,8 @@ def test_certify_matches_plain_bisection(kappa, c, kind):
 def test_sector_certify_matches_the_numpy_instance_bisection(log_m, log_kappa, c, c1,
                                                              rho_tol):
     # Sector certify works in plain floats; the reference bisection solves
-    # every rate at or above the exact rate with feasible_at_rho on the full
-    # numpy instance and default_eps_feas.  Given c1, c is used as c2; an
+    # every rate at or above the exact rate with feasible_at_rho on the
+    # numpy data and default_eps_feas.  Given c1, c is used as c2; an
     # interval with c1 * c2 == 1 is degenerate.
     m = 10.0 ** log_m
     fc = FunctionClass(m, m * 10.0 ** log_kappa)
@@ -799,16 +868,21 @@ def test_sector_certify_matches_the_numpy_instance_bisection(log_m, log_kappa, c
 def test_default_eps_feas_is_the_qf_max_bit_for_bit(log_m, log_kappa, kind_order, rho,
                                                     fracs):
     # The closed form equals 1e-9 * (1 + max |Qf entries|) of every kind's
-    # reduced instance, with default weights (fracs None) and with pinned
-    # ones, each a fraction of the largest admissible rho^(2j) / k.
+    # reduced Qf, with default weights (fracs None) and with pinned ones,
+    # each a fraction of the largest admissible rho^(2j) / k.
     kind, order = kind_order
     m = 10.0 ** log_m
     fc = FunctionClass(m, m * 10.0 ** log_kappa)
+    k = taps(kind, order)
     weights = None if fracs is None or kind == SECTOR else tuple(
-        u * rho ** (2 * j) / order for j, u in enumerate(fracs[:order], start=1))
-    inst = _instance(fc, interval_from_c(fc, 1.0), kind, rho, order, weights)
-    reference = 1e-9 * (1.0 + float(np.abs(inst.quad.mat).max()))
-    assert default_eps_feas(fc.L / fc.m) == default_eps_feas(inst.fc.kappa()) == reference
+        u * rho ** (2 * j) / k for j, u in enumerate(fracs[:k], start=1))
+    # The P-part of the data reaches kappa^2, which overflows past kappa
+    # ~1e154; only Qf is read here.
+    with np.errstate(over="ignore"):
+        lmi = _lmi(fc, interval_from_c(fc, 1.0), kind, order)
+    quad = quad_form(lmi, _weights(kind, rho, k, weights))
+    reference = 1e-9 * (1.0 + float(np.abs(quad).max()))
+    assert default_eps_feas(fc.L / fc.m) == default_eps_feas(lmi.kappa) == reference
 
 
 @pytest.mark.parametrize("kind, calls", [(SECTOR, 0), (WEIGHTED_OFF_BY_1, 1)])
@@ -819,7 +893,7 @@ def test_cond_p_needs_an_eigensolve_only_off_sector(kind, calls):
         cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=kind)
     assert cert.feasible and spy.call_count == calls
     if kind == SECTOR:
-        assert cert.cond_p == 1.0 and cert.witness.p.mat.tolist() == [[1.0]]
+        assert cert.cond_p == 1.0 and cert.witness.p.tolist() == [[1.0]]
     else:
         assert cert.cond_p == cond_spd(cert.witness.p)
 
@@ -835,3 +909,44 @@ def test_zf2_certifies_soundly_before_onset_and_not_past_it():
     fc = FunctionClass(1.0, 10.0 ** 1.6)
     cert = certify(fc, interval_from_c(fc, 1.6), iqc_kind=ZAMES_FALB, zf_order=2)
     assert cert.rho_star is None
+
+
+# sha256 over (rho_star, lambda, cond_p, weights, bisection_iters) and the
+# bytes of P: a change to how the inequality's data is built or summed that
+# moves a single bit of a dynamic witness fails here.
+PINNED_WITNESSES = {
+    ("wob1", 10.0, 1.2, None): "9c32f6803b4cde29d39dcef57273bc310181b0bdc545c3acfd0e863a2acc7aa4",
+    ("wob1", 7.0, 1.3, None): "7fdacdf52c1abac948076cf76067e7a5740ced132c0b423e7aace496c9100260",
+    ("wob1", 5.0, 1.5, None): "9eec9f1595cfd3050b849bc8f8bd74a9b28a2da97d33223c72e8a00532c365cf",
+    ("zf:1", 10.0, 1.2, None): "9c32f6803b4cde29d39dcef57273bc310181b0bdc545c3acfd0e863a2acc7aa4",
+    ("zf:1", 7.0, 1.3, None): "7fdacdf52c1abac948076cf76067e7a5740ced132c0b423e7aace496c9100260",
+    ("zf:1", 5.0, 1.5, None): "9eec9f1595cfd3050b849bc8f8bd74a9b28a2da97d33223c72e8a00532c365cf",
+    ("zf:2", 10.0, 1.2, None): "e82c298a86e1f1a1f04d559ed33f2ed84e0825d19b3feebeec6c3fb7fce230bd",
+    ("zf:2", 7.0, 1.3, None): "a388c59d300ab5384b5fb62c1ee6a8ad468fa555555d1571876a969e753f3351",
+    ("zf:2", 5.0, 1.5, None): "d102b77d6978912f1a54c7a8f53abe08c77f60a0fd90be2123b9ec19093b35bf",
+    ("zf:3", 10.0, 1.2, None): "8599eec792ed12e7799f4b8333c66bbb1e3e337471f392f721f6908f3c468332",
+    ("zf:3", 7.0, 1.3, None): "a2478e3d327a2bccabfacf01e562e4f5a4e1281080e3cfa7f9fb514cabf725fb",
+    ("zf:3", 5.0, 1.5, None): "867bae5fac4d564c0fec52992d167f61c7db6057d254a433c2ec13c28b07e8f4",
+    ("wob1", 10.0, 1.2, (0.5,)):
+        "628009a465f2474f8971c0577c0af34e46048c51daf2aa381b6aadfcfaa19fff",
+    ("zf:1", 10.0, 1.2, (0.4,)):
+        "408b680e46c7077268e9932f49696d4ecd90a6da1c6ef7797c3ea8961d705574",
+    ("zf:2", 10.0, 1.2, (0.4, 0.2)):
+        "bb88bcd38d7ba4c209e2c7f635483a50a10b4f03fa917a692f56717cf2f3c5b1",
+    ("zf:3", 10.0, 1.2, (0.3, 0.2, 0.1)):
+        "57ed2aa4a4aebbbf56b3831eca721c8be7ae5a756b106b17d23fc17a518c2471",
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_WITNESSES), ids=str)
+def test_dynamic_witnesses_pinned(case):
+    iqc, kappa, c, weights = case
+    kind, _, order = iqc.partition(":")
+    fc = FunctionClass(1.0, kappa)
+    cert = certify(fc, interval_from_c(fc, c), iqc_kind=kind, zf_order=int(order or 2),
+                   weights=weights)
+    digest = hashlib.sha256(repr((cert.rho_star, cert.witness.lam, cert.cond_p, cert.weights,
+                                  cert.bisection_iters)).encode())
+    digest.update(cert.witness.p.tobytes())
+    assert digest.hexdigest() == PINNED_WITNESSES[case]
+

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ratecert import cli
-from ratecert.certifier import _instance, feasible_at_rho
+from ratecert import certifier, cli
+from ratecert.certifier import _weights, augment, feasible_at_rho
 from ratecert.cli import Resolved, build_parser, format_sweep_csv, main, parse_sweep_csv
+from ratecert.model import reduced
 
 
 def run_cli(*argv):
@@ -204,7 +205,9 @@ def test_exit_2_names_only_the_rate_tested(capsys):
     # not that none exists below 1.
     fc = cli.FunctionClass(1.0, 50.0)
     interval = cli.interval_from_c(fc, 1.1)
-    at = {rho: feasible_at_rho(_instance(fc, interval, "wob1", rho, 1, None))
+    fc_n, alphas = reduced(fc, interval)
+    lmi = augment(fc_n.kappa(), alphas, 1)
+    at = {rho: feasible_at_rho(lmi, rho, _weights("wob1", rho, 1, None))
           for rho in (0.99, 0.9999)}
     assert at[0.99] is not None and at[0.9999] is None
     for command in ("certify", "simulate"):
@@ -453,6 +456,23 @@ def test_usage_errors(capsys, tmp_path):
         assert run_cli("certify", "--kappa", "4", "--iqc", iqc) == 1, iqc
         err = capsys.readouterr().err
         assert "zf:<k>" in err and "k >= 1" in err, err
+
+
+def test_zf_order_above_the_cap_is_rejected_before_any_solve(monkeypatch, capsys):
+    # Nothing used to cap the order: at zf:200 the data of one probe alone
+    # took gigabytes.  An order above the cap stops before anything is built.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an over-cap order reached the solver")
+
+    monkeypatch.setattr(certifier, "feasible_at_rho", no_solve)
+    monkeypatch.setattr(certifier, "augment", no_solve)
+    fc = cli.FunctionClass(1.0, 10.0)
+    with pytest.raises(certifier.InvalidInput, match="zf_order"):
+        certifier.certify(fc, cli.interval_from_c(fc, 1.2), iqc_kind="zf", zf_order=7)
+    for command in ("certify", "sweep-c"):
+        assert run_cli(command, "--kappa", "10", "--iqc", "zf:7") == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "zf_order" in err, err
 
 
 # Flags a subcommand does not read; --svg and --seed used to be accepted by

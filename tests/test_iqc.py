@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,73 +22,69 @@ MID = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_sector_blocks():
-    s = sector(FC)
-    assert s.filter_order == 0
-    assert_allclose(s.psi_dy, [10.0, -1.0], atol=0)
-    assert_allclose(s.psi_du, [-1.0, 1.0], atol=0)
-    assert_allclose(s.mid.mat, MID, atol=0)
+    assert sector() == ()
+    lmi = augment(10.0, (0.1, 0.2), 0)
+    assert lmi.p.tolist() == [[[1.0]]]
+    assert lmi.qh.shape == (0, 2, 2)
+    assert lmi.g.shape == (2, 1, 2, 2)
 
 
 def test_sector_multipliers_do_not_share_arrays():
-    first = sector(FunctionClass(1.0, 10.0))
-    first.psi_dy[0] = 99.0
-    first.psi_du[1] = 99.0
-    second = sector(FunctionClass(1.0, 10.0))
-    assert_allclose(second.psi_dy, [10.0, -1.0], atol=0)
-    assert_allclose(second.psi_du, [-1.0, 1.0], atol=0)
-    # Only the read-only middle matrix is shared; every filter array is not.
-    assert second.mid is first.mid
-    assert first.mid.mat.flags.writeable is False
-    with pytest.raises(ValueError):
-        first.mid.mat[0, 1] = 99.0
-    fields = ("psi_a", "psi_by", "psi_bu", "psi_c", "psi_dy", "psi_du")
+    first = augment(10.0, (0.1,), 0)
+    second = augment(10.0, (0.1,), 0)
+    fields = ("a", "b", "p", "g", "q0", "qh")
     for name in fields:
         assert not np.shares_memory(getattr(first, name), getattr(second, name)), name
+    first.q0[0, 0] = 99.0
+    first.g[0, 0, 0, 0] = 99.0
+    assert_allclose(quad_form(second, ()), [[-20.0, 11.0], [11.0, -2.0]], atol=0)
+    assert_allclose(second.g[0, 0], [[1.0, -0.1], [-0.1, 0.01]], rtol=1e-15)
 
 
 def test_sector_kappa_one_collapse():
-    s = sector(FunctionClass(1.0, 1.0))
-    # Static map Psi = [[1, -1], [-1, 1]].
-    assert_allclose(np.column_stack([s.psi_dy, s.psi_du]),
-                    [[1.0, -1.0], [-1.0, 1.0]], atol=0)
+    # Static map Psi = [[1, -1], [-1, 1]], so Q = Psi^T M Psi.
+    psi = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    assert_allclose(quad_form(augment(1.0, (1.0,), 0), ()), psi.T @ MID @ psi, atol=0)
 
 
 def test_weighted_off_by_1_blocks():
-    w = weighted_off_by_1(FC, 0.9, 0.81)
-    assert w.filter_order == 1
-    assert_allclose(w.psi_a, [[0.0]], atol=0)
-    assert_allclose(w.psi_by, [-10.0], atol=0)
-    assert_allclose(w.psi_bu, [1.0], atol=0)
-    assert_allclose(w.psi_c, [[0.81], [0.0]], atol=0)
-    assert_allclose(w.psi_dy, [10.0, -1.0], atol=0)
-    assert_allclose(w.psi_du, [-1.0, 1.0], atol=0)
-    assert_allclose(w.mid.mat, MID, atol=0)
+    assert weighted_off_by_1(0.9, 0.81) == (0.81,)
+    lmi = augment(10.0, (0.25,), 1)
+    # Filter row: the tap takes u - L*y.
+    assert_allclose(lmi.a, [[1.0, 0.0], [-10.0, 0.0]], atol=0)
+    assert_allclose(lmi.b, [[-0.25, 1.0]], atol=0)
+    assert_allclose(lmi.p, [[[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]],
+                            [[0.0, 1.0], [1.0, 0.0]]], atol=0)
+    # The weight enters only row 0 of [C D]: -1 against y, +1 against u.
+    assert_allclose(lmi.qh, [[[0.0, -1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]],
+                    atol=0)
 
 
 def test_weighted_off_by_1_weight_range():
     with pytest.raises(WeightOutOfRange):
-        weighted_off_by_1(FC, 0.5, 0.3)  # 0.3 > 0.25
+        weighted_off_by_1(0.5, 0.3)  # 0.3 > 0.25
     with pytest.raises(WeightOutOfRange):
-        weighted_off_by_1(FC, 0.9, -0.1)
-    weighted_off_by_1(FC, 0.9, 0.9 ** 2)  # boundary value admissible
+        weighted_off_by_1(0.9, -0.1)
+    with pytest.raises(WeightOutOfRange):
+        weighted_off_by_1(-0.1, 0.0)
+    weighted_off_by_1(0.9, 0.9 ** 2)  # boundary value admissible
 
 
 def test_zames_falb_matches_off_by_1_at_order_one():
-    w = weighted_off_by_1(FC, 0.9, 0.5)
-    z = zames_falb(FC, 0.9, [0.5])
-    for attr in ("psi_a", "psi_by", "psi_bu", "psi_c", "psi_dy", "psi_du"):
-        assert_allclose(getattr(z, attr), getattr(w, attr), atol=0)
+    assert zames_falb(0.9, [0.5]) == weighted_off_by_1(0.9, 0.5) == (0.5,)
 
 
 def test_zames_falb_weight_conditions():
     # 0.405/0.81 + 0.328/0.6561 ~ 0.9999 <= 1: admissible.
-    zames_falb(FC, 0.9, [0.405, 0.328])
+    assert zames_falb(0.9, [0.405, 0.328]) == (0.405, 0.328)
     with pytest.raises(WeightOutOfRange):
-        zames_falb(FC, 0.9, [0.9, 0.9])  # discounted sum > 1
+        zames_falb(0.9, [0.9, 0.9])  # discounted sum > 1
     with pytest.raises(WeightOutOfRange):
-        zames_falb(FC, 0.9, [1.5])  # box condition
+        zames_falb(0.9, [1.5])  # box condition
     with pytest.raises(WeightOutOfRange):
-        zames_falb(FC, 0.9, [])
+        zames_falb(0.9, [])
+    with pytest.raises(WeightOutOfRange):
+        zames_falb(1.5, [0.1])
 
 
 def test_default_weights():
@@ -96,7 +94,7 @@ def test_default_weights():
     # Defaults always pass validation (discounted sum meets 1 with equality).
     for rho in (0.1, 0.5, 0.9, 0.9999, 1.0):
         for k in (1, 2, 3, 5):
-            zames_falb(FC, rho, default_weights("zf", rho, k))
+            zames_falb(rho, default_weights("zf", rho, k))
     with pytest.raises(ValueError):
         default_weights("zf", 1.2, 1)
     with pytest.raises(ValueError):
@@ -104,44 +102,37 @@ def test_default_weights():
 
 
 def test_augment_sector():
-    aug = augment(sector(FC))
-    assert aug.state_dim == 1
+    lmi = augment(10.0, (0.1,), 0)
     # Gradient descent: x+ = x - alpha*u, y = x.
-    assert_allclose(aug.a, [[1.0]], atol=0)
-    assert_allclose(aug.b0, [0.0], atol=0)
-    assert_allclose(aug.b1, [-1.0], atol=0)
-    assert_allclose(aug.b(0.1), [-0.1], atol=0)
-    assert_allclose(aug.c, [[10.0], [-1.0]], atol=0)
-    assert_allclose(aug.d, [-1.0, 1.0], atol=0)
+    assert_allclose(lmi.a, [[1.0]], atol=0)
+    assert_allclose(lmi.b, [[-0.1]], atol=0)
+    # P = 1: [a b]^T [a b] = [[1, -alpha], [-alpha, alpha^2]].
+    assert_allclose(lmi.g[0, 0], [[1.0, -0.1], [-0.1, 0.01]], rtol=1e-15)
 
 
 def test_augment_weighted_off_by_1():
-    aug = augment(weighted_off_by_1(FC, 0.9, 0.81))
-    assert aug.state_dim == 2
-    assert_allclose(aug.a, [[1.0, 0.0], [-10.0, 0.0]], atol=0)
-    assert_allclose(aug.b(0.25), [-0.25, 1.0], atol=0)
-    assert_allclose(aug.c, [[10.0, 0.81], [-1.0, 0.0]], atol=0)
-    assert_allclose(aug.d, [-1.0, 1.0], atol=0)
+    alphas = (0.25, 0.5)
+    lmi = augment(10.0, alphas, 1)
+    assert lmi.g.shape == (2, 3, 3, 3)
+    a = np.array([[1.0, 0.0], [-10.0, 0.0]])
+    for c, alpha in enumerate(alphas):
+        ab = np.column_stack([a, [-alpha, 1.0]])
+        for pm, g in zip(lmi.p, lmi.g[c]):
+            assert np.array_equal(g, ab.T @ pm @ ab)
     # The step size enters only through the plant-state row.
-    assert aug.b1[1:] == pytest.approx(0.0)
+    assert np.array_equal(lmi.b[0, 1:], lmi.b[1, 1:])
 
 
 def test_quad_form_sector():
-    aug = augment(sector(FC))
-    q = quad_form(aug, sector(FC))
-    assert_allclose(q.mat, [[-20.0, 11.0], [11.0, -2.0]], atol=0)
-
-    fc1 = FunctionClass(1.0, 1.0)
-    aug1 = augment(sector(fc1))
-    assert_allclose(quad_form(aug1, sector(fc1)).mat,
+    assert_allclose(quad_form(augment(10.0, (0.1,), 0), ()),
+                    [[-20.0, 11.0], [11.0, -2.0]], atol=0)
+    assert_allclose(quad_form(augment(1.0, (1.0,), 0), ()),
                     [[-2.0, 2.0], [2.0, -2.0]], atol=0)
 
 
 def test_quad_form_wob1_against_dense_product():
     h1 = 0.81
-    mult = weighted_off_by_1(FC, 0.9, h1)
-    aug = augment(mult)
-    got = quad_form(aug, mult).mat
+    got = quad_form(augment(10.0, (0.1,), 1), weighted_off_by_1(0.9, h1))
     # Independent dense product from the lemma blocks written out by hand.
     cd = np.array([[10.0, h1, -1.0], [-1.0, 0.0, 1.0]])
     expected = cd.T @ MID @ cd
@@ -152,36 +143,40 @@ def test_quad_form_wob1_against_dense_product():
 def test_reduction_chain_exact():
     h1 = 0.3
     rho = 0.8
-    q_w = quad_form(
-        augment(weighted_off_by_1(FC, rho, h1)),
-        weighted_off_by_1(FC, rho, h1),
-    ).mat
-    z = zames_falb(FC, rho, [h1, 0.0, 0.0])
-    q_z = quad_form(augment(z), z).mat
+    alphas = (0.1,)
+    q_w = quad_form(augment(10.0, alphas, 1), weighted_off_by_1(rho, h1))
+    q_z = quad_form(augment(10.0, alphas, 3), zames_falb(rho, [h1, 0.0, 0.0]))
     # Coordinates: (plant, eta1, eta2, eta3, input); eta2, eta3 are inert.
     keep = [0, 1, 4]
     assert np.array_equal(q_z[np.ix_(keep, keep)], q_w)
     assert np.all(q_z[[2, 3], :] == 0.0) and np.all(q_z[:, [2, 3]] == 0.0)
 
-    s = sector(FC)
-    q_s = quad_form(augment(s), s).mat
-    z0 = zames_falb(FC, rho, [0.0, 0.0])
-    q_z0 = quad_form(augment(z0), z0).mat
+    q_s = quad_form(augment(10.0, alphas, 0), sector())
+    q_z0 = quad_form(augment(10.0, alphas, 2), zames_falb(rho, [0.0, 0.0]))
     assert np.array_equal(q_z0[np.ix_([0, 3], [0, 3])], q_s)
-    w0 = weighted_off_by_1(FC, rho, 0.0)
-    q_w0 = quad_form(augment(w0), w0).mat
+    q_w0 = quad_form(augment(10.0, alphas, 1), weighted_off_by_1(rho, 0.0))
     assert np.array_equal(q_w0[np.ix_([0, 2], [0, 2])], q_s)
 
 
-def _filter_output(mult, ys, us):
-    """Run the multiplier filter over a signal pair, starting at rest."""
-    k = mult.filter_order
-    eta = np.zeros(k)
-    zs = []
+def _exact(matrix):
+    return [[Fraction(x) for x in row] for row in matrix.tolist()]
+
+
+def _constraint_terms(lmi, h, ys, us):
+    """z' M z along a signal pair of Fractions, starting at rest: the filter
+    state runs on the filter rows of the data (a and b below the plant row),
+    and each term is Q(h) at (y, filter state, u).  The arithmetic is exact:
+    a quadratic form evaluated in floats cancels terms of order L * y^2."""
+    quad = _exact(quad_form(lmi, h))
+    rows = _exact(np.column_stack([lmi.a[1:], lmi.b[0, 1:]]))
+    eta = [Fraction(0)] * len(h)
+    terms = []
     for y, u in zip(ys, us):
-        zs.append(mult.psi_c @ eta + mult.psi_dy * y + mult.psi_du * u)
-        eta = mult.psi_a @ eta + mult.psi_by * y + mult.psi_bu * u
-    return zs
+        point = [y, *eta, u]
+        terms.append(sum(pi * qij * pj for pi, row in zip(point, quad)
+                         for qij, pj in zip(row, point)))
+        eta = [sum(r * x for r, x in zip(row, point)) for row in rows]
+    return terms
 
 
 @settings(max_examples=100, deadline=None)
@@ -190,14 +185,14 @@ def _filter_output(mult, ys, us):
     y=st.floats(-10.0, 10.0),
 )
 def test_pointwise_sector_property(qfrac, y):
-    # For f(x) = q x^2 / 2 with q in [m, L]: z' M z = 2 (Ly - qy)(qy - my) >= 0.
-    m, L = FC.m, FC.L
-    q = m + qfrac * (L - m)
-    u = q * y
-    (z,) = _filter_output(sector(FC), [y], [u])
-    val = z @ MID @ z
-    assert val == pytest.approx(2.0 * (L * y - q * y) * (q * y - m * y), rel=1e-12, abs=1e-12)
-    assert val >= -1e-12
+    # For f(x) = q x^2 / 2 with q in [m, L]: z' M z = 2 (Ly - qy)(qy - my) >= 0,
+    # exactly, with u = q y exact.
+    m, L = Fraction(FC.m), Fraction(FC.L)
+    q = Fraction(FC.m + qfrac * (FC.L - FC.m))
+    y = Fraction(y)
+    (val,) = _constraint_terms(augment(FC.L, (0.1,), 0), sector(), [y], [q * y])
+    assert val == 2 * (L * y - q * y) * (q * y - m * y)
+    assert val >= 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,18 +206,15 @@ def test_pointwise_sector_property(qfrac, y):
 def test_rho_hard_property_weighted_off_by_1(qfrac, rho, h1frac, seed, length):
     # Discounted partial sums of z' M z stay nonnegative along any bounded
     # signal for a quadratic in the class, for any admissible weight.
-    m, L = FC.m, FC.L
-    q = m + qfrac * (L - m)
-    h1 = h1frac * rho * rho
-    mult = weighted_off_by_1(FC, rho, h1)
+    q = Fraction(FC.m + qfrac * (FC.L - FC.m))
+    h = weighted_off_by_1(rho, h1frac * rho * rho)
     rng = np.random.default_rng(seed)
-    ys = rng.uniform(-1.0, 1.0, size=length)
-    us = q * ys
-    zs = _filter_output(mult, ys, us)
+    ys = [Fraction(y) for y in rng.uniform(-1.0, 1.0, size=length)]
+    us = [q * y for y in ys]
     total = 0.0
     scale = 1.0
-    for k, z in enumerate(zs):
-        term = rho ** (-2 * k) * (z @ MID @ z)
+    for k, val in enumerate(_constraint_terms(augment(FC.L, (0.1,), 1), h, ys, us)):
+        term = rho ** (-2 * k) * float(val)
         total += term
         scale = max(scale, abs(term))
         assert total >= -1e-9 * scale

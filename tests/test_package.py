@@ -22,7 +22,7 @@ def test_import_ratecert_loads_no_numpy():
               "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
               "ratecert.certify\n"
               "assert 'numpy' not in sys.modules, 'numpy loaded by certify'\n"
-              "ratecert.SymMatrix\n"
+              "ratecert.augment\n"
               "assert 'numpy' in sys.modules\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-c", script], env=env,
