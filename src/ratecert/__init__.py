@@ -20,7 +20,7 @@ _EXPORTS = {
         "NotPositiveDefinite", "cond_spd", "eig_sym", "feasible_at_rho", "max_eigenvalue",
         "verify_certificate",
     ),
-    "ellipsoid": ("EllipsoidOptions", "MatrixConstraint", "ellipsoid_feasibility"),
+    "ellipsoid": ("ellipsoid_feasibility",),
     "iqc": (
         "LmiData", "WeightOutOfRange", "augment", "default_weights", "quad_form", "sector",
         "weighted_off_by_1", "zames_falb",

@@ -38,7 +38,9 @@ reduction-invariant for the plant state.  Two backends decide feasibility:
   (``Certificate.slack``, ``verify_certificate``) builds the numpy data.
 * state dimension >= 2: a deep-cut ellipsoid method over the decision
   vector (free coordinates of P, lambda) with cutting planes from the
-  most-positive eigenvector of a violated block.
+  most-positive eigenvector of a violated block.  ``_matrix_backend``
+  hands it the family as three runs of stacked blocks, in the order they
+  are scanned: lambda >= 0, P >= delta_pd * I, and the endpoint blocks.
 
 "<= 0" is implemented strictly as "<= -eps_feas * I" with a data-scaled
 default eps_feas, and P is kept away from singularity by P >= delta_pd * I;
@@ -57,11 +59,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ellipsoid import (
-    EllipsoidOptions,
-    MatrixConstraint,
-    ellipsoid_feasibility,
-)
+from .ellipsoid import ellipsoid_feasibility
 from .iqc import (
     LmiData,
     WeightOutOfRange,
@@ -156,31 +154,26 @@ def _matrix_backend(
 ) -> Witness | None:
     d, s = lmi.p.shape[:2]
     blocks = lmi.g.copy()
-    blocks[..., :s, :s] -= (rho * rho) * lmi.p
+    blocks[..., :s, :s] -= (rho * rho) * lmi.p[:, None]
     # The decision vector is (free coordinates of P, lambda).  A 1x1 P is
     # fixed by its unit trace; a zero direction keeps v_dim >= 2.
     v_dim = max(d, 2)
-    # lambda >= 0, as a 1x1 block.
-    lam_coeffs = np.zeros((v_dim, 1, 1))
-    lam_coeffs[-1, 0, 0] = -1.0
-    # P >= delta_pd * I  <=>  lambda_max(-P(v)) <= -delta_pd.
-    pd_coeffs = np.zeros((v_dim, s, s))
-    pd_coeffs[:d - 1] = -lmi.p[1:]
-    constraints = [
-        MatrixConstraint(s0=np.zeros((1, 1)), coeffs=lam_coeffs, bound=0.0),
-        MatrixConstraint(s0=-lmi.p[0], coeffs=pd_coeffs, bound=-opts.delta_pd),
-    ]
-    # One block per interval endpoint.
-    quad = quad_form(lmi, h)
-    for block in blocks:
-        coeffs = np.zeros((v_dim, s + 1, s + 1))
-        coeffs[:d - 1] = block[1:]
-        coeffs[-1] = quad
-        constraints.append(MatrixConstraint(s0=block[0], coeffs=coeffs, bound=-eps))
 
-    point = ellipsoid_feasibility(
-        constraints, v_dim, EllipsoidOptions(max_iters=opts.max_iters)
-    )
+    def run(s0, p_coeffs, lam_coeff, bound):
+        """The blocks s0 + sum_i v_i p_coeffs[i] + lambda lam_coeff <= bound."""
+        coeffs = np.zeros((v_dim, *s0.shape))
+        coeffs[:d - 1] = p_coeffs
+        coeffs[-1] = lam_coeff
+        return s0, coeffs, (bound,) * len(s0)
+
+    point = ellipsoid_feasibility([
+        # lambda >= 0, as a 1x1 block.
+        run(np.zeros((1, 1, 1)), 0.0, -1.0, 0.0),
+        # P >= delta_pd * I  <=>  lambda_max(-P(v)) <= -delta_pd.
+        run(-lmi.p[:1], -lmi.p[1:, None], 0.0, -opts.delta_pd),
+        # One block per interval endpoint.
+        run(blocks[0], blocks[1:], quad_form(lmi, h), -eps),
+    ], opts.max_iters)
     if point is None:
         return None
     pmat = lmi.p[0] + sum(v * b for v, b in zip(point[:d - 1], lmi.p[1:]))
@@ -217,7 +210,7 @@ def _blocks(lmi: LmiData, rho: float, h: tuple[float, ...], p: np.ndarray,
     if p.shape != (s, s):
         raise InvalidInput(f"P has order {p.shape[0]}, expected {s}")
     x = np.concatenate(([np.trace(p)], np.diag(p)[:-1], p[np.triu_indices(s, 1)]))
-    blocks = np.tensordot(x, lmi.g, axes=(0, 1))
+    blocks = np.tensordot(x, lmi.g, axes=1)
     blocks[..., :s, :s] -= (rho * rho) * p
     return blocks + lam * quad_form(lmi, h)
 
@@ -238,11 +231,16 @@ def verify_certificate(cert: Certificate, slack_tol: float | None = None) -> boo
     fields, evaluate the blocks at both endpoints of the stored interval at
     the stored (rho_star, P, lambda) and check them against ``slack_tol``
     (default: the same data-scaled tolerance used for feasibility).  The
-    slack is recomputed here, never read from ``cert.slack``."""
+    slack is recomputed here, never read from ``cert.slack``.  A negative
+    lambda, or a P that is not a finite positive definite matrix of order
+    k + 1 for the multiplier's k taps, fails the check."""
     if cert.rho_star is None or cert.witness is None:
         raise InvalidInput("certificate has no witness to verify")
     wit = cert.witness
     if wit.lam < 0.0:
+        return False
+    s = taps(cert.iqc_kind, cert.zf_order) + 1
+    if np.shape(wit.p) != (s, s) or not np.isfinite(wit.p).all():
         return False
     vals, _ = eig_sym(wit.p)
     if vals[0] <= 0.0:

@@ -20,7 +20,7 @@ imports numpy or xml, and it computes the sweep grids in plain floats, so
 sector ``certify``, ``sweep-kappa`` and ``sweep-c``, ``--show-config`` and
 usage errors run without numpy.  A dynamic multiplier (``--iqc wob1`` or
 ``zf:<k>``) loads numpy with ``certifier`` at its first probe; ``simulate``
-binds the simulator's names here (and loads numpy) when it starts.
+imports the simulator (and numpy) when it starts.
 """
 
 from __future__ import annotations
@@ -54,25 +54,23 @@ from .svg import Series, line_chart
 if TYPE_CHECKING:
     import numpy as np
 
-# The simulator names cmd_simulate calls.  They are bound into this module
-# on first use (``_bind_simulator``, or reading ``cli.<name>``), so commands
-# that simulate nothing never import numpy; one already set here, say by a
-# test, is kept.
-_SIMULATOR_NAMES = ("Constant", "QuadraticProblem", "chunk_trials", "pcg64_generator",
-                    "policy_from_name", "run", "sample_alpha", "seed_words", "trial_seeds")
+# ``run``, the simulator call that cmd_simulate makes per chunk, is bound
+# into this module on first use (``_simulator``, or reading ``cli.run``), so
+# that it can be wrapped or replaced here; one already set, say by a test,
+# is kept.  Commands that simulate nothing never import numpy.
 
 
-def _bind_simulator() -> None:
+def _simulator():
+    """The simulator module, after binding its ``run`` here if none is."""
     from . import simulator
 
-    for name in _SIMULATOR_NAMES:
-        globals().setdefault(name, getattr(simulator, name))
+    globals().setdefault("run", simulator.run)
+    return simulator
 
 
 def __getattr__(name: str):
-    if name in _SIMULATOR_NAMES:
-        _bind_simulator()
-        return globals()[name]
+    if name == "run":  # reached only while ``run`` is unbound
+        return _simulator().run
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -407,21 +405,21 @@ def cmd_sweep_c(res: Resolved) -> int:
 def cmd_simulate(res: Resolved) -> int:
     import numpy as np
 
-    _bind_simulator()
+    simulator = _simulator()
     fc = _function_class(res)
     interval = _interval(res, fc)
-    policy = policy_from_name(res["policy"])
+    policy = simulator.policy_from_name(res["policy"])
     steps, trials, seed = res["steps"], res["trials"], res["seed"]
-    if isinstance(policy, Constant):  # the one policy an interval can reject
-        sample_alpha(policy, interval, 0, None)
+    if isinstance(policy, simulator.Constant):  # the one policy an interval can reject
+        simulator.sample_alpha(policy, interval, 0, None)
     if steps < 0 or trials < 1:
         raise UsageError("need steps >= 0 and trials >= 1")
 
     # Each trial's seed and its spectrum's generator are numpy SeedSequence
     # values, hashed for all trials in one array pass each; this also
     # rejects a negative --seed before anything is certified.
-    seeds = trial_seeds(seed, range(trials))
-    spectrum_states = seed_words([seed, range(trials), 1], 4, np.uint64)
+    seeds = simulator.trial_seeds(seed, range(trials))
+    spectrum_states = simulator.seed_words([seed, range(trials), 1], 4, np.uint64)
 
     cert = _certify(res, fc, interval)
     if not cert.feasible:
@@ -436,10 +434,10 @@ def cmd_simulate(res: Resolved) -> int:
     any_violated = False
     for dim in range(1, min(trials, 5) + 1):
         group = range(dim - 1, trials, 5)
-        per_chunk = chunk_trials(steps, dim)
+        per_chunk = simulator.chunk_trials(steps, dim)
         for lo in range(0, len(group), per_chunk):
             indices = group[lo:lo + per_chunk]
-            probs = [QuadraticProblem(spectrum) for spectrum
+            probs = [simulator.QuadraticProblem(spectrum) for spectrum
                      in _trial_spectra(fc, dim, indices, spectrum_states)]
             for i, report in zip(indices, run(probs, interval, policy, steps, None,
                                               cert, [seeds[i] for i in indices])):
@@ -463,6 +461,7 @@ def _trial_spectra(fc: FunctionClass, dim: int, indices: range,
     and pure-endpoint problems cycled in dimension 1 (those attain the worst
     rates).  Trial i draws from the generator of row i of ``states``, built
     only for a spectrum that draws from it."""
+    from .simulator import pcg64_generator
 
     def draw(index, size=None):
         return pcg64_generator(states[index]).uniform(fc.m, fc.L, size=size)

@@ -100,10 +100,10 @@ class LmiData:
     with s = k + 1 states.  With P written as sum_i x_i p[i] (p[0] = P0,
     x_0 = trace(P)), its block is
 
-        sum_i x_i (g[c, i] - rho^2 * diag(p[i], 0)) + lambda * Q(h).
+        sum_i x_i (g[i, c] - rho^2 * diag(p[i], 0)) + lambda * Q(h).
 
     ``a`` is (s, s), ``b`` is (steps, s), ``p`` is (d, s, s) for
-    d = s(s+1)/2, ``g`` is (steps, d, s+1, s+1), ``q0`` is (s+1, s+1) and
+    d = s(s+1)/2, ``g`` is (d, steps, s+1, s+1), ``q0`` is (s+1, s+1) and
     ``qh`` is (k, s+1, s+1).
     """
 
@@ -151,13 +151,13 @@ def augment(kappa: float, alphas: tuple[float, ...], k: int) -> LmiData:
     b = np.zeros((len(alphas), s))
     b[:, 0] = np.negative(alphas)
     b[:, 1:2] = 1.0
-    g = np.zeros((len(alphas), len(p), s + 1, s + 1))
+    g = np.zeros((len(p), len(alphas), s + 1, s + 1))
     for c, bc in enumerate(b):
         for i, pm in enumerate(p):
             pb = pm @ bc
-            g[c, i, :s, :s] = a.T @ (pm @ a)
-            g[c, i, :s, s] = g[c, i, s, :s] = a.T @ pb
-            g[c, i, s, s] = bc @ pb
+            g[i, c, :s, :s] = a.T @ (pm @ a)
+            g[i, c, :s, s] = g[i, c, s, :s] = a.T @ pb
+            g[i, c, s, s] = bc @ pb
     # [C D]^T M [C D] with [C D] = [[kappa, h, -1], [-1, 0, 1]].
     q0 = np.zeros((s + 1, s + 1))
     q0[0, 0], q0[s, s] = -2.0 * kappa, -2.0

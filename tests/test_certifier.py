@@ -554,6 +554,17 @@ def test_verify_requires_witness():
         verify_certificate(cert)
 
 
+@pytest.mark.parametrize("p", [np.eye(2) / 2, np.ones((2, 3)), np.full((3, 3), np.nan)],
+                         ids=["wrong-order", "not-square", "nan"])
+def test_verify_rejects_a_malformed_witness_p(p):
+    # A zf:2 witness P is 3x3 and finite; any other P is a rejected
+    # certificate, not an error.
+    cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=ZAMES_FALB, zf_order=2)
+    assert verify_certificate(cert)
+    bad = dataclasses.replace(cert, witness=dataclasses.replace(cert.witness, p=p))
+    assert verify_certificate(bad) is False
+
+
 def test_verify_dynamic_multiplier_roundtrip():
     cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=ZAMES_FALB, zf_order=2)
     assert verify_certificate(cert)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ratecert import certifier, cli
+from ratecert import certifier, cli, simulator
 from ratecert.certifier import _weights, augment, feasible_at_rho
 from ratecert.cli import Resolved, build_parser, format_sweep_csv, main, parse_sweep_csv
 from ratecert.model import reduced
@@ -345,7 +345,7 @@ def test_trial_spectrum_builds_a_generator_only_to_draw(monkeypatch):
     # per trial drew, and builds one only for a trial that draws from it.
     fc = cli.FunctionClass(1.0, 10.0)
     indices = range(6)
-    states = cli.seed_words([7, indices, 1], 4, np.uint64)
+    states = simulator.seed_words([7, indices, 1], 4, np.uint64)
     made, pcg64 = [], np.random.PCG64
     monkeypatch.setattr(np.random, "PCG64", lambda *a: made.append(a) or pcg64(*a))
     for dim in range(1, 6):

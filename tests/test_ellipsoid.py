@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,42 +6,46 @@ from hypothesis import strategies as st
 from ratecert import ellipsoid
 from ratecert.certifier import certify
 from ratecert.ellipsoid import (
-    EllipsoidOptions,
-    MatrixConstraint,
     SolverBudgetExceeded,
     _first_violated_cut,
-    _group_runs,
     ellipsoid_feasibility,
 )
 from ratecert.model import FunctionClass, interval_from_c
 
 
-def _scalar_constraint(coeff: float, const: float, bound: float, v_dim: int, idx: int = 0):
-    """coeff * v[idx] + const <= bound, as a 1x1 matrix block."""
-    coeffs = np.zeros((v_dim, 1, 1))
-    coeffs[idx, 0, 0] = coeff
-    return MatrixConstraint(s0=np.array([[const]]), coeffs=coeffs, bound=bound)
+def _scalars(*rows):
+    """The scalar constraints a . v + const <= bound, one per row
+    (a, const, bound), as one run of order 1."""
+    a, const, bounds = zip(*rows)
+    coeffs = np.array(a, dtype=float).T.reshape(-1, len(rows), 1, 1)
+    return np.reshape(const, (-1, 1, 1)).astype(float), np.ascontiguousarray(coeffs), bounds
+
+
+def _block(s0, coeffs, bound):
+    """The block s0 + sum_i v_i coeffs[i] <= bound, as a run of one."""
+    return s0[None], np.ascontiguousarray(coeffs[:, None]), (bound,)
+
+
+# v1 <= 0 and v1 >= 1e-12: empty, but the gap is far below the 1e-7 ball,
+# so only the volume certificate (or a full-depth cut) can decide.
+THIN_SLAB = _scalars(([1.0, 0.0], 0.0, 0.0), ([-1.0, 0.0], 0.0, -1e-12))
 
 
 def test_one_dimensional_toy():
-    # v1 <= -0.1 inside a ball of radius 10; v2 appears in no constraint.
-    point = ellipsoid_feasibility(
-        [_scalar_constraint(1.0, 0.0, -0.1, 2)], 2,
-        EllipsoidOptions(radius=10.0),
-    )
+    # v1 <= -0.1; v2 appears in no constraint.
+    point = ellipsoid_feasibility([_scalars(([1.0, 0.0], 0.0, -0.1))])
     assert point is not None and point[0] <= -0.1
 
 
 def test_constant_infeasible_constraint():
-    assert ellipsoid_feasibility([_scalar_constraint(0.0, 1.0, 0.0, 2)], 2) is None
+    assert ellipsoid_feasibility([_scalars(([0.0, 0.0], 1.0, 0.0))]) is None
 
 
 def test_conflicting_halflines_infeasible():
-    cons = [
-        _scalar_constraint(1.0, 0.0, -1.0, 2),   # v1 <= -1
-        _scalar_constraint(-1.0, 0.0, -1.0, 2),  # v1 >= 1
-    ]
-    assert ellipsoid_feasibility(cons, 2) is None
+    # v1 <= -1 and v1 >= 1, as one run and as two.
+    below, above = ([1.0, 0.0], 0.0, -1.0), ([-1.0, 0.0], 0.0, -1.0)
+    assert ellipsoid_feasibility([_scalars(below, above)]) is None
+    assert ellipsoid_feasibility([_scalars(below), _scalars(above)]) is None
 
 
 def test_two_dimensional_feasible():
@@ -51,29 +53,18 @@ def test_two_dimensional_feasible():
     coeffs = np.zeros((2, 2, 2))
     coeffs[0, 0, 0] = 1.0
     coeffs[1, 1, 1] = 1.0
-    con = MatrixConstraint(s0=np.zeros((2, 2)), coeffs=coeffs, bound=-1.0)
-    point = ellipsoid_feasibility([con], 2)
+    point = ellipsoid_feasibility([_block(np.zeros((2, 2)), coeffs, -1.0)])
     assert point is not None
     assert point[0] <= -1.0 and point[1] <= -1.0
 
 
 def test_thin_empty_slab_certified_infeasible():
-    # v1 <= 0 and v1 >= 1e-12: empty, but the gap is far below r_min, so
-    # only the volume certificate (or a full-depth cut) can decide.
-    cons = [
-        _scalar_constraint(1.0, 0.0, 0.0, 2, idx=0),
-        _scalar_constraint(-1.0, 0.0, -1e-12, 2, idx=0),
-    ]
-    assert ellipsoid_feasibility(cons, 2) is None
+    assert ellipsoid_feasibility([THIN_SLAB]) is None
 
 
 def test_budget_exceeded_is_distinct_from_infeasible():
-    cons = [
-        _scalar_constraint(1.0, 0.0, 0.0, 2, idx=0),
-        _scalar_constraint(-1.0, 0.0, -1e-12, 2, idx=0),
-    ]
     with pytest.raises(SolverBudgetExceeded):
-        ellipsoid_feasibility(cons, 2, EllipsoidOptions(max_iters=3))
+        ellipsoid_feasibility([THIN_SLAB], max_iters=3)
 
 
 def test_returned_point_satisfies_matrix_constraint_strictly():
@@ -82,8 +73,7 @@ def test_returned_point_satisfies_matrix_constraint_strictly():
     coeffs[0, 0, 0] = 1.0
     coeffs[1, 1, 1] = 1.0
     s0 = np.array([[0.0, 0.3], [0.3, 0.0]])
-    con = MatrixConstraint(s0=s0, coeffs=coeffs, bound=-0.5)
-    point = ellipsoid_feasibility([con], 2)
+    point = ellipsoid_feasibility([_block(s0, coeffs, -0.5)])
     assert point is not None
     block = s0 + np.diag(point)
     assert np.linalg.eigvalsh(block).max() <= -0.5
@@ -91,32 +81,28 @@ def test_returned_point_satisfies_matrix_constraint_strictly():
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        ellipsoid_feasibility([], 0)
+        ellipsoid_feasibility([])
     with pytest.raises(ValueError, match="two decision variables"):
         # The deep-cut update divides by v_dim^2 - 1.
-        ellipsoid_feasibility([_scalar_constraint(1.0, 0.0, 0.0, 1)], 1)
-    with pytest.raises(ValueError):
+        ellipsoid_feasibility([_scalars(([1.0], 0.0, 0.0))])
+    with pytest.raises(ValueError, match="number of decision variables"):
         ellipsoid_feasibility(
-            [_scalar_constraint(1.0, 0.0, 0.0, 3)], 2
-        )  # coeff count mismatch
-    with pytest.raises(ValueError):
-        ellipsoid_feasibility(
-            [_scalar_constraint(1.0, 0.0, 0.0, 2)], 2,
-            EllipsoidOptions(radius=1e-9),  # r_min >= radius
+            [_scalars(([1.0, 0.0], 0.0, 0.0)), _scalars(([1.0, 0.0, 0.0], 0.0, 0.0))]
         )
 
 
-def _lam_max(con: MatrixConstraint, v: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(con.s0 + np.tensordot(v, con.coeffs, axes=1))[-1])
+def _lam_max(s0, coeffs, v):
+    """Largest eigenvalue of each block s0[b] + sum_i v_i coeffs[i, b]."""
+    return np.linalg.eigvalsh(s0 + np.tensordot(v, coeffs, axes=1))[..., -1]
 
 
-def _random_affine(rng: np.random.Generator, order: int, v_dim: int, centre, margin):
-    """Random affine family whose value at ``centre`` exceeds its bound by
-    ``margin`` (violated when positive)."""
-    mats = rng.normal(size=(v_dim + 1, order, order))
-    mats = 0.5 * (mats + mats.transpose(0, 2, 1))
-    con = MatrixConstraint(s0=mats[0], coeffs=mats[1:], bound=0.0)
-    return dataclasses.replace(con, bound=_lam_max(con, centre) - margin)
+def _random_run(rng, order, batch, v_dim, centre, margins):
+    """Random run of ``batch`` affine blocks whose values at ``centre``
+    exceed their bounds by ``margins`` (violated where positive)."""
+    mats = rng.normal(size=(v_dim + 1, batch, order, order))
+    mats = 0.5 * (mats + mats.swapaxes(-1, -2))
+    s0, coeffs = mats[0], np.ascontiguousarray(mats[1:])
+    return s0, coeffs, tuple((_lam_max(s0, coeffs, centre) - margins).tolist())
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,40 +110,40 @@ def _random_affine(rng: np.random.Generator, order: int, v_dim: int, centre, mar
 def test_cut_depth_and_validity_on_random_affine_constraints(v_dim, violated, seed):
     # The cut must be exact at the centre (depth = lambda_max - bound) and
     # valid everywhere: q^T S(v) q <= lambda_max(S(v)) for the unit q it was
-    # built from, so every feasible v lies on the kept side.  Constraints of
-    # orders 1, 3 and 4 in turn: those from index ``violated`` on are
-    # violated at the centre, those before it hold.
+    # built from, so every feasible v lies on the kept side.  Runs of one
+    # block of orders 1, 3 and 4 in turn: those from index ``violated`` on
+    # are violated at the centre, those before it hold.
     rng = np.random.default_rng(seed)
     centre = rng.normal(size=v_dim)
-    cons = [
-        _random_affine(rng, order, v_dim, centre,
-                       (1.0 if k >= violated else -1.0) * rng.uniform(0.05, 1.0))
+    runs = [
+        _random_run(rng, order, 1, v_dim, centre,
+                    (1.0 if k >= violated else -1.0) * rng.uniform(0.05, 1.0))
         for k, order in enumerate((1, 3, 4))
     ]
-    con = cons[violated]
-    cut = _first_violated_cut(_group_runs(cons), centre)
+    s0, coeffs, (bound,) = runs[violated]
+    cut = _first_violated_cut(runs, centre)
     assert cut is not None
     a, depth = cut
-    assert depth == pytest.approx(_lam_max(con, centre) - con.bound, rel=1e-9)
+    assert depth == pytest.approx(_lam_max(s0, coeffs, centre)[0] - bound, rel=1e-9)
     for _ in range(50):
         v = centre + rng.normal(scale=3.0, size=v_dim)
-        assert a @ v - (a @ centre - depth) <= _lam_max(con, v) - con.bound + 1e-9
+        assert a @ v - (a @ centre - depth) <= _lam_max(s0, coeffs, v)[0] - bound + 1e-9
 
 
 def _reference_scan(runs, centre):
     """Reference scan that decomposes every block, order 1 included: one
     eigh per run, the first violated block cut along its top eigenvector."""
-    for run in runs:
-        blocks = run.evaluate(centre).reshape(run.batch, run.n, run.n)
-        vals, vecs = np.linalg.eigh(blocks)
-        violated = np.nonzero(vals[:, -1] > np.array(run.bounds))[0]
+    for s0, coeffs, bounds in runs:
+        flat = s0.reshape(-1) + centre @ coeffs.reshape(len(centre), -1)
+        vals, vecs = np.linalg.eigh(flat.reshape(s0.shape))
+        violated = np.nonzero(vals[:, -1] > np.array(bounds))[0]
         if violated.size == 0:
             continue
         i = int(violated[0])
         q = vecs[i, :, -1]
-        a = np.einsum("i,dij,j->d", q, run.coeffs[:, i], q)
-        g0 = float(q @ run.s0[i] @ q)
-        depth = float(a @ centre) + g0 - run.bounds[i]
+        a = np.einsum("i,dij,j->d", q, coeffs[:, i], q)
+        g0 = float(q @ s0[i] @ q)
+        depth = float(a @ centre) + g0 - bounds[i]
         if depth <= 0.0:
             depth = 0.0
         return a, depth
@@ -168,24 +154,24 @@ def _reference_scan(runs, centre):
 @given(
     v_dim=st.integers(2, 6),
     leading=st.integers(0, 3),
-    orders=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    shapes=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=1, max_size=6),
     seed=st.integers(0, 10_000),
 )
-def test_scan_matches_eigh_every_block_reference(v_dim, leading, orders, seed):
-    # ``leading`` scalar constraints come first, then random orders 1-4, so
-    # scalar runs lead and sit between matrix runs.  Each constraint is
-    # violated at the centre with probability 0.3; some scalar coefficients
-    # are -0.0.  The cut (or None) must equal the reference bit for bit.
+def test_scan_matches_eigh_every_block_reference(v_dim, leading, shapes, seed):
+    # A run of ``leading`` scalar blocks comes first, then runs of random
+    # (order 1-4, batch 1-3), so scalar runs lead and sit between matrix
+    # runs.  Each block is violated at the centre with probability 0.3;
+    # some scalar coefficients are -0.0.  The cut (or None) must equal the
+    # reference bit for bit.
     rng = np.random.default_rng(seed)
     centre = rng.normal(size=v_dim)
-    cons = []
-    for order in [1] * leading + orders:
-        margin = (1.0 if rng.random() < 0.3 else -1.0) * rng.uniform(0.0, 1.0)
-        con = _random_affine(rng, order, v_dim, centre, margin)
+    runs = []
+    for order, batch in [(1, leading)] * (leading > 0) + shapes:
+        margins = np.where(rng.random(batch) < 0.3, 1.0, -1.0) * rng.uniform(0.0, 1.0, batch)
+        s0, coeffs, bounds = _random_run(rng, order, batch, v_dim, centre, margins)
         if order == 1 and rng.random() < 0.5:
-            con.coeffs[rng.random(v_dim) < 0.5] = -0.0
-        cons.append(con)
-    runs = _group_runs(cons)
+            coeffs[rng.random(v_dim) < 0.5] = -0.0
+        runs.append((s0, coeffs, bounds))
     got, want = _first_violated_cut(runs, centre), _reference_scan(runs, centre)
     assert (got is None) == (want is None)
     if got is not None:

@@ -26,7 +26,7 @@ def test_sector_blocks():
     lmi = augment(10.0, (0.1, 0.2), 0)
     assert lmi.p.tolist() == [[[1.0]]]
     assert lmi.qh.shape == (0, 2, 2)
-    assert lmi.g.shape == (2, 1, 2, 2)
+    assert lmi.g.shape == (1, 2, 2, 2)
 
 
 def test_sector_multipliers_do_not_share_arrays():
@@ -113,11 +113,11 @@ def test_augment_sector():
 def test_augment_weighted_off_by_1():
     alphas = (0.25, 0.5)
     lmi = augment(10.0, alphas, 1)
-    assert lmi.g.shape == (2, 3, 3, 3)
+    assert lmi.g.shape == (3, 2, 3, 3)
     a = np.array([[1.0, 0.0], [-10.0, 0.0]])
     for c, alpha in enumerate(alphas):
         ab = np.column_stack([a, [-alpha, 1.0]])
-        for pm, g in zip(lmi.p, lmi.g[c]):
+        for pm, g in zip(lmi.p, lmi.g[:, c]):
             assert np.array_equal(g, ab.T @ pm @ ab)
     # The step size enters only through the plant-state row.
     assert np.array_equal(lmi.b[0, 1:], lmi.b[1, 1:])
