@@ -47,7 +47,9 @@ default eps_feas, and P is kept away from singularity by P >= delta_pd * I;
 both tolerances are explicit options.
 
 All eigen work goes through numpy's LAPACK drivers: ``eigh`` when
-eigenvectors are needed and ``eigvalsh`` when only eigenvalues are.
+eigenvectors are needed and ``eigvalsh`` when only eigenvalues are.  The
+ellipsoid's cuts call the ``eigh`` gufunc directly, without numpy's wrapper,
+and raise LinAlgError when an eigenvalue is not finite (see ``ellipsoid``).
 
 Importing this module loads numpy, ``iqc`` and ``ellipsoid``.  ``search``
 imports it the first time a certification needs it: a dynamic probe, a
@@ -231,13 +233,13 @@ def verify_certificate(cert: Certificate, slack_tol: float | None = None) -> boo
     fields, evaluate the blocks at both endpoints of the stored interval at
     the stored (rho_star, P, lambda) and check them against ``slack_tol``
     (default: the same data-scaled tolerance used for feasibility).  The
-    slack is recomputed here, never read from ``cert.slack``.  A negative
-    lambda, or a P that is not a finite positive definite matrix of order
-    k + 1 for the multiplier's k taps, fails the check."""
+    slack is recomputed here, never read from ``cert.slack``.  A lambda that
+    is negative or not finite, or a P that is not a finite positive definite
+    matrix of order k + 1 for the multiplier's k taps, fails the check."""
     if cert.rho_star is None or cert.witness is None:
         raise InvalidInput("certificate has no witness to verify")
     wit = cert.witness
-    if wit.lam < 0.0:
+    if not 0.0 <= wit.lam < np.inf:
         return False
     s = taps(cert.iqc_kind, cert.zf_order) + 1
     if np.shape(wit.p) != (s, s) or not np.isfinite(wit.p).all():

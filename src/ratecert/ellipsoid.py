@@ -25,7 +25,15 @@ outright when a cut excludes the whole ellipsoid.
 A run of order 1 (scalar inequalities such as lambda >= 0) is decided from
 its affine values and cut along its coefficients, with no
 eigen-decomposition: a 1x1 block's unit eigenvector is exactly 1, so the
-cut has the same bits.  A run of order >= 2 is decomposed as one batch.
+cut has the same bits.  A run of order >= 2 is decomposed as one batch by
+``_jacobi_batch``, which calls LAPACK's ``eigh`` gufunc directly: the call
+``np.linalg.eigh`` makes, with the same bits, without its wrapper.  It
+raises numpy's LinAlgError when any eigenvalue of the batch is not finite,
+which is how LAPACK's non-convergence and NaN or infinite entries show, and
+emits no floating-point warning.
+
+Each solve flattens every run once, and a cut updates the center and shape
+in place, in the arithmetic order of the textbook update.
 """
 
 from __future__ import annotations
@@ -33,15 +41,42 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import eigh_lo
 
 # Defined where the numpy-free rate search catches it.
 from .search import SolverBudgetExceeded
 
-# perfbench/tracing.py wraps this module-level name for its eigen-batch spans.
-_jacobi_batch = np.linalg.eigh
-
 # Radius of the smallest ball whose absence proves infeasibility.
 _R_MIN = 1e-7
+
+
+# LAPACK reports non-convergence through the invalid flag; the finiteness
+# check decides instead, so no flag becomes a warning.
+@np.errstate(all="ignore")
+def _jacobi_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a (B, n, n) stack of
+    symmetric blocks, read from their lower triangles, bit for bit as
+    ``np.linalg.eigh``.  Raises LinAlgError if any eigenvalue is not finite.
+
+    perfbench/tracing.py wraps this module-level name for its eigen-batch
+    spans.
+    """
+    vals, vecs = eigh_lo(blocks, signature="d->dd")
+    if not all(map(math.isfinite, vals.ravel().tolist())):
+        raise LinAlgError("eigenvalues are not finite")
+    return vals, vecs
+
+
+def _prepare(runs) -> list[tuple]:
+    """Each run ``(s0, coeffs, bounds)`` as the tuple the scan reads:
+    ``(order, batch, s0 flat, coeffs as (v_dim, -1), bounds as a list,
+    s0, coeffs)``."""
+    return [
+        (s0.shape[1], len(s0), s0.reshape(-1), coeffs.reshape(len(coeffs), -1),
+         list(bounds), s0, coeffs)
+        for s0, coeffs, bounds in runs
+    ]
 
 
 def ellipsoid_feasibility(runs, max_iters: int | None = None) -> np.ndarray | None:
@@ -65,6 +100,7 @@ def ellipsoid_feasibility(runs, max_iters: int | None = None) -> np.ndarray | No
     radius = 10.0 * math.sqrt(d)
     if max_iters is None:
         max_iters = int(math.ceil(10.0 * d * d * math.log(radius / _R_MIN)))
+    prepared = _prepare(runs)
 
     center = np.zeros(d)
     shape = radius * radius * np.eye(d)          # E = {x : (x-c)^T Q^-1 (x-c) <= 1}
@@ -72,9 +108,9 @@ def ellipsoid_feasibility(runs, max_iters: int | None = None) -> np.ndarray | No
     logdet_floor = 2.0 * d * math.log(_R_MIN)
 
     for _ in range(max_iters):
-        cut = _first_violated_cut(runs, center)
+        cut = _first_violated_cut(prepared, center)
         if cut is None:
-            return center.copy()
+            return center
         a, depth = cut
         qa = shape @ a
         norm_sq = float(a @ qa)
@@ -86,13 +122,20 @@ def ellipsoid_feasibility(runs, max_iters: int | None = None) -> np.ndarray | No
         if alpha >= 1.0:
             # The half-space aligned with the cut misses the entire ellipsoid.
             return None
-        # Deep-cut update.
+        # Deep-cut update, in place: center -= (tau * qa) / norm and
+        # shape = delta * (shape - (sigma * qa qa^T) / norm_sq).
         tau = (1.0 + d * alpha) / (d + 1.0)
         sigma = 2.0 * (1.0 + d * alpha) / ((d + 1.0) * (1.0 + alpha))
         delta = (d * d / (d * d - 1.0)) * (1.0 - alpha * alpha)
-        center = center - tau * qa / norm
+        step = tau * qa
+        step /= norm
+        center -= step
         # Exactly symmetric whenever shape is: qa_i * qa_j == qa_j * qa_i.
-        shape = delta * (shape - sigma * (qa[:, None] * qa) / norm_sq)
+        outer = qa[:, None] * qa
+        outer *= sigma
+        outer /= norm_sq
+        shape -= outer
+        shape *= delta
         logdet += d * math.log(delta) + math.log1p(-sigma)
         if logdet < logdet_floor:
             return None
@@ -101,21 +144,22 @@ def ellipsoid_feasibility(runs, max_iters: int | None = None) -> np.ndarray | No
     )
 
 
-def _first_violated_cut(runs, center) -> tuple[np.ndarray, float] | None:
-    """Scan the runs' blocks in order; return (cut normal a, violation depth)
-    for the first violated one, or None if the center is feasible.
+def _first_violated_cut(prepared, center) -> tuple[np.ndarray, float] | None:
+    """Scan the runs' blocks in order (runs as ``_prepare`` returns them);
+    return (cut normal a, violation depth) for the first violated one, or
+    None if the center is feasible.
 
     The cut encodes: feasible set is contained in {v : a . v <= a . center - depth}.
     """
-    for s0, coeffs, bounds in runs:
-        batch, n = s0.shape[:2]
-        top = s0.reshape(-1) + center @ coeffs.reshape(len(center), -1)
+    for n, batch, s0_flat, coeffs_flat, bounds, s0, coeffs in prepared:
+        top = s0_flat + center @ coeffs_flat
         if n > 1:
             vals, vecs = _jacobi_batch(top.reshape(batch, n, n))
             top = vals[:, -1]
-        pairs = zip(top.tolist(), bounds)
-        i = next((k for k, (x, b) in enumerate(pairs) if x > b), None)
-        if i is None:
+        for i, (x, b) in enumerate(zip(top.tolist(), bounds)):
+            if x > b:
+                break
+        else:
             continue
         if n == 1:
             # q = [1.0]; "+ 0.0" maps -0.0 to 0.0, as contracting with q does.

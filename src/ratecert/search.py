@@ -73,8 +73,9 @@ class CertifyOptions:
     which is 1e-9 * (1 + max |Qf entries|) of the reduced data.
     ``max_iters`` caps the ellipsoid's iterations (None: its own default).
     A ``rho_tol`` outside its range (NaN included), a negative or
-    non-finite ``eps_feas``, or a ``delta_pd`` that is not finite and
-    positive raises InvalidInput.
+    non-finite ``eps_feas``, a ``delta_pd`` that is not finite and
+    positive, or a ``max_iters`` that is neither None nor an int >= 1
+    (a bool is not one) raises InvalidInput.
     """
 
     rho_tol: float = 1e-4
@@ -91,6 +92,9 @@ class CertifyOptions:
             raise InvalidInput(f"need eps_feas None or finite >= 0, got {self.eps_feas}")
         if not 0.0 < self.delta_pd < math.inf:
             raise InvalidInput(f"need finite delta_pd > 0, got {self.delta_pd}")
+        m = self.max_iters
+        if m is not None and (type(m) is bool or not isinstance(m, int) or m < 1):
+            raise InvalidInput(f"need max_iters None or an int >= 1, got {m!r}")
 
 
 class _WitnessP:

@@ -316,6 +316,19 @@ def test_options_reject_bad_tolerances(field, value):
         CertifyOptions(**{field: value})
 
 
+@pytest.mark.parametrize("value", [0, -3, 2.5, 3.0, True, "3"])
+def test_options_reject_a_bad_max_iters(value):
+    # 0 and -3 ended in "no decision after -3 ellipsoid iterations", and
+    # 2.5 in a TypeError from range() inside the solver.
+    with pytest.raises(InvalidInput, match="max_iters"):
+        CertifyOptions(max_iters=value)
+
+
+def test_options_accept_none_and_a_positive_max_iters():
+    assert CertifyOptions().max_iters is None
+    assert CertifyOptions(max_iters=1).max_iters == 1
+
+
 def test_options_accept_zero_and_default_eps_feas():
     assert CertifyOptions(eps_feas=0.0).eps_feas == 0.0
     assert CertifyOptions().eps_feas is None
@@ -562,6 +575,18 @@ def test_verify_rejects_a_malformed_witness_p(p):
     cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=ZAMES_FALB, zf_order=2)
     assert verify_certificate(cert)
     bad = dataclasses.replace(cert, witness=dataclasses.replace(cert.witness, p=p))
+    assert verify_certificate(bad) is False
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("kind, order", [(SECTOR, 2), (WEIGHTED_OFF_BY_1, 2), (ZAMES_FALB, 2)],
+                         ids=["sector", "wob1", "zf2"])
+def test_verify_rejects_a_non_finite_lambda(kind, order, lam):
+    # A lambda of NaN made the dynamic replay raise LinAlgError, and an
+    # infinite one fail through a RuntimeWarning (inf * 0 in the blocks).
+    cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=kind, zf_order=order)
+    assert verify_certificate(cert)
+    bad = dataclasses.replace(cert, witness=dataclasses.replace(cert.witness, lam=lam))
     assert verify_certificate(bad) is False
 
 

@@ -8,6 +8,7 @@ from ratecert.certifier import certify
 from ratecert.ellipsoid import (
     SolverBudgetExceeded,
     _first_violated_cut,
+    _prepare,
     ellipsoid_feasibility,
 )
 from ratecert.model import FunctionClass, interval_from_c
@@ -91,6 +92,41 @@ def test_input_validation():
         )
 
 
+@settings(max_examples=100, deadline=None)
+@given(order=st.integers(2, 5), batch=st.integers(1, 3), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       seed=st.integers(0, 10_000))
+def test_eigen_batch_is_numpy_eigh_bit_for_bit(order, batch, scale, seed):
+    mats = scale * np.random.default_rng(seed).normal(size=(batch, order, order))
+    blocks = mats + mats.swapaxes(-1, -2)
+    vals, vecs = ellipsoid._jacobi_batch(blocks)
+    want_vals, want_vecs = np.linalg.eigh(blocks)
+    assert vals.tobytes() == want_vals.tobytes()
+    assert vecs.tobytes() == want_vecs.tobytes()
+    assert vals.shape == want_vals.shape and vecs.shape == want_vecs.shape
+
+
+def _with(blocks, index, value):
+    blocks = blocks.copy()
+    blocks[index] = value
+    return blocks
+
+
+_EYES = np.stack([np.eye(3), 2.0 * np.eye(3)])
+
+
+@pytest.mark.parametrize("blocks", [
+    # np.linalg.eigh returns diag(1, nan, 1)'s top eigenvalue as 1.0.
+    _with(_EYES, (0, 1, 1), np.nan),
+    _with(_EYES, (1, 2, 0), np.nan),
+    np.full((2, 3, 3), np.nan),
+    _with(_EYES, (1, 1, 1), np.inf),
+    _with(_EYES, (0, 2, 0), -np.inf),
+], ids=["nan-diagonal", "nan-lower", "all-nan", "inf-diagonal", "inf-lower"])
+def test_eigen_batch_rejects_non_finite_blocks(blocks):
+    with pytest.raises(np.linalg.LinAlgError):
+        ellipsoid._jacobi_batch(blocks)
+
+
 def _lam_max(s0, coeffs, v):
     """Largest eigenvalue of each block s0[b] + sum_i v_i coeffs[i, b]."""
     return np.linalg.eigvalsh(s0 + np.tensordot(v, coeffs, axes=1))[..., -1]
@@ -121,7 +157,7 @@ def test_cut_depth_and_validity_on_random_affine_constraints(v_dim, violated, se
         for k, order in enumerate((1, 3, 4))
     ]
     s0, coeffs, (bound,) = runs[violated]
-    cut = _first_violated_cut(runs, centre)
+    cut = _first_violated_cut(_prepare(runs), centre)
     assert cut is not None
     a, depth = cut
     assert depth == pytest.approx(_lam_max(s0, coeffs, centre)[0] - bound, rel=1e-9)
@@ -172,7 +208,7 @@ def test_scan_matches_eigh_every_block_reference(v_dim, leading, shapes, seed):
         if order == 1 and rng.random() < 0.5:
             coeffs[rng.random(v_dim) < 0.5] = -0.0
         runs.append((s0, coeffs, bounds))
-    got, want = _first_violated_cut(runs, centre), _reference_scan(runs, centre)
+    got, want = _first_violated_cut(_prepare(runs), centre), _reference_scan(runs, centre)
     assert (got is None) == (want is None)
     if got is not None:
         assert got[0].tobytes() == want[0].tobytes()
