@@ -32,7 +32,7 @@ _EXPORTS = {
     "simulator": (
         "AdversarialGreedy", "Alternating", "CertificateMissing", "Constant", "Endpoints",
         "QuadraticProblem", "TrajectoryReport", "Uniform", "UnknownPolicy",
-        "policy_from_name", "run", "sample_alpha", "step", "trial_seed",
+        "policy_from_name", "run", "sample_alpha", "step",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

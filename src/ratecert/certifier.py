@@ -220,12 +220,16 @@ def _blocks(lmi: LmiData, rho: float, h: tuple[float, ...], p: np.ndarray,
 def _slack(cert: Certificate) -> float:
     """Largest block eigenvalue of the certificate's witness over its step
     sizes, on data rebuilt from the certificate's own fields in reduced
-    units (matching the witness)."""
+    units (matching the witness); inf for a lambda or P that is not finite,
+    which no eigen-solve can bound."""
+    wit = cert.witness
+    if not (np.isfinite(wit.lam) and np.isfinite(wit.p).all()):
+        return np.inf
     fc_n, alphas = reduced(cert.fc, cert.interval)
     k = taps(cert.iqc_kind, cert.zf_order)
     h = _weights(cert.iqc_kind, cert.rho_star, k, cert.weights or None)
     lmi = augment(fc_n.kappa(), alphas, k)
-    return max_eigenvalue(_blocks(lmi, cert.rho_star, h, cert.witness.p, cert.witness.lam))
+    return max_eigenvalue(_blocks(lmi, cert.rho_star, h, wit.p, wit.lam))
 
 
 def verify_certificate(cert: Certificate, slack_tol: float | None = None) -> bool:

@@ -402,6 +402,10 @@ def cmd_sweep_c(res: Resolved) -> int:
     return 0
 
 
+# The purposes of simulate's random streams: entropy [seed, purpose, dim].
+STEP_STREAM, SPECTRUM_STREAM = 0, 1
+
+
 def cmd_simulate(res: Resolved) -> int:
     import numpy as np
 
@@ -415,34 +419,43 @@ def cmd_simulate(res: Resolved) -> int:
     if steps < 0 or trials < 1:
         raise UsageError("need steps >= 0 and trials >= 1")
 
-    # Each trial's seed and its spectrum's generator are numpy SeedSequence
-    # values, hashed for all trials in one array pass each; this also
-    # rejects a negative --seed before anything is certified.
-    seeds = simulator.trial_seeds(seed, range(trials))
-    spectrum_states = simulator.seed_words([seed, range(trials), 1], 4, np.uint64)
+    # Trial i has dimension 1 + i % 5 and is row i // 5 of its dimension
+    # group.  Each group draws from one PCG64 stream per purpose, seeded
+    # with [seed, purpose, dim] and read in row order, so trial i's step
+    # sizes are words [row * steps, (row + 1) * steps) of its group's step
+    # stream and its spectrum row i // 5 of the group's spectrum draws,
+    # whatever --trials is.  Only random policies get a step stream, and
+    # dimension 2 draws no spectrum.  Seeding here, before anything is
+    # certified, also rejects a negative --seed.
+    def stream(purpose, dim):
+        return np.random.Generator(np.random.PCG64([seed, purpose, dim]))
+
+    draws_steps = isinstance(policy, (simulator.Uniform, simulator.Endpoints))
+    streams = {dim: (stream(STEP_STREAM, dim) if draws_steps else None,
+                     stream(SPECTRUM_STREAM, dim) if _spectrum_width(dim) else None)
+               for dim in range(1, min(trials, 5) + 1)}
 
     cert = _certify(res, fc, interval)
     if not cert.feasible:
         print(f"{_no_certificate(cert)}, so none to validate")
         return 2
 
-    # Trial i has dimension 1 + i % 5.  Each dimension's trials run in
-    # chunks of chunk_trials, one run call (one array pass) per chunk, so
-    # only one chunk's arrays and reports are alive at a time, however many
-    # trials there are.
+    # Each dimension's trials run in chunks of chunk_trials, one run call
+    # (one array pass) per chunk, so only one chunk's arrays and reports
+    # are alive at a time, however many trials there are.
     rows = [""] * trials
     any_violated = False
-    for dim in range(1, min(trials, 5) + 1):
+    for dim, (step_rng, spectrum_rng) in streams.items():
         group = range(dim - 1, trials, 5)
         per_chunk = simulator.chunk_trials(steps, dim)
         for lo in range(0, len(group), per_chunk):
             indices = group[lo:lo + per_chunk]
             probs = [simulator.QuadraticProblem(spectrum) for spectrum
-                     in _trial_spectra(fc, dim, indices, spectrum_states)]
+                     in _trial_spectra(fc, dim, indices, spectrum_rng)]
             for i, report in zip(indices, run(probs, interval, policy, steps, None,
-                                              cert, [seeds[i] for i in indices])):
+                                              cert, step_rng)):
                 any_violated = any_violated or report.violated
-                rows[i] = (f"{i},{report.seed},{_fmt(report.max_ratio)},"
+                rows[i] = (f"{i},{seed},{_fmt(report.max_ratio)},"
                            f"{'true' if report.violated else 'false'}" + CSV_NEWLINE)
     out = StringIO()
     out.write("trial,seed,max_ratio,violated" + CSV_NEWLINE)
@@ -454,24 +467,26 @@ def cmd_simulate(res: Resolved) -> int:
     return 3 if any_violated else 0
 
 
+def _spectrum_width(dim: int) -> int:
+    """Spectrum draws per trial of dimension ``dim``."""
+    return 1 if dim == 1 else dim - 2
+
+
 def _trial_spectra(fc: FunctionClass, dim: int, indices: range,
-                   states: np.ndarray) -> list[tuple[float, ...]]:
+                   rng: np.random.Generator | None) -> list[tuple[float, ...]]:
     """Hessian spectra of the trials ``indices``, all of dimension ``dim``:
     random inside [m, L], with the class endpoints pinned in dimension >= 2
     and pure-endpoint problems cycled in dimension 1 (those attain the worst
-    rates).  Trial i draws from the generator of row i of ``states``, built
-    only for a spectrum that draws from it."""
-    from .simulator import pcg64_generator
-
-    def draw(index, size=None):
-        return pcg64_generator(states[index]).uniform(fc.m, fc.L, size=size)
-
-    if dim == 1:
-        return [(fc.m,) if i % 3 == 0 else (fc.L,) if i % 3 == 1 else (float(draw(i)),)
-                for i in indices]
+    rates).  The trials take the next ``len(indices)`` rows of
+    ``_spectrum_width(dim)`` uniform draws from ``rng``, one row each, even
+    where dimension 1 pins the value; dimension 2 reads no ``rng``."""
     if dim == 2:
         return [(fc.m, fc.L)] * len(indices)
-    return [(fc.m, fc.L, *map(float, draw(i, dim - 2))) for i in indices]
+    draws = rng.uniform(fc.m, fc.L, size=(len(indices), _spectrum_width(dim))).tolist()
+    if dim == 1:
+        return [(fc.m,) if i % 3 == 0 else (fc.L,) if i % 3 == 1 else (row[0],)
+                for i, row in zip(indices, draws)]
+    return [(fc.m, fc.L, *row) for row in draws]
 
 
 def main(argv=None) -> int:

@@ -42,7 +42,6 @@ from ratecert.simulator import (
     QuadraticProblem,
     Uniform,
     run,
-    trial_seed,
 )
 
 
@@ -202,7 +201,7 @@ def test_criterion_8_certificate_soundness_fuzz():
                 else:
                     pol = AdversarialGreedy()
                 rep = run(QuadraticProblem(spectrum), interval, pol, 200,
-                          np.ones(dim), cert, seed=trial_seed(trial, dim))
+                          np.ones(dim), cert, rng=np.random.default_rng([trial, dim]))
                 total += 1
                 violations += rep.violated
     _report(8, violations == 0,

@@ -590,6 +590,28 @@ def test_verify_rejects_a_non_finite_lambda(kind, order, lam):
     assert verify_certificate(bad) is False
 
 
+def _nan_entry(p):
+    p = np.array(p, dtype=float)
+    p[0, -1] = math.nan
+    return p
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda wit: dataclasses.replace(wit, lam=math.nan),
+    lambda wit: dataclasses.replace(wit, lam=math.inf),
+    lambda wit: dataclasses.replace(wit, p=_nan_entry(wit.p)),
+], ids=["nan-lambda", "inf-lambda", "nan-in-p"])
+@pytest.mark.parametrize("kind, order", [(WEIGHTED_OFF_BY_1, 2), (ZAMES_FALB, 2)],
+                         ids=["wob1", "zf2"])
+def test_slack_of_a_non_finite_witness_is_inf(kind, order, spoil):
+    # Such a witness made the replay's eigen-solve raise LinAlgError, while
+    # verify_certificate rejects it.
+    cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=kind, zf_order=order)
+    bad = dataclasses.replace(cert, witness=spoil(cert.witness))
+    assert bad.slack == math.inf
+    assert verify_certificate(bad) is False
+
+
 def test_verify_dynamic_multiplier_roundtrip():
     cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=ZAMES_FALB, zf_order=2)
     assert verify_certificate(cert)

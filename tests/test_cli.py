@@ -313,8 +313,8 @@ def test_simulate_constant_outside_interval_rejected_before_certify(
 # The digest is the same for every policy: on a quadratic each coordinate
 # contracts by at most the exact rate <= rho_star per step, so every trial's
 # max_ratio is its k = 0 value 1/sqrt(cond_p) = 1; the rows carry the trial
-# seeds, the formatting and the verdicts.
-SIMULATE_CSV_SHA256 = "cc0cab4ba8243264200aa836d9cb6d768d5cc4275c71d828552253e31236eab7"
+# numbers, the --seed, the formatting and the verdicts.
+SIMULATE_CSV_SHA256 = "755aca3a836bed25283b704381ecafbc72949f7f57680b7ab896f4b169fe6109"
 
 
 @pytest.mark.parametrize("policy", ["uniform", "endpoints", "alternating", "adversarial",
@@ -327,33 +327,34 @@ def test_simulate_csv_bytes_pinned(tmp_path, capsys, policy):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_CSV_SHA256
 
 
-def _spectrum_with_generator_always_built(fc, dim, seed, index):
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index, 1])))
-    if dim == 1:
-        pick = index % 3
-        if pick == 0:
-            return (fc.m,)
-        if pick == 1:
-            return (fc.L,)
-        return (float(rng.uniform(fc.m, fc.L)),)
-    rest = rng.uniform(fc.m, fc.L, size=dim - 2)
-    return (fc.m, fc.L, *map(float, rest))
-
-
-def test_trial_spectrum_builds_a_generator_only_to_draw(monkeypatch):
-    # The batch form draws what one SeedSequence([seed, index, 1]) generator
-    # per trial drew, and builds one only for a trial that draws from it.
-    fc = cli.FunctionClass(1.0, 10.0)
-    indices = range(6)
-    states = simulator.seed_words([7, indices, 1], 4, np.uint64)
+def test_simulate_builds_one_stream_per_purpose_and_dimension(monkeypatch, capsys):
+    # At most one PCG64 per purpose and dimension group for the whole
+    # command, however it is chunked, and no step stream for a policy that
+    # draws no steps; dimension 2 draws no spectrum.
+    monkeypatch.setattr(simulator, "CHUNK_FLOATS", 100)
     made, pcg64 = [], np.random.PCG64
     monkeypatch.setattr(np.random, "PCG64", lambda *a: made.append(a) or pcg64(*a))
-    for dim in range(1, 6):
-        expected = [_spectrum_with_generator_always_built(fc, dim, 7, i) for i in indices]
+    steps = [([7, cli.STEP_STREAM, d],) for d in range(1, 6)]
+    spectra = [([7, cli.SPECTRUM_STREAM, d],) for d in (1, 3, 4, 5)]
+    for policy in ("uniform", "endpoints", "alternating", "adversarial", "constant:0.1"):
         made.clear()
-        assert cli._trial_spectra(fc, dim, indices, states) == expected
-        draws = [i for i in indices if dim >= 3 or (dim == 1 and i % 3 == 2)]
-        assert len(made) == len(draws), dim
+        assert run_cli("simulate", "--kappa", "10", "--c", "1.4", "--seed", "7",
+                       "--trials", "23", "--steps", "30", "--policy", policy) == 0
+        random = policy in ("uniform", "endpoints")
+        assert sorted(made) == sorted(spectra + (steps if random else [])), policy
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("policy", ["uniform", "endpoints", "adversarial"])
+def test_repeated_simulate_writes_the_same_bytes(tmp_path, capsys, policy):
+    # No generator state outlives a command.
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        assert run_cli("simulate", "--kappa", "10", "--c", "1.4", "--seed", "11",
+                       "--trials", "12", "--steps", "40", "--policy", policy,
+                       "--out", str(out)) == 0
+    capsys.readouterr()
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_config_file_and_override(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import contextlib
 import functools
 import hashlib
+import io
 import math
 import tracemalloc
 
@@ -22,14 +24,10 @@ from ratecert.simulator import (
     Uniform,
     UnknownPolicy,
     VIOLATION_SLACK,
-    pcg64_generator,
     policy_from_name,
     run,
     sample_alpha,
-    seed_words,
     step,
-    trial_seed,
-    trial_seeds,
 )
 
 FC10 = FunctionClass(1.0, 10.0)
@@ -86,18 +84,22 @@ def test_uniform_and_endpoints_policies():
 
 @pytest.mark.parametrize("policy", [Uniform(), Endpoints()], ids=["uniform", "endpoints"])
 def test_sequence_draw_consumes_stream_like_scalar_draws(policy):
-    # One whole-sequence draw must equal one scalar draw per step from an
-    # identically seeded generator, and leave the stream at the same place.
+    # One whole-sequence draw, or one (trials, steps) draw, must equal one
+    # scalar draw per step, row by row, from an identically seeded
+    # generator, and take exactly one stream word per step size.
     iv = StepSizeInterval(0.1, 0.14)
-    for n in (0, 1, 2, 7, 200):
+    for shape in (0, 1, 2, 7, 200, (3, 7), (2, 0)):
+        n = int(np.prod(shape))
         fast = np.random.Generator(np.random.PCG64(n))
         slow = np.random.Generator(np.random.PCG64(n))
         if isinstance(policy, Uniform):
             ref = [float(slow.uniform(iv.lo, iv.hi)) for _ in range(n)]
         else:
-            ref = [iv.hi if slow.integers(0, 2) else iv.lo for _ in range(n)]
-        assert sample_alpha(policy, iv, n, fast).tolist() == ref
+            ref = [iv.hi if slow.random() < 0.5 else iv.lo for _ in range(n)]
+        got = sample_alpha(policy, iv, shape, fast)
+        assert got.shape == np.shape(np.empty(shape)) and got.ravel().tolist() == ref
         assert fast.bit_generator.state == slow.bit_generator.state
+        assert fast.bit_generator.state == np.random.PCG64(n).advance(n).state
 
 
 def test_adversarial_greedy_two_endpoint_comparison():
@@ -125,7 +127,7 @@ def test_run_hand_example():
     cert = _cert()
     assert cert.cond_p == pytest.approx(1.0)
     prob = QuadraticProblem((1.0, 10.0))
-    rep = run(prob, cert.interval, Constant(0.1), 1, np.array([1.0, 1.0]), cert, seed=0)
+    rep = run(prob, cert.interval, Constant(0.1), 1, np.array([1.0, 1.0]), cert)
     assert rep.norms[0] == pytest.approx(np.sqrt(2.0))
     assert rep.norms[1] == pytest.approx(0.9)
     assert rep.bound[1] == pytest.approx(np.sqrt(cert.cond_p) * cert.rho_star * np.sqrt(2.0))
@@ -136,7 +138,7 @@ def test_run_hand_example():
 def test_run_zero_start_never_violates():
     cert = _cert()
     rep = run(QuadraticProblem((1.0,)), cert.interval, Uniform(), 50,
-              np.zeros(1), cert, seed=3)
+              np.zeros(1), cert, np.random.default_rng(3))
     assert rep.max_ratio == 0.0
     assert not rep.violated
     assert np.all(rep.norms == 0.0)
@@ -146,20 +148,22 @@ def test_run_requires_certificate_and_matching_class():
     infeasible = _cert(c=2.1)
     with pytest.raises(CertificateMissing):
         run(QuadraticProblem((1.0,)), infeasible.interval, Uniform(), 5,
-            np.ones(1), infeasible, seed=0)
+            np.ones(1), infeasible, np.random.default_rng(0))
     cert = _cert()
     with pytest.raises(ValueError):
         run(QuadraticProblem((0.5,)), cert.interval, Uniform(), 5,
-            np.ones(1), cert, seed=0)
+            np.ones(1), cert, np.random.default_rng(0))
 
 
 def test_run_deterministic():
     cert = _cert(c=1.4)
     prob = QuadraticProblem((1.0, 4.0, 10.0))
-    a = run(prob, cert.interval, Uniform(), 100, np.ones(3), cert, seed=42)
-    b = run(prob, cert.interval, Uniform(), 100, np.ones(3), cert, seed=42)
+    a = run(prob, cert.interval, Uniform(), 100, np.ones(3), cert,
+            rng=np.random.default_rng(42))
+    b = run(prob, cert.interval, Uniform(), 100, np.ones(3), cert,
+            rng=np.random.default_rng(42))
     assert np.array_equal(a.norms, b.norms)
-    assert a.max_ratio == b.max_ratio and a.seed == b.seed
+    assert a.max_ratio == b.max_ratio
 
 
 def test_tightness_probe_constant_step():
@@ -170,8 +174,7 @@ def test_tightness_probe_constant_step():
         cert = certify(fc, interval_from_c(fc, 1.0),
                        options=CertifyOptions(rho_tol=1e-9, eps_feas=1e-12))
         prob = QuadraticProblem((fc.m,))
-        rep = run(prob, cert.interval, Constant(1.0 / fc.L), 200,
-                  np.ones(1), cert, seed=0)
+        rep = run(prob, cert.interval, Constant(1.0 / fc.L), 200, np.ones(1), cert)
         ratios = rep.norms / (cert.rho_star ** np.arange(201) * rep.norms[0])
         assert np.min(ratios) >= 1.0 - 1e-6
         assert not rep.violated
@@ -187,7 +190,7 @@ def test_soundness_small_fuzz():
         prob = QuadraticProblem(spectrum)
         for pol in policies + [AdversarialGreedy()]:
             rep = run(prob, cert.interval, pol, 80, np.ones(dim), cert,
-                      seed=trial_seed(7, trial))
+                      rng=np.random.default_rng([7, trial]))
             assert not rep.violated, (spectrum, pol)
 
 
@@ -197,18 +200,22 @@ def _sector_cert(kappa, c):
     return certify(fc, interval_from_c(fc, c))
 
 
-def _reference_run(prob, interval, policy, steps, xi0, cert, seed):
+def _stream(seed, words=0):
+    """A PCG64 generator seeded with ``seed``, ``words`` draws along."""
+    return np.random.Generator(np.random.PCG64(seed).advance(words))
+
+
+def _reference_run(prob, interval, policy, steps, xi0, cert, rng):
     """``run`` as a per-step loop: one scalar draw and one 1-D norm per step."""
     lo, hi = interval.lo, interval.hi
     q = np.asarray(prob.eigenvalues)
-    rng = np.random.Generator(np.random.PCG64(seed))
     xi = np.array(xi0, dtype=float)
     norms = [np.linalg.norm(xi)]
     for k in range(steps):
         if isinstance(policy, Uniform):
             alpha = float(rng.uniform(lo, hi))
         elif isinstance(policy, Endpoints):
-            alpha = hi if rng.integers(0, 2) else lo
+            alpha = hi if rng.random() < 0.5 else lo
         elif isinstance(policy, Alternating):
             alpha = hi if k % 2 else lo
         elif isinstance(policy, Constant):
@@ -256,119 +263,40 @@ def test_run_matches_per_step_reference_loop(point, policy_kind, dim, seed, frac
     policy = _policy(policy_kind, iv, frac)
     for xi0 in (np.ones(dim), draw.normal(size=dim), np.zeros(dim)):
         for steps in (0, 1, 2, 200):
-            rep = run(prob, iv, policy, steps, xi0, cert, seed=seed)
+            rep = run(prob, iv, policy, steps, xi0, cert, rng=_stream(seed))
             norms, bound, max_ratio, violated = _reference_run(
-                prob, iv, policy, steps, xi0, cert, seed)
+                prob, iv, policy, steps, xi0, cert, _stream(seed))
             assert np.array_equal(rep.norms, norms), (steps, xi0)
             assert np.array_equal(rep.bound, bound), (steps, xi0)
             assert rep.max_ratio == max_ratio and rep.violated == violated
 
 
-def test_run_builds_a_generator_only_for_random_policies(monkeypatch):
-    # One generator per drawing trial, none for the other policies, and each
-    # draws what PCG64(seed) draws.
-    cert = _cert(c=1.2)
-    probs = [QuadraticProblem((1.0, 10.0)), QuadraticProblem((2.0, 3.0))]
-    made, pcg64 = [], np.random.PCG64
-    monkeypatch.setattr(np.random, "PCG64", lambda *a: made.append(a) or pcg64(*a))
-    for policy, draws in [(Uniform(), True), (Endpoints(), True), (Alternating(), False),
-                          (Constant(cert.interval.lo), False),
-                          (AdversarialGreedy(), False)]:
-        made.clear()
-        run(probs[0], cert.interval, policy, 20, cert=cert, seed=5)
-        assert len(made) == (1 if draws else 0), policy
-        if draws:
-            built = np.random.Generator(pcg64(*made[0])).random(4)
-            assert np.array_equal(built, np.random.Generator(pcg64(5)).random(4))
-        made.clear()
-        run(probs, cert.interval, policy, 20, None, cert, [5, 6])
-        assert len(made) == (2 if draws else 0), policy
-
-
-def test_trial_seed_deterministic_and_spread():
-    assert trial_seed(0, 0) == trial_seed(0, 0)
-    seeds = {trial_seed(5, i) for i in range(100)}
-    assert len(seeds) == 100
-
-
-# Word and row boundaries of SeedSequence's integer split and of its
-# four-word pool: entropy of 1 to 7 words, one to three of them mixed in
-# after the pool is full.
-SEED_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5]
-ENTROPY_LAYOUTS = [("master",), ("index",), ("master", "index"), ("index", "master"),
-                   ("master", "index", "one")]
-
-
-def _check_seed_words(master, indices, layout, n_words, dtype):
-    columns = {"master": master, "index": indices, "one": 1}
-    got = seed_words([columns[name] for name in layout], n_words, dtype)
-    per_row = indices if "index" in layout else [None]
-    assert got.shape == (len(per_row), n_words) and got.dtype == np.dtype(dtype)
-    for row, index in zip(got, per_row):
-        entropy = [index if name == "index" else columns[name] for name in layout]
-        want = np.random.SeedSequence(entropy).generate_state(n_words, dtype)
-        assert np.array_equal(row, want), entropy
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    master=st.integers(0, 2**130 - 1) | st.sampled_from(SEED_EDGES),
-    indices=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
-    layout=st.sampled_from(ENTROPY_LAYOUTS),
-    n_words=st.sampled_from([2, 8]),
-    dtype=st.sampled_from([np.uint32, np.uint64]),
-)
-def test_seed_words_is_numpys_seed_sequence(master, indices, layout, n_words, dtype):
-    _check_seed_words(master, indices, layout, n_words, dtype)
-
-
-@pytest.mark.parametrize("master", SEED_EDGES)
-def test_seed_words_at_the_word_edges(master):
-    # Rows of 1 to 6 words in one call: the shorter rows skip the mixing
-    # rounds of the longer ones.
-    indices = [0, 5, 2**32 - 1]
-    for layout in ENTROPY_LAYOUTS:
-        for n_words in (2, 8):
-            for dtype in (np.uint32, np.uint64):
-                _check_seed_words(master, indices, layout, n_words, dtype)
-    _check_seed_words(master, SEED_EDGES, ("index", "master"), 8, np.uint32)
-
-
-@settings(max_examples=60, deadline=None)
-@given(seeds=st.lists(st.integers(0, 2**130 - 1) | st.sampled_from(SEED_EDGES),
-                      min_size=1, max_size=4))
-def test_hashed_generator_draws_as_pcg64_of_the_seed(seeds):
-    states = seed_words([seeds], 4, np.uint64)
-    for seed, state in zip(seeds, states):
-        want = np.random.Generator(np.random.PCG64(seed))
-        got = pcg64_generator(state)
-        assert np.array_equal(got.random(5), want.random(5))
-        assert np.array_equal(got.integers(0, 2, size=9), want.integers(0, 2, size=9))
-
-
-def test_trial_seeds_are_the_seed_sequence_values():
-    indices = [0, 1, 2, 99, 2**32 - 1]
-    for master in SEED_EDGES:
-        want = [int(np.random.SeedSequence([master, i]).generate_state(1, np.uint64)[0])
-                for i in indices]
-        assert trial_seeds(master, indices) == want
-        assert [trial_seed(master, i) for i in indices] == want
+def _simulate_command(*argv):
+    return cli.cmd_simulate(cli.Resolved(cli.build_parser().parse_args(
+        ["simulate", "--kappa", "10", "--c", "1.2", *argv])))
 
 
 @pytest.mark.parametrize("call", [
-    lambda: seed_words([-1], 2),
-    lambda: seed_words([3, [0, -2**70]], 2),
-    lambda: trial_seeds(-1, range(3)),
-    lambda: run(QuadraticProblem((1.0,)), _cert().interval, Uniform(), 5, cert=_cert(), seed=-1),
+    lambda: _simulate_command("--seed", "-1", "--policy", "uniform"),
+    lambda: _simulate_command("--seed", "-1", "--policy", "endpoints"),
+    lambda: _simulate_command("--seed", "-1", "--policy", "alternating"),
+    lambda: _simulate_command("--seed", "-1", "--policy", "adversarial", "--trials", "1"),
+    lambda: _simulate_command("--seed", "-1", "--policy", "constant:0.1", "--trials", "1"),
 ])
-def test_negative_entropy_raises_like_numpy(call):
-    with pytest.raises(ValueError, match="expected non-negative integer"):
+def test_negative_entropy_raises_like_numpy(monkeypatch, call):
+    # numpy's SeedSequence refuses a negative --seed when simulate seeds its
+    # streams, under every policy and before anything is certified.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("certify ran for a negative seed")
+
+    monkeypatch.setattr(cli, "certify", no_solve)
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
         call()
 
 
 def _group_batches(cert, trials, seed):
     """The trials of one simulate command, as ``cmd_simulate`` groups them:
-    trial i has dimension 1 + i % 5 and its own spectrum, start and seed."""
+    trial i has dimension 1 + i % 5 and its own spectrum and start."""
     fc = cert.fc
     draw = np.random.default_rng(seed)
     groups = {}
@@ -376,8 +304,7 @@ def _group_batches(cert, trials, seed):
         dim = 1 + i % 5
         spectrum = tuple(map(float, draw.uniform(fc.m, fc.L, size=dim)))
         xi0 = np.zeros(dim) if i == 3 else draw.normal(size=dim)
-        groups.setdefault(dim, []).append(
-            (QuadraticProblem(spectrum), xi0, trial_seed(seed, i)))
+        groups.setdefault(dim, []).append((QuadraticProblem(spectrum), xi0))
     return groups
 
 
@@ -394,49 +321,59 @@ def _group_batches(cert, trials, seed):
 def test_batched_run_matches_single_runs_and_reference_loop(
         point, policy_kind, trials, steps, seed, frac):
     # One array pass over a dimension group under one policy must reproduce
-    # each trial run alone and stepped one step at a time, bit for bit.
+    # each trial run alone and stepped one step at a time, bit for bit; trial
+    # j of a batch draws the stream's words [j * steps, (j + 1) * steps).
     cert = _sector_cert(*point)
     iv = cert.interval
     policy = _policy(policy_kind, iv, frac)
     for dim, batch in _group_batches(cert, trials, seed).items():
-        probs, xi0s, seeds = map(list, zip(*batch))
-        reports = run(probs, iv, policy, steps, xi0s, cert, seeds)
+        probs, xi0s = map(list, zip(*batch))
+        rng = _stream([seed, dim])
+        reports = run(probs, iv, policy, steps, xi0s, cert, rng)
         assert len(reports) == len(batch)
-        for rep, (prob, xi0, trial) in zip(reports, batch):
-            alone = run(prob, iv, policy, steps, xi0, cert, seed=trial)
+        for j, (rep, (prob, xi0)) in enumerate(zip(reports, batch)):
+            alone = run(prob, iv, policy, steps, xi0, cert, _stream([seed, dim], j * steps))
             norms, bound, max_ratio, violated = _reference_run(
-                prob, iv, policy, steps, xi0, cert, trial)
+                prob, iv, policy, steps, xi0, cert, _stream([seed, dim], j * steps))
             for other in (alone.norms, norms):
-                assert np.array_equal(rep.norms, other), (dim, trial)
+                assert np.array_equal(rep.norms, other), (dim, j)
             for other in (alone.bound, bound):
-                assert np.array_equal(rep.bound, other), (dim, trial)
+                assert np.array_equal(rep.bound, other), (dim, j)
             assert rep.max_ratio == alone.max_ratio == max_ratio
             assert rep.violated == alone.violated == violated
-            assert rep.seed == trial
+        # A random policy's batch takes one word per step size, no more.
+        words = len(batch) * steps if policy_kind in ("uniform", "endpoints") else 0
+        assert rng.bit_generator.state == _stream([seed, dim], words).bit_generator.state
 
 
 def test_batched_run_rejects_mixed_or_mismatched_batches():
     cert = _cert()
     iv = cert.interval
     one, two = QuadraticProblem((1.0,)), QuadraticProblem((1.0, 10.0))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="need a problem"):
+        run([], iv, Uniform(), 5, None, cert, rng)
     with pytest.raises(ValueError, match="one dimension"):
-        run([one, two], iv, Uniform(), 5, None, cert, [0, 1])
-    with pytest.raises(ValueError, match="one seed"):
-        run([one, one], iv, Uniform(), 5, None, cert, [0])
+        run([one, two], iv, Uniform(), 5, None, cert, rng)
     with pytest.raises(ValueError, match="outside"):
-        run([one, QuadraticProblem((0.5,))], iv, Uniform(), 5, None, cert, [0, 1])
+        run([one, QuadraticProblem((0.5,))], iv, Uniform(), 5, None, cert, rng)
+    for policy in (Uniform(), Endpoints()):
+        with pytest.raises(ValueError, match="draws from rng"):
+            run([one, one], iv, policy, 5, None, cert)
 
 
 # sha256 over the norms of all 20 trials, in trial order, of
 # `simulate --kappa 10 --c 1.4 --seed 7 --trials 20 --steps 50` per policy,
-# recorded from the per-trial loop before trials were batched.  Unlike the
-# CSV pin, these see every iterate of every trajectory.
+# recorded from the per-step reference loop on each trial's replay (``_replay``
+# and ``_reference_run``) when the streams became one per purpose and
+# dimension group.  Unlike the CSV pin, these see every iterate of every
+# trajectory.
 NORMS_SHA256 = {
-    "uniform": "a72f5d6edc127235cfe28f9c767f0a70ac1cf66a67130d43ac6d29deba2bf2de",
-    "endpoints": "b5e95e6486f45bd0404a799e8f41ddf82a5538965481895a4dd41d6a6a001642",
-    "alternating": "e98afdaba68893bb17fd79aeb9b4f111c0bed3bc82e5fb54a0afcf58ba2c78a3",
-    "constant:0.1": "a47b8d8acffb0bef6de9631c658712a3000178ba94725d8b5ff30de4295a891e",
-    "adversarial": "b25ebcf986b3ab425bd20bb2e2043c811f4ef477920c512b88d8af239b7ff705",
+    "uniform": "cf833758824044016caa9268c66f51febca99dc6f7dfdf69de4f972dcfe3b015",
+    "endpoints": "f62f40317125129b2963c2705649cd3e0ef19425e8465f6dfc5512349a27b6fe",
+    "alternating": "a46712b2d02a7774e020283cf762443af294150b868486019821ce534dab24fc",
+    "constant:0.1": "4936001d9b10563307d28a1babed540e3bd83a85774f507f4ce85ae5494fadf2",
+    "adversarial": "0ecac5c4e5fdafe852ecc63b472153a68a5cdace51617dad1716a23e50a5637d",
 }
 
 
@@ -462,13 +399,143 @@ def test_simulate_norms_pinned(tmp_path, capsys, monkeypatch, policy, chunk_floa
                      "--trials", "20", "--steps", "50", "--policy", policy,
                      "--out", str(tmp_path / "sim.csv")]) == 0
     capsys.readouterr()
-    index = {trial_seed(7, i): i for i in range(20)}
-    reports.sort(key=lambda rep: index[rep.seed])
     assert len(reports) == 20
+    by_trial = dict(zip(_run_order(20), reports))
     digest = hashlib.sha256()
-    for rep in reports:
-        digest.update(rep.norms.tobytes())
+    for i in range(20):
+        digest.update(by_trial[i].norms.tobytes())
     assert digest.hexdigest() == NORMS_SHA256[policy]
+
+
+def _run_order(trials):
+    """The trials in the order simulate runs them: by dimension group, then
+    in order within a group."""
+    return sorted(range(trials), key=lambda i: (i % 5, i))
+
+
+def _replay(seed, i, steps, policy, iv, fc):
+    """Trial i of a simulate command, alone: its step sizes and spectrum
+    from its dimension group's streams, advanced to the trial's row."""
+    dim, row = 1 + i % 5, i // 5
+    step_rng = _stream([seed, 0, dim], row * steps)
+    if isinstance(policy, Uniform):
+        alphas = step_rng.uniform(iv.lo, iv.hi, steps)
+    else:
+        alphas = np.where(step_rng.random(steps) < 0.5, iv.hi, iv.lo)
+    width = 1 if dim == 1 else dim - 2
+    draws = _stream([seed, 1, dim], row * width).uniform(fc.m, fc.L, width).tolist()
+    if dim == 1:
+        spectrum = ((fc.m,), (fc.L,), tuple(draws))[i % 3]
+    else:
+        spectrum = (fc.m, fc.L, *draws)
+    return alphas, spectrum, _stream([seed, 0, dim], row * steps)
+
+
+def _check_replay(seed, trials, steps, policy_kind, chunk_floats):
+    """Trial i's step sizes and spectrum in a simulate command are the
+    README's replay of trial i alone, and its norms are those of a
+    single-trial run on them; the CSV records --seed."""
+    cert = _sector_cert(10.0, 1.4)
+    fc, iv = cert.fc, cert.interval
+    policy = _policy(policy_kind, iv, 0.0)
+    probs, reports, alphas = [], [], []
+    batch_run, draw = cli.run, simulator.sample_alpha
+
+    def recording_run(*args):
+        got = batch_run(*args)
+        probs.extend(args[0])
+        reports.extend(got)
+        return got
+
+    def recording_draw(*args):
+        got = draw(*args)
+        alphas.extend(got)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "CHUNK_FLOATS", chunk_floats)
+        mp.setattr(cli, "run", recording_run)
+        mp.setattr(simulator, "sample_alpha", recording_draw)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["simulate", "--kappa", "10", "--c", "1.4", "--seed", str(seed),
+                             "--trials", str(trials), "--steps", str(steps),
+                             "--policy", policy_kind]) == 0
+    rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [[str(i), str(seed)] for i in range(trials)]
+    assert len(probs) == len(reports) == len(alphas) == trials
+    for i, prob, rep, used in zip(_run_order(trials), probs, reports, alphas):
+        want_alphas, spectrum, rng = _replay(seed, i, steps, policy, iv, fc)
+        assert np.array_equal(used, want_alphas), i
+        assert prob.eigenvalues == spectrum, i
+        alone = run(QuadraticProblem(spectrum), iv, policy, steps, cert=cert, rng=rng)
+        assert np.array_equal(rep.norms, alone.norms), i
+        assert rows[i][2] == cli._fmt(rep.max_ratio)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    trials=st.integers(1, 40),
+    steps=st.integers(0, 60),
+    policy_kind=st.sampled_from(["uniform", "endpoints"]),
+    chunk_floats=st.integers(1, 2000),
+)
+def test_simulate_trial_replays_alone(seed, trials, steps, policy_kind, chunk_floats):
+    # Wherever the chunk boundaries fall and however many trials run.
+    _check_replay(seed, trials, steps, policy_kind, chunk_floats)
+
+
+# Seeds at the edges of the 32-bit words numpy's SeedSequence splits them
+# into: one to four words.
+SEED_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5]
+
+
+@pytest.mark.parametrize("seed", SEED_EDGES)
+def test_simulate_replays_at_seed_word_edges(seed):
+    for policy_kind in ("uniform", "endpoints"):
+        _check_replay(seed, 13, 9, policy_kind, 150)
+
+
+def _simulated_steps(monkeypatch, policy, seed):
+    """Every step size a 100-trial, 200-step simulate command draws."""
+    draws, draw = [], simulator.sample_alpha
+
+    def recording_draw(*args):
+        got = draw(*args)
+        draws.append(got)
+        return got
+
+    monkeypatch.setattr(simulator, "sample_alpha", recording_draw)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--kappa", "10", "--c", "1.4", "--seed", str(seed),
+                         "--policy", policy]) == 0
+    return np.concatenate([d.ravel() for d in draws])
+
+
+# Chi-square quantiles at 0.999 for 19 degrees of freedom (20 bins) and 1.
+CHI2_999 = {19: 43.82, 1: 10.83}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_uniform_steps_are_uniform_on_the_interval(monkeypatch, seed):
+    iv = _sector_cert(10.0, 1.4).interval
+    draws = _simulated_steps(monkeypatch, "uniform", seed)
+    assert draws.size == 100 * 200
+    assert np.all((iv.lo <= draws) & (draws <= iv.hi))
+    counts, _ = np.histogram(draws, bins=20, range=(iv.lo, iv.hi))
+    expected = draws.size / 20
+    assert np.sum((counts - expected) ** 2 / expected) < CHI2_999[19]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_endpoint_steps_are_fair_coin_flips(monkeypatch, seed):
+    iv = _sector_cert(10.0, 1.4).interval
+    draws = _simulated_steps(monkeypatch, "endpoints", seed)
+    assert draws.size == 100 * 200
+    assert set(draws.tolist()) == {iv.lo, iv.hi}
+    n_hi = np.count_nonzero(draws == iv.hi)
+    assert (2 * n_hi - draws.size) ** 2 / draws.size < CHI2_999[1]
 
 
 @pytest.mark.parametrize("kappa,c,steps,policy", [
