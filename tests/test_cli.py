@@ -327,21 +327,20 @@ def test_simulate_csv_bytes_pinned(tmp_path, capsys, policy):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_CSV_SHA256
 
 
-def test_simulate_builds_one_stream_per_purpose_and_dimension(monkeypatch, capsys):
-    # At most one PCG64 per purpose and dimension group for the whole
-    # command, however it is chunked, and no step stream for a policy that
-    # draws no steps; dimension 2 draws no spectrum.
+def test_trial_spectrum_builds_a_generator_only_to_draw(monkeypatch, capsys):
+    # One spectrum PCG64 per dimension group that draws spectra, for the
+    # whole command however it is chunked and whatever the policy;
+    # dimension 2 draws no spectrum and gets none.
     monkeypatch.setattr(simulator, "CHUNK_FLOATS", 100)
     made, pcg64 = [], np.random.PCG64
     monkeypatch.setattr(np.random, "PCG64", lambda *a: made.append(a) or pcg64(*a))
-    steps = [([7, cli.STEP_STREAM, d],) for d in range(1, 6)]
     spectra = [([7, cli.SPECTRUM_STREAM, d],) for d in (1, 3, 4, 5)]
     for policy in ("uniform", "endpoints", "alternating", "adversarial", "constant:0.1"):
         made.clear()
         assert run_cli("simulate", "--kappa", "10", "--c", "1.4", "--seed", "7",
                        "--trials", "23", "--steps", "30", "--policy", policy) == 0
-        random = policy in ("uniform", "endpoints")
-        assert sorted(made) == sorted(spectra + (steps if random else [])), policy
+        drawn = [a for a in made if a[0][1] == cli.SPECTRUM_STREAM]
+        assert sorted(drawn) == spectra, policy
     capsys.readouterr()
 
 

@@ -271,6 +271,39 @@ def test_run_matches_per_step_reference_loop(point, policy_kind, dim, seed, frac
             assert rep.max_ratio == max_ratio and rep.violated == violated
 
 
+def test_run_builds_a_generator_only_for_random_policies(monkeypatch, capsys):
+    # run builds no generator: a random policy reads the one rng it is
+    # handed and the others never read it.  The simulate command builds one
+    # step PCG64 per dimension group for a random policy, however it is
+    # chunked, and none for the others.
+    cert = _cert(c=1.2)
+    probs = [QuadraticProblem((1.0, 10.0)), QuadraticProblem((2.0, 3.0))]
+    made, pcg64 = [], np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda *a: made.append(a) or pcg64(*a))
+    rng = np.random.Generator(pcg64(5))
+    for policy, draws in [(Uniform(), True), (Endpoints(), True), (Alternating(), False),
+                          (Constant(cert.interval.lo), False),
+                          (AdversarialGreedy(), False)]:
+        run(probs[0], cert.interval, policy, 20, cert=cert, rng=rng)
+        run(probs, cert.interval, policy, 20, None, cert, rng)
+        if draws:
+            with pytest.raises(ValueError, match="rng"):
+                run(probs, cert.interval, policy, 20, None, cert, None)
+        else:
+            run(probs, cert.interval, policy, 20, None, cert, None)
+    assert made == []
+
+    monkeypatch.setattr(simulator, "CHUNK_FLOATS", 100)
+    steps = [([7, cli.STEP_STREAM, d],) for d in range(1, 6)]
+    for policy in ("uniform", "endpoints", "alternating", "adversarial", "constant:0.1"):
+        made.clear()
+        assert cli.main(["simulate", "--kappa", "10", "--c", "1.4", "--seed", "7",
+                         "--trials", "23", "--steps", "30", "--policy", policy]) == 0
+        drawn = [a for a in made if a[0][1] == cli.STEP_STREAM]
+        assert sorted(drawn) == (steps if policy in ("uniform", "endpoints") else []), policy
+    capsys.readouterr()
+
+
 def _simulate_command(*argv):
     return cli.cmd_simulate(cli.Resolved(cli.build_parser().parse_args(
         ["simulate", "--kappa", "10", "--c", "1.2", *argv])))
