@@ -32,6 +32,9 @@ class FunctionClass:
             raise ValueError("m and L must be finite")
         if not (0.0 < self.m <= self.L):
             raise ValueError(f"need 0 < m <= L, got m={self.m}, L={self.L}")
+        if not math.isfinite(self.L / self.m):
+            raise ValueError(
+                f"condition number kappa = L/m must be finite, got m={self.m}, L={self.L}")
 
     def kappa(self) -> float:
         return self.L / self.m

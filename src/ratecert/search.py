@@ -11,9 +11,10 @@ search calls those names through the module (``certifier.feasible_at_rho``),
 so a name replaced there is the one called.
 
 The bisection runs over the fixed bracket [RHO_LO, RHO_HI] down to a width
-of ``rho_tol``; one solve where it would end if all rates above the exact
-rate were feasible settles a tight certificate.  See ``certifier`` for the
-inequality family and its two backends.
+of ``rho_tol``.  A threshold estimate (the exact rate, or for sector the
+rate at which its lambda intervals touch) predicts its path, and two solves
+confirm it.  See ``certifier`` for the inequality family and its two
+backends.
 """
 
 from __future__ import annotations
@@ -231,6 +232,59 @@ def lambda_interval_sector(
     return (lo, hi)
 
 
+def sector_threshold(alphas: tuple[float, ...], fc: FunctionClass, eps: float) -> float:
+    """The rate at which the two endpoints' lambda intervals of
+    ``lambda_interval_sector`` touch, in closed form: an estimate of where
+    ``sector_lambda`` turns feasible, or 0.0 when there is none.
+
+    Where they touch, the upper root of one endpoint's determinant
+    quadratic is the lower root of the other's, so both vanish there.  With
+    ``v = rho^2 - eps`` (so ``u = 1 - v``) their difference is linear in
+    lambda and gives ``lambda = s*v / (2(L+m) - 2mL*s)`` with ``s`` the sum of
+    the step sizes; substituting it into the lower endpoint's quadratic
+    leaves a quadratic in v.  A root counts only if lambda there is the upper
+    root of one quadratic and the lower root of the other; the largest one
+    gives ``sqrt(v + eps)``.  One step size, a zero denominator, no root that
+    counts, or overflow give 0.0; this never raises.
+    """
+    if len(alphas) != 2:
+        return 0.0
+    m, L = fc.m, fc.L
+    try:
+        a_coef = -((L - m) ** 2)
+    except OverflowError:  # past kappa ~1e154
+        return 0.0
+    s = alphas[0] + alphas[1]
+    den = 2.0 * (L + m) - 2.0 * m * L * s
+    if den == 0.0:
+        return 0.0
+    k = s / den
+    alpha = alphas[0]
+    w = alpha * alpha + eps
+    # f_lo(k*v) = qa*v^2 + qb*v + qc, with qc = w - alpha^2 = eps.
+    qa = a_coef * k * k + 2.0 * k
+    qb = k * (2.0 * alpha * (L + m) - 2.0 - 2.0 * m * L * w) - w
+    qc = eps
+    disc = qb * qb - 4.0 * qa * qc
+    if not disc >= 0.0:
+        return 0.0
+    q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))  # roots q/qa, qc/q
+    best = -math.inf
+    for num, div in ((q, qa), (qc, q)):
+        if div == 0.0:
+            continue
+        v = num / div
+        lam = k * v
+        # f'(lam) = 2*a*lam + b at each endpoint: <= 0 at an upper root,
+        # >= 0 at a lower one.
+        slopes = [2.0 * a_coef * lam + 2.0 * al * (L + m) - 2.0 * (1.0 - v)
+                  - 2.0 * m * L * (al * al + eps) for al in alphas]
+        if slopes[0] * slopes[1] <= 0.0 and v > best:
+            best = v
+    rho2 = best + eps
+    return math.sqrt(rho2) if 0.0 < rho2 < math.inf else 0.0
+
+
 def sector_lambda(
     rho: float, alphas: tuple[float, ...], fc: FunctionClass, eps: float
 ) -> float | None:
@@ -273,13 +327,18 @@ def certify(
     worst-case rate ``r_exact = max(closed_form_rate(lo),
     closed_form_rate(hi))`` are infeasible without a solve.
 
-    After the probes at both ends, a float-only walk finds the rate g where
-    the bisection would end if every trial rate at or above r_exact were
-    feasible, and g is solved once.  Feasible: by monotonicity in rho every
-    rate on the path above g is feasible too, so the search ends at g.
-    Infeasible: rates at or below g are rejected without a solve and the
-    bisection runs as before (a budget error at g changes nothing).  Either
-    way the rate, witness and ``bisection_iters`` are the plain bisection's.
+    After the probes at both ends, an estimate t of the threshold predicts
+    the whole path: a float-only walk bisects as if every trial rate at or
+    above t were feasible, and ends with top g and lower end ``below``.  For
+    sector t is ``sector_threshold`` (never below r_exact); for the dynamic
+    kinds it is r_exact.  Two checks confirm the walk: g is feasible, and
+    ``below`` is not (free when it lies under r_exact, as it always does for
+    t = r_exact).  By monotonicity in rho every rate on the path at or above
+    g is then feasible and every one at or below ``below`` is not, so the
+    search ends at g.  Otherwise the bisection runs as before: after an
+    infeasible g, rates at or below g are rejected without a solve; a budget
+    error at a check is no verdict; no rate is solved twice.  Either way
+    the rate, witness and ``bisection_iters`` are the plain bisection's.
     ``Certificate.slack`` is computed on demand, on its first read.
     """
     opts = options or CertifyOptions()
@@ -302,6 +361,7 @@ def certify(
     fc_n, alphas = reduced(fc, interval)
     eps = opts.eps_feas if opts.eps_feas is not None else default_eps_feas(fc_n.kappa())
     lmi = None  # a dynamic multiplier's data, built by the first solve
+    verdicts = {}  # rho -> its solved verdict: no rate is solved twice
 
     # A found rate is (rho, lambda) for sector, (rho, Witness) otherwise.
     def probe(rho: float) -> tuple[float, float | Witness] | None:
@@ -311,6 +371,9 @@ def certify(
 
     def solve(rho: float) -> tuple[float, float | Witness] | None:
         nonlocal lmi
+        if rho in verdicts:
+            return verdicts[rho]
+        verdict = None
         if iqc_kind == SECTOR:
             verdict = sector_lambda(rho, alphas, fc_n, eps)
         else:
@@ -320,9 +383,11 @@ def certify(
             try:
                 h = certifier._weights(iqc_kind, rho, n_weights, weights)
             except certifier.WeightOutOfRange:
-                return None
-            verdict = certifier.feasible_at_rho(lmi, rho, h, opts)
-        return None if verdict is None else (rho, verdict)
+                pass
+            else:
+                verdict = certifier.feasible_at_rho(lmi, rho, h, opts)
+        verdicts[rho] = None if verdict is None else (rho, verdict)
+        return verdicts[rho]
 
     def finish(found: tuple[float, float | Witness] | None) -> Certificate:
         rho_star = wit = cond_p = None
@@ -358,8 +423,9 @@ def certify(
     if found_lo is not None:
         return finish(found_lo)
 
-    def bisect(decide) -> tuple[float, object, int]:
-        """Shrink [RHO_LO, hi]: (final top, last truthy verdict, trial rates)."""
+    def bisect(decide) -> tuple[float, float, object, int]:
+        """Shrink [RHO_LO, hi]: (final top, final lower end, last truthy
+        verdict, trial rates)."""
         lo, top, found, n = RHO_LO, hi, None, 0
         while top - lo > opts.rho_tol:
             mid = 0.5 * (lo + top)
@@ -371,22 +437,29 @@ def certify(
                 top, found = mid, verdict
             else:
                 lo = mid
-        return top, found, n
+        return top, lo, found, n
 
-    # Where the bisection ends if every rate at or above r_exact is feasible.
-    g, _, n = bisect(lambda rho: rho >= r_exact)
+    # Where the bisection ends if every rate at or above the estimate t is
+    # feasible: g the final top, below the final lower end.
+    t = r_exact
+    if iqc_kind == SECTOR:
+        t = max(t, sector_threshold(alphas, fc_n, eps))
+    g, below, _, n = bisect(lambda rho: rho >= t)
+    found_g = settled = False  # False: no verdict at g
     try:
-        found_g = found_hi if g == hi else solve(g)
+        found_g = solve(g)  # the top probe's verdict when g == hi
+        settled = found_g is not None and (below < floor or solve(below) is None)
     except SolverBudgetExceeded:
-        found_g = False  # no verdict at g: the bisection decides every rate
-    if found_g:
-        # Feasibility is monotone in rho, so every rate on the path above g
-        # is feasible and the bisection ends at g with this witness.
+        pass  # no verdict: the bisection decides every rate
+    if settled:
+        # Feasibility is monotone in rho: every rate on the path at or above
+        # g is feasible and every one at or below ``below`` is not, so the
+        # bisection takes this path and ends at g with this witness.
         evals += n
         return finish(found_g)
     if found_g is None:
         floor = math.nextafter(g, math.inf)  # g and every rate below fail
-    _, found, _ = bisect(probe)
+    _, _, found, _ = bisect(probe)
     return finish(found or found_hi)
 
 

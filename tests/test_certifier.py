@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import signal
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -48,6 +49,7 @@ from ratecert.model import (
     interval_from_c,
     reduced,
 )
+from ratecert.search import sector_threshold
 
 FC10 = FunctionClass(1.0, 10.0)
 
@@ -400,7 +402,7 @@ def test_bisection_solves_only_at_or_above_exact_rate(solver_calls, kind, rho_st
     "kind, zf_order, kappa, c, solves",
     [(WEIGHTED_OFF_BY_1, 1, 10.0, 1.2, 2), (ZAMES_FALB, 2, 10.0, 1.2, 2),
      (SECTOR, 1, 10.0, 1.0, 2), (ZAMES_FALB, 2, 3.377, 1.8692, 14),
-     (SECTOR, 1, 5.0, 1.2, 9)],
+     (SECTOR, 1, 5.0, 1.2, 3)],
     ids=["wob1", "zf2", "sector-constant-step", "zf2-loose", "sector-end-fails"],
 )
 def test_solver_calls_pinned(solver_calls, kind, zf_order, kappa, c, solves):
@@ -409,8 +411,9 @@ def test_solver_calls_pinned(solver_calls, kind, zf_order, kappa, c, solves):
     # feasible): the top probe and one solve there settle them, down from
     # 7.  zf2-loose is not: its speculative solve fails, and the bisection
     # then makes the 13 solves it made without speculating.  At (5, 1.2)
-    # sector fails only at the speculative rate itself, which the plain
-    # bisection also reaches: it must not be solved twice (9 as before).
+    # sector sits above the exact rate; its closed-form threshold predicts
+    # the path, and the top probe plus the two checks settle it (9 when the
+    # estimate was the exact rate).
     fc = FunctionClass(1.0, kappa)
     cert = certify(fc, interval_from_c(fc, c), iqc_kind=kind, zf_order=zf_order)
     assert cert.feasible
@@ -441,9 +444,9 @@ def test_sector_hot_path_builds_once(monkeypatch, solver_calls):
     assert cert.rho_star == 0.921312225341797
     assert augments == []
     assert slacks == []
-    # Ten along the bisection's path plus the speculative solve at the end
-    # the exact rate predicts, which is infeasible for sector here.
-    assert len(solver_calls) == 11
+    # The top probe, and the two checks of the path that sector's
+    # closed-form threshold predicts.
+    assert len(solver_calls) == 3
     assert cert.slack <= 0.0
     assert len(augments) == 1
     assert len(slacks) == 1
@@ -492,24 +495,29 @@ def test_verify_ignores_a_planted_slack():
     assert not verify_certificate(bad)
 
 
-def test_budget_error_at_speculative_rate_is_not_a_verdict(monkeypatch):
-    # At (10, 1.2) the plain bisection never solves sector at the rate the
-    # exact rate predicts (the second solve).  A budget error there must not
-    # end the search, nor count as infeasible: the result is unchanged.
-    rates = []
-
-    def out_of_budget_once(rho):
-        rates.append(rho)
-        if len(rates) == 2:
-            raise SolverBudgetExceeded("budget")
-
+def test_budget_error_at_speculative_rate_is_not_a_verdict():
+    # At (10, 1.2) sector makes three solves: the top probe, then the
+    # predicted end g (check 1) and the predicted lower end below it (check
+    # 2).  A budget error at either check must not end the search, nor count
+    # as a verdict: the bisection decides every rate and the result is
+    # unchanged, and only the rate that failed is solved twice.
     interval = interval_from_c(FC10, 1.2)
     expected = certify(FC10, interval)
-    _spy_solvers(monkeypatch, out_of_budget_once)
-    cert = certify(FC10, interval)
-    assert (cert.rho_star, cert.bisection_iters) == (expected.rho_star, 16)
-    assert cert.witness.lam == expected.witness.lam
-    assert rates[1] not in rates[2:]
+    for check in (1, 2):
+        rates = []
+
+        def out_of_budget_once(rho):
+            rates.append(rho)
+            if len(rates) == check + 1:
+                raise SolverBudgetExceeded("budget")
+
+        with pytest.MonkeyPatch.context() as mp:
+            _spy_solvers(mp, out_of_budget_once)
+            cert = certify(FC10, interval)
+        assert (cert.rho_star, cert.bisection_iters) == (expected.rho_star, 16), check
+        assert cert.witness.lam.hex() == expected.witness.lam.hex(), check
+        assert len(rates) > 3, check  # the bisection ran
+        assert {rho for rho in rates if rates.count(rho) > 1} <= {rates[check]}, check
 
 
 def test_certify_budget_error_propagates():
@@ -882,6 +890,9 @@ def test_certify_matches_plain_bisection(kappa, c, kind):
 @example(log_m=0.0, log_kappa=0.0, c=1.0, c1=None, rho_tol=1e-4)  # L == m
 @example(log_m=0.5, log_kappa=1.0, c=0.5, c1=2.0, rho_tol=1e-8)  # c1*c2 == 1
 @example(log_m=-3.0, log_kappa=6.0, c=1.5, c1=None, rho_tol=1e-6)
+@example(log_m=0.0, log_kappa=math.log10(1.0 + 1e-12), c=1.921875, c1=None, rho_tol=1e-8)
+@example(log_m=0.0, log_kappa=math.log10(1.0 + 1e-9), c=1.5, c1=None, rho_tol=1e-8)
+@example(log_m=0.5, log_kappa=1.0, c=1.3, c1=1.8, rho_tol=1e-8)  # the touching rate binds
 def test_sector_certify_matches_the_numpy_instance_bisection(log_m, log_kappa, c, c1,
                                                              rho_tol):
     # Sector certify works in plain floats; the reference bisection solves
@@ -909,6 +920,83 @@ def test_sector_certify_matches_the_numpy_instance_bisection(log_m, log_kappa, c
     assert cert.rho_star == rho
     assert cert.witness.lam == wit.lam
     assert cert.cond_p == cond_spd(wit.p) == 1.0
+
+
+def _float_sector_bisection(fc, interval, opts):
+    """The plain bisection over ``sector_lambda`` in floats: every trial
+    rate at or above the exact rate is solved, in bisection order.  Returns
+    ((rho, lambda) or None, trial rates)."""
+    r_exact = _exact_rate(fc, interval)
+    fc_n, alphas = reduced(fc, interval)
+    eps = default_eps_feas(fc_n.kappa())
+    trials = 0
+
+    def probe(rho):
+        nonlocal trials
+        trials += 1
+        lam = None if rho < r_exact else sector_lambda(rho, alphas, fc_n, eps)
+        return None if lam is None else (rho, lam)
+
+    hi = search.top_rate(opts.rho_tol)
+    found = probe(hi)
+    if found is None:
+        return None, trials
+    lo = search.RHO_LO
+    found_lo = probe(lo)
+    if found_lo is not None:
+        return found_lo, trials
+    while hi - lo > opts.rho_tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        verdict = probe(mid)
+        if verdict is None:
+            lo = mid
+        else:
+            hi, found = mid, verdict
+    return found, trials
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_kappa=st.floats(0.0, 308.0),
+    c=st.floats(1.0, 2.5),
+    log_tol=st.floats(-12.0, -3.0),
+)
+@example(log_kappa=0.0, c=1.921875, log_tol=-8.0)
+@example(log_kappa=2.0, c=1.0, log_tol=-12.0)  # one step size
+@example(log_kappa=1.0, c=1.2, log_tol=-12.0)
+def test_sector_certify_is_the_float_bisection(log_kappa, c, log_tol):
+    # Sector's closed-form threshold and its two checks change how many
+    # solves certify makes, never what it returns, over every class whose
+    # condition number is a float; nothing raises or warns on the way.
+    fc = FunctionClass(1.0, 10.0 ** log_kappa)
+    try:
+        interval = interval_from_c(fc, c)
+    except ValueError:
+        assume(False)  # c * L overflows: 1 / (c * L) is 0.0
+    opts = CertifyOptions(rho_tol=10.0 ** log_tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = certify(fc, interval, options=opts)
+    found, trials = _float_sector_bisection(fc, interval, opts)
+    assert cert.bisection_iters == trials
+    if found is None:
+        assert cert.rho_star is None and cert.witness is None
+    else:
+        assert (cert.rho_star, cert.witness.lam) == found
+
+
+def test_sector_threshold_is_zero_without_an_estimate():
+    # 0.0 leaves the exact rate as certify's estimate; nothing raises.
+    assert sector_threshold((0.1,), FC10, 1e-8) == 0.0  # one step size
+    assert sector_threshold((0.55, 0.55), FC10, 1e-8) == 0.0  # zero denominator
+    huge = FunctionClass(1.0, 1e200)  # (L - m)**2 overflows
+    assert sector_threshold((1e-200, 2e-200), huge, default_eps_feas(1e200)) == 0.0
+    # At (10, 1.2) the intervals touch above the exact rate 0.9166...
+    _, alphas = reduced(FC10, interval_from_c(FC10, 1.2))
+    assert sector_threshold(alphas, FC10, default_eps_feas(10.0)) == pytest.approx(
+        0.9212894159727856, abs=1e-15)
 
 
 @settings(max_examples=500, deadline=None)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ratecert import certifier, cli, simulator
+from ratecert import certifier, cli, search, simulator
 from ratecert.certifier import _weights, augment, feasible_at_rho
 from ratecert.cli import Resolved, build_parser, format_sweep_csv, main, parse_sweep_csv
 from ratecert.model import reduced
@@ -554,6 +554,52 @@ def test_sweep_kappa_up_to_the_largest_kappa(tmp_path, capsys):
     rows = parse_sweep_csv(out.read_text())
     assert len(rows) == 25 and rows[-1].kappa == 1e308
     assert rows[0].feasible and not rows[-1].feasible
+
+
+@pytest.mark.parametrize("command", [
+    ("certify", "--c", "1.2"),
+    ("sweep-c", "--points", "2"),
+    ("simulate", "--c", "1.2", "--trials", "1", "--steps", "2"),
+], ids=["certify", "sweep-c", "simulate"])
+def test_overflowing_condition_number_is_rejected_by_name(capsys, command):
+    # m and L are finite, but L/m is not: the class itself is rejected, and
+    # the message names the condition number.
+    assert run_cli(*command, "--m", "1e-300", "--L", "1e300") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: condition number kappa = L/m must be finite, "
+                   "got m=1e-300, L=1e+300\n")
+
+
+def test_sweep_rows_settle_in_at_most_three_sector_solves(monkeypatch, capsys):
+    # The benchmark's sweep shapes at the default rho_tol.  Sector's closed-
+    # form threshold predicts each row's bisection path, and the top probe
+    # plus two checks settle it (about 7 solves a row when the exact rate
+    # was the estimate).
+    solves, per_row = [], []
+    sector_lambda, certify_row = search.sector_lambda, cli._certify
+
+    def counted(rho, *args):
+        solves.append(rho)
+        return sector_lambda(rho, *args)
+
+    def row(*args):
+        solves.clear()
+        cert = certify_row(*args)
+        per_row.append(len(solves))
+        return cert
+
+    monkeypatch.setattr(search, "sector_lambda", counted)
+    monkeypatch.setattr(cli, "_certify", row)
+    for c in ("1.3", "1.4", "1.5"):
+        assert run_cli("sweep-kappa", "--c", c, "--kappa-min", "1", "--kappa-max", "100",
+                       "--points", "40") == 0
+    for kappa in ("6", "8", "10"):
+        assert run_cli("sweep-c", "--kappa", kappa, "--c-min", "1", "--c-max", "2",
+                       "--points", "41") == 0
+    capsys.readouterr()
+    assert len(per_row) == 3 * 40 + 3 * 41
+    assert max(per_row) <= 3
 
 
 # sha256 of the bytes each command writes with --out.  The sector rows and

@@ -23,6 +23,16 @@ def test_function_class():
         FunctionClass(1.0, float("nan"))
 
 
+def test_function_class_rejects_an_overflowing_condition_number():
+    # Both constants are finite, but kappa = L/m is not; certify would fail
+    # later, in reduced units, with a message about m and L.
+    with pytest.raises(ValueError, match="condition number kappa = L/m must be finite"):
+        FunctionClass(1e-300, 1e300)
+    with pytest.raises(ValueError, match="condition number"):
+        FunctionClass(5e-324, 1.0)
+    assert FunctionClass(1e-300, 1e7).kappa() == 1e307
+
+
 def test_interval_from_c_examples():
     fc = FunctionClass(1.0, 10.0)
     iv = interval_from_c(fc, 1.0)

@@ -1,15 +1,19 @@
-"""sha256 over a fixed set of random dynamic-multiplier certifications.
+"""sha256 over a fixed set of random certifications.
 
-    python3 tools/witness_digest.py                 # 3,000 draws, seed 2026
+    python3 tools/witness_digest.py                   # dynamic, 3,000 draws, seed 2026
+    python3 tools/witness_digest.py --family sector   # sector, 3,000 draws, seed 2026
     python3 tools/witness_digest.py --draws 300
 
 Two checkouts whose certifier, ellipsoid and eigen path give the same bits
 print the same digest, so a change that claims bit-identical certificates
 runs this script at both commits and compares the last line.  The program
-is imported from ``src/`` of the checkout that holds this script.
+is imported from ``src/`` of the checkout that holds this script.  Floats
+are hashed as their 8 little-endian IEEE bytes, ints as 8 little-endian
+bytes and None as the byte string ``none``.
 
-Draws, in order, each from ``numpy.random.default_rng(seed)`` (one draw is
-four generator calls in this order):
+``--family dynamic`` (the default) draws, in order, each from
+``numpy.random.default_rng(seed)`` (one draw is four generator calls in
+this order):
 
 * kind: uniform over wob1, zf:2 and zf:3 (``rng.integers(3)``);
 * kappa: log-uniform in [1, 100] (``10 ** rng.uniform(0, 2)``);
@@ -17,11 +21,28 @@ four generator calls in this order):
 * rho_tol: log-uniform in [1e-6, 1e-3] (``10 ** rng.uniform(-6, -3)``).
 
 Each draw certifies ``FunctionClass(1, kappa)`` on ``interval_from_c(fc,
-c)`` with ``CertifyOptions(rho_tol=rho_tol)``.  Hashed per draw, floats as
-their 8 little-endian IEEE bytes and None as the byte string ``none``: the
-kind, zf order, kappa, c and rho_tol; ``rho_star``, ``cond_p``,
-``weights`` and ``bisection_iters``; and, for a certificate with a
-witness, ``lam``, ``slack`` and the bytes of P in C order.
+c)`` with ``CertifyOptions(rho_tol=rho_tol)``.  Hashed per draw: the kind,
+zf order, kappa, c and rho_tol; ``rho_star``, ``cond_p``, ``weights`` and
+``bisection_iters``; and, for a certificate with a witness, ``lam``,
+``slack`` and the bytes of P in C order.
+
+``--family sector`` draws, in order (one draw is seven generator calls in
+this order, all made whichever are used):
+
+* near: ``rng.integers(4)``; 0, 1 and 2 pick kappa 1, 1 + 1e-12 and
+  1 + 1e-9, and 3 the kappa drawn next;
+* kappa: log-uniform in [1, 1e6] (``10 ** rng.uniform(0, 6)``);
+* m: log-uniform in [1e-3, 1e3] (``10 ** rng.uniform(-3, 3)``);
+* shape: ``rng.integers(2)``; 0 is the symmetric ``interval_from_c(fc,
+  c2)``, 1 the asymmetric ``interval_asymmetric(fc, c1, c2)``, never empty;
+* c1: uniform in [1, 3] (``rng.uniform(1, 3)``);
+* c2: uniform in [1, 2] (``rng.uniform(1, 2)``);
+* rho_tol: log-uniform in [1e-12, 1e-3] (``10 ** rng.uniform(-12, -3)``).
+
+Each draw certifies ``FunctionClass(m, m * kappa)`` with the sector
+multiplier and ``CertifyOptions(rho_tol=rho_tol)``.  Hashed per draw: m,
+the class's L, the shape, c1, c2 and rho_tol; then ``rho_star``, ``lam``
+(None without a witness) and ``bisection_iters``.
 """
 
 from __future__ import annotations
@@ -37,9 +58,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from ratecert.certifier import CertifyOptions, certify  # noqa: E402
-from ratecert.model import FunctionClass, interval_from_c  # noqa: E402
+from ratecert.model import (  # noqa: E402
+    FunctionClass,
+    interval_asymmetric,
+    interval_from_c,
+)
 
 KINDS = (("wob1", 1), ("zf", 2), ("zf", 3))
+NEAR_ONE = (1.0, 1.0 + 1e-12, 1.0 + 1e-9)
 
 
 def _bytes(*values) -> bytes:
@@ -55,26 +81,52 @@ def _bytes(*values) -> bytes:
     return b"".join(out)
 
 
-def digest(draws: int, seed: int) -> tuple[str, int]:
-    """The sha256 hex digest over ``draws`` certifications, and how many
-    of them certified a rate."""
+def _dynamic_draw(rng, sha) -> bool:
+    """Certify and hash one dynamic draw; True when it certified a rate."""
+    kind, order = KINDS[int(rng.integers(3))]
+    kappa = 10.0 ** float(rng.uniform(0.0, 2.0))
+    c = float(rng.uniform(1.0, 1.6))
+    rho_tol = 10.0 ** float(rng.uniform(-6.0, -3.0))
+    fc = FunctionClass(1.0, kappa)
+    cert = certify(fc, interval_from_c(fc, c), iqc_kind=kind, zf_order=order,
+                   options=CertifyOptions(rho_tol=rho_tol))
+    sha.update(kind.encode() + _bytes(order, kappa, c, rho_tol))
+    sha.update(_bytes(cert.rho_star, cert.cond_p, *cert.weights, cert.bisection_iters))
+    if cert.witness is None:
+        return False
+    sha.update(_bytes(cert.witness.lam, cert.slack))
+    sha.update(np.ascontiguousarray(cert.witness.p).tobytes())
+    return True
+
+
+def _sector_draw(rng, sha) -> bool:
+    """Certify and hash one sector draw; True when it certified a rate."""
+    near = int(rng.integers(4))
+    kappa = 10.0 ** float(rng.uniform(0.0, 6.0))
+    m = 10.0 ** float(rng.uniform(-3.0, 3.0))
+    shape = int(rng.integers(2))
+    c1 = float(rng.uniform(1.0, 3.0))
+    c2 = float(rng.uniform(1.0, 2.0))
+    rho_tol = 10.0 ** float(rng.uniform(-12.0, -3.0))
+    fc = FunctionClass(m, m * (NEAR_ONE[near] if near < 3 else kappa))
+    interval = interval_asymmetric(fc, c1, c2) if shape else interval_from_c(fc, c2)
+    cert = certify(fc, interval, options=CertifyOptions(rho_tol=rho_tol))
+    lam = None if cert.witness is None else cert.witness.lam
+    sha.update(_bytes(fc.m, fc.L, shape, c1, c2, rho_tol))
+    sha.update(_bytes(cert.rho_star, lam, cert.bisection_iters))
+    return cert.witness is not None
+
+
+FAMILIES = {"dynamic": _dynamic_draw, "sector": _sector_draw}
+
+
+def digest(draws: int, seed: int, family: str = "dynamic") -> tuple[str, int]:
+    """The sha256 hex digest over ``draws`` certifications of ``family``,
+    and how many of them certified a rate."""
     rng = np.random.default_rng(seed)
     sha = hashlib.sha256()
-    certified = 0
-    for _ in range(draws):
-        kind, order = KINDS[int(rng.integers(3))]
-        kappa = 10.0 ** float(rng.uniform(0.0, 2.0))
-        c = float(rng.uniform(1.0, 1.6))
-        rho_tol = 10.0 ** float(rng.uniform(-6.0, -3.0))
-        fc = FunctionClass(1.0, kappa)
-        cert = certify(fc, interval_from_c(fc, c), iqc_kind=kind, zf_order=order,
-                       options=CertifyOptions(rho_tol=rho_tol))
-        sha.update(kind.encode() + _bytes(order, kappa, c, rho_tol))
-        sha.update(_bytes(cert.rho_star, cert.cond_p, *cert.weights, cert.bisection_iters))
-        if cert.witness is not None:
-            certified += 1
-            sha.update(_bytes(cert.witness.lam, cert.slack))
-            sha.update(np.ascontiguousarray(cert.witness.p).tobytes())
+    draw = FAMILIES[family]
+    certified = sum(draw(rng, sha) for _ in range(draws))
     return sha.hexdigest(), certified
 
 
@@ -82,8 +134,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--draws", type=int, default=3000)
     parser.add_argument("--seed", type=int, default=2026)
+    parser.add_argument("--family", choices=sorted(FAMILIES), default="dynamic")
     args = parser.parse_args(argv)
-    hexdigest, certified = digest(args.draws, args.seed)
+    hexdigest, certified = digest(args.draws, args.seed, args.family)
     print(f"draws {args.draws}, seed {args.seed}, certified {certified}")
     print(hexdigest)
     return 0
