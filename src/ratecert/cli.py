@@ -324,15 +324,24 @@ def cmd_certify(res: Resolved) -> int:
     return 0
 
 
-def _sweep_rows(params: list[tuple[float, float]], res: Resolved) -> list[SweepRow]:
-    """Certify one row per (kappa, c), serially and in input order."""
-
-    def one(kappa: float, c: float) -> SweepRow:
+def _sweep_rows(params: list[tuple[float, float]], res: Resolved,
+                nested: bool = False) -> list[SweepRow]:
+    """Certify one row per (kappa, c), serially and in input order, each
+    with one ``certify`` call.  ``nested``: each row's interval contains
+    the ones before it, so once a row has no certificate at the top rate,
+    no later row has one there either, and each later row is told so."""
+    spec = _iqc_spec(res["iqc"])
+    opts = CertifyOptions(rho_tol=res["rho-tol"])
+    known_infeasible = None
+    rows = []
+    for kappa, c in params:
         fc = FunctionClass(1.0, kappa)
-        cert = _certify(res, fc, interval_from_c(fc, c))
-        return SweepRow(kappa, c, cert.rho_star, cert.feasible, cert.cond_p)
-
-    return [one(kappa, c) for kappa, c in params]
+        cert = certify(fc, interval_from_c(fc, c), **spec, options=opts,
+                       known_infeasible=known_infeasible)
+        if nested and not cert.feasible:
+            known_infeasible = top_rate(opts.rho_tol)
+        rows.append(SweepRow(kappa, c, cert.rho_star, cert.feasible, cert.cond_p))
+    return rows
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
@@ -388,7 +397,10 @@ def cmd_sweep_c(res: Resolved) -> int:
     fc = _function_class(res)
     kappa = fc.kappa()
     cs = linspace(c_min, c_max, points)
-    rows = _sweep_rows([(kappa, c) for c in cs], res)
+    # The intervals [1/(cL), c/L] grow with c, and a witness for an interval
+    # holds on every interval inside it: a rate infeasible for one row is
+    # infeasible for every later row, whatever the multiplier.
+    rows = _sweep_rows([(kappa, c) for c in cs], res, nested=True)
     _write_text(res["out"], format_sweep_csv(rows))
     if res["svg"] is not None:
         data = [(r.c, r.rho_star) for r in rows]

@@ -75,6 +75,12 @@ class StepSizeInterval:
         return (self.lo,) if self.degenerate else (self.lo, self.hi)
 
 
+def _inverse(c: float, L: float) -> float:
+    """1/(c*L), or 1/c/L where c*L overflows (1/inf would be 0)."""
+    cl = c * L
+    return 1.0 / cl if cl < math.inf else 1.0 / c / L
+
+
 def interval_from_c(fc: FunctionClass, c: float) -> StepSizeInterval:
     """The interval [1/(c*L), c/L] around the step size 1/L; requires c >= 1.
 
@@ -83,14 +89,14 @@ def interval_from_c(fc: FunctionClass, c: float) -> StepSizeInterval:
     """
     if not (math.isfinite(c) and c >= 1.0):
         raise InvalidC(f"need c >= 1, got {c}")
-    return StepSizeInterval(1.0 / (c * fc.L), c / fc.L)
+    return StepSizeInterval(_inverse(c, fc.L), c / fc.L)
 
 
 def interval_asymmetric(fc: FunctionClass, c1: float, c2: float) -> StepSizeInterval:
     """Asymmetric variant [1/(c1*L), c2/L]; rejected when empty."""
     if not (math.isfinite(c1) and math.isfinite(c2) and c1 > 0.0 and c2 > 0.0):
         raise InvalidC(f"need positive finite c1, c2, got c1={c1}, c2={c2}")
-    lo = 1.0 / (c1 * fc.L)
+    lo = _inverse(c1, fc.L)
     hi = c2 / fc.L
     if lo > hi:
         raise InvalidC(f"empty interval: 1/(c1*L)={lo} > c2/L={hi}")
@@ -111,5 +117,7 @@ def reduced(
     is the identity.
     """
     m = fc.m
+    if m == 1.0:
+        return fc, interval.endpoints
     return (FunctionClass(1.0, fc.L / m),
             StepSizeInterval(interval.lo * m, interval.hi * m).endpoints)

@@ -11,10 +11,15 @@ search calls those names through the module (``certifier.feasible_at_rho``),
 so a name replaced there is the one called.
 
 The bisection runs over the fixed bracket [RHO_LO, RHO_HI] down to a width
-of ``rho_tol``.  A threshold estimate (the exact rate, or for sector the
-rate at which its lambda intervals touch) predicts its path, and two solves
-confirm it.  See ``certifier`` for the inequality family and its two
-backends.
+of ``rho_tol``.  Rates below the exact rate, and rates at or below one the
+caller already knows to be infeasible, are rejected without a solve.  A
+threshold estimate (the exact rate; for sector also the rate at which its
+lambda intervals touch and each endpoint's own threshold) predicts the
+path, and two solves confirm it.  Sector feasibility is monotone in rho, so
+when the estimate lies below the top rate sector runs the two checks before
+the top probe, and a settled sector certify makes one or two solves; wob1
+and zf:k probe the top rate first.
+See ``certifier`` for the inequality family and its two backends.
 """
 
 from __future__ import annotations
@@ -285,6 +290,41 @@ def sector_threshold(alphas: tuple[float, ...], fc: FunctionClass, eps: float) -
     return math.sqrt(rho2) if 0.0 < rho2 < math.inf else 0.0
 
 
+def endpoint_threshold(alphas: tuple[float, ...], fc: FunctionClass, eps: float) -> float:
+    """The highest rate below which ``lambda_interval_sector`` at one of
+    the step sizes ``alphas`` is empty, in closed form: an estimate of where
+    the last endpoint alone turns feasible, or 0.0 when there is none.
+
+    There that endpoint's determinant quadratic has a double root: its
+    discriminant ``b_coef^2 - 4*a_coef*c_coef``, over 4, is ``u^2 + p*u + q``
+    with ``p = (L-m)^2 * w - b0`` and ``q = b0^2/4 - (L-m)^2 * alpha^2``,
+    where ``b_coef = b0 - 2u``.  Its smaller root is the threshold (at eps =
+    0 the roots are ``1 - (1 - alpha*m)^2`` and ``1 - (1 - alpha*L)^2``, and
+    the smaller one gives ``closed_form_rate``), and ``sqrt(1 + eps - u)``
+    the rate.  An endpoint with no real root, or overflow, counts as 0.0;
+    this never raises.
+    """
+    m, L = fc.m, fc.L
+    d = L - m
+    best = 0.0
+    for alpha in alphas:
+        w = alpha * alpha + eps
+        half_b0 = alpha * (L + m) - m * L * w
+        p = d * d * w - 2.0 * half_b0
+        # b0^2/4 - (L-m)^2 alpha^2, factored: no cancellation near kappa 1.
+        q = (half_b0 - d * alpha) * (half_b0 + d * alpha)
+        disc = p * p - 4.0 * q
+        if not disc >= 0.0:
+            continue
+        s = -0.5 * (p + math.copysign(math.sqrt(disc), p))  # roots s and q/s
+        if s == 0.0:
+            continue
+        rho2 = 1.0 + eps - min(s, q / s)
+        if 0.0 < rho2 < math.inf:
+            best = max(best, math.sqrt(rho2))
+    return best
+
+
 def sector_lambda(
     rho: float, alphas: tuple[float, ...], fc: FunctionClass, eps: float
 ) -> float | None:
@@ -309,6 +349,7 @@ def certify(
     zf_order: int = 2,
     weights: tuple[float, ...] | None = None,
     options: CertifyOptions | None = None,
+    known_infeasible: float | None = None,
 ) -> Certificate:
     """Bisect on rho for the smallest certifiable rate over the interval.
 
@@ -325,20 +366,33 @@ def certify(
     so it is always backed by a stored witness; ``rho_star`` is None when
     even the top of the bracket is infeasible.  Trial rates below the exact
     worst-case rate ``r_exact = max(closed_form_rate(lo),
-    closed_form_rate(hi))`` are infeasible without a solve.
+    closed_form_rate(hi))`` are infeasible without a solve, and so are
+    rates at or below ``known_infeasible``: the highest rate the caller
+    already knows to be infeasible over this interval (``sweep-c`` passes
+    the top rate on once a smaller, nested interval had no certificate).
 
-    After the probes at both ends, an estimate t of the threshold predicts
-    the whole path: a float-only walk bisects as if every trial rate at or
-    above t were feasible, and ends with top g and lower end ``below``.  For
-    sector t is ``sector_threshold`` (never below r_exact); for the dynamic
-    kinds it is r_exact.  Two checks confirm the walk: g is feasible, and
-    ``below`` is not (free when it lies under r_exact, as it always does for
-    t = r_exact).  By monotonicity in rho every rate on the path at or above
-    g is then feasible and every one at or below ``below`` is not, so the
-    search ends at g.  Otherwise the bisection runs as before: after an
-    infeasible g, rates at or below g are rejected without a solve; a budget
-    error at a check is no verdict; no rate is solved twice.  Either way
-    the rate, witness and ``bisection_iters`` are the plain bisection's.
+    An estimate t of the threshold predicts the whole path: a float-only
+    walk bisects as if every trial rate at or above t were feasible, and
+    ends with top g and lower end ``below``.  t is the lowest rate not
+    rejected without a solve; for sector it is raised to the rate at which
+    the endpoints' lambda intervals touch (``sector_threshold``), or, when
+    that does not raise it, to the endpoints' own thresholds
+    (``endpoint_threshold``).  Two checks confirm the walk: g is feasible,
+    and ``below`` is not (free when it lies under that lowest rate, as it
+    always does for the dynamic kinds).  By monotonicity in rho every rate
+    on the path at or above g is then feasible and every one at or below
+    ``below`` is not, so the search ends at g.
+
+    Sector feasibility is monotone in rho, so when t lies below the top
+    rate and the bottom of the bracket is rejected without a solve, the
+    checks come first and a settled sector certify makes one or two solves.
+    Otherwise, and always for wob1 and zf:k (wob1 is not monotone near rate
+    1), the top rate and the bottom of the bracket are probed first.  A top
+    rate rejected without a solve ends the search before any set-up.  If a
+    check fails, the bisection runs as before: after an infeasible g, rates
+    at or below g are rejected without a solve; a budget error at a check
+    is no verdict; no rate is solved twice.  Either way the rate, witness
+    and ``bisection_iters`` are the plain bisection's.
     ``Certificate.slack`` is computed on demand, on its first read.
     """
     opts = options or CertifyOptions()
@@ -357,6 +411,39 @@ def certify(
     # ``floor`` are rejected without a solve.
     r_exact = max(closed_form_rate(interval.lo, fc), closed_form_rate(interval.hi, fc))
     floor = r_exact
+    if known_infeasible is not None:
+        floor = max(floor, math.nextafter(known_infeasible, math.inf))
+
+    def finish(found: tuple[float, float | Witness] | None) -> Certificate:
+        rho_star = wit = cond_p = None
+        used: tuple[float, ...] = ()
+        if found is not None:
+            rho_star, verdict = found
+            if iqc_kind == SECTOR:
+                # P is [[1.0]], of condition number 1.
+                wit, cond_p = Witness(p=None, lam=verdict), 1.0
+            else:
+                certifier = _numpy_layer()
+                wit, cond_p = verdict, certifier.cond_spd(verdict.p)
+                used = tuple(weights or certifier.default_weights(
+                    iqc_kind, rho_star, n_weights))
+        return Certificate(
+            rho_star=rho_star,
+            witness=wit,
+            cond_p=cond_p,
+            fc=fc,
+            interval=interval,
+            iqc_kind=iqc_kind,
+            zf_order=zf_order if iqc_kind == ZAMES_FALB else None,
+            weights=used,
+            bisection_iters=evals,
+            rho_tol=opts.rho_tol,
+        )
+
+    hi = top_rate(opts.rho_tol)
+    if hi < floor:
+        evals = 1  # the top probe, rejected without a solve
+        return finish(None)
 
     fc_n, alphas = reduced(fc, interval)
     eps = opts.eps_feas if opts.eps_feas is not None else default_eps_feas(fc_n.kappa())
@@ -389,40 +476,6 @@ def certify(
         verdicts[rho] = None if verdict is None else (rho, verdict)
         return verdicts[rho]
 
-    def finish(found: tuple[float, float | Witness] | None) -> Certificate:
-        rho_star = wit = cond_p = None
-        used: tuple[float, ...] = ()
-        if found is not None:
-            rho_star, verdict = found
-            if iqc_kind == SECTOR:
-                # P is [[1.0]], of condition number 1.
-                wit, cond_p = Witness(p=None, lam=verdict), 1.0
-            else:
-                certifier = _numpy_layer()
-                wit, cond_p = verdict, certifier.cond_spd(verdict.p)
-                used = tuple(weights or certifier.default_weights(
-                    iqc_kind, rho_star, n_weights))
-        return Certificate(
-            rho_star=rho_star,
-            witness=wit,
-            cond_p=cond_p,
-            fc=fc,
-            interval=interval,
-            iqc_kind=iqc_kind,
-            zf_order=zf_order if iqc_kind == ZAMES_FALB else None,
-            weights=used,
-            bisection_iters=evals,
-            rho_tol=opts.rho_tol,
-        )
-
-    hi = top_rate(opts.rho_tol)
-    found_hi = probe(hi)
-    if found_hi is None:
-        return finish(None)
-    found_lo = probe(RHO_LO)
-    if found_lo is not None:
-        return finish(found_lo)
-
     def bisect(decide) -> tuple[float, float, object, int]:
         """Shrink [RHO_LO, hi]: (final top, final lower end, last truthy
         verdict, trial rates)."""
@@ -439,24 +492,55 @@ def certify(
                 lo = mid
         return top, lo, found, n
 
-    # Where the bisection ends if every rate at or above the estimate t is
-    # feasible: g the final top, below the final lower end.
-    t = r_exact
+    # The estimate t of the threshold: the lowest rate not rejected without
+    # a solve, and for sector also where its lambda intervals touch.  Where
+    # they touch at or below that rate (the exact rate binds), eps still
+    # lifts each endpoint's own threshold a little above it.
+    t = floor
     if iqc_kind == SECTOR:
         t = max(t, sector_threshold(alphas, fc_n, eps))
-    g, below, _, n = bisect(lambda rho: rho >= t)
-    found_g = settled = False  # False: no verdict at g
-    try:
-        found_g = solve(g)  # the top probe's verdict when g == hi
-        settled = found_g is not None and (below < floor or solve(below) is None)
-    except SolverBudgetExceeded:
-        pass  # no verdict: the bisection decides every rate
-    if settled:
-        # Feasibility is monotone in rho: every rate on the path at or above
-        # g is feasible and every one at or below ``below`` is not, so the
-        # bisection takes this path and ends at g with this witness.
-        evals += n
-        return finish(found_g)
+        if t == floor:
+            t = max(t, endpoint_threshold(alphas, fc_n, eps))
+
+    def settle() -> tuple[float, object, int, bool]:
+        """Walk the path that t predicts and check it: (g, g's verdict or
+        False for none, the walk's trial rates, whether both checks
+        hold)."""
+        # Where the bisection ends if every rate at or above t is feasible:
+        # g the final top, below the final lower end.
+        g, below, _, n = bisect(lambda rho: rho >= t)
+        found_g = False
+        try:
+            found_g = solve(g)  # g >= t >= floor, or g is the top
+            return g, found_g, n, found_g is not None and (
+                below < floor or solve(below) is None)
+        except SolverBudgetExceeded:
+            return g, found_g, n, False  # no verdict: the bisection decides
+
+    # Feasibility is monotone in rho: when both checks hold, every rate on
+    # the path at or above g is feasible and every one at or below ``below``
+    # is not, so the bisection takes this path and ends at g with this
+    # witness.  For sector a feasible g also implies a feasible top (rho
+    # enters only through u = 1 - rho^2 + eps, and a smaller u widens each
+    # endpoint's lambda interval), so when the bottom probe is rejected
+    # without a solve and t lies below the top, the checks come first.
+    checks_first = iqc_kind == SECTOR and RHO_LO < floor and t < hi
+    if checks_first:
+        g, found_g, n, settled = settle()
+        if settled:
+            evals = 2 + n  # the top and bottom probes, and the path
+            return finish(found_g)
+    found_hi = probe(hi)
+    if found_hi is None:
+        return finish(None)
+    found_lo = probe(RHO_LO)
+    if found_lo is not None:
+        return finish(found_lo)
+    if not checks_first:
+        g, found_g, n, settled = settle()
+        if settled:
+            evals = 2 + n
+            return finish(found_g)
     if found_g is None:
         floor = math.nextafter(g, math.inf)  # g and every rate below fail
     _, _, found, _ = bisect(probe)

@@ -49,7 +49,7 @@ from ratecert.model import (
     interval_from_c,
     reduced,
 )
-from ratecert.search import sector_threshold
+from ratecert.search import endpoint_threshold, sector_threshold
 
 FC10 = FunctionClass(1.0, 10.0)
 
@@ -401,19 +401,20 @@ def test_bisection_solves_only_at_or_above_exact_rate(solver_calls, kind, rho_st
 @pytest.mark.parametrize(
     "kind, zf_order, kappa, c, solves",
     [(WEIGHTED_OFF_BY_1, 1, 10.0, 1.2, 2), (ZAMES_FALB, 2, 10.0, 1.2, 2),
-     (SECTOR, 1, 10.0, 1.0, 2), (ZAMES_FALB, 2, 3.377, 1.8692, 14),
-     (SECTOR, 1, 5.0, 1.2, 3)],
+     (SECTOR, 1, 10.0, 1.0, 1), (ZAMES_FALB, 2, 3.377, 1.8692, 14),
+     (SECTOR, 1, 5.0, 1.2, 2)],
     ids=["wob1", "zf2", "sector-constant-step", "zf2-loose", "sector-end-fails"],
 )
 def test_solver_calls_pinned(solver_calls, kind, zf_order, kappa, c, solves):
     # The first three are tight (the witness exists at the rate where the
     # bisection would end if every rate at or above the exact rate were
-    # feasible): the top probe and one solve there settle them, down from
-    # 7.  zf2-loose is not: its speculative solve fails, and the bisection
-    # then makes the 13 solves it made without speculating.  At (5, 1.2)
-    # sector sits above the exact rate; its closed-form threshold predicts
-    # the path, and the top probe plus the two checks settle it (9 when the
-    # estimate was the exact rate).
+    # feasible): for wob1 and zf2 the top probe and one solve there settle
+    # them, down from 7; sector, monotone in rho, skips the top probe, so
+    # the one solve settles it.  zf2-loose is not tight: its speculative
+    # solve fails, and the bisection then makes the 13 solves it made
+    # without speculating.  At (5, 1.2) sector sits above the exact rate;
+    # its closed-form threshold predicts the path, and the two checks
+    # settle it without the top probe.
     fc = FunctionClass(1.0, kappa)
     cert = certify(fc, interval_from_c(fc, c), iqc_kind=kind, zf_order=zf_order)
     assert cert.feasible
@@ -444,9 +445,9 @@ def test_sector_hot_path_builds_once(monkeypatch, solver_calls):
     assert cert.rho_star == 0.921312225341797
     assert augments == []
     assert slacks == []
-    # The top probe, and the two checks of the path that sector's
-    # closed-form threshold predicts.
-    assert len(solver_calls) == 3
+    # The two checks of the path that sector's closed-form threshold
+    # predicts; they imply the top probe's verdict.
+    assert len(solver_calls) == 2
     assert cert.slack <= 0.0
     assert len(augments) == 1
     assert len(slacks) == 1
@@ -496,11 +497,11 @@ def test_verify_ignores_a_planted_slack():
 
 
 def test_budget_error_at_speculative_rate_is_not_a_verdict():
-    # At (10, 1.2) sector makes three solves: the top probe, then the
-    # predicted end g (check 1) and the predicted lower end below it (check
-    # 2).  A budget error at either check must not end the search, nor count
-    # as a verdict: the bisection decides every rate and the result is
-    # unchanged, and only the rate that failed is solved twice.
+    # At (10, 1.2) sector makes two solves: the predicted end g (check 1)
+    # and the predicted lower end below it (check 2), before any top probe.
+    # A budget error at either check must not end the search, nor count as
+    # a verdict: the top probe and the bisection decide every rate and the
+    # result is unchanged, and only the rate that failed is solved twice.
     interval = interval_from_c(FC10, 1.2)
     expected = certify(FC10, interval)
     for check in (1, 2):
@@ -508,7 +509,7 @@ def test_budget_error_at_speculative_rate_is_not_a_verdict():
 
         def out_of_budget_once(rho):
             rates.append(rho)
-            if len(rates) == check + 1:
+            if len(rates) == check:
                 raise SolverBudgetExceeded("budget")
 
         with pytest.MonkeyPatch.context() as mp:
@@ -517,7 +518,7 @@ def test_budget_error_at_speculative_rate_is_not_a_verdict():
         assert (cert.rho_star, cert.bisection_iters) == (expected.rho_star, 16), check
         assert cert.witness.lam.hex() == expected.witness.lam.hex(), check
         assert len(rates) > 3, check  # the bisection ran
-        assert {rho for rho in rates if rates.count(rho) > 1} <= {rates[check]}, check
+        assert {rho for rho in rates if rates.count(rho) > 1} <= {rates[check - 1]}, check
 
 
 def test_certify_budget_error_propagates():
@@ -966,15 +967,13 @@ def _float_sector_bisection(fc, interval, opts):
 @example(log_kappa=0.0, c=1.921875, log_tol=-8.0)
 @example(log_kappa=2.0, c=1.0, log_tol=-12.0)  # one step size
 @example(log_kappa=1.0, c=1.2, log_tol=-12.0)
+@example(log_kappa=308.0, c=2.0, log_tol=-4.0)  # c * L overflows
 def test_sector_certify_is_the_float_bisection(log_kappa, c, log_tol):
     # Sector's closed-form threshold and its two checks change how many
     # solves certify makes, never what it returns, over every class whose
     # condition number is a float; nothing raises or warns on the way.
     fc = FunctionClass(1.0, 10.0 ** log_kappa)
-    try:
-        interval = interval_from_c(fc, c)
-    except ValueError:
-        assume(False)  # c * L overflows: 1 / (c * L) is 0.0
+    interval = interval_from_c(fc, c)  # 1/c/L where c * L overflows
     opts = CertifyOptions(rho_tol=10.0 ** log_tol)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -997,6 +996,39 @@ def test_sector_threshold_is_zero_without_an_estimate():
     _, alphas = reduced(FC10, interval_from_c(FC10, 1.2))
     assert sector_threshold(alphas, FC10, default_eps_feas(10.0)) == pytest.approx(
         0.9212894159727856, abs=1e-15)
+
+
+def test_endpoint_threshold_is_where_the_endpoint_interval_appears():
+    # The smaller discriminant root of each endpoint's determinant quadratic
+    # gives the rate at which its lambda interval turns nonempty: just above
+    # closed_form_rate, by the eps shift; nothing raises at overflow.
+    eps = default_eps_feas(10.0)
+    for alpha in (0.05, 0.1, 0.12, 0.2):
+        rate = endpoint_threshold((alpha,), FC10, eps)
+        assert rate > closed_form_rate(alpha, FC10)
+        assert lambda_interval_sector(rate * (1.0 - 1e-9), alpha, FC10, eps) is None
+        assert lambda_interval_sector(rate * (1.0 + 1e-9), alpha, FC10, eps) is not None
+    alphas = (0.05, 0.12)
+    assert endpoint_threshold(alphas, FC10, eps) == endpoint_threshold((0.05,), FC10, eps)
+    huge = FunctionClass(1.0, 1e300)
+    assert endpoint_threshold((1e-300, 2e-300), huge, default_eps_feas(1e300)) == 0.0
+
+
+@pytest.mark.parametrize("kappa, c1, c2", [
+    (2.0, None, 1.2), (10.0, None, 1.0), (100.0, None, 1.0), (2.0, 2.0, 1.0)])
+def test_tight_rows_where_the_exact_rate_binds_settle_in_two_solves(
+        solver_calls, kappa, c1, c2):
+    # At rho_tol 1e-8 eps lifts the binding endpoint's own threshold above
+    # the exact rate by more than the final bracket, so the exact rate would
+    # predict the wrong path (10 to 21 solves); each endpoint's threshold
+    # predicts it, and the two checks settle it.
+    fc = FunctionClass(1.0, kappa)
+    interval = interval_from_c(fc, c2) if c1 is None else interval_asymmetric(fc, c1, c2)
+    opts = CertifyOptions(rho_tol=1e-8)
+    cert = certify(fc, interval, options=opts)
+    assert len(solver_calls) <= 2
+    found, trials = _float_sector_bisection(fc, interval, opts)
+    assert (cert.rho_star, cert.witness.lam, cert.bisection_iters) == (*found, trials)
 
 
 @settings(max_examples=500, deadline=None)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -571,26 +572,38 @@ def test_overflowing_condition_number_is_rejected_by_name(capsys, command):
                    "got m=1e-300, L=1e+300\n")
 
 
-def test_sweep_rows_settle_in_at_most_three_sector_solves(monkeypatch, capsys):
-    # The benchmark's sweep shapes at the default rho_tol.  Sector's closed-
-    # form threshold predicts each row's bisection path, and the top probe
-    # plus two checks settle it (about 7 solves a row when the exact rate
-    # was the estimate).
+def _solves_per_row(monkeypatch):
+    """Per sweep row (one ``cli.certify`` call each), the solves it made:
+    ``sector_lambda`` and ``feasible_at_rho`` calls, one per probe."""
     solves, per_row = [], []
-    sector_lambda, certify_row = search.sector_lambda, cli._certify
+    sector_lambda, feasible_at_rho = search.sector_lambda, certifier.feasible_at_rho
+    certify_row = cli.certify
 
-    def counted(rho, *args):
+    def sector(rho, *args):
         solves.append(rho)
         return sector_lambda(rho, *args)
 
-    def row(*args):
+    def matrix(lmi, rho, *args):
+        solves.append(rho)
+        return feasible_at_rho(lmi, rho, *args)
+
+    def row(*args, **kwargs):
         solves.clear()
-        cert = certify_row(*args)
-        per_row.append(len(solves))
+        cert = certify_row(*args, **kwargs)
+        per_row.append((len(solves), cert.feasible))
         return cert
 
-    monkeypatch.setattr(search, "sector_lambda", counted)
-    monkeypatch.setattr(cli, "_certify", row)
+    monkeypatch.setattr(search, "sector_lambda", sector)
+    monkeypatch.setattr(certifier, "feasible_at_rho", matrix)
+    monkeypatch.setattr(cli, "certify", row)
+    return per_row
+
+
+def test_sweep_rows_settle_in_at_most_three_sector_solves(monkeypatch, capsys):
+    # The benchmark's sweep shapes at the default rho_tol.  Sector's closed-
+    # form threshold predicts each row's bisection path, and two checks
+    # settle it without the top probe.
+    per_row = _solves_per_row(monkeypatch)
     for c in ("1.3", "1.4", "1.5"):
         assert run_cli("sweep-kappa", "--c", c, "--kappa-min", "1", "--kappa-max", "100",
                        "--points", "40") == 0
@@ -599,7 +612,78 @@ def test_sweep_rows_settle_in_at_most_three_sector_solves(monkeypatch, capsys):
                        "--points", "41") == 0
     capsys.readouterr()
     assert len(per_row) == 3 * 40 + 3 * 41
-    assert max(per_row) <= 3
+    assert max(solves for solves, _ in per_row) <= 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--kappa", "10", "--c-min", "1", "--c-max", "2.5", "--points", "31"),
+    ("--kappa", "30", "--c-min", "1", "--c-max", "1.4", "--points", "5", "--iqc", "wob1"),
+], ids=["sector", "wob1"])
+def test_sweep_c_makes_no_solve_past_its_onset(monkeypatch, capsys, argv):
+    # The intervals of a sweep-c are nested, so once a row has no
+    # certificate at the top rate, no later row has one: each later row is
+    # still one certify call, and it decides its top probe without a solve.
+    per_row = _solves_per_row(monkeypatch)
+    assert run_cli("sweep-c", *argv) == 0
+    rows = parse_sweep_csv(capsys.readouterr().out)
+    onset = [feasible for _, feasible in per_row].index(False)
+    assert len(per_row) == len(rows) > onset + 1
+    assert [row.feasible for row in rows] == [feasible for _, feasible in per_row]
+    assert per_row[onset][0] >= 1 and not any(rows[i].feasible for i in range(onset, len(rows)))
+    assert [solves for solves, _ in per_row[onset + 1:]] == [0] * (len(rows) - onset - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_kappa=st.floats(0.0, 3.0), c_min=st.floats(1.0, 2.5), width=st.floats(0.0, 1.0),
+       points=st.integers(1, 31), log_tol=st.floats(-10.0, -3.0))
+@example(log_kappa=1.0, c_min=1.0, width=1.0, points=31, log_tol=-4.0)
+def test_sweep_c_rows_are_standalone_certificates(log_kappa, c_min, width, points, log_tol):
+    # Passing a row what earlier rows proved changes how many solves it
+    # makes, never what it returns: each row's certificate is that of a
+    # standalone certify of its (kappa, c), bit for bit.
+    c_max = c_min + (2.5 - c_min) * width
+    argv = ["sweep-c", "--kappa", repr(10.0 ** log_kappa), "--c-min", repr(c_min),
+            "--c-max", repr(c_max), "--points", str(points),
+            "--rho-tol", repr(10.0 ** log_tol)]
+    certs = []
+    certify_row = cli.certify
+
+    def row(*args, **kwargs):
+        certs.append(certify_row(*args, **kwargs))
+        return certs[-1]
+
+    out = io.StringIO()
+    with mock.patch.object(cli, "certify", row), contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    rows = parse_sweep_csv(out.getvalue())
+    assert len(rows) == len(certs) == points
+    opts = search.CertifyOptions(rho_tol=10.0 ** log_tol)
+    for cert in certs:
+        alone = search.certify(cert.fc, cert.interval, options=opts)
+        lam = None if cert.witness is None else cert.witness.lam
+        alone_lam = None if alone.witness is None else alone.witness.lam
+        assert (cert.rho_star, lam, cert.bisection_iters) == (
+            alone.rho_star, alone_lam, alone.bisection_iters)
+
+
+def test_interval_constant_times_the_largest_kappa_overflows_to_no_certificate(
+        capsys, tmp_path):
+    # c * L overflows at kappa 1e308 and c 2, so the interval's lower end is
+    # 1/c/L there, not 1/inf = 0: certify finds no certificate, and the
+    # sweep keeps its rows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("certify", "--kappa", "1e308", "--c", "2") == 2
+    out, err = capsys.readouterr()
+    assert "no certificate" in out and err == ""
+    csv = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("sweep-kappa", "--kappa-max", "1e308", "--c", "2", "--points", "3",
+                       "--out", str(csv)) == 0
+    assert capsys.readouterr().err == ""
+    rows = parse_sweep_csv(csv.read_text())
+    assert len(rows) == 3 and rows[-1].kappa == 1e308 and not rows[-1].feasible
 
 
 # sha256 of the bytes each command writes with --out.  The sector rows and

@@ -2,6 +2,7 @@
 
     python3 tools/witness_digest.py                   # dynamic, 3,000 draws, seed 2026
     python3 tools/witness_digest.py --family sector   # sector, 3,000 draws, seed 2026
+    python3 tools/witness_digest.py --family sweep-c  # sweep-c commands
     python3 tools/witness_digest.py --draws 300
 
 Two checkouts whose certifier, ellipsoid and eigen path give the same bits
@@ -42,13 +43,32 @@ this order, all made whichever are used):
 Each draw certifies ``FunctionClass(m, m * kappa)`` with the sector
 multiplier and ``CertifyOptions(rho_tol=rho_tol)``.  Hashed per draw: m,
 the class's L, the shape, c1, c2 and rho_tol; then ``rho_star``, ``lam``
-(None without a witness) and ``bisection_iters``.
+(None without a witness) and ``bisection_iters``.  The line before the
+digest gives the mean and the largest number of solves (calls of
+``search.sector_lambda``) per certification.
+
+``--family sweep-c`` draws ``ratecert sweep-c`` commands, in order (one
+draw is five generator calls in this order, all made whichever are used):
+
+* kappa: log-uniform in [1, 1e3] (``10 ** rng.uniform(0, 3)``);
+* c-min: uniform in [1, 2.5] (``rng.uniform(1, 2.5)``);
+* width: ``rng.uniform(0, 1)``, so that c-max = c-min + width * (2.5 - c-min);
+* points: ``1 + rng.integers(41)``, or ``1 + rng.integers(4)`` for wob1;
+* rho-tol: log-uniform in [1e-10, 1e-3] (``10 ** rng.uniform(-10, -3)``),
+  or ``1e-3`` for wob1.
+
+Draw i runs ``sweep-c --kappa K --c-min C0 --c-max C1 --points N --rho-tol
+T`` with ``--iqc sector``, or ``--iqc wob1`` when i % 10 == 9; numbers are
+passed as ``repr`` of their float.  Hashed per draw: the argument list
+(UTF-8, NUL-separated), the exit code and the CSV bytes written to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import struct
 import sys
 from pathlib import Path
@@ -57,6 +77,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
+from ratecert import cli, search  # noqa: E402
 from ratecert.certifier import CertifyOptions, certify  # noqa: E402
 from ratecert.model import (  # noqa: E402
     FunctionClass,
@@ -81,7 +102,7 @@ def _bytes(*values) -> bytes:
     return b"".join(out)
 
 
-def _dynamic_draw(rng, sha) -> bool:
+def _dynamic_draw(rng, sha, index: int) -> bool:
     """Certify and hash one dynamic draw; True when it certified a rate."""
     kind, order = KINDS[int(rng.integers(3))]
     kappa = 10.0 ** float(rng.uniform(0.0, 2.0))
@@ -99,7 +120,7 @@ def _dynamic_draw(rng, sha) -> bool:
     return True
 
 
-def _sector_draw(rng, sha) -> bool:
+def _sector_draw(rng, sha, index: int) -> bool:
     """Certify and hash one sector draw; True when it certified a rate."""
     near = int(rng.integers(4))
     kappa = 10.0 ** float(rng.uniform(0.0, 6.0))
@@ -117,17 +138,49 @@ def _sector_draw(rng, sha) -> bool:
     return cert.witness is not None
 
 
-FAMILIES = {"dynamic": _dynamic_draw, "sector": _sector_draw}
+def _sweep_c_draw(rng, sha, index: int) -> int:
+    """Run and hash one sweep-c draw; the number of rows it certified."""
+    wob1 = index % 10 == 9
+    kappa = 10.0 ** float(rng.uniform(0.0, 3.0))
+    c_min = float(rng.uniform(1.0, 2.5))
+    c_max = c_min + float(rng.uniform(0.0, 1.0)) * (2.5 - c_min)
+    points = 1 + int(rng.integers(4 if wob1 else 41))
+    rho_tol = 10.0 ** float(rng.uniform(-10.0, -3.0))
+    argv = ["sweep-c", "--kappa", repr(kappa), "--c-min", repr(c_min),
+            "--c-max", repr(c_max), "--points", str(points),
+            "--rho-tol", repr(1e-3 if wob1 else rho_tol),
+            "--iqc", "wob1" if wob1 else "sector"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    sha.update("\0".join(argv).encode() + _bytes(code) + out.getvalue().encode())
+    return out.getvalue().count(",true,")
 
 
-def digest(draws: int, seed: int, family: str = "dynamic") -> tuple[str, int]:
-    """The sha256 hex digest over ``draws`` certifications of ``family``,
-    and how many of them certified a rate."""
+FAMILIES = {"dynamic": _dynamic_draw, "sector": _sector_draw, "sweep-c": _sweep_c_draw}
+
+
+def digest(draws: int, seed: int, family: str = "dynamic") -> tuple[str, int, list[int]]:
+    """The sha256 hex digest over ``draws`` draws of ``family``, how many
+    rates they certified, and the sector solves each draw made."""
     rng = np.random.default_rng(seed)
     sha = hashlib.sha256()
     draw = FAMILIES[family]
-    certified = sum(draw(rng, sha) for _ in range(draws))
-    return sha.hexdigest(), certified
+    sector_lambda, solves = search.sector_lambda, []
+
+    def counted(*args):
+        solves[-1] += 1
+        return sector_lambda(*args)
+
+    search.sector_lambda = counted
+    try:
+        certified = 0
+        for index in range(draws):
+            solves.append(0)
+            certified += draw(rng, sha, index)
+    finally:
+        search.sector_lambda = sector_lambda
+    return sha.hexdigest(), certified, solves
 
 
 def main(argv=None) -> int:
@@ -136,8 +189,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=2026)
     parser.add_argument("--family", choices=sorted(FAMILIES), default="dynamic")
     args = parser.parse_args(argv)
-    hexdigest, certified = digest(args.draws, args.seed, args.family)
+    hexdigest, certified, solves = digest(args.draws, args.seed, args.family)
     print(f"draws {args.draws}, seed {args.seed}, certified {certified}")
+    if args.family == "sector":
+        print(f"solves per certification: mean {sum(solves) / max(len(solves), 1):.4f}, "
+              f"max {max(solves, default=0)}")
     print(hexdigest)
     return 0
 
