@@ -41,6 +41,8 @@ reduction-invariant for the plant state.  Two backends decide feasibility:
   most-positive eigenvector of a violated block.  ``_matrix_backend``
   hands it the family as three runs of stacked blocks, in the order they
   are scanned: lambda >= 0, P >= delta_pd * I, and the endpoint blocks.
+  Each solve starts from ``_start``, not from the solver's ball: half the
+  cuts, and the same infeasibility claim.
 
 "<= 0" is implemented strictly as "<= -eps_feas * I" with a data-scaled
 default eps_feas, and P is kept away from singularity by P >= delta_pd * I;
@@ -59,9 +61,11 @@ witness.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .ellipsoid import ellipsoid_feasibility
+from .ellipsoid import ellipsoid_feasibility, initial_radius
 from .iqc import (
     LmiData,
     WeightOutOfRange,
@@ -151,6 +155,27 @@ def _weights(kind: str, rho: float, k: int,
     raise InvalidInput(f"unknown multiplier kind {kind!r}; expected one of {KINDS}")
 
 
+@functools.lru_cache(maxsize=None)
+def _start(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The solver's start (center, shape) for P of order s >= 2, read-only:
+    the smallest block-diagonal ellipsoid holding the product of the ball
+    ||P - I/s||_F^2 <= 1 - 1/s, which holds every unit-trace P >= 0 (as
+    ||P||_F <= trace P), and the segment 0 <= lambda <= R of the solver's
+    ball.  In P's p free coordinates (v_D, the first s - 1 diagonal entries,
+    then v_O) that ball is (v_D - 1/s)^T (I + 11^T) (v_D - 1/s) + 2|v_O|^2
+    <= 1 - 1/s; its shape is scaled by (p + 1)/p, the segment's by p + 1."""
+    p = s * (s + 1) // 2 - 1
+    radius = initial_radius(p + 1)
+    center = np.array([1.0 / s] * (s - 1) + [0.0] * (p - s + 1) + [0.5 * radius])
+    # (I + 11^T)^-1 = I - 11^T / s on v_D, and I / 2 on v_O.
+    shape = np.diag([1.0] * (s - 1) + [0.5] * (p - s + 1) + [0.25 * radius * radius * (p + 1)])
+    shape[:s - 1, :s - 1] -= 1.0 / s
+    shape[:p, :p] *= (1.0 - 1.0 / s) * (p + 1) / p
+    for a in (center, shape):
+        a.setflags(write=False)
+    return center, shape
+
+
 def _matrix_backend(
     lmi: LmiData, rho: float, h: tuple[float, ...], eps: float, opts: CertifyOptions
 ) -> Witness | None:
@@ -158,7 +183,8 @@ def _matrix_backend(
     blocks = lmi.g.copy()
     blocks[..., :s, :s] -= (rho * rho) * lmi.p[:, None]
     # The decision vector is (free coordinates of P, lambda).  A 1x1 P is
-    # fixed by its unit trace; a zero direction keeps v_dim >= 2.
+    # fixed by its unit trace; a zero direction, which only the solver's
+    # ball bounds, keeps v_dim >= 2.
     v_dim = max(d, 2)
 
     def run(s0, p_coeffs, lam_coeff, bound):
@@ -175,7 +201,7 @@ def _matrix_backend(
         run(-lmi.p[:1], -lmi.p[1:, None], 0.0, -opts.delta_pd),
         # One block per interval endpoint.
         run(blocks[0], blocks[1:], quad_form(lmi, h), -eps),
-    ], opts.max_iters)
+    ], opts.max_iters, _start(s) if s > 1 else None)
     if point is None:
         return None
     pmat = lmi.p[0] + sum(v * b for v, b in zip(point[:d - 1], lmi.p[1:]))

@@ -4,11 +4,11 @@ Decides whether a system of constraints
 
     lambda_max( S0_c + sum_i v_i * Si_c ) <= bound_c        (c = 1..K)
 
-has a solution v in the ball of radius 10 * sqrt(v_dim).  Either a point
+has a solution v in the ball B of radius 10 * sqrt(v_dim).  Either a point
 satisfying every constraint is returned, or infeasibility is certified: the
-cut sequence shrinks a bounding ellipsoid until its volume is below that of
-a ball with radius 1e-7, proving that no ball of that radius fits inside the
-feasible set.
+cut sequence shrinks a bounding ellipsoid (B, or a start holding the
+feasible set within B) until its volume is below that of a ball with radius
+1e-7, proving that no ball of that radius fits in the feasible set within B.
 
 The caller states the constraints as runs of blocks of one order n.  A run
 is ``(s0, coeffs, bounds)``: ``s0`` has shape (B, n, n), ``coeffs`` is
@@ -32,8 +32,9 @@ raises numpy's LinAlgError when any eigenvalue of the batch is not finite,
 which is how LAPACK's non-convergence and NaN or infinite entries show, and
 emits no floating-point warning.
 
-Each solve flattens every run once, and a cut updates the center and shape
-in place, in the arithmetic order of the textbook update.
+Each solve rejects non-finite data, flattens every run once, and a cut
+updates the center and shape in place, in the arithmetic order of the
+textbook update.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ from .search import SolverBudgetExceeded
 
 # Radius of the smallest ball whose absence proves infeasibility.
 _R_MIN = 1e-7
+
+
+def initial_radius(d: int) -> float:
+    """Radius of the ball B about 0 searched over ``d`` decision variables."""
+    return 10.0 * math.sqrt(d)
 
 
 # LAPACK reports non-convergence through the invalid flag; the finiteness
@@ -71,7 +77,12 @@ def _jacobi_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _prepare(runs) -> list[tuple]:
     """Each run ``(s0, coeffs, bounds)`` as the tuple the scan reads:
     ``(order, batch, s0 flat, coeffs as (v_dim, -1), bounds as a list,
-    s0, coeffs)``."""
+    s0, coeffs)``.  Raises ValueError for an entry or bound that is not
+    finite, which the scan would read as a satisfied constraint."""
+    for s0, coeffs, bounds in runs:
+        if not (np.isfinite(s0).all() and np.isfinite(coeffs).all()
+                and all(map(math.isfinite, bounds))):
+            raise ValueError("constraint data are not finite")
     return [
         (s0.shape[1], len(s0), s0.reshape(-1), coeffs.reshape(len(coeffs), -1),
          list(bounds), s0, coeffs)
@@ -79,15 +90,39 @@ def _prepare(runs) -> list[tuple]:
     ]
 
 
-def ellipsoid_feasibility(runs, max_iters: int | None = None) -> np.ndarray | None:
+def _initial(start, d: int, radius: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Copies of the start's center and shape (the ball of ``radius`` when
+    ``start`` is None) and the shape's log-determinant."""
+    if start is None:
+        return np.zeros(d), radius * radius * np.eye(d), 2.0 * d * math.log(radius)
+    center, shape = (np.array(x, dtype=float) for x in start)
+    try:
+        if not (center.shape == (d,) and shape.shape == (d, d) and np.isfinite(center).all()
+                and np.isfinite(shape).all() and (shape == shape.T).all()):
+            raise LinAlgError
+        chol = np.linalg.cholesky(shape)
+    except LinAlgError:
+        raise ValueError(f"start needs a finite center of length {d} and a symmetric "
+                         f"positive definite {d}x{d} shape") from None
+    return center, shape, 2.0 * float(np.log(np.diagonal(chol)).sum())
+
+
+def ellipsoid_feasibility(runs, max_iters: int | None = None, start=None) -> np.ndarray | None:
     """Find a point satisfying every block of ``runs``, or certify
     infeasibility.
 
+    ``start`` is an ellipsoid ``(center, shape)``, {v : (v - center)^T
+    shape^-1 (v - center) <= 1}, to start from instead of the ball B of
+    radius R = 10 * sqrt(v_dim); the caller guarantees that it holds the
+    feasible set F within B.  So does every later ellipsoid, since a cut
+    keeps a half-space holding F and the update holds E's part of it.
+
     Returns the point, or None when no ball of radius 1e-7 fits in the
-    feasible set intersected with the initial ball.  Raises
+    feasible set intersected with the initial ball B.  Raises
     SolverBudgetExceeded when ``max_iters`` (default
     ceil(10 * v_dim^2 * ln(R / 1e-7))) iterations reach no verdict, which
-    callers must treat as "unknown", not as infeasible.
+    callers must treat as "unknown", not as infeasible.  Raises ValueError
+    for non-finite constraint data or a malformed start.
     """
     if not runs:
         raise ValueError("need at least one constraint run")
@@ -97,14 +132,11 @@ def ellipsoid_feasibility(runs, max_iters: int | None = None) -> np.ndarray | No
         raise ValueError("need at least two decision variables")
     if any(coeffs.shape[0] != d for _, coeffs, _ in runs):
         raise ValueError("runs differ in their number of decision variables")
-    radius = 10.0 * math.sqrt(d)
+    radius = initial_radius(d)
     if max_iters is None:
         max_iters = int(math.ceil(10.0 * d * d * math.log(radius / _R_MIN)))
     prepared = _prepare(runs)
-
-    center = np.zeros(d)
-    shape = radius * radius * np.eye(d)          # E = {x : (x-c)^T Q^-1 (x-c) <= 1}
-    logdet = 2.0 * d * math.log(radius)
+    center, shape, logdet = _initial(start, d, radius)  # E = {x : (x-c)^T Q^-1 (x-c) <= 1}
     logdet_floor = 2.0 * d * math.log(_R_MIN)
 
     for _ in range(max_iters):

@@ -31,7 +31,7 @@ from ratecert.certifier import (
     taps,
     verify_certificate,
 )
-from ratecert.ellipsoid import SolverBudgetExceeded
+from ratecert.ellipsoid import SolverBudgetExceeded, initial_radius
 from ratecert.iqc import (
     SECTOR,
     WEIGHTED_OFF_BY_1,
@@ -670,6 +670,36 @@ def test_backend_agreement_on_sector_instances():
             assert (direct is None) == (via_ellipsoid is None), (m, L, alpha, rho)
 
 
+def _unit_trace_psd(rng, s, shape):
+    """A P >= 0 of order s and unit trace: an extreme point u u^T
+    (``shape`` "rank-one") or e_i e_i^T ("basis"), or a random one."""
+    if shape == "basis":
+        p = np.zeros((s, s))
+        i = int(rng.integers(s))
+        p[i, i] = 1.0
+        return p
+    a = rng.normal(size=(s, 1 if shape == "rank-one" else s))
+    p = a @ a.T
+    return p / np.trace(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=st.sampled_from([2, 3, 4]), shape=st.sampled_from(["rank-one", "basis", "random"]),
+       lam=st.sampled_from(["zero", "radius", "uniform"]), seed=st.integers(0, 2**32 - 1))
+def test_start_ellipsoid_holds_the_decision_set(s, shape, lam, seed):
+    # Every unit-trace P >= 0 with 0 <= lambda <= R, as the solver's
+    # decision vector (first s - 1 diagonal entries, off-diagonal entries,
+    # lambda), lies in the matrix backend's start ellipsoid.  The extreme
+    # points u u^T at lambda 0 or R lie on its boundary.
+    rng = np.random.default_rng(seed)
+    p = _unit_trace_psd(rng, s, shape)
+    center, shape_q = certifier._start(s)
+    radius = initial_radius(len(center))
+    lam = {"zero": 0.0, "radius": radius, "uniform": float(rng.uniform(0.0, radius))}[lam]
+    v = np.concatenate((np.diag(p)[:-1], p[np.triu_indices(s, 1)], [lam])) - center
+    assert v @ np.linalg.solve(shape_q, v) <= 1.0 + 1e-12
+
+
 def test_scale_invariance_quick():
     for m, L, c in [(0.5, 5.0, 1.2), (3.0, 30.0, 1.0), (0.2, 1.0, 1.5)]:
         fc = FunctionClass(m, L)
@@ -1093,26 +1123,26 @@ def test_zf2_certifies_soundly_before_onset_and_not_past_it():
 # bytes of P: a change to how the inequality's data is built or summed that
 # moves a single bit of a dynamic witness fails here.
 PINNED_WITNESSES = {
-    ("wob1", 10.0, 1.2, None): "9c32f6803b4cde29d39dcef57273bc310181b0bdc545c3acfd0e863a2acc7aa4",
-    ("wob1", 7.0, 1.3, None): "7fdacdf52c1abac948076cf76067e7a5740ced132c0b423e7aace496c9100260",
-    ("wob1", 5.0, 1.5, None): "9eec9f1595cfd3050b849bc8f8bd74a9b28a2da97d33223c72e8a00532c365cf",
-    ("zf:1", 10.0, 1.2, None): "9c32f6803b4cde29d39dcef57273bc310181b0bdc545c3acfd0e863a2acc7aa4",
-    ("zf:1", 7.0, 1.3, None): "7fdacdf52c1abac948076cf76067e7a5740ced132c0b423e7aace496c9100260",
-    ("zf:1", 5.0, 1.5, None): "9eec9f1595cfd3050b849bc8f8bd74a9b28a2da97d33223c72e8a00532c365cf",
-    ("zf:2", 10.0, 1.2, None): "e82c298a86e1f1a1f04d559ed33f2ed84e0825d19b3feebeec6c3fb7fce230bd",
-    ("zf:2", 7.0, 1.3, None): "a388c59d300ab5384b5fb62c1ee6a8ad468fa555555d1571876a969e753f3351",
-    ("zf:2", 5.0, 1.5, None): "d102b77d6978912f1a54c7a8f53abe08c77f60a0fd90be2123b9ec19093b35bf",
-    ("zf:3", 10.0, 1.2, None): "8599eec792ed12e7799f4b8333c66bbb1e3e337471f392f721f6908f3c468332",
-    ("zf:3", 7.0, 1.3, None): "a2478e3d327a2bccabfacf01e562e4f5a4e1281080e3cfa7f9fb514cabf725fb",
-    ("zf:3", 5.0, 1.5, None): "867bae5fac4d564c0fec52992d167f61c7db6057d254a433c2ec13c28b07e8f4",
+    ("wob1", 10.0, 1.2, None): "48a2af85ecef3f04201ebd62669983ac36edacd3ff2ac6a190ef62cb46be18f7",
+    ("wob1", 7.0, 1.3, None): "34b927160b46dcc7fa266d267cf85511854c4302a37fb81ca07149b9ec505364",
+    ("wob1", 5.0, 1.5, None): "142538c2b797a826daf7478f82c9e469eb82c117530289c1ac3f4b04fbbd77e4",
+    ("zf:1", 10.0, 1.2, None): "48a2af85ecef3f04201ebd62669983ac36edacd3ff2ac6a190ef62cb46be18f7",
+    ("zf:1", 7.0, 1.3, None): "34b927160b46dcc7fa266d267cf85511854c4302a37fb81ca07149b9ec505364",
+    ("zf:1", 5.0, 1.5, None): "142538c2b797a826daf7478f82c9e469eb82c117530289c1ac3f4b04fbbd77e4",
+    ("zf:2", 10.0, 1.2, None): "39bb9e5c341e64e988163d058e396b420fe4f5fcd05d146eedadfb5a3e4a3926",
+    ("zf:2", 7.0, 1.3, None): "3d4238c6fb91d0bf7f2d4f265084fe6028e0a3e23bb369ec318195ef7fb35a23",
+    ("zf:2", 5.0, 1.5, None): "0b6cb17db713d0b8cd5f9a17b5f0c2deaace6a55c31c4be42214e6ab3daa800c",
+    ("zf:3", 10.0, 1.2, None): "f1b6d9969828757fa8551db0ab59b30fcadeb233acb22daeacbb31f5fcfb6aa8",
+    ("zf:3", 7.0, 1.3, None): "525cce15bbdb63d999842857b4d842188b3da8915c141ba02ae828dd972144d9",
+    ("zf:3", 5.0, 1.5, None): "eae0b82b2a5e7bcb6a2d6da1a8a87f0c3cbf7527aba11260364d9b09d8f90661",
     ("wob1", 10.0, 1.2, (0.5,)):
-        "628009a465f2474f8971c0577c0af34e46048c51daf2aa381b6aadfcfaa19fff",
+        "3dbe33610c873b8c76a9c3058a04490a34b8b4c06935d64b18a653855af0b925",
     ("zf:1", 10.0, 1.2, (0.4,)):
-        "408b680e46c7077268e9932f49696d4ecd90a6da1c6ef7797c3ea8961d705574",
+        "bc8a6db8c1eb553779edc45e7edb2d645e4f2422bdb12e6f939c0e864b59f4f8",
     ("zf:2", 10.0, 1.2, (0.4, 0.2)):
-        "bb88bcd38d7ba4c209e2c7f635483a50a10b4f03fa917a692f56717cf2f3c5b1",
+        "0925ff78fc85fecfc74b10a6a2023895ce95ecb534d4dd377fb7c408027cdfb6",
     ("zf:3", 10.0, 1.2, (0.3, 0.2, 0.1)):
-        "57ed2aa4a4aebbbf56b3831eca721c8be7ae5a756b106b17d23fc17a518c2471",
+        "34abcf5e952c767b455077e5500e56591a158cb2a0d92f40fc931f6b40c4c7b6",
 }
 
 
@@ -1128,3 +1158,39 @@ def test_dynamic_witnesses_pinned(case):
     digest.update(cert.witness.p.tobytes())
     assert digest.hexdigest() == PINNED_WITNESSES[case]
 
+
+# rho_star (as float.hex) and bisection_iters of each pinned witness case:
+# a change to where the solver stops inside the feasible set moves the
+# witness bits above, never these.
+PINNED_RATES = {
+    ("wob1", 10.0, 1.2, None): ("0x1.d556e7a0f9096p-1", 16),
+    ("wob1", 7.0, 1.3, None): ("0x1.c7c2bb98c7e28p-1", 16),
+    ("wob1", 5.0, 1.5, None): ("0x1.bbbe1eecbfb15p-1", 16),
+    ("zf:1", 10.0, 1.2, None): ("0x1.d556e7a0f9096p-1", 16),
+    ("zf:1", 7.0, 1.3, None): ("0x1.c7c2bb98c7e28p-1", 16),
+    ("zf:1", 5.0, 1.5, None): ("0x1.bbbe1eecbfb15p-1", 16),
+    ("zf:2", 10.0, 1.2, None): ("0x1.d556e7a0f9096p-1", 16),
+    ("zf:2", 7.0, 1.3, None): ("0x1.c7c2bb98c7e28p-1", 16),
+    ("zf:2", 5.0, 1.5, None): ("0x1.bbbe1eecbfb15p-1", 16),
+    ("zf:3", 10.0, 1.2, None): ("0x1.d55ee56041893p-1", 16),
+    ("zf:3", 7.0, 1.3, None): ("0x1.c7c2bb98c7e28p-1", 16),
+    ("zf:3", 5.0, 1.5, None): ("0x1.bbbe1eecbfb15p-1", 16),
+    ("wob1", 10.0, 1.2, (0.5,)): ("0x1.d556e7a0f9096p-1", 16),
+    ("zf:1", 10.0, 1.2, (0.4,)): ("0x1.d556e7a0f9096p-1", 16),
+    ("zf:2", 10.0, 1.2, (0.4, 0.2)): ("0x1.d556e7a0f9096p-1", 16),
+    ("zf:3", 10.0, 1.2, (0.3, 0.2, 0.1)): ("0x1.d556e7a0f9096p-1", 16),
+}
+
+
+def test_pinned_rates_cover_the_pinned_witnesses():
+    assert list(PINNED_RATES) == list(PINNED_WITNESSES)
+
+
+@pytest.mark.parametrize("case", list(PINNED_RATES), ids=str)
+def test_dynamic_rates_pinned(case):
+    iqc, kappa, c, weights = case
+    kind, _, order = iqc.partition(":")
+    fc = FunctionClass(1.0, kappa)
+    cert = certify(fc, interval_from_c(fc, c), iqc_kind=kind, zf_order=int(order or 2),
+                   weights=weights)
+    assert (cert.rho_star.hex(), cert.bisection_iters) == PINNED_RATES[case]

@@ -700,19 +700,19 @@ PINNED_OUTPUTS = {
         "a46436a8f7d65620deb40fa135f3a6b25bc208b97615a288220830d9c256c3df"),
     "sweep-c-wob1": (
         ("sweep-c", "--kappa", "10", "--points", "12", "--iqc", "wob1"),
-        "230c213b2121bd39f41669190084e0498c1ef3798e52a48b04c711543c17209e"),
+        "a2bf5e75fcf475566ef5db58b0e8532b758cc3d0c12e1bc56f51ae75544e24c1"),
     "certify-sector": (
         ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "sector"),
         "b34b4c466a34b535c69fa38759add0e11a82377814878df541fe42424e075e2f"),
     "certify-wob1": (
         ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "wob1"),
-        "8c1fe1b0bc0bbeca40affd9bd5fda18c32d06d8e496ae291ff535787d0a1ba69"),
+        "9de0cce56a39a0fea93d3b8cb903f189ae7b6bc8c61a2baca8aa591ac5bdf090"),
     "certify-zf2": (
         ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "zf:2"),
-        "b4e84af12df75b69196e6a6844cad740b26718fa4d47b01a03c678939d6e783d"),
+        "5efa06c2d66d6f7b2af81303de08888584967779a309020f149e7c5d0899fcc5"),
     "certify-zf3": (
         ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "zf:3"),
-        "86c0f4aa545da523ed44dc41f8ed35bdce0cfbe9f637c3c296ed5b9fe47ec587"),
+        "6d0198d1722979b8c38efca3d3f85f869dbb8cc1d32e04b94a78fa613a855302"),
 }
 
 

@@ -92,6 +92,58 @@ def test_input_validation():
         )
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("runs", [
+    [_scalars(([1.0, 0.0], _NAN, 0.0))],
+    [_scalars(([1.0, 0.0], 0.0, _NAN))],
+    [_scalars(([_NAN, 0.0], 0.0, 0.0))],
+    [_scalars(([1.0, 0.0], 0.0, 0.0)), _scalars(([0.0, 1.0], 0.0, float("-inf")))],
+    [_block(np.full((2, 2), _NAN), np.zeros((2, 2, 2)), -1.0)],
+    [_block(np.zeros((2, 2)), np.full((2, 2, 2), np.inf), -1.0)],
+    [_block(np.zeros((2, 2)), np.zeros((2, 2, 2)), _NAN)],
+], ids=["nan-scalar", "nan-scalar-bound", "nan-scalar-coeff", "inf-bound-second-run",
+        "nan-block", "inf-block-coeffs", "nan-block-bound"])
+def test_non_finite_constraints_are_rejected(runs):
+    # A NaN scalar constraint or bound was read as satisfied (the first
+    # case returned [0, 0]), while a NaN block raised LinAlgError.
+    with pytest.raises(ValueError, match="not finite"):
+        ellipsoid_feasibility(runs)
+
+
+_HALF_LINE = _scalars(([1.0, 0.0], 0.0, -0.1))
+
+
+@pytest.mark.parametrize("start", [
+    (np.zeros(3), np.eye(3)),
+    (np.zeros(2), np.eye(3)),
+    (np.array([_NAN, 0.0]), np.eye(2)),
+    (np.zeros(2), np.array([[1.0, np.inf], [np.inf, 1.0]])),
+    (np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]])),
+    (np.zeros(2), np.diag([1.0, 0.0])),
+    (np.zeros(2), -np.eye(2)),
+], ids=["center-too-long", "shape-too-large", "nan-center", "inf-shape", "not-symmetric",
+        "singular", "negative-definite"])
+def test_malformed_start_is_rejected(start):
+    with pytest.raises(ValueError, match="start"):
+        ellipsoid_feasibility([_HALF_LINE], start=start)
+
+
+def test_solve_from_a_start_ellipsoid():
+    # A start that holds the feasible set within the ball reaches the
+    # ball's verdicts, and is copied, not written to.
+    center, shape = np.array([-1.0, 0.0]), 4.0 * np.eye(2)
+    center.setflags(write=False)
+    shape.setflags(write=False)
+    point = ellipsoid_feasibility([_scalars(([1.0, 0.0], 0.0, -0.1)),
+                                   _scalars(([-1.0, 0.0], 0.0, 1.5),
+                                            ([0.0, 1.0], 0.0, 1.0),
+                                            ([0.0, -1.0], 0.0, 1.0))], start=(center, shape))
+    assert point is not None and -1.5 <= point[0] <= -0.1 and abs(point[1]) <= 1.0
+    assert ellipsoid_feasibility([THIN_SLAB], start=(np.zeros(2), np.eye(2))) is None
+
+
 @settings(max_examples=100, deadline=None)
 @given(order=st.integers(2, 5), batch=st.integers(1, 3), scale=st.sampled_from([1e-3, 1.0, 1e3]),
        seed=st.integers(0, 10_000))

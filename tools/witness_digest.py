@@ -25,7 +25,12 @@ Each draw certifies ``FunctionClass(1, kappa)`` on ``interval_from_c(fc,
 c)`` with ``CertifyOptions(rho_tol=rho_tol)``.  Hashed per draw: the kind,
 zf order, kappa, c and rho_tol; ``rho_star``, ``cond_p``, ``weights`` and
 ``bisection_iters``; and, for a certificate with a witness, ``lam``,
-``slack`` and the bytes of P in C order.
+``slack`` and the bytes of P in C order.  Two lines come before the
+digest: the mean and the largest number of cuts (calls of
+``ellipsoid._first_violated_cut``) per certification, and a rates-only
+digest over the kind, zf order, kappa, c and rho_tol and ``rho_star`` and
+``bisection_iters``, hashed as above.  A change that moves witness bits but
+no rate leaves that digest equal at both commits.
 
 ``--family sector`` draws, in order (one draw is seven generator calls in
 this order, all made whichever are used):
@@ -77,7 +82,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from ratecert import cli, search  # noqa: E402
+from ratecert import cli, ellipsoid, search  # noqa: E402
 from ratecert.certifier import CertifyOptions, certify  # noqa: E402
 from ratecert.model import (  # noqa: E402
     FunctionClass,
@@ -102,8 +107,9 @@ def _bytes(*values) -> bytes:
     return b"".join(out)
 
 
-def _dynamic_draw(rng, sha, index: int) -> bool:
-    """Certify and hash one dynamic draw; True when it certified a rate."""
+def _dynamic_draw(rng, sha, rates, index: int) -> bool:
+    """Certify and hash one dynamic draw, its rate also into ``rates``; True
+    when it certified a rate."""
     kind, order = KINDS[int(rng.integers(3))]
     kappa = 10.0 ** float(rng.uniform(0.0, 2.0))
     c = float(rng.uniform(1.0, 1.6))
@@ -111,8 +117,10 @@ def _dynamic_draw(rng, sha, index: int) -> bool:
     fc = FunctionClass(1.0, kappa)
     cert = certify(fc, interval_from_c(fc, c), iqc_kind=kind, zf_order=order,
                    options=CertifyOptions(rho_tol=rho_tol))
-    sha.update(kind.encode() + _bytes(order, kappa, c, rho_tol))
+    draw = kind.encode() + _bytes(order, kappa, c, rho_tol)
+    sha.update(draw)
     sha.update(_bytes(cert.rho_star, cert.cond_p, *cert.weights, cert.bisection_iters))
+    rates.update(draw + _bytes(cert.rho_star, cert.bisection_iters))
     if cert.witness is None:
         return False
     sha.update(_bytes(cert.witness.lam, cert.slack))
@@ -120,7 +128,7 @@ def _dynamic_draw(rng, sha, index: int) -> bool:
     return True
 
 
-def _sector_draw(rng, sha, index: int) -> bool:
+def _sector_draw(rng, sha, rates, index: int) -> bool:
     """Certify and hash one sector draw; True when it certified a rate."""
     near = int(rng.integers(4))
     kappa = 10.0 ** float(rng.uniform(0.0, 6.0))
@@ -138,7 +146,7 @@ def _sector_draw(rng, sha, index: int) -> bool:
     return cert.witness is not None
 
 
-def _sweep_c_draw(rng, sha, index: int) -> int:
+def _sweep_c_draw(rng, sha, rates, index: int) -> int:
     """Run and hash one sweep-c draw; the number of rows it certified."""
     wob1 = index % 10 == 9
     kappa = 10.0 ** float(rng.uniform(0.0, 3.0))
@@ -158,29 +166,34 @@ def _sweep_c_draw(rng, sha, index: int) -> int:
 
 
 FAMILIES = {"dynamic": _dynamic_draw, "sector": _sector_draw, "sweep-c": _sweep_c_draw}
+# The call each family counts per draw: cuts for dynamic, solves otherwise.
+COUNTED = {"dynamic": (ellipsoid, "_first_violated_cut"),
+           "sector": (search, "sector_lambda"), "sweep-c": (search, "sector_lambda")}
 
 
-def digest(draws: int, seed: int, family: str = "dynamic") -> tuple[str, int, list[int]]:
+def digest(draws: int, seed: int, family: str = "dynamic") -> tuple[str, int, list[int], str]:
     """The sha256 hex digest over ``draws`` draws of ``family``, how many
-    rates they certified, and the sector solves each draw made."""
+    rates they certified, the counted calls each draw made (``COUNTED``),
+    and the rates-only hex digest (fed by the dynamic family alone)."""
     rng = np.random.default_rng(seed)
-    sha = hashlib.sha256()
+    sha, rates = hashlib.sha256(), hashlib.sha256()
     draw = FAMILIES[family]
-    sector_lambda, solves = search.sector_lambda, []
+    module, name = COUNTED[family]
+    call, counts = getattr(module, name), []
 
     def counted(*args):
-        solves[-1] += 1
-        return sector_lambda(*args)
+        counts[-1] += 1
+        return call(*args)
 
-    search.sector_lambda = counted
+    setattr(module, name, counted)
     try:
         certified = 0
         for index in range(draws):
-            solves.append(0)
-            certified += draw(rng, sha, index)
+            counts.append(0)
+            certified += draw(rng, sha, rates, index)
     finally:
-        search.sector_lambda = sector_lambda
-    return sha.hexdigest(), certified, solves
+        setattr(module, name, call)
+    return sha.hexdigest(), certified, counts, rates.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -189,11 +202,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=2026)
     parser.add_argument("--family", choices=sorted(FAMILIES), default="dynamic")
     args = parser.parse_args(argv)
-    hexdigest, certified, solves = digest(args.draws, args.seed, args.family)
+    hexdigest, certified, counts, rates = digest(args.draws, args.seed, args.family)
     print(f"draws {args.draws}, seed {args.seed}, certified {certified}")
-    if args.family == "sector":
-        print(f"solves per certification: mean {sum(solves) / max(len(solves), 1):.4f}, "
-              f"max {max(solves, default=0)}")
+    if args.family != "sweep-c":
+        what = "cuts" if args.family == "dynamic" else "solves"
+        print(f"{what} per certification: mean {sum(counts) / max(len(counts), 1):.4f}, "
+              f"max {max(counts, default=0)}")
+    if args.family == "dynamic":
+        print(f"rates {rates}")
     print(hexdigest)
     return 0
 
