@@ -11,14 +11,16 @@ search calls those names through the module (``certifier.feasible_at_rho``),
 so a name replaced there is the one called.
 
 The bisection runs over the fixed bracket [RHO_LO, RHO_HI] down to a width
-of ``rho_tol``.  Rates below the exact rate, and rates at or below one the
-caller already knows to be infeasible, are rejected without a solve.  A
+of ``rho_tol``, and every trial rate goes through one oracle: a rate below
+the floor fails (the floor starts at the exact rate, or just above a rate
+the caller knows to be infeasible, and rises past each rate solved
+infeasible), a rate at or above the lowest rate solved feasible passes
+with that rate's witness, and any other rate is solved once.  A
 threshold estimate (the exact rate; for sector also the rate at which its
 lambda intervals touch and each endpoint's own threshold) predicts the
-path, and two solves confirm it.  Sector feasibility is monotone in rho, so
-when the estimate lies below the top rate sector runs the two checks before
-the top probe, and a settled sector certify makes one or two solves; wob1
-and zf:k probe the top rate first.
+path, and two checks through the oracle confirm it, or the plain
+bisection runs over the same oracle.  A settled sector certify makes one
+or two solves; wob1 and zf:k solve the top rate first.
 See ``certifier`` for the inequality family and its two backends.
 """
 
@@ -134,8 +136,10 @@ class Certificate:
     """Outcome of certification.  ``rho_star`` is None when no rate below
     one could be certified; otherwise the stored witness re-verifies at
     ``rho_star`` by direct block re-assembly.  ``bisection_iters`` counts
-    the trial rates on the bisection's path, however each was decided
-    (solver, exact rate, or a feasible solve below it)."""
+    the trial rates of the plain bisection (the top, the bottom of the
+    bracket, then the path), however each was decided: by a solve, below
+    the floor, or at or above a rate solved feasible; a path settled by
+    its two checks counts the trial rates it predicted."""
 
     rho_star: float | None
     witness: Witness | None
@@ -371,28 +375,33 @@ def certify(
     already knows to be infeasible over this interval (``sweep-c`` passes
     the top rate on once a smaller, nested interval had no certificate).
 
+    Every trial rate goes through one oracle, ``feasible``: a rate below
+    the floor (at first the larger of r_exact and just above
+    ``known_infeasible``) is rejected; a rate at or above the ceiling (the
+    lowest rate solved feasible) takes the ceiling's verdict; any other is
+    solved once, and an infeasible verdict raises the floor past it, a
+    feasible one lowers the ceiling to it.  A budget error
+    (SolverBudgetExceeded) leaves both where they were.
+
     An estimate t of the threshold predicts the whole path: a float-only
     walk bisects as if every trial rate at or above t were feasible, and
     ends with top g and lower end ``below``.  t is the lowest rate not
     rejected without a solve; for sector it is raised to the rate at which
     the endpoints' lambda intervals touch (``sector_threshold``), or, when
     that does not raise it, to the endpoints' own thresholds
-    (``endpoint_threshold``).  Two checks confirm the walk: g is feasible,
-    and ``below`` is not (free when it lies under that lowest rate, as it
-    always does for the dynamic kinds).  By monotonicity in rho every rate
-    on the path at or above g is then feasible and every one at or below
-    ``below`` is not, so the search ends at g.
-
-    Sector feasibility is monotone in rho, so when t lies below the top
-    rate and the bottom of the bracket is rejected without a solve, the
-    checks come first and a settled sector certify makes one or two solves.
-    Otherwise, and always for wob1 and zf:k (wob1 is not monotone near rate
-    1), the top rate and the bottom of the bracket are probed first.  A top
-    rate rejected without a solve ends the search before any set-up.  If a
-    check fails, the bisection runs as before: after an infeasible g, rates
-    at or below g are rejected without a solve; a budget error at a check
-    is no verdict; no rate is solved twice.  Either way the rate, witness
-    and ``bisection_iters`` are the plain bisection's.
+    (``endpoint_threshold``).  wob1 and zf:k solve the top rate first
+    (wob1 is not monotone near rate 1).  When the bottom of the bracket is
+    below the floor, g and then ``below`` go through the oracle; if g holds
+    and ``below`` does not (free when it lies under the floor, as it
+    always does for the dynamic kinds), monotonicity in rho decides every
+    rate on the path as the bisection would, and the search ends at g.  A
+    budget error at a check is no verdict.  Otherwise the plain bisection
+    runs over the same oracle: the top rate (none: no certificate), the
+    bottom of the bracket (feasible: it is the rate), then the path.  A top
+    rate below the floor ends the search before any set-up.  Where
+    feasibility is monotone in rho, as it is for sector, the rate, witness
+    and ``bisection_iters`` are those of the plain bisection that solves
+    every rate it tries at or above r_exact.
     ``Certificate.slack`` is computed on demand, on its first read.
     """
     opts = options or CertifyOptions()
@@ -405,7 +414,6 @@ def certify(
     n_weights = taps(iqc_kind, zf_order)
     if weights is not None and len(weights) != n_weights:
         raise InvalidInput(f"{iqc_kind} takes {n_weights} weight(s), got {len(weights)}")
-    evals = 0
     # No witness exists below the exact worst-case rate: the constant step
     # at the worse endpoint attains it on a quadratic.  Trial rates below
     # ``floor`` are rejected without a solve.
@@ -414,7 +422,7 @@ def certify(
     if known_infeasible is not None:
         floor = max(floor, math.nextafter(known_infeasible, math.inf))
 
-    def finish(found: tuple[float, float | Witness] | None) -> Certificate:
+    def finish(found: tuple[float, float | Witness] | None, evals: int) -> Certificate:
         rho_star = wit = cond_p = None
         used: tuple[float, ...] = ()
         if found is not None:
@@ -442,24 +450,21 @@ def certify(
 
     hi = top_rate(opts.rho_tol)
     if hi < floor:
-        evals = 1  # the top probe, rejected without a solve
-        return finish(None)
+        return finish(None, 1)  # the top probe, rejected without a solve
 
     fc_n, alphas = reduced(fc, interval)
     eps = opts.eps_feas if opts.eps_feas is not None else default_eps_feas(fc_n.kappa())
     lmi = None  # a dynamic multiplier's data, built by the first solve
-    verdicts = {}  # rho -> its solved verdict: no rate is solved twice
+    ceiling = None  # (rho, verdict) of the lowest rate solved feasible
 
-    # A found rate is (rho, lambda) for sector, (rho, Witness) otherwise.
-    def probe(rho: float) -> tuple[float, float | Witness] | None:
-        nonlocal evals
-        evals += 1
-        return None if rho < floor else solve(rho)
-
-    def solve(rho: float) -> tuple[float, float | Witness] | None:
-        nonlocal lmi
-        if rho in verdicts:
-            return verdicts[rho]
+    # The oracle (see above).  A found rate is (rho, lambda) for sector,
+    # (rho, Witness) otherwise.
+    def feasible(rho: float) -> tuple[float, float | Witness] | None:
+        nonlocal floor, ceiling, lmi
+        if rho < floor:
+            return None
+        if ceiling is not None and rho >= ceiling[0]:
+            return ceiling
         verdict = None
         if iqc_kind == SECTOR:
             verdict = sector_lambda(rho, alphas, fc_n, eps)
@@ -473,8 +478,11 @@ def certify(
                 pass
             else:
                 verdict = certifier.feasible_at_rho(lmi, rho, h, opts)
-        verdicts[rho] = None if verdict is None else (rho, verdict)
-        return verdicts[rho]
+        if verdict is None:
+            floor = math.nextafter(rho, math.inf)
+            return None
+        ceiling = (rho, verdict)
+        return ceiling
 
     def bisect(decide) -> tuple[float, float, object, int]:
         """Shrink [RHO_LO, hi]: (final top, final lower end, last truthy
@@ -502,49 +510,29 @@ def certify(
         if t == floor:
             t = max(t, endpoint_threshold(alphas, fc_n, eps))
 
-    def settle() -> tuple[float, object, int, bool]:
-        """Walk the path that t predicts and check it: (g, g's verdict or
-        False for none, the walk's trial rates, whether both checks
-        hold)."""
-        # Where the bisection ends if every rate at or above t is feasible:
-        # g the final top, below the final lower end.
+    # Sector feasibility is monotone in rho (rho enters only through
+    # u = 1 - rho^2 + eps, and a smaller u widens each endpoint's lambda
+    # interval), so a feasible check decides the top.  wob1 is not monotone
+    # near rate 1: the dynamic kinds solve the top first.
+    if iqc_kind != SECTOR:
+        feasible(hi)
+    if RHO_LO < floor:
+        # The path t predicts: g its final top, below its final lower end.
         g, below, _, n = bisect(lambda rho: rho >= t)
-        found_g = False
         try:
-            found_g = solve(g)  # g >= t >= floor, or g is the top
-            return g, found_g, n, found_g is not None and (
-                below < floor or solve(below) is None)
+            found = feasible(g)
+            if found and not feasible(below):
+                return finish(found, 2 + n)  # the top and bottom, and the path
         except SolverBudgetExceeded:
-            return g, found_g, n, False  # no verdict: the bisection decides
-
-    # Feasibility is monotone in rho: when both checks hold, every rate on
-    # the path at or above g is feasible and every one at or below ``below``
-    # is not, so the bisection takes this path and ends at g with this
-    # witness.  For sector a feasible g also implies a feasible top (rho
-    # enters only through u = 1 - rho^2 + eps, and a smaller u widens each
-    # endpoint's lambda interval), so when the bottom probe is rejected
-    # without a solve and t lies below the top, the checks come first.
-    checks_first = iqc_kind == SECTOR and RHO_LO < floor and t < hi
-    if checks_first:
-        g, found_g, n, settled = settle()
-        if settled:
-            evals = 2 + n  # the top and bottom probes, and the path
-            return finish(found_g)
-    found_hi = probe(hi)
+            pass  # no verdict: the bisection decides
+    found_hi = feasible(hi)
     if found_hi is None:
-        return finish(None)
-    found_lo = probe(RHO_LO)
+        return finish(None, 1)
+    found_lo = feasible(RHO_LO)
     if found_lo is not None:
-        return finish(found_lo)
-    if not checks_first:
-        g, found_g, n, settled = settle()
-        if settled:
-            evals = 2 + n
-            return finish(found_g)
-    if found_g is None:
-        floor = math.nextafter(g, math.inf)  # g and every rate below fail
-    _, _, found, _ = bisect(probe)
-    return finish(found or found_hi)
+        return finish(found_lo, 2)
+    _, _, found, n = bisect(feasible)
+    return finish(found or found_hi, 2 + n)
 
 
 def taps(kind: str, zf_order: int | None) -> int:

@@ -406,15 +406,17 @@ def test_bisection_solves_only_at_or_above_exact_rate(solver_calls, kind, rho_st
     ids=["wob1", "zf2", "sector-constant-step", "zf2-loose", "sector-end-fails"],
 )
 def test_solver_calls_pinned(solver_calls, kind, zf_order, kappa, c, solves):
-    # The first three are tight (the witness exists at the rate where the
-    # bisection would end if every rate at or above the exact rate were
-    # feasible): for wob1 and zf2 the top probe and one solve there settle
-    # them, down from 7; sector, monotone in rho, skips the top probe, so
-    # the one solve settles it.  zf2-loose is not tight: its speculative
-    # solve fails, and the bisection then makes the 13 solves it made
-    # without speculating.  At (5, 1.2) sector sits above the exact rate;
-    # its closed-form threshold predicts the path, and the two checks
-    # settle it without the top probe.
+    # Every trial rate goes through one oracle: a rate below the floor, or
+    # at or above the lowest rate solved feasible, is decided without a
+    # solve.  The first three are tight (the witness exists at the rate g
+    # where the bisection would end if every rate at or above the exact
+    # rate were feasible): wob1 and zf2 solve the top first, then g, down
+    # from 7; sector solves g alone, whose feasible verdict decides the top.
+    # The bottom probe and the lower end predicted below g lie under the
+    # exact rate.  zf2-loose is not tight: g fails and raises the floor, and
+    # the bisection solves the rest of its path, as without speculating.  At
+    # (5, 1.2) sector sits above the exact rate; its closed-form threshold
+    # predicts g, and g and the lower end below it settle the path.
     fc = FunctionClass(1.0, kappa)
     cert = certify(fc, interval_from_c(fc, c), iqc_kind=kind, zf_order=zf_order)
     assert cert.feasible
@@ -446,7 +448,7 @@ def test_sector_hot_path_builds_once(monkeypatch, solver_calls):
     assert augments == []
     assert slacks == []
     # The two checks of the path that sector's closed-form threshold
-    # predicts; they imply the top probe's verdict.
+    # predicts; g's feasible verdict decides the top without a solve.
     assert len(solver_calls) == 2
     assert cert.slack <= 0.0
     assert len(augments) == 1
@@ -500,10 +502,20 @@ def test_budget_error_at_speculative_rate_is_not_a_verdict():
     # At (10, 1.2) sector makes two solves: the predicted end g (check 1)
     # and the predicted lower end below it (check 2), before any top probe.
     # A budget error at either check must not end the search, nor count as
-    # a verdict: the top probe and the bisection decide every rate and the
-    # result is unchanged, and only the rate that failed is solved twice.
+    # a verdict, and the result is unchanged.  After one at g the bisection
+    # solves the top and every rate on its path at or above the exact rate,
+    # g again last.  After one at below, g's feasible verdict stands: the
+    # top and the path's rates above g need no solve, and only those below
+    # g are solved, below again last.
     interval = interval_from_c(FC10, 1.2)
     expected = certify(FC10, interval)
+    g, below, top = 0.921312225341797, 0.9212512573242189, 0.9999
+    lower = [0.917958984375, 0.9199099609375001, 0.9208854492187502, 0.9211293212890627]
+    solved = {
+        1: [g, top, 0.9374687500000001, 0.9218609375000001, *lower[:3],
+            0.9213731933593752, lower[3], below, g],
+        2: [g, below, *lower, below],
+    }
     for check in (1, 2):
         rates = []
 
@@ -517,7 +529,7 @@ def test_budget_error_at_speculative_rate_is_not_a_verdict():
             cert = certify(FC10, interval)
         assert (cert.rho_star, cert.bisection_iters) == (expected.rho_star, 16), check
         assert cert.witness.lam.hex() == expected.witness.lam.hex(), check
-        assert len(rates) > 3, check  # the bisection ran
+        assert rates == solved[check], check
         assert {rho for rho in rates if rates.count(rho) > 1} <= {rates[check - 1]}, check
 
 
@@ -956,26 +968,29 @@ def test_sector_certify_matches_the_numpy_instance_bisection(log_m, log_kappa, c
 def _float_sector_bisection(fc, interval, opts):
     """The plain bisection over ``sector_lambda`` in floats: every trial
     rate at or above the exact rate is solved, in bisection order.  Returns
-    ((rho, lambda) or None, trial rates)."""
+    ((rho, lambda) or None, trial rates, solves)."""
     r_exact = _exact_rate(fc, interval)
     fc_n, alphas = reduced(fc, interval)
     eps = default_eps_feas(fc_n.kappa())
-    trials = 0
+    trials = solves = 0
 
     def probe(rho):
-        nonlocal trials
+        nonlocal trials, solves
         trials += 1
-        lam = None if rho < r_exact else sector_lambda(rho, alphas, fc_n, eps)
+        if rho < r_exact:
+            return None
+        solves += 1
+        lam = sector_lambda(rho, alphas, fc_n, eps)
         return None if lam is None else (rho, lam)
 
     hi = search.top_rate(opts.rho_tol)
     found = probe(hi)
     if found is None:
-        return None, trials
+        return None, trials, solves
     lo = search.RHO_LO
     found_lo = probe(lo)
     if found_lo is not None:
-        return found_lo, trials
+        return found_lo, trials, solves
     while hi - lo > opts.rho_tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -985,7 +1000,7 @@ def _float_sector_bisection(fc, interval, opts):
             lo = mid
         else:
             hi, found = mid, verdict
-    return found, trials
+    return found, trials, solves
 
 
 @settings(max_examples=300, deadline=None)
@@ -998,18 +1013,29 @@ def _float_sector_bisection(fc, interval, opts):
 @example(log_kappa=2.0, c=1.0, log_tol=-12.0)  # one step size
 @example(log_kappa=1.0, c=1.2, log_tol=-12.0)
 @example(log_kappa=308.0, c=2.0, log_tol=-4.0)  # c * L overflows
+# kappa 1 + 1e-9: the estimate lies above where sector_lambda turns
+# feasible, so the lower end below g is feasible too and the bisection
+# decides (22 solves when it re-solved every rate above g; the plain
+# bisection makes 20).
+@example(log_kappa=math.log10(1.000000001), c=1.8177160556473584,
+         log_tol=math.log10(6.48714079878907e-10))
 def test_sector_certify_is_the_float_bisection(log_kappa, c, log_tol):
     # Sector's closed-form threshold and its two checks change how many
     # solves certify makes, never what it returns, over every class whose
-    # condition number is a float; nothing raises or warns on the way.
+    # condition number is a float; nothing raises or warns on the way.  The
+    # checks cost at most one solve more than the plain bisection, and no
+    # rate is solved twice.
     fc = FunctionClass(1.0, 10.0 ** log_kappa)
     interval = interval_from_c(fc, c)  # 1/c/L where c * L overflows
     opts = CertifyOptions(rho_tol=10.0 ** log_tol)
-    with warnings.catch_warnings():
+    rates = []
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
         warnings.simplefilter("error")
+        _spy_solvers(mp, rates.append)
         cert = certify(fc, interval, options=opts)
-    found, trials = _float_sector_bisection(fc, interval, opts)
+    found, trials, solves = _float_sector_bisection(fc, interval, opts)
     assert cert.bisection_iters == trials
+    assert len(set(rates)) == len(rates) <= solves + 1
     if found is None:
         assert cert.rho_star is None and cert.witness is None
     else:
@@ -1057,7 +1083,7 @@ def test_tight_rows_where_the_exact_rate_binds_settle_in_two_solves(
     opts = CertifyOptions(rho_tol=1e-8)
     cert = certify(fc, interval, options=opts)
     assert len(solver_calls) <= 2
-    found, trials = _float_sector_bisection(fc, interval, opts)
+    found, trials, _ = _float_sector_bisection(fc, interval, opts)
     assert (cert.rho_star, cert.witness.lam, cert.bisection_iters) == (*found, trials)
 
 

@@ -599,10 +599,11 @@ def _solves_per_row(monkeypatch):
     return per_row
 
 
-def test_sweep_rows_settle_in_at_most_three_sector_solves(monkeypatch, capsys):
+def test_sweep_rows_settle_in_at_most_two_sector_solves(monkeypatch, capsys):
     # The benchmark's sweep shapes at the default rho_tol.  Sector's closed-
-    # form threshold predicts each row's bisection path, and two checks
-    # settle it without the top probe.
+    # form threshold predicts each row's bisection path, and two solves, at
+    # its end g and its lower end, settle it: g's feasible verdict decides
+    # the top, and the exact rate the bottom probe.
     per_row = _solves_per_row(monkeypatch)
     for c in ("1.3", "1.4", "1.5"):
         assert run_cli("sweep-kappa", "--c", c, "--kappa-min", "1", "--kappa-max", "100",
@@ -622,7 +623,8 @@ def test_sweep_rows_settle_in_at_most_three_sector_solves(monkeypatch, capsys):
 def test_sweep_c_makes_no_solve_past_its_onset(monkeypatch, capsys, argv):
     # The intervals of a sweep-c are nested, so once a row has no
     # certificate at the top rate, no later row has one: each later row is
-    # still one certify call, and it decides its top probe without a solve.
+    # still one certify call, and its top rate lies at or below the rate it
+    # is passed as known infeasible, so it is rejected before any set-up.
     per_row = _solves_per_row(monkeypatch)
     assert run_cli("sweep-c", *argv) == 0
     rows = parse_sweep_csv(capsys.readouterr().out)

@@ -66,6 +66,9 @@ Draw i runs ``sweep-c --kappa K --c-min C0 --c-max C1 --points N --rho-tol
 T`` with ``--iqc sector``, or ``--iqc wob1`` when i % 10 == 9; numbers are
 passed as ``repr`` of their float.  Hashed per draw: the argument list
 (UTF-8, NUL-separated), the exit code and the CSV bytes written to stdout.
+The line before the digest gives the mean and the largest number of sector
+solves (calls of ``search.sector_lambda``) per command; a wob1 command
+makes none.
 """
 
 from __future__ import annotations
@@ -204,10 +207,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     hexdigest, certified, counts, rates = digest(args.draws, args.seed, args.family)
     print(f"draws {args.draws}, seed {args.seed}, certified {certified}")
-    if args.family != "sweep-c":
-        what = "cuts" if args.family == "dynamic" else "solves"
-        print(f"{what} per certification: mean {sum(counts) / max(len(counts), 1):.4f}, "
-              f"max {max(counts, default=0)}")
+    what = "cuts" if args.family == "dynamic" else "solves"
+    per = "command" if args.family == "sweep-c" else "certification"
+    print(f"{what} per {per}: mean {sum(counts) / max(len(counts), 1):.4f}, "
+          f"max {max(counts, default=0)}")
     if args.family == "dynamic":
         print(f"rates {rates}")
     print(hexdigest)
