@@ -12,9 +12,8 @@ import importlib
 # Public name -> the module that defines it.
 _EXPORTS = {
     "search": (
-        "Certificate", "CertifyOptions", "SECTOR", "SolverBudgetExceeded",
-        "WEIGHTED_OFF_BY_1", "Witness", "ZAMES_FALB", "certify", "closed_form_rate",
-        "lambda_interval_sector",
+        "Certificate", "SECTOR", "SolverBudgetExceeded", "WEIGHTED_OFF_BY_1", "Witness",
+        "ZAMES_FALB", "certify", "closed_form_rate", "lambda_interval_sector",
     ),
     "certifier": (
         "NotPositiveDefinite", "cond_spd", "eig_sym", "feasible_at_rho", "max_eigenvalue",

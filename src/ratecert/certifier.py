@@ -40,13 +40,13 @@ reduction-invariant for the plant state.  Two backends decide feasibility:
   vector (free coordinates of P, lambda) with cutting planes from the
   most-positive eigenvector of a violated block.  ``_matrix_backend``
   hands it the family as three runs of stacked blocks, in the order they
-  are scanned: lambda >= 0, P >= delta_pd * I, and the endpoint blocks.
+  are scanned: lambda >= 0, P >= DELTA_PD * I, and the endpoint blocks.
   Each solve starts from ``_start``, not from the solver's ball: half the
   cuts, and the same infeasibility claim.
 
-"<= 0" is implemented strictly as "<= -eps_feas * I" with a data-scaled
-default eps_feas, and P is kept away from singularity by P >= delta_pd * I;
-both tolerances are explicit options.
+"<= 0" is implemented strictly as "<= -eps_feas * I", where eps_feas is
+``certify``'s keyword (default: the data-scaled ``default_eps_feas``), and
+P is kept away from singularity by P >= DELTA_PD * I, a fixed constant.
 
 All eigen work goes through numpy's LAPACK drivers: ``eigh`` when
 eigenvectors are needed and ``eigvalsh`` when only eigenvalues are.  The
@@ -87,7 +87,6 @@ from .search import (  # noqa: F401
     WEIGHTED_OFF_BY_1,
     ZAMES_FALB,
     Certificate,
-    CertifyOptions,
     InvalidInput,
     SolverBudgetExceeded,
     Witness,
@@ -133,6 +132,9 @@ def cond_spd(s: np.ndarray) -> float:
     return float(vals[-1] / vals[0])
 
 
+# The floor of P's spectrum in a dynamic solve: P >= DELTA_PD * I.
+DELTA_PD = 1e-8
+
 # P of every sector witness: read-only, so one array serves them all.
 _P_ONE = np.ones((1, 1))
 _P_ONE.setflags(write=False)
@@ -176,9 +178,8 @@ def _start(s: int) -> tuple[np.ndarray, np.ndarray]:
     return center, shape
 
 
-def _matrix_backend(
-    lmi: LmiData, rho: float, h: tuple[float, ...], eps: float, opts: CertifyOptions
-) -> Witness | None:
+def _matrix_backend(lmi: LmiData, rho: float, h: tuple[float, ...],
+                    eps: float) -> Witness | None:
     d, s = lmi.p.shape[:2]
     blocks = lmi.g.copy()
     blocks[..., :s, :s] -= (rho * rho) * lmi.p[:, None]
@@ -197,11 +198,11 @@ def _matrix_backend(
     point = ellipsoid_feasibility([
         # lambda >= 0, as a 1x1 block.
         run(np.zeros((1, 1, 1)), 0.0, -1.0, 0.0),
-        # P >= delta_pd * I  <=>  lambda_max(-P(v)) <= -delta_pd.
-        run(-lmi.p[:1], -lmi.p[1:, None], 0.0, -opts.delta_pd),
+        # P >= DELTA_PD * I  <=>  lambda_max(-P(v)) <= -DELTA_PD.
+        run(-lmi.p[:1], -lmi.p[1:, None], 0.0, -DELTA_PD),
         # One block per interval endpoint.
         run(blocks[0], blocks[1:], quad_form(lmi, h), -eps),
-    ], opts.max_iters, _start(s) if s > 1 else None)
+    ], start=_start(s) if s > 1 else None)
     if point is None:
         return None
     pmat = lmi.p[0] + sum(v * b for v, b in zip(point[:d - 1], lmi.p[1:]))
@@ -212,22 +213,22 @@ def _matrix_backend(
     return Witness(p=p, lam=float(point[-1]))
 
 
-def feasible_at_rho(
-    lmi: LmiData, rho: float, h: tuple[float, ...], opts: CertifyOptions | None = None
-) -> Witness | None:
+def feasible_at_rho(lmi: LmiData, rho: float, h: tuple[float, ...],
+                    eps: float | None = None) -> Witness | None:
     """Decide joint feasibility of the block family at ``rho`` with the
-    multiplier weights ``h``.
+    multiplier weights ``h``, each block held to "<= -eps * I" (None:
+    ``default_eps_feas`` of the data's kappa).
 
     Returns a Witness, or None when infeasible.  Raises SolverBudgetExceeded
     (distinct from infeasibility) if the ellipsoid backend runs out of
     iterations before reaching a verdict.
     """
-    opts = opts or CertifyOptions()
-    eps = opts.eps_feas if opts.eps_feas is not None else default_eps_feas(lmi.kappa)
+    if eps is None:
+        eps = default_eps_feas(lmi.kappa)
     if len(lmi.p) == 1:
         lam = sector_lambda(rho, lmi.alphas, FunctionClass(1.0, lmi.kappa), eps)
         return None if lam is None else Witness(p=_P_ONE, lam=lam)
-    return _matrix_backend(lmi, rho, h, eps, opts)
+    return _matrix_backend(lmi, rho, h, eps)
 
 
 def _blocks(lmi: LmiData, rho: float, h: tuple[float, ...], p: np.ndarray,
@@ -258,11 +259,11 @@ def _slack(cert: Certificate) -> float:
     return max_eigenvalue(_blocks(lmi, cert.rho_star, h, wit.p, wit.lam))
 
 
-def verify_certificate(cert: Certificate, slack_tol: float | None = None) -> bool:
+def verify_certificate(cert: Certificate) -> bool:
     """Replay the certificate: rebuild the inequality's data from its own
     fields, evaluate the blocks at both endpoints of the stored interval at
-    the stored (rho_star, P, lambda) and check them against ``slack_tol``
-    (default: the same data-scaled tolerance used for feasibility).  The
+    the stored (rho_star, P, lambda) and check their largest eigenvalue
+    against the data-scaled ``default_eps_feas`` of its class.  The
     slack is recomputed here, never read from ``cert.slack``.  A lambda that
     is negative or not finite, or a P that is not a finite positive definite
     matrix of order k + 1 for the multiplier's k taps, fails the check."""
@@ -281,5 +282,4 @@ def verify_certificate(cert: Certificate, slack_tol: float | None = None) -> boo
         slack = _slack(cert)
     except WeightOutOfRange:
         return False
-    tol = slack_tol if slack_tol is not None else default_eps_feas(cert.fc.kappa())
-    return slack <= tol
+    return slack <= default_eps_feas(cert.fc.kappa())

@@ -44,7 +44,6 @@ from .search import (
     KINDS,
     ZAMES_FALB,
     Certificate,
-    CertifyOptions,
     SolverBudgetExceeded,
     certify,
     top_rate,
@@ -273,8 +272,7 @@ def _iqc_spec(name: str) -> dict:
 
 
 def _certify(res: Resolved, fc: FunctionClass, interval: StepSizeInterval) -> Certificate:
-    return certify(fc, interval, **_iqc_spec(res["iqc"]),
-                   options=CertifyOptions(rho_tol=res["rho-tol"]))
+    return certify(fc, interval, **_iqc_spec(res["iqc"]), rho_tol=res["rho-tol"])
 
 
 def _no_certificate(cert: Certificate) -> str:
@@ -318,8 +316,6 @@ def cmd_certify(res: Resolved) -> int:
     print(f"rho_star    {_fmt(cert.rho_star)}")
     print(f"cond_P      {_fmt(cert.cond_p)}")
     print(f"lambda      {_fmt(cert.witness.lam)}")
-    print(f"grid        {len(cert.grid)} point(s) in "
-          f"[{_fmt(interval.lo)}, {_fmt(interval.hi)}]")
     print(f"iterations  {cert.bisection_iters}")
     return 0
 
@@ -331,15 +327,15 @@ def _sweep_rows(params: list[tuple[float, float]], res: Resolved,
     the ones before it, so once a row has no certificate at the top rate,
     no later row has one there either, and each later row is told so."""
     spec = _iqc_spec(res["iqc"])
-    opts = CertifyOptions(rho_tol=res["rho-tol"])
+    rho_tol = res["rho-tol"]
     known_infeasible = None
     rows = []
     for kappa, c in params:
         fc = FunctionClass(1.0, kappa)
-        cert = certify(fc, interval_from_c(fc, c), **spec, options=opts,
+        cert = certify(fc, interval_from_c(fc, c), **spec, rho_tol=rho_tol,
                        known_infeasible=known_infeasible)
         if nested and not cert.feasible:
-            known_infeasible = top_rate(opts.rho_tol)
+            known_infeasible = top_rate(rho_tol)
         rows.append(SweepRow(kappa, c, cert.rho_star, cert.feasible, cert.cond_p))
     return rows
 
@@ -368,8 +364,9 @@ def cmd_sweep_kappa(res: Resolved) -> int:
     if points == 1:
         kappas = [k_min]
     else:
-        # np.logspace's grid, but libm's 10 ** y may differ from numpy's
-        # vectorized power in the last bit.
+        # The CLI's own grid: libm's 10 ** y over ``linspace``.  Each kappa
+        # is within an ulp of np.logspace's, whose last bit depends on
+        # numpy's vectorized power and so on the platform.
         kappas = [10.0 ** y for y in linspace(math.log10(k_min), math.log10(k_max), points)]
     rows = _sweep_rows([(k, c) for k in kappas], res)
     _write_text(res["out"], format_sweep_csv(rows))

@@ -72,39 +72,6 @@ def _numpy_layer():
     return certifier
 
 
-@dataclass(frozen=True)
-class CertifyOptions:
-    """Numerical knobs for feasibility tests and the rate bisection.
-
-    ``rho_tol`` is the width of the final bracket, in (0, RHO_HI - RHO_LO].
-    ``eps_feas = None`` selects the data-scaled default 1e-9 * (1 + 2L/m),
-    which is 1e-9 * (1 + max |Qf entries|) of the reduced data.
-    ``max_iters`` caps the ellipsoid's iterations (None: its own default).
-    A ``rho_tol`` outside its range (NaN included), a negative or
-    non-finite ``eps_feas``, a ``delta_pd`` that is not finite and
-    positive, or a ``max_iters`` that is neither None nor an int >= 1
-    (a bool is not one) raises InvalidInput.
-    """
-
-    rho_tol: float = 1e-4
-    eps_feas: float | None = None
-    delta_pd: float = 1e-8
-    max_iters: int | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.rho_tol <= RHO_HI - RHO_LO:
-            raise InvalidInput(
-                f"need 0 < rho_tol <= {RHO_HI - RHO_LO}, got {self.rho_tol}"
-            )
-        if self.eps_feas is not None and not 0.0 <= self.eps_feas < math.inf:
-            raise InvalidInput(f"need eps_feas None or finite >= 0, got {self.eps_feas}")
-        if not 0.0 < self.delta_pd < math.inf:
-            raise InvalidInput(f"need finite delta_pd > 0, got {self.delta_pd}")
-        m = self.max_iters
-        if m is not None and (type(m) is bool or not isinstance(m, int) or m < 1):
-            raise InvalidInput(f"need max_iters None or an int >= 1, got {m!r}")
-
-
 class _WitnessP:
     """``Witness.p``: the P given, or for a sector witness (given
     ``p=None``) its P = [[1.0]], ``certifier._P_ONE``, fetched by the first
@@ -158,7 +125,8 @@ class Certificate:
 
     @property
     def grid(self) -> tuple[float, ...]:
-        """The step sizes the certificate was checked at."""
+        """The step sizes the certificate was checked at, the interval's
+        endpoints; read by the benchmark harness (``perfbench/run.py``)."""
         return self.interval.endpoints
 
     @cached_property
@@ -352,22 +320,30 @@ def certify(
     iqc_kind: str = SECTOR,
     zf_order: int = 2,
     weights: tuple[float, ...] | None = None,
-    options: CertifyOptions | None = None,
     known_infeasible: float | None = None,
+    *,
+    rho_tol: float = 1e-4,
+    eps_feas: float | None = None,
 ) -> Certificate:
     """Bisect on rho for the smallest certifiable rate over the interval.
 
+    ``rho_tol`` is the width of the final bracket, in (0, RHO_HI - RHO_LO].
+    ``eps_feas`` makes "<= 0" strict, as "<= -eps_feas * I", and is finite
+    and >= 0; None selects ``default_eps_feas``, 1e-9 * (1 + 2L/m).  A value
+    out of its range (NaN included) raises InvalidInput.
+
     Sector probes never build numpy data: P is 1, the reduced class and
-    interval and the default tolerance are plain floats computed once per
-    call, and each probe is ``sector_lambda`` at its rho.  A dynamic
-    multiplier's data (``certifier.augment``) is built once, at the first
-    dynamic solve; its weights are validated again at every trial rho
-    because admissible weights depend on rho (pass ``weights``, one per
-    filter tap, to pin them instead; trial rates at which pinned weights are
-    inadmissible count as infeasible).  Weights of any other length, or any
-    for sector, raise InvalidInput, as does a zf order above MAX_ZF_ORDER.
-    The returned rate is the upper end of the final bracket,
-    so it is always backed by a stored witness; ``rho_star`` is None when
+    interval and eps are plain floats computed once per call, and each
+    probe is ``sector_lambda`` at its rho.  A dynamic multiplier's data
+    (``certifier.augment``) is built once, at the first dynamic solve; its
+    weights are validated again at every trial rho because admissible
+    weights depend on rho (pass ``weights``, one per filter tap, to pin them
+    instead; trial rates at which pinned weights are inadmissible count as
+    infeasible).  Weights of any other length, or any for sector, raise
+    InvalidInput, as does a zf order above MAX_ZF_ORDER.  Dynamic solves
+    hold P >= ``certifier.DELTA_PD`` * I and take the ellipsoid's default
+    budget.  The returned rate is the upper end of the final bracket, so it
+    is always backed by a stored witness; ``rho_star`` is None when
     even the top of the bracket is infeasible.  Trial rates below the exact
     worst-case rate ``r_exact = max(closed_form_rate(lo),
     closed_form_rate(hi))`` are infeasible without a solve, and so are
@@ -404,7 +380,10 @@ def certify(
     every rate it tries at or above r_exact.
     ``Certificate.slack`` is computed on demand, on its first read.
     """
-    opts = options or CertifyOptions()
+    if not 0.0 < rho_tol <= RHO_HI - RHO_LO:
+        raise InvalidInput(f"need 0 < rho_tol <= {RHO_HI - RHO_LO}, got {rho_tol}")
+    if eps_feas is not None and not 0.0 <= eps_feas < math.inf:
+        raise InvalidInput(f"need eps_feas None or finite >= 0, got {eps_feas}")
     if iqc_kind not in KINDS:
         raise InvalidInput(f"unknown multiplier kind {iqc_kind!r}")
     if zf_order < 1:
@@ -445,15 +424,15 @@ def certify(
             zf_order=zf_order if iqc_kind == ZAMES_FALB else None,
             weights=used,
             bisection_iters=evals,
-            rho_tol=opts.rho_tol,
+            rho_tol=rho_tol,
         )
 
-    hi = top_rate(opts.rho_tol)
+    hi = top_rate(rho_tol)
     if hi < floor:
         return finish(None, 1)  # the top probe, rejected without a solve
 
     fc_n, alphas = reduced(fc, interval)
-    eps = opts.eps_feas if opts.eps_feas is not None else default_eps_feas(fc_n.kappa())
+    eps = eps_feas if eps_feas is not None else default_eps_feas(fc_n.kappa())
     lmi = None  # a dynamic multiplier's data, built by the first solve
     ceiling = None  # (rho, verdict) of the lowest rate solved feasible
 
@@ -477,7 +456,7 @@ def certify(
             except certifier.WeightOutOfRange:
                 pass
             else:
-                verdict = certifier.feasible_at_rho(lmi, rho, h, opts)
+                verdict = certifier.feasible_at_rho(lmi, rho, h, eps)
         if verdict is None:
             floor = math.nextafter(rho, math.inf)
             return None
@@ -488,7 +467,7 @@ def certify(
         """Shrink [RHO_LO, hi]: (final top, final lower end, last truthy
         verdict, trial rates)."""
         lo, top, found, n = RHO_LO, hi, None, 0
-        while top - lo > opts.rho_tol:
+        while top - lo > rho_tol:
             mid = 0.5 * (lo + top)
             if not lo < mid < top:
                 break  # adjacent floats: the bracket cannot shrink further

@@ -9,7 +9,6 @@ import time
 import numpy as np
 
 from ratecert.certifier import (
-    CertifyOptions,
     _matrix_backend,
     certify,
     closed_form_rate,
@@ -236,7 +235,6 @@ def test_criterion_10_property_suites():
 
     # Backend agreement on sector instances.
     rng = np.random.default_rng(1)
-    opts = CertifyOptions()
     agree = True
     for _ in range(8):
         m = float(rng.uniform(0.5, 2.0))
@@ -246,8 +244,8 @@ def test_criterion_10_property_suites():
         fc_n, alphas = reduced(fc, StepSizeInterval(alpha, alpha))
         lmi = augment(fc_n.kappa(), alphas, 0)  # state dimension 1
         for rho in (min(base + 0.03, 0.9999), max(base - 0.03, 1e-3)):
-            a = feasible_at_rho(lmi, rho, (), opts) is not None
-            b = _matrix_backend(lmi, rho, (), default_eps_feas(lmi.kappa), opts) is not None
+            a = feasible_at_rho(lmi, rho, ()) is not None
+            b = _matrix_backend(lmi, rho, (), default_eps_feas(lmi.kappa)) is not None
             agree = agree and (a == b)
     notes.append(f"backend agreement: {agree}")
 

@@ -15,7 +15,6 @@ from numpy.testing import assert_allclose
 from ratecert import certifier, search
 from ratecert.certifier import (
     Certificate,
-    CertifyOptions,
     InvalidInput,
     _blocks,
     _matrix_backend,
@@ -64,11 +63,11 @@ def _lmi(fc, interval, kind, zf_order=2):
     return augment(fc_n.kappa(), alphas, taps(kind, zf_order))
 
 
-def _probe(fc, interval, kind, rho, zf_order=2, weights=None, opts=None):
+def _probe(fc, interval, kind, rho, zf_order=2, weights=None, eps=None):
     """One probe from scratch, as certify makes it; raises WeightOutOfRange
     where the weights are inadmissible at ``rho``."""
     h = _weights(kind, rho, taps(kind, zf_order), weights)
-    return feasible_at_rho(_lmi(fc, interval, kind, zf_order), rho, h, opts)
+    return feasible_at_rho(_lmi(fc, interval, kind, zf_order), rho, h, eps)
 
 
 def _slack_at(fc, interval, kind, rho, h, wit, zf_order=2):
@@ -84,9 +83,9 @@ def _spy_solvers(mp, on_call):
         on_call(rho)
         return sector_lambda(rho, *args)
 
-    def matrix(lmi, rho, h, opts=None):
+    def matrix(lmi, rho, h, eps=None):
         on_call(rho)
-        return feasible_at_rho(lmi, rho, h, opts)
+        return feasible_at_rho(lmi, rho, h, eps)
 
     mp.setattr(search, "sector_lambda", sector)
     mp.setattr(certifier, "feasible_at_rho", matrix)
@@ -229,7 +228,7 @@ def test_lambda_interval_kappa_one_is_halfline():
 
 def test_feasible_at_boundary_with_zero_eps():
     interval = interval_from_c(FC10, 1.0)
-    wit = _probe(FC10, interval, SECTOR, 0.9, opts=CertifyOptions(eps_feas=0.0))
+    wit = _probe(FC10, interval, SECTOR, 0.9, eps=0.0)
     assert wit is not None
     assert wit.lam == pytest.approx(0.01, abs=1e-9)
     assert _slack_at(FC10, interval, SECTOR, 0.9, (), wit) <= 1e-12
@@ -238,7 +237,7 @@ def test_feasible_at_boundary_with_zero_eps():
 
 def test_infeasible_below_boundary():
     interval = interval_from_c(FC10, 1.0)
-    assert _probe(FC10, interval, SECTOR, 0.89, opts=CertifyOptions(eps_feas=0.0)) is None
+    assert _probe(FC10, interval, SECTOR, 0.89, eps=0.0) is None
 
 
 def test_feasible_just_above_closed_form_rate():
@@ -297,46 +296,53 @@ def test_certify_validation():
     with pytest.raises(InvalidInput):
         certify(FC10, interval_from_c(FC10, 1.0), iqc_kind="nope")
     with pytest.raises(InvalidInput):
-        certify(FC10, interval_from_c(FC10, 1.0),
-                options=CertifyOptions(rho_tol=1.0))
+        certify(FC10, interval_from_c(FC10, 1.0), rho_tol=1.0)
 
 
 @pytest.mark.parametrize(
     "field, value",
     [("eps_feas", -1.0), ("eps_feas", -1e-300), ("eps_feas", math.nan),
-     ("eps_feas", math.inf), ("delta_pd", 0.0), ("delta_pd", -1e-8),
-     ("delta_pd", math.nan), ("delta_pd", math.inf), ("rho_tol", 0.0),
-     ("rho_tol", -1e-4), ("rho_tol", math.nan), ("rho_tol", math.inf),
-     ("rho_tol", 1.0)],
+     ("eps_feas", math.inf), ("rho_tol", 0.0), ("rho_tol", -1e-4),
+     ("rho_tol", math.nan), ("rho_tol", math.inf), ("rho_tol", 1.0)],
 )
-def test_options_reject_bad_tolerances(field, value):
+def test_options_reject_bad_tolerances(solver_calls, field, value):
     # Unchecked, eps_feas = -1 gives rho_star 0.91668 for sector and wob1
     # at (10, 1.2), and eps_feas = nan the same for wob1: certificates that
     # verify_certificate rejects.  rho_tol = 0 or -1e-4 made the bisection
-    # loop forever; 1.0 leaves no bracket below rate 1.
-    with pytest.raises(InvalidInput, match=field):
-        CertifyOptions(**{field: value})
-
-
-@pytest.mark.parametrize("value", [0, -3, 2.5, 3.0, True, "3"])
-def test_options_reject_a_bad_max_iters(value):
-    # 0 and -3 ended in "no decision after -3 ellipsoid iterations", and
-    # 2.5 in a TypeError from range() inside the solver.
-    with pytest.raises(InvalidInput, match="max_iters"):
-        CertifyOptions(max_iters=value)
-
-
-def test_options_accept_none_and_a_positive_max_iters():
-    assert CertifyOptions().max_iters is None
-    assert CertifyOptions(max_iters=1).max_iters == 1
+    # loop forever; 1.0 leaves no bracket below rate 1.  certify names the
+    # keyword and stops before any solve.
+    for kind in (SECTOR, WEIGHTED_OFF_BY_1):
+        with pytest.raises(InvalidInput, match=field):
+            certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=kind, **{field: value})
+    assert solver_calls == []
 
 
 def test_options_accept_zero_and_default_eps_feas():
-    assert CertifyOptions(eps_feas=0.0).eps_feas == 0.0
-    assert CertifyOptions().eps_feas is None
+    # eps_feas = 0 asks only for "<= 0"; P >= DELTA_PD * I still keeps the
+    # wob1 witness at (10, 1.2) strictly inside (slack about -7.9e-9).
     cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=WEIGHTED_OFF_BY_1,
-                   options=CertifyOptions(eps_feas=0.0, delta_pd=1e-6))
-    assert cert.feasible and verify_certificate(cert, slack_tol=0.0)
+                   eps_feas=0.0)
+    assert cert.feasible and verify_certificate(cert)
+    assert cert.slack <= 0.0
+    default = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=WEIGHTED_OFF_BY_1,
+                      eps_feas=None)
+    assert default.feasible and verify_certificate(default)
+
+
+@pytest.mark.parametrize("eps_feas", [None, 0.0, 1e-7])
+def test_certify_hands_the_solver_its_eps(monkeypatch, eps_feas):
+    # certify computes eps once: the given eps_feas, or default_eps_feas of
+    # the class's kappa, and every dynamic solve gets that float.
+    seen = []
+
+    def matrix(lmi, rho, h, eps=None):
+        seen.append(eps)
+        return feasible_at_rho(lmi, rho, h, eps)
+
+    monkeypatch.setattr(certifier, "feasible_at_rho", matrix)
+    certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=WEIGHTED_OFF_BY_1, eps_feas=eps_feas)
+    want = default_eps_feas(10.0) if eps_feas is None else eps_feas
+    assert seen and all(type(eps) is float and eps == want for eps in seen), seen
 
 
 @contextlib.contextmanager
@@ -375,8 +381,7 @@ def test_rho_tol_below_float_spacing_terminates(monkeypatch):
         with monkeypatch.context() as mp, _time_limit(20.0):
             mp.setattr(search, "RHO_HI", top)
             _spy_solvers(mp, counting)
-            cert = certify(FC10, interval, iqc_kind=kind,
-                           options=CertifyOptions(rho_tol=1e-300))
+            cert = certify(FC10, interval, iqc_kind=kind, rho_tol=1e-300)
         assert cert.feasible and verify_certificate(cert), kind
         assert coarse.rho_star - coarse.rho_tol <= cert.rho_star <= coarse.rho_star, kind
         assert len(set(rates)) == len(rates), kind
@@ -533,10 +538,15 @@ def test_budget_error_at_speculative_rate_is_not_a_verdict():
         assert {rho for rho in rates if rates.count(rho) > 1} <= {rates[check - 1]}, check
 
 
-def test_certify_budget_error_propagates():
+def test_certify_budget_error_propagates(monkeypatch):
+    # A dynamic search solves its top rate first, outside the two checks: a
+    # solver out of budget there is no verdict, and certify raises it.
+    def out_of_budget(rho):
+        raise SolverBudgetExceeded("budget")
+
+    _spy_solvers(monkeypatch, out_of_budget)
     with pytest.raises(SolverBudgetExceeded):
-        certify(FC10, interval_from_c(FC10, 1.0), iqc_kind=WEIGHTED_OFF_BY_1,
-                options=CertifyOptions(max_iters=2))
+        certify(FC10, interval_from_c(FC10, 1.0), iqc_kind=WEIGHTED_OFF_BY_1)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +678,6 @@ def test_backend_agreement_on_sector_instances():
     # The closed-form lambda-interval backend and the ellipsoid backend
     # (with P as a 1x1 matrix variable) must agree away from the boundary.
     rng = np.random.default_rng(9)
-    opts = CertifyOptions()
     for _ in range(12):
         m = float(rng.uniform(0.5, 2.0))
         L = m * float(rng.uniform(1.5, 15.0))
@@ -677,8 +686,8 @@ def test_backend_agreement_on_sector_instances():
         base = closed_form_rate(alpha, fc)
         for rho in (min(base + 0.02, 0.9999), max(base - 0.02, 1e-3)):
             lmi = _lmi(fc, StepSizeInterval(alpha, alpha), SECTOR)
-            direct = feasible_at_rho(lmi, rho, (), opts)
-            via_ellipsoid = _matrix_backend(lmi, rho, (), default_eps_feas(lmi.kappa), opts)
+            direct = feasible_at_rho(lmi, rho, ())
+            via_ellipsoid = _matrix_backend(lmi, rho, (), default_eps_feas(lmi.kappa))
             assert (direct is None) == (via_ellipsoid is None), (m, L, alpha, rho)
 
 
@@ -850,7 +859,7 @@ def test_solver_infeasible_below_exact_rate(log_kappa, c, kind):
             continue
 
 
-def _plain_bisection(fc, interval, kind, opts):
+def _plain_bisection(fc, interval, kind, rho_tol=1e-4):
     """The rate search as it was before it speculated where it ends: every
     trial rate at or above the exact rate goes to the solver in bisection
     order.  Returns ((rho, witness) or None, trial rates, solver calls)."""
@@ -867,10 +876,10 @@ def _plain_bisection(fc, interval, kind, opts):
         except WeightOutOfRange:
             return None
         solves += 1
-        wit = feasible_at_rho(_lmi(fc, interval, kind), rho, h, opts)
+        wit = feasible_at_rho(_lmi(fc, interval, kind), rho, h)
         return None if wit is None else (rho, wit)
 
-    hi = certifier.RHO_HI - opts.rho_tol
+    hi = certifier.RHO_HI - rho_tol
     found_hi = probe(hi)
     if found_hi is None:
         return None, trials, solves
@@ -878,7 +887,7 @@ def _plain_bisection(fc, interval, kind, opts):
     found_lo = probe(lo)
     if found_lo is not None:
         return found_lo, trials, solves
-    while hi - lo > opts.rho_tol:
+    while hi - lo > rho_tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
@@ -904,12 +913,11 @@ def test_certify_matches_plain_bisection(kappa, c, kind):
     # at most one solve more than the plain bisection.
     fc = FunctionClass(1.0, kappa)
     interval = interval_from_c(fc, c)
-    opts = CertifyOptions()
-    found, trials, solves = _plain_bisection(fc, interval, kind, opts)
+    found, trials, solves = _plain_bisection(fc, interval, kind)
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         _spy_solvers(mp, calls.append)
-        cert = certify(fc, interval, iqc_kind=kind, options=opts)
+        cert = certify(fc, interval, iqc_kind=kind)
     assert cert.bisection_iters == trials
     assert len(calls) <= solves + 1
     if found is None:
@@ -951,9 +959,8 @@ def test_sector_certify_matches_the_numpy_instance_bisection(log_m, log_kappa, c
             interval = interval_asymmetric(fc, c1, c)
         except InvalidC:
             assume(False)
-    opts = CertifyOptions(rho_tol=rho_tol)
-    found, trials, _ = _plain_bisection(fc, interval, SECTOR, opts)
-    cert = certify(fc, interval, options=opts)
+    found, trials, _ = _plain_bisection(fc, interval, SECTOR, rho_tol)
+    cert = certify(fc, interval, rho_tol=rho_tol)
     assert cert.bisection_iters == trials
     assert cert.feasible == (found is not None)
     if found is None:
@@ -965,7 +972,7 @@ def test_sector_certify_matches_the_numpy_instance_bisection(log_m, log_kappa, c
     assert cert.cond_p == cond_spd(wit.p) == 1.0
 
 
-def _float_sector_bisection(fc, interval, opts):
+def _float_sector_bisection(fc, interval, rho_tol):
     """The plain bisection over ``sector_lambda`` in floats: every trial
     rate at or above the exact rate is solved, in bisection order.  Returns
     ((rho, lambda) or None, trial rates, solves)."""
@@ -983,7 +990,7 @@ def _float_sector_bisection(fc, interval, opts):
         lam = sector_lambda(rho, alphas, fc_n, eps)
         return None if lam is None else (rho, lam)
 
-    hi = search.top_rate(opts.rho_tol)
+    hi = search.top_rate(rho_tol)
     found = probe(hi)
     if found is None:
         return None, trials, solves
@@ -991,7 +998,7 @@ def _float_sector_bisection(fc, interval, opts):
     found_lo = probe(lo)
     if found_lo is not None:
         return found_lo, trials, solves
-    while hi - lo > opts.rho_tol:
+    while hi - lo > rho_tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
@@ -1027,13 +1034,13 @@ def test_sector_certify_is_the_float_bisection(log_kappa, c, log_tol):
     # rate is solved twice.
     fc = FunctionClass(1.0, 10.0 ** log_kappa)
     interval = interval_from_c(fc, c)  # 1/c/L where c * L overflows
-    opts = CertifyOptions(rho_tol=10.0 ** log_tol)
+    rho_tol = 10.0 ** log_tol
     rates = []
     with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
         warnings.simplefilter("error")
         _spy_solvers(mp, rates.append)
-        cert = certify(fc, interval, options=opts)
-    found, trials, solves = _float_sector_bisection(fc, interval, opts)
+        cert = certify(fc, interval, rho_tol=rho_tol)
+    found, trials, solves = _float_sector_bisection(fc, interval, rho_tol)
     assert cert.bisection_iters == trials
     assert len(set(rates)) == len(rates) <= solves + 1
     if found is None:
@@ -1080,10 +1087,9 @@ def test_tight_rows_where_the_exact_rate_binds_settle_in_two_solves(
     # predicts it, and the two checks settle it.
     fc = FunctionClass(1.0, kappa)
     interval = interval_from_c(fc, c2) if c1 is None else interval_asymmetric(fc, c1, c2)
-    opts = CertifyOptions(rho_tol=1e-8)
-    cert = certify(fc, interval, options=opts)
+    cert = certify(fc, interval, rho_tol=1e-8)
     assert len(solver_calls) <= 2
-    found, trials, _ = _float_sector_bisection(fc, interval, opts)
+    found, trials, _ = _float_sector_bisection(fc, interval, 1e-8)
     assert (cert.rho_star, cert.witness.lam, cert.bisection_iters) == (*found, trials)
 
 

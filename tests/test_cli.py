@@ -30,6 +30,9 @@ def test_certify_exit_codes(capsys, tmp_path):
     out = capsys.readouterr().out
     rho = float(next(ln for ln in out.splitlines() if ln.startswith("rho_star")).split()[1])
     assert abs(rho - 0.9) <= 2e-3
+    # No grid line: the step sizes checked are always the two endpoints.
+    assert [ln.split()[0] for ln in out.splitlines()] == [
+        "rho_star", "cond_P", "lambda", "iterations"]
 
     assert run_cli("certify", "--m", "1", "--L", "10", "--c", "2.1",
                    "--iqc", "sector") == 2
@@ -129,19 +132,26 @@ def test_linspace_is_numpy_linspace_bit_for_bit(start, stop, num):
        points=st.integers(1, 40), c=st.floats(1.0, 1.7))
 @example(k_min=1.0, ratio=100.0, points=40, c=1.3)
 @example(k_min=7.0, ratio=1.0, points=5, c=1.2)
-def test_sweep_kappa_csv_is_that_of_numpy_logspace_kappas(k_min, ratio, points, c):
-    # The float grid's kappas may differ from np.logspace's in the last bit
-    # (libm's pow against numpy's vectorized one); the CSV may not.
+# Kappa 5 is 1.97794399074 here and 1.97794399073 from np.logspace.
+@example(k_min=1.1, ratio=42.742148430388866, points=33, c=1.2)
+def test_sweep_kappa_csv_is_that_of_the_cli_float_grid(k_min, ratio, points, c):
+    # The grid is the CLI's own: 10 ** y over cli.linspace of the log10
+    # range in libm's pow, and [k_min] for one point.  np.logspace's last
+    # bit comes from numpy's vectorized pow, so it cross-checks each kappa
+    # to within an ulp only.
     k_max = k_min * ratio
     argv = ["sweep-kappa", "--c", repr(c), "--kappa-min", repr(k_min),
             "--kappa-max", repr(k_max), "--points", str(points)]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
-    kappas = [k_min] if points == 1 else [
-        float(k) for k in np.logspace(math.log10(k_min), math.log10(k_max), points)]
+    lo, hi = math.log10(k_min), math.log10(k_max)
+    kappas = [k_min] if points == 1 else [10.0 ** y for y in cli.linspace(lo, hi, points)]
     res = Resolved(build_parser().parse_args(argv))
     assert out.getvalue() == format_sweep_csv(cli._sweep_rows([(k, c) for k in kappas], res))
+    if points > 1:
+        for k, ref in zip(kappas, np.logspace(lo, hi, points).tolist()):
+            assert abs(k - ref) <= math.ulp(ref), (k, ref)
 
 
 def test_sweep_c_range_validation(capsys):
@@ -659,9 +669,8 @@ def test_sweep_c_rows_are_standalone_certificates(log_kappa, c_min, width, point
         assert main(argv) == 0
     rows = parse_sweep_csv(out.getvalue())
     assert len(rows) == len(certs) == points
-    opts = search.CertifyOptions(rho_tol=10.0 ** log_tol)
     for cert in certs:
-        alone = search.certify(cert.fc, cert.interval, options=opts)
+        alone = search.certify(cert.fc, cert.interval, rho_tol=10.0 ** log_tol)
         lam = None if cert.witness is None else cert.witness.lam
         alone_lam = None if alone.witness is None else alone.witness.lam
         assert (cert.rho_star, lam, cert.bisection_iters) == (

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ratecert import cli, simulator
-from ratecert.certifier import CertifyOptions, certify
+from ratecert.certifier import certify
 from ratecert.model import FunctionClass, StepSizeInterval, interval_from_c
 from ratecert.simulator import (
     AdversarialGreedy,
@@ -171,8 +171,7 @@ def test_tightness_probe_constant_step():
     # the bisection and feasibility tolerances are driven to the floor.
     for kappa in (2.0, 10.0):
         fc = FunctionClass(1.0, kappa)
-        cert = certify(fc, interval_from_c(fc, 1.0),
-                       options=CertifyOptions(rho_tol=1e-9, eps_feas=1e-12))
+        cert = certify(fc, interval_from_c(fc, 1.0), rho_tol=1e-9, eps_feas=1e-12)
         prob = QuadraticProblem((fc.m,))
         rep = run(prob, cert.interval, Constant(1.0 / fc.L), 200, np.ones(1), cert)
         ratios = rep.norms / (cert.rho_star ** np.arange(201) * rep.norms[0])

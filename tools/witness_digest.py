@@ -22,7 +22,7 @@ this order):
 * rho_tol: log-uniform in [1e-6, 1e-3] (``10 ** rng.uniform(-6, -3)``).
 
 Each draw certifies ``FunctionClass(1, kappa)`` on ``interval_from_c(fc,
-c)`` with ``CertifyOptions(rho_tol=rho_tol)``.  Hashed per draw: the kind,
+c)`` with ``certify(..., rho_tol=rho_tol)``.  Hashed per draw: the kind,
 zf order, kappa, c and rho_tol; ``rho_star``, ``cond_p``, ``weights`` and
 ``bisection_iters``; and, for a certificate with a witness, ``lam``,
 ``slack`` and the bytes of P in C order.  Two lines come before the
@@ -46,7 +46,7 @@ this order, all made whichever are used):
 * rho_tol: log-uniform in [1e-12, 1e-3] (``10 ** rng.uniform(-12, -3)``).
 
 Each draw certifies ``FunctionClass(m, m * kappa)`` with the sector
-multiplier and ``CertifyOptions(rho_tol=rho_tol)``.  Hashed per draw: m,
+multiplier and ``certify(..., rho_tol=rho_tol)``.  Hashed per draw: m,
 the class's L, the shape, c1, c2 and rho_tol; then ``rho_star``, ``lam``
 (None without a witness) and ``bisection_iters``.  The line before the
 digest gives the mean and the largest number of solves (calls of
@@ -86,7 +86,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from ratecert import cli, ellipsoid, search  # noqa: E402
-from ratecert.certifier import CertifyOptions, certify  # noqa: E402
+from ratecert.certifier import certify  # noqa: E402
 from ratecert.model import (  # noqa: E402
     FunctionClass,
     interval_asymmetric,
@@ -119,7 +119,7 @@ def _dynamic_draw(rng, sha, rates, index: int) -> bool:
     rho_tol = 10.0 ** float(rng.uniform(-6.0, -3.0))
     fc = FunctionClass(1.0, kappa)
     cert = certify(fc, interval_from_c(fc, c), iqc_kind=kind, zf_order=order,
-                   options=CertifyOptions(rho_tol=rho_tol))
+                   rho_tol=rho_tol)
     draw = kind.encode() + _bytes(order, kappa, c, rho_tol)
     sha.update(draw)
     sha.update(_bytes(cert.rho_star, cert.cond_p, *cert.weights, cert.bisection_iters))
@@ -142,7 +142,7 @@ def _sector_draw(rng, sha, rates, index: int) -> bool:
     rho_tol = 10.0 ** float(rng.uniform(-12.0, -3.0))
     fc = FunctionClass(m, m * (NEAR_ONE[near] if near < 3 else kappa))
     interval = interval_asymmetric(fc, c1, c2) if shape else interval_from_c(fc, c2)
-    cert = certify(fc, interval, options=CertifyOptions(rho_tol=rho_tol))
+    cert = certify(fc, interval, rho_tol=rho_tol)
     lam = None if cert.witness is None else cert.witness.lam
     sha.update(_bytes(fc.m, fc.L, shape, c1, c2, rho_tol))
     sha.update(_bytes(cert.rho_star, lam, cert.bisection_iters))
