@@ -36,13 +36,13 @@ reduction-invariant for the plant state.  Two backends decide feasibility:
   ``certify`` decides its sector probes with that function alone, in plain
   floats, without importing this module; only replay
   (``Certificate.slack``, ``verify_certificate``) builds the numpy data.
-* state dimension >= 2: a deep-cut ellipsoid method over the decision
-  vector (free coordinates of P, lambda) with cutting planes from the
-  most-positive eigenvector of a violated block.  ``_matrix_backend``
-  hands it the family as three runs of stacked blocks, in the order they
-  are scanned: lambda >= 0, P >= DELTA_PD * I, and the endpoint blocks.
-  Each solve starts from ``_start``, not from the solver's ball: half the
-  cuts, and the same infeasibility claim.
+* state dimension >= 2: a log-det barrier (interior-point) solver over the
+  decision vector (free coordinates of P, lambda), which takes Newton steps
+  over all blocks at once (see ``ellipsoid``).  ``_runs`` hands it the
+  family as three runs of stacked blocks: lambda >= 0, P >= DELTA_PD * I,
+  and the endpoint blocks.  Each solve starts from ``_start``, P = I/s and
+  lambda = R/2.  "Infeasible" means that no (P, lambda) in the solver's
+  ball meets every block with margin 2e-12 beyond -eps_feas.
 
 "<= 0" is implemented strictly as "<= -eps_feas * I", where eps_feas is
 ``certify``'s keyword (default: the data-scaled ``default_eps_feas``), and
@@ -50,8 +50,8 @@ P is kept away from singularity by P >= DELTA_PD * I, a fixed constant.
 
 All eigen work goes through numpy's LAPACK drivers: ``eigh`` when
 eigenvectors are needed and ``eigvalsh`` when only eigenvalues are.  The
-ellipsoid's cuts call the ``eigh`` gufunc directly, without numpy's wrapper,
-and raise LinAlgError when an eigenvalue is not finite (see ``ellipsoid``).
+solver's acceptance scan calls the ``eigh`` gufunc directly, without numpy's
+wrapper, and raises LinAlgError when an eigenvalue is not finite.
 
 Importing this module loads numpy, ``iqc`` and ``ellipsoid``.  ``search``
 imports it the first time a certification needs it: a dynamic probe, a
@@ -158,51 +158,45 @@ def _weights(kind: str, rho: float, k: int,
 
 
 @functools.lru_cache(maxsize=None)
-def _start(s: int) -> tuple[np.ndarray, np.ndarray]:
-    """The solver's start (center, shape) for P of order s >= 2, read-only:
-    the smallest block-diagonal ellipsoid holding the product of the ball
-    ||P - I/s||_F^2 <= 1 - 1/s, which holds every unit-trace P >= 0 (as
-    ||P||_F <= trace P), and the segment 0 <= lambda <= R of the solver's
-    ball.  In P's p free coordinates (v_D, the first s - 1 diagonal entries,
-    then v_O) that ball is (v_D - 1/s)^T (I + 11^T) (v_D - 1/s) + 2|v_O|^2
-    <= 1 - 1/s; its shape is scaled by (p + 1)/p, the segment's by p + 1."""
+def _start(s: int) -> np.ndarray:
+    """The solver's start for P of order s, read-only: P = I/s, the
+    center of the unit-trace P >= 0, in P's free coordinates (the first s - 1
+    diagonal entries, then the off-diagonal ones), and lambda = R/2, inside
+    the segment 0 <= lambda <= R of the solver's ball of radius R."""
     p = s * (s + 1) // 2 - 1
-    radius = initial_radius(p + 1)
-    center = np.array([1.0 / s] * (s - 1) + [0.0] * (p - s + 1) + [0.5 * radius])
-    # (I + 11^T)^-1 = I - 11^T / s on v_D, and I / 2 on v_O.
-    shape = np.diag([1.0] * (s - 1) + [0.5] * (p - s + 1) + [0.25 * radius * radius * (p + 1)])
-    shape[:s - 1, :s - 1] -= 1.0 / s
-    shape[:p, :p] *= (1.0 - 1.0 / s) * (p + 1) / p
-    for a in (center, shape):
-        a.setflags(write=False)
-    return center, shape
+    center = np.array([1.0 / s] * (s - 1) + [0.0] * (p - s + 1) + [0.5 * initial_radius(p + 1)])
+    center.setflags(write=False)
+    return center
+
+
+def _runs(lmi: LmiData, rho: float, h: tuple[float, ...], eps: float) -> list[tuple]:
+    """The family at ``rho`` as the solver's runs of stacked blocks over the
+    decision vector (free coordinates of P, lambda): lambda >= 0, P >=
+    DELTA_PD * I, and one block per interval endpoint.  A 1x1 P is fixed by
+    its unit trace."""
+    d, s = lmi.p.shape[:2]
+    blocks = lmi.g.copy()
+    blocks[..., :s, :s] -= (rho * rho) * lmi.p[:, None]
+
+    def run(s0, p_coeffs, lam_coeff, bound):
+        """The blocks s0 + sum_i v_i p_coeffs[i] + lambda lam_coeff <= bound."""
+        coeffs = np.zeros((d, *s0.shape))
+        coeffs[:d - 1] = p_coeffs
+        coeffs[-1] = lam_coeff
+        return s0, coeffs, (bound,) * len(s0)
+
+    return [
+        run(np.zeros((1, 1, 1)), 0.0, -1.0, 0.0),
+        # P >= DELTA_PD * I  <=>  lambda_max(-P(v)) <= -DELTA_PD.
+        run(-lmi.p[:1], -lmi.p[1:, None], 0.0, -DELTA_PD),
+        run(blocks[0], blocks[1:], quad_form(lmi, h), -eps),
+    ]
 
 
 def _matrix_backend(lmi: LmiData, rho: float, h: tuple[float, ...],
                     eps: float) -> Witness | None:
     d, s = lmi.p.shape[:2]
-    blocks = lmi.g.copy()
-    blocks[..., :s, :s] -= (rho * rho) * lmi.p[:, None]
-    # The decision vector is (free coordinates of P, lambda).  A 1x1 P is
-    # fixed by its unit trace; a zero direction, which only the solver's
-    # ball bounds, keeps v_dim >= 2.
-    v_dim = max(d, 2)
-
-    def run(s0, p_coeffs, lam_coeff, bound):
-        """The blocks s0 + sum_i v_i p_coeffs[i] + lambda lam_coeff <= bound."""
-        coeffs = np.zeros((v_dim, *s0.shape))
-        coeffs[:d - 1] = p_coeffs
-        coeffs[-1] = lam_coeff
-        return s0, coeffs, (bound,) * len(s0)
-
-    point = ellipsoid_feasibility([
-        # lambda >= 0, as a 1x1 block.
-        run(np.zeros((1, 1, 1)), 0.0, -1.0, 0.0),
-        # P >= DELTA_PD * I  <=>  lambda_max(-P(v)) <= -DELTA_PD.
-        run(-lmi.p[:1], -lmi.p[1:, None], 0.0, -DELTA_PD),
-        # One block per interval endpoint.
-        run(blocks[0], blocks[1:], quad_form(lmi, h), -eps),
-    ], start=_start(s) if s > 1 else None)
+    point = ellipsoid_feasibility(_runs(lmi, rho, h, eps), start=_start(s))
     if point is None:
         return None
     pmat = lmi.p[0] + sum(v * b for v, b in zip(point[:d - 1], lmi.p[1:]))
@@ -220,8 +214,8 @@ def feasible_at_rho(lmi: LmiData, rho: float, h: tuple[float, ...],
     ``default_eps_feas`` of the data's kappa).
 
     Returns a Witness, or None when infeasible.  Raises SolverBudgetExceeded
-    (distinct from infeasibility) if the ellipsoid backend runs out of
-    iterations before reaching a verdict.
+    (distinct from infeasibility) if the barrier solver runs out of Newton
+    steps before reaching a verdict.
     """
     if eps is None:
         eps = default_eps_feas(lmi.kappa)

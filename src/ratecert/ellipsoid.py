@@ -1,40 +1,32 @@
-"""Deep-cut ellipsoid method for affine symmetric-matrix feasibility.
+"""Log-det barrier (phase-I interior-point) method for affine
+symmetric-matrix feasibility: is there a v in the ball B of radius
+R = 10 * sqrt(v_dim) about 0 with
 
-Decides whether a system of constraints
+    lambda_max( S0_c + sum_i v_i * Si_c ) <= bound_c        (c = 1..K)?
 
-    lambda_max( S0_c + sum_i v_i * Si_c ) <= bound_c        (c = 1..K)
+It minimizes t subject to G_c = (t + bound_c) * I - S_c(v) > 0 and |v| < R
+by damped Newton steps x += dx / (1 + lambda) on tau * t - sum_c log det
+G_c - log(R^2 - |v|^2), multiplying tau by 16 at each iterate whose Newton
+decrement lambda is below 1/2 (Boyd, El Ghaoui, Feron & Balakrishnan 1994,
+section 2.4; Vandenberghe & Boyd, SIAM Review 1996).  m is the total block
+order plus one.  A run of blocks is ``(s0, coeffs, bounds)``, shaped
+(B, n, n), (v_dim, B, n, n) and (B,).  All blocks go into one stack of order
+N, the largest n, each padded with a constant identity (log det I = 0), so
+each Newton step handles every block in a few array calls: about 40 steps
+per feasible and 70 per infeasible dynamic solve.
 
-has a solution v in the ball B of radius 10 * sqrt(v_dim).  Either a point
-satisfying every constraint is returned, or infeasibility is certified: the
-cut sequence shrinks a bounding ellipsoid (B, or a start holding the
-feasible set within B) until its volume is below that of a ball with radius
-1e-7, proving that no ball of that radius fits in the feasible set within B.
+* Feasible: the first iterate with t < 0 that the eigen scan
+  ``_first_violated_cut`` accepts.  A step that the scan rejects, or after
+  which G has no Cholesky factor or the Newton system is not positive
+  definite, left the domain in rounding and is halved.
+* None: at an iterate with lambda < 1/2, t - 2m/tau bounds the least t from
+  below (Nesterov 2004, section 4.2), so t - 2m/tau > 0 shows that no v in B
+  satisfies every block.  Failing that, the solve stops once 2m/tau < 1e-12
+  and t > -1e-12: no v in B satisfies every block with margin 2e-12.  Both
+  claims hold up to the rounding of the Newton system.
+* Unknown: SolverBudgetExceeded at the step budget.
 
-The caller states the constraints as runs of blocks of one order n.  A run
-is ``(s0, coeffs, bounds)``: ``s0`` has shape (B, n, n), ``coeffs`` is
-C-contiguous with shape (v_dim, B, n, n), and ``bounds`` holds the B bounds.
-Each cut scans the runs in order and cuts at the first violated block.
-
-Cutting planes come from the eigenvector of the most positive eigenvalue of
-a violated block: for unit q, the scalar function q^T S(v) q is affine in v
-and separates the current center from the feasible set.  Deep cuts (using
-the actual violation depth, not just the hyperplane through the center) are
-used, which both accelerates volume decrease and detects empty intersections
-outright when a cut excludes the whole ellipsoid.
-
-A run of order 1 (scalar inequalities such as lambda >= 0) is decided from
-its affine values and cut along its coefficients, with no
-eigen-decomposition: a 1x1 block's unit eigenvector is exactly 1, so the
-cut has the same bits.  A run of order >= 2 is decomposed as one batch by
-``_jacobi_batch``, which calls LAPACK's ``eigh`` gufunc directly: the call
-``np.linalg.eigh`` makes, with the same bits, without its wrapper.  It
-raises numpy's LinAlgError when any eigenvalue of the batch is not finite,
-which is how LAPACK's non-convergence and NaN or infinite entries show, and
-emits no floating-point warning.
-
-Each solve rejects non-finite data, flattens every run once, and a cut
-updates the center and shape in place, in the arithmetic order of the
-textbook update.
+The names date from an ellipsoid method; the benchmark's tracer reads them.
 """
 
 from __future__ import annotations
@@ -43,13 +35,13 @@ import math
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from numpy.linalg._umath_linalg import eigh_lo
+from numpy.linalg._umath_linalg import cholesky_lo, eigh_lo, eigvalsh_lo, inv, solve1
 
 # Defined where the numpy-free rate search catches it.
 from .search import SolverBudgetExceeded
 
-# Radius of the smallest ball whose absence proves infeasibility.
-_R_MIN = 1e-7
+_MU = 16.0  # tau's growth factor
+_ETA = 1e-12  # the thin-set threshold
 
 
 def initial_radius(d: int) -> float:
@@ -63,128 +55,138 @@ def initial_radius(d: int) -> float:
 def _jacobi_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a (B, n, n) stack of
     symmetric blocks, read from their lower triangles, bit for bit as
-    ``np.linalg.eigh``.  Raises LinAlgError if any eigenvalue is not finite.
-
-    perfbench/tracing.py wraps this module-level name for its eigen-batch
-    spans.
-    """
+    ``np.linalg.eigh`` (whose gufunc this calls without the wrapper).
+    Raises LinAlgError if any eigenvalue is not finite.  perfbench/tracing.py
+    wraps this module-level name for its eigen-batch spans."""
     vals, vecs = eigh_lo(blocks, signature="d->dd")
     if not all(map(math.isfinite, vals.ravel().tolist())):
         raise LinAlgError("eigenvalues are not finite")
     return vals, vecs
 
 
-def _prepare(runs) -> list[tuple]:
-    """Each run ``(s0, coeffs, bounds)`` as the tuple the scan reads:
-    ``(order, batch, s0 flat, coeffs as (v_dim, -1), bounds as a list,
-    s0, coeffs)``.  Raises ValueError for an entry or bound that is not
-    finite, which the scan would read as a satisfied constraint."""
+def _stack(runs, d: int) -> tuple[tuple, int]:
+    """The workspace ``_newton_system`` reads, and m.  The stack F, shape
+    (d + 2, blocks, N, N), gives G(x) = x @ F at x = (1, v, t).  The
+    Hessian is the Gram matrix of rows [vec M_k | C_k]: C C^T = q * I +
+    q^2 v v^T, the ball's terms (q = 2 / (R^2 - |v|^2)), from sqrt(q) * I
+    and a last column q * v.  ``weights`` maps the rows to the gradient,
+    -tr M_k + (q * v)_k."""
+    n_max = max(s0.shape[1] for s0, _, _ in runs)
+    blocks = sum(len(s0) for s0, _, _ in runs)
+    f = np.zeros((d + 2, blocks, n_max, n_max))
+    f[0] = np.eye(n_max)
+    i = 0
     for s0, coeffs, bounds in runs:
-        if not (np.isfinite(s0).all() and np.isfinite(coeffs).all()
-                and all(map(math.isfinite, bounds))):
-            raise ValueError("constraint data are not finite")
-    return [
-        (s0.shape[1], len(s0), s0.reshape(-1), coeffs.reshape(len(coeffs), -1),
-         list(bounds), s0, coeffs)
-        for s0, coeffs, bounds in runs
-    ]
+        b, n = s0.shape[:2]
+        f[0, i:i + b, :n, :n] = np.multiply.outer(bounds, np.eye(n)) - s0
+        f[1:-1, i:i + b, :n, :n] = -coeffs
+        f[-1, i:i + b, :n, :n] = np.eye(n)
+        i += b
+    if not np.isfinite(f).all():
+        # The scan would read a NaN constraint as satisfied.
+        raise ValueError("constraint data are not finite")
+    k, size = d + 1, blocks * n_max * n_max
+    # F_1.. F_k of each block side by side, for one batched matmul.
+    by_block = np.ascontiguousarray(f[1:].transpose(1, 2, 0, 3)).reshape(blocks, n_max, -1)
+    rows = np.zeros((k, size + k))
+    weights = np.concatenate((-np.tile(np.eye(n_max).ravel(), blocks), np.zeros(d), [1.0]))
+    work = (f.reshape(d + 2, -1), by_block, rows, rows[:, :size].reshape(k, blocks, n_max, n_max),
+            rows.reshape(-1)[size:size + d * (size + k + 1):size + k + 1], rows[:d, -1], weights,
+            initial_radius(d) ** 2)
+    return work, int(f[-1].sum()) + 1
 
 
-def _initial(start, d: int, radius: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Copies of the start's center and shape (the ball of ``radius`` when
-    ``start`` is None) and the shape's log-determinant."""
-    if start is None:
-        return np.zeros(d), radius * radius * np.eye(d), 2.0 * d * math.log(radius)
-    center, shape = (np.array(x, dtype=float) for x in start)
-    try:
-        if not (center.shape == (d,) and shape.shape == (d, d) and np.isfinite(center).all()
-                and np.isfinite(shape).all() and (shape == shape.T).all()):
-            raise LinAlgError
-        chol = np.linalg.cholesky(shape)
-    except LinAlgError:
-        raise ValueError(f"start needs a finite center of length {d} and a symmetric "
-                         f"positive definite {d}x{d} shape") from None
-    return center, shape, 2.0 * float(np.log(np.diagonal(chol)).sum())
+def _newton_system(x: np.ndarray, work: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian over (v, t) of -sum log det G(x) - log(R^2 -
+    |v|^2) at x = (1, v, t), ``work`` as ``_stack`` gives it; NaN outside
+    the domain.  One call is one Newton step (tools/witness_digest.py
+    counts them).  With G = L L^T, the Hessian is the Gram matrix of the
+    M_k = L^-1 F_k L^-T, which stays positive semidefinite in rounding; the
+    product form tr(W F_k W F_l), W = G^-1, lost that near tau ~ 1e10."""
+    f_flat, by_block, rows, rows_m, diag, last, weights, radius_sq = work
+    blocks, n, kn = by_block.shape
+    v = x[1:-1]
+    r = radius_sq - v @ v
+    q = 2.0 / r if r > 0.0 else math.nan
+    inv_l = inv(cholesky_lo((x @ f_flat).reshape(blocks, n, n), signature="d->d"),
+                signature="d->d")
+    m = np.matmul(np.matmul(inv_l, by_block).reshape(blocks, kn, n), inv_l.swapaxes(1, 2))
+    rows_m[...] = m.reshape(blocks, n, kn // n, n).transpose(2, 0, 1, 3)
+    diag[...] = math.sqrt(q)
+    np.multiply(v, q, out=last)
+    return rows @ weights, rows @ rows.T
 
 
-def ellipsoid_feasibility(runs, max_iters: int | None = None, start=None) -> np.ndarray | None:
-    """Find a point satisfying every block of ``runs``, or certify
-    infeasibility.
-
-    ``start`` is an ellipsoid ``(center, shape)``, {v : (v - center)^T
-    shape^-1 (v - center) <= 1}, to start from instead of the ball B of
-    radius R = 10 * sqrt(v_dim); the caller guarantees that it holds the
-    feasible set F within B.  So does every later ellipsoid, since a cut
-    keeps a half-space holding F and the update holds E's part of it.
-
-    Returns the point, or None when no ball of radius 1e-7 fits in the
-    feasible set intersected with the initial ball B.  Raises
-    SolverBudgetExceeded when ``max_iters`` (default
-    ceil(10 * v_dim^2 * ln(R / 1e-7))) iterations reach no verdict, which
-    callers must treat as "unknown", not as infeasible.  Raises ValueError
-    for non-finite constraint data or a malformed start.
-    """
+# A failed Cholesky factor sets the invalid flag; its NaN decides instead.
+@np.errstate(all="ignore")
+def ellipsoid_feasibility(runs, max_iters: int = 500, start=None) -> np.ndarray | None:
+    """A point of B satisfying every block of ``runs``, found from ``start``
+    (a point of the open ball B; default 0), or None when no v in B
+    satisfies every block with margin 2e-12 (the module docstring states the
+    exact claim).  Raises SolverBudgetExceeded, "unknown" and never
+    infeasible, when ``max_iters`` Newton steps (certifications take at most
+    about 100) reach no verdict; ValueError for non-finite data, a start
+    that is not a finite point of B, or a non-positive-integer budget."""
+    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
+        raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")
     if not runs:
         raise ValueError("need at least one constraint run")
     d = runs[0][1].shape[0]
-    if d < 2:
-        # The deep-cut update divides by d^2 - 1.
-        raise ValueError("need at least two decision variables")
     if any(coeffs.shape[0] != d for _, coeffs, _ in runs):
         raise ValueError("runs differ in their number of decision variables")
-    radius = initial_radius(d)
-    if max_iters is None:
-        max_iters = int(math.ceil(10.0 * d * d * math.log(radius / _R_MIN)))
-    prepared = _prepare(runs)
-    center, shape, logdet = _initial(start, d, radius)  # E = {x : (x-c)^T Q^-1 (x-c) <= 1}
-    logdet_floor = 2.0 * d * math.log(_R_MIN)
-
+    work, m = _stack(runs, d)
+    x = np.zeros(d + 2)
+    x[0] = 1.0
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if not (start.shape == (d,) and np.isfinite(start).all()
+                and start @ start < initial_radius(d) ** 2):
+            raise ValueError(f"start needs a finite point of length {d} inside the ball")
+        x[1:-1] = start
+    # t starts where every G_c is at least max(1, |lowest|) * I.
+    blocks, n, _ = work[1].shape
+    lowest = float(eigvalsh_lo((x @ work[0]).reshape(blocks, n, n), signature="d->d").min())
+    x[-1] = max(1.0, abs(lowest)) - lowest
+    tau = None
+    step = np.zeros(d + 1)
     for _ in range(max_iters):
-        cut = _first_violated_cut(prepared, center)
-        if cut is None:
-            return center
-        a, depth = cut
-        qa = shape @ a
-        norm_sq = float(a @ qa)
-        if norm_sq <= 0.0:
-            # No usable direction: the violated constraint is constant in v.
-            return None
-        norm = math.sqrt(norm_sq)
-        alpha = depth / norm
-        if alpha >= 1.0:
-            # The half-space aligned with the cut misses the entire ellipsoid.
-            return None
-        # Deep-cut update, in place: center -= (tau * qa) / norm and
-        # shape = delta * (shape - (sigma * qa qa^T) / norm_sq).
-        tau = (1.0 + d * alpha) / (d + 1.0)
-        sigma = 2.0 * (1.0 + d * alpha) / ((d + 1.0) * (1.0 + alpha))
-        delta = (d * d / (d * d - 1.0)) * (1.0 - alpha * alpha)
-        step = tau * qa
-        step /= norm
-        center -= step
-        # Exactly symmetric whenever shape is: qa_i * qa_j == qa_j * qa_i.
-        outer = qa[:, None] * qa
-        outer *= sigma
-        outer /= norm_sq
-        shape -= outer
-        shape *= delta
-        logdet += d * math.log(delta) + math.log1p(-sigma)
-        if logdet < logdet_floor:
-            return None
-    raise SolverBudgetExceeded(
-        f"no decision after {max_iters} ellipsoid iterations"
-    )
+        grad, hess = _newton_system(x, work)
+        if tau is None:  # the tau that minimizes the Newton decrement
+            tau = max(-solve1(hess, grad, signature="dd->d")[-1]
+                      / solve1(hess, np.eye(d + 1)[-1], signature="dd->d")[-1], 1e-8)
+        grad[-1] += tau
+        dx = solve1(hess, grad, signature="dd->d")
+        lam_sq = float(grad @ dx)
+        if 0.0 <= lam_sq < 0.25:
+            t, gap = x[-1], 2.0 * m / tau
+            if t > gap or (gap < _ETA and t > -_ETA):
+                return None
+            grad[-1] += (_MU - 1.0) * tau
+            tau *= _MU
+            dx = solve1(hess, grad, signature="dd->d")
+            lam_sq = float(grad @ dx)
+        if not 0.0 <= lam_sq < math.inf:
+            # The last step left the domain: take half of it back.
+            step *= 0.5
+            x[1:] -= step
+            continue
+        step = dx * (-1.0 / (1.0 + math.sqrt(lam_sq)))
+        while x[-1] + step[-1] < 0.0:
+            point = x[1:-1] + step[:-1]
+            if _first_violated_cut(runs, point) is None:
+                return point
+            step *= 0.5
+        x[1:] += step
+    raise SolverBudgetExceeded(f"no decision after {max_iters} Newton steps")
 
 
-def _first_violated_cut(prepared, center) -> tuple[np.ndarray, float] | None:
-    """Scan the runs' blocks in order (runs as ``_prepare`` returns them);
-    return (cut normal a, violation depth) for the first violated one, or
-    None if the center is feasible.
-
-    The cut encodes: feasible set is contained in {v : a . v <= a . center - depth}.
-    """
-    for n, batch, s0_flat, coeffs_flat, bounds, s0, coeffs in prepared:
-        top = s0_flat + center @ coeffs_flat
+def _first_violated_cut(runs, center) -> tuple[np.ndarray, float] | None:
+    """Scan the runs' blocks in order; return (cut normal a, violation
+    depth) for the first violated one, or None if the center is feasible.
+    The feasible set lies in {v : a . v <= a . center - depth}."""
+    for s0, coeffs, bounds in runs:
+        batch, n = s0.shape[:2]
+        top = s0.reshape(-1) + center @ coeffs.reshape(len(coeffs), -1)
         if n > 1:
             vals, vecs = _jacobi_batch(top.reshape(batch, n, n))
             top = vals[:, -1]
@@ -201,11 +203,8 @@ def _first_violated_cut(prepared, center) -> tuple[np.ndarray, float] | None:
             q = vecs[i, :, -1]
             a = np.einsum("i,dij,j->d", q, coeffs[:, i], q)
             g0 = float(q @ s0[i] @ q)
-        # Affine value at the center; re-derive for consistency with the cut.
-        depth = float(a @ center) + g0 - bounds[i]
-        if depth <= 0.0:
-            # Rayleigh quotient dipped below the bound (can happen within
-            # round-off of the eigensolver); treat as a central cut.
-            depth = 0.0
-        return a, depth
+        # Affine value at the center, re-derived for consistency with the
+        # cut.  The Rayleigh quotient can dip below the bound within the
+        # eigensolver's round-off: that is a central cut.
+        return a, max(0.0, float(a @ center) + g0 - bounds[i])
     return None

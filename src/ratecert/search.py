@@ -3,7 +3,7 @@ sector family's closed-form probes, and the types a certificate is made of.
 
 This module imports no numpy, so a sector ``certify`` (and with it a
 sector sweep) runs from start to end without it.  The numpy layer,
-``certifier`` (the ellipsoid backend, replay and ``verify_certificate``),
+``certifier`` (the barrier backend, replay and ``verify_certificate``),
 is imported the first time the search needs it:
 a probe of a dynamic multiplier (wob1, zf:k), the condition number of a
 dynamic witness, ``Certificate.slack``, or the P of a sector witness.  The
@@ -45,9 +45,8 @@ KINDS = (SECTOR, WEIGHTED_OFF_BY_1, ZAMES_FALB)
 
 # The largest zf filter order ``certify`` accepts.  A k-tap probe has
 # (k+1)(k+2)/2 + 1 decision variables, so the inequality's data grows as
-# k^4 and the ellipsoid's cut budget as k^4 cuts of (k+2)-order eigen-solves:
-# zf:6 takes seconds at (10, 1.2), and zf:200 would need about 13 GB of data
-# per certification before its first cut.
+# k^4, and so does each Newton step's Gram product: zf:200 would need about
+# 13 GB of data per certification before its first step.
 MAX_ZF_ORDER = 6
 
 # The bisection bracket.  The top stays at 1 because discounted multiplier
@@ -341,10 +340,10 @@ def certify(
     instead; trial rates at which pinned weights are inadmissible count as
     infeasible).  Weights of any other length, or any for sector, raise
     InvalidInput, as does a zf order above MAX_ZF_ORDER.  Dynamic solves
-    hold P >= ``certifier.DELTA_PD`` * I and take the ellipsoid's default
-    budget.  The returned rate is the upper end of the final bracket, so it
-    is always backed by a stored witness; ``rho_star`` is None when
-    even the top of the bracket is infeasible.  Trial rates below the exact
+    hold P >= ``certifier.DELTA_PD`` * I and take the barrier solver's
+    default step budget.  The returned rate is the upper end of the final
+    bracket, so it is always backed by a stored witness; ``rho_star`` is
+    None when even the top of the bracket is infeasible.  Trial rates below the exact
     worst-case rate ``r_exact = max(closed_form_rate(lo),
     closed_form_rate(hi))`` are infeasible without a solve, and so are
     rates at or below ``known_infeasible``: the highest rate the caller

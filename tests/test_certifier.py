@@ -675,7 +675,7 @@ def test_feasibility_monotone_in_rho_wob1():
 
 
 def test_backend_agreement_on_sector_instances():
-    # The closed-form lambda-interval backend and the ellipsoid backend
+    # The closed-form lambda-interval backend and the barrier backend
     # (with P as a 1x1 matrix variable) must agree away from the boundary.
     rng = np.random.default_rng(9)
     for _ in range(12):
@@ -691,34 +691,25 @@ def test_backend_agreement_on_sector_instances():
             assert (direct is None) == (via_ellipsoid is None), (m, L, alpha, rho)
 
 
-def _unit_trace_psd(rng, s, shape):
-    """A P >= 0 of order s and unit trace: an extreme point u u^T
-    (``shape`` "rank-one") or e_i e_i^T ("basis"), or a random one."""
-    if shape == "basis":
-        p = np.zeros((s, s))
-        i = int(rng.integers(s))
-        p[i, i] = 1.0
-        return p
-    a = rng.normal(size=(s, 1 if shape == "rank-one" else s))
-    p = a @ a.T
-    return p / np.trace(p)
-
-
-@settings(max_examples=300, deadline=None)
-@given(s=st.sampled_from([2, 3, 4]), shape=st.sampled_from(["rank-one", "basis", "random"]),
-       lam=st.sampled_from(["zero", "radius", "uniform"]), seed=st.integers(0, 2**32 - 1))
-def test_start_ellipsoid_holds_the_decision_set(s, shape, lam, seed):
-    # Every unit-trace P >= 0 with 0 <= lambda <= R, as the solver's
-    # decision vector (first s - 1 diagonal entries, off-diagonal entries,
-    # lambda), lies in the matrix backend's start ellipsoid.  The extreme
-    # points u u^T at lambda 0 or R lie on its boundary.
-    rng = np.random.default_rng(seed)
-    p = _unit_trace_psd(rng, s, shape)
-    center, shape_q = certifier._start(s)
-    radius = initial_radius(len(center))
-    lam = {"zero": 0.0, "radius": radius, "uniform": float(rng.uniform(0.0, radius))}[lam]
-    v = np.concatenate((np.diag(p)[:-1], p[np.triu_indices(s, 1)], [lam])) - center
-    assert v @ np.linalg.solve(shape_q, v) <= 1.0 + 1e-12
+def test_start_center_is_inside_the_barrier_domain():
+    # Each solve starts from P = I/s and lambda = R/2, the center of the
+    # unit-trace P >= 0 and of the segment 0 <= lambda <= R: strictly inside
+    # lambda >= 0, P >= DELTA_PD * I and the solver's ball, so the barrier
+    # starts inside its domain at every rate (t absorbs the endpoint blocks).
+    for s in (1, 2, 3, 4, 5):
+        center = certifier._start(s)
+        assert not center.flags.writeable
+        kind = ZAMES_FALB if s > 1 else SECTOR
+        lmi = augment(10.0, (0.1, 0.2), s - 1)
+        runs = certifier._runs(lmi, 0.9, certifier._weights(kind, 0.9, s - 1, None), 1e-8)
+        (lam_block,), p_blocks = (np.linalg.eigvalsh(
+            s0 + np.tensordot(center, coeffs, axes=1))[:, -1] for s0, coeffs, _ in runs[:2])
+        assert lam_block == -0.5 * initial_radius(len(center))
+        assert p_blocks == pytest.approx([-1.0 / s])
+        assert -1.0 / s < -certifier.DELTA_PD
+        assert center @ center < initial_radius(len(center)) ** 2
+        p = lmi.p[0] + np.tensordot(center[:-1], lmi.p[1:], axes=1)
+        assert_allclose(p, np.eye(s) / s, atol=1e-15)
 
 
 def test_scale_invariance_quick():
@@ -1128,7 +1119,7 @@ def test_default_eps_feas_is_the_qf_max_bit_for_bit(log_m, log_kappa, kind_order
 @pytest.mark.parametrize("kind, calls", [(SECTOR, 0), (WEIGHTED_OFF_BY_1, 1)])
 def test_cond_p_needs_an_eigensolve_only_off_sector(kind, calls):
     # Every sector witness has P = [[1.0]], so its cond_p is 1.0 without an
-    # eigvalsh; a wob1 P is whatever the ellipsoid stopped at.
+    # eigvalsh; a wob1 P is whatever the barrier solver stopped at.
     with mock.patch.object(certifier, "cond_spd", wraps=cond_spd) as spy:
         cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=kind)
     assert cert.feasible and spy.call_count == calls
@@ -1155,26 +1146,26 @@ def test_zf2_certifies_soundly_before_onset_and_not_past_it():
 # bytes of P: a change to how the inequality's data is built or summed that
 # moves a single bit of a dynamic witness fails here.
 PINNED_WITNESSES = {
-    ("wob1", 10.0, 1.2, None): "48a2af85ecef3f04201ebd62669983ac36edacd3ff2ac6a190ef62cb46be18f7",
-    ("wob1", 7.0, 1.3, None): "34b927160b46dcc7fa266d267cf85511854c4302a37fb81ca07149b9ec505364",
-    ("wob1", 5.0, 1.5, None): "142538c2b797a826daf7478f82c9e469eb82c117530289c1ac3f4b04fbbd77e4",
-    ("zf:1", 10.0, 1.2, None): "48a2af85ecef3f04201ebd62669983ac36edacd3ff2ac6a190ef62cb46be18f7",
-    ("zf:1", 7.0, 1.3, None): "34b927160b46dcc7fa266d267cf85511854c4302a37fb81ca07149b9ec505364",
-    ("zf:1", 5.0, 1.5, None): "142538c2b797a826daf7478f82c9e469eb82c117530289c1ac3f4b04fbbd77e4",
-    ("zf:2", 10.0, 1.2, None): "39bb9e5c341e64e988163d058e396b420fe4f5fcd05d146eedadfb5a3e4a3926",
-    ("zf:2", 7.0, 1.3, None): "3d4238c6fb91d0bf7f2d4f265084fe6028e0a3e23bb369ec318195ef7fb35a23",
-    ("zf:2", 5.0, 1.5, None): "0b6cb17db713d0b8cd5f9a17b5f0c2deaace6a55c31c4be42214e6ab3daa800c",
-    ("zf:3", 10.0, 1.2, None): "f1b6d9969828757fa8551db0ab59b30fcadeb233acb22daeacbb31f5fcfb6aa8",
-    ("zf:3", 7.0, 1.3, None): "525cce15bbdb63d999842857b4d842188b3da8915c141ba02ae828dd972144d9",
-    ("zf:3", 5.0, 1.5, None): "eae0b82b2a5e7bcb6a2d6da1a8a87f0c3cbf7527aba11260364d9b09d8f90661",
+    ("wob1", 10.0, 1.2, None): "ac93b31238d256a10e36fefb27fc7ace4b70c6c61ec074e8621c622ef9d1df91",
+    ("wob1", 7.0, 1.3, None): "4e9cf4d7ff2f5e290429531e454042a3810d69f926bd43d83926d43d32ab17d5",
+    ("wob1", 5.0, 1.5, None): "3a29a260d948d76562616e18ca6e7401463f5d434a42cc7d325473f92a45d2fb",
+    ("zf:1", 10.0, 1.2, None): "ac93b31238d256a10e36fefb27fc7ace4b70c6c61ec074e8621c622ef9d1df91",
+    ("zf:1", 7.0, 1.3, None): "4e9cf4d7ff2f5e290429531e454042a3810d69f926bd43d83926d43d32ab17d5",
+    ("zf:1", 5.0, 1.5, None): "3a29a260d948d76562616e18ca6e7401463f5d434a42cc7d325473f92a45d2fb",
+    ("zf:2", 10.0, 1.2, None): "4470aac27489a502793dcb1ee1fc59e8056658b1be4e43dcaf368a2fc5aea828",
+    ("zf:2", 7.0, 1.3, None): "1ab92d0a472bfafab7cb8535ec347a6502e722a83716019032532565f8a250ae",
+    ("zf:2", 5.0, 1.5, None): "da16568f875f0f185fd9d671912f985ae213f0c88b3616aec084950646fe2688",
+    ("zf:3", 10.0, 1.2, None): "884f969fe787fe9d6955ce2357b371b7e83bd8167578029c8d9879e92f386190",
+    ("zf:3", 7.0, 1.3, None): "3868287dd9a1101c3554ad92332917c894dcc1855e5089330dd7464964277ec6",
+    ("zf:3", 5.0, 1.5, None): "ef4426a1a64dd9861ffe4a80b0ff793a5bc83c2fdee4c73d7b206238ed9d5d05",
     ("wob1", 10.0, 1.2, (0.5,)):
-        "3dbe33610c873b8c76a9c3058a04490a34b8b4c06935d64b18a653855af0b925",
+        "617f6e5571ac4bb4eba158ba1a4c7cc87b1d1ae54cc225f0f77f4e14534f005f",
     ("zf:1", 10.0, 1.2, (0.4,)):
-        "bc8a6db8c1eb553779edc45e7edb2d645e4f2422bdb12e6f939c0e864b59f4f8",
+        "9791219d30bee1edf014fb976fdf68f4d513f4f44d4238dcb3663313bf0010f4",
     ("zf:2", 10.0, 1.2, (0.4, 0.2)):
-        "0925ff78fc85fecfc74b10a6a2023895ce95ecb534d4dd377fb7c408027cdfb6",
+        "dd495925ed513235f74ed71b453f0560f9964e2d10989ae810293c28a81a541d",
     ("zf:3", 10.0, 1.2, (0.3, 0.2, 0.1)):
-        "34abcf5e952c767b455077e5500e56591a158cb2a0d92f40fc931f6b40c4c7b6",
+        "5a98d26e9ff559ea466d03cb04f8dae7855b6dc9418161dcdab81831fec20e76",
 }
 
 

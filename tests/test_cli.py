@@ -699,7 +699,7 @@ def test_interval_constant_times_the_largest_kappa_overflows_to_no_certificate(
 
 # sha256 of the bytes each command writes with --out.  The sector rows and
 # records come from the closed-form backend; the wob1 and zf ones also pin
-# the ellipsoid's stopping point (cond_p) under this numpy/LAPACK build, for
+# the barrier solver's stopping point (cond_p) under this numpy/LAPACK build, for
 # filters of order 1, 2 and 3.
 PINNED_OUTPUTS = {
     "sweep-kappa-sector": (
@@ -711,19 +711,19 @@ PINNED_OUTPUTS = {
         "a46436a8f7d65620deb40fa135f3a6b25bc208b97615a288220830d9c256c3df"),
     "sweep-c-wob1": (
         ("sweep-c", "--kappa", "10", "--points", "12", "--iqc", "wob1"),
-        "a2bf5e75fcf475566ef5db58b0e8532b758cc3d0c12e1bc56f51ae75544e24c1"),
+        "d75a58d086a828e7d3fb490b5da541d2e896ce744de3440bc1d9835343383bf1"),
     "certify-sector": (
         ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "sector"),
         "b34b4c466a34b535c69fa38759add0e11a82377814878df541fe42424e075e2f"),
     "certify-wob1": (
         ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "wob1"),
-        "9de0cce56a39a0fea93d3b8cb903f189ae7b6bc8c61a2baca8aa591ac5bdf090"),
+        "d32f81b71174b3119758b6df0a0e62d7c3096a2a9f65d538259f03bac7cbfcef"),
     "certify-zf2": (
         ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "zf:2"),
-        "5efa06c2d66d6f7b2af81303de08888584967779a309020f149e7c5d0899fcc5"),
+        "348f568020f6a072e5782e0b305525a5fc0b639157562e787d5690fd07190919"),
     "certify-zf3": (
         ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "zf:3"),
-        "6d0198d1722979b8c38efca3d3f85f869dbb8cc1d32e04b94a78fa613a855302"),
+        "e88fb9eab4b9a2411e80cd3ca626644e8cda9d4fe19e1d8d9094973b1866b689"),
 }
 
 

@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ratecert import ellipsoid
-from ratecert.certifier import certify
-from ratecert.ellipsoid import (
-    SolverBudgetExceeded,
-    _first_violated_cut,
-    _prepare,
-    ellipsoid_feasibility,
-)
-from ratecert.model import FunctionClass, interval_from_c
+from ratecert import certifier, ellipsoid
+from ratecert.ellipsoid import SolverBudgetExceeded, _first_violated_cut, ellipsoid_feasibility
+from ratecert.iqc import augment
+from ratecert.model import FunctionClass, interval_from_c, reduced
+from ratecert.search import default_eps_feas
 
 
 def _scalars(*rows):
@@ -27,9 +23,27 @@ def _block(s0, coeffs, bound):
     return s0[None], np.ascontiguousarray(coeffs[:, None]), (bound,)
 
 
-# v1 <= 0 and v1 >= 1e-12: empty, but the gap is far below the 1e-7 ball,
-# so only the volume certificate (or a full-depth cut) can decide.
+# v1 <= 0 and v1 >= 1e-12: empty, but only by 1e-12, so only the thin-set
+# rule or a gap bound below 5e-13 can decide.
 THIN_SLAB = _scalars(([1.0, 0.0], 0.0, 0.0), ([-1.0, 0.0], 0.0, -1e-12))
+_HALF_LINE = _scalars(([1.0, 0.0], 0.0, -0.1))
+
+
+def _zf3_runs(kappa, c, rho_hex):
+    """The solver's runs of a zf:3 probe at rate ``rho_hex`` (as float.hex)
+    on (kappa, c), as ``certify`` builds them."""
+    fc = FunctionClass(1.0, kappa)
+    fc_n, alphas = reduced(fc, interval_from_c(fc, c))
+    rho = float.fromhex(rho_hex)
+    return certifier._runs(augment(fc_n.kappa(), alphas, 3), rho,
+                           certifier._weights("zf", rho, 3, None), default_eps_feas(fc_n.kappa()))
+
+
+# Probes just below rho_star of two witness-digest draws, infeasible by
+# about 1e-9: a damped step from an iterate near the boundary left the
+# domain, and the product-form Hessian stalled near tau ~ 1e10.
+ZF3_DRAW = _zf3_runs(3.267124813110718, 1.479298743034437, "0x1.96102172a8a5bp-1")
+ZF3_STALL = _zf3_runs(1.3674583600512342, 1.0182018380831546, "0x1.208da07371aa8p-2")
 
 
 def test_one_dimensional_toy():
@@ -68,6 +82,28 @@ def test_budget_exceeded_is_distinct_from_infeasible():
         ellipsoid_feasibility([THIN_SLAB], max_iters=3)
 
 
+@pytest.mark.parametrize("max_iters", [0, -1, 2.5, True, False, "3", None],
+                         ids=["zero", "negative", "float", "true", "false", "str", "none"])
+def test_bad_step_budget_is_rejected(max_iters):
+    # 0 raised SolverBudgetExceeded before any work, and 2.5 a bare
+    # TypeError from range().
+    with pytest.raises(ValueError, match="max_iters"):
+        ellipsoid_feasibility([_HALF_LINE], max_iters=max_iters)
+
+
+def test_step_budget_counts_newton_steps(monkeypatch):
+    steps = []
+    system = ellipsoid._newton_system
+    monkeypatch.setattr(ellipsoid, "_newton_system", lambda *a: steps.append(1) or system(*a))
+    assert ellipsoid_feasibility([THIN_SLAB]) is None
+    taken = len(steps)
+    steps.clear()
+    with pytest.raises(SolverBudgetExceeded, match=f"{taken - 1} Newton steps"):
+        ellipsoid_feasibility([THIN_SLAB], max_iters=taken - 1)
+    assert len(steps) == taken - 1
+    assert ellipsoid_feasibility([THIN_SLAB], max_iters=np.int64(taken)) is None
+
+
 def test_returned_point_satisfies_matrix_constraint_strictly():
     # [[v1, 0.3], [0.3, v2]] <= -0.5 I needs the off-diagonal absorbed.
     coeffs = np.zeros((2, 2, 2))
@@ -83,9 +119,9 @@ def test_returned_point_satisfies_matrix_constraint_strictly():
 def test_input_validation():
     with pytest.raises(ValueError):
         ellipsoid_feasibility([])
-    with pytest.raises(ValueError, match="two decision variables"):
-        # The deep-cut update divides by v_dim^2 - 1.
-        ellipsoid_feasibility([_scalars(([1.0], 0.0, 0.0))])
+    # One decision variable is enough: v1 <= -0.1.
+    point = ellipsoid_feasibility([_scalars(([1.0], 0.0, -0.1))])
+    assert point is not None and point.shape == (1,) and point[0] <= -0.1
     with pytest.raises(ValueError, match="number of decision variables"):
         ellipsoid_feasibility(
             [_scalars(([1.0, 0.0], 0.0, 0.0)), _scalars(([1.0, 0.0, 0.0], 0.0, 0.0))]
@@ -112,36 +148,30 @@ def test_non_finite_constraints_are_rejected(runs):
         ellipsoid_feasibility(runs)
 
 
-_HALF_LINE = _scalars(([1.0, 0.0], 0.0, -0.1))
-
-
 @pytest.mark.parametrize("start", [
-    (np.zeros(3), np.eye(3)),
-    (np.zeros(2), np.eye(3)),
-    (np.array([_NAN, 0.0]), np.eye(2)),
-    (np.zeros(2), np.array([[1.0, np.inf], [np.inf, 1.0]])),
-    (np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]])),
-    (np.zeros(2), np.diag([1.0, 0.0])),
-    (np.zeros(2), -np.eye(2)),
-], ids=["center-too-long", "shape-too-large", "nan-center", "inf-shape", "not-symmetric",
-        "singular", "negative-definite"])
+    np.zeros(3),
+    np.array([np.nan, 0.0]),
+    np.array([np.inf, 0.0]),
+    np.array([ellipsoid.initial_radius(2), 0.0]),
+    np.eye(2),
+], ids=["center-too-long", "nan-center", "inf-center", "on-the-sphere", "matrix"])
 def test_malformed_start_is_rejected(start):
     with pytest.raises(ValueError, match="start"):
         ellipsoid_feasibility([_HALF_LINE], start=start)
 
 
-def test_solve_from_a_start_ellipsoid():
-    # A start that holds the feasible set within the ball reaches the
-    # ball's verdicts, and is copied, not written to.
-    center, shape = np.array([-1.0, 0.0]), 4.0 * np.eye(2)
-    center.setflags(write=False)
-    shape.setflags(write=False)
+def test_solve_from_a_start_point():
+    # A start inside the ball reaches the verdicts of the default start,
+    # and is copied, not written to.
+    start = np.array([-1.0, 0.5])
+    start.setflags(write=False)
     point = ellipsoid_feasibility([_scalars(([1.0, 0.0], 0.0, -0.1)),
                                    _scalars(([-1.0, 0.0], 0.0, 1.5),
                                             ([0.0, 1.0], 0.0, 1.0),
-                                            ([0.0, -1.0], 0.0, 1.0))], start=(center, shape))
+                                            ([0.0, -1.0], 0.0, 1.0))], start=start)
     assert point is not None and -1.5 <= point[0] <= -0.1 and abs(point[1]) <= 1.0
-    assert ellipsoid_feasibility([THIN_SLAB], start=(np.zeros(2), np.eye(2))) is None
+    assert ellipsoid_feasibility([THIN_SLAB], start=start) is None
+    assert start.tolist() == [-1.0, 0.5]
 
 
 @settings(max_examples=100, deadline=None)
@@ -209,7 +239,7 @@ def test_cut_depth_and_validity_on_random_affine_constraints(v_dim, violated, se
         for k, order in enumerate((1, 3, 4))
     ]
     s0, coeffs, (bound,) = runs[violated]
-    cut = _first_violated_cut(_prepare(runs), centre)
+    cut = _first_violated_cut(runs, centre)
     assert cut is not None
     a, depth = cut
     assert depth == pytest.approx(_lam_max(s0, coeffs, centre)[0] - bound, rel=1e-9)
@@ -260,30 +290,74 @@ def test_scan_matches_eigh_every_block_reference(v_dim, leading, shapes, seed):
         if order == 1 and rng.random() < 0.5:
             coeffs[rng.random(v_dim) < 0.5] = -0.0
         runs.append((s0, coeffs, bounds))
-    got, want = _first_violated_cut(_prepare(runs), centre), _reference_scan(runs, centre)
+    got, want = _first_violated_cut(runs, centre), _reference_scan(runs, centre)
     assert (got is None) == (want is None)
     if got is not None:
         assert got[0].tobytes() == want[0].tobytes()
         assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
 
 
-def test_scalar_constraints_skip_the_eigen_solve(monkeypatch):
-    # wob1 at (kappa 10, c 1.2): lambda >= 0 is decided without eigh, so the
-    # eigen batches per cut fall from about 2.5 to about 1.5.
-    shapes, cuts = [], []
-    eigh, scan = ellipsoid._jacobi_batch, ellipsoid._first_violated_cut
+def _sym(rng, *shape):
+    mats = rng.normal(size=(*shape, shape[-1]))
+    return 0.5 * (mats + mats.swapaxes(-1, -2))
 
-    def counting_eigh(blocks):
-        shapes.append(blocks.shape)
-        return eigh(blocks)
 
-    def counting_scan(runs, centre):
-        cuts.append(1)
-        return scan(runs, centre)
+@st.composite
+def _planted_systems(draw):
+    """Random runs (orders 1-4, batches 1-3, v_dim 1-6) and whether they are
+    feasible: feasible ones have a planted point with margins in [0.01, 1]
+    inside the ball; infeasible ones a planted dual Z_c >= 0 (Farkas) with
+    sum_c <Z_c, S_ic> = 0 for every i and sum_c <Z_c, S0_c - b_c I> > 0, so
+    that no v anywhere satisfies every block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v_dim = draw(st.integers(1, 6))
+    shapes = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=1, max_size=4))
+    feasible = draw(st.booleans())
+    runs = [(_sym(rng, batch, n), _sym(rng, v_dim, batch, n), None) for n, batch in shapes]
+    if feasible:
+        v = rng.normal(size=v_dim)
+        return [(s0, coeffs, tuple(_lam_max(s0, coeffs, v) + rng.uniform(0.01, 1.0, len(s0))))
+                for s0, coeffs, _ in runs], True
+    zs = []
+    for s0, _, _ in runs:
+        a = rng.normal(size=(*s0.shape[:2], int(rng.integers(1, s0.shape[1] + 1))))
+        zs.append(a @ a.swapaxes(1, 2))
+    bounds = [rng.normal(size=len(s0)) for s0, _, _ in runs]
+    norm_sq = sum(float((z * z).sum()) for z in zs)
+    for i in range(v_dim):
+        dot = sum(float((z * coeffs[i]).sum()) for z, (_, coeffs, _) in zip(zs, runs))
+        for z, (_, coeffs, _) in zip(zs, runs):
+            coeffs[i] -= (dot / norm_sq) * z
+    trace = sum(float(np.trace(z, axis1=1, axis2=2).sum()) for z in zs)
+    gap = sum(float((z * s0).sum() - (np.trace(z, axis1=1, axis2=2) * b).sum())
+              for z, b, (s0, _, _) in zip(zs, bounds, runs))
+    shift = (rng.uniform(0.01, 1.0) * trace - gap) / norm_sq
+    return [(s0 + shift * z, coeffs, tuple(b.tolist()))
+            for z, b, (s0, coeffs, _) in zip(zs, bounds, runs)], False
 
-    monkeypatch.setattr(ellipsoid, "_jacobi_batch", counting_eigh)
-    monkeypatch.setattr(ellipsoid, "_first_violated_cut", counting_scan)
-    fc = FunctionClass(1.0, 10.0)
-    assert certify(fc, interval_from_c(fc, 1.2), iqc_kind="wob1").feasible
-    assert shapes and all(shape[-1] >= 2 for shape in shapes)
-    assert len(shapes) < 2 * len(cuts)
+
+@settings(max_examples=150, deadline=None)
+@given(system=_planted_systems())
+@example(system=([THIN_SLAB], False))
+@example(system=(ZF3_DRAW, False))
+@example(system=(ZF3_STALL, False))
+def test_barrier_verdicts_are_sound(system):
+    # A feasible system gives a point that the eigen scan accepts; a system
+    # with a dual certificate of infeasibility gives None.
+    runs, feasible = system
+    point = ellipsoid_feasibility(runs)
+    if feasible:
+        assert point is not None and _first_violated_cut(runs, point) is None
+    else:
+        assert point is None
+
+
+def test_zf3_draw_keeps_its_rate():
+    # The witness-digest draw of ZF3_DRAW: a step there left the domain in
+    # rounding, and the rate must still be the one the ellipsoid method
+    # certified, with a witness that verifies.
+    fc = FunctionClass(1.0, 3.267124813110718)
+    cert = certifier.certify(fc, interval_from_c(fc, 1.479298743034437), iqc_kind="zf",
+                             zf_order=3, rho_tol=2.5604383523854253e-06)
+    assert cert.rho_star == 0.7930937225735779
+    assert certifier.verify_certificate(cert)

@@ -5,7 +5,7 @@
     python3 tools/witness_digest.py --family sweep-c  # sweep-c commands
     python3 tools/witness_digest.py --draws 300
 
-Two checkouts whose certifier, ellipsoid and eigen path give the same bits
+Two checkouts whose certifier, barrier solver and eigen path give the same bits
 print the same digest, so a change that claims bit-identical certificates
 runs this script at both commits and compares the last line.  The program
 is imported from ``src/`` of the checkout that holds this script.  Floats
@@ -26,8 +26,8 @@ c)`` with ``certify(..., rho_tol=rho_tol)``.  Hashed per draw: the kind,
 zf order, kappa, c and rho_tol; ``rho_star``, ``cond_p``, ``weights`` and
 ``bisection_iters``; and, for a certificate with a witness, ``lam``,
 ``slack`` and the bytes of P in C order.  Two lines come before the
-digest: the mean and the largest number of cuts (calls of
-``ellipsoid._first_violated_cut``) per certification, and a rates-only
+digest: the mean and the largest number of Newton steps (calls of
+``ellipsoid._newton_system``) per certification, and a rates-only
 digest over the kind, zf order, kappa, c and rho_tol and ``rho_star`` and
 ``bisection_iters``, hashed as above.  A change that moves witness bits but
 no rate leaves that digest equal at both commits.
@@ -169,8 +169,9 @@ def _sweep_c_draw(rng, sha, rates, index: int) -> int:
 
 
 FAMILIES = {"dynamic": _dynamic_draw, "sector": _sector_draw, "sweep-c": _sweep_c_draw}
-# The call each family counts per draw: cuts for dynamic, solves otherwise.
-COUNTED = {"dynamic": (ellipsoid, "_first_violated_cut"),
+# The call each family counts per draw: Newton steps for dynamic, solves
+# otherwise.
+COUNTED = {"dynamic": (ellipsoid, "_newton_system"),
            "sector": (search, "sector_lambda"), "sweep-c": (search, "sector_lambda")}
 
 
@@ -207,7 +208,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     hexdigest, certified, counts, rates = digest(args.draws, args.seed, args.family)
     print(f"draws {args.draws}, seed {args.seed}, certified {certified}")
-    what = "cuts" if args.family == "dynamic" else "solves"
+    what = "Newton steps" if args.family == "dynamic" else "solves"
     per = "command" if args.family == "sweep-c" else "certification"
     print(f"{what} per {per}: mean {sum(counts) / max(len(counts), 1):.4f}, "
           f"max {max(counts, default=0)}")
