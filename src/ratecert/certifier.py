@@ -50,8 +50,8 @@ P is kept away from singularity by P >= DELTA_PD * I, a fixed constant.
 
 All eigen work goes through numpy's LAPACK drivers: ``eigh`` when
 eigenvectors are needed and ``eigvalsh`` when only eigenvalues are.  The
-solver's acceptance scan calls the ``eigh`` gufunc directly, without numpy's
-wrapper, and raises LinAlgError when an eigenvalue is not finite.
+solver's yes/no acceptance scan calls the ``eigvalsh`` gufunc unwrapped
+and raises LinAlgError when an eigenvalue is not finite.
 
 Importing this module loads numpy, ``iqc`` and ``ellipsoid``.  ``search``
 imports it the first time a certification needs it: a dynamic probe, a

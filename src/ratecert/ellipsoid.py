@@ -15,10 +15,10 @@ N, the largest n, each padded with a constant identity (log det I = 0), so
 each Newton step handles every block in a few array calls: about 40 steps
 per feasible and 70 per infeasible dynamic solve.
 
-* Feasible: the first iterate with t < 0 that the eigen scan
-  ``_first_violated_cut`` accepts.  A step that the scan rejects, or after
-  which G has no Cholesky factor or the Newton system is not positive
-  definite, left the domain in rounding and is halved.
+* Feasible: the first iterate with t < 0 at which the yes/no scan
+  ``_first_violated_cut`` finds every block of the runs held.  A step that
+  the scan rejects, or after which G has no Cholesky factor or the Newton
+  system is not positive definite, left the domain in rounding and is halved.
 * None: at an iterate with lambda < 1/2, t - 2m/tau bounds the least t from
   below (Nesterov 2004, section 4.2), so t - 2m/tau > 0 shows that no v in B
   satisfies every block.  Failing that, the solve stops once 2m/tau < 1e-12
@@ -26,7 +26,9 @@ per feasible and 70 per infeasible dynamic solve.
   claims hold up to the rounding of the Newton system.
 * Unknown: SolverBudgetExceeded at the step budget.
 
-The names date from an ellipsoid method; the benchmark's tracer reads them.
+``ellipsoid_feasibility``, ``_first_violated_cut`` and ``_jacobi_batch`` are
+named for an ellipsoid method; they stay because the benchmark's tracer wraps
+them (perfbench/tracing.py; tests/test_benchmark_hooks.py checks them).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import math
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from numpy.linalg._umath_linalg import cholesky_lo, eigh_lo, eigvalsh_lo, inv, solve1
+from numpy.linalg._umath_linalg import cholesky_lo, eigvalsh_lo, inv, solve1
 
 # Defined where the numpy-free rate search catches it.
 from .search import SolverBudgetExceeded
@@ -52,16 +54,16 @@ def initial_radius(d: int) -> float:
 # LAPACK reports non-convergence through the invalid flag; the finiteness
 # check decides instead, so no flag becomes a warning.
 @np.errstate(all="ignore")
-def _jacobi_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a (B, n, n) stack of
+def _jacobi_batch(blocks: np.ndarray) -> np.ndarray:
+    """The largest eigenvalue of each block of a (B, n, n) stack of
     symmetric blocks, read from their lower triangles, bit for bit as
-    ``np.linalg.eigh`` (whose gufunc this calls without the wrapper).
-    Raises LinAlgError if any eigenvalue is not finite.  perfbench/tracing.py
-    wraps this module-level name for its eigen-batch spans."""
-    vals, vecs = eigh_lo(blocks, signature="d->dd")
+    ``np.linalg.eigvalsh(blocks)[..., -1]`` (whose gufunc this calls
+    without the wrapper).  Raises LinAlgError if any eigenvalue is not
+    finite."""
+    vals = eigvalsh_lo(blocks, signature="d->d")
     if not all(map(math.isfinite, vals.ravel().tolist())):
         raise LinAlgError("eigenvalues are not finite")
-    return vals, vecs
+    return vals[:, -1]
 
 
 def _stack(runs, d: int) -> tuple[tuple, int]:
@@ -83,7 +85,8 @@ def _stack(runs, d: int) -> tuple[tuple, int]:
         f[-1, i:i + b, :n, :n] = np.eye(n)
         i += b
     if not np.isfinite(f).all():
-        # The scan would read a NaN constraint as satisfied.
+        # The scan would read a NaN bound as holding, and the steps would
+        # read NaN blocks as leaving the domain until the budget ran out.
         raise ValueError("constraint data are not finite")
     k, size = d + 1, blocks * n_max * n_max
     # F_1.. F_k of each block side by side, for one batched matmul.
@@ -126,14 +129,20 @@ def ellipsoid_feasibility(runs, max_iters: int = 500, start=None) -> np.ndarray 
     exact claim).  Raises SolverBudgetExceeded, "unknown" and never
     infeasible, when ``max_iters`` Newton steps (certifications take at most
     about 100) reach no verdict; ValueError for non-finite data, a start
-    that is not a finite point of B, or a non-positive-integer budget."""
+    that is not a finite point of B, a run whose shapes disagree, or a
+    non-positive-integer budget."""
     if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
         raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")
     if not runs:
         raise ValueError("need at least one constraint run")
     d = runs[0][1].shape[0]
-    if any(coeffs.shape[0] != d for _, coeffs, _ in runs):
-        raise ValueError("runs differ in their number of decision variables")
+    for j, (s0, coeffs, bounds) in enumerate(runs):
+        if coeffs.shape[0] != d:
+            raise ValueError("runs differ in their number of decision variables")
+        if not (s0.ndim == 3 and s0.shape[1] == s0.shape[2]
+                and coeffs.shape == (d, *s0.shape) and len(bounds) == len(s0)):
+            raise ValueError(f"run {j} needs shapes (B, n, n), ({d}, B, n, n) and B bounds, got "
+                             f"{s0.shape}, {coeffs.shape} and {len(bounds)}")
     work, m = _stack(runs, d)
     x = np.zeros(d + 2)
     x[0] = 1.0
@@ -180,31 +189,16 @@ def ellipsoid_feasibility(runs, max_iters: int = 500, start=None) -> np.ndarray 
     raise SolverBudgetExceeded(f"no decision after {max_iters} Newton steps")
 
 
-def _first_violated_cut(runs, center) -> tuple[np.ndarray, float] | None:
-    """Scan the runs' blocks in order; return (cut normal a, violation
-    depth) for the first violated one, or None if the center is feasible.
-    The feasible set lies in {v : a . v <= a . center - depth}."""
-    for s0, coeffs, bounds in runs:
-        batch, n = s0.shape[:2]
-        top = s0.reshape(-1) + center @ coeffs.reshape(len(coeffs), -1)
-        if n > 1:
-            vals, vecs = _jacobi_batch(top.reshape(batch, n, n))
-            top = vals[:, -1]
-        for i, (x, b) in enumerate(zip(top.tolist(), bounds)):
+def _first_violated_cut(runs, point) -> tuple[int, int] | None:
+    """The (run, block) index of the first block of ``runs`` whose largest
+    eigenvalue at ``point`` exceeds its bound, or None when every block
+    holds.  It reads the caller's runs, not ``_stack``'s padded stack or a
+    Cholesky factor, so it checks a point against the solver's input
+    independently of the steps that found it.  A 1x1 block goes through the
+    same eigenvalue call, which returns its entry exactly."""
+    for r, (s0, coeffs, bounds) in enumerate(runs):
+        top = s0.reshape(-1) + point @ coeffs.reshape(len(coeffs), -1)
+        for i, (x, b) in enumerate(zip(_jacobi_batch(top.reshape(s0.shape)).tolist(), bounds)):
             if x > b:
-                break
-        else:
-            continue
-        if n == 1:
-            # q = [1.0]; "+ 0.0" maps -0.0 to 0.0, as contracting with q does.
-            a = coeffs[:, i, 0, 0] + 0.0
-            g0 = float(s0[i, 0, 0])
-        else:
-            q = vecs[i, :, -1]
-            a = np.einsum("i,dij,j->d", q, coeffs[:, i], q)
-            g0 = float(q @ s0[i] @ q)
-        # Affine value at the center, re-derived for consistency with the
-        # cut.  The Rayleigh quotient can dip below the bound within the
-        # eigensolver's round-off: that is a central cut.
-        return a, max(0.0, float(a @ center) + g0 - bounds[i])
+                return r, i
     return None

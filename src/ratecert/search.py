@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 from .model import FunctionClass, StepSizeInterval, reduced
@@ -61,7 +62,7 @@ class InvalidInput(ValueError):
 
 
 class SolverBudgetExceeded(RuntimeError):
-    """Iteration cap reached before a feasible point or a volume certificate."""
+    """Step budget reached before a feasible point or a proof of infeasibility."""
 
 
 def _numpy_layer():
@@ -339,9 +340,10 @@ def certify(
     weights depend on rho (pass ``weights``, one per filter tap, to pin them
     instead; trial rates at which pinned weights are inadmissible count as
     infeasible).  Weights of any other length, or any for sector, raise
-    InvalidInput, as does a zf order above MAX_ZF_ORDER.  Dynamic solves
-    hold P >= ``certifier.DELTA_PD`` * I and take the barrier solver's
-    default step budget.  The returned rate is the upper end of the final
+    InvalidInput, as does a zf order that is not a positive integer (bool
+    included) or is above MAX_ZF_ORDER.  Dynamic solves hold P >=
+    ``certifier.DELTA_PD`` * I and take the barrier solver's default step
+    budget.  The returned rate is the upper end of the final
     bracket, so it is always backed by a stored witness; ``rho_star`` is
     None when even the top of the bracket is infeasible.  Trial rates below the exact
     worst-case rate ``r_exact = max(closed_form_rate(lo),
@@ -385,8 +387,8 @@ def certify(
         raise InvalidInput(f"need eps_feas None or finite >= 0, got {eps_feas}")
     if iqc_kind not in KINDS:
         raise InvalidInput(f"unknown multiplier kind {iqc_kind!r}")
-    if zf_order < 1:
-        raise InvalidInput(f"zf_order must be >= 1, got {zf_order}")
+    if isinstance(zf_order, bool) or not isinstance(zf_order, Integral) or zf_order < 1:
+        raise InvalidInput(f"zf_order must be a positive integer, got {zf_order!r}")
     if iqc_kind == ZAMES_FALB and zf_order > MAX_ZF_ORDER:
         raise InvalidInput(f"zf_order must be <= {MAX_ZF_ORDER}, got {zf_order}")
     n_weights = taps(iqc_kind, zf_order)

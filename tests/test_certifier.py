@@ -297,6 +297,14 @@ def test_certify_validation():
         certify(FC10, interval_from_c(FC10, 1.0), iqc_kind="nope")
     with pytest.raises(InvalidInput):
         certify(FC10, interval_from_c(FC10, 1.0), rho_tol=1.0)
+    # 2.5, True and "2" raised a bare TypeError from augment.
+    for order in (2.5, True, "2"):
+        with pytest.raises(InvalidInput, match="zf_order"):
+            certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=ZAMES_FALB, zf_order=order)
+    numpy_order = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=ZAMES_FALB,
+                          zf_order=np.int64(1))
+    assert numpy_order.rho_star == certify(FC10, interval_from_c(FC10, 1.2),
+                                           iqc_kind=ZAMES_FALB, zf_order=1).rho_star
 
 
 @pytest.mark.parametrize(
