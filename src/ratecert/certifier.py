@@ -40,9 +40,12 @@ reduction-invariant for the plant state.  Two backends decide feasibility:
   decision vector (free coordinates of P, lambda), which takes Newton steps
   over all blocks at once (see ``ellipsoid``).  ``_runs`` hands it the
   family as three runs of stacked blocks: lambda >= 0, P >= DELTA_PD * I,
-  and the endpoint blocks.  Each solve starts from ``_start``, P = I/s and
-  lambda = R/2.  "Infeasible" means that no (P, lambda) in the solver's
-  ball meets every block with margin 2e-12 beyond -eps_feas.
+  and the endpoint blocks.  A ``certify``'s first solve starts from
+  ``_start``, P = I/s and lambda = R/2; each later one from the witness of
+  the lowest rate solved feasible so far, which at the nearby trial rate
+  misses feasibility only by a little.  "Infeasible" means that no (P,
+  lambda) in the solver's ball meets every block with margin 2e-12 beyond
+  -eps_feas, from whichever start.
 
 "<= 0" is implemented strictly as "<= -eps_feas * I", where eps_feas is
 ``certify``'s keyword (default: the data-scaled ``default_eps_feas``), and
@@ -194,9 +197,19 @@ def _runs(lmi: LmiData, rho: float, h: tuple[float, ...], eps: float) -> list[tu
 
 
 def _matrix_backend(lmi: LmiData, rho: float, h: tuple[float, ...],
-                    eps: float) -> Witness | None:
+                    eps: float, start: Witness | None = None) -> Witness | None:
+    """Solve from the witness ``start`` in the solver's coordinates (exact:
+    P's free entries are the diagonal but the last, then the upper triangle,
+    as ``_blocks`` reads them), or from ``_start`` without one or when it
+    is not strictly inside the ball."""
     d, s = lmi.p.shape[:2]
-    point = ellipsoid_feasibility(_runs(lmi, rho, h, eps), start=_start(s))
+    x0 = _start(s)
+    if start is not None:
+        p = start.p
+        v = np.concatenate((np.diag(p)[:-1], p[np.triu_indices(s, 1)], [start.lam]))
+        if v @ v < initial_radius(d) ** 2:
+            x0 = v
+    point = ellipsoid_feasibility(_runs(lmi, rho, h, eps), start=x0)
     if point is None:
         return None
     pmat = lmi.p[0] + sum(v * b for v, b in zip(point[:d - 1], lmi.p[1:]))
@@ -208,10 +221,12 @@ def _matrix_backend(lmi: LmiData, rho: float, h: tuple[float, ...],
 
 
 def feasible_at_rho(lmi: LmiData, rho: float, h: tuple[float, ...],
-                    eps: float | None = None) -> Witness | None:
+                    eps: float | None = None, start: Witness | None = None) -> Witness | None:
     """Decide joint feasibility of the block family at ``rho`` with the
     multiplier weights ``h``, each block held to "<= -eps * I" (None:
-    ``default_eps_feas`` of the data's kappa).
+    ``default_eps_feas`` of the data's kappa).  A dynamic solve starts from
+    the witness ``start`` when given (``certify`` passes the one of the
+    lowest rate solved feasible); the verdict's claims do not depend on it.
 
     Returns a Witness, or None when infeasible.  Raises SolverBudgetExceeded
     (distinct from infeasibility) if the barrier solver runs out of Newton
@@ -222,7 +237,7 @@ def feasible_at_rho(lmi: LmiData, rho: float, h: tuple[float, ...],
     if len(lmi.p) == 1:
         lam = sector_lambda(rho, lmi.alphas, FunctionClass(1.0, lmi.kappa), eps)
         return None if lam is None else Witness(p=_P_ONE, lam=lam)
-    return _matrix_backend(lmi, rho, h, eps)
+    return _matrix_backend(lmi, rho, h, eps, start)
 
 
 def _blocks(lmi: LmiData, rho: float, h: tuple[float, ...], p: np.ndarray,

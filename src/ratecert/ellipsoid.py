@@ -12,13 +12,18 @@ section 2.4; Vandenberghe & Boyd, SIAM Review 1996).  m is the total block
 order plus one.  A run of blocks is ``(s0, coeffs, bounds)``, shaped
 (B, n, n), (v_dim, B, n, n) and (B,).  All blocks go into one stack of order
 N, the largest n, each padded with a constant identity (log det I = 0), so
-each Newton step handles every block in a few array calls: about 40 steps
-per feasible and 70 per infeasible dynamic solve.
+each Newton step handles every block in a few array calls.  t starts
+where every G_c is at least max(|lowest|, 1e-9) * I, lowest being the least
+eigenvalue of the G_c at t = 0.  So a start that nearly meets every block (a
+witness found at a nearby rate) begins at t ~ 2|lowest| and needs about 12
+steps, while a dynamic solve from P = I/s needs about 50 (at most 95 over
+the solves of tools/witness_digest.py).
 
-* Feasible: the first iterate with t < 0 at which the yes/no scan
-  ``_first_violated_cut`` finds every block of the runs held.  A step that
-  the scan rejects, or after which G has no Cholesky factor or the Newton
-  system is not positive definite, left the domain in rounding and is halved.
+* Feasible: the first iterate with t < 0 that lies in the open ball and at
+  which the yes/no scan ``_first_violated_cut`` finds every block of the
+  runs held.  A step that fails either check, or after which G has no
+  Cholesky factor or the Newton system is not positive definite, left the
+  domain in rounding and is halved.
 * None: at an iterate with lambda < 1/2, t - 2m/tau bounds the least t from
   below (Nesterov 2004, section 4.2), so t - 2m/tau > 0 shows that no v in B
   satisfies every block.  Failing that, the solve stops once 2m/tau < 1e-12
@@ -44,6 +49,7 @@ from .search import SolverBudgetExceeded
 
 _MU = 16.0  # tau's growth factor
 _ETA = 1e-12  # the thin-set threshold
+_T_FLOOR = 1e-9  # the least margin of G at the start
 
 
 def initial_radius(d: int) -> float:
@@ -127,8 +133,9 @@ def ellipsoid_feasibility(runs, max_iters: int = 500, start=None) -> np.ndarray 
     (a point of the open ball B; default 0), or None when no v in B
     satisfies every block with margin 2e-12 (the module docstring states the
     exact claim).  Raises SolverBudgetExceeded, "unknown" and never
-    infeasible, when ``max_iters`` Newton steps (certifications take at most
-    about 100) reach no verdict; ValueError for non-finite data, a start
+    infeasible, when ``max_iters`` Newton steps (a certifier solve takes at
+    most about 100 from its default start, fewer from a nearby witness)
+    reach no verdict; ValueError for non-finite data, a start
     that is not a finite point of B, a run whose shapes disagree, or a
     non-positive-integer budget."""
     if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
@@ -152,10 +159,11 @@ def ellipsoid_feasibility(runs, max_iters: int = 500, start=None) -> np.ndarray 
                 and start @ start < initial_radius(d) ** 2):
             raise ValueError(f"start needs a finite point of length {d} inside the ball")
         x[1:-1] = start
-    # t starts where every G_c is at least max(1, |lowest|) * I.
+    # t starts where every G_c is at least max(|lowest|, _T_FLOOR) * I.
     blocks, n, _ = work[1].shape
     lowest = float(eigvalsh_lo((x @ work[0]).reshape(blocks, n, n), signature="d->d").min())
-    x[-1] = max(1.0, abs(lowest)) - lowest
+    x[-1] = max(abs(lowest), _T_FLOOR) - lowest
+    radius_sq = work[-1]
     tau = None
     step = np.zeros(d + 1)
     for _ in range(max_iters):
@@ -182,7 +190,7 @@ def ellipsoid_feasibility(runs, max_iters: int = 500, start=None) -> np.ndarray 
         step = dx * (-1.0 / (1.0 + math.sqrt(lam_sq)))
         while x[-1] + step[-1] < 0.0:
             point = x[1:-1] + step[:-1]
-            if _first_violated_cut(runs, point) is None:
+            if point @ point < radius_sq and _first_violated_cut(runs, point) is None:
                 return point
             step *= 0.5
         x[1:] += step

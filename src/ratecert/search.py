@@ -356,7 +356,8 @@ def certify(
     the floor (at first the larger of r_exact and just above
     ``known_infeasible``) is rejected; a rate at or above the ceiling (the
     lowest rate solved feasible) takes the ceiling's verdict; any other is
-    solved once, and an infeasible verdict raises the floor past it, a
+    solved once (a dynamic solve starts from the ceiling's witness when
+    there is one), and an infeasible verdict raises the floor past it, a
     feasible one lowers the ceiling to it.  A budget error
     (SolverBudgetExceeded) leaves both where they were.
 
@@ -457,7 +458,8 @@ def certify(
             except certifier.WeightOutOfRange:
                 pass
             else:
-                verdict = certifier.feasible_at_rho(lmi, rho, h, eps)
+                verdict = certifier.feasible_at_rho(
+                    lmi, rho, h, eps, start=None if ceiling is None else ceiling[1])
         if verdict is None:
             floor = math.nextafter(rho, math.inf)
             return None

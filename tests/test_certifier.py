@@ -83,9 +83,9 @@ def _spy_solvers(mp, on_call):
         on_call(rho)
         return sector_lambda(rho, *args)
 
-    def matrix(lmi, rho, h, eps=None):
+    def matrix(lmi, rho, h, eps=None, start=None):
         on_call(rho)
-        return feasible_at_rho(lmi, rho, h, eps)
+        return feasible_at_rho(lmi, rho, h, eps, start=start)
 
     mp.setattr(search, "sector_lambda", sector)
     mp.setattr(certifier, "feasible_at_rho", matrix)
@@ -343,9 +343,9 @@ def test_certify_hands_the_solver_its_eps(monkeypatch, eps_feas):
     # the class's kappa, and every dynamic solve gets that float.
     seen = []
 
-    def matrix(lmi, rho, h, eps=None):
+    def matrix(lmi, rho, h, eps=None, start=None):
         seen.append(eps)
-        return feasible_at_rho(lmi, rho, h, eps)
+        return feasible_at_rho(lmi, rho, h, eps, start=start)
 
     monkeypatch.setattr(certifier, "feasible_at_rho", matrix)
     certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=WEIGHTED_OFF_BY_1, eps_feas=eps_feas)
@@ -700,10 +700,11 @@ def test_backend_agreement_on_sector_instances():
 
 
 def test_start_center_is_inside_the_barrier_domain():
-    # Each solve starts from P = I/s and lambda = R/2, the center of the
-    # unit-trace P >= 0 and of the segment 0 <= lambda <= R: strictly inside
-    # lambda >= 0, P >= DELTA_PD * I and the solver's ball, so the barrier
-    # starts inside its domain at every rate (t absorbs the endpoint blocks).
+    # A certify's first solve starts from P = I/s and lambda = R/2, the
+    # center of the unit-trace P >= 0 and of the segment 0 <= lambda <= R:
+    # strictly inside lambda >= 0, P >= DELTA_PD * I and the solver's ball,
+    # so the barrier starts inside its domain at every rate (t absorbs the
+    # endpoint blocks).
     for s in (1, 2, 3, 4, 5):
         center = certifier._start(s)
         assert not center.flags.writeable
@@ -902,14 +903,17 @@ def _plain_bisection(fc, interval, kind, rho_tol=1e-4):
 @given(
     kappa=st.floats(1.5, 60.0),
     c=st.floats(1.0, 1.95),
-    kind=st.sampled_from([SECTOR, WEIGHTED_OFF_BY_1]),
+    kind=st.sampled_from([SECTOR, WEIGHTED_OFF_BY_1, ZAMES_FALB]),
 )
 @example(kappa=10.0, c=1.2, kind=SECTOR)  # speculative solve infeasible
 @example(kappa=10.0, c=1.2, kind=WEIGHTED_OFF_BY_1)  # tight: settled by one solve
+@example(kappa=10.0, c=1.2, kind=ZAMES_FALB)
 def test_certify_matches_plain_bisection(kappa, c, kind):
-    # Speculating where the search ends changes how many solves it makes,
-    # never what it returns: same rate, trial count and witness bits, and
-    # at most one solve more than the plain bisection.
+    # Speculating where the search ends, and starting each dynamic solve
+    # from the lowest-rate witness found so far, change how many solves it
+    # makes and where a solve stops inside the feasible set, never the
+    # verdicts: same rate and trial count as the plain bisection of cold
+    # solves, at most one solve more, and a witness that verifies.
     fc = FunctionClass(1.0, kappa)
     interval = interval_from_c(fc, c)
     found, trials, solves = _plain_bisection(fc, interval, kind)
@@ -922,11 +926,9 @@ def test_certify_matches_plain_bisection(kappa, c, kind):
     if found is None:
         assert cert.rho_star is None
         return
-    rho, wit = found
-    assert cert.rho_star == rho
-    assert cert.witness.lam == wit.lam
-    assert cert.witness.p.tobytes() == wit.p.tobytes()
-    assert cert.cond_p == cond_spd(wit.p)
+    assert cert.rho_star == found[0]
+    assert verify_certificate(cert)
+    assert cert.cond_p == cond_spd(cert.witness.p)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1154,26 +1156,26 @@ def test_zf2_certifies_soundly_before_onset_and_not_past_it():
 # bytes of P: a change to how the inequality's data is built or summed that
 # moves a single bit of a dynamic witness fails here.
 PINNED_WITNESSES = {
-    ("wob1", 10.0, 1.2, None): "ac93b31238d256a10e36fefb27fc7ace4b70c6c61ec074e8621c622ef9d1df91",
-    ("wob1", 7.0, 1.3, None): "4e9cf4d7ff2f5e290429531e454042a3810d69f926bd43d83926d43d32ab17d5",
-    ("wob1", 5.0, 1.5, None): "3a29a260d948d76562616e18ca6e7401463f5d434a42cc7d325473f92a45d2fb",
-    ("zf:1", 10.0, 1.2, None): "ac93b31238d256a10e36fefb27fc7ace4b70c6c61ec074e8621c622ef9d1df91",
-    ("zf:1", 7.0, 1.3, None): "4e9cf4d7ff2f5e290429531e454042a3810d69f926bd43d83926d43d32ab17d5",
-    ("zf:1", 5.0, 1.5, None): "3a29a260d948d76562616e18ca6e7401463f5d434a42cc7d325473f92a45d2fb",
-    ("zf:2", 10.0, 1.2, None): "4470aac27489a502793dcb1ee1fc59e8056658b1be4e43dcaf368a2fc5aea828",
-    ("zf:2", 7.0, 1.3, None): "1ab92d0a472bfafab7cb8535ec347a6502e722a83716019032532565f8a250ae",
-    ("zf:2", 5.0, 1.5, None): "da16568f875f0f185fd9d671912f985ae213f0c88b3616aec084950646fe2688",
-    ("zf:3", 10.0, 1.2, None): "884f969fe787fe9d6955ce2357b371b7e83bd8167578029c8d9879e92f386190",
-    ("zf:3", 7.0, 1.3, None): "3868287dd9a1101c3554ad92332917c894dcc1855e5089330dd7464964277ec6",
-    ("zf:3", 5.0, 1.5, None): "ef4426a1a64dd9861ffe4a80b0ff793a5bc83c2fdee4c73d7b206238ed9d5d05",
+    ("wob1", 10.0, 1.2, None): "e9f1c909759395159458aba171d63184dd81c2a0ae155078742c22f0ce6f3b85",
+    ("wob1", 7.0, 1.3, None): "02d301d9f4ce2a413d2cc9efd57980e778cd7e09016f39d063fc2007bff9f88a",
+    ("wob1", 5.0, 1.5, None): "86e61caa3da869acf53787fe3b65bfc7200843d8de8922edfd395ee90073a232",
+    ("zf:1", 10.0, 1.2, None): "e9f1c909759395159458aba171d63184dd81c2a0ae155078742c22f0ce6f3b85",
+    ("zf:1", 7.0, 1.3, None): "02d301d9f4ce2a413d2cc9efd57980e778cd7e09016f39d063fc2007bff9f88a",
+    ("zf:1", 5.0, 1.5, None): "86e61caa3da869acf53787fe3b65bfc7200843d8de8922edfd395ee90073a232",
+    ("zf:2", 10.0, 1.2, None): "20643d427445e5179a63ed001a0607057268730f1cfd30a4dbdcb1529dd8ec8e",
+    ("zf:2", 7.0, 1.3, None): "590046b52933a38c9fdd07135765dfa87743dc7fc7dd6d836caa2a341eedf788",
+    ("zf:2", 5.0, 1.5, None): "96e6d18936a9f730cbed17ed30d6b880c77f86d99752667dc4c2c2f72392adf3",
+    ("zf:3", 10.0, 1.2, None): "b96a6640295b7463cafce6b2835385f1a945832fdc6294d9b011d041bc6ea3c2",
+    ("zf:3", 7.0, 1.3, None): "d0911e7d4a8b1e7588f7c022782d198136031944b26920045796699ba6b411a4",
+    ("zf:3", 5.0, 1.5, None): "3b83db5e9f645fa9f05bd1d64076ba2180f9c73cd847ccb3c53e0aba1466c99c",
     ("wob1", 10.0, 1.2, (0.5,)):
-        "617f6e5571ac4bb4eba158ba1a4c7cc87b1d1ae54cc225f0f77f4e14534f005f",
+        "0446e43939df14b02079f2c974558319ec25ec163493126268d6b10dd851f218",
     ("zf:1", 10.0, 1.2, (0.4,)):
-        "9791219d30bee1edf014fb976fdf68f4d513f4f44d4238dcb3663313bf0010f4",
+        "f6c1ed32a0b9432ba232ff2659f0521d3f1718a7255bc88bcba8cbf627993551",
     ("zf:2", 10.0, 1.2, (0.4, 0.2)):
-        "dd495925ed513235f74ed71b453f0560f9964e2d10989ae810293c28a81a541d",
+        "307c176925384c0d9ddff9e584722774566c4377e2d38cd49f3d1ffa8a39703e",
     ("zf:3", 10.0, 1.2, (0.3, 0.2, 0.1)):
-        "5a98d26e9ff559ea466d03cb04f8dae7855b6dc9418161dcdab81831fec20e76",
+        "6e92b885ce104aafa2a329f72cc29b947ce635046c93133c8d68612491740444",
 }
 
 

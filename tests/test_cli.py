@@ -593,9 +593,9 @@ def _solves_per_row(monkeypatch):
         solves.append(rho)
         return sector_lambda(rho, *args)
 
-    def matrix(lmi, rho, *args):
+    def matrix(lmi, rho, *args, **kwargs):
         solves.append(rho)
-        return feasible_at_rho(lmi, rho, *args)
+        return feasible_at_rho(lmi, rho, *args, **kwargs)
 
     def row(*args, **kwargs):
         solves.clear()
@@ -711,19 +711,19 @@ PINNED_OUTPUTS = {
         "a46436a8f7d65620deb40fa135f3a6b25bc208b97615a288220830d9c256c3df"),
     "sweep-c-wob1": (
         ("sweep-c", "--kappa", "10", "--points", "12", "--iqc", "wob1"),
-        "d75a58d086a828e7d3fb490b5da541d2e896ce744de3440bc1d9835343383bf1"),
+        "658108a27b5c4d1b6dc90679e98909f7635bca585b714804dcd7bcc2fed46afb"),
     "certify-sector": (
         ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "sector"),
         "b34b4c466a34b535c69fa38759add0e11a82377814878df541fe42424e075e2f"),
     "certify-wob1": (
         ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "wob1"),
-        "d32f81b71174b3119758b6df0a0e62d7c3096a2a9f65d538259f03bac7cbfcef"),
+        "f0af7bf8ff49ba99adc3acaafbc9eb7d9d73d4c3d9c3255f9bf608277bbc73c8"),
     "certify-zf2": (
         ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "zf:2"),
-        "348f568020f6a072e5782e0b305525a5fc0b639157562e787d5690fd07190919"),
+        "40b9218af27053c9ddf589a693ae89de7c9450bbdf20e9a789ded73844a1fee2"),
     "certify-zf3": (
         ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "zf:3"),
-        "e88fb9eab4b9a2411e80cd3ca626644e8cda9d4fe19e1d8d9094973b1866b689"),
+        "4b5e1427a269ff15dcf44478f4ad78c17a80e8975b5e8ce8b13871a0a076f98f"),
 }
 
 

@@ -294,11 +294,12 @@ def _sym(rng, *shape):
 
 @st.composite
 def _planted_systems(draw):
-    """Random runs (orders 1-4, batches 1-3, v_dim 1-6) and whether they are
-    feasible: feasible ones have a planted point with margins in [0.01, 1]
-    inside the ball; infeasible ones a planted dual Z_c >= 0 (Farkas) with
-    sum_c <Z_c, S_ic> = 0 for every i and sum_c <Z_c, S0_c - b_c I> > 0, so
-    that no v anywhere satisfies every block."""
+    """Random runs (orders 1-4, batches 1-3, v_dim 1-6) and their planted
+    point, None for an infeasible system: feasible ones hold at the planted
+    point, inside the ball, with margins in [0.01, 1]; infeasible ones have
+    a planted dual Z_c >= 0 (Farkas) with sum_c <Z_c, S_ic> = 0 for every i
+    and sum_c <Z_c, S0_c - b_c I> > 0, so that no v anywhere satisfies every
+    block."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     v_dim = draw(st.integers(1, 6))
     shapes = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=1, max_size=4))
@@ -307,7 +308,7 @@ def _planted_systems(draw):
     if feasible:
         v = rng.normal(size=v_dim)
         return [(s0, coeffs, tuple(_lam_max(s0, coeffs, v) + rng.uniform(0.01, 1.0, len(s0))))
-                for s0, coeffs, _ in runs], True
+                for s0, coeffs, _ in runs], v
     zs = []
     for s0, _, _ in runs:
         a = rng.normal(size=(*s0.shape[:2], int(rng.integers(1, s0.shape[1] + 1))))
@@ -323,24 +324,52 @@ def _planted_systems(draw):
               for z, b, (s0, _, _) in zip(zs, bounds, runs))
     shift = (rng.uniform(0.01, 1.0) * trace - gap) / norm_sq
     return [(s0 + shift * z, coeffs, tuple(b.tolist()))
-            for z, b, (s0, coeffs, _) in zip(zs, bounds, runs)], False
+            for z, b, (s0, coeffs, _) in zip(zs, bounds, runs)], None
+
+
+def _assert_verdict(runs, planted, point):
+    """A feasible system's point lies in the open ball and np.linalg.eigvalsh
+    finds every block held there; an infeasible one gives None."""
+    if planted is None:
+        assert point is None
+    else:
+        assert point is not None and _reference_scan(runs, point) is None
+        assert point @ point < ellipsoid.initial_radius(len(point)) ** 2
 
 
 @settings(max_examples=150, deadline=None)
 @given(system=_planted_systems())
-@example(system=([THIN_SLAB], False))
-@example(system=(ZF3_DRAW, False))
-@example(system=(ZF3_STALL, False))
+@example(system=([THIN_SLAB], None))
+@example(system=(ZF3_DRAW, None))
+@example(system=(ZF3_STALL, None))
 def test_barrier_verdicts_are_sound(system):
-    # A feasible system gives a point at which np.linalg.eigvalsh finds
-    # every block held; a system with a dual certificate of infeasibility
-    # gives None.
-    runs, feasible = system
-    point = ellipsoid_feasibility(runs)
-    if feasible:
-        assert point is not None and _reference_scan(runs, point) is None
+    runs, planted = system
+    _assert_verdict(runs, planted, ellipsoid_feasibility(runs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=_planted_systems(), where=st.sampled_from(["inside", "sphere", "planted"]),
+       seed=st.integers(0, 10_000))
+def test_barrier_verdicts_do_not_depend_on_the_start(system, where, seed):
+    # A start anywhere in the open ball gives the default start's verdict:
+    # a uniform point of B, one within 1e-12 to 1e-2 of the sphere, or the
+    # feasible system's planted point (the Farkas system draws a uniform
+    # point there instead).
+    runs, planted = system
+    d = runs[0][1].shape[0]
+    radius = ellipsoid.initial_radius(d)
+    rng = np.random.default_rng(seed)
+    if where == "planted" and planted is not None:
+        start = planted
     else:
-        assert point is None
+        direction = rng.normal(size=d)
+        scale = (1.0 - 10.0 ** rng.uniform(-12.0, -2.0) if where == "sphere"
+                 else rng.random() ** (1.0 / d))
+        start = radius * scale * direction / np.linalg.norm(direction)
+    assert start @ start < radius ** 2
+    cold = ellipsoid_feasibility(runs)
+    assert (cold is None) == (planted is None)
+    _assert_verdict(runs, planted, ellipsoid_feasibility(runs, start=start))
 
 
 def test_zf3_draw_keeps_its_rate():

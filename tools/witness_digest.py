@@ -25,10 +25,14 @@ Each draw certifies ``FunctionClass(1, kappa)`` on ``interval_from_c(fc,
 c)`` with ``certify(..., rho_tol=rho_tol)``.  Hashed per draw: the kind,
 zf order, kappa, c and rho_tol; ``rho_star``, ``cond_p``, ``weights`` and
 ``bisection_iters``; and, for a certificate with a witness, ``lam``,
-``slack`` and the bytes of P in C order.  Two lines come before the
+``slack`` and the bytes of P in C order.  Four lines come before the
 digest: the mean and the largest number of Newton steps (calls of
-``ellipsoid._newton_system``) per certification, and a rates-only
-digest over the kind, zf order, kappa, c and rho_tol and ``rho_star`` and
+``ellipsoid._newton_system``) per certification; the same for barrier
+solves (calls of ``certifier.ellipsoid_feasibility``) per certification;
+the same for Newton steps per solve, over the first solve of each
+certification (from the cold start) and over the later ones (started from
+the lowest-rate witness found so far); and a rates-only digest over the
+kind, zf order, kappa, c and rho_tol and ``rho_star`` and
 ``bisection_iters``, hashed as above.  A change that moves witness bits but
 no rate leaves that digest equal at both commits.
 
@@ -85,7 +89,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from ratecert import cli, ellipsoid, search  # noqa: E402
+from ratecert import certifier, cli, ellipsoid, search  # noqa: E402
 from ratecert.certifier import certify  # noqa: E402
 from ratecert.model import (  # noqa: E402
     FunctionClass,
@@ -175,29 +179,43 @@ COUNTED = {"dynamic": (ellipsoid, "_newton_system"),
            "sector": (search, "sector_lambda"), "sweep-c": (search, "sector_lambda")}
 
 
-def digest(draws: int, seed: int, family: str = "dynamic") -> tuple[str, int, list[int], str]:
+def digest(draws: int, seed: int,
+           family: str = "dynamic") -> tuple[str, int, list[list[int]], str]:
     """The sha256 hex digest over ``draws`` draws of ``family``, how many
     rates they certified, the counted calls each draw made (``COUNTED``),
-    and the rates-only hex digest (fed by the dynamic family alone)."""
+    and the rates-only hex digest (fed by the dynamic family alone).  A
+    dynamic draw's counts are split by barrier solve, one entry per solve;
+    any other draw has one entry."""
     rng = np.random.default_rng(seed)
     sha, rates = hashlib.sha256(), hashlib.sha256()
     draw = FAMILIES[family]
     module, name = COUNTED[family]
-    call, counts = getattr(module, name), []
+    call, solve, counts = getattr(module, name), certifier.ellipsoid_feasibility, []
 
     def counted(*args):
-        counts[-1] += 1
+        counts[-1][-1] += 1
         return call(*args)
 
+    def solved(*args, **kwargs):
+        counts[-1].append(0)
+        return solve(*args, **kwargs)
+
     setattr(module, name, counted)
+    if family == "dynamic":
+        certifier.ellipsoid_feasibility = solved
     try:
         certified = 0
         for index in range(draws):
-            counts.append(0)
+            counts.append([] if family == "dynamic" else [0])
             certified += draw(rng, sha, rates, index)
     finally:
         setattr(module, name, call)
+        certifier.ellipsoid_feasibility = solve
     return sha.hexdigest(), certified, counts, rates.hexdigest()
+
+
+def _spread(values: list[int]) -> str:
+    return f"mean {sum(values) / max(len(values), 1):.4f}, max {max(values, default=0)}"
 
 
 def main(argv=None) -> int:
@@ -210,9 +228,11 @@ def main(argv=None) -> int:
     print(f"draws {args.draws}, seed {args.seed}, certified {certified}")
     what = "Newton steps" if args.family == "dynamic" else "solves"
     per = "command" if args.family == "sweep-c" else "certification"
-    print(f"{what} per {per}: mean {sum(counts) / max(len(counts), 1):.4f}, "
-          f"max {max(counts, default=0)}")
+    print(f"{what} per {per}: {_spread([sum(c) for c in counts])}")
     if args.family == "dynamic":
+        print(f"solves per certification: {_spread([len(c) for c in counts])}")
+        print(f"Newton steps per solve: first (cold) {_spread([c[0] for c in counts if c])}; "
+              f"later (warm) {_spread([n for c in counts for n in c[1:]])}")
         print(f"rates {rates}")
     print(hexdigest)
     return 0
