@@ -1,8 +1,8 @@
 """Rate certification, numpy layer: decide joint feasibility in (P, lambda)
 of the matrix inequality at the endpoints of a step-size interval, replay
-certificates, and the symmetric eigen-solves both need.  The bisection on
-the contraction rate rho (``certify``) and the sector closed form live in
-``search``, which imports no numpy; they are re-exported here.
+certificates (``_slack``), and the symmetric eigen-solves both need.  The
+bisection on the contraction rate rho (``certify``) and the sector closed
+form live in ``search``, which imports no numpy; they are re-exported here.
 
 The inequality family, one block per interval endpoint alpha,
 
@@ -37,15 +37,15 @@ reduction-invariant for the plant state.  Two backends decide feasibility:
   floats, without importing this module; only replay
   (``Certificate.slack``, ``verify_certificate``) builds the numpy data.
 * state dimension >= 2: a log-det barrier (interior-point) solver over the
-  decision vector (free coordinates of P, lambda), which takes Newton steps
-  over all blocks at once (see ``ellipsoid``).  ``_runs`` hands it the
-  family as three runs of stacked blocks: lambda >= 0, P >= DELTA_PD * I,
-  and the endpoint blocks.  A ``certify``'s first solve starts from
-  ``_start``, P = I/s and lambda = R/2; each later one from the witness of
-  the lowest rate solved feasible so far, which at the nearby trial rate
-  misses feasibility only by a little.  "Infeasible" means that no (P,
-  lambda) in the solver's ball meets every block with margin 2e-12 beyond
-  -eps_feas, from whichever start.
+  decision vector (P's free entries, ``iqc.free_entries``, then lambda),
+  which takes Newton steps over all blocks at once (see ``ellipsoid``).
+  ``_runs`` hands it the family as three runs of stacked blocks: lambda >=
+  0, P >= DELTA_PD * I, and the endpoint blocks.  A ``certify``'s first
+  solve starts from ``_start``, P = I/s and lambda = R/2; each later one
+  from the witness of the lowest rate solved feasible so far, which at the
+  nearby trial rate misses feasibility only by a little.  "Infeasible"
+  means that no (P, lambda) in the solver's ball meets every block with
+  margin 2e-12 beyond -eps_feas, from whichever start.
 
 "<= 0" is implemented strictly as "<= -eps_feas * I", where eps_feas is
 ``certify``'s keyword (default: the data-scaled ``default_eps_feas``), and
@@ -65,6 +65,7 @@ witness.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -74,6 +75,7 @@ from .iqc import (
     WeightOutOfRange,
     augment,
     default_weights,
+    free_entries,
     quad_form,
     sector,
     weighted_off_by_1,
@@ -145,9 +147,9 @@ _P_ONE.setflags(write=False)
 
 def _weights(kind: str, rho: float, k: int,
              pinned: tuple[float, ...] | None) -> tuple[float, ...]:
-    """The weights h of a k-tap ``kind`` multiplier at rate ``rho``:
-    ``pinned``, or the defaults.  Raises WeightOutOfRange when they are
-    inadmissible at ``rho`` or do not fit the k taps."""
+    """The weights h of a k-tap ``kind`` multiplier (``taps`` checks both)
+    at rate ``rho``: ``pinned``, or the defaults.  Raises WeightOutOfRange
+    when they are inadmissible at ``rho`` or do not fit the k taps."""
     if pinned is not None and len(pinned) != k:
         raise WeightOutOfRange(f"{kind} takes {k} weight(s), got {len(pinned)}")
     if kind == SECTOR:
@@ -155,19 +157,16 @@ def _weights(kind: str, rho: float, k: int,
     h = pinned or default_weights(kind, rho, k)
     if kind == WEIGHTED_OFF_BY_1:
         return weighted_off_by_1(rho, h[0])
-    if kind == ZAMES_FALB:
-        return zames_falb(rho, h)
-    raise InvalidInput(f"unknown multiplier kind {kind!r}; expected one of {KINDS}")
+    return zames_falb(rho, h)
 
 
 @functools.lru_cache(maxsize=None)
 def _start(s: int) -> np.ndarray:
-    """The solver's start for P of order s, read-only: P = I/s, the
-    center of the unit-trace P >= 0, in P's free coordinates (the first s - 1
-    diagonal entries, then the off-diagonal ones), and lambda = R/2, inside
+    """The solver's start for P of order s, read-only: P = I/s, the center
+    of the unit-trace P >= 0, in P's free entries, and lambda = R/2, inside
     the segment 0 <= lambda <= R of the solver's ball of radius R."""
-    p = s * (s + 1) // 2 - 1
-    center = np.array([1.0 / s] * (s - 1) + [0.0] * (p - s + 1) + [0.5 * initial_radius(p + 1)])
+    d = s * (s + 1) // 2
+    center = np.concatenate((np.eye(s).take(free_entries(s)) / s, [0.5 * initial_radius(d)]))
     center.setflags(write=False)
     return center
 
@@ -196,17 +195,28 @@ def _runs(lmi: LmiData, rho: float, h: tuple[float, ...], eps: float) -> list[tu
     ]
 
 
-def _matrix_backend(lmi: LmiData, rho: float, h: tuple[float, ...],
-                    eps: float, start: Witness | None = None) -> Witness | None:
-    """Solve from the witness ``start`` in the solver's coordinates (exact:
-    P's free entries are the diagonal but the last, then the upper triangle,
-    as ``_blocks`` reads them), or from ``_start`` without one or when it
-    is not strictly inside the ball."""
+def feasible_at_rho(lmi: LmiData, rho: float, h: tuple[float, ...],
+                    eps: float | None = None, start: Witness | None = None) -> Witness | None:
+    """Decide joint feasibility of the block family at ``rho`` with the
+    multiplier weights ``h``, each block held to "<= -eps * I" (None:
+    ``default_eps_feas`` of the data's kappa).  A dynamic solve starts from
+    the witness ``start`` (``certify`` passes the one of the lowest rate
+    solved feasible) if it is strictly inside the ball, else from
+    ``_start``; the verdict's claims do not depend on it.
+
+    Returns a Witness, or None when infeasible.  Raises SolverBudgetExceeded
+    (distinct from infeasibility) if the barrier solver runs out of Newton
+    steps before reaching a verdict.
+    """
+    if eps is None:
+        eps = default_eps_feas(lmi.kappa)
     d, s = lmi.p.shape[:2]
+    if s == 1:
+        lam = sector_lambda(rho, lmi.alphas, FunctionClass(1.0, lmi.kappa), eps)
+        return None if lam is None else Witness(p=_P_ONE, lam=lam)
     x0 = _start(s)
     if start is not None:
-        p = start.p
-        v = np.concatenate((np.diag(p)[:-1], p[np.triu_indices(s, 1)], [start.lam]))
+        v = np.concatenate((start.p.take(free_entries(s)), [start.lam]))
         if v @ v < initial_radius(d) ** 2:
             x0 = v
     point = ellipsoid_feasibility(_runs(lmi, rho, h, eps), start=x0)
@@ -220,75 +230,54 @@ def _matrix_backend(lmi: LmiData, rho: float, h: tuple[float, ...],
     return Witness(p=p, lam=float(point[-1]))
 
 
-def feasible_at_rho(lmi: LmiData, rho: float, h: tuple[float, ...],
-                    eps: float | None = None, start: Witness | None = None) -> Witness | None:
-    """Decide joint feasibility of the block family at ``rho`` with the
-    multiplier weights ``h``, each block held to "<= -eps * I" (None:
-    ``default_eps_feas`` of the data's kappa).  A dynamic solve starts from
-    the witness ``start`` when given (``certify`` passes the one of the
-    lowest rate solved feasible); the verdict's claims do not depend on it.
-
-    Returns a Witness, or None when infeasible.  Raises SolverBudgetExceeded
-    (distinct from infeasibility) if the barrier solver runs out of Newton
-    steps before reaching a verdict.
-    """
-    if eps is None:
-        eps = default_eps_feas(lmi.kappa)
-    if len(lmi.p) == 1:
-        lam = sector_lambda(rho, lmi.alphas, FunctionClass(1.0, lmi.kappa), eps)
-        return None if lam is None else Witness(p=_P_ONE, lam=lam)
-    return _matrix_backend(lmi, rho, h, eps, start)
-
-
 def _blocks(lmi: LmiData, rho: float, h: tuple[float, ...], p: np.ndarray,
             lam: float) -> np.ndarray:
     """The family's blocks, one per step size, at (rho, h) and the pair
-    (P, lambda): the data evaluated at P's coordinates over its basis."""
-    s = lmi.p.shape[1]
-    if p.shape != (s, s):
-        raise InvalidInput(f"P has order {p.shape[0]}, expected {s}")
-    x = np.concatenate(([np.trace(p)], np.diag(p)[:-1], p[np.triu_indices(s, 1)]))
+    (P, lambda) for a P of the data's order: the data evaluated at P's
+    trace and free coordinates over its basis."""
+    s = len(p)
+    x = np.concatenate(([np.trace(p)], p.take(free_entries(s))))
     blocks = np.tensordot(x, lmi.g, axes=1)
     blocks[..., :s, :s] -= (rho * rho) * p
     return blocks + lam * quad_form(lmi, h)
 
 
+# Overflow shows as blocks that are not finite, so no flag becomes a warning.
+@np.errstate(all="ignore")
 def _slack(cert: Certificate) -> float:
-    """Largest block eigenvalue of the certificate's witness over its step
-    sizes, on data rebuilt from the certificate's own fields in reduced
-    units (matching the witness); inf for a lambda or P that is not finite,
-    which no eigen-solve can bound."""
+    """The replay: the largest block eigenvalue of the certificate's witness
+    over its step sizes, on data rebuilt in reduced units from its own
+    fields, stored weights included.  It alone reads and checks them, and is
+    inf where it cannot evaluate them: an unknown kind or zf order, a
+    ``rho_star`` outside (0, 1], weights that do not fit the kind or are
+    inadmissible there, a P of the wrong order or not exactly symmetric, a P
+    or lambda that is not finite, or blocks that overflow."""
     wit = cert.witness
-    if not (np.isfinite(wit.lam) and np.isfinite(wit.p).all()):
-        return np.inf
+    try:
+        rho = float(cert.rho_star)
+        k = taps(cert.iqc_kind, cert.zf_order)
+        h = _weights(cert.iqc_kind, rho, k, tuple(cert.weights))
+    except (TypeError, ValueError):  # InvalidInput and WeightOutOfRange too
+        return math.inf
+    # The multipliers are claimed valid only at rates in (0, 1].  One term of
+    # the blocks reads P's upper triangle and another all of P, so a P that
+    # is not exactly symmetric would stand for two matrices.
+    if not (0.0 < rho <= 1.0 and np.shape(wit.p) == (k + 1, k + 1) and (wit.p == wit.p.T).all()):
+        return math.inf
     fc_n, alphas = reduced(cert.fc, cert.interval)
-    k = taps(cert.iqc_kind, cert.zf_order)
-    h = _weights(cert.iqc_kind, cert.rho_star, k, cert.weights or None)
-    lmi = augment(fc_n.kappa(), alphas, k)
-    return max_eigenvalue(_blocks(lmi, cert.rho_star, h, wit.p, wit.lam))
+    blocks = _blocks(augment(fc_n.kappa(), alphas, k), rho, h, wit.p, wit.lam)
+    return max_eigenvalue(blocks) if np.isfinite(blocks).all() else math.inf
 
 
 def verify_certificate(cert: Certificate) -> bool:
-    """Replay the certificate: rebuild the inequality's data from its own
-    fields, evaluate the blocks at both endpoints of the stored interval at
-    the stored (rho_star, P, lambda) and check their largest eigenvalue
-    against the data-scaled ``default_eps_feas`` of its class.  The
-    slack is recomputed here, never read from ``cert.slack``.  A lambda that
-    is negative or not finite, or a P that is not a finite positive definite
-    matrix of order k + 1 for the multiplier's k taps, fails the check."""
-    if cert.rho_star is None or cert.witness is None:
+    """Check the replay (``_slack``, recomputed here, never read from
+    ``cert.slack``): lambda >= 0, a slack within the data-scaled
+    ``default_eps_feas`` of the class, which must be finite, and P positive
+    definite.  A certificate that the replay cannot evaluate has slack inf
+    and fails.  Raises InvalidInput only for a certificate without a
+    witness."""
+    if cert.witness is None:
         raise InvalidInput("certificate has no witness to verify")
-    wit = cert.witness
-    if not 0.0 <= wit.lam < np.inf:
-        return False
-    s = taps(cert.iqc_kind, cert.zf_order) + 1
-    if np.shape(wit.p) != (s, s) or not np.isfinite(wit.p).all():
-        return False
-    vals, _ = eig_sym(wit.p)
-    if vals[0] <= 0.0:
-        return False
-    try:
-        slack = _slack(cert)
-    except WeightOutOfRange:
-        return False
-    return slack <= default_eps_feas(cert.fc.kappa())
+    return bool(cert.witness.lam >= 0.0
+                and _slack(cert) <= default_eps_feas(cert.fc.kappa()) < math.inf
+                and eig_sym(cert.witness.p)[0][0] > 0.0)

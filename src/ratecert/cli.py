@@ -358,8 +358,8 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
 
 def cmd_sweep_kappa(res: Resolved) -> int:
     k_min, k_max, points = res["kappa-min"], res["kappa-max"], res["points"]
-    if not (1.0 <= k_min <= k_max) or points < 1:
-        raise UsageError("need 1 <= kappa-min <= kappa-max and points >= 1")
+    if not (1.0 <= k_min <= k_max < math.inf) or points < 1:
+        raise UsageError("need 1 <= --kappa-min <= --kappa-max, both finite, and --points >= 1")
     c = res["c"]
     if points == 1:
         kappas = [k_min]

@@ -29,7 +29,7 @@ the solves of tools/witness_digest.py).
   satisfies every block.  Failing that, the solve stops once 2m/tau < 1e-12
   and t > -1e-12: no v in B satisfies every block with margin 2e-12.  Both
   claims hold up to the rounding of the Newton system.
-* Unknown: SolverBudgetExceeded at the step budget.
+* Unknown: SolverBudgetExceeded at the step budget, ``MAX_STEPS``.
 
 ``ellipsoid_feasibility``, ``_first_violated_cut`` and ``_jacobi_batch`` are
 named for an ellipsoid method; they stay because the benchmark's tracer wraps
@@ -50,6 +50,7 @@ from .search import SolverBudgetExceeded
 _MU = 16.0  # tau's growth factor
 _ETA = 1e-12  # the thin-set threshold
 _T_FLOOR = 1e-9  # the least margin of G at the start
+MAX_STEPS = 500  # the step budget; a certifier solve takes at most about 100
 
 
 def initial_radius(d: int) -> float:
@@ -128,18 +129,14 @@ def _newton_system(x: np.ndarray, work: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 # A failed Cholesky factor sets the invalid flag; its NaN decides instead.
 @np.errstate(all="ignore")
-def ellipsoid_feasibility(runs, max_iters: int = 500, start=None) -> np.ndarray | None:
+def ellipsoid_feasibility(runs, start=None) -> np.ndarray | None:
     """A point of B satisfying every block of ``runs``, found from ``start``
     (a point of the open ball B; default 0), or None when no v in B
     satisfies every block with margin 2e-12 (the module docstring states the
     exact claim).  Raises SolverBudgetExceeded, "unknown" and never
-    infeasible, when ``max_iters`` Newton steps (a certifier solve takes at
-    most about 100 from its default start, fewer from a nearby witness)
-    reach no verdict; ValueError for non-finite data, a start
-    that is not a finite point of B, a run whose shapes disagree, or a
-    non-positive-integer budget."""
-    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
-        raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")
+    infeasible, when ``MAX_STEPS`` Newton steps reach no verdict;
+    ValueError for non-finite data, a start that is not a finite point of B,
+    or a run whose shapes disagree."""
     if not runs:
         raise ValueError("need at least one constraint run")
     d = runs[0][1].shape[0]
@@ -166,7 +163,7 @@ def ellipsoid_feasibility(runs, max_iters: int = 500, start=None) -> np.ndarray 
     radius_sq = work[-1]
     tau = None
     step = np.zeros(d + 1)
-    for _ in range(max_iters):
+    for _ in range(MAX_STEPS):
         grad, hess = _newton_system(x, work)
         if tau is None:  # the tau that minimizes the Newton decrement
             tau = max(-solve1(hess, grad, signature="dd->d")[-1]
@@ -194,7 +191,7 @@ def ellipsoid_feasibility(runs, max_iters: int = 500, start=None) -> np.ndarray 
                 return point
             step *= 0.5
         x[1:] += step
-    raise SolverBudgetExceeded(f"no decision after {max_iters} Newton steps")
+    raise SolverBudgetExceeded(f"no decision after {MAX_STEPS} Newton steps")
 
 
 def _first_violated_cut(runs, point) -> tuple[int, int] | None:

@@ -23,6 +23,7 @@ free of rho and h, and ``augment`` builds it once per certification.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,18 +118,27 @@ class LmiData:
     qh: np.ndarray
 
 
+@functools.lru_cache(maxsize=None)
+def free_entries(s: int) -> np.ndarray:
+    """The flat indices, read-only, of an s x s P's free coordinates, the
+    one layout in which P is read and written: the diagonal without its
+    last entry, then the upper triangle row by row."""
+    rows, cols = np.triu_indices(s, 1)
+    index = np.concatenate((np.arange(s - 1) * (s + 1), rows * s + cols))
+    index.setflags(write=False)
+    return index
+
+
 def _unit_trace_basis(s: int) -> np.ndarray:
-    """P0 = e_s e_s^T, then e_i e_i^T - P0 for i < s, then e_i e_j^T +
-    e_j e_i^T for i < j: P = trace(P) P0 + sum_i v_i basis[i], so a
-    unit-trace P is P0 plus free coordinates v."""
-    pairs = [(i, i) for i in range(s - 1)] + [
-        (i, j) for i in range(s) for j in range(i + 1, s)]
-    p = np.zeros((1 + len(pairs), s, s))
+    """P0 = e_s e_s^T, then for each free entry (i, j) in turn e_i e_i^T -
+    P0 if i = j, else e_i e_j^T + e_j e_i^T: P = trace(P) P0 + sum_i v_i
+    basis[i], so a unit-trace P is P0 plus free coordinates v."""
+    rows, cols = np.divmod(free_entries(s), s)
+    n = np.arange(1, 1 + len(rows))
+    p = np.zeros((1 + len(rows), s, s))
     p[0, -1, -1] = 1.0
-    for n, (i, j) in enumerate(pairs, start=1):
-        p[n, i, j] = p[n, j, i] = 1.0
-        if i == j:
-            p[n, -1, -1] = -1.0
+    p[n, rows, cols] = p[n, cols, rows] = 1.0
+    p[n[:s - 1], -1, -1] = -1.0  # i = j
     return p
 
 

@@ -132,7 +132,8 @@ class Certificate:
     @cached_property
     def slack(self) -> float | None:
         """Largest block eigenvalue of the witness over the interval
-        endpoints (<= 0), computed on first read; None without a witness."""
+        endpoints (<= 0; inf where ``certifier._slack`` cannot evaluate it),
+        computed on first read; None without a witness."""
         if self.witness is None:
             return None
         return _numpy_layer()._slack(self)
@@ -342,8 +343,8 @@ def certify(
     infeasible).  Weights of any other length, or any for sector, raise
     InvalidInput, as does a zf order that is not a positive integer (bool
     included) or is above MAX_ZF_ORDER.  Dynamic solves hold P >=
-    ``certifier.DELTA_PD`` * I and take the barrier solver's default step
-    budget.  The returned rate is the upper end of the final
+    ``certifier.DELTA_PD`` * I and take the barrier solver's step budget,
+    ``ellipsoid.MAX_STEPS``.  The returned rate is the upper end of the final
     bracket, so it is always backed by a stored witness; ``rho_star`` is
     None when even the top of the bracket is infeasible.  Trial rates below the exact
     worst-case rate ``r_exact = max(closed_form_rate(lo),
@@ -386,12 +387,8 @@ def certify(
         raise InvalidInput(f"need 0 < rho_tol <= {RHO_HI - RHO_LO}, got {rho_tol}")
     if eps_feas is not None and not 0.0 <= eps_feas < math.inf:
         raise InvalidInput(f"need eps_feas None or finite >= 0, got {eps_feas}")
-    if iqc_kind not in KINDS:
-        raise InvalidInput(f"unknown multiplier kind {iqc_kind!r}")
     if isinstance(zf_order, bool) or not isinstance(zf_order, Integral) or zf_order < 1:
         raise InvalidInput(f"zf_order must be a positive integer, got {zf_order!r}")
-    if iqc_kind == ZAMES_FALB and zf_order > MAX_ZF_ORDER:
-        raise InvalidInput(f"zf_order must be <= {MAX_ZF_ORDER}, got {zf_order}")
     n_weights = taps(iqc_kind, zf_order)
     if weights is not None and len(weights) != n_weights:
         raise InvalidInput(f"{iqc_kind} takes {n_weights} weight(s), got {len(weights)}")
@@ -519,7 +516,13 @@ def certify(
 
 def taps(kind: str, zf_order: int | None) -> int:
     """The filter taps k of a multiplier kind: 0 for sector, 1 for wob1,
-    the zf order for zf.  Each tap has one weight."""
+    the zf order for zf.  Each tap has one weight.  Raises InvalidInput for
+    a kind outside KINDS, or for zf an order outside 1..MAX_ZF_ORDER."""
+    if kind not in KINDS:
+        raise InvalidInput(f"unknown multiplier kind {kind!r}; expected one of {KINDS}")
+    order_ok = isinstance(zf_order, Integral) and 1 <= zf_order <= MAX_ZF_ORDER
+    if kind == ZAMES_FALB and not order_ok:
+        raise InvalidInput(f"zf_order must be an integer in [1, {MAX_ZF_ORDER}], got {zf_order!r}")
     return {SECTOR: 0, WEIGHTED_OFF_BY_1: 1}.get(kind, zf_order)
 
 

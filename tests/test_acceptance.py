@@ -9,7 +9,8 @@ import time
 import numpy as np
 
 from ratecert.certifier import (
-    _matrix_backend,
+    _runs,
+    _start,
     certify,
     closed_form_rate,
     default_eps_feas,
@@ -17,6 +18,7 @@ from ratecert.certifier import (
     feasible_at_rho,
 )
 from ratecert.cli import SweepRow, format_sweep_csv, parse_sweep_csv
+from ratecert.ellipsoid import ellipsoid_feasibility
 from ratecert.iqc import (
     SECTOR,
     WEIGHTED_OFF_BY_1,
@@ -245,7 +247,8 @@ def test_criterion_10_property_suites():
         lmi = augment(fc_n.kappa(), alphas, 0)  # state dimension 1
         for rho in (min(base + 0.03, 0.9999), max(base - 0.03, 1e-3)):
             a = feasible_at_rho(lmi, rho, ()) is not None
-            b = _matrix_backend(lmi, rho, (), default_eps_feas(lmi.kappa)) is not None
+            runs = _runs(lmi, rho, (), default_eps_feas(lmi.kappa))
+            b = ellipsoid_feasibility(runs, start=_start(1)) is not None
             agree = agree and (a == b)
     notes.append(f"backend agreement: {agree}")
 

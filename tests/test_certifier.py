@@ -17,7 +17,8 @@ from ratecert.certifier import (
     Certificate,
     InvalidInput,
     _blocks,
-    _matrix_backend,
+    _runs,
+    _start,
     _weights,
     certify,
     closed_form_rate,
@@ -30,7 +31,7 @@ from ratecert.certifier import (
     taps,
     verify_certificate,
 )
-from ratecert.ellipsoid import SolverBudgetExceeded, initial_radius
+from ratecert.ellipsoid import SolverBudgetExceeded, ellipsoid_feasibility, initial_radius
 from ratecert.iqc import (
     SECTOR,
     WEIGHTED_OFF_BY_1,
@@ -143,8 +144,10 @@ def test_assemble_block_examples():
     lo, hi = _blocks(augment(10.0, (0.1, 0.2), 0), 0.9, (), p1, 0.0)
     assert_allclose(lo, [[0.19, -0.1], [-0.1, 0.01]], atol=1e-15)
     assert_allclose(hi, [[0.19, -0.2], [-0.2, 0.04]], atol=1e-15)
-    with pytest.raises(InvalidInput):
-        _blocks(augment(10.0, (0.1,), 0), 0.9, (), np.eye(2), 0.0)
+    # A P of the wrong order is a certificate the replay cannot evaluate.
+    cert = certify(FC10, interval_from_c(FC10, 1.2))
+    wrong_order = dataclasses.replace(cert.witness, p=np.eye(2) / 2)
+    assert dataclasses.replace(cert, witness=wrong_order).slack == math.inf
 
 
 def test_blocks_are_the_direct_product_at_the_witness():
@@ -651,6 +654,44 @@ def test_slack_of_a_non_finite_witness_is_inf(kind, order, spoil):
     assert verify_certificate(bad) is False
 
 
+@pytest.mark.parametrize("kind", [SECTOR, WEIGHTED_OFF_BY_1, ZAMES_FALB])
+def test_verify_rejects_a_tampered_certificate(kind):
+    # On one kind or another, each of these raised TypeError, InvalidInput or
+    # LinAlgError, or verified: against default weights in place of the
+    # stored ones, or at a negative rate.  The replay cannot evaluate them:
+    # their slack is inf.
+    cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=kind, zf_order=2)
+    assert verify_certificate(cert)
+    changes = [dict(iqc_kind="bogus"), dict(weights=("a",)), dict(weights=None),
+               dict(fc=FunctionClass(1.0, 1e308)), dict(rho_star=None),
+               dict(rho_star=-cert.rho_star), dict(rho_star=1.5)]
+    if kind == ZAMES_FALB:
+        changes += [dict(zf_order=None), dict(zf_order=99)]
+    for change in changes:
+        bad = dataclasses.replace(cert, **change)
+        assert bad.slack == math.inf, change
+        assert verify_certificate(bad) is False, change
+    # () is sector's own weights, and no default stands in for another kind's.
+    assert verify_certificate(dataclasses.replace(cert, weights=())) is (kind == SECTOR)
+
+
+def test_verify_rejects_a_p_that_is_not_exactly_symmetric():
+    # The blocks read P's upper triangle in one term and all of P in
+    # another.  With this P, whose lower-triangle reading is positive
+    # definite, a zf:2 certificate of rate 0.9, below the exact rate 11/12,
+    # verified; each symmetric reading of it fails the blocks.
+    cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=ZAMES_FALB, zf_order=2)
+    p = np.array([[0.9585, 0.2074, 0.0341], [0.1568, 0.0366, -0.0135], [0.0042, -0.0066, 0.0049]])
+    assert np.linalg.eigvalsh(p)[0] > 0.0 and 0.9 < _exact_rate(FC10, cert.interval)
+    bad = dataclasses.replace(cert, rho_star=0.9, weights=default_weights(ZAMES_FALB, 0.9, 2),
+                              witness=dataclasses.replace(cert.witness, p=p, lam=0.0095))
+    assert bad.slack == math.inf
+    assert verify_certificate(bad) is False
+    for sym in (np.triu(p) + np.triu(p, 1).T, np.tril(p) + np.tril(p, -1).T):
+        read = dataclasses.replace(bad, witness=dataclasses.replace(bad.witness, p=sym))
+        assert read.slack > default_eps_feas(10.0)
+
+
 def test_verify_dynamic_multiplier_roundtrip():
     cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=ZAMES_FALB, zf_order=2)
     assert verify_certificate(cert)
@@ -695,7 +736,8 @@ def test_backend_agreement_on_sector_instances():
         for rho in (min(base + 0.02, 0.9999), max(base - 0.02, 1e-3)):
             lmi = _lmi(fc, StepSizeInterval(alpha, alpha), SECTOR)
             direct = feasible_at_rho(lmi, rho, ())
-            via_ellipsoid = _matrix_backend(lmi, rho, (), default_eps_feas(lmi.kappa))
+            runs = _runs(lmi, rho, (), default_eps_feas(lmi.kappa))
+            via_ellipsoid = ellipsoid_feasibility(runs, start=_start(1))
             assert (direct is None) == (via_ellipsoid is None), (m, L, alpha, rho)
 
 

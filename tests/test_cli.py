@@ -567,6 +567,21 @@ def test_sweep_kappa_up_to_the_largest_kappa(tmp_path, capsys):
     assert rows[0].feasible and not rows[-1].feasible
 
 
+@pytest.mark.parametrize("flag", ["--kappa-min", "--kappa-max"])
+@pytest.mark.parametrize("value", ["inf", "1e309"])
+def test_sweep_kappa_rejects_an_infinite_bound_by_name(capsys, flag, value):
+    # 1 <= kappa-min <= kappa-max admitted inf, and the sweep then failed
+    # with "m and L must be finite", naming flags never given.
+    argv = ["sweep-kappa", "--points", "3", flag, value]
+    if flag == "--kappa-min":
+        argv += ["--kappa-max", value]
+    assert run_cli(*argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "--kappa-min" in err and "--kappa-max" in err, err
+    assert "m and L" not in err
+
+
 @pytest.mark.parametrize("command", [
     ("certify", "--c", "1.2"),
     ("sweep-c", "--points", "2"),

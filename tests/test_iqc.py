@@ -8,8 +8,10 @@ from numpy.testing import assert_allclose
 
 from ratecert.iqc import (
     WeightOutOfRange,
+    _unit_trace_basis,
     augment,
     default_weights,
+    free_entries,
     quad_form,
     sector,
     weighted_off_by_1,
@@ -218,3 +220,24 @@ def test_rho_hard_property_weighted_off_by_1(qfrac, rho, h1frac, seed, length):
         total += term
         scale = max(scale, abs(term))
         assert total >= -1e-9 * scale
+
+
+@pytest.mark.parametrize("s", range(1, 8))
+def test_basis_and_coordinates_share_one_layout(s):
+    # The layout written out: the diagonal without its last entry, then the
+    # upper triangle row by row, and the basis matrix of each entry in turn.
+    pairs = [(i, i) for i in range(s - 1)] + [(i, j) for i in range(s) for j in range(i + 1, s)]
+    p = np.arange(s * s, dtype=float).reshape(s, s)
+    assert p.take(free_entries(s)).tolist() == [p[i, j] for i, j in pairs]
+    assert not free_entries(s).flags.writeable
+    basis = _unit_trace_basis(s)
+    assert basis.shape == (1 + len(pairs), s, s)
+    p0 = np.zeros((s, s))
+    p0[-1, -1] = 1.0
+    assert np.array_equal(basis[0], p0)
+    for n, (i, j) in enumerate(pairs, start=1):
+        ref = np.zeros((s, s))
+        ref[i, j] = ref[j, i] = 1.0
+        if i == j:
+            ref -= p0
+        assert np.array_equal(basis[n], ref), (n, i, j)
