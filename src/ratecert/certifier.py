@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import functools
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -147,11 +148,11 @@ _P_ONE.setflags(write=False)
 
 def _weights(kind: str, rho: float, k: int,
              pinned: tuple[float, ...] | None) -> tuple[float, ...]:
-    """The weights h of a k-tap ``kind`` multiplier (``taps`` checks both)
-    at rate ``rho``: ``pinned``, or the defaults.  Raises WeightOutOfRange
-    when they are inadmissible at ``rho`` or do not fit the k taps."""
-    if pinned is not None and len(pinned) != k:
-        raise WeightOutOfRange(f"{kind} takes {k} weight(s), got {len(pinned)}")
+    """The weights h of a k-tap ``kind`` multiplier at rate ``rho``:
+    ``pinned``, or the defaults.  The one place that chooses between them;
+    ``taps`` has checked the kind, k and the count of ``pinned``.  wob1's
+    go through ``weighted_off_by_1``, which is zf:1's check.  Raises
+    WeightOutOfRange when they are inadmissible at ``rho``."""
     if kind == SECTOR:
         return sector()
     h = pinned or default_weights(kind, rho, k)
@@ -247,22 +248,26 @@ def _blocks(lmi: LmiData, rho: float, h: tuple[float, ...], p: np.ndarray,
 def _slack(cert: Certificate) -> float:
     """The replay: the largest block eigenvalue of the certificate's witness
     over its step sizes, on data rebuilt in reduced units from its own
-    fields, stored weights included.  It alone reads and checks them, and is
-    inf where it cannot evaluate them: an unknown kind or zf order, a
-    ``rho_star`` outside (0, 1], weights that do not fit the kind or are
-    inadmissible there, a P of the wrong order or not exactly symmetric, a P
-    or lambda that is not finite, or blocks that overflow."""
+    fields, stored weights included.  It alone reads and checks them (the
+    kind, zf order and count of weights through ``taps``), and is inf where
+    it cannot evaluate them: an unknown kind or zf order, a ``rho_star``
+    outside (0, 1], weights that do not fit the kind or are inadmissible
+    there, a lambda that is not a real number, a P that is not an ndarray,
+    is of the wrong order or is not exactly symmetric, a P or lambda that is
+    not finite, or blocks that overflow."""
     wit = cert.witness
     try:
         rho = float(cert.rho_star)
-        k = taps(cert.iqc_kind, cert.zf_order)
-        h = _weights(cert.iqc_kind, rho, k, tuple(cert.weights))
+        weights = tuple(cert.weights)
+        k = taps(cert.iqc_kind, cert.zf_order, weights)
+        h = _weights(cert.iqc_kind, rho, k, weights)
     except (TypeError, ValueError):  # InvalidInput and WeightOutOfRange too
         return math.inf
     # The multipliers are claimed valid only at rates in (0, 1].  One term of
     # the blocks reads P's upper triangle and another all of P, so a P that
     # is not exactly symmetric would stand for two matrices.
-    if not (0.0 < rho <= 1.0 and np.shape(wit.p) == (k + 1, k + 1) and (wit.p == wit.p.T).all()):
+    if not (0.0 < rho <= 1.0 and isinstance(wit.lam, Real) and isinstance(wit.p, np.ndarray)
+            and wit.p.shape == (k + 1, k + 1) and (wit.p == wit.p.T).all()):
         return math.inf
     fc_n, alphas = reduced(cert.fc, cert.interval)
     blocks = _blocks(augment(fc_n.kappa(), alphas, k), rho, h, wit.p, wit.lam)
@@ -271,13 +276,11 @@ def _slack(cert: Certificate) -> float:
 
 def verify_certificate(cert: Certificate) -> bool:
     """Check the replay (``_slack``, recomputed here, never read from
-    ``cert.slack``): lambda >= 0, a slack within the data-scaled
-    ``default_eps_feas`` of the class, which must be finite, and P positive
-    definite.  A certificate that the replay cannot evaluate has slack inf
-    and fails.  Raises InvalidInput only for a certificate without a
-    witness."""
+    ``cert.slack``): a slack <= 0, with no tolerance, lambda >= 0 and P
+    positive definite.  A certificate that the replay cannot evaluate, a
+    wrong-typed lambda or P among them, has slack inf and fails.  Raises
+    InvalidInput only for a certificate without a witness."""
     if cert.witness is None:
         raise InvalidInput("certificate has no witness to verify")
-    return bool(cert.witness.lam >= 0.0
-                and _slack(cert) <= default_eps_feas(cert.fc.kappa()) < math.inf
+    return bool(_slack(cert) <= 0.0 and cert.witness.lam >= 0.0
                 and eig_sym(cert.witness.p)[0][0] > 0.0)

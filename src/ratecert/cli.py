@@ -20,7 +20,8 @@ imports numpy or xml, and it computes the sweep grids in plain floats, so
 sector ``certify``, ``sweep-kappa`` and ``sweep-c``, ``--show-config`` and
 usage errors run without numpy.  A dynamic multiplier (``--iqc wob1`` or
 ``zf:<k>``) loads numpy with ``certifier`` at its first probe; ``simulate``
-imports the simulator (and numpy) when it starts.
+imports the simulator (and numpy) when it starts, and ``run``, its call
+per chunk, imports ``simulator.run`` when first called.
 """
 
 from __future__ import annotations
@@ -53,24 +54,14 @@ from .svg import Series, line_chart
 if TYPE_CHECKING:
     import numpy as np
 
-# ``run``, the simulator call that cmd_simulate makes per chunk, is bound
-# into this module on first use (``_simulator``, or reading ``cli.run``), so
-# that it can be wrapped or replaced here; one already set, say by a test,
-# is kept.  Commands that simulate nothing never import numpy.
 
+def run(*args):
+    """``simulator.run``, imported when first called: the call cmd_simulate
+    makes per chunk, looked up in this module so that it can be wrapped or
+    replaced here."""
+    from .simulator import run as simulate
 
-def _simulator():
-    """The simulator module, after binding its ``run`` here if none is."""
-    from . import simulator
-
-    globals().setdefault("run", simulator.run)
-    return simulator
-
-
-def __getattr__(name: str):
-    if name == "run":  # reached only while ``run`` is unbound
-        return _simulator().run
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return simulate(*args)
 
 
 CSV_NEWLINE = "\n"
@@ -356,6 +347,22 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
     return points
 
 
+def _sweep(res: Resolved, params: list[tuple[float, float]], x: str, label: str,
+           title: str, reference: tuple[Series, ...] = (), nested: bool = False) -> int:
+    """The body of both sweeps: the rows of ``params`` (``_sweep_rows``), then
+    their CSV, then with --svg a chart of the certified rate, curve
+    ``label``, over column ``x`` ("kappa", on a log axis, or "c") beside the
+    ``reference`` curves."""
+    rows = _sweep_rows(params, res, nested)
+    _write_text(res["out"], format_sweep_csv(rows))
+    if res["svg"] is not None:
+        data = [(getattr(r, x), r.rho_star) for r in rows]
+        chart = line_chart([Series(label, data, color="#000000"), *reference],
+                           title=title, x_label=x, y_label="rho", log_x=x == "kappa")
+        _write_text(res["svg"], chart)
+    return 0
+
+
 def cmd_sweep_kappa(res: Resolved) -> int:
     k_min, k_max, points = res["kappa-min"], res["kappa-max"], res["points"]
     if not (1.0 <= k_min <= k_max < math.inf) or points < 1:
@@ -368,47 +375,23 @@ def cmd_sweep_kappa(res: Resolved) -> int:
         # is within an ulp of np.logspace's, whose last bit depends on
         # numpy's vectorized power and so on the platform.
         kappas = [10.0 ** y for y in linspace(math.log10(k_min), math.log10(k_max), points)]
-    rows = _sweep_rows([(k, c) for k in kappas], res)
-    _write_text(res["out"], format_sweep_csv(rows))
-    if res["svg"] is not None:
-        data = [(r.kappa, r.rho_star) for r in rows]
-        ref = [(k, 1.0 - 1.0 / k) for k in kappas]
-        chart = line_chart(
-            [
-                Series(f"certified rate (c={c:g})", data, color="#000000"),
-                Series("1 - 1/kappa", ref, color="#cc0000", dashed=True),
-            ],
-            title="Certified rate vs condition number",
-            x_label="kappa",
-            y_label="rho",
-            log_x=True,
-        )
-        _write_text(res["svg"], chart)
-    return 0
+    ref = Series("1 - 1/kappa", [(k, 1.0 - 1.0 / k) for k in kappas], color="#cc0000",
+                 dashed=True)
+    return _sweep(res, [(k, c) for k in kappas], "kappa", f"certified rate (c={c:g})",
+                  "Certified rate vs condition number", (ref,))
 
 
 def cmd_sweep_c(res: Resolved) -> int:
     c_min, c_max, points = res["c-min"], res["c-max"], res["points"]
     if not (1.0 <= c_min <= c_max <= 2.5) or points < 1:
         raise UsageError("need 1 <= c-min <= c-max <= 2.5 and points >= 1")
-    fc = _function_class(res)
-    kappa = fc.kappa()
-    cs = linspace(c_min, c_max, points)
+    kappa = _function_class(res).kappa()
     # The intervals [1/(cL), c/L] grow with c, and a witness for an interval
     # holds on every interval inside it: a rate infeasible for one row is
     # infeasible for every later row, whatever the multiplier.
-    rows = _sweep_rows([(kappa, c) for c in cs], res, nested=True)
-    _write_text(res["out"], format_sweep_csv(rows))
-    if res["svg"] is not None:
-        data = [(r.c, r.rho_star) for r in rows]
-        chart = line_chart(
-            [Series(f"certified rate (kappa={kappa:g})", data, color="#000000")],
-            title="Certified rate vs interval constant",
-            x_label="c",
-            y_label="rho",
-        )
-        _write_text(res["svg"], chart)
-    return 0
+    return _sweep(res, [(kappa, c) for c in linspace(c_min, c_max, points)], "c",
+                  f"certified rate (kappa={kappa:g})", "Certified rate vs interval constant",
+                  nested=True)
 
 
 # The purposes of simulate's random streams: entropy [seed, purpose, dim].
@@ -418,7 +401,8 @@ STEP_STREAM, SPECTRUM_STREAM = 0, 1
 def cmd_simulate(res: Resolved) -> int:
     import numpy as np
 
-    simulator = _simulator()
+    from . import simulator
+
     fc = _function_class(res)
     interval = _interval(res, fc)
     policy = simulator.policy_from_name(res["policy"])

@@ -8,10 +8,11 @@ taps weighted by h, row 1 is u - m*y, so z^T M z encodes the constraint
 the gradient satisfies:
 
 * sector           - no taps, no weights; holds pointwise at every step.
-* weighted off-by-1 - one tap with a weight h1 in [0, rho^2]; holds in the
-                      rho-weighted (exponentially discounted) sense.
 * off-by-k         - k taps with weights h_1..h_k satisfying 0 <= h_j <= 1
-                      and sum rho^(-2j) h_j <= 1.
+                      and sum rho^(-2j) h_j <= 1; holds in the rho-weighted
+                      (exponentially discounted) sense.
+* weighted off-by-1 - off-by-1: one tap with a weight h1 in [0, rho^2],
+                      which is what the two conditions say for k = 1.
 
 Admissible weights depend on the candidate rate rho, so ``sector``,
 ``weighted_off_by_1`` and ``zames_falb`` validate a weight tuple h at each
@@ -47,13 +48,9 @@ def sector() -> tuple[float, ...]:
 
 
 def weighted_off_by_1(rho: float, h1: float) -> tuple[float]:
-    """One-step-memory weights, admissible for any h1 in [0, rho^2]."""
-    if not 0.0 < rho <= 1.0:
-        raise WeightOutOfRange(f"need rho in (0, 1], got {rho}")
-    cap = rho * rho
-    if not (0.0 <= h1 <= cap + _WEIGHT_TOL * max(1.0, cap)):
-        raise WeightOutOfRange(f"need h1 in [0, rho^2] = [0, {cap}], got {h1}")
-    return (float(h1),)
+    """One-step-memory weights: the off-by-1 ``zames_falb`` weights (h1,),
+    admissible for h1 in [0, rho^2]."""
+    return zames_falb(rho, (h1,))
 
 
 def zames_falb(rho: float, h) -> tuple[float, ...]:

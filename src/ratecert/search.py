@@ -340,9 +340,11 @@ def certify(
     weights are validated again at every trial rho because admissible
     weights depend on rho (pass ``weights``, one per filter tap, to pin them
     instead; trial rates at which pinned weights are inadmissible count as
-    infeasible).  Weights of any other length, or any for sector, raise
-    InvalidInput, as does a zf order that is not a positive integer (bool
-    included) or is above MAX_ZF_ORDER.  Dynamic solves hold P >=
+    infeasible), and the certificate records the weights its rate was
+    solved with.  ``taps`` checks the spec once: weights of any other
+    length, or any for sector, raise InvalidInput, as does an order, for
+    any kind, that is not an integer in 1..MAX_ZF_ORDER (bool included);
+    only zf records it.  Dynamic solves hold P >=
     ``certifier.DELTA_PD`` * I and take the barrier solver's step budget,
     ``ellipsoid.MAX_STEPS``.  The returned rate is the upper end of the final
     bracket, so it is always backed by a stored witness; ``rho_star`` is
@@ -387,11 +389,7 @@ def certify(
         raise InvalidInput(f"need 0 < rho_tol <= {RHO_HI - RHO_LO}, got {rho_tol}")
     if eps_feas is not None and not 0.0 <= eps_feas < math.inf:
         raise InvalidInput(f"need eps_feas None or finite >= 0, got {eps_feas}")
-    if isinstance(zf_order, bool) or not isinstance(zf_order, Integral) or zf_order < 1:
-        raise InvalidInput(f"zf_order must be a positive integer, got {zf_order!r}")
-    n_weights = taps(iqc_kind, zf_order)
-    if weights is not None and len(weights) != n_weights:
-        raise InvalidInput(f"{iqc_kind} takes {n_weights} weight(s), got {len(weights)}")
+    n_weights = taps(iqc_kind, zf_order, weights)
     # No witness exists below the exact worst-case rate: the constant step
     # at the worse endpoint attains it on a quadratic.  Trial rates below
     # ``floor`` are rejected without a solve.
@@ -400,19 +398,17 @@ def certify(
     if known_infeasible is not None:
         floor = max(floor, math.nextafter(known_infeasible, math.inf))
 
-    def finish(found: tuple[float, float | Witness] | None, evals: int) -> Certificate:
+    def finish(found: tuple[float, float | Witness, tuple[float, ...]] | None,
+               evals: int) -> Certificate:
         rho_star = wit = cond_p = None
         used: tuple[float, ...] = ()
         if found is not None:
-            rho_star, verdict = found
+            rho_star, verdict, used = found
             if iqc_kind == SECTOR:
                 # P is [[1.0]], of condition number 1.
                 wit, cond_p = Witness(p=None, lam=verdict), 1.0
             else:
-                certifier = _numpy_layer()
-                wit, cond_p = verdict, certifier.cond_spd(verdict.p)
-                used = tuple(weights or certifier.default_weights(
-                    iqc_kind, rho_star, n_weights))
+                wit, cond_p = verdict, _numpy_layer().cond_spd(verdict.p)
         return Certificate(
             rho_star=rho_star,
             witness=wit,
@@ -433,17 +429,17 @@ def certify(
     fc_n, alphas = reduced(fc, interval)
     eps = eps_feas if eps_feas is not None else default_eps_feas(fc_n.kappa())
     lmi = None  # a dynamic multiplier's data, built by the first solve
-    ceiling = None  # (rho, verdict) of the lowest rate solved feasible
+    ceiling = None  # (rho, verdict, h) of the lowest rate solved feasible
 
-    # The oracle (see above).  A found rate is (rho, lambda) for sector,
-    # (rho, Witness) otherwise.
-    def feasible(rho: float) -> tuple[float, float | Witness] | None:
+    # The oracle (see above).  A found rate is (rho, lambda, ()) for sector,
+    # (rho, Witness, h) otherwise, with the weights h it was solved with.
+    def feasible(rho: float) -> tuple[float, float | Witness, tuple[float, ...]] | None:
         nonlocal floor, ceiling, lmi
         if rho < floor:
             return None
         if ceiling is not None and rho >= ceiling[0]:
             return ceiling
-        verdict = None
+        verdict, h = None, ()
         if iqc_kind == SECTOR:
             verdict = sector_lambda(rho, alphas, fc_n, eps)
         else:
@@ -460,7 +456,7 @@ def certify(
         if verdict is None:
             floor = math.nextafter(rho, math.inf)
             return None
-        ceiling = (rho, verdict)
+        ceiling = (rho, verdict, h)
         return ceiling
 
     def bisect(decide) -> tuple[float, float, object, int]:
@@ -514,16 +510,23 @@ def certify(
     return finish(found or found_hi, 2 + n)
 
 
-def taps(kind: str, zf_order: int | None) -> int:
+def taps(kind: str, zf_order: int | None, weights: tuple[float, ...] | None = None) -> int:
     """The filter taps k of a multiplier kind: 0 for sector, 1 for wob1,
-    the zf order for zf.  Each tap has one weight.  Raises InvalidInput for
-    a kind outside KINDS, or for zf an order outside 1..MAX_ZF_ORDER."""
+    the zf order for zf.  Each tap has one weight.  The one check of a
+    multiplier spec, for ``certify`` and the replay alike: raises
+    InvalidInput for a kind outside KINDS, for an order given (zf needs one)
+    that is not an integer in 1..MAX_ZF_ORDER (bool included), or for
+    ``weights`` given that are not k."""
     if kind not in KINDS:
         raise InvalidInput(f"unknown multiplier kind {kind!r}; expected one of {KINDS}")
-    order_ok = isinstance(zf_order, Integral) and 1 <= zf_order <= MAX_ZF_ORDER
-    if kind == ZAMES_FALB and not order_ok:
+    order_ok = (isinstance(zf_order, Integral) and not isinstance(zf_order, bool)
+                and 1 <= zf_order <= MAX_ZF_ORDER)
+    if not order_ok and (zf_order is not None or kind == ZAMES_FALB):
         raise InvalidInput(f"zf_order must be an integer in [1, {MAX_ZF_ORDER}], got {zf_order!r}")
-    return {SECTOR: 0, WEIGHTED_OFF_BY_1: 1}.get(kind, zf_order)
+    k = {SECTOR: 0, WEIGHTED_OFF_BY_1: 1}.get(kind, zf_order)
+    if weights is not None and len(weights) != k:
+        raise InvalidInput(f"{kind} takes {k} weight(s), got {len(weights)}")
+    return k
 
 
 def top_rate(rho_tol: float) -> float:

@@ -609,27 +609,32 @@ def test_verify_requires_witness():
         verify_certificate(cert)
 
 
-@pytest.mark.parametrize("p", [np.eye(2) / 2, np.ones((2, 3)), np.full((3, 3), np.nan)],
-                         ids=["wrong-order", "not-square", "nan"])
+@pytest.mark.parametrize("p", [np.eye(2) / 2, np.ones((2, 3)), np.full((3, 3), np.nan),
+                               (np.eye(3) / 3).tolist()],
+                         ids=["wrong-order", "not-square", "nan", "nested-list"])
 def test_verify_rejects_a_malformed_witness_p(p):
-    # A zf:2 witness P is 3x3 and finite; any other P is a rejected
-    # certificate, not an error.
+    # A zf:2 witness P is a 3x3 finite ndarray; any other P is a rejected
+    # certificate, not an error.  A nested list raised AttributeError from
+    # the replay.
     cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=ZAMES_FALB, zf_order=2)
     assert verify_certificate(cert)
     bad = dataclasses.replace(cert, witness=dataclasses.replace(cert.witness, p=p))
     assert verify_certificate(bad) is False
 
 
-@pytest.mark.parametrize("lam", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("lam", [math.nan, math.inf, None, "0.1"],
+                         ids=["nan", "inf", "none", "str"])
 @pytest.mark.parametrize("kind, order", [(SECTOR, 2), (WEIGHTED_OFF_BY_1, 2), (ZAMES_FALB, 2)],
                          ids=["sector", "wob1", "zf2"])
 def test_verify_rejects_a_non_finite_lambda(kind, order, lam):
     # A lambda of NaN made the dynamic replay raise LinAlgError, and an
     # infinite one fail through a RuntimeWarning (inf * 0 in the blocks).
+    # One that is not a real number raised TypeError.
     cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=kind, zf_order=order)
     assert verify_certificate(cert)
     bad = dataclasses.replace(cert, witness=dataclasses.replace(cert.witness, lam=lam))
     assert verify_certificate(bad) is False
+    assert bad.slack == math.inf
 
 
 def _nan_entry(p):
@@ -675,6 +680,23 @@ def test_verify_rejects_a_tampered_certificate(kind):
     assert verify_certificate(dataclasses.replace(cert, weights=())) is (kind == SECTOR)
 
 
+@pytest.mark.parametrize("kappa, c", [(10.0, 1.0), (2.0, 1.9)])
+@pytest.mark.parametrize("below", [1e-8, 1e-9])
+def test_verify_rejects_a_rate_just_below_the_exact_rate(kappa, c, below):
+    # No certificate exists below the exact rate.  With rho_star lowered to
+    # just below it, these sector witnesses replay to a slack of +9e-9 and
+    # +9e-10 at (10, 1.0), +3.6e-9 and +3.6e-10 at (2, 1.9): inside the old
+    # positive tolerance default_eps_feas, so they verified.  The replay is
+    # now held to slack <= 0.
+    fc = FunctionClass(1.0, kappa)
+    interval = interval_from_c(fc, c)
+    cert = certify(fc, interval, rho_tol=1e-9)
+    assert verify_certificate(cert)
+    bad = dataclasses.replace(cert, rho_star=_exact_rate(fc, interval) - below)
+    assert 0.0 < bad.slack <= default_eps_feas(kappa)
+    assert verify_certificate(bad) is False
+
+
 def test_verify_rejects_a_p_that_is_not_exactly_symmetric():
     # The blocks read P's upper triangle in one term and all of P in
     # another.  With this P, whose lower-triangle reading is positive
@@ -690,6 +712,23 @@ def test_verify_rejects_a_p_that_is_not_exactly_symmetric():
     for sym in (np.triu(p) + np.triu(p, 1).T, np.tril(p) + np.tril(p, -1).T):
         read = dataclasses.replace(bad, witness=dataclasses.replace(bad.witness, p=sym))
         assert read.slack > default_eps_feas(10.0)
+
+
+@pytest.mark.parametrize("rho_tol", [1e-4, 1e-6])
+@pytest.mark.parametrize("kappa, c", [(10.0, 1.2), (7.0, 1.3), (50.0, 1.1), (2.0, 1.9)])
+def test_wob1_certifies_as_zf1(kappa, c, rho_tol):
+    # wob1's admissible weights, defaults and data are zf:1's, so the two
+    # kinds give one certificate: rate, trial count, lambda, P and weights.
+    fc = FunctionClass(1.0, kappa)
+    interval = interval_from_c(fc, c)
+    wob1 = certify(fc, interval, iqc_kind=WEIGHTED_OFF_BY_1, rho_tol=rho_tol)
+    zf1 = certify(fc, interval, iqc_kind=ZAMES_FALB, zf_order=1, rho_tol=rho_tol)
+    assert (wob1.rho_star, wob1.bisection_iters, wob1.weights) == (
+        zf1.rho_star, zf1.bisection_iters, zf1.weights)
+    assert (wob1.witness is None) == (zf1.witness is None)
+    if wob1.witness is not None:
+        assert wob1.witness.lam == zf1.witness.lam
+        assert wob1.witness.p.tobytes() == zf1.witness.p.tobytes()
 
 
 def test_verify_dynamic_multiplier_roundtrip():

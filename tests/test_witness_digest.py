@@ -1,6 +1,11 @@
 """tools/witness_digest.py, the check behind every claim of bit-identical
-certificates, runs end to end on a few draws of each family."""
+certificates, runs end to end on a few draws of each family, and its
+digests are pinned: a change that moves one rate or one bisection step
+fails here.  The same draws sweep soundness: no certificate they make is
+below the exact worst-case rate."""
 
+import functools
+import importlib.util
 import re
 import subprocess
 import sys
@@ -8,7 +13,28 @@ from pathlib import Path
 
 import pytest
 
+from ratecert.search import closed_form_rate
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "witness_digest.py"
+
+# family -> (draws, digest) at seed 2026: the whole digest of the sector
+# and sweep-c families, and the dynamic family's rates-only digest, since
+# its witness P depends on each solve's start by design.  A change that
+# moves rates on purpose re-pins them.
+PINNED_DIGESTS = {
+    "sector": (3000, "f9c20843d66055e5b7b876adaf6dd9b296885a31e8f3ada1419b68ef2cc103ad"),
+    "dynamic": (300, "981089082158edf9896dc81043b82a07fb8ecc0313a621e528d2e55e02167d62"),
+    "sweep-c": (300, "2dfa9df14a33a09149951ad2dfd9436bb3366c7efc612c1530976b3dfe94990d"),
+}
+
+
+@functools.cache
+def _tool():
+    """The tool, imported in-process once."""
+    spec = importlib.util.spec_from_file_location("witness_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("family", ["dynamic", "sector", "sweep-c"])
@@ -23,3 +49,25 @@ def test_witness_digest_runs(family):
         spread = r"mean \d+\.\d{4}, max \d+"
         assert re.fullmatch(f"Newton steps per certification: {spread}", lines[1]), lines
         assert re.fullmatch(f"solves per certification: {spread}", lines[2]), lines
+
+
+@pytest.mark.parametrize("family", list(PINNED_DIGESTS))
+def test_witness_digest_is_pinned_and_no_rate_is_below_the_exact_rate(family, monkeypatch):
+    tool = _tool()
+    draws, pinned = PINNED_DIGESTS[family]
+    # The certify the family calls: the tool's own, or the CLI's for sweep-c.
+    module = tool.cli if family == "sweep-c" else tool
+    certify, certs = module.certify, []
+
+    def recording(*args, **kwargs):
+        certs.append(certify(*args, **kwargs))
+        return certs[-1]
+
+    monkeypatch.setattr(module, "certify", recording)
+    hexdigest, certified, _, rates = tool.digest(draws, 2026, family)
+    found = [cert for cert in certs if cert.feasible]
+    assert len(found) == certified > 0
+    below = [cert for cert in found if cert.rho_star < max(
+        closed_form_rate(cert.interval.lo, cert.fc), closed_form_rate(cert.interval.hi, cert.fc))]
+    assert below == []
+    assert (rates if family == "dynamic" else hexdigest) == pinned
