@@ -82,7 +82,7 @@ from .iqc import (
     weighted_off_by_1,
     zames_falb,
 )
-from .model import FunctionClass, reduced
+from .model import FunctionClass, StepSizeInterval, reduced
 # The rate search and the certificate types, re-exported: ``search`` runs
 # the bisection and calls back into this module through its attributes.
 from .search import (  # noqa: F401
@@ -251,17 +251,22 @@ def _slack(cert: Certificate) -> float:
     fields, stored weights included.  It alone reads and checks them (the
     kind, zf order and count of weights through ``taps``), and is inf where
     it cannot evaluate them: an unknown kind or zf order, a ``rho_star``
-    outside (0, 1], weights that do not fit the kind or are inadmissible
+    that is not a real number in (0, 1], a witness, ``fc`` or ``interval``
+    not of its type, weights that do not fit the kind or are inadmissible
     there, a lambda that is not a real number, a P that is not an ndarray,
     is of the wrong order or is not exactly symmetric, a P or lambda that is
     not finite, or blocks that overflow."""
     wit = cert.witness
+    if not (isinstance(wit, Witness) and isinstance(cert.rho_star, Real)
+            and isinstance(cert.fc, FunctionClass)
+            and isinstance(cert.interval, StepSizeInterval)):
+        return math.inf
     try:
         rho = float(cert.rho_star)
         weights = tuple(cert.weights)
         k = taps(cert.iqc_kind, cert.zf_order, weights)
         h = _weights(cert.iqc_kind, rho, k, weights)
-    except (TypeError, ValueError):  # InvalidInput and WeightOutOfRange too
+    except (TypeError, ValueError, OverflowError):  # InvalidInput and WeightOutOfRange too
         return math.inf
     # The multipliers are claimed valid only at rates in (0, 1].  One term of
     # the blocks reads P's upper triangle and another all of P, so a P that
@@ -276,11 +281,14 @@ def _slack(cert: Certificate) -> float:
 
 def verify_certificate(cert: Certificate) -> bool:
     """Check the replay (``_slack``, recomputed here, never read from
-    ``cert.slack``): a slack <= 0, with no tolerance, lambda >= 0 and P
-    positive definite.  A certificate that the replay cannot evaluate, a
-    wrong-typed lambda or P among them, has slack inf and fails.  Raises
-    InvalidInput only for a certificate without a witness."""
-    if cert.witness is None:
+    ``cert.slack``): a slack <= 0, with no tolerance, lambda >= 0, P
+    positive definite, and ``cond_p`` a real number at least ``cond_spd(P)``
+    (what ``certify`` stores; the simulated bound sqrt(cond_p) * rho^k rests
+    on it).  A certificate that the replay cannot evaluate, a wrong-typed
+    field among them, has slack inf and fails.  Raises InvalidInput only for
+    a certificate without a witness."""
+    wit = cert.witness
+    if wit is None:
         raise InvalidInput("certificate has no witness to verify")
-    return bool(_slack(cert) <= 0.0 and cert.witness.lam >= 0.0
-                and eig_sym(cert.witness.p)[0][0] > 0.0)
+    return bool(_slack(cert) <= 0.0 and wit.lam >= 0.0 and eig_sym(wit.p)[0][0] > 0.0
+                and isinstance(cert.cond_p, Real) and cert.cond_p >= cond_spd(wit.p))

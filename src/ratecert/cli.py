@@ -411,6 +411,8 @@ def cmd_simulate(res: Resolved) -> int:
         simulator.sample_alpha(policy, interval, 0, None)
     if steps < 0 or trials < 1:
         raise UsageError("need steps >= 0 and trials >= 1")
+    if steps > simulator.MAX_STEPS:  # one trial must fit in a chunk's budget
+        raise UsageError(f"need --steps <= {simulator.MAX_STEPS}, got {steps}")
 
     # Trial i has dimension 1 + i % 5 and is row i // 5 of its dimension
     # group.  Each group draws from one PCG64 stream per purpose, seeded

@@ -15,12 +15,12 @@ of ``rho_tol``, and every trial rate goes through one oracle: a rate below
 the floor fails (the floor starts at the exact rate, or just above a rate
 the caller knows to be infeasible, and rises past each rate solved
 infeasible), a rate at or above the lowest rate solved feasible passes
-with that rate's witness, and any other rate is solved once.  A
-threshold estimate (the exact rate; for sector also the rate at which its
-lambda intervals touch and each endpoint's own threshold) predicts the
-path, and two checks through the oracle confirm it, or the plain
-bisection runs over the same oracle.  A settled sector certify makes one
-or two solves; wob1 and zf:k solve the top rate first.
+with that rate's witness, and any other rate is solved once.  A threshold
+estimate (the floor; for sector the closed form ``sector_threshold``,
+where the endpoints' lambda intervals touch or else their own thresholds)
+predicts the path, and two checks through the oracle confirm it, or the
+plain bisection runs over the same oracle.  A settled sector certify makes
+one or two solves; wob1 and zf:k solve the top rate first.
 See ``certifier`` for the inequality family and its two backends.
 """
 
@@ -210,76 +210,67 @@ def lambda_interval_sector(
     return (lo, hi)
 
 
-def sector_threshold(alphas: tuple[float, ...], fc: FunctionClass, eps: float) -> float:
-    """The rate at which the two endpoints' lambda intervals of
-    ``lambda_interval_sector`` touch, in closed form: an estimate of where
-    ``sector_lambda`` turns feasible, or 0.0 when there is none.
+def sector_threshold(
+    alphas: tuple[float, ...], fc: FunctionClass, eps: float, floor: float
+) -> float:
+    """``certify``'s estimate of the rate at which ``sector_lambda`` over
+    ``alphas`` turns feasible, never below ``floor``: where the endpoints'
+    lambda intervals (``lambda_interval_sector``) touch, if that lies above
+    ``floor``; else the larger of ``floor`` and each endpoint's own
+    threshold, below which its interval is empty (eps lifts it a little
+    above the exact rate).  One step size and ``floor=0.0`` give that
+    endpoint's own threshold.  Closed forms that never raise: no real root,
+    a zero denominator or overflow gives no rate.
 
-    Where they touch, the upper root of one endpoint's determinant
-    quadratic is the lower root of the other's, so both vanish there.  With
-    ``v = rho^2 - eps`` (so ``u = 1 - v``) their difference is linear in
-    lambda and gives ``lambda = s*v / (2(L+m) - 2mL*s)`` with ``s`` the sum of
-    the step sizes; substituting it into the lower endpoint's quadratic
-    leaves a quadratic in v.  A root counts only if lambda there is the upper
-    root of one quadratic and the lower root of the other; the largest one
-    gives ``sqrt(v + eps)``.  One step size, a zero denominator, no root that
-    counts, or overflow give 0.0; this never raises.
+    Touching: the upper root of one endpoint's determinant quadratic is the
+    lower root of the other's.  With ``v = rho^2 - eps`` (``u = 1 - v``)
+    their difference gives ``lambda = s*v / (2(L+m) - 2mL*s)``, ``s`` the sum
+    of the step sizes, which in the lower endpoint's quadratic leaves a
+    quadratic in v.  Its largest root at which lambda is an upper root of
+    one and a lower root of the other gives ``sqrt(v + eps)``.
+
+    Own threshold: the discriminant of the endpoint's quadratic, over 4, is
+    ``u^2 + p*u + q`` with ``p = (L-m)^2 * w - b0`` and ``q = b0^2/4 -
+    (L-m)^2 * alpha^2``, where ``b_coef = b0 - 2u``.  Its smaller root (at
+    eps = 0, ``1 - (1 - alpha*m)^2`` or ``1 - (1 - alpha*L)^2``, which give
+    ``closed_form_rate``) is the u of the threshold ``sqrt(1 + eps - u)``.
     """
-    if len(alphas) != 2:
-        return 0.0
     m, L = fc.m, fc.L
-    try:
-        a_coef = -((L - m) ** 2)
-    except OverflowError:  # past kappa ~1e154
-        return 0.0
-    s = alphas[0] + alphas[1]
+    s = sum(alphas)
     den = 2.0 * (L + m) - 2.0 * m * L * s
-    if den == 0.0:
-        return 0.0
-    k = s / den
-    alpha = alphas[0]
-    w = alpha * alpha + eps
-    # f_lo(k*v) = qa*v^2 + qb*v + qc, with qc = w - alpha^2 = eps.
-    qa = a_coef * k * k + 2.0 * k
-    qb = k * (2.0 * alpha * (L + m) - 2.0 - 2.0 * m * L * w) - w
-    qc = eps
-    disc = qb * qb - 4.0 * qa * qc
-    if not disc >= 0.0:
-        return 0.0
-    q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))  # roots q/qa, qc/q
-    best = -math.inf
-    for num, div in ((q, qa), (qc, q)):
-        if div == 0.0:
-            continue
-        v = num / div
-        lam = k * v
-        # f'(lam) = 2*a*lam + b at each endpoint: <= 0 at an upper root,
-        # >= 0 at a lower one.
-        slopes = [2.0 * a_coef * lam + 2.0 * al * (L + m) - 2.0 * (1.0 - v)
-                  - 2.0 * m * L * (al * al + eps) for al in alphas]
-        if slopes[0] * slopes[1] <= 0.0 and v > best:
-            best = v
-    rho2 = best + eps
-    return math.sqrt(rho2) if 0.0 < rho2 < math.inf else 0.0
-
-
-def endpoint_threshold(alphas: tuple[float, ...], fc: FunctionClass, eps: float) -> float:
-    """The highest rate below which ``lambda_interval_sector`` at one of
-    the step sizes ``alphas`` is empty, in closed form: an estimate of where
-    the last endpoint alone turns feasible, or 0.0 when there is none.
-
-    There that endpoint's determinant quadratic has a double root: its
-    discriminant ``b_coef^2 - 4*a_coef*c_coef``, over 4, is ``u^2 + p*u + q``
-    with ``p = (L-m)^2 * w - b0`` and ``q = b0^2/4 - (L-m)^2 * alpha^2``,
-    where ``b_coef = b0 - 2u``.  Its smaller root is the threshold (at eps =
-    0 the roots are ``1 - (1 - alpha*m)^2`` and ``1 - (1 - alpha*L)^2``, and
-    the smaller one gives ``closed_form_rate``), and ``sqrt(1 + eps - u)``
-    the rate.  An endpoint with no real root, or overflow, counts as 0.0;
-    this never raises.
-    """
-    m, L = fc.m, fc.L
+    try:
+        # ``** 2`` here and ``d * d`` below can differ in the last bit; the
+        # pinned witness digests hold each form where it is.
+        a_coef = -((L - m) ** 2)
+    except OverflowError:  # past kappa ~1e154: no touching rate
+        den = 0.0
+    v_touch = -math.inf  # the largest v at which the intervals touch
+    if len(alphas) == 2 and den != 0.0:
+        k = s / den
+        alpha = alphas[0]
+        w = alpha * alpha + eps
+        # f_lo(k*v) = qa*v^2 + qb*v + eps, the constant being w - alpha^2.
+        qa = a_coef * k * k + 2.0 * k
+        qb = k * (2.0 * alpha * (L + m) - 2.0 - 2.0 * m * L * w) - w
+        disc = qb * qb - 4.0 * qa * eps
+        if disc >= 0.0:
+            q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))  # roots q/qa, eps/q
+            for num, div in ((q, qa), (eps, q)):
+                if div == 0.0:
+                    continue
+                v = num / div
+                # f'(lam) = 2*a*lam + b at each endpoint, lam = k*v: <= 0 at
+                # an upper root, >= 0 at a lower one.
+                slopes = [2.0 * a_coef * (k * v) + 2.0 * al * (L + m) - 2.0 * (1.0 - v)
+                          - 2.0 * m * L * (al * al + eps) for al in alphas]
+                if slopes[0] * slopes[1] <= 0.0 and v > v_touch:
+                    v_touch = v
+    rho2 = v_touch + eps
+    touch = math.sqrt(rho2) if 0.0 < rho2 < math.inf else 0.0
+    if touch > floor:
+        return touch
     d = L - m
-    best = 0.0
+    best = floor
     for alpha in alphas:
         w = alpha * alpha + eps
         half_b0 = alpha * (L + m) - m * L * w
@@ -289,10 +280,10 @@ def endpoint_threshold(alphas: tuple[float, ...], fc: FunctionClass, eps: float)
         disc = p * p - 4.0 * q
         if not disc >= 0.0:
             continue
-        s = -0.5 * (p + math.copysign(math.sqrt(disc), p))  # roots s and q/s
-        if s == 0.0:
+        r = -0.5 * (p + math.copysign(math.sqrt(disc), p))  # roots r and q/r
+        if r == 0.0:
             continue
-        rho2 = 1.0 + eps - min(s, q / s)
+        rho2 = 1.0 + eps - min(r, q / r)
         if 0.0 < rho2 < math.inf:
             best = max(best, math.sqrt(rho2))
     return best
@@ -366,23 +357,23 @@ def certify(
 
     An estimate t of the threshold predicts the whole path: a float-only
     walk bisects as if every trial rate at or above t were feasible, and
-    ends with top g and lower end ``below``.  t is the lowest rate not
-    rejected without a solve; for sector it is raised to the rate at which
-    the endpoints' lambda intervals touch (``sector_threshold``), or, when
-    that does not raise it, to the endpoints' own thresholds
-    (``endpoint_threshold``).  wob1 and zf:k solve the top rate first
-    (wob1 is not monotone near rate 1).  When the bottom of the bracket is
-    below the floor, g and then ``below`` go through the oracle; if g holds
-    and ``below`` does not (free when it lies under the floor, as it
-    always does for the dynamic kinds), monotonicity in rho decides every
-    rate on the path as the bisection would, and the search ends at g.  A
-    budget error at a check is no verdict.  Otherwise the plain bisection
-    runs over the same oracle: the top rate (none: no certificate), the
-    bottom of the bracket (feasible: it is the rate), then the path.  A top
-    rate below the floor ends the search before any set-up.  Where
-    feasibility is monotone in rho, as it is for sector, the rate, witness
-    and ``bisection_iters`` are those of the plain bisection that solves
-    every rate it tries at or above r_exact.
+    ends with top g and lower end ``below``.  t is the floor, the lowest
+    rate not rejected without a solve; for sector it is ``sector_threshold``
+    at that floor: the rate at which the endpoints' lambda intervals touch
+    where it lies above the floor, else the larger of the floor and the
+    endpoints' own thresholds.  wob1 and zf:k solve the top rate first (wob1
+    is not monotone near rate 1).  When the bottom of the bracket is below
+    the floor, g and then ``below`` go through the oracle; if g holds and
+    ``below`` does not (free when it lies under the floor, as it always does
+    for the dynamic kinds), monotonicity in rho decides every rate on the
+    path as the bisection would, and the search ends at g.  A budget error
+    at a check is no verdict.  Otherwise the plain bisection runs over the
+    same oracle: the top rate (none: no certificate), the bottom of the
+    bracket (feasible: it is the rate), then the path.  A top rate below the
+    floor ends the search before any set-up.  Where feasibility is monotone
+    in rho, as it is for sector, the rate, witness and ``bisection_iters``
+    are those of the plain bisection that solves every rate it tries at or
+    above r_exact.
     ``Certificate.slack`` is computed on demand, on its first read.
     """
     if not 0.0 < rho_tol <= RHO_HI - RHO_LO:
@@ -476,14 +467,8 @@ def certify(
         return top, lo, found, n
 
     # The estimate t of the threshold: the lowest rate not rejected without
-    # a solve, and for sector also where its lambda intervals touch.  Where
-    # they touch at or below that rate (the exact rate binds), eps still
-    # lifts each endpoint's own threshold a little above it.
-    t = floor
-    if iqc_kind == SECTOR:
-        t = max(t, sector_threshold(alphas, fc_n, eps))
-        if t == floor:
-            t = max(t, endpoint_threshold(alphas, fc_n, eps))
+    # a solve, raised for sector by the closed form.
+    t = sector_threshold(alphas, fc_n, eps, floor) if iqc_kind == SECTOR else floor
 
     # Sector feasibility is monotone in rho (rho enters only through
     # u = 1 - rho^2 + eps, and a smaller u widens each endpoint's lambda

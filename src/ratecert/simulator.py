@@ -40,6 +40,9 @@ VIOLATION_SLACK = 1e-9
 # trial's (steps + 1, dim) trajectory plus three rows of steps + 1 for its
 # step sizes, norms and ratios.  A batch has at least one trial.
 CHUNK_FLOATS = 1 << 20
+# The most steps at which one trial of dimension 5, the CLI's largest, fits
+# the default budget; ``simulate --steps`` rejects more.
+MAX_STEPS = CHUNK_FLOATS // (5 + 3) - 1
 
 
 class UnknownPolicy(ValueError):

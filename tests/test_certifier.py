@@ -49,7 +49,7 @@ from ratecert.model import (
     interval_from_c,
     reduced,
 )
-from ratecert.search import endpoint_threshold, sector_threshold
+from ratecert.search import sector_threshold
 
 FC10 = FunctionClass(1.0, 10.0)
 
@@ -661,15 +661,20 @@ def test_slack_of_a_non_finite_witness_is_inf(kind, order, spoil):
 
 @pytest.mark.parametrize("kind", [SECTOR, WEIGHTED_OFF_BY_1, ZAMES_FALB])
 def test_verify_rejects_a_tampered_certificate(kind):
-    # On one kind or another, each of these raised TypeError, InvalidInput or
-    # LinAlgError, or verified: against default weights in place of the
-    # stored ones, or at a negative rate.  The replay cannot evaluate them:
-    # their slack is inf.
+    # On one kind or another, each of these raised TypeError, InvalidInput,
+    # LinAlgError, OverflowError (an int rate too large for a float) or
+    # AttributeError (an fc, interval or witness of another type), or
+    # verified: against default weights in place of the stored ones, at a
+    # negative rate, or at a rate given as a string.  The replay cannot
+    # evaluate them: their slack is inf.
     cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=kind, zf_order=2)
     assert verify_certificate(cert)
     changes = [dict(iqc_kind="bogus"), dict(weights=("a",)), dict(weights=None),
                dict(fc=FunctionClass(1.0, 1e308)), dict(rho_star=None),
-               dict(rho_star=-cert.rho_star), dict(rho_star=1.5)]
+               dict(rho_star=-cert.rho_star), dict(rho_star=1.5), dict(rho_star="0.95"),
+               dict(rho_star=10 ** 400), dict(fc=None), dict(fc=(1.0, 10.0)),
+               dict(interval=None), dict(interval=(1.0 / 12.0, 0.12)),
+               dict(witness=(cert.witness.p, cert.witness.lam))]
     if kind == ZAMES_FALB:
         changes += [dict(zf_order=None), dict(zf_order=99)]
     for change in changes:
@@ -678,6 +683,20 @@ def test_verify_rejects_a_tampered_certificate(kind):
         assert verify_certificate(bad) is False, change
     # () is sector's own weights, and no default stands in for another kind's.
     assert verify_certificate(dataclasses.replace(cert, weights=())) is (kind == SECTOR)
+
+
+@pytest.mark.parametrize("spoil", [lambda c: 0.5 * c, lambda c: None, lambda c: math.nan],
+                         ids=["halved", "none", "nan"])
+@pytest.mark.parametrize("kind", [SECTOR, WEIGHTED_OFF_BY_1, ZAMES_FALB])
+def test_verify_holds_cond_p_to_the_condition_number_of_p(kind, spoil):
+    # simulate's bound sqrt(cond_p) * rho^k rests on cond_p, yet a smaller,
+    # missing or NaN one verified.  It must be at least cond_spd(P), which
+    # is what certify stores.
+    cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=kind, zf_order=2)
+    assert verify_certificate(cert) and cert.cond_p == cond_spd(cert.witness.p)
+    bad = dataclasses.replace(cert, cond_p=spoil(cert.cond_p))
+    assert bad.slack == cert.slack <= 0.0
+    assert verify_certificate(bad) is False
 
 
 @pytest.mark.parametrize("kappa, c", [(10.0, 1.0), (2.0, 1.9)])
@@ -1131,32 +1150,40 @@ def test_sector_certify_is_the_float_bisection(log_kappa, c, log_tol):
         assert (cert.rho_star, cert.witness.lam) == found
 
 
-def test_sector_threshold_is_zero_without_an_estimate():
-    # 0.0 leaves the exact rate as certify's estimate; nothing raises.
-    assert sector_threshold((0.1,), FC10, 1e-8) == 0.0  # one step size
-    assert sector_threshold((0.55, 0.55), FC10, 1e-8) == 0.0  # zero denominator
-    huge = FunctionClass(1.0, 1e200)  # (L - m)**2 overflows
-    assert sector_threshold((1e-200, 2e-200), huge, default_eps_feas(1e200)) == 0.0
+def test_sector_threshold_is_the_floor_without_an_estimate():
+    # With no touching rate (one step size, a zero denominator, overflow)
+    # the estimate is the larger of the floor and the endpoints' own
+    # thresholds; nothing raises.
+    own = sector_threshold((0.55,), FC10, 1e-8, 0.0)
+    assert own > 0.0
+    assert sector_threshold((0.55, 0.55), FC10, 1e-8, 0.0) == own  # zero denominator
+    assert sector_threshold((0.55, 0.55), FC10, 1e-8, own + 1.0) == own + 1.0
+    for kappa in (1e200, 1e300):  # (L - m)**2 overflows
+        huge, tiny = FunctionClass(1.0, kappa), 1.0 / kappa
+        for floor in (0.0, 0.5):
+            assert sector_threshold(
+                (tiny, 2.0 * tiny), huge, default_eps_feas(kappa), floor) == floor
     # At (10, 1.2) the intervals touch above the exact rate 0.9166...
     _, alphas = reduced(FC10, interval_from_c(FC10, 1.2))
-    assert sector_threshold(alphas, FC10, default_eps_feas(10.0)) == pytest.approx(
-        0.9212894159727856, abs=1e-15)
+    r_exact = max(closed_form_rate(alpha, FC10) for alpha in alphas)
+    for floor in (0.0, r_exact):
+        assert sector_threshold(alphas, FC10, default_eps_feas(10.0), floor) == pytest.approx(
+            0.9212894159727856, abs=1e-15)
 
 
-def test_endpoint_threshold_is_where_the_endpoint_interval_appears():
-    # The smaller discriminant root of each endpoint's determinant quadratic
-    # gives the rate at which its lambda interval turns nonempty: just above
-    # closed_form_rate, by the eps shift; nothing raises at overflow.
+def test_sector_threshold_of_one_step_size_is_where_its_interval_appears():
+    # With floor 0.0, one step size gives the smaller discriminant root of
+    # its determinant quadratic: the rate at which its lambda interval turns
+    # nonempty, just above closed_form_rate, by the eps shift.
     eps = default_eps_feas(10.0)
+    own = {}
     for alpha in (0.05, 0.1, 0.12, 0.2):
-        rate = endpoint_threshold((alpha,), FC10, eps)
+        rate = own[alpha] = sector_threshold((alpha,), FC10, eps, 0.0)
         assert rate > closed_form_rate(alpha, FC10)
         assert lambda_interval_sector(rate * (1.0 - 1e-9), alpha, FC10, eps) is None
         assert lambda_interval_sector(rate * (1.0 + 1e-9), alpha, FC10, eps) is not None
-    alphas = (0.05, 0.12)
-    assert endpoint_threshold(alphas, FC10, eps) == endpoint_threshold((0.05,), FC10, eps)
-    huge = FunctionClass(1.0, 1e300)
-    assert endpoint_threshold((1e-300, 2e-300), huge, default_eps_feas(1e300)) == 0.0
+    # Two step sizes are feasible only where both are: at least each one's.
+    assert sector_threshold((0.05, 0.12), FC10, eps, 0.0) >= max(own[0.05], own[0.12])
 
 
 @pytest.mark.parametrize("kappa, c1, c2", [

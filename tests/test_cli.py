@@ -291,6 +291,23 @@ def test_simulate_zero_steps_ratio_one(tmp_path, capsys):
         assert float(ln.split(",")[2]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_simulate_steps_are_capped_so_one_trial_fits_a_chunk(tmp_path, capsys, monkeypatch):
+    # One trial of dimension 5 holds (steps + 1) * 8 floats, and a chunk
+    # holds at least one trial, so past 131,071 steps a chunk outgrows the
+    # 2^20-float budget.  The limit is checked before anything is certified.
+    def no_solve(*args):
+        raise AssertionError("certify ran for a rejected --steps")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_certify", no_solve)
+        assert run_cli("simulate", "--kappa", "10", "--c", "1.2", "--steps", "131072") == 1
+        assert capsys.readouterr().err == "error: need --steps <= 131071, got 131072\n"
+    out = tmp_path / "sim.csv"
+    assert run_cli("simulate", "--kappa", "10", "--c", "1.2", "--steps", "131071",
+                   "--trials", "1", "--out", str(out)) == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
 def test_simulate_policies(tmp_path, capsys):
     for pol in ("endpoints", "alternating", "adversarial", "constant:0.1"):
         assert run_cli("simulate", "--kappa", "10", "--c", "1", "--trials", "5",

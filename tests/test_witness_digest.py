@@ -1,8 +1,9 @@
 """tools/witness_digest.py, the check behind every claim of bit-identical
 certificates, runs end to end on a few draws of each family, and its
-digests are pinned: a change that moves one rate or one bisection step
-fails here.  The same draws sweep soundness: no certificate they make is
-below the exact worst-case rate."""
+digests and sector solve totals are pinned: a change that moves one rate
+or one bisection step, or adds a sector solve, fails here.  The same draws
+sweep soundness: no certificate they make is below the exact worst-case
+rate."""
 
 import functools
 import importlib.util
@@ -26,6 +27,10 @@ PINNED_DIGESTS = {
     "dynamic": (300, "981089082158edf9896dc81043b82a07fb8ecc0313a621e528d2e55e02167d62"),
     "sweep-c": (300, "2dfa9df14a33a09149951ad2dfd9436bb3366c7efc612c1530976b3dfe94990d"),
 }
+# family -> sector solves (calls of ``search.sector_lambda``) over the same
+# draws, so a change that adds a solve without moving a rate fails too.  A
+# change that moves them on purpose re-pins them.
+PINNED_SOLVES = {"sector": 9621, "sweep-c": 1812}
 
 
 @functools.cache
@@ -64,10 +69,12 @@ def test_witness_digest_is_pinned_and_no_rate_is_below_the_exact_rate(family, mo
         return certs[-1]
 
     monkeypatch.setattr(module, "certify", recording)
-    hexdigest, certified, _, rates = tool.digest(draws, 2026, family)
+    hexdigest, certified, counts, rates = tool.digest(draws, 2026, family)
     found = [cert for cert in certs if cert.feasible]
     assert len(found) == certified > 0
     below = [cert for cert in found if cert.rho_star < max(
         closed_form_rate(cert.interval.lo, cert.fc), closed_form_rate(cert.interval.hi, cert.fc))]
     assert below == []
     assert (rates if family == "dynamic" else hexdigest) == pinned
+    if family in PINNED_SOLVES:
+        assert sum(map(sum, counts)) == PINNED_SOLVES[family]
