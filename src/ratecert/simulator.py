@@ -137,14 +137,18 @@ def sample_alpha(
     interval: StepSizeInterval,
     steps: int | tuple[int, int],
     rng: np.random.Generator | None,
-    spectrum: tuple[float, ...] = (),
+    spectrum: tuple[float, ...] | np.ndarray = (),
 ) -> np.ndarray:
-    """The policy's step sequence for a trial of the given spectrum.  Random
-    policies draw ``steps``, a count or a (trials, steps) shape, in one
-    call that takes one word of ``rng``'s stream per step size, row by row;
-    the others return one row and never read ``rng``, which may be None for
-    them.  Only ``AdversarialGreedy`` reads ``spectrum``."""
+    """The policy's step sizes in the shape ``steps``: a count for one
+    trial or (trials, steps) for a batch, one row per trial.  Random
+    policies draw them in one call that takes one word of ``rng``'s stream
+    per step size, row by row, and raise ValueError if ``rng`` is None; the
+    others never read ``rng``.  ``Alternating`` alternates lo, hi, ... along
+    each row.  Only ``AdversarialGreedy`` reads ``spectrum``: one trial's
+    eigenvalues, or a (trials, dim) array of each row's."""
     lo, hi = interval.lo, interval.hi
+    if rng is None and isinstance(policy, (Uniform, Endpoints)):
+        raise ValueError(f"policy {policy!r} draws from rng, which is None")
     if isinstance(policy, Uniform):
         return rng.uniform(lo, hi, size=steps)
     if isinstance(policy, Endpoints):
@@ -152,7 +156,7 @@ def sample_alpha(
         return np.where(rng.random(steps) < 0.5, hi, lo)
     if isinstance(policy, Alternating):
         alphas = np.full(steps, lo)
-        alphas[1::2] = hi
+        alphas[..., 1::2] = hi
         return alphas
     if isinstance(policy, Constant):
         if not lo <= policy.alpha <= hi:
@@ -161,9 +165,12 @@ def sample_alpha(
             )
         return np.full(steps, policy.alpha)
     if isinstance(policy, AdversarialGreedy):
-        score_lo = max(abs(1.0 - lo * q) for q in spectrum)
-        score_hi = max(abs(1.0 - hi * q) for q in spectrum)
-        return np.full(steps, lo if score_lo > score_hi else hi)
+        q = np.asarray(spectrum)
+        score_lo = np.abs(1.0 - lo * q).max(axis=-1)
+        score_hi = np.abs(1.0 - hi * q).max(axis=-1)
+        alphas = np.empty(steps)
+        alphas[...] = np.where(score_lo > score_hi, lo, hi)[..., None]
+        return alphas
     raise UnknownPolicy(f"unknown policy {policy!r}")
 
 
@@ -183,13 +190,14 @@ def run(
     report; ``xi0`` defaults to the all-ones vector.  Given a sequence of
     problems of one dimension, every trial follows ``policy``, ``xi0`` is
     None or one start per trial, and the result is one report per trial, in
-    order; a single trial is the batch of one.  A random policy draws the
-    batch's step sizes from ``rng`` in one call, trial by trial, so trial j
-    of the batch takes stream words [j*steps, (j+1)*steps); the other
-    policies never read ``rng``.  The batch runs as one array pass,
-    bit-identical to stepping each trial alone on its own step sizes, and
-    holds all its trials' arrays at once: callers size batches with
-    ``chunk_trials``.  Deterministic: identical (generator state, policy,
+    order; a single trial is the batch of one.  Every policy's (trials,
+    steps) step sizes come from one ``sample_alpha`` call given the batch's
+    (trials, dim) spectra.  A random policy draws them from ``rng``, trial
+    by trial, so trial j of the batch takes stream words
+    [j*steps, (j+1)*steps), and needs an ``rng``; the other policies never
+    read it.  The batch runs as one array pass, bit-identical to stepping
+    each trial alone on its own step sizes, and holds all its trials'
+    arrays at once: callers size batches with ``chunk_trials``.  Deterministic: identical (generator state, policy,
     inputs) produce a bit-identical report.  ``violated`` is set when any
     prefix norm exceeds its envelope by more than the round-off slack.
     """
@@ -217,22 +225,7 @@ def run(
     if xi.shape != (trials, dim):
         raise ValueError(f"xi0 must have shape ({dim},) per trial, got {xi.shape[1:]}")
 
-    if isinstance(policy, (Uniform, Endpoints)):
-        if rng is None:
-            raise ValueError(f"policy {policy!r} draws from rng, which is None")
-        alphas = sample_alpha(policy, interval, (trials, steps), rng)
-    else:
-        # The other rows are one row for the whole call, or for the
-        # adversarial policy one per pair of spectrum extremes: its scores
-        # max |1 - alpha*q| are convex in q, so the extremes attain them.
-        alphas = np.empty((trials, steps))
-        rows = {}
-        for row, p in zip(alphas, probs):
-            ends = ((min(p.eigenvalues), max(p.eigenvalues))
-                    if isinstance(policy, AdversarialGreedy) else ())
-            if ends not in rows:
-                rows[ends] = sample_alpha(policy, interval, steps, None, ends)
-            row[:] = rows[ends]
+    alphas = sample_alpha(policy, interval, (trials, steps), rng, q)
     traj = step(xi, alphas, q)
     # Bit-identical to a 1-D np.linalg.norm per row; norm(axis=-1) and einsum are not.
     norms = np.matmul(traj[..., None, :], traj[..., :, None])[..., 0, 0]

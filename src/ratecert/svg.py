@@ -35,43 +35,6 @@ class Series:
     dashed: bool = False
 
 
-@dataclass
-class _Frame:
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    log_x: bool = False
-
-    def tx(self, x: float) -> float:
-        if self.log_x:
-            x = math.log10(x)
-        span = self.x_max - self.x_min or 1.0
-        return MARGIN_L + (x - self.x_min) / span * (WIDTH - MARGIN_L - MARGIN_R)
-
-    def ty(self, y: float) -> float:
-        span = self.y_max - self.y_min or 1.0
-        return HEIGHT - MARGIN_B - (y - self.y_min) / span * (
-            HEIGHT - MARGIN_T - MARGIN_B
-        )
-
-
-def _frame(series: list[Series], log_x: bool) -> _Frame:
-    xs, ys = [], []
-    for s in series:
-        for x, y in s.points:
-            if y is None:
-                continue
-            xs.append(math.log10(x) if log_x else x)
-            ys.append(y)
-    if not xs:
-        xs, ys = [0.0, 1.0], [0.0, 1.0]
-    x_min, x_max = min(xs), max(xs)
-    y_min, y_max = min(ys), max(ys)
-    pad_y = 0.05 * (y_max - y_min or 1.0)
-    return _Frame(x_min, x_max, y_min - pad_y, y_max + pad_y, log_x)
-
-
 def _ticks(lo: float, hi: float) -> list[float]:
     if hi == lo:
         return [lo]
@@ -87,7 +50,29 @@ def line_chart(
     log_x: bool = False,
 ) -> str:
     """Render the chart and return the SVG document as a string."""
-    fr = _frame(series, log_x)
+    # Bounds over the drawn points (x in log10 for a log axis), y padded.
+    xs, ys = [], []
+    for s in series:
+        for x, y in s.points:
+            if y is None:
+                continue
+            xs.append(math.log10(x) if log_x else x)
+            ys.append(y)
+    if not xs:
+        xs, ys = [0.0, 1.0], [0.0, 1.0]
+    x_min, x_max = min(xs), max(xs)
+    pad_y = 0.05 * (max(ys) - min(ys) or 1.0)
+    y_min, y_max = min(ys) - pad_y, max(ys) + pad_y
+    x_span, y_span = x_max - x_min or 1.0, y_max - y_min or 1.0
+
+    def tx(x: float) -> float:
+        if log_x:
+            x = math.log10(x)
+        return MARGIN_L + (x - x_min) / x_span * (WIDTH - MARGIN_L - MARGIN_R)
+
+    def ty(y: float) -> float:
+        return HEIGHT - MARGIN_B - (y - y_min) / y_span * (HEIGHT - MARGIN_T - MARGIN_B)
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -102,16 +87,16 @@ def line_chart(
         f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>'
         f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>'
     )
-    for t in _ticks(fr.x_min, fr.x_max):
-        px = fr.tx(10.0 ** t) if log_x else fr.tx(t)
+    for t in _ticks(x_min, x_max):
+        px = tx(10.0 ** t) if log_x else tx(t)
         label = f"{10.0 ** t:.4g}" if log_x else f"{t:.4g}"
         parts.append(
             f'<line x1="{px:.1f}" y1="{y0}" x2="{px:.1f}" y2="{y0 + 5}" stroke="black"/>'
             f'<text x="{px:.1f}" y="{y0 + 20}" text-anchor="middle" '
             f'font-size="11" font-family="sans-serif">{label}</text>'
         )
-    for t in _ticks(fr.y_min, fr.y_max):
-        py = fr.ty(t)
+    for t in _ticks(y_min, y_max):
+        py = ty(t)
         parts.append(
             f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="black"/>'
             f'<text x="{x0 - 8}" y="{py + 4:.1f}" text-anchor="end" '
@@ -137,7 +122,7 @@ def line_chart(
                     )
                 segment = []
             else:
-                segment.append(f"{fr.tx(x):.2f},{fr.ty(y):.2f}")
+                segment.append(f"{tx(x):.2f},{ty(y):.2f}")
     # Legend, top right.
     ly = MARGIN_T + 8
     for s in series:

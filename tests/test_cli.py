@@ -766,3 +766,23 @@ def test_output_bytes_pinned(tmp_path, capsys, name):
     assert run_cli(*argv, "--out", str(out)) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of the SVG chart each sweep writes with --svg.
+PINNED_SVGS = {
+    "sweep-kappa": (
+        ("sweep-kappa", "--c", "1.3", "--points", "40"),
+        "61d1d790829ee47452291264e5056dc4b42fec6c28000d378de63bcafe45d659"),
+    "sweep-c": (
+        ("sweep-c", "--kappa", "7", "--points", "41"),
+        "10c244cd9d3de441011a2d191b429f5148c47a6b1b2ba4951362fa19fdef1e10"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_SVGS))
+def test_svg_bytes_pinned(tmp_path, capsys, name):
+    argv, digest = PINNED_SVGS[name]
+    svg = tmp_path / "chart.svg"
+    assert run_cli(*argv, "--out", str(tmp_path / "out"), "--svg", str(svg)) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest

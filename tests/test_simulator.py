@@ -62,7 +62,10 @@ def test_constant_policy():
     rng = np.random.default_rng(0)
     iv = StepSizeInterval(0.05, 0.2)
     assert sample_alpha(Constant(0.1), iv, 3, rng).tolist() == [0.1, 0.1, 0.1]
-    for steps in (0, 3):
+    # A (trials, steps) shape is filled, with or without an rng.
+    assert sample_alpha(Constant(0.1), iv, (2, 3), None).tolist() == [[0.1] * 3] * 2
+    assert sample_alpha(Constant(0.1), iv, (2, 0), None).shape == (2, 0)
+    for steps in (0, 3, (2, 3)):
         with pytest.raises(ValueError):
             sample_alpha(Constant(0.5), iv, steps, rng)
 
@@ -71,6 +74,10 @@ def test_alternating_policy():
     rng = np.random.default_rng(0)
     iv = StepSizeInterval(0.1, 0.14)
     assert sample_alpha(Alternating(), iv, 3, rng).tolist() == [0.1, 0.14, 0.1]
+    # Every row of a (trials, steps) shape alternates along the step axis.
+    assert (sample_alpha(Alternating(), iv, (2, 5), None).tolist()
+            == [[0.1, 0.14, 0.1, 0.14, 0.1]] * 2)
+    assert sample_alpha(Alternating(), iv, (3, 1), None).tolist() == [[0.1]] * 3
 
 
 def test_uniform_and_endpoints_policies():
@@ -80,6 +87,11 @@ def test_uniform_and_endpoints_policies():
     assert np.all((iv.lo <= draws) & (draws <= iv.hi))
     ends = sample_alpha(Endpoints(), iv, 50, np.random.default_rng(2))
     assert set(ends.tolist()) == {0.1, 0.14}
+    # Without a generator a random policy names itself and rng.
+    for policy, name in ((Uniform(), "Uniform"), (Endpoints(), "Endpoints")):
+        for steps in (3, (2, 3)):
+            with pytest.raises(ValueError, match=rf"{name}\(\).*rng"):
+                sample_alpha(policy, iv, steps, None)
 
 
 @pytest.mark.parametrize("policy", [Uniform(), Endpoints()], ids=["uniform", "endpoints"])
@@ -111,6 +123,20 @@ def test_adversarial_greedy_two_endpoint_comparison():
             == [iv.lo] * 3)
     # Spectrum (10,): overshoot at the big step dominates, so hi wins.
     assert sample_alpha(AdversarialGreedy(), iv, 3, rng, (10.0,)).tolist() == [iv.hi] * 3
+    # A (trials, dim) spectrum gives each row the step a one-row call gives
+    # that trial; an exact tie picks hi.
+    for iv, spectra in [
+        (iv, [(1.0, 10.0), (10.0, 10.0), (1.0, 1.0)]),
+        # At q = 1, |1 - 0.5| == |1 - 1.5| exactly.
+        (StepSizeInterval(0.5, 1.5), [(1.0, 1.0), (0.5, 1.0), (1.0, 1.9), (0.2, 0.5)]),
+    ]:
+        rows = [sample_alpha(AdversarialGreedy(), iv, 4, None, q).tolist() for q in spectra]
+        batch = sample_alpha(AdversarialGreedy(), iv, (len(spectra), 4), None,
+                             np.array(spectra))
+        assert batch.shape == (len(spectra), 4) and batch.tolist() == rows
+        assert {row[0] for row in rows} == {iv.lo, iv.hi}
+    assert rows[0] == [1.5] * 4
+    assert sample_alpha(AdversarialGreedy(), iv, (3, 0), None, np.ones((3, 2))).shape == (3, 0)
 
 
 def test_policy_from_name():
@@ -272,19 +298,31 @@ def test_run_matches_per_step_reference_loop(point, policy_kind, dim, seed, frac
 
 def test_run_builds_a_generator_only_for_random_policies(monkeypatch, capsys):
     # run builds no generator: a random policy reads the one rng it is
-    # handed and the others never read it.  The simulate command builds one
-    # step PCG64 per dimension group for a random policy, however it is
-    # chunked, and none for the others.
+    # handed and the others never read it.  Every policy takes a batch's
+    # step sizes from one sample_alpha call, also where the adversarial
+    # policy picks both endpoints (its four spectra have distinct extremes).
+    # The simulate command builds one step PCG64 per dimension group for a
+    # random policy, however it is chunked, and none for the others.
     cert = _cert(c=1.2)
-    probs = [QuadraticProblem((1.0, 10.0)), QuadraticProblem((2.0, 3.0))]
+    probs = [QuadraticProblem(q) for q in [(1.0, 10.0), (2.0, 3.0), (10.0, 10.0), (1.0, 1.0)]]
     made, pcg64 = [], np.random.PCG64
     monkeypatch.setattr(np.random, "PCG64", lambda *a: made.append(a) or pcg64(*a))
+    shapes, draw = [], simulator.sample_alpha
+
+    def recording_draw(*args):
+        got = draw(*args)
+        shapes.append(got.shape)
+        return got
+
+    monkeypatch.setattr(simulator, "sample_alpha", recording_draw)
     rng = np.random.Generator(pcg64(5))
     for policy, draws in [(Uniform(), True), (Endpoints(), True), (Alternating(), False),
                           (Constant(cert.interval.lo), False),
                           (AdversarialGreedy(), False)]:
         run(probs[0], cert.interval, policy, 20, cert=cert, rng=rng)
+        shapes.clear()
         run(probs, cert.interval, policy, 20, None, cert, rng)
+        assert shapes == [(len(probs), 20)], policy
         if draws:
             with pytest.raises(ValueError, match="rng"):
                 run(probs, cert.interval, policy, 20, None, cert, None)
