@@ -21,24 +21,25 @@ The family is homogeneous in (P, lambda), so P is normalized to unit trace.
 It is affine in (P, lambda), rho enters it only as -rho^2 P, and the
 multiplier's weights h only through Qf = Q(h).  ``iqc.augment`` builds the
 rest, each block's coefficients over the unit-trace basis of P, once per
-``certify`` (at its first dynamic probe) and once per replay; a probe at rho
-is coefficient arithmetic on that data.  Everything is in reduced units
+dynamic ``certify`` (at its set-up) and once per replay; a probe at rho is
+coefficient arithmetic on that data.  Everything is in reduced units
 (``model.reduced``): rates are invariant under that rescaling and the block
 entries stay at unit scale, so the strictness tolerances below mean the same
 thing for every input.  Stored witnesses refer to the reduced system; the
 rate bound itself needs only rho_star and cond(P), both of which are
 reduction-invariant for the plant state.  Two backends decide feasibility:
 
-* state dimension 1 (static multiplier): P is the scalar 1, and the
-  admissible lambda set at each endpoint is an interval computed in closed
-  form from the 2x2 block's diagonal and determinant conditions; the
-  family is feasible iff the intervals intersect (``sector_lambda``).
-  ``certify`` decides its sector probes with that function alone, in plain
-  floats, without importing this module; only replay
-  (``Certificate.slack``, ``verify_certificate``) builds the numpy data.
-* state dimension >= 2: a log-det barrier (interior-point) solver over the
-  decision vector (P's free entries, ``iqc.free_entries``, then lambda),
-  which takes Newton steps over all blocks at once (see ``ellipsoid``).
+* sector (state dimension 1): P is the scalar 1, and the admissible
+  lambda set at each endpoint is an interval computed in closed form from
+  the 2x2 block's diagonal and determinant conditions; the family is
+  feasible iff the intervals intersect.  ``certify`` decides its sector
+  probes with ``search.sector_lambda`` alone, in plain floats, without
+  importing this module; only replay (``Certificate.slack``,
+  ``verify_certificate``) builds the numpy data.
+* wob1 and zf:k (state dimension >= 2): ``feasible_at_rho``, a log-det
+  barrier (interior-point) solver over the decision vector (P's free
+  entries, ``iqc.free_entries``, then lambda), which takes Newton steps
+  over all blocks at once (see ``ellipsoid``).
   ``_runs`` hands it the family as three runs of stacked blocks: lambda >=
   0, P >= DELTA_PD * I, and the endpoint blocks.  A ``certify``'s first
   solve starts from ``_start``, P = I/s and lambda = R/2; each later one
@@ -57,9 +58,9 @@ solver's yes/no acceptance scan calls the ``eigvalsh`` gufunc unwrapped
 and raises LinAlgError when an eigenvalue is not finite.
 
 Importing this module loads numpy, ``iqc`` and ``ellipsoid``.  ``search``
-imports it the first time a certification needs it: a dynamic probe, a
-dynamic witness's ``cond_p``, ``Certificate.slack``, or the P of a sector
-witness.
+imports it the first time a certification needs it: a dynamic
+``certify``'s set-up, a dynamic witness's ``cond_p``, ``Certificate.slack``,
+or the P of a sector witness.
 """
 
 from __future__ import annotations
@@ -196,25 +197,20 @@ def _runs(lmi: LmiData, rho: float, h: tuple[float, ...], eps: float) -> list[tu
     ]
 
 
-def feasible_at_rho(lmi: LmiData, rho: float, h: tuple[float, ...],
-                    eps: float | None = None, start: Witness | None = None) -> Witness | None:
+def feasible_at_rho(lmi: LmiData, rho: float, h: tuple[float, ...], eps: float,
+                    start: Witness | None = None) -> Witness | None:
     """Decide joint feasibility of the block family at ``rho`` with the
-    multiplier weights ``h``, each block held to "<= -eps * I" (None:
-    ``default_eps_feas`` of the data's kappa).  A dynamic solve starts from
-    the witness ``start`` (``certify`` passes the one of the lowest rate
-    solved feasible) if it is strictly inside the ball, else from
-    ``_start``; the verdict's claims do not depend on it.
+    multiplier weights ``h``, each block held to "<= -eps * I", by the
+    barrier solve, at any order (``certify`` decides sector's in floats).
+    It starts from the witness ``start`` (``certify`` passes the one of the
+    lowest rate solved feasible) if it is strictly inside the ball, else
+    from ``_start``; the verdict's claims do not depend on it.
 
     Returns a Witness, or None when infeasible.  Raises SolverBudgetExceeded
     (distinct from infeasibility) if the barrier solver runs out of Newton
     steps before reaching a verdict.
     """
-    if eps is None:
-        eps = default_eps_feas(lmi.kappa)
     d, s = lmi.p.shape[:2]
-    if s == 1:
-        lam = sector_lambda(rho, lmi.alphas, FunctionClass(1.0, lmi.kappa), eps)
-        return None if lam is None else Witness(p=_P_ONE, lam=lam)
     x0 = _start(s)
     if start is not None:
         v = np.concatenate((start.p.take(free_entries(s)), [start.lam]))

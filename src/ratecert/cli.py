@@ -18,17 +18,17 @@ Start-up loads only what a command uses.  This module imports ``model``,
 ``search`` (the rate search in plain floats) and ``svg``, none of which
 imports numpy or xml, and it computes the sweep grids in plain floats, so
 sector ``certify``, ``sweep-kappa`` and ``sweep-c``, ``--show-config`` and
-usage errors run without numpy.  A dynamic multiplier (``--iqc wob1`` or
-``zf:<k>``) loads numpy with ``certifier`` at its first probe; ``simulate``
-imports the simulator (and numpy) when it starts, and ``run``, its call
-per chunk, imports ``simulator.run`` when first called.
+usage errors run without numpy, and only ``certify --out`` imports
+``json``.  A dynamic multiplier (``--iqc wob1`` or ``zf:<k>``) loads numpy
+with ``certifier`` at its ``certify``'s set-up; ``simulate`` imports the
+simulator (and numpy) when it starts, and ``run``, its call per chunk,
+imports ``simulator.run`` when first called.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -300,6 +300,8 @@ def cmd_certify(res: Resolved) -> int:
         "rho_tol": cert.rho_tol,
     }
     if res["out"] is not None:
+        import json  # only a record written to --out needs it
+
         _write_text(res["out"], json.dumps(record, indent=2) + "\n")
     if not cert.feasible:
         print(_no_certificate(cert))
@@ -447,8 +449,7 @@ def cmd_simulate(res: Resolved) -> int:
             indices = group[lo:lo + per_chunk]
             probs = [simulator.QuadraticProblem(spectrum) for spectrum
                      in _trial_spectra(fc, dim, indices, spectrum_rng)]
-            for i, report in zip(indices, run(probs, interval, policy, steps, None,
-                                              cert, step_rng)):
+            for i, report in zip(indices, run(probs, cert, policy, steps, None, step_rng)):
                 any_violated = any_violated or report.violated
                 rows[i] = (f"{i},{seed},{_fmt(report.max_ratio)},"
                            f"{'true' if report.violated else 'false'}" + CSV_NEWLINE)

@@ -93,10 +93,9 @@ def default_weights(kind: str, rho: float, k: int) -> tuple[float, ...]:
 @dataclass(frozen=True, eq=False)
 class LmiData:
     """The inequality family of a k-tap multiplier in reduced units (class
-    modulus 1, condition number ``kappa``, step sizes ``alphas``), free of
-    rho and h.  The system is x+ = a x + b[c] u at step size ``alphas[c]``,
-    with s = k + 1 states.  With P written as sum_i x_i p[i] (p[0] = P0,
-    x_0 = trace(P)), its block is
+    modulus 1), free of rho and h.  The system is x+ = a x + b[c] u at the
+    c-th step size, with s = k + 1 states.  With P written as sum_i x_i
+    p[i] (p[0] = P0, x_0 = trace(P)), its block is
 
         sum_i x_i (g[i, c] - rho^2 * diag(p[i], 0)) + lambda * Q(h).
 
@@ -105,8 +104,6 @@ class LmiData:
     ``qh`` is (k, s+1, s+1).
     """
 
-    kappa: float
-    alphas: tuple[float, ...]
     a: np.ndarray
     b: np.ndarray
     p: np.ndarray
@@ -173,7 +170,7 @@ def augment(kappa: float, alphas: tuple[float, ...], k: int) -> LmiData:
     for j in range(k):
         qh[j, j + 1, 0] = qh[j, 0, j + 1] = -1.0
         qh[j, j + 1, s] = qh[j, s, j + 1] = 1.0
-    return LmiData(kappa=kappa, alphas=alphas, a=a, b=b, p=p, g=g, q0=q0, qh=qh)
+    return LmiData(a=a, b=b, p=p, g=g, q0=q0, qh=qh)
 
 
 def quad_form(lmi: LmiData, h: tuple[float, ...]) -> np.ndarray:

@@ -4,11 +4,11 @@ sector family's closed-form probes, and the types a certificate is made of.
 This module imports no numpy, so a sector ``certify`` (and with it a
 sector sweep) runs from start to end without it.  The numpy layer,
 ``certifier`` (the barrier backend, replay and ``verify_certificate``),
-is imported the first time the search needs it:
-a probe of a dynamic multiplier (wob1, zf:k), the condition number of a
-dynamic witness, ``Certificate.slack``, or the P of a sector witness.  The
-search calls those names through the module (``certifier.feasible_at_rho``),
-so a name replaced there is the one called.
+is imported the first time the search needs it: the set-up of a dynamic
+(wob1, zf:k) ``certify``, the condition number of a dynamic witness,
+``Certificate.slack``, or the P of a sector witness.  The search calls
+those names through the module (``certifier.feasible_at_rho``), so a name
+replaced there is the one called.
 
 The bisection runs over the fixed bracket [RHO_LO, RHO_HI] down to a width
 of ``rho_tol``, and every trial rate goes through one oracle: a rate below
@@ -21,7 +21,7 @@ where the endpoints' lambda intervals touch or else their own thresholds)
 predicts the path, and two checks through the oracle confirm it, or the
 plain bisection runs over the same oracle.  A settled sector certify makes
 one or two solves; wob1 and zf:k solve the top rate first.
-See ``certifier`` for the inequality family and its two backends.
+See ``certifier`` for the inequality family and the barrier backend.
 """
 
 from __future__ import annotations
@@ -321,13 +321,14 @@ def certify(
 
     ``rho_tol`` is the width of the final bracket, in (0, RHO_HI - RHO_LO].
     ``eps_feas`` makes "<= 0" strict, as "<= -eps_feas * I", and is finite
-    and >= 0; None selects ``default_eps_feas``, 1e-9 * (1 + 2L/m).  A value
-    out of its range (NaN included) raises InvalidInput.
+    and >= 0; None selects ``default_eps_feas``, 1e-9 * (1 + 2L/m), here
+    alone: every probe is handed this eps.  A value out of its range (NaN
+    included) raises InvalidInput.
 
     Sector probes never build numpy data: P is 1, the reduced class and
     interval and eps are plain floats computed once per call, and each
     probe is ``sector_lambda`` at its rho.  A dynamic multiplier's data
-    (``certifier.augment``) is built once, at the first dynamic solve; its
+    (``certifier.augment``) is built once, at set-up; its
     weights are validated again at every trial rho because admissible
     weights depend on rho (pass ``weights``, one per filter tap, to pin them
     instead; trial rates at which pinned weights are inadmissible count as
@@ -419,13 +420,15 @@ def certify(
 
     fc_n, alphas = reduced(fc, interval)
     eps = eps_feas if eps_feas is not None else default_eps_feas(fc_n.kappa())
-    lmi = None  # a dynamic multiplier's data, built by the first solve
+    if iqc_kind != SECTOR:
+        certifier = _numpy_layer()
+        lmi = certifier.augment(fc_n.kappa(), alphas, n_weights)
     ceiling = None  # (rho, verdict, h) of the lowest rate solved feasible
 
     # The oracle (see above).  A found rate is (rho, lambda, ()) for sector,
     # (rho, Witness, h) otherwise, with the weights h it was solved with.
     def feasible(rho: float) -> tuple[float, float | Witness, tuple[float, ...]] | None:
-        nonlocal floor, ceiling, lmi
+        nonlocal floor, ceiling
         if rho < floor:
             return None
         if ceiling is not None and rho >= ceiling[0]:
@@ -434,9 +437,6 @@ def certify(
         if iqc_kind == SECTOR:
             verdict = sector_lambda(rho, alphas, fc_n, eps)
         else:
-            certifier = _numpy_layer()
-            if lmi is None:
-                lmi = certifier.augment(fc_n.kappa(), alphas, n_weights)
             try:
                 h = certifier._weights(iqc_kind, rho, n_weights, weights)
             except certifier.WeightOutOfRange:

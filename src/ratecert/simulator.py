@@ -174,17 +174,11 @@ def sample_alpha(
     raise UnknownPolicy(f"unknown policy {policy!r}")
 
 
-def run(
-    prob,
-    interval: StepSizeInterval,
-    policy: Policy,
-    steps: int,
-    xi0=None,
-    cert: Certificate = None,
-    rng: np.random.Generator | None = None,
-):
-    """Simulate ``steps`` iterations under ``policy`` and compare against the
-    certificate.
+def run(prob, cert: Certificate, policy: Policy, steps: int, xi0=None,
+        rng: np.random.Generator | None = None):
+    """Simulate ``steps`` iterations under ``policy``, with step sizes from
+    the interval the certificate bounds, ``cert.interval``, and compare
+    against the certificate (CertificateMissing if it has no rate).
 
     Given one ``QuadraticProblem`` this runs one trial and returns its
     report; ``xi0`` defaults to the all-ones vector.  Given a sequence of
@@ -197,14 +191,14 @@ def run(
     [j*steps, (j+1)*steps), and needs an ``rng``; the other policies never
     read it.  The batch runs as one array pass, bit-identical to stepping
     each trial alone on its own step sizes, and holds all its trials'
-    arrays at once: callers size batches with ``chunk_trials``.  Deterministic: identical (generator state, policy,
-    inputs) produce a bit-identical report.  ``violated`` is set when any
-    prefix norm exceeds its envelope by more than the round-off slack.
+    arrays at once: callers size batches with ``chunk_trials``.
+    Deterministic: identical (generator state, policy, inputs) produce a
+    bit-identical report.  ``violated`` is set when any prefix norm exceeds
+    its envelope by more than the round-off slack.
     """
     if isinstance(prob, QuadraticProblem):
-        return run([prob], interval, policy, steps,
-                   None if xi0 is None else [xi0], cert, rng)[0]
-    if cert is None or cert.rho_star is None:
+        return run([prob], cert, policy, steps, None if xi0 is None else [xi0], rng)[0]
+    if cert.rho_star is None:
         raise CertificateMissing("certificate carries no certified rate")
     if steps < 0:
         raise ValueError(f"need steps >= 0, got {steps}")
@@ -225,7 +219,7 @@ def run(
     if xi.shape != (trials, dim):
         raise ValueError(f"xi0 must have shape ({dim},) per trial, got {xi.shape[1:]}")
 
-    alphas = sample_alpha(policy, interval, (trials, steps), rng, q)
+    alphas = sample_alpha(policy, cert.interval, (trials, steps), rng, q)
     traj = step(xi, alphas, q)
     # Bit-identical to a 1-D np.linalg.norm per row; norm(axis=-1) and einsum are not.
     norms = np.matmul(traj[..., None, :], traj[..., :, None])[..., 0, 0]

@@ -15,7 +15,7 @@ from ratecert.certifier import (
     closed_form_rate,
     default_eps_feas,
     eig_sym,
-    feasible_at_rho,
+    sector_lambda,
 )
 from ratecert.cli import SweepRow, format_sweep_csv, parse_sweep_csv
 from ratecert.ellipsoid import ellipsoid_feasibility
@@ -201,8 +201,8 @@ def test_criterion_8_certificate_soundness_fuzz():
                     pol = Constant(float(rng.uniform(interval.lo, interval.hi)))
                 else:
                     pol = AdversarialGreedy()
-                rep = run(QuadraticProblem(spectrum), interval, pol, 200,
-                          np.ones(dim), cert, rng=np.random.default_rng([trial, dim]))
+                rep = run(QuadraticProblem(spectrum), cert, pol, 200,
+                          np.ones(dim), rng=np.random.default_rng([trial, dim]))
                 total += 1
                 violations += rep.violated
     _report(8, violations == 0,
@@ -245,9 +245,10 @@ def test_criterion_10_property_suites():
         base = closed_form_rate(alpha, fc)
         fc_n, alphas = reduced(fc, StepSizeInterval(alpha, alpha))
         lmi = augment(fc_n.kappa(), alphas, 0)  # state dimension 1
+        eps = default_eps_feas(fc_n.kappa())
         for rho in (min(base + 0.03, 0.9999), max(base - 0.03, 1e-3)):
-            a = feasible_at_rho(lmi, rho, ()) is not None
-            runs = _runs(lmi, rho, (), default_eps_feas(lmi.kappa))
+            a = sector_lambda(rho, alphas, fc_n, eps) is not None
+            runs = _runs(lmi, rho, (), eps)
             b = ellipsoid_feasibility(runs, start=_start(1)) is not None
             agree = agree and (a == b)
     notes.append(f"backend agreement: {agree}")
@@ -257,11 +258,11 @@ def test_criterion_10_property_suites():
     interval = interval_from_c(fc, 1.3)
     cert = certify(fc, interval)
     fc_n, alphas = reduced(fc, interval)
-    lmi = augment(fc_n.kappa(), alphas, 0)
+    eps = default_eps_feas(fc_n.kappa())
     mono = all(
-        feasible_at_rho(lmi, cert.rho_star + b, ()) is not None
+        sector_lambda(cert.rho_star + b, alphas, fc_n, eps) is not None
         for b in (1e-4, 1e-3, 1e-2, 0.05)
-    ) and feasible_at_rho(lmi, cert.rho_star - 2 * cert.rho_tol, ()) is None
+    ) and sector_lambda(cert.rho_star - 2 * cert.rho_tol, alphas, fc_n, eps) is None
     notes.append(f"rho-monotonicity: {mono}")
 
     # Multiplier reduction chain, exact.

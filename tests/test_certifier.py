@@ -16,6 +16,7 @@ from ratecert import certifier, search
 from ratecert.certifier import (
     Certificate,
     InvalidInput,
+    Witness,
     _blocks,
     _runs,
     _start,
@@ -65,8 +66,15 @@ def _lmi(fc, interval, kind, zf_order=2):
 
 
 def _probe(fc, interval, kind, rho, zf_order=2, weights=None, eps=None):
-    """One probe from scratch, as certify makes it; raises WeightOutOfRange
-    where the weights are inadmissible at ``rho``."""
+    """One probe from scratch, as certify makes it, with certify's default
+    eps given None: ``sector_lambda`` for sector, else ``feasible_at_rho``;
+    raises WeightOutOfRange where the weights are inadmissible at ``rho``."""
+    fc_n, alphas = reduced(fc, interval)
+    if eps is None:
+        eps = default_eps_feas(fc_n.kappa())
+    if kind == SECTOR:
+        lam = sector_lambda(rho, alphas, fc_n, eps)
+        return None if lam is None else Witness(p=None, lam=lam)
     h = _weights(kind, rho, taps(kind, zf_order), weights)
     return feasible_at_rho(_lmi(fc, interval, kind, zf_order), rho, h, eps)
 
@@ -84,7 +92,7 @@ def _spy_solvers(mp, on_call):
         on_call(rho)
         return sector_lambda(rho, *args)
 
-    def matrix(lmi, rho, h, eps=None, start=None):
+    def matrix(lmi, rho, h, eps, start=None):
         on_call(rho)
         return feasible_at_rho(lmi, rho, h, eps, start=start)
 
@@ -346,7 +354,7 @@ def test_certify_hands_the_solver_its_eps(monkeypatch, eps_feas):
     # the class's kappa, and every dynamic solve gets that float.
     seen = []
 
-    def matrix(lmi, rho, h, eps=None, start=None):
+    def matrix(lmi, rho, h, eps, start=None):
         seen.append(eps)
         return feasible_at_rho(lmi, rho, h, eps, start=start)
 
@@ -451,6 +459,16 @@ def _count_calls(monkeypatch, name):
 
     monkeypatch.setattr(certifier, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("kind", [WEIGHTED_OFF_BY_1, ZAMES_FALB])
+def test_dynamic_certify_builds_its_data_once(monkeypatch, solver_calls, kind):
+    # A wob1 or zf:2 certify builds its data at set-up, once for all of its
+    # probes.
+    augments = _count_calls(monkeypatch, "augment")
+    cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=kind, zf_order=2)
+    assert cert.feasible and len(solver_calls) > 1
+    assert augments == ["augment"]
 
 
 def test_sector_hot_path_builds_once(monkeypatch, solver_calls):
@@ -791,10 +809,12 @@ def test_backend_agreement_on_sector_instances():
         fc = FunctionClass(m, L)
         alpha = float(rng.uniform(0.3 / L, 1.7 / L))
         base = closed_form_rate(alpha, fc)
+        fc_n, alphas = reduced(fc, StepSizeInterval(alpha, alpha))
+        eps = default_eps_feas(fc_n.kappa())
         for rho in (min(base + 0.02, 0.9999), max(base - 0.02, 1e-3)):
             lmi = _lmi(fc, StepSizeInterval(alpha, alpha), SECTOR)
-            direct = feasible_at_rho(lmi, rho, ())
-            runs = _runs(lmi, rho, (), default_eps_feas(lmi.kappa))
+            direct = sector_lambda(rho, alphas, fc_n, eps)
+            runs = _runs(lmi, rho, (), eps)
             via_ellipsoid = ellipsoid_feasibility(runs, start=_start(1))
             assert (direct is None) == (via_ellipsoid is None), (m, L, alpha, rho)
 
@@ -962,7 +982,8 @@ def test_solver_infeasible_below_exact_rate(log_kappa, c, kind):
 def _plain_bisection(fc, interval, kind, rho_tol=1e-4):
     """The rate search as it was before it speculated where it ends: every
     trial rate at or above the exact rate goes to the solver in bisection
-    order.  Returns ((rho, witness) or None, trial rates, solver calls)."""
+    order, each a cold ``_probe``.  Returns ((rho, witness) or None, trial
+    rates, solver calls)."""
     r_exact = _exact_rate(fc, interval)
     trials = solves = 0
 
@@ -972,11 +993,10 @@ def _plain_bisection(fc, interval, kind, rho_tol=1e-4):
         if rho < r_exact:
             return None
         try:
-            h = _weights(kind, rho, taps(kind, 2), None)
+            wit = _probe(fc, interval, kind, rho)
         except WeightOutOfRange:
             return None
         solves += 1
-        wit = feasible_at_rho(_lmi(fc, interval, kind), rho, h)
         return None if wit is None else (rho, wit)
 
     hi = certifier.RHO_HI - rho_tol
@@ -1047,10 +1067,10 @@ def test_certify_matches_plain_bisection(kappa, c, kind):
 @example(log_m=0.5, log_kappa=1.0, c=1.3, c1=1.8, rho_tol=1e-8)  # the touching rate binds
 def test_sector_certify_matches_the_numpy_instance_bisection(log_m, log_kappa, c, c1,
                                                              rho_tol):
-    # Sector certify works in plain floats; the reference bisection solves
-    # every rate at or above the exact rate with feasible_at_rho on the
-    # numpy data and default_eps_feas.  Given c1, c is used as c2; an
-    # interval with c1 * c2 == 1 is degenerate.
+    # Sector certify speculates where its search ends; the reference
+    # bisection solves every rate at or above the exact rate with
+    # sector_lambda on the reduced instance and default_eps_feas.  Given c1,
+    # c is used as c2; an interval with c1 * c2 == 1 is degenerate.
     m = 10.0 ** log_m
     fc = FunctionClass(m, m * 10.0 ** log_kappa)
     if c1 is None:
@@ -1231,7 +1251,8 @@ def test_default_eps_feas_is_the_qf_max_bit_for_bit(log_m, log_kappa, kind_order
         lmi = _lmi(fc, interval_from_c(fc, 1.0), kind, order)
     quad = quad_form(lmi, _weights(kind, rho, k, weights))
     reference = 1e-9 * (1.0 + float(np.abs(quad).max()))
-    assert default_eps_feas(fc.L / fc.m) == default_eps_feas(lmi.kappa) == reference
+    fc_n, _ = reduced(fc, interval_from_c(fc, 1.0))
+    assert default_eps_feas(fc.L / fc.m) == default_eps_feas(fc_n.kappa()) == reference
 
 
 @pytest.mark.parametrize("kind, calls", [(SECTOR, 0), (WEIGHTED_OFF_BY_1, 1)])

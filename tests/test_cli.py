@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratecert import certifier, cli, search, simulator
-from ratecert.certifier import _weights, augment, feasible_at_rho
+from ratecert.certifier import _weights, augment, default_eps_feas, feasible_at_rho
 from ratecert.cli import Resolved, build_parser, format_sweep_csv, main, parse_sweep_csv
 from ratecert.model import reduced
 
@@ -217,8 +217,8 @@ def test_exit_2_names_only_the_rate_tested(capsys):
     fc = cli.FunctionClass(1.0, 50.0)
     interval = cli.interval_from_c(fc, 1.1)
     fc_n, alphas = reduced(fc, interval)
-    lmi = augment(fc_n.kappa(), alphas, 1)
-    at = {rho: feasible_at_rho(lmi, rho, _weights("wob1", rho, 1, None))
+    lmi, eps = augment(fc_n.kappa(), alphas, 1), default_eps_feas(fc_n.kappa())
+    at = {rho: feasible_at_rho(lmi, rho, _weights("wob1", rho, 1, None), eps)
           for rho in (0.99, 0.9999)}
     assert at[0.99] is not None and at[0.9999] is None
     for command in ("certify", "simulate"):
@@ -235,6 +235,7 @@ _IMPORT_AUDIT = """
 import sys
 from ratecert.cli import main
 
+assert "json" not in sys.modules  # only certify --out imports it
 out = sys.argv[1]
 for code, argv in [
     (0, ["certify", "--kappa", "10", "--c", "1.2", "--out", out + "/cert.json"]),
@@ -675,6 +676,32 @@ def test_sweep_c_makes_no_solve_past_its_onset(monkeypatch, capsys, argv):
     assert [row.feasible for row in rows] == [feasible for _, feasible in per_row]
     assert per_row[onset][0] >= 1 and not any(rows[i].feasible for i in range(onset, len(rows)))
     assert [solves for solves, _ in per_row[onset + 1:]] == [0] * (len(rows) - onset - 1)
+
+
+def test_sweep_c_rows_rejected_at_the_top_build_no_data(monkeypatch, capsys):
+    # Each wob1 row builds its data (``certifier.augment``) once, at set-up;
+    # a row told that its top rate is infeasible is rejected before set-up.
+    builds, per_row = [], []
+    augment, certify_row = certifier.augment, cli.certify
+
+    def counted(*args):
+        builds.append(args)
+        return augment(*args)
+
+    def row(*args, **kwargs):
+        builds.clear()
+        cert = certify_row(*args, **kwargs)
+        per_row.append((kwargs["known_infeasible"] is not None, len(builds)))
+        return cert
+
+    monkeypatch.setattr(certifier, "augment", counted)
+    monkeypatch.setattr(cli, "certify", row)
+    assert run_cli("sweep-c", "--kappa", "30", "--c-min", "1", "--c-max", "1.4",
+                   "--points", "5", "--iqc", "wob1") == 0
+    capsys.readouterr()
+    told = [t for t, _ in per_row]
+    assert len(per_row) == 5 and True in told and told[0] is False
+    assert [n for _, n in per_row] == [0 if t else 1 for t in told]
 
 
 @settings(max_examples=60, deadline=None)

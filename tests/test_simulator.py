@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -153,7 +153,7 @@ def test_run_hand_example():
     cert = _cert()
     assert cert.cond_p == pytest.approx(1.0)
     prob = QuadraticProblem((1.0, 10.0))
-    rep = run(prob, cert.interval, Constant(0.1), 1, np.array([1.0, 1.0]), cert)
+    rep = run(prob, cert, Constant(0.1), 1, np.array([1.0, 1.0]))
     assert rep.norms[0] == pytest.approx(np.sqrt(2.0))
     assert rep.norms[1] == pytest.approx(0.9)
     assert rep.bound[1] == pytest.approx(np.sqrt(cert.cond_p) * cert.rho_star * np.sqrt(2.0))
@@ -163,8 +163,8 @@ def test_run_hand_example():
 
 def test_run_zero_start_never_violates():
     cert = _cert()
-    rep = run(QuadraticProblem((1.0,)), cert.interval, Uniform(), 50,
-              np.zeros(1), cert, np.random.default_rng(3))
+    rep = run(QuadraticProblem((1.0,)), cert, Uniform(), 50,
+              np.zeros(1), np.random.default_rng(3))
     assert rep.max_ratio == 0.0
     assert not rep.violated
     assert np.all(rep.norms == 0.0)
@@ -173,20 +173,20 @@ def test_run_zero_start_never_violates():
 def test_run_requires_certificate_and_matching_class():
     infeasible = _cert(c=2.1)
     with pytest.raises(CertificateMissing):
-        run(QuadraticProblem((1.0,)), infeasible.interval, Uniform(), 5,
-            np.ones(1), infeasible, np.random.default_rng(0))
+        run(QuadraticProblem((1.0,)), infeasible, Uniform(), 5,
+            np.ones(1), np.random.default_rng(0))
     cert = _cert()
     with pytest.raises(ValueError):
-        run(QuadraticProblem((0.5,)), cert.interval, Uniform(), 5,
-            np.ones(1), cert, np.random.default_rng(0))
+        run(QuadraticProblem((0.5,)), cert, Uniform(), 5,
+            np.ones(1), np.random.default_rng(0))
 
 
 def test_run_deterministic():
     cert = _cert(c=1.4)
     prob = QuadraticProblem((1.0, 4.0, 10.0))
-    a = run(prob, cert.interval, Uniform(), 100, np.ones(3), cert,
+    a = run(prob, cert, Uniform(), 100, np.ones(3),
             rng=np.random.default_rng(42))
-    b = run(prob, cert.interval, Uniform(), 100, np.ones(3), cert,
+    b = run(prob, cert, Uniform(), 100, np.ones(3),
             rng=np.random.default_rng(42))
     assert np.array_equal(a.norms, b.norms)
     assert a.max_ratio == b.max_ratio
@@ -199,7 +199,7 @@ def test_tightness_probe_constant_step():
         fc = FunctionClass(1.0, kappa)
         cert = certify(fc, interval_from_c(fc, 1.0), rho_tol=1e-9, eps_feas=1e-12)
         prob = QuadraticProblem((fc.m,))
-        rep = run(prob, cert.interval, Constant(1.0 / fc.L), 200, np.ones(1), cert)
+        rep = run(prob, cert, Constant(1.0 / fc.L), 200, np.ones(1))
         ratios = rep.norms / (cert.rho_star ** np.arange(201) * rep.norms[0])
         assert np.min(ratios) >= 1.0 - 1e-6
         assert not rep.violated
@@ -214,7 +214,7 @@ def test_soundness_small_fuzz():
         spectrum = tuple(float(q) for q in rng.uniform(1.0, 10.0, size=dim))
         prob = QuadraticProblem(spectrum)
         for pol in policies + [AdversarialGreedy()]:
-            rep = run(prob, cert.interval, pol, 80, np.ones(dim), cert,
+            rep = run(prob, cert, pol, 80, np.ones(dim),
                       rng=np.random.default_rng([7, trial]))
             assert not rep.violated, (spectrum, pol)
 
@@ -288,7 +288,7 @@ def test_run_matches_per_step_reference_loop(point, policy_kind, dim, seed, frac
     policy = _policy(policy_kind, iv, frac)
     for xi0 in (np.ones(dim), draw.normal(size=dim), np.zeros(dim)):
         for steps in (0, 1, 2, 200):
-            rep = run(prob, iv, policy, steps, xi0, cert, rng=_stream(seed))
+            rep = run(prob, cert, policy, steps, xi0, rng=_stream(seed))
             norms, bound, max_ratio, violated = _reference_run(
                 prob, iv, policy, steps, xi0, cert, _stream(seed))
             assert np.array_equal(rep.norms, norms), (steps, xi0)
@@ -319,15 +319,15 @@ def test_run_builds_a_generator_only_for_random_policies(monkeypatch, capsys):
     for policy, draws in [(Uniform(), True), (Endpoints(), True), (Alternating(), False),
                           (Constant(cert.interval.lo), False),
                           (AdversarialGreedy(), False)]:
-        run(probs[0], cert.interval, policy, 20, cert=cert, rng=rng)
+        run(probs[0], cert, policy, 20, rng=rng)
         shapes.clear()
-        run(probs, cert.interval, policy, 20, None, cert, rng)
+        run(probs, cert, policy, 20, None, rng)
         assert shapes == [(len(probs), 20)], policy
         if draws:
             with pytest.raises(ValueError, match="rng"):
-                run(probs, cert.interval, policy, 20, None, cert, None)
+                run(probs, cert, policy, 20, None, None)
         else:
-            run(probs, cert.interval, policy, 20, None, cert, None)
+            run(probs, cert, policy, 20, None, None)
     assert made == []
 
     monkeypatch.setattr(simulator, "CHUNK_FLOATS", 100)
@@ -399,10 +399,10 @@ def test_batched_run_matches_single_runs_and_reference_loop(
     for dim, batch in _group_batches(cert, trials, seed).items():
         probs, xi0s = map(list, zip(*batch))
         rng = _stream([seed, dim])
-        reports = run(probs, iv, policy, steps, xi0s, cert, rng)
+        reports = run(probs, cert, policy, steps, xi0s, rng)
         assert len(reports) == len(batch)
         for j, (rep, (prob, xi0)) in enumerate(zip(reports, batch)):
-            alone = run(prob, iv, policy, steps, xi0, cert, _stream([seed, dim], j * steps))
+            alone = run(prob, cert, policy, steps, xi0, _stream([seed, dim], j * steps))
             norms, bound, max_ratio, violated = _reference_run(
                 prob, iv, policy, steps, xi0, cert, _stream([seed, dim], j * steps))
             for other in (alone.norms, norms):
@@ -416,20 +416,56 @@ def test_batched_run_matches_single_runs_and_reference_loop(
         assert rng.bit_generator.state == _stream([seed, dim], words).bit_generator.state
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    point=st.sampled_from([(10.0, 1.0), (2.0, 1.0), (10.0, 1.4), (50.0, 1.1)]),
+    policy_kind=st.sampled_from(["uniform", "endpoints", "alternating", "constant",
+                                 "adversarial"]),
+    trials=st.integers(1, 6),
+    dim=st.integers(1, 4),
+    seed=st.integers(0, 2**63 - 1),
+    frac=st.floats(0.0, 1.0),
+)
+@example(point=(10.0, 1.0), policy_kind="endpoints", trials=3, dim=2, seed=0, frac=0.0)
+def test_run_steps_only_inside_the_certified_interval(point, policy_kind, trials, dim,
+                                                      seed, frac):
+    # run takes its step sizes from the certificate's interval, the one its
+    # rate holds over, for a single trial and a batch alike; (10, 1.0) is
+    # the one-point interval [0.1, 0.1].
+    cert = _sector_cert(*point)
+    fc, iv = cert.fc, cert.interval
+    policy = _policy(policy_kind, iv, frac)
+    draw = np.random.default_rng(seed)
+    probs = [QuadraticProblem(tuple(map(float, draw.uniform(fc.m, fc.L, size=dim))))
+             for _ in range(trials)]
+    stepped, real_step = [], simulator.step
+
+    def spy(xi, alphas, q):
+        stepped.append(alphas.copy())
+        return real_step(xi, alphas, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "step", spy)
+        run(probs[0], cert, policy, 30, None, _stream(seed))
+        run(probs, cert, policy, 30, None, _stream(seed))
+    assert [alphas.shape for alphas in stepped] == [(1, 30), (trials, 30)]
+    for alphas in stepped:
+        assert np.all((iv.lo <= alphas) & (alphas <= iv.hi)), policy
+
+
 def test_batched_run_rejects_mixed_or_mismatched_batches():
     cert = _cert()
-    iv = cert.interval
     one, two = QuadraticProblem((1.0,)), QuadraticProblem((1.0, 10.0))
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="need a problem"):
-        run([], iv, Uniform(), 5, None, cert, rng)
+        run([], cert, Uniform(), 5, None, rng)
     with pytest.raises(ValueError, match="one dimension"):
-        run([one, two], iv, Uniform(), 5, None, cert, rng)
+        run([one, two], cert, Uniform(), 5, None, rng)
     with pytest.raises(ValueError, match="outside"):
-        run([one, QuadraticProblem((0.5,))], iv, Uniform(), 5, None, cert, rng)
+        run([one, QuadraticProblem((0.5,))], cert, Uniform(), 5, None, rng)
     for policy in (Uniform(), Endpoints()):
         with pytest.raises(ValueError, match="draws from rng"):
-            run([one, one], iv, policy, 5, None, cert)
+            run([one, one], cert, policy, 5, None)
 
 
 # sha256 over the norms of all 20 trials, in trial order, of
@@ -538,7 +574,7 @@ def _check_replay(seed, trials, steps, policy_kind, chunk_floats):
         want_alphas, spectrum, rng = _replay(seed, i, steps, policy, iv, fc)
         assert np.array_equal(used, want_alphas), i
         assert prob.eigenvalues == spectrum, i
-        alone = run(QuadraticProblem(spectrum), iv, policy, steps, cert=cert, rng=rng)
+        alone = run(QuadraticProblem(spectrum), cert, policy, steps, rng=rng)
         assert np.array_equal(rep.norms, alone.norms), i
         assert rows[i][2] == cli._fmt(rep.max_ratio)
 
@@ -633,7 +669,7 @@ def test_violation_in_the_underflow_tail_is_flagged(monkeypatch):
     prob = QuadraticProblem((1.0, 2.0))
     steps = 2000
     assert math.sqrt(cert.cond_p) * cert.rho_star ** steps == 0.0
-    clean = run(prob, cert.interval, Alternating(), steps, None, cert)
+    clean = run(prob, cert, Alternating(), steps, None)
     assert not clean.violated
 
     real_step = simulator.step
@@ -644,7 +680,7 @@ def test_violation_in_the_underflow_tail_is_flagged(monkeypatch):
         return traj
 
     monkeypatch.setattr(simulator, "step", planted)
-    rep = run(prob, cert.interval, Alternating(), steps, None, cert)
+    rep = run(prob, cert, Alternating(), steps, None)
     assert rep.bound[-1] == 0.0 and rep.norms[-1] > 0.0
     assert rep.violated and rep.max_ratio > 1.0
 
