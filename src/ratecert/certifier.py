@@ -40,8 +40,9 @@ reduction-invariant for the plant state.  Two backends decide feasibility:
   barrier (interior-point) solver over the decision vector (P's free
   entries, ``iqc.free_entries``, then lambda), which takes Newton steps
   over all blocks at once (see ``ellipsoid``).
-  ``_runs`` hands it the family as three runs of stacked blocks: lambda >=
-  0, P >= DELTA_PD * I, and the endpoint blocks.  A ``certify``'s first
+  ``_runs`` hands it the family as two runs of stacked blocks: P >=
+  DELTA_PD * I and the endpoint blocks, whose diagonal entries b_c^T P b_c
+  - 2 lambda <= -eps_feas imply lambda > 0.  A ``certify``'s first
   solve starts from ``_start``, P = I/s and lambda = R/2; each later one
   from the witness of the lowest rate solved feasible so far, which at the
   nearby trial rate misses feasibility only by a little.  "Infeasible"
@@ -165,8 +166,8 @@ def _weights(kind: str, rho: float, k: int,
 @functools.lru_cache(maxsize=None)
 def _start(s: int) -> np.ndarray:
     """The solver's start for P of order s, read-only: P = I/s, the center
-    of the unit-trace P >= 0, in P's free entries, and lambda = R/2, inside
-    the segment 0 <= lambda <= R of the solver's ball of radius R."""
+    of the unit-trace P >= 0, in P's free entries, and lambda = R/2, a
+    positive lambda well inside the solver's ball of radius R."""
     d = s * (s + 1) // 2
     center = np.concatenate((np.eye(s).take(free_entries(s)) / s, [0.5 * initial_radius(d)]))
     center.setflags(write=False)
@@ -174,10 +175,10 @@ def _start(s: int) -> np.ndarray:
 
 
 def _runs(lmi: LmiData, rho: float, h: tuple[float, ...], eps: float) -> list[tuple]:
-    """The family at ``rho`` as the solver's runs of stacked blocks over the
-    decision vector (free coordinates of P, lambda): lambda >= 0, P >=
-    DELTA_PD * I, and one block per interval endpoint.  A 1x1 P is fixed by
-    its unit trace."""
+    """The family at ``rho`` as the solver's two runs of stacked blocks over
+    the decision vector (free coordinates of P, lambda): P >= DELTA_PD * I,
+    and one block per interval endpoint, which implies lambda > 0.  A 1x1 P
+    is fixed by its unit trace."""
     d, s = lmi.p.shape[:2]
     blocks = lmi.g.copy()
     blocks[..., :s, :s] -= (rho * rho) * lmi.p[:, None]
@@ -190,7 +191,6 @@ def _runs(lmi: LmiData, rho: float, h: tuple[float, ...], eps: float) -> list[tu
         return s0, coeffs, (bound,) * len(s0)
 
     return [
-        run(np.zeros((1, 1, 1)), 0.0, -1.0, 0.0),
         # P >= DELTA_PD * I  <=>  lambda_max(-P(v)) <= -DELTA_PD.
         run(-lmi.p[:1], -lmi.p[1:, None], 0.0, -DELTA_PD),
         run(blocks[0], blocks[1:], quad_form(lmi, h), -eps),
@@ -219,10 +219,8 @@ def feasible_at_rho(lmi: LmiData, rho: float, h: tuple[float, ...], eps: float,
     point = ellipsoid_feasibility(_runs(lmi, rho, h, eps), start=x0)
     if point is None:
         return None
-    pmat = lmi.p[0] + sum(v * b for v, b in zip(point[:d - 1], lmi.p[1:]))
-    # Halving before the sum cannot overflow, and float addition commutes,
-    # so P is exactly symmetric.
-    p = 0.5 * pmat + 0.5 * pmat.T
+    # Every basis matrix is symmetric, so P is too, bit for bit.
+    p = lmi.p[0] + sum(v * b for v, b in zip(point[:d - 1], lmi.p[1:]))
     p.setflags(write=False)
     return Witness(p=p, lam=float(point[-1]))
 

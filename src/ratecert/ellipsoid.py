@@ -16,7 +16,7 @@ each Newton step handles every block in a few array calls.  t starts
 where every G_c is at least max(|lowest|, 1e-9) * I, lowest being the least
 eigenvalue of the G_c at t = 0.  So a start that nearly meets every block (a
 witness found at a nearby rate) begins at t ~ 2|lowest| and needs about 12
-steps, while a dynamic solve from P = I/s needs about 50 (at most 95 over
+steps, while a dynamic solve from P = I/s needs about 50 (at most 92 over
 the solves of tools/witness_digest.py).
 
 * Feasible: the first iterate with t < 0 that lies in the open ball and at

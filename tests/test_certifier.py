@@ -50,7 +50,7 @@ from ratecert.model import (
     interval_from_c,
     reduced,
 )
-from ratecert.search import sector_threshold
+from ratecert.search import MAX_ZF_ORDER, sector_threshold
 
 FC10 = FunctionClass(1.0, 10.0)
 
@@ -822,18 +822,18 @@ def test_backend_agreement_on_sector_instances():
 def test_start_center_is_inside_the_barrier_domain():
     # A certify's first solve starts from P = I/s and lambda = R/2, the
     # center of the unit-trace P >= 0 and of the segment 0 <= lambda <= R:
-    # strictly inside lambda >= 0, P >= DELTA_PD * I and the solver's ball,
-    # so the barrier starts inside its domain at every rate (t absorbs the
+    # strictly inside P >= DELTA_PD * I and the solver's ball, so the
+    # barrier starts inside its domain at every rate (t absorbs the
     # endpoint blocks).
     for s in (1, 2, 3, 4, 5):
         center = certifier._start(s)
         assert not center.flags.writeable
+        assert center[-1] == 0.5 * initial_radius(len(center))
         kind = ZAMES_FALB if s > 1 else SECTOR
         lmi = augment(10.0, (0.1, 0.2), s - 1)
         runs = certifier._runs(lmi, 0.9, certifier._weights(kind, 0.9, s - 1, None), 1e-8)
-        (lam_block,), p_blocks = (np.linalg.eigvalsh(
-            s0 + np.tensordot(center, coeffs, axes=1))[:, -1] for s0, coeffs, _ in runs[:2])
-        assert lam_block == -0.5 * initial_radius(len(center))
+        s0, coeffs, _ = runs[0]
+        p_blocks = np.linalg.eigvalsh(s0 + np.tensordot(center, coeffs, axes=1))[:, -1]
         assert p_blocks == pytest.approx([-1.0 / s])
         assert -1.0 / s < -certifier.DELTA_PD
         assert center @ center < initial_radius(len(center)) ** 2
@@ -896,6 +896,53 @@ def test_witness_p_is_read_only_and_exactly_symmetric(kind, zf_order):
     assert not p.flags.writeable
     with pytest.raises(ValueError):
         p[0, 0] = 2.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from([(SECTOR, 0), (WEIGHTED_OFF_BY_1, 1), (ZAMES_FALB, 1),
+                             (ZAMES_FALB, 2), (ZAMES_FALB, 3)]),
+       log_kappa=st.floats(0.0, 2.0), c=st.floats(1.0, 1.6), frac=st.floats(0.05, 0.95))
+@example(kind=(WEIGHTED_OFF_BY_1, 1), log_kappa=1.0, c=1.2, frac=0.5)
+def test_endpoint_blocks_imply_a_positive_lambda(kind, log_kappa, c, frac):
+    # The barrier has no lambda >= 0 run of its own: an endpoint block's
+    # input diagonal entry is b_c^T P b_c - 2 lambda <= -eps, and P >=
+    # DELTA_PD * I, so every witness has lambda >= (b_c^T P b_c + eps) / 2
+    # > 0.  This holds on dynamic data and on sector data (order 1) alike.
+    kind, k = kind
+    fc = FunctionClass(1.0, 10.0 ** log_kappa)
+    interval = interval_from_c(fc, c)
+    fc_n, alphas = reduced(fc, interval)
+    eps = default_eps_feas(fc_n.kappa())
+    rho = 1.0 - frac * (1.0 - _exact_rate(fc, interval))
+    lmi = augment(fc_n.kappa(), alphas, k)
+    h = _weights(kind, rho, k, None)
+    wit = feasible_at_rho(lmi, rho, h, eps)
+    if wit is None:
+        return
+    assert (_blocks(lmi, rho, h, wit.p, wit.lam)[:, -1, -1] <= -eps).all()
+    for b in lmi.b:
+        assert 2.0 * wit.lam >= b @ wit.p @ b + eps > 0.0
+    assert wit.p.tobytes() == np.ascontiguousarray(wit.p.T).tobytes()
+    assert not wit.p.flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.integers(1, MAX_ZF_ORDER + 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_p_from_free_coordinates_is_exactly_symmetric(s, seed):
+    # feasible_at_rho builds P as lmi.p[0] + sum_i v_i lmi.p[i], with no
+    # re-symmetrization: every basis matrix is symmetric, so entries (a, b)
+    # and (b, a) go through the same float operations in the same order, at
+    # any magnitude of the free coordinates v.
+    rng = np.random.default_rng(seed)
+    lmi = augment(10.0, (0.1, 0.2), s - 1)
+    n = len(lmi.p) - 1
+    v = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    p = lmi.p[0] + sum(x * b for x, b in zip(v, lmi.p[1:]))
+    h = _weights(ZAMES_FALB if s > 1 else SECTOR, 0.9, s - 1, None)
+    with mock.patch.object(certifier, "ellipsoid_feasibility", return_value=np.append(v, 0.5)):
+        wit = feasible_at_rho(lmi, 0.9, h, 1e-8)
+    assert wit.p.tobytes() == p.tobytes() == np.ascontiguousarray(p.T).tobytes()
+    assert not wit.p.flags.writeable
 
 
 def test_certificate_valid_in_dimension_two():
@@ -1285,26 +1332,26 @@ def test_zf2_certifies_soundly_before_onset_and_not_past_it():
 # bytes of P: a change to how the inequality's data is built or summed that
 # moves a single bit of a dynamic witness fails here.
 PINNED_WITNESSES = {
-    ("wob1", 10.0, 1.2, None): "e9f1c909759395159458aba171d63184dd81c2a0ae155078742c22f0ce6f3b85",
-    ("wob1", 7.0, 1.3, None): "02d301d9f4ce2a413d2cc9efd57980e778cd7e09016f39d063fc2007bff9f88a",
-    ("wob1", 5.0, 1.5, None): "86e61caa3da869acf53787fe3b65bfc7200843d8de8922edfd395ee90073a232",
-    ("zf:1", 10.0, 1.2, None): "e9f1c909759395159458aba171d63184dd81c2a0ae155078742c22f0ce6f3b85",
-    ("zf:1", 7.0, 1.3, None): "02d301d9f4ce2a413d2cc9efd57980e778cd7e09016f39d063fc2007bff9f88a",
-    ("zf:1", 5.0, 1.5, None): "86e61caa3da869acf53787fe3b65bfc7200843d8de8922edfd395ee90073a232",
-    ("zf:2", 10.0, 1.2, None): "20643d427445e5179a63ed001a0607057268730f1cfd30a4dbdcb1529dd8ec8e",
-    ("zf:2", 7.0, 1.3, None): "590046b52933a38c9fdd07135765dfa87743dc7fc7dd6d836caa2a341eedf788",
-    ("zf:2", 5.0, 1.5, None): "96e6d18936a9f730cbed17ed30d6b880c77f86d99752667dc4c2c2f72392adf3",
-    ("zf:3", 10.0, 1.2, None): "b96a6640295b7463cafce6b2835385f1a945832fdc6294d9b011d041bc6ea3c2",
-    ("zf:3", 7.0, 1.3, None): "d0911e7d4a8b1e7588f7c022782d198136031944b26920045796699ba6b411a4",
-    ("zf:3", 5.0, 1.5, None): "3b83db5e9f645fa9f05bd1d64076ba2180f9c73cd847ccb3c53e0aba1466c99c",
+    ("wob1", 10.0, 1.2, None): "8c75173eacb99190a6860b25cce26352725d0df21b8e655f86994164d5d0b53b",
+    ("wob1", 7.0, 1.3, None): "758b2f81d6209d4ea17b6fd69de2338d2f619b8b2f1d2dafe261ddccfdf72625",
+    ("wob1", 5.0, 1.5, None): "4b548e1be3b5b72ad1b8d3c38b89cbe8026d4c37288508910ed249a1482be94b",
+    ("zf:1", 10.0, 1.2, None): "8c75173eacb99190a6860b25cce26352725d0df21b8e655f86994164d5d0b53b",
+    ("zf:1", 7.0, 1.3, None): "758b2f81d6209d4ea17b6fd69de2338d2f619b8b2f1d2dafe261ddccfdf72625",
+    ("zf:1", 5.0, 1.5, None): "4b548e1be3b5b72ad1b8d3c38b89cbe8026d4c37288508910ed249a1482be94b",
+    ("zf:2", 10.0, 1.2, None): "7f738643e15c9b298c8b49464f9fc9843a47e40ee896e17d872ddd9031336580",
+    ("zf:2", 7.0, 1.3, None): "bcf2898fcf973abd15220a07bc46fb64ea413ac9644f553fdf9e54850ecccaf0",
+    ("zf:2", 5.0, 1.5, None): "888607545d3c5e3f6ea4a752744d5499dc4f0b9531651540e75bdfd3d3994e5c",
+    ("zf:3", 10.0, 1.2, None): "f75f8b211955e198d527d2f0accf7e045d83970695d20aebc15194028541ec9f",
+    ("zf:3", 7.0, 1.3, None): "b267790a9dca5ed74482046f266e541db0461c5411820ff5e1601ef766e0668a",
+    ("zf:3", 5.0, 1.5, None): "3b10869597132c10850f44fd9ebf1470553c806ad095fdfc3c7718c2fc727e8f",
     ("wob1", 10.0, 1.2, (0.5,)):
-        "0446e43939df14b02079f2c974558319ec25ec163493126268d6b10dd851f218",
+        "2dd70fc2fb1f604802a37038c4af2d7b1cbe1c4bfeafbb92bb8fbe3ee2180ac4",
     ("zf:1", 10.0, 1.2, (0.4,)):
-        "f6c1ed32a0b9432ba232ff2659f0521d3f1718a7255bc88bcba8cbf627993551",
+        "09ade3e8f8b57cd04ab9cfa13ad38024b598dcc1be601f59cc1c740450e5e34e",
     ("zf:2", 10.0, 1.2, (0.4, 0.2)):
-        "307c176925384c0d9ddff9e584722774566c4377e2d38cd49f3d1ffa8a39703e",
+        "9454027a93285482f9f2477103426d2ee74a1b742d6d46356cebcf32d00bddf8",
     ("zf:3", 10.0, 1.2, (0.3, 0.2, 0.1)):
-        "6e92b885ce104aafa2a329f72cc29b947ce635046c93133c8d68612491740444",
+        "2666aefed74d057bb4e8acb547bea743f2d273affbfe5ddafd119c9c5929e170",
 }
 
 

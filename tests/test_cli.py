@@ -770,19 +770,19 @@ PINNED_OUTPUTS = {
         "a46436a8f7d65620deb40fa135f3a6b25bc208b97615a288220830d9c256c3df"),
     "sweep-c-wob1": (
         ("sweep-c", "--kappa", "10", "--points", "12", "--iqc", "wob1"),
-        "658108a27b5c4d1b6dc90679e98909f7635bca585b714804dcd7bcc2fed46afb"),
+        "dbe84bad188786dc5d1ae7d8e7526b59c6914d4bdb1d2791b73588bc40b5feb9"),
     "certify-sector": (
         ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "sector"),
         "b34b4c466a34b535c69fa38759add0e11a82377814878df541fe42424e075e2f"),
     "certify-wob1": (
         ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "wob1"),
-        "f0af7bf8ff49ba99adc3acaafbc9eb7d9d73d4c3d9c3255f9bf608277bbc73c8"),
+        "28f3363073fd2e91c5d5f6e8611c528a51af0da9160c0c5137808a15b43c5a26"),
     "certify-zf2": (
         ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "zf:2"),
-        "40b9218af27053c9ddf589a693ae89de7c9450bbdf20e9a789ded73844a1fee2"),
+        "44358006b6cb32182d91f716ff15983b3e4d6bc6bc19992d06b2c8c28da9b599"),
     "certify-zf3": (
         ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "zf:3"),
-        "4b5e1427a269ff15dcf44478f4ad78c17a80e8975b5e8ce8b13871a0a076f98f"),
+        "be5a1fbb7c7418682f8defe1c0828065feb375607d67ccf94545ac0658ac3785"),
 }
 
 

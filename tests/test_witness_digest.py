@@ -1,9 +1,10 @@
 """tools/witness_digest.py, the check behind every claim of bit-identical
 certificates, runs end to end on a few draws of each family, and its
-digests and sector solve totals are pinned: a change that moves one rate
-or one bisection step, or adds a sector solve, fails here.  The same draws
-sweep soundness: no certificate they make is below the exact worst-case
-rate."""
+digests, sector solve totals and the dynamic family's barrier solves and
+Newton steps are pinned: a change that moves one rate or one bisection
+step, adds a sector solve, or moves the barrier solver's work, fails
+here.  The same draws sweep soundness: no certificate they make is below
+the exact worst-case rate."""
 
 import functools
 import importlib.util
@@ -25,12 +26,17 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "witness_digest.py"
 PINNED_DIGESTS = {
     "sector": (3000, "f9c20843d66055e5b7b876adaf6dd9b296885a31e8f3ada1419b68ef2cc103ad"),
     "dynamic": (300, "981089082158edf9896dc81043b82a07fb8ecc0313a621e528d2e55e02167d62"),
-    "sweep-c": (300, "2dfa9df14a33a09149951ad2dfd9436bb3366c7efc612c1530976b3dfe94990d"),
+    "sweep-c": (300, "9718aac6315ae6bed24153ce5437a12ab5166b91d216b57cdd4ec826439ca8a0"),
 }
 # family -> sector solves (calls of ``search.sector_lambda``) over the same
 # draws, so a change that adds a solve without moving a rate fails too.  A
 # change that moves them on purpose re-pins them.
 PINNED_SOLVES = {"sector": 9621, "sweep-c": 1812}
+# The dynamic family's barrier solves and Newton steps (calls of
+# ``ellipsoid._newton_system``) over the same draws: the solver's work, which
+# moves when it walks a different path even where no rate does.  A change
+# that moves it re-pins it with both values.
+PINNED_DYNAMIC_WORK = (721, 20593)
 
 
 @functools.cache
@@ -78,3 +84,5 @@ def test_witness_digest_is_pinned_and_no_rate_is_below_the_exact_rate(family, mo
     assert (rates if family == "dynamic" else hexdigest) == pinned
     if family in PINNED_SOLVES:
         assert sum(map(sum, counts)) == PINNED_SOLVES[family]
+    if family == "dynamic":
+        assert (sum(map(len, counts)), sum(map(sum, counts))) == PINNED_DYNAMIC_WORK
