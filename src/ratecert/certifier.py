@@ -1,8 +1,8 @@
 """Rate certification, numpy layer: decide joint feasibility in (P, lambda)
 of the matrix inequality at the endpoints of a step-size interval, replay
 certificates (``_slack``), and the symmetric eigen-solves both need.  The
-bisection on the contraction rate rho (``certify``) and the sector closed
-form live in ``search``, which imports no numpy; they are re-exported here.
+bisection on the contraction rate rho (``certify``), the sector closed form
+and the certificate types live in ``search``, which imports no numpy.
 
 The inequality family, one block per interval endpoint alpha,
 
@@ -27,27 +27,33 @@ coefficient arithmetic on that data.  Everything is in reduced units
 entries stay at unit scale, so the strictness tolerances below mean the same
 thing for every input.  Stored witnesses refer to the reduced system; the
 rate bound itself needs only rho_star and cond(P), both of which are
-reduction-invariant for the plant state.  Two backends decide feasibility:
+reduction-invariant for the plant state.
 
-* sector (state dimension 1): P is the scalar 1, and the admissible
+The numpy layer knows a multiplier only by its tap count k (``search.taps``:
+0 for sector, 1 for wob1 and zf:1, k for zf:k); the kind name is kept only
+in the certificate's record.  Two backends decide feasibility:
+
+* k = 0, sector (state dimension 1): P is the scalar 1, and the admissible
   lambda set at each endpoint is an interval computed in closed form from
   the 2x2 block's diagonal and determinant conditions; the family is
   feasible iff the intervals intersect.  ``certify`` decides its sector
   probes with ``search.sector_lambda`` alone, in plain floats, without
   importing this module; only replay (``Certificate.slack``,
   ``verify_certificate``) builds the numpy data.
-* wob1 and zf:k (state dimension >= 2): ``feasible_at_rho``, a log-det
-  barrier (interior-point) solver over the decision vector (P's free
-  entries, ``iqc.free_entries``, then lambda), which takes Newton steps
-  over all blocks at once (see ``ellipsoid``).
+* k >= 1 (state dimension k + 1): ``feasible_at_rho``, a log-det barrier
+  (interior-point) solver over the decision vector (P's free entries,
+  ``iqc.free_entries``, then lambda), which takes Newton steps over all
+  blocks at once (see ``ellipsoid``).
   ``_runs`` hands it the family as two runs of stacked blocks: P >=
   DELTA_PD * I and the endpoint blocks, whose diagonal entries b_c^T P b_c
   - 2 lambda <= -eps_feas imply lambda > 0.  A ``certify``'s first
   solve starts from ``_start``, P = I/s and lambda = R/2; each later one
   from the witness of the lowest rate solved feasible so far, which at the
-  nearby trial rate misses feasibility only by a little.  "Infeasible"
-  means that no (P, lambda) in the solver's ball meets every block with
-  margin 2e-12 beyond -eps_feas, from whichever start.
+  nearby trial rate misses feasibility only by a little.  That witness is
+  the point the solver returned, strictly inside its ball, so it is a
+  valid start as it stands.  "Infeasible" means that no (P, lambda) in the
+  solver's ball meets every block with margin 2e-12 beyond -eps_feas, from
+  whichever start.
 
 "<= 0" is implemented strictly as "<= -eps_feas * I", where eps_feas is
 ``certify``'s keyword (default: the data-scaled ``default_eps_feas``), and
@@ -85,27 +91,11 @@ from .iqc import (
     zames_falb,
 )
 from .model import FunctionClass, StepSizeInterval, reduced
-# The rate search and the certificate types, re-exported: ``search`` runs
-# the bisection and calls back into this module through its attributes.
-from .search import (  # noqa: F401
-    KINDS,
-    RHO_HI,
-    RHO_LO,
-    SECTOR,
-    WEIGHTED_OFF_BY_1,
-    ZAMES_FALB,
-    Certificate,
-    InvalidInput,
-    SolverBudgetExceeded,
-    Witness,
-    certify,
-    closed_form_rate,
-    default_eps_feas,
-    lambda_interval_sector,
-    sector_lambda,
-    taps,
-    top_rate,
-)
+from .search import Certificate, InvalidInput, Witness, taps
+
+# Read here by the benchmark (perfbench/oracle.py and run.py), which takes
+# its modules from ``cli``, ``certifier``, ``ellipsoid`` and ``simulator``.
+from .search import closed_form_rate  # noqa: F401
 
 
 class NotPositiveDefinite(ValueError):
@@ -148,17 +138,16 @@ _P_ONE = np.ones((1, 1))
 _P_ONE.setflags(write=False)
 
 
-def _weights(kind: str, rho: float, k: int,
-             pinned: tuple[float, ...] | None) -> tuple[float, ...]:
-    """The weights h of a k-tap ``kind`` multiplier at rate ``rho``:
-    ``pinned``, or the defaults.  The one place that chooses between them;
-    ``taps`` has checked the kind, k and the count of ``pinned``.  wob1's
-    go through ``weighted_off_by_1``, which is zf:1's check.  Raises
-    WeightOutOfRange when they are inadmissible at ``rho``."""
-    if kind == SECTOR:
+def _weights(rho: float, k: int, pinned: tuple[float, ...] | None) -> tuple[float, ...]:
+    """The weights h of a k-tap multiplier at rate ``rho``: ``pinned``, or
+    the defaults.  The one place that chooses between them, by the tap
+    count alone (wob1 is zf:1); ``taps`` has checked the kind, k and the
+    count of ``pinned``.  Raises WeightOutOfRange when they are
+    inadmissible at ``rho``."""
+    if k == 0:
         return sector()
-    h = pinned or default_weights(kind, rho, k)
-    if kind == WEIGHTED_OFF_BY_1:
+    h = pinned or default_weights(rho, k)
+    if k == 1:
         return weighted_off_by_1(rho, h[0])
     return zames_falb(rho, h)
 
@@ -202,20 +191,17 @@ def feasible_at_rho(lmi: LmiData, rho: float, h: tuple[float, ...], eps: float,
     """Decide joint feasibility of the block family at ``rho`` with the
     multiplier weights ``h``, each block held to "<= -eps * I", by the
     barrier solve, at any order (``certify`` decides sector's in floats).
-    It starts from the witness ``start`` (``certify`` passes the one of the
-    lowest rate solved feasible) if it is strictly inside the ball, else
-    from ``_start``; the verdict's claims do not depend on it.
+    It starts from the witness ``start``, which must lie strictly inside the
+    solver's ball (``certify`` passes the one of the lowest rate solved
+    feasible, a point the solver returned), or else from ``_start``; the
+    verdict's claims do not depend on it.
 
     Returns a Witness, or None when infeasible.  Raises SolverBudgetExceeded
     (distinct from infeasibility) if the barrier solver runs out of Newton
     steps before reaching a verdict.
     """
     d, s = lmi.p.shape[:2]
-    x0 = _start(s)
-    if start is not None:
-        v = np.concatenate((start.p.take(free_entries(s)), [start.lam]))
-        if v @ v < initial_radius(d) ** 2:
-            x0 = v
+    x0 = _start(s) if start is None else np.append(start.p.take(free_entries(s)), start.lam)
     point = ellipsoid_feasibility(_runs(lmi, rho, h, eps), start=x0)
     if point is None:
         return None
@@ -259,7 +245,7 @@ def _slack(cert: Certificate) -> float:
         rho = float(cert.rho_star)
         weights = tuple(cert.weights)
         k = taps(cert.iqc_kind, cert.zf_order, weights)
-        h = _weights(cert.iqc_kind, rho, k, weights)
+        h = _weights(rho, k, weights)
     except (TypeError, ValueError, OverflowError):  # InvalidInput and WeightOutOfRange too
         return math.inf
     # The multipliers are claimed valid only at rates in (0, 1].  One term of

@@ -43,6 +43,7 @@ from .model import (
 )
 from .search import (
     KINDS,
+    MAX_ZF_ORDER,
     ZAMES_FALB,
     Certificate,
     SolverBudgetExceeded,
@@ -79,7 +80,7 @@ FLAGS: dict[str, tuple[type, object, str | None]] = {
     "c": (float, 1.0, "interval constant: steps in [1/(cL), c/L]"),
     "c1": (float, None, "asymmetric interval: lo = 1/(c1 L)"),
     "c2": (float, None, "asymmetric interval: hi = c2/L"),
-    "iqc": (str, "sector", "multiplier: sector | wob1 | zf:<k>"),
+    "iqc": (str, "sector", f"multiplier: sector | wob1 | zf:<k>, 1 <= k <= {MAX_ZF_ORDER}"),
     "kappa-min": (float, 1.0, None),
     "kappa-max": (float, 100.0, None),
     "c-min": (float, 1.0, None),
@@ -212,13 +213,17 @@ def _read_config(path: str) -> dict[str, object]:
     return cfg
 
 
+# The two spellings of the class and of the interval.  Within the config
+# file kappa wins over m/L and c1/c2 over c, as in ``_function_class`` and
+# ``_interval``; a spelling on the command line replaces the file's other one.
+_SPELLINGS = ((("kappa",), ("m", "L")), (("c",), ("c1", "c2")))
+
+
 class Resolved(dict):
     """Flag values: the ``FLAGS`` defaults, overridden by the config file,
-    overridden by the command line.
-
-    ``explicit`` records which keys were given on the command line, which
-    matters for mutually exclusive flags with non-None defaults (--c vs
-    --c1/--c2)."""
+    overridden by the command line.  ``explicit`` holds the keys given on
+    the command line.  Giving both spellings of the class (--kappa and
+    --m/--L) or of the interval (--c and --c1/--c2) there is a usage error."""
 
     def __init__(self, args: argparse.Namespace):
         given = vars(args)
@@ -226,6 +231,13 @@ class Resolved(dict):
         super().__init__((key, default) for key, (_, default, _) in FLAGS.items())
         if given.get("config"):
             self.update(_read_config(given["config"]))
+        for first, second in _SPELLINGS:
+            if self.explicit.intersection(first) and self.explicit.intersection(second):
+                raise UsageError(f"--{'/--'.join(first)} is mutually exclusive "
+                                 f"with --{'/--'.join(second)}")
+            for keys, rival in ((first, second), (second, first)):
+                if self.explicit.intersection(keys):
+                    self.update((key, FLAGS[key][1]) for key in rival)
         self.update((key, given[key]) for key in self.explicit)
 
 
@@ -240,8 +252,6 @@ def _interval(res: Resolved, fc: FunctionClass) -> StepSizeInterval:
     if (c1 is None) != (c2 is None):
         raise UsageError("--c1 and --c2 must be given together")
     if c1 is not None:
-        if "c" in res.explicit:
-            raise UsageError("--c is mutually exclusive with --c1/--c2")
         return interval_asymmetric(fc, c1, c2)
     return interval_from_c(fc, res["c"])
 

@@ -14,6 +14,9 @@ the gradient satisfies:
 * weighted off-by-1 - off-by-1: one tap with a weight h1 in [0, rho^2],
                       which is what the two conditions say for k = 1.
 
+This module knows a multiplier only by its tap count k; the kind names a
+certificate records (sector, wob1, zf) are ``search``'s.
+
 Admissible weights depend on the candidate rate rho, so ``sector``,
 ``weighted_off_by_1`` and ``zames_falb`` validate a weight tuple h at each
 rate; h enters the inequality only through the constraint's quadratic form
@@ -28,9 +31,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-# The kind names, defined where the numpy-free rate search reads them.
-from .search import KINDS, SECTOR, WEIGHTED_OFF_BY_1, ZAMES_FALB  # noqa: F401
 
 # Slack for validating weight bounds that are met with equality by the
 # defaults (pure float round-off allowance).
@@ -74,19 +74,14 @@ def zames_falb(rho: float, h) -> tuple[float, ...]:
     return h
 
 
-def default_weights(kind: str, rho: float, k: int) -> tuple[float, ...]:
-    """Default weight vector h_j = rho^(2j) / k.
+def default_weights(rho: float, k: int) -> tuple[float, ...]:
+    """Default weight vector h_j = rho^(2j) / k of a k-tap multiplier.
 
     Satisfies the box condition and meets the discounted-sum condition with
     equality; for k = 1 it reproduces the strongest admissible off-by-1
-    weight h1 = rho^2.  No inner search over weights is performed.
+    weight h1 = rho^2.  No inner search over weights is performed, and
+    nothing is checked here: ``zames_falb`` checks the weights at ``rho``.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown multiplier kind {kind!r}")
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"need rho in (0, 1], got {rho}")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
     return tuple(rho ** (2 * j) / k for j in range(1, k + 1))
 
 

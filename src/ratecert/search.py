@@ -438,7 +438,7 @@ def certify(
             verdict = sector_lambda(rho, alphas, fc_n, eps)
         else:
             try:
-                h = certifier._weights(iqc_kind, rho, n_weights, weights)
+                h = certifier._weights(rho, n_weights, weights)
             except certifier.WeightOutOfRange:
                 pass
             else:

@@ -8,21 +8,10 @@ import time
 
 import numpy as np
 
-from ratecert.certifier import (
-    _runs,
-    _start,
-    certify,
-    closed_form_rate,
-    default_eps_feas,
-    eig_sym,
-    sector_lambda,
-)
+from ratecert.certifier import _runs, _start, eig_sym
 from ratecert.cli import SweepRow, format_sweep_csv, parse_sweep_csv
 from ratecert.ellipsoid import ellipsoid_feasibility
 from ratecert.iqc import (
-    SECTOR,
-    WEIGHTED_OFF_BY_1,
-    ZAMES_FALB,
     augment,
     quad_form,
     sector,
@@ -34,6 +23,15 @@ from ratecert.model import (
     StepSizeInterval,
     interval_from_c,
     reduced,
+)
+from ratecert.search import (
+    SECTOR,
+    WEIGHTED_OFF_BY_1,
+    ZAMES_FALB,
+    certify,
+    closed_form_rate,
+    default_eps_feas,
+    sector_lambda,
 )
 from ratecert.simulator import (
     AdversarialGreedy,

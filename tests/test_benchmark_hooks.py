@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from ratecert.certifier import certify
 from ratecert.model import FunctionClass, interval_from_c
+from ratecert.search import certify
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 

@@ -14,29 +14,18 @@ from numpy.testing import assert_allclose
 
 from ratecert import certifier, search
 from ratecert.certifier import (
-    Certificate,
-    InvalidInput,
-    Witness,
     _blocks,
     _runs,
     _start,
     _weights,
-    certify,
-    closed_form_rate,
     cond_spd,
-    default_eps_feas,
     feasible_at_rho,
-    lambda_interval_sector,
     max_eigenvalue,
-    sector_lambda,
-    taps,
     verify_certificate,
 )
+from ratecert.cli import main
 from ratecert.ellipsoid import SolverBudgetExceeded, ellipsoid_feasibility, initial_radius
 from ratecert.iqc import (
-    SECTOR,
-    WEIGHTED_OFF_BY_1,
-    ZAMES_FALB,
     WeightOutOfRange,
     augment,
     default_weights,
@@ -50,7 +39,22 @@ from ratecert.model import (
     interval_from_c,
     reduced,
 )
-from ratecert.search import MAX_ZF_ORDER, sector_threshold
+from ratecert.search import (
+    MAX_ZF_ORDER,
+    SECTOR,
+    WEIGHTED_OFF_BY_1,
+    ZAMES_FALB,
+    Certificate,
+    InvalidInput,
+    Witness,
+    certify,
+    closed_form_rate,
+    default_eps_feas,
+    lambda_interval_sector,
+    sector_lambda,
+    sector_threshold,
+    taps,
+)
 
 FC10 = FunctionClass(1.0, 10.0)
 
@@ -75,7 +79,7 @@ def _probe(fc, interval, kind, rho, zf_order=2, weights=None, eps=None):
     if kind == SECTOR:
         lam = sector_lambda(rho, alphas, fc_n, eps)
         return None if lam is None else Witness(p=None, lam=lam)
-    h = _weights(kind, rho, taps(kind, zf_order), weights)
+    h = _weights(rho, taps(kind, zf_order), weights)
     return feasible_at_rho(_lmi(fc, interval, kind, zf_order), rho, h, eps)
 
 
@@ -394,7 +398,7 @@ def test_rho_tol_below_float_spacing_terminates(monkeypatch):
     interval = interval_from_c(FC10, 1.2)
     # wob1 finds no witness within 1e-5 of rate 1 here, so a top of
     # 1 - 1e-300 would end its search at once; start it at 0.95.
-    for kind, top in ((SECTOR, certifier.RHO_HI), (WEIGHTED_OFF_BY_1, 0.95)):
+    for kind, top in ((SECTOR, search.RHO_HI), (WEIGHTED_OFF_BY_1, 0.95)):
         coarse = certify(FC10, interval, iqc_kind=kind)
         rates.clear()
         with monkeypatch.context() as mp, _time_limit(20.0):
@@ -606,7 +610,7 @@ def test_verify_roundtrip_and_perturbations():
         # Below the exact rate, with weights admissible there, so that the
         # blocks, not the weight check, reject it.
         below = dataclasses.replace(
-            cert, rho_star=0.5, weights=default_weights(kind, 0.5, n) if n else ())
+            cert, rho_star=0.5, weights=default_weights(0.5, n))
         wider = dataclasses.replace(cert, interval=interval_from_c(FC10, 1.99))
         assert below.rho_star < _exact_rate(FC10, interval)
         assert _exact_rate(FC10, wider.interval) > cert.rho_star
@@ -742,7 +746,7 @@ def test_verify_rejects_a_p_that_is_not_exactly_symmetric():
     cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=ZAMES_FALB, zf_order=2)
     p = np.array([[0.9585, 0.2074, 0.0341], [0.1568, 0.0366, -0.0135], [0.0042, -0.0066, 0.0049]])
     assert np.linalg.eigvalsh(p)[0] > 0.0 and 0.9 < _exact_rate(FC10, cert.interval)
-    bad = dataclasses.replace(cert, rho_star=0.9, weights=default_weights(ZAMES_FALB, 0.9, 2),
+    bad = dataclasses.replace(cert, rho_star=0.9, weights=default_weights(0.9, 2),
                               witness=dataclasses.replace(cert.witness, p=p, lam=0.0095))
     assert bad.slack == math.inf
     assert verify_certificate(bad) is False
@@ -829,9 +833,8 @@ def test_start_center_is_inside_the_barrier_domain():
         center = certifier._start(s)
         assert not center.flags.writeable
         assert center[-1] == 0.5 * initial_radius(len(center))
-        kind = ZAMES_FALB if s > 1 else SECTOR
         lmi = augment(10.0, (0.1, 0.2), s - 1)
-        runs = certifier._runs(lmi, 0.9, certifier._weights(kind, 0.9, s - 1, None), 1e-8)
+        runs = certifier._runs(lmi, 0.9, certifier._weights(0.9, s - 1, None), 1e-8)
         s0, coeffs, _ = runs[0]
         p_blocks = np.linalg.eigvalsh(s0 + np.tensordot(center, coeffs, axes=1))[:, -1]
         assert p_blocks == pytest.approx([-1.0 / s])
@@ -839,6 +842,57 @@ def test_start_center_is_inside_the_barrier_domain():
         assert center @ center < initial_radius(len(center)) ** 2
         p = lmi.p[0] + np.tensordot(center[:-1], lmi.p[1:], axes=1)
         assert_allclose(p, np.eye(s) / s, atol=1e-15)
+
+
+
+def test_each_warm_start_is_the_point_of_the_lowest_feasible_rate(monkeypatch, capsys):
+    # feasible_at_rho hands the solver the witness of the lowest rate solved
+    # feasible as it stands, with no ball check of its own: that witness's
+    # free entries and lambda are the point the solver returned for it (the
+    # basis sum only adds zeros to each, which can flip the sign of a zero),
+    # and the solver returns points strictly inside its ball.  ``augment``
+    # runs once per dynamic certify, at its set-up, so it starts a record.
+    solve, probe, build = (certifier.ellipsoid_feasibility, certifier.feasible_at_rho,
+                           certifier.augment)
+    current = {}  # the certify's current rate, and its lowest feasible (rate, point)
+    starts = {"cold": 0, "warm": 0}
+
+    def augment(*args):
+        current.clear()
+        return build(*args)
+
+    def feasible_at_rho(lmi, rho, *args, **kwargs):
+        current["rho"] = rho
+        return probe(lmi, rho, *args, **kwargs)
+
+    def spy(runs, start=None):
+        lowest = current.get("lowest")
+        if lowest is None:
+            starts["cold"] += 1
+            assert start is certifier._start(runs[0][0].shape[1])
+        else:
+            starts["warm"] += 1
+            assert (start + 0.0).tobytes() == (lowest[1] + 0.0).tobytes()
+            assert start @ start < initial_radius(len(start)) ** 2
+        point = solve(runs, start=start)
+        if point is not None:
+            assert lowest is None or current["rho"] < lowest[0]
+            current["lowest"] = (current["rho"], point.copy())
+        return point
+
+    monkeypatch.setattr(certifier, "augment", augment)
+    monkeypatch.setattr(certifier, "feasible_at_rho", feasible_at_rho)
+    monkeypatch.setattr(certifier, "ellipsoid_feasibility", spy)
+    interval = interval_from_c(FC10, 1.2)
+    for kind, order in ((WEIGHTED_OFF_BY_1, None), (ZAMES_FALB, 2), (ZAMES_FALB, 3)):
+        before = dict(starts)
+        assert certify(FC10, interval, iqc_kind=kind, zf_order=order).feasible
+        assert starts["cold"] == before["cold"] + 1 and starts["warm"] > before["warm"]
+    before = dict(starts)
+    assert main(["sweep-c", "--kappa", "10", "--iqc", "wob1", "--c-min", "1.0",
+                 "--c-max", "1.9", "--points", "4", "--rho-tol", "1e-3"]) == 0
+    assert "false" not in capsys.readouterr().out
+    assert starts["cold"] == before["cold"] + 4 and starts["warm"] > before["warm"]
 
 
 def test_scale_invariance_quick():
@@ -915,7 +969,7 @@ def test_endpoint_blocks_imply_a_positive_lambda(kind, log_kappa, c, frac):
     eps = default_eps_feas(fc_n.kappa())
     rho = 1.0 - frac * (1.0 - _exact_rate(fc, interval))
     lmi = augment(fc_n.kappa(), alphas, k)
-    h = _weights(kind, rho, k, None)
+    h = _weights(rho, k, None)
     wit = feasible_at_rho(lmi, rho, h, eps)
     if wit is None:
         return
@@ -938,7 +992,7 @@ def test_p_from_free_coordinates_is_exactly_symmetric(s, seed):
     n = len(lmi.p) - 1
     v = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
     p = lmi.p[0] + sum(x * b for x, b in zip(v, lmi.p[1:]))
-    h = _weights(ZAMES_FALB if s > 1 else SECTOR, 0.9, s - 1, None)
+    h = _weights(0.9, s - 1, None)
     with mock.patch.object(certifier, "ellipsoid_feasibility", return_value=np.append(v, 0.5)):
         wit = feasible_at_rho(lmi, 0.9, h, 1e-8)
     assert wit.p.tobytes() == p.tobytes() == np.ascontiguousarray(p.T).tobytes()
@@ -1046,11 +1100,11 @@ def _plain_bisection(fc, interval, kind, rho_tol=1e-4):
         solves += 1
         return None if wit is None else (rho, wit)
 
-    hi = certifier.RHO_HI - rho_tol
+    hi = search.RHO_HI - rho_tol
     found_hi = probe(hi)
     if found_hi is None:
         return None, trials, solves
-    lo = certifier.RHO_LO
+    lo = search.RHO_LO
     found_lo = probe(lo)
     if found_lo is not None:
         return found_lo, trials, solves
@@ -1296,7 +1350,7 @@ def test_default_eps_feas_is_the_qf_max_bit_for_bit(log_m, log_kappa, kind_order
     # ~1e154; only Qf is read here.
     with np.errstate(over="ignore"):
         lmi = _lmi(fc, interval_from_c(fc, 1.0), kind, order)
-    quad = quad_form(lmi, _weights(kind, rho, k, weights))
+    quad = quad_form(lmi, _weights(rho, k, weights))
     reference = 1e-9 * (1.0 + float(np.abs(quad).max()))
     fc_n, _ = reduced(fc, interval_from_c(fc, 1.0))
     assert default_eps_feas(fc.L / fc.m) == default_eps_feas(fc_n.kappa()) == reference

@@ -15,9 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratecert import certifier, cli, search, simulator
-from ratecert.certifier import _weights, augment, default_eps_feas, feasible_at_rho
+from ratecert.certifier import _weights, augment, feasible_at_rho
 from ratecert.cli import Resolved, build_parser, format_sweep_csv, main, parse_sweep_csv
 from ratecert.model import reduced
+from ratecert.search import default_eps_feas
 
 
 def run_cli(*argv):
@@ -218,7 +219,7 @@ def test_exit_2_names_only_the_rate_tested(capsys):
     interval = cli.interval_from_c(fc, 1.1)
     fc_n, alphas = reduced(fc, interval)
     lmi, eps = augment(fc_n.kappa(), alphas, 1), default_eps_feas(fc_n.kappa())
-    at = {rho: feasible_at_rho(lmi, rho, _weights("wob1", rho, 1, None), eps)
+    at = {rho: feasible_at_rho(lmi, rho, _weights(rho, 1, None), eps)
           for rho in (0.99, 0.9999)}
     assert at[0.99] is not None and at[0.9999] is None
     for command in ("certify", "simulate"):
@@ -417,6 +418,43 @@ def test_config_file_and_override(tmp_path, capsys):
     capsys.readouterr()
 
 
+
+def _certify_record(tmp_path, config, *argv):
+    """The exit code and --out record of a certify with ``config`` as its
+    config file."""
+    cfg, out = tmp_path / "spelling.cfg", tmp_path / "spelling.json"
+    cfg.write_text(config)
+    out.unlink(missing_ok=True)
+    code = run_cli("certify", "--config", str(cfg), "--out", str(out), *argv)
+    return code, json.loads(out.read_text()) if out.exists() else None
+
+
+def test_command_line_class_replaces_the_config_kappa(tmp_path, capsys):
+    # Within the file kappa wins over m/L; --m/--L on the command line
+    # replace the file's kappa.
+    code, record = _certify_record(tmp_path, "kappa=5\nm=1\nL=20\n")
+    assert code == 0 and (record["m"], record["L"]) == (1.0, 5.0)
+    code, record = _certify_record(tmp_path, "kappa=5\n", "--m", "1", "--L", "20")
+    assert code == 0 and (record["m"], record["L"]) == (1.0, 20.0)
+    capsys.readouterr()
+
+
+def test_both_class_spellings_on_the_command_line_are_a_usage_error(capsys):
+    assert run_cli("certify", "--kappa", "5", "--L", "20") == 1
+    assert "--kappa is mutually exclusive with --m/--L" in capsys.readouterr().err
+
+
+def test_command_line_c_replaces_the_config_c1_c2(tmp_path, capsys):
+    # Within the file c1/c2 win over c; --c on the command line replaces
+    # the file's c1/c2.
+    code, record = _certify_record(tmp_path, "kappa=10\nc=1.4\nc1=1.2\nc2=1.3\n")
+    assert code == 0 and record["interval_hi"] == 1.3 / 10.0
+    code, record = _certify_record(tmp_path, "kappa=10\nc1=1.2\nc2=1.3\n", "--c", "1.4")
+    assert code == 0 and (record["interval_lo"], record["interval_hi"]) == (
+        1.0 / (1.4 * 10.0), 1.4 / 10.0)
+    capsys.readouterr()
+
+
 def test_repeated_main_calls_match_fresh_parsers(tmp_path, capsys):
     # main builds its parser once per process; a config file read by one
     # call must not reach the next.  Each call's outputs are compared with
@@ -496,8 +534,8 @@ def test_zf_order_above_the_cap_is_rejected_before_any_solve(monkeypatch, capsys
     monkeypatch.setattr(certifier, "feasible_at_rho", no_solve)
     monkeypatch.setattr(certifier, "augment", no_solve)
     fc = cli.FunctionClass(1.0, 10.0)
-    with pytest.raises(certifier.InvalidInput, match="zf_order"):
-        certifier.certify(fc, cli.interval_from_c(fc, 1.2), iqc_kind="zf", zf_order=7)
+    with pytest.raises(search.InvalidInput, match="zf_order"):
+        search.certify(fc, cli.interval_from_c(fc, 1.2), iqc_kind="zf", zf_order=7)
     for command in ("certify", "sweep-c"):
         assert run_cli(command, "--kappa", "10", "--iqc", "zf:7") == 1, command
         err = capsys.readouterr().err

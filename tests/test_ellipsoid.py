@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ratecert import certifier, ellipsoid
+from ratecert import certifier, ellipsoid, search
 from ratecert.ellipsoid import SolverBudgetExceeded, _first_violated_cut, ellipsoid_feasibility
 from ratecert.iqc import augment
 from ratecert.model import FunctionClass, interval_from_c, reduced
@@ -36,7 +36,7 @@ def _zf3_runs(kappa, c, rho_hex):
     fc_n, alphas = reduced(fc, interval_from_c(fc, c))
     rho = float.fromhex(rho_hex)
     return certifier._runs(augment(fc_n.kappa(), alphas, 3), rho,
-                           certifier._weights("zf", rho, 3, None), default_eps_feas(fc_n.kappa()))
+                           certifier._weights(rho, 3, None), default_eps_feas(fc_n.kappa()))
 
 
 # Probes just below rho_star of two witness-digest draws, infeasible by
@@ -371,7 +371,7 @@ def test_zf3_draw_keeps_its_rate():
     # rounding, and the rate must still be the one the ellipsoid method
     # certified, with a witness that verifies.
     fc = FunctionClass(1.0, 3.267124813110718)
-    cert = certifier.certify(fc, interval_from_c(fc, 1.479298743034437), iqc_kind="zf",
+    cert = search.certify(fc, interval_from_c(fc, 1.479298743034437), iqc_kind="zf",
                              zf_order=3, rho_tol=2.5604383523854253e-06)
     assert cert.rho_star == 0.7930937225735779
     assert certifier.verify_certificate(cert)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from ratecert.certifier import _weights
 from ratecert.iqc import (
     WeightOutOfRange,
     _unit_trace_basis,
@@ -90,17 +91,17 @@ def test_zames_falb_weight_conditions():
 
 
 def test_default_weights():
-    assert_allclose(default_weights("zf", 0.9, 1), [0.81], rtol=1e-15)
-    assert_allclose(default_weights("zf", 0.9, 2), [0.405, 0.32805], rtol=1e-12)
-    assert_allclose(default_weights("zf", 1.0, 2), [0.5, 0.5], atol=0)
+    assert_allclose(default_weights(0.9, 1), [0.81], rtol=1e-15)
+    assert_allclose(default_weights(0.9, 2), [0.405, 0.32805], rtol=1e-12)
+    assert_allclose(default_weights(1.0, 2), [0.5, 0.5], atol=0)
     # Defaults always pass validation (discounted sum meets 1 with equality).
     for rho in (0.1, 0.5, 0.9, 0.9999, 1.0):
         for k in (1, 2, 3, 5):
-            zames_falb(rho, default_weights("zf", rho, k))
-    with pytest.raises(ValueError):
-        default_weights("zf", 1.2, 1)
-    with pytest.raises(ValueError):
-        default_weights("zf", 0.9, 0)
+            zames_falb(rho, default_weights(rho, k))
+    # Above rate 1 no weights are admissible, the defaults included.
+    for k in (1, 2, 3):
+        with pytest.raises(WeightOutOfRange):
+            _weights(1.2, k, None)
 
 
 def test_augment_sector():

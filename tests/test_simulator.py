@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ratecert import cli, simulator
-from ratecert.certifier import certify
 from ratecert.model import FunctionClass, StepSizeInterval, interval_from_c
 from ratecert.simulator import (
     AdversarialGreedy,
@@ -29,6 +28,7 @@ from ratecert.simulator import (
     sample_alpha,
     step,
 )
+from ratecert.search import certify
 
 FC10 = FunctionClass(1.0, 10.0)
 

@@ -90,12 +90,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from ratecert import certifier, cli, ellipsoid, search  # noqa: E402
-from ratecert.certifier import certify  # noqa: E402
 from ratecert.model import (  # noqa: E402
     FunctionClass,
     interval_asymmetric,
     interval_from_c,
 )
+from ratecert.search import certify  # noqa: E402
 
 KINDS = (("wob1", 1), ("zf", 2), ("zf", 3))
 NEAR_ONE = (1.0, 1.0 + 1e-12, 1.0 + 1e-9)
