@@ -169,20 +169,18 @@ def _runs(lmi: LmiData, rho: float, h: tuple[float, ...], eps: float) -> list[tu
     and one block per interval endpoint, which implies lambda > 0.  A 1x1 P
     is fixed by its unit trace."""
     d, s = lmi.p.shape[:2]
-    blocks = lmi.g.copy()
-    blocks[..., :s, :s] -= (rho * rho) * lmi.p[:, None]
-
-    def run(s0, p_coeffs, lam_coeff, bound):
-        """The blocks s0 + sum_i v_i p_coeffs[i] + lambda lam_coeff <= bound."""
-        coeffs = np.zeros((d, *s0.shape))
-        coeffs[:d - 1] = p_coeffs
-        coeffs[-1] = lam_coeff
-        return s0, coeffs, (bound,) * len(s0)
-
+    p_coeffs = np.zeros((d, 1, s, s))
+    np.negative(lmi.p[1:, None], out=p_coeffs[:-1])
+    # One array: the endpoint blocks' constant term, then their
+    # coefficients, lambda's last.
+    blocks = np.empty((d + 1, *lmi.g.shape[1:]))
+    blocks[:d] = lmi.g
+    blocks[:d, :, :s, :s] -= (rho * rho) * lmi.p[:, None]
+    blocks[d] = quad_form(lmi, h)
     return [
         # P >= DELTA_PD * I  <=>  lambda_max(-P(v)) <= -DELTA_PD.
-        run(-lmi.p[:1], -lmi.p[1:, None], 0.0, -DELTA_PD),
-        run(blocks[0], blocks[1:], quad_form(lmi, h), -eps),
+        (-lmi.p[:1], p_coeffs, (-DELTA_PD,)),
+        (blocks[0], blocks[1:], (-eps,) * len(blocks[0])),
     ]
 
 

@@ -222,15 +222,17 @@ _SPELLINGS = ((("kappa",), ("m", "L")), (("c",), ("c1", "c2")))
 class Resolved(dict):
     """Flag values: the ``FLAGS`` defaults, overridden by the config file,
     overridden by the command line.  ``explicit`` holds the keys given on
-    the command line.  Giving both spellings of the class (--kappa and
-    --m/--L) or of the interval (--c and --c1/--c2) there is a usage error."""
+    the command line, and ``config`` the config file's path, if any.
+    Giving both spellings of the class (--kappa and --m/--L) or of the
+    interval (--c and --c1/--c2) there is a usage error."""
 
     def __init__(self, args: argparse.Namespace):
         given = vars(args)
         self.explicit = given.keys() & FLAGS.keys()
+        self.config = given.get("config")
         super().__init__((key, default) for key, (_, default, _) in FLAGS.items())
-        if given.get("config"):
-            self.update(_read_config(given["config"]))
+        if self.config:
+            self.update(_read_config(self.config))
         for first, second in _SPELLINGS:
             if self.explicit.intersection(first) and self.explicit.intersection(second):
                 raise UsageError(f"--{'/--'.join(first)} is mutually exclusive "
@@ -250,7 +252,10 @@ def _function_class(res: Resolved) -> FunctionClass:
 def _interval(res: Resolved, fc: FunctionClass) -> StepSizeInterval:
     c1, c2 = res["c1"], res["c2"]
     if (c1 is None) != (c2 is None):
-        raise UsageError("--c1 and --c2 must be given together")
+        given, missing = ("c1", "c2") if c2 is None else ("c2", "c1")
+        where = f"--{given}" if given in res.explicit else f"{given} in config file {res.config!r}"
+        raise UsageError(f"{where} sets {given} but {missing} is not set; "
+                         "c1 and c2 must be given together")
     if c1 is not None:
         return interval_asymmetric(fc, c1, c2)
     return interval_from_c(fc, res["c"])
@@ -264,8 +269,9 @@ def _iqc_spec(name: str) -> dict:
             zf_order = int(order)
         except ValueError:
             zf_order = 0
-        if zf_order < 1:
-            raise UsageError(f"bad --iqc value {name!r}; expected zf:<k> with k >= 1")
+        if not 1 <= zf_order <= MAX_ZF_ORDER:
+            raise UsageError(f"bad --iqc value {name!r}; expected zf:<k> with "
+                             f"k >= 1 and k <= {MAX_ZF_ORDER}")
         return {"iqc_kind": kind, "zf_order": zf_order}
     if colon or kind not in KINDS:
         raise UsageError(f"unknown --iqc value {name!r}; expected sector, wob1 or zf:<k>")

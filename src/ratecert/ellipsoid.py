@@ -5,25 +5,31 @@ R = 10 * sqrt(v_dim) about 0 with
     lambda_max( S0_c + sum_i v_i * Si_c ) <= bound_c        (c = 1..K)?
 
 It minimizes t subject to G_c = (t + bound_c) * I - S_c(v) > 0 and |v| < R
-by damped Newton steps x += dx / (1 + lambda) on tau * t - sum_c log det
-G_c - log(R^2 - |v|^2), multiplying tau by 16 at each iterate whose Newton
-decrement lambda is below 1/2 (Boyd, El Ghaoui, Feron & Balakrishnan 1994,
-section 2.4; Vandenberghe & Boyd, SIAM Review 1996).  m is the total block
-order plus one.  A run of blocks is ``(s0, coeffs, bounds)``, shaped
-(B, n, n), (v_dim, B, n, n) and (B,).  All blocks go into one stack of order
-N, the largest n, each padded with a constant identity (log det I = 0), so
-each Newton step handles every block in a few array calls.  t starts
-where every G_c is at least max(|lowest|, 1e-9) * I, lowest being the least
-eigenvalue of the G_c at t = 0.  So a start that nearly meets every block (a
-witness found at a nearby rate) begins at t ~ 2|lowest| and needs about 12
-steps, while a dynamic solve from P = I/s needs about 50 (at most 92 over
-the solves of tools/witness_digest.py).
+by Newton steps on tau * t - sum_c log det G_c - log(R^2 - |v|^2),
+multiplying tau by 16 at each iterate whose Newton decrement lambda is below
+1/2 (Boyd, El Ghaoui, Feron & Balakrishnan 1994, section 2.4; Vandenberghe &
+Boyd, SIAM Review 1996).  Each step is the long step x -= dx / (1 + sigma),
+sigma = max(0, largest eigenvalue of L^-1 dG L^-T) over the blocks, where G
+= L L^T and dG is G's change along the Newton direction dx: that keeps every
+G_c positive definite, and sigma <= lambda, so it is never shorter than the
+damped step dx / (1 + lambda) (Nesterov & Todd 1997).  The ball is left out
+of sigma.  m is the total block order plus one.  A run of blocks is
+``(s0, coeffs, bounds)``, shaped (B, n, n), (v_dim, B, n, n) and (B,).  All
+blocks go into one stack of order N, the largest n, each padded with a
+constant identity (log det I = 0), so each Newton step handles every block
+in a few array calls.  t starts where every G_c is at least max(|lowest|,
+1e-9) * I, lowest being the least eigenvalue of the G_c at t = 0.  So a
+start that nearly meets every block (a witness found at a nearby rate)
+begins at t ~ 2|lowest| and needs about 8 steps, while a dynamic solve from
+P = I/s needs about 20 (at most 67 per solve over the solves of
+tools/witness_digest.py).
 
 * Feasible: the first iterate with t < 0 that lies in the open ball and at
   which the yes/no scan ``_first_violated_cut`` finds every block of the
-  runs held.  A step that fails either check, or after which G has no
-  Cholesky factor or the Newton system is not positive definite, left the
-  domain in rounding and is halved.
+  runs held.  A step that fails either check is halved, and so is one after
+  which the ball's term is not positive, G has no Cholesky factor or the
+  Newton system is not positive definite: the long step can leave the
+  ball, and rounding the blocks' domain.
 * None: at an iterate with lambda < 1/2, t - 2m/tau bounds the least t from
   below (Nesterov 2004, section 4.2), so t - 2m/tau > 0 shows that no v in B
   satisfies every block.  Failing that, the solve stops once 2m/tau < 1e-12
@@ -38,6 +44,7 @@ them (perfbench/tracing.py; tests/test_benchmark_hooks.py checks them).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -50,7 +57,7 @@ from .search import SolverBudgetExceeded
 _MU = 16.0  # tau's growth factor
 _ETA = 1e-12  # the thin-set threshold
 _T_FLOOR = 1e-9  # the least margin of G at the start
-MAX_STEPS = 500  # the step budget; a certifier solve takes at most about 100
+MAX_STEPS = 500  # the step budget; a certifier solve takes at most about 70
 
 
 def initial_radius(d: int) -> float:
@@ -82,15 +89,16 @@ def _stack(runs, d: int) -> tuple[tuple, int]:
     -tr M_k + (q * v)_k."""
     n_max = max(s0.shape[1] for s0, _, _ in runs)
     blocks = sum(len(s0) for s0, _, _ in runs)
+    eye = np.eye(n_max)
     f = np.zeros((d + 2, blocks, n_max, n_max))
-    f[0] = np.eye(n_max)
-    i = 0
+    i, m = 0, 1
     for s0, coeffs, bounds in runs:
         b, n = s0.shape[:2]
-        f[0, i:i + b, :n, :n] = np.multiply.outer(bounds, np.eye(n)) - s0
-        f[1:-1, i:i + b, :n, :n] = -coeffs
-        f[-1, i:i + b, :n, :n] = np.eye(n)
-        i += b
+        f[0, i:i + b] = eye
+        f[0, i:i + b, :n, :n] = np.multiply.outer(bounds, eye[:n, :n]) - s0
+        np.negative(coeffs, out=f[1:-1, i:i + b, :n, :n])
+        f[-1, i:i + b, :n, :n] = eye[:n, :n]
+        i, m = i + b, m + b * n
     if not np.isfinite(f).all():
         # The scan would read a NaN bound as holding, and the steps would
         # read NaN blocks as leaving the domain until the budget ran out.
@@ -99,11 +107,18 @@ def _stack(runs, d: int) -> tuple[tuple, int]:
     # F_1.. F_k of each block side by side, for one batched matmul.
     by_block = np.ascontiguousarray(f[1:].transpose(1, 2, 0, 3)).reshape(blocks, n_max, -1)
     rows = np.zeros((k, size + k))
-    weights = np.concatenate((-np.tile(np.eye(n_max).ravel(), blocks), np.zeros(d), [1.0]))
     work = (f.reshape(d + 2, -1), by_block, rows, rows[:, :size].reshape(k, blocks, n_max, n_max),
-            rows.reshape(-1)[size:size + d * (size + k + 1):size + k + 1], rows[:d, -1], weights,
-            initial_radius(d) ** 2)
-    return work, int(f[-1].sum()) + 1
+            rows.reshape(-1)[size:size + d * (size + k + 1):size + k + 1], rows[:d, -1],
+            _gradient_weights(d, blocks, n_max), initial_radius(d) ** 2)
+    return work, m
+
+
+@functools.lru_cache(maxsize=None)
+def _gradient_weights(d: int, blocks: int, n: int) -> np.ndarray:
+    """The map from the Hessian's rows to the gradient, read-only."""
+    weights = np.concatenate((-np.tile(np.eye(n).ravel(), blocks), np.zeros(d), [1.0]))
+    weights.setflags(write=False)
+    return weights
 
 
 def _newton_system(x: np.ndarray, work: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -160,7 +175,7 @@ def ellipsoid_feasibility(runs, start=None) -> np.ndarray | None:
     blocks, n, _ = work[1].shape
     lowest = float(eigvalsh_lo((x @ work[0]).reshape(blocks, n, n), signature="d->d").min())
     x[-1] = max(abs(lowest), _T_FLOOR) - lowest
-    radius_sq = work[-1]
+    rows, radius_sq = work[2][:, :blocks * n * n], work[-1]
     tau = None
     step = np.zeros(d + 1)
     for _ in range(MAX_STEPS):
@@ -184,7 +199,13 @@ def ellipsoid_feasibility(runs, start=None) -> np.ndarray | None:
             step *= 0.5
             x[1:] -= step
             continue
-        step = dx * (-1.0 / (1.0 + math.sqrt(lam_sq)))
+        # The long step: with E = sum_k dx_k M_k (``rows`` holds the M_k),
+        # G(x - a * dx) = L (I - a * E) L^T is positive definite for
+        # a = 1 / (1 + sigma).  A step out of the ball is halved: by the
+        # in-ball check below, or at the next step, whose system is NaN.
+        e = (dx @ rows).reshape(blocks, n, n)
+        sigma = max(0.0, *eigvalsh_lo(e, signature="d->d")[:, -1].tolist())
+        step = dx * (-1.0 / (1.0 + sigma))
         while x[-1] + step[-1] < 0.0:
             point = x[1:-1] + step[:-1]
             if point @ point < radius_sq and _first_violated_cut(runs, point) is None:

@@ -140,7 +140,8 @@ def augment(kappa: float, alphas: tuple[float, ...], k: int) -> LmiData:
     unscaled and the step size enters only the plant row of the input
     column b.  The filter rows shift the taps down and feed u - kappa*y into
     the first.  Each block's P-part [a b]^T P [a b] is formed as
-    a^T (P a), a^T (P b) and b . (P b).
+    a^T (P a), a^T (P b) and b . (P b), over every basis matrix P and step
+    size at once.
     """
     s = k + 1
     p = _unit_trace_basis(s)
@@ -151,23 +152,24 @@ def augment(kappa: float, alphas: tuple[float, ...], k: int) -> LmiData:
     b[:, 0] = np.negative(alphas)
     b[:, 1:2] = 1.0
     g = np.zeros((len(p), len(alphas), s + 1, s + 1))
-    for c, bc in enumerate(b):
-        for i, pm in enumerate(p):
-            pb = pm @ bc
-            g[i, c, :s, :s] = a.T @ (pm @ a)
-            g[i, c, :s, s] = g[i, c, s, :s] = a.T @ pb
-            g[i, c, s, s] = bc @ pb
+    pb = np.swapaxes(p @ b.T, 1, 2)[..., None]  # P_i b_c, shape (d, steps, s, 1)
+    g[..., :s, :s] = (a.T @ (p @ a))[:, None]
+    g[..., :s, s] = g[..., s, :s] = (a.T @ pb)[..., 0]
+    g[..., s, s] = (b[:, None] @ pb)[..., 0, 0]
     # [C D]^T M [C D] with [C D] = [[kappa, h, -1], [-1, 0, 1]].
     q0 = np.zeros((s + 1, s + 1))
     q0[0, 0], q0[s, s] = -2.0 * kappa, -2.0
     q0[0, s] = q0[s, 0] = 1.0 + kappa
     qh = np.zeros((k, s + 1, s + 1))
-    for j in range(k):
-        qh[j, j + 1, 0] = qh[j, 0, j + 1] = -1.0
-        qh[j, j + 1, s] = qh[j, s, j + 1] = 1.0
+    j = np.arange(k)
+    qh[j, j + 1, 0] = qh[j, 0, j + 1] = -1.0
+    qh[j, j + 1, s] = qh[j, s, j + 1] = 1.0
     return LmiData(a=a, b=b, p=p, g=g, q0=q0, qh=qh)
 
 
 def quad_form(lmi: LmiData, h: tuple[float, ...]) -> np.ndarray:
     """Q(h) = q0 + sum_j h_j qh[j], lambda's coefficient in every block."""
-    return lmi.q0 + np.tensordot(h, lmi.qh, axes=1)
+    # The (1, k) @ (k, n*n) product that np.tensordot(h, qh, 1) forms, bit
+    # for bit, without its overhead (it runs once per barrier solve).
+    qh = lmi.qh.reshape(len(lmi.qh), lmi.q0.size)
+    return lmi.q0 + np.dot(np.reshape(h, (1, -1)), qh).reshape(lmi.q0.shape)

@@ -1386,26 +1386,26 @@ def test_zf2_certifies_soundly_before_onset_and_not_past_it():
 # bytes of P: a change to how the inequality's data is built or summed that
 # moves a single bit of a dynamic witness fails here.
 PINNED_WITNESSES = {
-    ("wob1", 10.0, 1.2, None): "8c75173eacb99190a6860b25cce26352725d0df21b8e655f86994164d5d0b53b",
-    ("wob1", 7.0, 1.3, None): "758b2f81d6209d4ea17b6fd69de2338d2f619b8b2f1d2dafe261ddccfdf72625",
-    ("wob1", 5.0, 1.5, None): "4b548e1be3b5b72ad1b8d3c38b89cbe8026d4c37288508910ed249a1482be94b",
-    ("zf:1", 10.0, 1.2, None): "8c75173eacb99190a6860b25cce26352725d0df21b8e655f86994164d5d0b53b",
-    ("zf:1", 7.0, 1.3, None): "758b2f81d6209d4ea17b6fd69de2338d2f619b8b2f1d2dafe261ddccfdf72625",
-    ("zf:1", 5.0, 1.5, None): "4b548e1be3b5b72ad1b8d3c38b89cbe8026d4c37288508910ed249a1482be94b",
-    ("zf:2", 10.0, 1.2, None): "7f738643e15c9b298c8b49464f9fc9843a47e40ee896e17d872ddd9031336580",
-    ("zf:2", 7.0, 1.3, None): "bcf2898fcf973abd15220a07bc46fb64ea413ac9644f553fdf9e54850ecccaf0",
-    ("zf:2", 5.0, 1.5, None): "888607545d3c5e3f6ea4a752744d5499dc4f0b9531651540e75bdfd3d3994e5c",
-    ("zf:3", 10.0, 1.2, None): "f75f8b211955e198d527d2f0accf7e045d83970695d20aebc15194028541ec9f",
-    ("zf:3", 7.0, 1.3, None): "b267790a9dca5ed74482046f266e541db0461c5411820ff5e1601ef766e0668a",
-    ("zf:3", 5.0, 1.5, None): "3b10869597132c10850f44fd9ebf1470553c806ad095fdfc3c7718c2fc727e8f",
+    ("wob1", 10.0, 1.2, None): "e84a4810bc878f38e3db060b11afc19acbb14d5b73d05d1c3e8c19758acdc092",
+    ("wob1", 7.0, 1.3, None): "aac12e4dbdf546e6d0c55ac1a42ca04992c6485062c3fdf06d6578b696d1f0f0",
+    ("wob1", 5.0, 1.5, None): "d63613ccf118ef874ec50539f28026e5ceaafe78717255b43760471f0e44738d",
+    ("zf:1", 10.0, 1.2, None): "e84a4810bc878f38e3db060b11afc19acbb14d5b73d05d1c3e8c19758acdc092",
+    ("zf:1", 7.0, 1.3, None): "aac12e4dbdf546e6d0c55ac1a42ca04992c6485062c3fdf06d6578b696d1f0f0",
+    ("zf:1", 5.0, 1.5, None): "d63613ccf118ef874ec50539f28026e5ceaafe78717255b43760471f0e44738d",
+    ("zf:2", 10.0, 1.2, None): "2c2f67d98264d3493882f468c882d3d832b6d440c32444ef9f50b56c3cfac225",
+    ("zf:2", 7.0, 1.3, None): "256aef52b70533889b53af756e50b705062b01dc297f62d4178a675364e1a008",
+    ("zf:2", 5.0, 1.5, None): "308bb00c7a5529e603c2c78f2462bccd14543014fd79f1d237ea89311642aed6",
+    ("zf:3", 10.0, 1.2, None): "ea87e030ea99e123bd3ecea459973f977cb41c71c763ea291a7843081e63032e",
+    ("zf:3", 7.0, 1.3, None): "fd3d30866c78d38358eb620451c0e0c787f89b19f638086e3c52d52afc28da88",
+    ("zf:3", 5.0, 1.5, None): "8c518152bc33d31ec2c0d3f39b4141b5253a2293d5bf373904f76c81ac29e745",
     ("wob1", 10.0, 1.2, (0.5,)):
-        "2dd70fc2fb1f604802a37038c4af2d7b1cbe1c4bfeafbb92bb8fbe3ee2180ac4",
+        "72ba4d5a088aca64365d08033086ee8de3a1839aa6b593bc7727604359010d34",
     ("zf:1", 10.0, 1.2, (0.4,)):
-        "09ade3e8f8b57cd04ab9cfa13ad38024b598dcc1be601f59cc1c740450e5e34e",
+        "f8c5386c6b32aaa123a8d12cdd5cf8e8a8e0e474cd92675643270555ea72361e",
     ("zf:2", 10.0, 1.2, (0.4, 0.2)):
-        "9454027a93285482f9f2477103426d2ee74a1b742d6d46356cebcf32d00bddf8",
+        "a264f83eb2a3ed58adacb3ee277126c5a6e36549a9a5f8e561e53027bbe10df9",
     ("zf:3", 10.0, 1.2, (0.3, 0.2, 0.1)):
-        "2666aefed74d057bb4e8acb547bea743f2d273affbfe5ddafd119c9c5929e170",
+        "5efabd1342cac3bb78bac86c0ee52e52b9852709a37ecca21bb318f8ddb8fdaa",
 }
 
 

@@ -455,6 +455,25 @@ def test_command_line_c_replaces_the_config_c1_c2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_lone_c1_or_c2_names_where_it_came_from(tmp_path, capsys):
+    # A c1 from the config file used to be reported as "--c1 and --c2 must
+    # be given together", naming a flag that was never given.
+    cfg = tmp_path / "lone.cfg"
+    cfg.write_text("kappa=10\nc1=1.2\n")
+    assert run_cli("certify", "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert f"c1 in config file {str(cfg)!r} sets c1 but c2 is not set" in err, err
+    assert "--c1" not in err, err
+    assert run_cli("certify", "--kappa", "10", "--c2", "1.3") == 1
+    err = capsys.readouterr().err
+    assert "--c2 sets c2 but c1 is not set" in err, err
+    # A c2 from the file completes a --c1 from the command line.
+    code, record = _certify_record(tmp_path, "kappa=10\nc2=1.3\n", "--c1", "1.2")
+    assert code == 0 and (record["interval_lo"], record["interval_hi"]) == (
+        1.0 / (1.2 * 10.0), 1.3 / 10.0)
+    capsys.readouterr()
+
+
 def test_repeated_main_calls_match_fresh_parsers(tmp_path, capsys):
     # main builds its parser once per process; a config file read by one
     # call must not reach the next.  Each call's outputs are compared with
@@ -536,10 +555,12 @@ def test_zf_order_above_the_cap_is_rejected_before_any_solve(monkeypatch, capsys
     fc = cli.FunctionClass(1.0, 10.0)
     with pytest.raises(search.InvalidInput, match="zf_order"):
         search.certify(fc, cli.interval_from_c(fc, 1.2), iqc_kind="zf", zf_order=7)
+    # The CLI rejects it in the flag's own words, as its help states the cap.
     for command in ("certify", "sweep-c"):
         assert run_cli(command, "--kappa", "10", "--iqc", "zf:7") == 1, command
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "zf_order" in err, err
+        assert err.startswith("error: bad --iqc value 'zf:7'") and "k <= 6" in err, err
+    assert cli._iqc_spec("zf:6") == {"iqc_kind": "zf", "zf_order": 6}
 
 
 # Flags a subcommand does not read; --svg and --seed used to be accepted by
@@ -808,19 +829,19 @@ PINNED_OUTPUTS = {
         "a46436a8f7d65620deb40fa135f3a6b25bc208b97615a288220830d9c256c3df"),
     "sweep-c-wob1": (
         ("sweep-c", "--kappa", "10", "--points", "12", "--iqc", "wob1"),
-        "dbe84bad188786dc5d1ae7d8e7526b59c6914d4bdb1d2791b73588bc40b5feb9"),
+        "06dc949d6298c28cf8a5cb7a4ce0c00bcf0ef1420537452a6d90310ec3cabcb1"),
     "certify-sector": (
         ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "sector"),
         "b34b4c466a34b535c69fa38759add0e11a82377814878df541fe42424e075e2f"),
     "certify-wob1": (
         ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "wob1"),
-        "28f3363073fd2e91c5d5f6e8611c528a51af0da9160c0c5137808a15b43c5a26"),
+        "a4f227c78441ff6585d698b693d72a6f0df6753a8a1213d493e18e370ae06649"),
     "certify-zf2": (
         ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "zf:2"),
-        "44358006b6cb32182d91f716ff15983b3e4d6bc6bc19992d06b2c8c28da9b599"),
+        "e19f0b474b15d66f81d86e8eb58c02834a19291934545a134192a3ece6e077ab"),
     "certify-zf3": (
         ("certify", "--kappa", "10", "--c", "1.2", "--iqc", "zf:3"),
-        "be5a1fbb7c7418682f8defe1c0828065feb375607d67ccf94545ac0658ac3785"),
+        "a98a22de3d90d15533019dc3277748cedbf89ee12ac5bdfeb631b7345ae91623"),
 }
 
 

@@ -73,6 +73,18 @@ def test_two_dimensional_feasible():
     assert point[0] <= -1.0 and point[1] <= -1.0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("offset", [0.5, 1.0, 5.0])
+def test_a_point_outside_the_ball_is_never_returned(d, offset):
+    # v1 >= R + offset holds only outside the ball.  A long step from the
+    # start jumps out of the ball to t < 0, where the block holds; only the
+    # acceptance loop's in-ball check rejects that point.
+    coeffs = np.zeros((d, 1, 1, 1))
+    coeffs[0] = -1.0
+    run = (np.full((1, 1, 1), ellipsoid.initial_radius(d) + offset), coeffs, (0.0,))
+    assert ellipsoid_feasibility([run]) is None
+
+
 def test_thin_empty_slab_certified_infeasible():
     assert ellipsoid_feasibility([THIN_SLAB]) is None
 

@@ -242,3 +242,35 @@ def test_basis_and_coordinates_share_one_layout(s):
         if i == j:
             ref -= p0
         assert np.array_equal(basis[n], ref), (n, i, j)
+
+
+def _reference_g_qh(lmi, k):
+    """The blocks' P-part and the taps' forms, one basis matrix and step size
+    at a time: ``augment``'s batched products must match it bit for bit."""
+    s = k + 1
+    g = np.zeros_like(lmi.g)
+    for c, bc in enumerate(lmi.b):
+        for i, pm in enumerate(lmi.p):
+            pb = pm @ bc
+            g[i, c, :s, :s] = lmi.a.T @ (pm @ lmi.a)
+            g[i, c, :s, s] = g[i, c, s, :s] = lmi.a.T @ pb
+            g[i, c, s, s] = bc @ pb
+    qh = np.zeros((k, s + 1, s + 1))
+    for j in range(k):
+        qh[j, j + 1, 0] = qh[j, 0, j + 1] = -1.0
+        qh[j, j + 1, s] = qh[j, s, j + 1] = 1.0
+    return g, qh
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_batched_augment_and_quad_form_match_the_loops(k):
+    rng = np.random.default_rng(k)
+    for _ in range(100):
+        kappa = 10.0 ** rng.uniform(0.0, 6.0)
+        alphas = tuple(10.0 ** rng.uniform(-8.0, 1.0, size=rng.integers(1, 4)))
+        lmi = augment(kappa, alphas, k)
+        g, qh = _reference_g_qh(lmi, k)
+        assert np.array_equal(lmi.g, g) and np.array_equal(np.signbit(lmi.g), np.signbit(g))
+        assert np.array_equal(lmi.qh, qh)
+        h = tuple(rng.uniform(0.0, 1.0, size=k))
+        assert np.array_equal(quad_form(lmi, h), lmi.q0 + np.tensordot(h, lmi.qh, axes=1))

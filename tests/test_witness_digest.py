@@ -26,7 +26,7 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "witness_digest.py"
 PINNED_DIGESTS = {
     "sector": (3000, "f9c20843d66055e5b7b876adaf6dd9b296885a31e8f3ada1419b68ef2cc103ad"),
     "dynamic": (300, "981089082158edf9896dc81043b82a07fb8ecc0313a621e528d2e55e02167d62"),
-    "sweep-c": (300, "9718aac6315ae6bed24153ce5437a12ab5166b91d216b57cdd4ec826439ca8a0"),
+    "sweep-c": (300, "c87b55be1a598018ea9f03178a4b1f7d86342583d6cea3fb994023f2bed269bb"),
 }
 # family -> sector solves (calls of ``search.sector_lambda``) over the same
 # draws, so a change that adds a solve without moving a rate fails too.  A
@@ -36,7 +36,7 @@ PINNED_SOLVES = {"sector": 9621, "sweep-c": 1812}
 # ``ellipsoid._newton_system``) over the same draws: the solver's work, which
 # moves when it walks a different path even where no rate does.  A change
 # that moves it re-pins it with both values.
-PINNED_DYNAMIC_WORK = (721, 20593)
+PINNED_DYNAMIC_WORK = (721, 9250)
 
 
 @functools.cache
@@ -60,6 +60,11 @@ def test_witness_digest_runs(family):
         spread = r"mean \d+\.\d{4}, max \d+"
         assert re.fullmatch(f"Newton steps per certification: {spread}", lines[1]), lines
         assert re.fullmatch(f"solves per certification: {spread}", lines[2]), lines
+        assert re.fullmatch(rf"Newton steps per solve: first \(cold\) {spread}; "
+                            rf"later \(warm\) {spread}", lines[3]), lines
+        assert re.fullmatch(f"Newton steps per solve: feasible {spread}; "
+                            f"infeasible {spread}", lines[4]), lines
+        assert re.fullmatch(r"rates [0-9a-f]{64}", lines[5]), lines
 
 
 @pytest.mark.parametrize("family", list(PINNED_DIGESTS))
@@ -75,7 +80,7 @@ def test_witness_digest_is_pinned_and_no_rate_is_below_the_exact_rate(family, mo
         return certs[-1]
 
     monkeypatch.setattr(module, "certify", recording)
-    hexdigest, certified, counts, rates = tool.digest(draws, 2026, family)
+    hexdigest, certified, counts, rates, _ = tool.digest(draws, 2026, family)
     found = [cert for cert in certs if cert.feasible]
     assert len(found) == certified > 0
     below = [cert for cert in found if cert.rho_star < max(

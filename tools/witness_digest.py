@@ -25,16 +25,18 @@ Each draw certifies ``FunctionClass(1, kappa)`` on ``interval_from_c(fc,
 c)`` with ``certify(..., rho_tol=rho_tol)``.  Hashed per draw: the kind,
 zf order, kappa, c and rho_tol; ``rho_star``, ``cond_p``, ``weights`` and
 ``bisection_iters``; and, for a certificate with a witness, ``lam``,
-``slack`` and the bytes of P in C order.  Four lines come before the
+``slack`` and the bytes of P in C order.  Five lines come before the
 digest: the mean and the largest number of Newton steps (calls of
 ``ellipsoid._newton_system``) per certification; the same for barrier
 solves (calls of ``certifier.ellipsoid_feasibility``) per certification;
 the same for Newton steps per solve, over the first solve of each
 certification (from the cold start) and over the later ones (started from
-the lowest-rate witness found so far); and a rates-only digest over the
-kind, zf order, kappa, c and rho_tol and ``rho_star`` and
-``bisection_iters``, hashed as above.  A change that moves witness bits but
-no rate leaves that digest equal at both commits.
+the lowest-rate witness found so far); the same again, over the solves
+that returned a point (feasible) and over those that returned None
+(infeasible); and a rates-only digest over the kind, zf order, kappa, c
+and rho_tol and ``rho_star`` and ``bisection_iters``, hashed as above.  A
+change that moves witness bits but no rate leaves that digest equal at
+both commits.
 
 ``--family sector`` draws, in order (one draw is seven generator calls in
 this order, all made whichever are used):
@@ -179,18 +181,20 @@ COUNTED = {"dynamic": (ellipsoid, "_newton_system"),
            "sector": (search, "sector_lambda"), "sweep-c": (search, "sector_lambda")}
 
 
-def digest(draws: int, seed: int,
-           family: str = "dynamic") -> tuple[str, int, list[list[int]], str]:
+def digest(draws: int, seed: int, family: str = "dynamic"
+           ) -> tuple[str, int, list[list[int]], str, list[list[bool]]]:
     """The sha256 hex digest over ``draws`` draws of ``family``, how many
     rates they certified, the counted calls each draw made (``COUNTED``),
-    and the rates-only hex digest (fed by the dynamic family alone).  A
-    dynamic draw's counts are split by barrier solve, one entry per solve;
-    any other draw has one entry."""
+    the rates-only hex digest (fed by the dynamic family alone), and each
+    barrier solve's verdict, True where it returned a point.  A dynamic
+    draw's counts and verdicts are split by barrier solve, one entry per
+    solve; any other draw has one count and no verdict."""
     rng = np.random.default_rng(seed)
     sha, rates = hashlib.sha256(), hashlib.sha256()
     draw = FAMILIES[family]
     module, name = COUNTED[family]
-    call, solve, counts = getattr(module, name), certifier.ellipsoid_feasibility, []
+    call, solve = getattr(module, name), certifier.ellipsoid_feasibility
+    counts, found = [], []
 
     def counted(*args):
         counts[-1][-1] += 1
@@ -198,7 +202,9 @@ def digest(draws: int, seed: int,
 
     def solved(*args, **kwargs):
         counts[-1].append(0)
-        return solve(*args, **kwargs)
+        point = solve(*args, **kwargs)
+        found[-1].append(point is not None)
+        return point
 
     setattr(module, name, counted)
     if family == "dynamic":
@@ -207,11 +213,12 @@ def digest(draws: int, seed: int,
         certified = 0
         for index in range(draws):
             counts.append([] if family == "dynamic" else [0])
+            found.append([])
             certified += draw(rng, sha, rates, index)
     finally:
         setattr(module, name, call)
         certifier.ellipsoid_feasibility = solve
-    return sha.hexdigest(), certified, counts, rates.hexdigest()
+    return sha.hexdigest(), certified, counts, rates.hexdigest(), found
 
 
 def _spread(values: list[int]) -> str:
@@ -224,7 +231,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=2026)
     parser.add_argument("--family", choices=sorted(FAMILIES), default="dynamic")
     args = parser.parse_args(argv)
-    hexdigest, certified, counts, rates = digest(args.draws, args.seed, args.family)
+    hexdigest, certified, counts, rates, found = digest(args.draws, args.seed, args.family)
     print(f"draws {args.draws}, seed {args.seed}, certified {certified}")
     what = "Newton steps" if args.family == "dynamic" else "solves"
     per = "command" if args.family == "sweep-c" else "certification"
@@ -233,6 +240,9 @@ def main(argv=None) -> int:
         print(f"solves per certification: {_spread([len(c) for c in counts])}")
         print(f"Newton steps per solve: first (cold) {_spread([c[0] for c in counts if c])}; "
               f"later (warm) {_spread([n for c in counts for n in c[1:]])}")
+        steps = [(n, ok) for c, f in zip(counts, found) for n, ok in zip(c, f)]
+        print(f"Newton steps per solve: feasible {_spread([n for n, ok in steps if ok])}; "
+              f"infeasible {_spread([n for n, ok in steps if not ok])}")
         print(f"rates {rates}")
     print(hexdigest)
     return 0
