@@ -427,8 +427,10 @@ def cmd_simulate(res: Resolved) -> int:
     steps, trials, seed = res["steps"], res["trials"], res["seed"]
     if isinstance(policy, simulator.Constant):  # the one policy an interval can reject
         simulator.sample_alpha(policy, interval, 0, None)
-    if steps < 0 or trials < 1:
-        raise UsageError("need steps >= 0 and trials >= 1")
+    # numpy's own error for a negative seed names no flag.
+    for flag, value, least in (("steps", steps, 0), ("trials", trials, 1), ("seed", seed, 0)):
+        if value < least:
+            raise UsageError(f"need --{flag} >= {least}, got {value}")
     if steps > simulator.MAX_STEPS:  # one trial must fit in a chunk's budget
         raise UsageError(f"need --steps <= {simulator.MAX_STEPS}, got {steps}")
 
@@ -438,12 +440,11 @@ def cmd_simulate(res: Resolved) -> int:
     # sizes are words [row * steps, (row + 1) * steps) of its group's step
     # stream and its spectrum row i // 5 of the group's spectrum draws,
     # whatever --trials is.  Only random policies get a step stream, and
-    # dimension 2 draws no spectrum.  Seeding here, before anything is
-    # certified, also rejects a negative --seed.
+    # dimension 2 draws no spectrum.
     def stream(purpose, dim):
         return np.random.Generator(np.random.PCG64([seed, purpose, dim]))
 
-    draws_steps = isinstance(policy, (simulator.Uniform, simulator.Endpoints))
+    draws_steps = isinstance(policy, simulator.RANDOM_POLICIES)
     streams = {dim: (stream(STEP_STREAM, dim) if draws_steps else None,
                      stream(SPECTRUM_STREAM, dim) if _spectrum_width(dim) else None)
                for dim in range(1, min(trials, 5) + 1)}
@@ -463,9 +464,8 @@ def cmd_simulate(res: Resolved) -> int:
         per_chunk = simulator.chunk_trials(steps, dim)
         for lo in range(0, len(group), per_chunk):
             indices = group[lo:lo + per_chunk]
-            probs = [simulator.QuadraticProblem(spectrum) for spectrum
-                     in _trial_spectra(fc, dim, indices, spectrum_rng)]
-            for i, report in zip(indices, run(probs, cert, policy, steps, None, step_rng)):
+            spectra = _trial_spectra(fc, dim, indices, spectrum_rng)
+            for i, report in zip(indices, run(spectra, cert, policy, steps, None, step_rng)):
                 any_violated = any_violated or report.violated
                 rows[i] = (f"{i},{seed},{_fmt(report.max_ratio)},"
                            f"{'true' if report.violated else 'false'}" + CSV_NEWLINE)
@@ -485,20 +485,24 @@ def _spectrum_width(dim: int) -> int:
 
 
 def _trial_spectra(fc: FunctionClass, dim: int, indices: range,
-                   rng: np.random.Generator | None) -> list[tuple[float, ...]]:
-    """Hessian spectra of the trials ``indices``, all of dimension ``dim``:
-    random inside [m, L], with the class endpoints pinned in dimension >= 2
-    and pure-endpoint problems cycled in dimension 1 (those attain the worst
-    rates).  The trials take the next ``len(indices)`` rows of
-    ``_spectrum_width(dim)`` uniform draws from ``rng``, one row each, even
-    where dimension 1 pins the value; dimension 2 reads no ``rng``."""
+                   rng: np.random.Generator | None) -> np.ndarray:
+    """Hessian spectra of the trials ``indices``, all of dimension ``dim``,
+    as the rows of one (len(indices), dim) array: random inside [m, L],
+    with the class endpoints pinned in dimension >= 2 and pure-endpoint
+    problems cycled in dimension 1 (those attain the worst rates).  The
+    trials take the next ``len(indices)`` rows of ``_spectrum_width(dim)``
+    uniform draws from ``rng``, one row each, even where dimension 1 pins
+    the value; dimension 2 reads no ``rng``."""
+    import numpy as np
+
+    ends = np.tile((fc.m, fc.L), (len(indices), 1))
     if dim == 2:
-        return [(fc.m, fc.L)] * len(indices)
-    draws = rng.uniform(fc.m, fc.L, size=(len(indices), _spectrum_width(dim))).tolist()
+        return ends
+    draws = rng.uniform(fc.m, fc.L, size=(len(indices), _spectrum_width(dim)))
     if dim == 1:
-        return [(fc.m,) if i % 3 == 0 else (fc.L,) if i % 3 == 1 else (row[0],)
-                for i, row in zip(indices, draws)]
-    return [(fc.m, fc.L, *row) for row in draws]
+        cycle = np.array(indices)[:, None] % 3
+        return np.where(cycle == 0, fc.m, np.where(cycle == 1, fc.L, draws))
+    return np.hstack((ends, draws))
 
 
 def main(argv=None) -> int:

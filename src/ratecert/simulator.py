@@ -2,17 +2,19 @@
 
 Quadratics with Hessian spectrum inside [m, L] are the verifiable extreme
 family for the function class: the quadratic constraints the certificates
-rely on are tight at the spectrum endpoints.  A trajectory is run under a
-step-size policy confined to the certified interval and every prefix norm
-is compared against the certified envelope
+rely on are tight at the spectrum endpoints.  A trial is the quadratic
+f(x) = 1/2 sum_i q_i x_i^2, given by its spectrum q alone (its minimizer is
+the origin and its gradient is coordinate-wise q_i * x_i).  A trajectory is
+run under a step-size policy confined to the certified interval and every
+prefix norm is compared against the certified envelope
 
     ||xi_k|| <= sqrt(cond(P)) * rho_star^k * ||xi_0||.
 
-A batch of trials of one dimension under one policy is simulated in one
-array pass, bit-identical to stepping each trial alone; callers size their
-batches with ``chunk_trials`` so that no pass holds more than
-``CHUNK_FLOATS`` floats.  Where the envelope underflows to 0 the comparison
-is made in log space.
+A batch of trials of one dimension, one spectrum per row of a (trials, dim)
+array, is simulated under one policy in one array pass, bit-identical to
+stepping each trial alone; callers size their batches with
+``chunk_trials`` so that no pass holds more than ``CHUNK_FLOATS`` floats.
+Where the envelope underflows to 0 the comparison is made in log space.
 
 Runs are reproducible across platforms: the random policies draw from the
 numpy ``Generator`` the caller passes, one 64-bit stream word per step, so a
@@ -54,25 +56,6 @@ class CertificateMissing(ValueError):
 
 
 @dataclass(frozen=True)
-class QuadraticProblem:
-    """f(x) = 1/2 sum_i q_i x_i^2 with spectrum q; the minimizer is the
-    origin and the gradient is coordinate-wise q_i * x_i."""
-
-    eigenvalues: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.eigenvalues) < 1:
-            raise ValueError("need at least one eigenvalue")
-        for q in self.eigenvalues:
-            if not (math.isfinite(q) and q > 0.0):
-                raise ValueError(f"spectrum must be positive and finite, got {q}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
-
-@dataclass(frozen=True)
 class Uniform:
     """Independent uniform draw from the interval at every step."""
 
@@ -99,6 +82,9 @@ class AdversarialGreedy:
 
 
 Policy = Uniform | Endpoints | Alternating | Constant | AdversarialGreedy
+# The policies that draw their step sizes from an ``rng``; the others never
+# read one.
+RANDOM_POLICIES = (Uniform, Endpoints)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +133,7 @@ def sample_alpha(
     each row.  Only ``AdversarialGreedy`` reads ``spectrum``: one trial's
     eigenvalues, or a (trials, dim) array of each row's."""
     lo, hi = interval.lo, interval.hi
-    if rng is None and isinstance(policy, (Uniform, Endpoints)):
+    if rng is None and isinstance(policy, RANDOM_POLICIES):
         raise ValueError(f"policy {policy!r} draws from rng, which is None")
     if isinstance(policy, Uniform):
         return rng.uniform(lo, hi, size=steps)
@@ -174,50 +160,43 @@ def sample_alpha(
     raise UnknownPolicy(f"unknown policy {policy!r}")
 
 
-def run(prob, cert: Certificate, policy: Policy, steps: int, xi0=None,
-        rng: np.random.Generator | None = None):
-    """Simulate ``steps`` iterations under ``policy``, with step sizes from
-    the interval the certificate bounds, ``cert.interval``, and compare
-    against the certificate (CertificateMissing if it has no rate).
+def run(spectra, cert: Certificate, policy: Policy, steps: int, xi0=None,
+        rng: np.random.Generator | None = None) -> list[TrajectoryReport]:
+    """Simulate ``steps`` iterations of one trial per row of ``spectra``, a
+    (trials, dim) array-like of Hessian eigenvalues, under ``policy``, with
+    step sizes from the interval the certificate bounds, ``cert.interval``,
+    and compare each trial against the certificate (CertificateMissing if
+    it has no rate): one report per row, in order.  ``xi0`` is None (all-ones
+    starts) or finite starts in the spectra's shape.  Spectra that are not 2-D,
+    are empty or ragged, or have an entry outside the class [m, L] (NaN and
+    infinities included) raise ValueError.
 
-    Given one ``QuadraticProblem`` this runs one trial and returns its
-    report; ``xi0`` defaults to the all-ones vector.  Given a sequence of
-    problems of one dimension, every trial follows ``policy``, ``xi0`` is
-    None or one start per trial, and the result is one report per trial, in
-    order; a single trial is the batch of one.  Every policy's (trials,
-    steps) step sizes come from one ``sample_alpha`` call given the batch's
-    (trials, dim) spectra.  A random policy draws them from ``rng``, trial
-    by trial, so trial j of the batch takes stream words
-    [j*steps, (j+1)*steps), and needs an ``rng``; the other policies never
-    read it.  The batch runs as one array pass, bit-identical to stepping
-    each trial alone on its own step sizes, and holds all its trials'
-    arrays at once: callers size batches with ``chunk_trials``.
-    Deterministic: identical (generator state, policy, inputs) produce a
-    bit-identical report.  ``violated`` is set when any prefix norm exceeds
-    its envelope by more than the round-off slack.
+    Every policy's (trials, steps) step sizes come from one ``sample_alpha``
+    call given the spectra.  A random policy draws them from ``rng``, row
+    by row, so trial j takes stream words [j*steps, (j+1)*steps), and needs
+    an ``rng``; the other policies never read it.  The batch runs as one
+    array pass, bit-identical to stepping each trial alone on its own step
+    sizes, and holds all its trials' arrays at once: callers size batches
+    with ``chunk_trials``.  Deterministic: identical (generator state,
+    policy, inputs) produce bit-identical reports.  ``violated`` is set
+    when any prefix norm exceeds its envelope by more than the round-off
+    slack.
     """
-    if isinstance(prob, QuadraticProblem):
-        return run([prob], cert, policy, steps, None if xi0 is None else [xi0], rng)[0]
     if cert.rho_star is None:
         raise CertificateMissing("certificate carries no certified rate")
     if steps < 0:
         raise ValueError(f"need steps >= 0, got {steps}")
-    probs = list(prob)
-    if not probs:
-        raise ValueError("need a problem")
-    if len({p.dim for p in probs}) > 1:
-        raise ValueError("a batch needs problems of one dimension")
-    q = np.array([p.eigenvalues for p in probs])
-    outside = np.any((q < cert.fc.m) | (q > cert.fc.L), axis=1)
-    if outside.any():
-        raise ValueError(
-            f"problem spectrum {probs[int(np.argmax(outside))].eigenvalues} outside "
-            f"[{cert.fc.m}, {cert.fc.L}]"
-        )
+    q = np.asarray(spectra, dtype=float)
+    if q.ndim != 2 or q.size == 0:
+        raise ValueError(f"need a non-empty (trials, dim) array of spectra, got {q.shape}")
+    # Written so that NaN fails too: every comparison with NaN is False.
+    inside = (q >= cert.fc.m) & (q <= cert.fc.L)
+    if not inside.all():
+        raise ValueError(f"spectrum entry {q[~inside][0]} outside [{cert.fc.m}, {cert.fc.L}]")
     trials, dim = q.shape
     xi = np.ones((trials, dim)) if xi0 is None else np.array(xi0, dtype=float)
-    if xi.shape != (trials, dim):
-        raise ValueError(f"xi0 must have shape ({dim},) per trial, got {xi.shape[1:]}")
+    if xi.shape != (trials, dim) or not np.isfinite(xi).all():
+        raise ValueError(f"xi0 must be finite, of shape {q.shape}; got shape {xi.shape}")
 
     alphas = sample_alpha(policy, cert.interval, (trials, steps), rng, q)
     traj = step(xi, alphas, q)

@@ -38,7 +38,6 @@ from ratecert.simulator import (
     Alternating,
     Constant,
     Endpoints,
-    QuadraticProblem,
     Uniform,
     run,
 )
@@ -199,8 +198,8 @@ def test_criterion_8_certificate_soundness_fuzz():
                     pol = Constant(float(rng.uniform(interval.lo, interval.hi)))
                 else:
                     pol = AdversarialGreedy()
-                rep = run(QuadraticProblem(spectrum), cert, pol, 200,
-                          np.ones(dim), rng=np.random.default_rng([trial, dim]))
+                (rep,) = run([spectrum], cert, pol, 200,
+                             np.ones((1, dim)), rng=np.random.default_rng([trial, dim]))
                 total += 1
                 violations += rep.violated
     _report(8, violations == 0,

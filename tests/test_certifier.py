@@ -904,11 +904,21 @@ def test_scale_invariance_quick():
         assert r == pytest.approx(r1, abs=2e-4)
 
 
-def test_pinned_weights_are_respected():
+def test_pinned_weights_are_respected(solver_calls):
     cert = certify(FC10, interval_from_c(FC10, 1.0),
                    iqc_kind=WEIGHTED_OFF_BY_1, weights=(0.1,))
     assert cert.rho_star is not None
     assert cert.weights == (0.1,)
+    assert verify_certificate(cert)
+    # wob1's h1 = 0.95 is admissible only at rho^2 >= 0.95: every lower
+    # trial rate counts as infeasible without a solve, so the rate lands
+    # just above sqrt(0.95), where default weights would certify 0.9167.
+    solver_calls.clear()
+    cert = certify(FC10, interval_from_c(FC10, 1.2),
+                   iqc_kind=WEIGHTED_OFF_BY_1, weights=(0.95,))
+    assert cert.weights == (0.95,)
+    assert math.sqrt(0.95) < cert.rho_star <= math.sqrt(0.95) + cert.rho_tol
+    assert solver_calls and min(solver_calls) ** 2 >= 0.95
     assert verify_certificate(cert)
 
 

@@ -171,6 +171,9 @@ def test_csv_round_trip_idempotent(tmp_path, capsys):
     text = out.read_text()
     rows = parse_sweep_csv(text)
     assert format_sweep_csv(rows) == text
+    for bad in ("", text.replace("rho_star", "rho", 1), text.split("\n", 1)[1]):
+        with pytest.raises(ValueError, match="header"):
+            parse_sweep_csv(bad)
     reparsed = parse_sweep_csv(format_sweep_csv(rows))
     for a, b in zip(rows, reparsed):
         assert a.kappa == b.kappa and a.c == b.c and a.rho_star == b.rho_star
@@ -281,7 +284,7 @@ def test_negative_seed_rejected_before_certify(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "certify", no_solve)
     assert run_cli("simulate", "--kappa", "10", "--c", "1.2", "--seed", "-1") == 1
-    assert capsys.readouterr().err == "error: expected non-negative integer\n"
+    assert capsys.readouterr().err == "error: need --seed >= 0, got -1\n"
 
 
 def test_simulate_zero_steps_ratio_one(tmp_path, capsys):
@@ -542,6 +545,13 @@ def test_usage_errors(capsys, tmp_path):
         assert run_cli("certify", "--kappa", "4", "--iqc", iqc) == 1, iqc
         err = capsys.readouterr().err
         assert "zf:<k>" in err and "k >= 1" in err, err
+    for iqc in ("foo", "wob1:2"):
+        assert run_cli("certify", "--kappa", "4", "--iqc", iqc) == 1, iqc
+        assert capsys.readouterr().err.startswith(f"error: unknown --iqc value {iqc!r}")
+    # simulate's own ranges.
+    for flag, value, least in (("trials", "0", 1), ("steps", "-1", 0), ("seed", "-1", 0)):
+        assert run_cli("simulate", "--kappa", "10", "--c", "1.2", f"--{flag}", value) == 1
+        assert capsys.readouterr().err == f"error: need --{flag} >= {least}, got {value}\n"
 
 
 def test_zf_order_above_the_cap_is_rejected_before_any_solve(monkeypatch, capsys):
@@ -597,6 +607,9 @@ def test_config_values_take_the_flag_types(tmp_path, capsys):
     bad.write_text("points=abc\n")
     assert run_cli("sweep-kappa", "--config", str(bad)) == 1
     assert "config key points" in capsys.readouterr().err
+    bad.write_text("# a comment\npoints 3\n")
+    assert run_cli("sweep-kappa", "--config", str(bad)) == 1
+    assert "bad.cfg:2: expected key=value, got 'points 3'" in capsys.readouterr().err
 
     cfg = tmp_path / "typed.cfg"
     cfg.write_text("kappa=\ntrials=\nc=1.5\npoints=7\nseed=3\niqc=wob1\n")
@@ -854,7 +867,8 @@ def test_output_bytes_pinned(tmp_path, capsys, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-# sha256 of the SVG chart each sweep writes with --svg.
+# sha256 of the SVG chart each sweep writes with --svg: also for one row,
+# a single x, and for rows with no certificate, where no point is drawn.
 PINNED_SVGS = {
     "sweep-kappa": (
         ("sweep-kappa", "--c", "1.3", "--points", "40"),
@@ -862,6 +876,12 @@ PINNED_SVGS = {
     "sweep-c": (
         ("sweep-c", "--kappa", "7", "--points", "41"),
         "10c244cd9d3de441011a2d191b429f5148c47a6b1b2ba4951362fa19fdef1e10"),
+    "sweep-c-single-x": (
+        ("sweep-c", "--kappa", "7", "--points", "1"),
+        "2186aa29dd07644dc16d8b9e0068418316215e5c9db0b66997b5aba1bbd409e5"),
+    "sweep-c-no-point": (
+        ("sweep-c", "--kappa", "10", "--c-min", "2.2", "--c-max", "2.5", "--points", "3"),
+        "790b78dcbdddfc3cc49123784e5a1ec160e4c42eebad6217109814a644a5f079"),
 }
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,10 @@ def test_interval_asymmetric_examples():
     assert (iv.lo, iv.hi) == (0.05, 0.1)
     with pytest.raises(InvalidC):
         interval_asymmetric(fc, 0.5, 0.1)  # 0.2 > 0.01
+    for c1, c2 in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -1.0), (math.inf, 1.0),
+                   (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(InvalidC, match="positive finite"):
+            interval_asymmetric(fc, c1, c2)
 
 
 def test_interval_validation():
@@ -60,6 +66,9 @@ def test_interval_validation():
         StepSizeInterval(0.0, 0.1)
     with pytest.raises(ValueError):
         StepSizeInterval(0.2, 0.1)
+    for lo, hi in ((0.1, math.inf), (math.nan, 0.1), (0.1, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            StepSizeInterval(lo, hi)
 
 
 def test_endpoints_examples():

@@ -19,7 +19,6 @@ from ratecert.simulator import (
     CertificateMissing,
     Constant,
     Endpoints,
-    QuadraticProblem,
     Uniform,
     UnknownPolicy,
     VIOLATION_SLACK,
@@ -48,14 +47,6 @@ def test_step_examples():
                     [[1.0], [0.0]], atol=0)
     with pytest.raises(ValueError):
         step(xi, np.array([0.1, -0.1]), q)
-
-
-def test_quadratic_problem_validation():
-    with pytest.raises(ValueError):
-        QuadraticProblem(())
-    with pytest.raises(ValueError):
-        QuadraticProblem((0.0,))
-    assert QuadraticProblem((1.0, 5.0)).dim == 2
 
 
 def test_constant_policy():
@@ -147,13 +138,14 @@ def test_policy_from_name():
         policy_from_name("nope")
     with pytest.raises(UnknownPolicy):
         policy_from_name("constant:abc")
+    with pytest.raises(UnknownPolicy):
+        sample_alpha(object(), StepSizeInterval(0.1, 0.14), 3, np.random.default_rng(0))
 
 
 def test_run_hand_example():
     cert = _cert()
     assert cert.cond_p == pytest.approx(1.0)
-    prob = QuadraticProblem((1.0, 10.0))
-    rep = run(prob, cert, Constant(0.1), 1, np.array([1.0, 1.0]))
+    (rep,) = run([(1.0, 10.0)], cert, Constant(0.1), 1, [[1.0, 1.0]])
     assert rep.norms[0] == pytest.approx(np.sqrt(2.0))
     assert rep.norms[1] == pytest.approx(0.9)
     assert rep.bound[1] == pytest.approx(np.sqrt(cert.cond_p) * cert.rho_star * np.sqrt(2.0))
@@ -163,8 +155,7 @@ def test_run_hand_example():
 
 def test_run_zero_start_never_violates():
     cert = _cert()
-    rep = run(QuadraticProblem((1.0,)), cert, Uniform(), 50,
-              np.zeros(1), np.random.default_rng(3))
+    (rep,) = run([(1.0,)], cert, Uniform(), 50, np.zeros((1, 1)), np.random.default_rng(3))
     assert rep.max_ratio == 0.0
     assert not rep.violated
     assert np.all(rep.norms == 0.0)
@@ -173,21 +164,17 @@ def test_run_zero_start_never_violates():
 def test_run_requires_certificate_and_matching_class():
     infeasible = _cert(c=2.1)
     with pytest.raises(CertificateMissing):
-        run(QuadraticProblem((1.0,)), infeasible, Uniform(), 5,
-            np.ones(1), np.random.default_rng(0))
+        run([(1.0,)], infeasible, Uniform(), 5, np.ones((1, 1)), np.random.default_rng(0))
     cert = _cert()
     with pytest.raises(ValueError):
-        run(QuadraticProblem((0.5,)), cert, Uniform(), 5,
-            np.ones(1), np.random.default_rng(0))
+        run([(0.5,)], cert, Uniform(), 5, np.ones((1, 1)), np.random.default_rng(0))
 
 
 def test_run_deterministic():
     cert = _cert(c=1.4)
-    prob = QuadraticProblem((1.0, 4.0, 10.0))
-    a = run(prob, cert, Uniform(), 100, np.ones(3),
-            rng=np.random.default_rng(42))
-    b = run(prob, cert, Uniform(), 100, np.ones(3),
-            rng=np.random.default_rng(42))
+    spectra = [(1.0, 4.0, 10.0)]
+    (a,) = run(spectra, cert, Uniform(), 100, np.ones((1, 3)), rng=np.random.default_rng(42))
+    (b,) = run(spectra, cert, Uniform(), 100, np.ones((1, 3)), rng=np.random.default_rng(42))
     assert np.array_equal(a.norms, b.norms)
     assert a.max_ratio == b.max_ratio
 
@@ -198,8 +185,7 @@ def test_tightness_probe_constant_step():
     for kappa in (2.0, 10.0):
         fc = FunctionClass(1.0, kappa)
         cert = certify(fc, interval_from_c(fc, 1.0), rho_tol=1e-9, eps_feas=1e-12)
-        prob = QuadraticProblem((fc.m,))
-        rep = run(prob, cert, Constant(1.0 / fc.L), 200, np.ones(1))
+        (rep,) = run([(fc.m,)], cert, Constant(1.0 / fc.L), 200, np.ones((1, 1)))
         ratios = rep.norms / (cert.rho_star ** np.arange(201) * rep.norms[0])
         assert np.min(ratios) >= 1.0 - 1e-6
         assert not rep.violated
@@ -212,10 +198,9 @@ def test_soundness_small_fuzz():
     for trial in range(60):
         dim = 1 + trial % 3
         spectrum = tuple(float(q) for q in rng.uniform(1.0, 10.0, size=dim))
-        prob = QuadraticProblem(spectrum)
         for pol in policies + [AdversarialGreedy()]:
-            rep = run(prob, cert, pol, 80, np.ones(dim),
-                      rng=np.random.default_rng([7, trial]))
+            (rep,) = run([spectrum], cert, pol, 80, np.ones((1, dim)),
+                         rng=np.random.default_rng([7, trial]))
             assert not rep.violated, (spectrum, pol)
 
 
@@ -230,10 +215,10 @@ def _stream(seed, words=0):
     return np.random.Generator(np.random.PCG64(seed).advance(words))
 
 
-def _reference_run(prob, interval, policy, steps, xi0, cert, rng):
+def _reference_run(spectrum, interval, policy, steps, xi0, cert, rng):
     """``run`` as a per-step loop: one scalar draw and one 1-D norm per step."""
     lo, hi = interval.lo, interval.hi
-    q = np.asarray(prob.eigenvalues)
+    q = np.asarray(spectrum)
     xi = np.array(xi0, dtype=float)
     norms = [np.linalg.norm(xi)]
     for k in range(steps):
@@ -284,13 +269,12 @@ def test_run_matches_per_step_reference_loop(point, policy_kind, dim, seed, frac
     fc, iv = cert.fc, cert.interval
     draw = np.random.default_rng(seed)
     spectrum = tuple(map(float, draw.uniform(fc.m, fc.L, size=dim)))
-    prob = QuadraticProblem(spectrum)
     policy = _policy(policy_kind, iv, frac)
     for xi0 in (np.ones(dim), draw.normal(size=dim), np.zeros(dim)):
         for steps in (0, 1, 2, 200):
-            rep = run(prob, cert, policy, steps, xi0, rng=_stream(seed))
+            (rep,) = run([spectrum], cert, policy, steps, [xi0], rng=_stream(seed))
             norms, bound, max_ratio, violated = _reference_run(
-                prob, iv, policy, steps, xi0, cert, _stream(seed))
+                spectrum, iv, policy, steps, xi0, cert, _stream(seed))
             assert np.array_equal(rep.norms, norms), (steps, xi0)
             assert np.array_equal(rep.bound, bound), (steps, xi0)
             assert rep.max_ratio == max_ratio and rep.violated == violated
@@ -304,7 +288,7 @@ def test_run_builds_a_generator_only_for_random_policies(monkeypatch, capsys):
     # The simulate command builds one step PCG64 per dimension group for a
     # random policy, however it is chunked, and none for the others.
     cert = _cert(c=1.2)
-    probs = [QuadraticProblem(q) for q in [(1.0, 10.0), (2.0, 3.0), (10.0, 10.0), (1.0, 1.0)]]
+    spectra = [(1.0, 10.0), (2.0, 3.0), (10.0, 10.0), (1.0, 1.0)]
     made, pcg64 = [], np.random.PCG64
     monkeypatch.setattr(np.random, "PCG64", lambda *a: made.append(a) or pcg64(*a))
     shapes, draw = [], simulator.sample_alpha
@@ -319,15 +303,15 @@ def test_run_builds_a_generator_only_for_random_policies(monkeypatch, capsys):
     for policy, draws in [(Uniform(), True), (Endpoints(), True), (Alternating(), False),
                           (Constant(cert.interval.lo), False),
                           (AdversarialGreedy(), False)]:
-        run(probs[0], cert, policy, 20, rng=rng)
+        run(spectra[:1], cert, policy, 20, rng=rng)
         shapes.clear()
-        run(probs, cert, policy, 20, None, rng)
-        assert shapes == [(len(probs), 20)], policy
+        run(spectra, cert, policy, 20, None, rng)
+        assert shapes == [(len(spectra), 20)], policy
         if draws:
             with pytest.raises(ValueError, match="rng"):
-                run(probs, cert, policy, 20, None, None)
+                run(spectra, cert, policy, 20, None, None)
         else:
-            run(probs, cert, policy, 20, None, None)
+            run(spectra, cert, policy, 20, None, None)
     assert made == []
 
     monkeypatch.setattr(simulator, "CHUNK_FLOATS", 100)
@@ -354,13 +338,16 @@ def _simulate_command(*argv):
     lambda: _simulate_command("--seed", "-1", "--policy", "constant:0.1", "--trials", "1"),
 ])
 def test_negative_entropy_raises_like_numpy(monkeypatch, call):
-    # numpy's SeedSequence refuses a negative --seed when simulate seeds its
-    # streams, under every policy and before anything is certified.
+    # numpy's SeedSequence refuses a negative seed in words that name no
+    # flag, so simulate refuses a negative --seed itself, as a usage error
+    # naming the flag, under every policy and before anything is certified.
     def no_solve(*args, **kwargs):
         raise AssertionError("certify ran for a negative seed")
 
-    monkeypatch.setattr(cli, "certify", no_solve)
     with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        np.random.PCG64([-1, cli.STEP_STREAM, 1])
+    monkeypatch.setattr(cli, "certify", no_solve)
+    with pytest.raises(cli.UsageError, match="^need --seed >= 0, got -1$"):
         call()
 
 
@@ -374,7 +361,7 @@ def _group_batches(cert, trials, seed):
         dim = 1 + i % 5
         spectrum = tuple(map(float, draw.uniform(fc.m, fc.L, size=dim)))
         xi0 = np.zeros(dim) if i == 3 else draw.normal(size=dim)
-        groups.setdefault(dim, []).append((QuadraticProblem(spectrum), xi0))
+        groups.setdefault(dim, []).append((spectrum, xi0))
     return groups
 
 
@@ -397,14 +384,15 @@ def test_batched_run_matches_single_runs_and_reference_loop(
     iv = cert.interval
     policy = _policy(policy_kind, iv, frac)
     for dim, batch in _group_batches(cert, trials, seed).items():
-        probs, xi0s = map(list, zip(*batch))
+        spectra, xi0s = map(list, zip(*batch))
         rng = _stream([seed, dim])
-        reports = run(probs, cert, policy, steps, xi0s, rng)
+        reports = run(spectra, cert, policy, steps, xi0s, rng)
         assert len(reports) == len(batch)
-        for j, (rep, (prob, xi0)) in enumerate(zip(reports, batch)):
-            alone = run(prob, cert, policy, steps, xi0, _stream([seed, dim], j * steps))
+        for j, (rep, (spectrum, xi0)) in enumerate(zip(reports, batch)):
+            (alone,) = run([spectrum], cert, policy, steps, [xi0],
+                           _stream([seed, dim], j * steps))
             norms, bound, max_ratio, violated = _reference_run(
-                prob, iv, policy, steps, xi0, cert, _stream([seed, dim], j * steps))
+                spectrum, iv, policy, steps, xi0, cert, _stream([seed, dim], j * steps))
             for other in (alone.norms, norms):
                 assert np.array_equal(rep.norms, other), (dim, j)
             for other in (alone.bound, bound):
@@ -436,8 +424,7 @@ def test_run_steps_only_inside_the_certified_interval(point, policy_kind, trials
     fc, iv = cert.fc, cert.interval
     policy = _policy(policy_kind, iv, frac)
     draw = np.random.default_rng(seed)
-    probs = [QuadraticProblem(tuple(map(float, draw.uniform(fc.m, fc.L, size=dim))))
-             for _ in range(trials)]
+    spectra = [tuple(map(float, draw.uniform(fc.m, fc.L, size=dim))) for _ in range(trials)]
     stepped, real_step = [], simulator.step
 
     def spy(xi, alphas, q):
@@ -446,23 +433,32 @@ def test_run_steps_only_inside_the_certified_interval(point, policy_kind, trials
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "step", spy)
-        run(probs[0], cert, policy, 30, None, _stream(seed))
-        run(probs, cert, policy, 30, None, _stream(seed))
+        run(spectra[:1], cert, policy, 30, None, _stream(seed))
+        run(spectra, cert, policy, 30, None, _stream(seed))
     assert [alphas.shape for alphas in stepped] == [(1, 30), (trials, 30)]
     for alphas in stepped:
         assert np.all((iv.lo <= alphas) & (alphas <= iv.hi)), policy
 
 
 def test_batched_run_rejects_mixed_or_mismatched_batches():
+    # The spectra are one non-empty (trials, dim) array with every entry in
+    # the class [m, L] = [1, 10]; NaN and the infinities are outside it too.
     cert = _cert()
-    one, two = QuadraticProblem((1.0,)), QuadraticProblem((1.0, 10.0))
+    one, two = (1.0,), (1.0, 10.0)
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="need a problem"):
-        run([], cert, Uniform(), 5, None, rng)
-    with pytest.raises(ValueError, match="one dimension"):
+    for spectra in ([], [()], [(), ()], one):
+        with pytest.raises(ValueError, match=r"non-empty \(trials, dim\)"):
+            run(spectra, cert, Uniform(), 5, None, rng)
+    with pytest.raises(ValueError):
         run([one, two], cert, Uniform(), 5, None, rng)
-    with pytest.raises(ValueError, match="outside"):
-        run([one, QuadraticProblem((0.5,))], cert, Uniform(), 5, None, rng)
+    for q in (0.5, 0.0, -1.0, 10.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="outside"):
+            run([one, (q,)], cert, Uniform(), 5, None, rng)
+    with pytest.raises(ValueError, match="steps >= 0"):
+        run([one], cert, Alternating(), -1)
+    for xi0 in ([1.0], [[1.0, 1.0]], [[1.0], [1.0]], [[math.nan]], [[math.inf]]):
+        with pytest.raises(ValueError, match="xi0"):
+            run([one], cert, Uniform(), 5, xi0, rng)
     for policy in (Uniform(), Endpoints()):
         with pytest.raises(ValueError, match="draws from rng"):
             run([one, one], cert, policy, 5, None)
@@ -544,12 +540,12 @@ def _check_replay(seed, trials, steps, policy_kind, chunk_floats):
     cert = _sector_cert(10.0, 1.4)
     fc, iv = cert.fc, cert.interval
     policy = _policy(policy_kind, iv, 0.0)
-    probs, reports, alphas = [], [], []
+    spectra, reports, alphas = [], [], []
     batch_run, draw = cli.run, simulator.sample_alpha
 
     def recording_run(*args):
         got = batch_run(*args)
-        probs.extend(args[0])
+        spectra.extend(args[0].tolist())
         reports.extend(got)
         return got
 
@@ -569,12 +565,12 @@ def _check_replay(seed, trials, steps, policy_kind, chunk_floats):
                              "--policy", policy_kind]) == 0
     rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
     assert [row[:2] for row in rows] == [[str(i), str(seed)] for i in range(trials)]
-    assert len(probs) == len(reports) == len(alphas) == trials
-    for i, prob, rep, used in zip(_run_order(trials), probs, reports, alphas):
+    assert len(spectra) == len(reports) == len(alphas) == trials
+    for i, row, rep, used in zip(_run_order(trials), spectra, reports, alphas):
         want_alphas, spectrum, rng = _replay(seed, i, steps, policy, iv, fc)
         assert np.array_equal(used, want_alphas), i
-        assert prob.eigenvalues == spectrum, i
-        alone = run(QuadraticProblem(spectrum), cert, policy, steps, rng=rng)
+        assert tuple(row) == spectrum, i
+        (alone,) = run([spectrum], cert, policy, steps, rng=rng)
         assert np.array_equal(rep.norms, alone.norms), i
         assert rows[i][2] == cli._fmt(rep.max_ratio)
 
@@ -666,10 +662,10 @@ def test_violation_in_the_underflow_tail_is_flagged(monkeypatch):
     # A trajectory that stays inside its bound until the envelope underflows
     # and is nonzero at the last step, where the bound reads 0.
     cert = _sector_cert(2.0, 1.1)
-    prob = QuadraticProblem((1.0, 2.0))
+    spectra = [(1.0, 2.0)]
     steps = 2000
     assert math.sqrt(cert.cond_p) * cert.rho_star ** steps == 0.0
-    clean = run(prob, cert, Alternating(), steps, None)
+    (clean,) = run(spectra, cert, Alternating(), steps, None)
     assert not clean.violated
 
     real_step = simulator.step
@@ -680,7 +676,7 @@ def test_violation_in_the_underflow_tail_is_flagged(monkeypatch):
         return traj
 
     monkeypatch.setattr(simulator, "step", planted)
-    rep = run(prob, cert, Alternating(), steps, None)
+    (rep,) = run(spectra, cert, Alternating(), steps, None)
     assert rep.bound[-1] == 0.0 and rep.norms[-1] > 0.0
     assert rep.violated and rep.max_ratio > 1.0
 

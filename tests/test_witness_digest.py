@@ -1,9 +1,9 @@
 """tools/witness_digest.py, the check behind every claim of bit-identical
 certificates, runs end to end on a few draws of each family, and its
 digests, sector solve totals and the dynamic family's barrier solves and
-Newton steps are pinned: a change that moves one rate or one bisection
-step, adds a sector solve, or moves the barrier solver's work, fails
-here.  The same draws sweep soundness: no certificate they make is below
+Newton steps are pinned: a change that moves one rate, one bisection
+step or one byte a simulate command writes, adds a sector solve, or moves
+the barrier solver's work, fails here.  The same draws sweep soundness: no certificate they make is below
 the exact worst-case rate."""
 
 import functools
@@ -19,14 +19,15 @@ from ratecert.search import closed_form_rate
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "witness_digest.py"
 
-# family -> (draws, digest) at seed 2026: the whole digest of the sector
-# and sweep-c families, and the dynamic family's rates-only digest, since
+# family -> (draws, digest) at seed 2026: the whole digest of the sector,
+# sweep-c and simulate families, and the dynamic family's rates-only digest, since
 # its witness P depends on each solve's start by design.  A change that
 # moves rates on purpose re-pins them.
 PINNED_DIGESTS = {
     "sector": (3000, "f9c20843d66055e5b7b876adaf6dd9b296885a31e8f3ada1419b68ef2cc103ad"),
     "dynamic": (300, "981089082158edf9896dc81043b82a07fb8ecc0313a621e528d2e55e02167d62"),
     "sweep-c": (300, "c87b55be1a598018ea9f03178a4b1f7d86342583d6cea3fb994023f2bed269bb"),
+    "simulate": (300, "b60f8ff13ecfa6882fc20cc2fe9879b4fc965a87a8993cdce81685b2e632b8d5"),
 }
 # family -> sector solves (calls of ``search.sector_lambda``) over the same
 # draws, so a change that adds a solve without moving a rate fails too.  A
@@ -48,7 +49,7 @@ def _tool():
     return module
 
 
-@pytest.mark.parametrize("family", ["dynamic", "sector", "sweep-c"])
+@pytest.mark.parametrize("family", ["dynamic", "sector", "sweep-c", "simulate"])
 def test_witness_digest_runs(family):
     proc = subprocess.run([sys.executable, str(TOOL), "--family", family, "--draws", "10"],
                           capture_output=True, text=True, timeout=120)
@@ -71,8 +72,9 @@ def test_witness_digest_runs(family):
 def test_witness_digest_is_pinned_and_no_rate_is_below_the_exact_rate(family, monkeypatch):
     tool = _tool()
     draws, pinned = PINNED_DIGESTS[family]
-    # The certify the family calls: the tool's own, or the CLI's for sweep-c.
-    module = tool.cli if family == "sweep-c" else tool
+    # The certify the family calls: the tool's own, or the CLI's for the
+    # command families.
+    module = tool.cli if family in ("sweep-c", "simulate") else tool
     certify, certs = module.certify, []
 
     def recording(*args, **kwargs):

@@ -3,6 +3,7 @@
     python3 tools/witness_digest.py                   # dynamic, 3,000 draws, seed 2026
     python3 tools/witness_digest.py --family sector   # sector, 3,000 draws, seed 2026
     python3 tools/witness_digest.py --family sweep-c  # sweep-c commands
+    python3 tools/witness_digest.py --family simulate # simulate commands
     python3 tools/witness_digest.py --draws 300
 
 Two checkouts whose certifier, barrier solver and eigen path give the same bits
@@ -75,6 +76,30 @@ passed as ``repr`` of their float.  Hashed per draw: the argument list
 The line before the digest gives the mean and the largest number of sector
 solves (calls of ``search.sector_lambda``) per command; a wob1 command
 makes none.
+
+``--family simulate`` draws ``ratecert simulate`` commands, in order (one
+draw is eight generator calls in this order, all made whichever are used):
+
+* kappa: log-uniform in [1, 100] (``10 ** rng.uniform(0, 2)``);
+* c: uniform in [1, 1.6] (``rng.uniform(1, 1.6)``);
+* policy: ``rng.integers(5)`` over uniform, endpoints, alternating,
+  adversarial and ``constant:<a>``;
+* frac: ``rng.uniform(-0.1, 1.1)``, the constant step ``a = lo + frac *
+  (hi - lo)`` on the interval [1/(c kappa), c/kappa], so that some
+  constant steps lie outside it;
+* trials: ``1 + rng.integers(100)``;
+* steps: ``rng.integers(201)``;
+* seed: ``rng.integers(2**63)``;
+* rho-tol: log-uniform in [1e-8, 1e-3] (``10 ** rng.uniform(-8, -3)``),
+  or ``1e-3`` for wob1.
+
+Draw i runs ``simulate --kappa K --c C --policy P --trials N --steps S
+--seed D --rho-tol T`` with ``--iqc sector``, or ``--iqc wob1`` when i % 10
+== 9; floats are passed as ``repr``.  Hashed per draw: the argument list
+(UTF-8, NUL-separated), the exit code and the bytes written to stdout (the
+CSV, or the line of an exit 2); what goes to stderr is dropped.  The line
+before the digest gives the mean and the largest number of sector solves
+per command.
 """
 
 from __future__ import annotations
@@ -174,11 +199,41 @@ def _sweep_c_draw(rng, sha, rates, index: int) -> int:
     return out.getvalue().count(",true,")
 
 
-FAMILIES = {"dynamic": _dynamic_draw, "sector": _sector_draw, "sweep-c": _sweep_c_draw}
+POLICIES = ("uniform", "endpoints", "alternating", "adversarial", "constant")
+
+
+def _simulate_draw(rng, sha, rates, index: int) -> bool:
+    """Run and hash one simulate draw; True when it had a certificate to
+    validate."""
+    wob1 = index % 10 == 9
+    kappa = 10.0 ** float(rng.uniform(0.0, 2.0))
+    c = float(rng.uniform(1.0, 1.6))
+    policy = POLICIES[int(rng.integers(5))]
+    frac = float(rng.uniform(-0.1, 1.1))
+    trials = 1 + int(rng.integers(100))
+    steps = int(rng.integers(201))
+    seed = int(rng.integers(2**63))
+    rho_tol = 10.0 ** float(rng.uniform(-8.0, -3.0))
+    if policy == "constant":
+        lo, hi = 1.0 / (c * kappa), c / kappa
+        policy = f"constant:{lo + frac * (hi - lo)!r}"
+    argv = ["simulate", "--kappa", repr(kappa), "--c", repr(c), "--policy", policy,
+            "--trials", str(trials), "--steps", str(steps), "--seed", str(seed),
+            "--rho-tol", repr(1e-3 if wob1 else rho_tol),
+            "--iqc", "wob1" if wob1 else "sector"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    sha.update("\0".join(argv).encode() + _bytes(code) + out.getvalue().encode())
+    return code in (0, 3)
+
+
+FAMILIES = {"dynamic": _dynamic_draw, "sector": _sector_draw, "sweep-c": _sweep_c_draw,
+            "simulate": _simulate_draw}
 # The call each family counts per draw: Newton steps for dynamic, solves
 # otherwise.
-COUNTED = {"dynamic": (ellipsoid, "_newton_system"),
-           "sector": (search, "sector_lambda"), "sweep-c": (search, "sector_lambda")}
+COUNTED = {"dynamic": (ellipsoid, "_newton_system"), "sector": (search, "sector_lambda"),
+           "sweep-c": (search, "sector_lambda"), "simulate": (search, "sector_lambda")}
 
 
 def digest(draws: int, seed: int, family: str = "dynamic"
@@ -234,7 +289,7 @@ def main(argv=None) -> int:
     hexdigest, certified, counts, rates, found = digest(args.draws, args.seed, args.family)
     print(f"draws {args.draws}, seed {args.seed}, certified {certified}")
     what = "Newton steps" if args.family == "dynamic" else "solves"
-    per = "command" if args.family == "sweep-c" else "certification"
+    per = "command" if args.family in ("sweep-c", "simulate") else "certification"
     print(f"{what} per {per}: {_spread([sum(c) for c in counts])}")
     if args.family == "dynamic":
         print(f"solves per certification: {_spread([len(c) for c in counts])}")
