@@ -49,6 +49,19 @@ def test_step_examples():
         step(xi, np.array([0.1, -0.1]), q)
 
 
+def test_quadratic_problem_validation():
+    # A trial's spectrum is a row of run's spectra: an empty one or one with
+    # a 0 eigenvalue is rejected, and a valid one sets the iterates' dimension.
+    cert = _cert()
+    with pytest.raises(ValueError):
+        run([()], cert, Alternating(), 5)
+    with pytest.raises(ValueError):
+        run([(0.0,)], cert, Alternating(), 5)
+    (report,) = run([(1.0, 5.0)], cert, Alternating(), 5, [[1.0, 1.0]])
+    assert report.norms.shape == (6,)
+    assert report.norms[0] == math.sqrt(2.0)
+
+
 def test_constant_policy():
     rng = np.random.default_rng(0)
     iv = StepSizeInterval(0.05, 0.2)
