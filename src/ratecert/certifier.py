@@ -31,7 +31,8 @@ reduction-invariant for the plant state.
 
 The numpy layer knows a multiplier only by its tap count k (``search.taps``:
 0 for sector, 1 for wob1 and zf:1, k for zf:k); the kind name is kept only
-in the certificate's record.  Two backends decide feasibility:
+in the certificate's record.  ``_weights`` alone picks its weights h, and
+each dynamic witness carries them.  Two backends decide feasibility:
 
 * k = 0, sector (state dimension 1): P is the scalar 1, and the admissible
   lambda set at each endpoint is an interval computed in closed form from
@@ -184,20 +185,26 @@ def _runs(lmi: LmiData, rho: float, h: tuple[float, ...], eps: float) -> list[tu
     ]
 
 
-def feasible_at_rho(lmi: LmiData, rho: float, h: tuple[float, ...], eps: float,
+def feasible_at_rho(lmi: LmiData, rho: float, pinned: tuple[float, ...] | None, eps: float,
                     start: Witness | None = None) -> Witness | None:
-    """Decide joint feasibility of the block family at ``rho`` with the
-    multiplier weights ``h``, each block held to "<= -eps * I", by the
-    barrier solve, at any order (``certify`` decides sector's in floats).
-    It starts from the witness ``start``, which must lie strictly inside the
-    solver's ball (``certify`` passes the one of the lowest rate solved
-    feasible, a point the solver returned), or else from ``_start``; the
-    verdict's claims do not depend on it.
+    """Decide joint feasibility of the block family at ``rho``, each block
+    held to "<= -eps * I", by the barrier solve, at any order (``certify``
+    decides sector's in floats), with the weights h = ``_weights`` of
+    ``pinned`` (None: the defaults at ``rho``).  It starts from the witness
+    ``start``, which must lie strictly inside the solver's ball (``certify``
+    passes the one of the lowest rate solved feasible, a point the solver
+    returned), or else from ``_start``; the verdict's claims do not depend
+    on it.
 
-    Returns a Witness, or None when infeasible.  Raises SolverBudgetExceeded
+    Returns a Witness that carries h, or None when infeasible, without a
+    solve where h is inadmissible at ``rho``.  Raises SolverBudgetExceeded
     (distinct from infeasibility) if the barrier solver runs out of Newton
     steps before reaching a verdict.
     """
+    try:
+        h = _weights(rho, len(lmi.qh), pinned)
+    except WeightOutOfRange:
+        return None
     d, s = lmi.p.shape[:2]
     x0 = _start(s) if start is None else np.append(start.p.take(free_entries(s)), start.lam)
     point = ellipsoid_feasibility(_runs(lmi, rho, h, eps), start=x0)
@@ -206,7 +213,7 @@ def feasible_at_rho(lmi: LmiData, rho: float, h: tuple[float, ...], eps: float,
     # Every basis matrix is symmetric, so P is too, bit for bit.
     p = lmi.p[0] + sum(v * b for v, b in zip(point[:d - 1], lmi.p[1:]))
     p.setflags(write=False)
-    return Witness(p=p, lam=float(point[-1]))
+    return Witness(p=p, lam=float(point[-1]), weights=h)
 
 
 def _blocks(lmi: LmiData, rho: float, h: tuple[float, ...], p: np.ndarray,
@@ -226,14 +233,14 @@ def _blocks(lmi: LmiData, rho: float, h: tuple[float, ...], p: np.ndarray,
 def _slack(cert: Certificate) -> float:
     """The replay: the largest block eigenvalue of the certificate's witness
     over its step sizes, on data rebuilt in reduced units from its own
-    fields, stored weights included.  It alone reads and checks them (the
-    kind, zf order and count of weights through ``taps``), and is inf where
-    it cannot evaluate them: an unknown kind or zf order, a ``rho_star``
-    that is not a real number in (0, 1], a witness, ``fc`` or ``interval``
-    not of its type, weights that do not fit the kind or are inadmissible
-    there, a lambda that is not a real number, a P that is not an ndarray,
-    is of the wrong order or is not exactly symmetric, a P or lambda that is
-    not finite, or blocks that overflow."""
+    fields, the witness's weights included.  It alone reads and checks them
+    (the kind, zf order and count of weights through ``taps``), and is inf
+    where it cannot evaluate them: an unknown kind or zf order, a
+    ``rho_star`` that is not a real number in (0, 1], a witness, ``fc`` or
+    ``interval`` not of its type, weights that do not fit the kind or are
+    inadmissible there, a lambda that is not a real number, a P that is not
+    an ndarray, is of the wrong order or is not exactly symmetric, a P or
+    lambda that is not finite, or blocks that overflow."""
     wit = cert.witness
     if not (isinstance(wit, Witness) and isinstance(cert.rho_star, Real)
             and isinstance(cert.fc, FunctionClass)
@@ -241,7 +248,7 @@ def _slack(cert: Certificate) -> float:
         return math.inf
     try:
         rho = float(cert.rho_star)
-        weights = tuple(cert.weights)
+        weights = tuple(wit.weights)
         k = taps(cert.iqc_kind, cert.zf_order, weights)
         h = _weights(rho, k, weights)
     except (TypeError, ValueError, OverflowError):  # InvalidInput and WeightOutOfRange too

@@ -193,7 +193,7 @@ def _parser() -> argparse.ArgumentParser:
 def _read_config(path: str) -> dict[str, object]:
     """Config values, converted with the flag types."""
     cfg = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

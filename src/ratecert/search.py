@@ -3,12 +3,12 @@ sector family's closed-form probes, and the types a certificate is made of.
 
 This module imports no numpy, so a sector ``certify`` (and with it a
 sector sweep) runs from start to end without it.  The numpy layer,
-``certifier`` (the barrier backend, replay and ``verify_certificate``),
-is imported the first time the search needs it: the set-up of a dynamic
-(wob1, zf:k) ``certify``, the condition number of a dynamic witness,
-``Certificate.slack``, or the P of a sector witness.  The search calls
-those names through the module (``certifier.feasible_at_rho``), so a name
-replaced there is the one called.
+``certifier`` (the barrier backend, which picks and checks a dynamic
+multiplier's weights, replay and ``verify_certificate``), is imported the
+first time the search needs it: a dynamic ``certify``'s set-up, a dynamic
+witness's condition number, ``Certificate.slack``, or a sector witness's
+P.  The search calls those names through the module (as
+``certifier.feasible_at_rho``), so a name replaced there is the one called.
 
 The bisection runs over the fixed bracket [RHO_LO, RHO_HI] down to a width
 of ``rho_tol``, and every trial rate goes through one oracle: a rate below
@@ -91,11 +91,13 @@ class _WitnessP:
 @dataclass(frozen=True, eq=False)
 class Witness:
     """Feasible pair for the whole family: P (unit trace, read-only and
-    exactly symmetric) and lambda >= 0.  ``p=None`` makes a sector witness,
+    exactly symmetric) and lambda >= 0, solved with the multiplier weights
+    ``weights`` (``()`` for sector).  ``p=None`` makes a sector witness,
     whose P is [[1.0]]."""
 
     p: np.ndarray = _WitnessP()
     lam: float
+    weights: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +117,6 @@ class Certificate:
     interval: StepSizeInterval
     iqc_kind: str
     zf_order: int | None
-    weights: tuple[float, ...]
     bisection_iters: int
     rho_tol: float
 
@@ -328,24 +329,23 @@ def certify(
     Sector probes never build numpy data: P is 1, the reduced class and
     interval and eps are plain floats computed once per call, and each
     probe is ``sector_lambda`` at its rho.  A dynamic multiplier's data
-    (``certifier.augment``) is built once, at set-up; its
-    weights are validated again at every trial rho because admissible
-    weights depend on rho (pass ``weights``, one per filter tap, to pin them
-    instead; trial rates at which pinned weights are inadmissible count as
-    infeasible), and the certificate records the weights its rate was
-    solved with.  ``taps`` checks the spec once: weights of any other
-    length, or any for sector, raise InvalidInput, as does an order, for
-    any kind, that is not an integer in 1..MAX_ZF_ORDER (bool included);
-    only zf records it.  Dynamic solves hold P >=
-    ``certifier.DELTA_PD`` * I and take the barrier solver's step budget,
-    ``ellipsoid.MAX_STEPS``.  The returned rate is the upper end of the final
-    bracket, so it is always backed by a stored witness; ``rho_star`` is
-    None when even the top of the bracket is infeasible.  Trial rates below the exact
-    worst-case rate ``r_exact = max(closed_form_rate(lo),
-    closed_form_rate(hi))`` are infeasible without a solve, and so are
-    rates at or below ``known_infeasible``: the highest rate the caller
-    already knows to be infeasible over this interval (``sweep-c`` passes
-    the top rate on once a smaller, nested interval had no certificate).
+    (``certifier.augment``) is built once, at set-up, and each probe is
+    ``certifier.feasible_at_rho`` at its rho, handed ``weights`` (one per
+    filter tap to pin them; None: the defaults), which checks the weights
+    at that rho (inadmissible: infeasible) and returns them in its witness.
+    ``taps`` checks the spec once: weights of any other length, or any for
+    sector, raise InvalidInput, as does an order, for any kind, that is not
+    an integer in 1..MAX_ZF_ORDER (bool included); only zf records it.
+    Dynamic solves hold P >= ``certifier.DELTA_PD`` * I and take the barrier
+    solver's step budget, ``ellipsoid.MAX_STEPS``.  The returned rate is the
+    upper end of the final bracket, so it is always backed by a stored
+    witness; ``rho_star`` is None when even the top of the bracket is
+    infeasible.  Trial rates below the exact worst-case rate ``r_exact =
+    max(closed_form_rate(lo), closed_form_rate(hi))`` are infeasible without
+    a solve, and so are rates at or below ``known_infeasible``: the highest
+    rate the caller already knows to be infeasible over this interval
+    (``sweep-c`` passes the top rate on once a smaller, nested interval had
+    no certificate).
 
     Every trial rate goes through one oracle, ``feasible``: a rate below
     the floor (at first the larger of r_exact and just above
@@ -390,12 +390,10 @@ def certify(
     if known_infeasible is not None:
         floor = max(floor, math.nextafter(known_infeasible, math.inf))
 
-    def finish(found: tuple[float, float | Witness, tuple[float, ...]] | None,
-               evals: int) -> Certificate:
+    def finish(found: tuple[float, float | Witness] | None, evals: int) -> Certificate:
         rho_star = wit = cond_p = None
-        used: tuple[float, ...] = ()
         if found is not None:
-            rho_star, verdict, used = found
+            rho_star, verdict = found
             if iqc_kind == SECTOR:
                 # P is [[1.0]], of condition number 1.
                 wit, cond_p = Witness(p=None, lam=verdict), 1.0
@@ -409,7 +407,6 @@ def certify(
             interval=interval,
             iqc_kind=iqc_kind,
             zf_order=zf_order if iqc_kind == ZAMES_FALB else None,
-            weights=used,
             bisection_iters=evals,
             rho_tol=rho_tol,
         )
@@ -423,31 +420,25 @@ def certify(
     if iqc_kind != SECTOR:
         certifier = _numpy_layer()
         lmi = certifier.augment(fc_n.kappa(), alphas, n_weights)
-    ceiling = None  # (rho, verdict, h) of the lowest rate solved feasible
+    ceiling = None  # (rho, verdict) of the lowest rate solved feasible
 
-    # The oracle (see above).  A found rate is (rho, lambda, ()) for sector,
-    # (rho, Witness, h) otherwise, with the weights h it was solved with.
-    def feasible(rho: float) -> tuple[float, float | Witness, tuple[float, ...]] | None:
+    # The oracle (see above).  A found rate is (rho, lambda) for sector,
+    # (rho, Witness) otherwise.
+    def feasible(rho: float) -> tuple[float, float | Witness] | None:
         nonlocal floor, ceiling
         if rho < floor:
             return None
         if ceiling is not None and rho >= ceiling[0]:
             return ceiling
-        verdict, h = None, ()
         if iqc_kind == SECTOR:
             verdict = sector_lambda(rho, alphas, fc_n, eps)
         else:
-            try:
-                h = certifier._weights(rho, n_weights, weights)
-            except certifier.WeightOutOfRange:
-                pass
-            else:
-                verdict = certifier.feasible_at_rho(
-                    lmi, rho, h, eps, start=None if ceiling is None else ceiling[1])
+            verdict = certifier.feasible_at_rho(
+                lmi, rho, weights, eps, start=None if ceiling is None else ceiling[1])
         if verdict is None:
             floor = math.nextafter(rho, math.inf)
             return None
-        ceiling = (rho, verdict, h)
+        ceiling = (rho, verdict)
         return ceiling
 
     def bisect(decide) -> tuple[float, float, object, int]:

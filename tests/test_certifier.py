@@ -176,10 +176,11 @@ def test_blocks_are_the_direct_product_at_the_witness():
         a[0, 0] = 1.0
         a[1:2, 0] = -7.0
         cd = np.zeros((2, s + 1))
-        cd[:, 0], cd[:, s], cd[0, 1:s] = [7.0, -1.0], [-1.0, 1.0], cert.weights
+        cd[:, 0], cd[:, s], cd[0, 1:s] = [7.0, -1.0], [-1.0, 1.0], cert.witness.weights
         quad = cd.T @ np.array([[0.0, 1.0], [1.0, 0.0]]) @ cd
-        assert np.array_equal(quad_form(lmi, cert.weights), quad)
-        for alpha, got in zip(interval.endpoints, _blocks(lmi, rho, cert.weights, p, lam)):
+        assert np.array_equal(quad_form(lmi, cert.witness.weights), quad)
+        blocks = _blocks(lmi, rho, cert.witness.weights, p, lam)
+        for alpha, got in zip(interval.endpoints, blocks):
             b = np.zeros(s)
             b[0], b[1:2] = -alpha, 1.0
             ab = np.column_stack([a, b])
@@ -236,6 +237,9 @@ def test_lambda_interval_kappa_one_is_halfline():
     fc = FunctionClass(2.0, 2.0)
     iv = lambda_interval_sector(0.5, 1.0 / 2.0, fc, 0.0)
     assert iv is not None and math.isinf(iv[1])
+    # A zero linear coefficient and a negative constant: the determinant is
+    # -1/16 at every lambda, so no lambda makes the block <= 0.
+    assert lambda_interval_sector(0.5, 0.5, FunctionClass(1.0, 1.0), 0.0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +511,8 @@ def test_sector_hot_path_builds_once(monkeypatch, solver_calls):
 def test_slack_is_the_rebuilt_family_slack(kind, zf_order):
     interval = interval_from_c(FC10, 1.2)
     cert = certify(FC10, interval, iqc_kind=kind, zf_order=zf_order)
-    expected = _slack_at(FC10, interval, kind, cert.rho_star, cert.weights, cert.witness,
-                         zf_order)
+    expected = _slack_at(FC10, interval, kind, cert.rho_star, cert.witness.weights,
+                         cert.witness, zf_order)
     assert cert.slack == expected
     assert cert.slack <= 0.0
 
@@ -605,12 +609,13 @@ def test_verify_roundtrip_and_perturbations():
     tol = default_eps_feas(10.0)
     for kind in (SECTOR, WEIGHTED_OFF_BY_1, ZAMES_FALB):
         cert = certify(FC10, interval, iqc_kind=kind)
-        wit, n = cert.witness, len(cert.weights)
+        wit, n = cert.witness, len(cert.witness.weights)
         assert verify_certificate(cert), kind
         # Below the exact rate, with weights admissible there, so that the
         # blocks, not the weight check, reject it.
         below = dataclasses.replace(
-            cert, rho_star=0.5, weights=default_weights(0.5, n))
+            cert, rho_star=0.5,
+            witness=dataclasses.replace(wit, weights=default_weights(0.5, n)))
         wider = dataclasses.replace(cert, interval=interval_from_c(FC10, 1.99))
         assert below.rho_star < _exact_rate(FC10, interval)
         assert _exact_rate(FC10, wider.interval) > cert.rho_star
@@ -621,8 +626,9 @@ def test_verify_roundtrip_and_perturbations():
                         dataclasses.replace(wit, p=-wit.p)):
             assert not verify_certificate(dataclasses.replace(cert, witness=bad_wit)), kind
         if n:
-            inadmissible = (cert.weights[0] + 1e-3, *cert.weights[1:])
-            assert not verify_certificate(dataclasses.replace(cert, weights=inadmissible))
+            inadmissible = (cert.witness.weights[0] + 1e-3, *cert.witness.weights[1:])
+            assert not verify_certificate(dataclasses.replace(
+                cert, witness=dataclasses.replace(wit, weights=inadmissible)))
 
 
 def test_verify_requires_witness():
@@ -691,7 +697,9 @@ def test_verify_rejects_a_tampered_certificate(kind):
     # evaluate them: their slack is inf.
     cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=kind, zf_order=2)
     assert verify_certificate(cert)
-    changes = [dict(iqc_kind="bogus"), dict(weights=("a",)), dict(weights=None),
+    changes = [dict(iqc_kind="bogus"),
+               dict(witness=dataclasses.replace(cert.witness, weights=("a",))),
+               dict(witness=dataclasses.replace(cert.witness, weights=None)),
                dict(fc=FunctionClass(1.0, 1e308)), dict(rho_star=None),
                dict(rho_star=-cert.rho_star), dict(rho_star=1.5), dict(rho_star="0.95"),
                dict(rho_star=10 ** 400), dict(fc=None), dict(fc=(1.0, 10.0)),
@@ -704,7 +712,8 @@ def test_verify_rejects_a_tampered_certificate(kind):
         assert bad.slack == math.inf, change
         assert verify_certificate(bad) is False, change
     # () is sector's own weights, and no default stands in for another kind's.
-    assert verify_certificate(dataclasses.replace(cert, weights=())) is (kind == SECTOR)
+    bare = dataclasses.replace(cert, witness=dataclasses.replace(cert.witness, weights=()))
+    assert verify_certificate(bare) is (kind == SECTOR)
 
 
 @pytest.mark.parametrize("spoil", [lambda c: 0.5 * c, lambda c: None, lambda c: math.nan],
@@ -746,8 +755,8 @@ def test_verify_rejects_a_p_that_is_not_exactly_symmetric():
     cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=ZAMES_FALB, zf_order=2)
     p = np.array([[0.9585, 0.2074, 0.0341], [0.1568, 0.0366, -0.0135], [0.0042, -0.0066, 0.0049]])
     assert np.linalg.eigvalsh(p)[0] > 0.0 and 0.9 < _exact_rate(FC10, cert.interval)
-    bad = dataclasses.replace(cert, rho_star=0.9, weights=default_weights(0.9, 2),
-                              witness=dataclasses.replace(cert.witness, p=p, lam=0.0095))
+    bad = dataclasses.replace(cert, rho_star=0.9, witness=dataclasses.replace(
+        cert.witness, p=p, lam=0.0095, weights=default_weights(0.9, 2)))
     assert bad.slack == math.inf
     assert verify_certificate(bad) is False
     for sym in (np.triu(p) + np.triu(p, 1).T, np.tril(p) + np.tril(p, -1).T):
@@ -764,10 +773,10 @@ def test_wob1_certifies_as_zf1(kappa, c, rho_tol):
     interval = interval_from_c(fc, c)
     wob1 = certify(fc, interval, iqc_kind=WEIGHTED_OFF_BY_1, rho_tol=rho_tol)
     zf1 = certify(fc, interval, iqc_kind=ZAMES_FALB, zf_order=1, rho_tol=rho_tol)
-    assert (wob1.rho_star, wob1.bisection_iters, wob1.weights) == (
-        zf1.rho_star, zf1.bisection_iters, zf1.weights)
+    assert (wob1.rho_star, wob1.bisection_iters) == (zf1.rho_star, zf1.bisection_iters)
     assert (wob1.witness is None) == (zf1.witness is None)
     if wob1.witness is not None:
+        assert wob1.witness.weights == zf1.witness.weights
         assert wob1.witness.lam == zf1.witness.lam
         assert wob1.witness.p.tobytes() == zf1.witness.p.tobytes()
 
@@ -775,7 +784,7 @@ def test_wob1_certifies_as_zf1(kappa, c, rho_tol):
 def test_verify_dynamic_multiplier_roundtrip():
     cert = certify(FC10, interval_from_c(FC10, 1.2), iqc_kind=ZAMES_FALB, zf_order=2)
     assert verify_certificate(cert)
-    assert len(cert.weights) == 2
+    assert len(cert.witness.weights) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -904,22 +913,46 @@ def test_scale_invariance_quick():
         assert r == pytest.approx(r1, abs=2e-4)
 
 
-def test_pinned_weights_are_respected(solver_calls):
+def _count_solves(mp) -> list:
+    """Append to the returned list at every barrier solve."""
+    solves, solve = [], certifier.ellipsoid_feasibility
+    mp.setattr(certifier, "ellipsoid_feasibility",
+               lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
+    return solves
+
+
+def test_pinned_weights_are_respected(monkeypatch, solver_calls):
     cert = certify(FC10, interval_from_c(FC10, 1.0),
                    iqc_kind=WEIGHTED_OFF_BY_1, weights=(0.1,))
     assert cert.rho_star is not None
-    assert cert.weights == (0.1,)
+    assert cert.witness.weights == (0.1,)
     assert verify_certificate(cert)
     # wob1's h1 = 0.95 is admissible only at rho^2 >= 0.95: every lower
     # trial rate counts as infeasible without a solve, so the rate lands
     # just above sqrt(0.95), where default weights would certify 0.9167.
+    # The probe rejects those rates itself, so the check counts barrier
+    # solves: one per probe at rho^2 >= 0.95.
+    solves = _count_solves(monkeypatch)
     solver_calls.clear()
     cert = certify(FC10, interval_from_c(FC10, 1.2),
                    iqc_kind=WEIGHTED_OFF_BY_1, weights=(0.95,))
-    assert cert.weights == (0.95,)
+    assert cert.witness.weights == (0.95,)
     assert math.sqrt(0.95) < cert.rho_star <= math.sqrt(0.95) + cert.rho_tol
-    assert solver_calls and min(solver_calls) ** 2 >= 0.95
+    assert len(solves) == sum(rho * rho >= 0.95 for rho in solver_calls) > 0
     assert verify_certificate(cert)
+
+
+def test_inadmissible_pinned_weights_make_no_solve(monkeypatch):
+    # wob1's h1 = 0.95 is inadmissible at rate 0.96 (0.96^2 < 0.95): the
+    # probe is infeasible there without a barrier solve.  Where h1 is
+    # admissible it solves, and its witness carries h1.
+    solves = _count_solves(monkeypatch)
+    lmi = _lmi(FC10, interval_from_c(FC10, 1.2), WEIGHTED_OFF_BY_1)
+    eps = default_eps_feas(10.0)
+    assert feasible_at_rho(lmi, 0.96, (0.95,), eps) is None
+    assert solves == []
+    wit = feasible_at_rho(lmi, 0.98, (0.95,), eps)
+    assert len(solves) == 1 and wit.weights == (0.95,)
 
 
 @pytest.mark.parametrize(
@@ -1426,8 +1459,8 @@ def test_dynamic_witnesses_pinned(case):
     fc = FunctionClass(1.0, kappa)
     cert = certify(fc, interval_from_c(fc, c), iqc_kind=kind, zf_order=int(order or 2),
                    weights=weights)
-    digest = hashlib.sha256(repr((cert.rho_star, cert.witness.lam, cert.cond_p, cert.weights,
-                                  cert.bisection_iters)).encode())
+    digest = hashlib.sha256(repr((cert.rho_star, cert.witness.lam, cert.cond_p,
+                                  cert.witness.weights, cert.bisection_iters)).encode())
     digest.update(cert.witness.p.tobytes())
     assert digest.hexdigest() == PINNED_WITNESSES[case]
 

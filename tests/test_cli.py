@@ -620,6 +620,12 @@ def test_config_values_take_the_flag_types(tmp_path, capsys):
         (1.5, float), (7, int), (3, int), ("wob1", str)]
     assert res.explicit == set()
 
+    # A UTF-8 byte-order mark is not part of the first key.
+    for text in ("kappa=5\nc=1.2\n", "\ufeffkappa=5\nc=1.2\n"):
+        cfg.write_text(text, encoding="utf-8")
+        assert run_cli("certify", "--config", str(cfg)) == 0
+        assert "rho_star    0.833518280029\n" in capsys.readouterr().out
+
 
 def test_certify_ellipsoid_kinds(capsys):
     assert run_cli("certify", "--kappa", "4", "--c", "1", "--iqc", "wob1") == 0

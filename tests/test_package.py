@@ -18,12 +18,17 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_import_ratecert_loads_no_numpy():
+    # Nothing imports model or simulator before the script reads them, so
+    # both go through the package's lazy submodule attribute.
     script = ("import sys, ratecert\n"
               "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+              "ratecert.model\n"
+              "assert 'numpy' not in sys.modules, 'numpy loaded by model'\n"
               "ratecert.certify\n"
               "assert 'numpy' not in sys.modules, 'numpy loaded by certify'\n"
               "ratecert.augment\n"
-              "assert 'numpy' in sys.modules\n")
+              "assert 'numpy' in sys.modules\n"
+              "assert ratecert.simulator is sys.modules['ratecert.simulator']\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)

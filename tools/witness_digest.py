@@ -24,11 +24,12 @@ this order):
 
 Each draw certifies ``FunctionClass(1, kappa)`` on ``interval_from_c(fc,
 c)`` with ``certify(..., rho_tol=rho_tol)``.  Hashed per draw: the kind,
-zf order, kappa, c and rho_tol; ``rho_star``, ``cond_p``, ``weights`` and
-``bisection_iters``; and, for a certificate with a witness, ``lam``,
-``slack`` and the bytes of P in C order.  Five lines come before the
-digest: the mean and the largest number of Newton steps (calls of
-``ellipsoid._newton_system``) per certification; the same for barrier
+zf order, kappa, c and rho_tol; ``rho_star``, ``cond_p``, the witness's
+``weights`` (none without a witness) and ``bisection_iters``; and, for a
+certificate with a witness, ``lam``, ``slack`` and the bytes of P in C
+order.  Five lines come before the digest: the mean and the largest
+number of Newton steps (calls of ``ellipsoid._newton_system``) per
+certification; the same for barrier
 solves (calls of ``certifier.ellipsoid_feasibility``) per certification;
 the same for Newton steps per solve, over the first solve of each
 certification (from the cold start) and over the later ones (started from
@@ -153,7 +154,8 @@ def _dynamic_draw(rng, sha, rates, index: int) -> bool:
                    rho_tol=rho_tol)
     draw = kind.encode() + _bytes(order, kappa, c, rho_tol)
     sha.update(draw)
-    sha.update(_bytes(cert.rho_star, cert.cond_p, *cert.weights, cert.bisection_iters))
+    weights = cert.witness.weights if cert.witness is not None else ()
+    sha.update(_bytes(cert.rho_star, cert.cond_p, *weights, cert.bisection_iters))
     rates.update(draw + _bytes(cert.rho_star, cert.bisection_iters))
     if cert.witness is None:
         return False
